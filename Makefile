@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-check fmt fmt-fix lint staticcheck metrics-lint fuzz ci
+.PHONY: all build test race bench bench-json bench-check bench-harness fmt fmt-fix lint staticcheck metrics-lint fuzz ci
 
 all: build test
 
@@ -40,6 +40,13 @@ bench-check:
 		$(GO) run ./cmd/benchsnap -compare BENCH_ingest.json -threshold $(BENCH_THRESHOLD) -out bench-compare.txt || \
 		{ cat bench-compare.txt; exit 1; }
 	@cat bench-compare.txt
+
+# The process-to-process benchmark harness (benchmark/, see BENCHMARK.json)
+# is a module of its own, so `build`, `lint` and `test` above never compile
+# it — yet it links against the collect.Server surface. Vet and test it
+# here so a refactor that moves that surface fails before the driver runs.
+bench-harness:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -89,4 +96,4 @@ else
 	done
 endif
 
-ci: fmt lint staticcheck build race metrics-lint fuzz bench
+ci: fmt lint staticcheck build race metrics-lint bench-harness fuzz bench

@@ -1046,7 +1046,7 @@ func runMean(base string, hc *http.Client, probe *collect.MeanClient, data *mean
 		go func(w, firstUser int, values []mean.Value) {
 			defer wg.Done()
 			client, err := collect.NewMeanClient(base, hc, seed+uint64(w)*7919,
-				collect.WithMeanBatchSize(batch), collect.WithMeanNDJSON(ndjson), collect.WithMeanBinary(binary))
+				collect.WithBatchSize(batch), collect.WithNDJSON(ndjson), collect.WithBinary(binary))
 			var lats []time.Duration
 			n := 0
 			if err == nil {

@@ -100,7 +100,7 @@ func main() {
 	go http.Serve(ln, srv.Handler()) //nolint:errcheck — dies with the process
 	base := "http://" + ln.Addr().String()
 
-	client, err := collect.NewMeanClient(base, nil, servedSeed, collect.WithMeanBatchSize(512))
+	client, err := collect.NewMeanClient(base, nil, servedSeed, collect.WithBatchSize(512))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,10 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net/http"
-	"time"
-
-	"repro/internal/core"
 )
 
 // maxBatchErrors bounds the per-item error list echoed back in a batch
@@ -40,110 +36,25 @@ type WireBatchAck struct {
 	ErrorsTruncated bool `json:"errors_truncated,omitempty"`
 }
 
-// handleReportBatch ingests a batch of reports submitted as a JSON array
-// of WireReports, an NDJSON stream (one WireReport object per line), or —
-// selected by the BinaryContentType media type — one binary wire frame.
-// The whole body is subject to the server's size cap (413 beyond it); a
-// syntactically unreadable envelope is a 400; individually invalid items
-// (bad label, out-of-range bit index, malformed NDJSON record) are
-// rejected per item while the rest of the batch is accepted. Binary frames
-// are all-or-nothing instead (see binary.go).
-func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	m := s.freqM
-	body, release, ok := s.readBodyPooled(w, r, m)
-	if !ok {
-		return
-	}
-	defer release()
-	m.bytes.Add(int64(len(body)))
-	if isBinaryContentType(r.Header.Get("Content-Type")) {
-		s.handleBinaryReportBatch(w, body, start)
-		return
-	}
-	wires, itemErrs, droppedTail, err := decodeBatch(body)
-	if err != nil {
-		m.rejectedDecode.Inc()
-		http.Error(w, "decode batch: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	decoded := make([]core.Report, 0, len(wires))
-	accepted := make([]WireReport, 0, len(wires))
-	for _, iw := range wires {
-		rep, derr := s.proto.DecodeReport(iw.report)
-		if derr != nil {
-			itemErrs = append(itemErrs, WireItemError{Index: iw.index, Error: derr.Error()})
-			continue
-		}
-		decoded = append(decoded, rep)
-		accepted = append(accepted, iw.report)
-	}
-	if err := s.admitReports(len(decoded)); err != nil {
-		m.observeIngestError(err, len(decoded))
-		writeIngestError(w, err)
-		return
-	}
-	if err := s.ingest(accepted, decoded); err != nil {
-		m.observeIngestError(err, len(decoded))
-		writeIngestError(w, err)
-		return
-	}
-	m.batchesJSON.Inc()
-	m.reportsJSON.Add(int64(len(decoded)))
-	m.rejectedItem.Add(int64(len(itemErrs) + droppedTail))
-	var ack WireBatchAck
-	ack.Accepted = len(decoded)
-	ack.Rejected = len(itemErrs) + droppedTail
-	ack.Reports = s.Reports()
-	if len(itemErrs) > maxBatchErrors {
-		itemErrs = itemErrs[:maxBatchErrors]
-		ack.ErrorsTruncated = true
-	}
-	ack.Errors = itemErrs
-	writeJSON(w, ack)
-	m.latency.Observe(time.Since(start).Seconds())
-}
-
-// indexedWire pairs a decoded wire report with its position in the
-// submitted batch so rejections can be attributed.
-type indexedWire = indexedItem[WireReport]
-
-// decodeBatch splits a frequency-report batch body into its individual
-// wire reports; see decodeBatchItems for the format rules.
-func decodeBatch(body []byte) (wires []indexedWire, itemErrs []WireItemError, droppedTail int, err error) {
-	return decodeBatchItems[WireReport](body)
-}
-
-// indexedItem pairs a decoded batch item with its position in the
-// submitted stream so rejections can be attributed.
-type indexedItem[T any] struct {
-	index  int
-	report T
-}
-
 // decodeBatchItems splits a batch body into its individual items. A body
 // whose first non-space byte is '[' is a JSON array; anything else is
 // treated as an NDJSON stream. The error return is reserved for envelope
 // failures (unreadable array syntax, empty body); individual record
 // failures inside an NDJSON stream come back as one itemized error plus a
 // droppedTail count of the records discarded after the truncation point,
-// so Accepted+Rejected still accounts for the whole submitted stream. It
-// is shared by the frequency-report and the top-k round-report endpoints.
-func decodeBatchItems[T any](body []byte) (items []indexedItem[T], itemErrs []WireItemError, droppedTail int, err error) {
+// so Accepted+Rejected still accounts for the whole submitted stream. An
+// item's position in items is its index in the submitted stream. It is
+// shared by the report tiers' and the top-k round-report endpoints.
+func decodeBatchItems[T any](body []byte) (items []T, itemErrs []WireItemError, droppedTail int, err error) {
 	trimmed := bytes.TrimLeft(body, " \t\r\n")
 	if len(trimmed) == 0 {
 		return nil, nil, 0, fmt.Errorf("empty batch body")
 	}
 	if trimmed[0] == '[' {
-		var reps []T
-		if err := json.Unmarshal(trimmed, &reps); err != nil {
+		if err := json.Unmarshal(trimmed, &items); err != nil {
 			return nil, nil, 0, err
 		}
-		out := make([]indexedItem[T], len(reps))
-		for i, wr := range reps {
-			out[i] = indexedItem[T]{index: i, report: wr}
-		}
-		return out, nil, 0, nil
+		return items, nil, 0, nil
 	}
 	// NDJSON: a stream of JSON objects separated by newlines (any JSON
 	// whitespace works — json.Decoder consumes a concatenated stream).
@@ -161,7 +72,7 @@ func decodeBatchItems[T any](body []byte) (items []indexedItem[T], itemErrs []Wi
 			})
 			break
 		}
-		items = append(items, indexedItem[T]{index: i, report: wr})
+		items = append(items, wr)
 	}
 	return items, itemErrs, droppedTail, nil
 }

@@ -258,16 +258,12 @@ func TestShardedMatchesSingleAccumulator(t *testing.T) {
 			for i := 0; i < n; i++ {
 				wire := proto.EncodeReport(enc.Encode(core.Pair{Class: r.Intn(c), Item: r.Intn(d)}, r))
 				for _, srv := range []*Server{sharded, single} {
-					dec, err := srv.proto.DecodeReport(wire)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := srv.ingest([]WireReport{wire}, []core.Report{dec}); err != nil {
+					if err := ingestChunk(srv.freq, []WireReport{wire}); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			accS, accU := sharded.merged(), single.merged()
+			accS, accU := sharded.freq.merged(), single.freq.merged()
 			if accS.N() != n || accU.N() != n {
 				t.Fatalf("totals %d/%d, want %d", accS.N(), accU.N(), n)
 			}
@@ -338,7 +334,7 @@ func TestShardedConcurrentBatchIngest(t *testing.T) {
 	if got := srv.Reports(); got != wantTotal {
 		t.Fatalf("server saw %d reports, want %d", got, wantTotal)
 	}
-	acc := srv.merged()
+	acc := srv.freq.merged()
 	total := 0.0
 	for _, sz := range acc.ClassSizes() {
 		total += sz

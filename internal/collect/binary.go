@@ -1,11 +1,6 @@
 package collect
 
-import (
-	"fmt"
-	"net/http"
-	"strings"
-	"time"
-)
+import "strings"
 
 // This file is the binary wire path of both report tiers — the
 // high-throughput alternative to the JSON-array/NDJSON batch encodings.
@@ -52,160 +47,4 @@ func isBinaryContentType(ct string) bool {
 		ct = ct[:i]
 	}
 	return strings.EqualFold(strings.TrimSpace(ct), BinaryContentType)
-}
-
-// ---------------------------------------------------------------------------
-// Frequency tier.
-// ---------------------------------------------------------------------------
-
-// handleBinaryReportBatch ingests one binary frequency frame: validated end
-// to end first (CRC, header, every record against the protocol's wire
-// shape), then logged and applied — so a 400 frame provably left no trace,
-// and the WAL only ever holds frames that replay cleanly.
-func (s *Server) handleBinaryReportBatch(w http.ResponseWriter, body []byte, start time.Time) {
-	m := s.freqM
-	count, err := s.proto.ValidateBinaryBatch(body)
-	if err != nil {
-		m.rejectedDecode.Inc()
-		http.Error(w, "decode batch: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if count > 0 {
-		if err := s.admitReports(count); err != nil {
-			m.observeIngestError(err, count)
-			writeIngestError(w, err)
-			return
-		}
-		if err := s.ingestBinary(body); err != nil {
-			m.observeIngestError(err, count)
-			writeIngestError(w, err)
-			return
-		}
-	}
-	m.batchesBinary.Inc()
-	m.reportsBinary.Add(int64(count))
-	writeJSON(w, WireBatchAck{Accepted: count, Reports: s.Reports()})
-	m.latency.Observe(time.Since(start).Seconds())
-}
-
-// ingestBinary is ingest for a validated binary frame: the raw frame is
-// logged write-ahead (the record replays through the same validate+apply
-// path), then folded into a shard. A WAL append failure rejects the frame
-// with nothing applied, so the client may safely retry.
-func (s *Server) ingestBinary(frame []byte) error {
-	s.ingestMu.RLock()
-	if s.wal != nil {
-		if err := s.wal.Append(append([]byte{recBinaryBatch}, frame...)); err != nil {
-			s.ingestMu.RUnlock()
-			return fmt.Errorf("collect: wal append: %w", err)
-		}
-	}
-	err := s.applyBinary(frame)
-	s.ingestMu.RUnlock()
-	if err != nil {
-		// Unreachable for a frame ValidateBinaryBatch accepted; surfaced
-		// loudly rather than swallowed in case of a codec bug.
-		return err
-	}
-	s.maybeCompact()
-	return nil
-}
-
-// applyBinary folds a validated frame into one round-robin shard under a
-// single lock acquisition, advancing the total under the shard lock (the
-// same discipline as apply). The bit-vector protocols take the packed
-// words straight into their accumulator counts — no per-report
-// allocations.
-func (s *Server) applyBinary(frame []byte) error {
-	sh := s.shards[s.next.Add(1)%uint64(len(s.shards))]
-	sh.mu.Lock()
-	n, err := s.proto.ApplyBinaryBatch(sh.acc, frame)
-	if err == nil {
-		sh.count.Add(int64(n))
-		s.total.Add(int64(n))
-	}
-	sh.mu.Unlock()
-	return err
-}
-
-// replayBinaryRecord re-applies one binary-frame WAL record.
-func (s *Server) replayBinaryRecord(frame []byte) error {
-	if err := s.applyBinary(frame); err != nil {
-		return fmt.Errorf("collect: wal binary batch record does not match protocol %s: %w", s.proto.Name(), err)
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Mean tier.
-// ---------------------------------------------------------------------------
-
-// handleBinaryMeanBatch is the mean half of the binary path, with the same
-// validate-then-ingest contract as the frequency handler.
-func (s *Server) handleBinaryMeanBatch(w http.ResponseWriter, body []byte, start time.Time) {
-	h := s.mean
-	m := h.metrics
-	count, err := h.proto.ValidateBinaryMeanBatch(body)
-	if err != nil {
-		m.rejectedDecode.Inc()
-		http.Error(w, "decode batch: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if count > 0 {
-		if err := s.admitReports(count); err != nil {
-			m.observeIngestError(err, count)
-			writeIngestError(w, err)
-			return
-		}
-		if err := h.ingestBinary(body); err != nil {
-			m.observeIngestError(err, count)
-			writeIngestError(w, err)
-			return
-		}
-	}
-	m.batchesBinary.Inc()
-	m.reportsBinary.Add(int64(count))
-	writeJSON(w, WireBatchAck{Accepted: count, Reports: s.MeanReports()})
-	m.latency.Observe(time.Since(start).Seconds())
-}
-
-// ingestBinary mirrors the frequency tier's binary ingest against the
-// hub's own log.
-func (h *meanHub) ingestBinary(frame []byte) error {
-	h.ingestMu.RLock()
-	if h.log != nil {
-		if err := h.log.Append(append([]byte{recBinaryBatch}, frame...)); err != nil {
-			h.ingestMu.RUnlock()
-			return fmt.Errorf("collect: mean wal append: %w", err)
-		}
-	}
-	err := h.applyBinary(frame)
-	h.ingestMu.RUnlock()
-	if err != nil {
-		return err
-	}
-	h.maybeCompact()
-	return nil
-}
-
-// applyBinary folds a validated mean frame into one round-robin shard
-// under a single lock acquisition.
-func (h *meanHub) applyBinary(frame []byte) error {
-	sh := h.shards[h.next.Add(1)%uint64(len(h.shards))]
-	sh.mu.Lock()
-	n, err := h.proto.ApplyBinaryMeanBatch(sh.acc, frame)
-	if err == nil {
-		sh.count.Add(int64(n))
-		h.total.Add(int64(n))
-	}
-	sh.mu.Unlock()
-	return err
-}
-
-// replayBinaryRecord re-applies one binary-frame mean WAL record.
-func (h *meanHub) replayBinaryRecord(frame []byte) error {
-	if err := h.applyBinary(frame); err != nil {
-		return fmt.Errorf("collect: mean wal binary batch record does not match protocol %s: %w", h.proto.Name(), err)
-	}
-	return nil
 }

@@ -91,7 +91,7 @@ func TestBinaryMeanBatchMatchesJSONAllFrameworks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			binClient, err := NewMeanClient(tsBin.URL, tsBin.Client(), 42, WithMeanBinary(true))
+			binClient, err := NewMeanClient(tsBin.URL, tsBin.Client(), 42, WithBinary(true))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,7 +286,7 @@ func TestBinaryWALReplay(t *testing.T) {
 		dir := t.TempDir()
 		srv := newMeanServer(t, "cpmean", classes, 2, 0.5, WithWAL(dir), walOpts)
 		ts := newHTTPServer(t, srv)
-		client, err := NewMeanClient(ts.URL, ts.Client(), 23, WithMeanBinary(true))
+		client, err := NewMeanClient(ts.URL, ts.Client(), 23, WithBinary(true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,8 +344,8 @@ func TestWithBinaryRequiresAdvertisement(t *testing.T) {
 	if _, err := NewClient(ts.URL, ts.Client(), 1); err != nil {
 		t.Fatalf("JSON client against a pre-binary server: %v", err)
 	}
-	if _, err := NewMeanClient(ts.URL, ts.Client(), 1, WithMeanBinary(true)); err == nil {
-		t.Fatal("WithMeanBinary accepted a server that does not advertise the binary wire")
+	if _, err := NewMeanClient(ts.URL, ts.Client(), 1, WithBinary(true)); err == nil {
+		t.Fatal("WithBinary accepted a server that does not advertise the binary wire")
 	}
 	if _, err := NewMeanClient(ts.URL, ts.Client(), 1); err != nil {
 		t.Fatalf("JSON mean client against a pre-binary server: %v", err)

@@ -34,41 +34,25 @@ const DefaultRetryBase = 100 * time.Millisecond
 // toward infinity.
 const maxRetryDelayFactor = 16
 
-// Client perturbs pairs locally and submits them to a collection server.
-// The raw pair never leaves the client: it runs the real client half
-// (core.Encoder) of the protocol the server advertises in /config, so the
-// same Client speaks every framework. Submissions can be immediate
-// (Submit, SubmitBatch) or buffered (Buffer + Flush), in which case
-// perturbed reports accumulate locally and ship as one batch request per
-// BatchSize reports.
-//
-// A Client is not safe for concurrent use; run one per goroutine (they are
-// cheap — the protocol parameters are shared through the fetched config).
-type Client struct {
-	base      string
-	http      *http.Client
+// clientConfig is what the ClientOptions set — the same knobs for both
+// report clients.
+type clientConfig struct {
 	tenant    string
 	token     string
-	proto     *core.Protocol
-	enc       core.Encoder
-	rng       *xrand.Rand
 	batchSize int
 	ndjson    bool
 	binary    bool
 	retries   int
 	retryBase time.Duration
-	sleep     func(time.Duration) // injectable for tests
-	cfg       WireConfig
-	pending   []WireReport
 }
 
-// ClientOption configures a Client.
-type ClientOption func(*Client)
+// ClientOption configures a Client or a MeanClient.
+type ClientOption func(*clientConfig)
 
 // WithBatchSize sets the buffered auto-flush threshold (reports per batch
 // request). n < 1 restores DefaultBatchSize.
 func WithBatchSize(n int) ClientOption {
-	return func(c *Client) {
+	return func(c *clientConfig) {
 		if n < 1 {
 			n = DefaultBatchSize
 		}
@@ -80,22 +64,18 @@ func WithBatchSize(n int) ClientOption {
 // of a JSON array. The server accepts both; NDJSON suits producers that
 // append records incrementally.
 func WithNDJSON(on bool) ClientOption {
-	return func(c *Client) { c.ndjson = on }
+	return func(c *clientConfig) { c.ndjson = on }
 }
 
 // WithBinary makes batch submissions use the binary wire frame instead of
 // JSON — roughly an order of magnitude smaller and cheaper to decode for
-// unary-encoded protocols. NewClient fails when the server's /config does
-// not advertise "binary" in its wire list (servers predating the format
-// speak JSON only). Binary overrides NDJSON for batches; single-report
-// Submit stays JSON.
+// unary-encoded protocols. NewClient and NewMeanClient fail when the
+// server's tier config does not advertise "binary" in its wire list
+// (servers predating the format speak JSON only). Binary overrides NDJSON
+// for batches; single-report Submit stays JSON.
 func WithBinary(on bool) ClientOption {
-	return func(c *Client) { c.binary = on }
+	return func(c *clientConfig) { c.binary = on }
 }
-
-// encodeBufPool recycles binary frame encode buffers across flushes and
-// across clients, so a steady producer allocates no per-batch body.
-var encodeBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 16<<10); return &b }}
 
 // WithRetry tunes the client's handling of 5xx responses: a submission the
 // server answers with a server error is retried up to retries times with
@@ -105,7 +85,7 @@ var encodeBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 16<<10); re
 // restores DefaultRetryBase. 4xx responses and transport errors are never
 // retried — the former need a fix, the latter may have been ingested.
 func WithRetry(retries int, base time.Duration) ClientOption {
-	return func(c *Client) {
+	return func(c *clientConfig) {
 		if retries < 0 {
 			retries = 0
 		}
@@ -117,6 +97,78 @@ func WithRetry(retries int, base time.Duration) ClientOption {
 	}
 }
 
+// encodeBufPool recycles binary frame encode buffers across flushes and
+// across clients, so a steady producer allocates no per-batch body.
+var encodeBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 16<<10); return &b }}
+
+// batchClient is the buffered submission half of both report clients:
+// target (base URL, tenant routing, bearer token), batch encoding, 5xx
+// retry policy and the pending buffer. Client and MeanClient embed it and
+// add only what differs per tier — how a user's datum is perturbed into a
+// wire report W, and the tier's config and estimates types.
+type batchClient[W any] struct {
+	clientConfig
+	base  string
+	http  *http.Client
+	sleep func(time.Duration) // injectable for tests
+
+	// Bound once the tier's config is fetched (see bind).
+	path         string // the tier's batch endpoint under base
+	tag          string // qualifies error messages ("" or "mean ")
+	maxBody      int64  // the server's advertised body cap
+	appendBinary func(dst []byte, wires []W) ([]byte, error)
+
+	pending []W
+}
+
+// newBatchClient applies opts over the defaults and resolves the target.
+// Options are applied before any fetch, so WithTenant reroutes the tier's
+// configuration fetch itself.
+func newBatchClient[W any](baseURL string, hc *http.Client, opts []ClientOption) batchClient[W] {
+	c := batchClient[W]{
+		clientConfig: clientConfig{batchSize: DefaultBatchSize, retries: DefaultRetries, retryBase: DefaultRetryBase},
+		base:         baseURL,
+		sleep:        time.Sleep,
+	}
+	for _, opt := range opts {
+		opt(&c.clientConfig)
+	}
+	if c.tenant != "" {
+		c.base = TenantBaseURL(c.base, c.tenant)
+	}
+	c.http = BearerClient(hc, c.token)
+	return c
+}
+
+// bind attaches the client to one tier's batch endpoint from the config it
+// fetched; it fails when WithBinary was asked of a server that does not
+// advertise the binary wire there.
+func (c *batchClient[W]) bind(path, tag string, maxBody int64, wire []string, appendBinary func([]byte, []W) ([]byte, error)) error {
+	c.path, c.tag, c.maxBody, c.appendBinary = path, tag, maxBody, appendBinary
+	if c.binary && !wireSupports(wire, "binary") {
+		return fmt.Errorf("collect: server %s does not advertise the binary wire format on %s (wire=%v)", c.base, path, wire)
+	}
+	return nil
+}
+
+// Client perturbs pairs locally and submits them to a collection server.
+// The raw pair never leaves the client: it runs the real client half
+// (core.Encoder) of the protocol the server advertises in /config, so the
+// same Client speaks every framework. Submissions can be immediate
+// (Submit, SubmitBatch) or buffered (Buffer + Flush), in which case
+// perturbed reports accumulate locally and ship as one batch request per
+// BatchSize reports.
+//
+// A Client is not safe for concurrent use; run one per goroutine (they are
+// cheap — the protocol parameters are shared through the fetched config).
+type Client struct {
+	batchClient[WireReport]
+	proto *core.Protocol
+	enc   core.Encoder
+	rng   *xrand.Rand
+	cfg   WireConfig
+}
+
 // ErrTierNotServed reports a tier-config fetch the server answered with
 // 404: the server is reachable but does not mount that tier (a mean-only
 // server has no /config; a server without WithMean has no /mean/config).
@@ -124,29 +176,38 @@ func WithRetry(retries int, base time.Duration) ClientOption {
 // failures worth retrying (cmd/mcimedge).
 var ErrTierNotServed = errors.New("collect: server does not serve this tier")
 
+// fetchTierConfig GETs one tier's config document (path under baseURL) into
+// cfg. A 404 is ErrTierNotServed.
+func fetchTierConfig(baseURL string, hc *http.Client, path, tag string, cfg any) error {
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	resp, err := hc.Get(baseURL + path)
+	if err != nil {
+		return fmt.Errorf("collect: fetch %sconfig: %w", tag, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		return fmt.Errorf("%w: %s answered %s", ErrTierNotServed, path, resp.Status)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("collect: %sconfig status %s", tag, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(cfg); err != nil {
+		return fmt.Errorf("collect: decode %sconfig: %w", tag, err)
+	}
+	return nil
+}
+
 // FetchProtocol reads the collection round configuration a server
 // advertises at baseURL/config and reconstructs the matching protocol.
 // Servers that predate the protocol field are assumed to speak ptscp. It
 // is the single place the config→protocol rules live, shared by NewClient
 // and by peers joining a federation tier (cmd/mcimedge).
 func FetchProtocol(baseURL string, hc *http.Client) (*core.Protocol, WireConfig, error) {
-	if hc == nil {
-		hc = http.DefaultClient
-	}
 	var cfg WireConfig
-	resp, err := hc.Get(baseURL + "/config")
-	if err != nil {
-		return nil, cfg, fmt.Errorf("collect: fetch config: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, cfg, fmt.Errorf("%w: /config answered %s", ErrTierNotServed, resp.Status)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, cfg, fmt.Errorf("collect: config status %s", resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&cfg); err != nil {
-		return nil, cfg, fmt.Errorf("collect: decode config: %w", err)
+	if err := fetchTierConfig(baseURL, hc, "/config", "", &cfg); err != nil {
+		return nil, cfg, err
 	}
 	if cfg.Protocol == "" {
 		cfg.Protocol = "ptscp"
@@ -164,29 +225,14 @@ func FetchProtocol(baseURL string, hc *http.Client) (*core.Protocol, WireConfig,
 // applied before the configuration fetch, so WithTenant reroutes the fetch
 // itself.
 func NewClient(baseURL string, hc *http.Client, seed uint64, opts ...ClientOption) (*Client, error) {
-	c := &Client{
-		base:      baseURL,
-		http:      hc,
-		rng:       xrand.New(seed),
-		batchSize: DefaultBatchSize,
-		retries:   DefaultRetries,
-		retryBase: DefaultRetryBase,
-		sleep:     time.Sleep,
-	}
-	for _, opt := range opts {
-		opt(c)
-	}
-	if c.tenant != "" {
-		c.base = TenantBaseURL(c.base, c.tenant)
-	}
-	c.http = BearerClient(c.http, c.token)
+	c := &Client{batchClient: newBatchClient[WireReport](baseURL, hc, opts), rng: xrand.New(seed)}
 	proto, cfg, err := FetchProtocol(c.base, c.http)
 	if err != nil {
 		return nil, err
 	}
 	c.proto, c.enc, c.cfg = proto, proto.Encoder(), cfg
-	if c.binary && !wireSupports(cfg.Wire, "binary") {
-		return nil, fmt.Errorf("collect: server %s does not advertise the binary wire format (wire=%v)", c.base, cfg.Wire)
+	if err := c.bind("/reports", "", cfg.MaxBodyBytes, cfg.Wire, proto.AppendBinaryBatch); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -205,29 +251,23 @@ func (c *Client) perturb(pair core.Pair) WireReport {
 	return c.proto.EncodeReport(c.enc.Encode(pair, c.rng))
 }
 
-// retryOn5xx runs do, retrying with capped exponential backoff as long as
-// StatusCode reports a 5xx — the one class of failure where the server
-// definitively did not ingest the request, so a retry can never
+// retry runs do under the client's retry policy: capped exponential backoff
+// as long as StatusCode reports a 5xx — the one class of failure where the
+// server definitively did not ingest the request, so a retry can never
 // double-count. Transport errors and 4xx responses surface immediately.
-// Shared by the frequency Client and the MeanClient.
-func retryOn5xx(retries int, base time.Duration, sleep func(time.Duration), do func() error) error {
-	delay := base
+func (c *batchClient[W]) retry(do func() error) error {
+	delay := c.retryBase
 	for attempt := 0; ; attempt++ {
 		err := do()
 		code, ok := StatusCode(err)
-		if err == nil || !ok || code < 500 || attempt >= retries {
+		if err == nil || !ok || code < 500 || attempt >= c.retries {
 			return err
 		}
-		sleep(delay)
-		if delay < base*maxRetryDelayFactor {
+		c.sleep(delay)
+		if delay < c.retryBase*maxRetryDelayFactor {
 			delay *= 2
 		}
 	}
-}
-
-// retry applies the client's retry policy to one submission.
-func (c *Client) retry(do func() error) error {
-	return retryOn5xx(c.retries, c.retryBase, c.sleep, do)
 }
 
 // Submit perturbs the pair under the protocol's encoder and POSTs the
@@ -267,8 +307,11 @@ func (c *Client) SubmitBatch(pairs []core.Pair) (*WireBatchAck, error) {
 // Buffer perturbs the pair and appends the report to the local batch
 // buffer, flushing automatically when BatchSize reports have accumulated.
 // Call Flush after the last Buffer to ship the remainder.
-func (c *Client) Buffer(pair core.Pair) error {
-	c.pending = append(c.pending, c.perturb(pair))
+func (c *Client) Buffer(pair core.Pair) error { return c.buffer(c.perturb(pair)) }
+
+// buffer appends one perturbed report, flushing at the batch size.
+func (c *batchClient[W]) buffer(wire W) error {
+	c.pending = append(c.pending, wire)
 	if len(c.pending) >= c.batchSize {
 		return c.Flush()
 	}
@@ -276,7 +319,7 @@ func (c *Client) Buffer(pair core.Pair) error {
 }
 
 // Pending returns the number of buffered reports not yet shipped.
-func (c *Client) Pending() int { return len(c.pending) }
+func (c *batchClient[W]) Pending() int { return len(c.pending) }
 
 // Flush ships the buffered reports in batch requests of at most BatchSize
 // reports each. It is a no-op when the buffer is empty. Chunks answered
@@ -294,7 +337,7 @@ func (c *Client) Pending() int { return len(c.pending) }
 // error is a *BatchRejectedError itemizing the rejections, indexed
 // relative to the buffer as it stood when Flush began; the chunk was
 // ingested, so it leaves the buffer.
-func (c *Client) Flush() error {
+func (c *batchClient[W]) Flush() error {
 	sent, total := 0, len(c.pending)
 	for len(c.pending) > 0 {
 		n := min(len(c.pending), c.batchSize)
@@ -397,9 +440,9 @@ func StatusCode(err error) (int, bool) {
 }
 
 // postBatch encodes wires per the client's batch encoding and POSTs them to
-// /reports, retrying 5xx responses per the client's retry policy (the body
-// is encoded once and replayed per attempt).
-func (c *Client) postBatch(wires []WireReport) (*WireBatchAck, error) {
+// the tier's batch endpoint, retrying 5xx responses per the client's retry
+// policy (the body is encoded once and replayed per attempt).
+func (c *batchClient[W]) postBatch(wires []W) (*WireBatchAck, error) {
 	var (
 		body        []byte
 		contentType string
@@ -408,7 +451,7 @@ func (c *Client) postBatch(wires []WireReport) (*WireBatchAck, error) {
 		// The frame is built into a pooled buffer, returned after the last
 		// attempt — a steady producer allocates no per-batch body.
 		bufp := encodeBufPool.Get().(*[]byte)
-		frame, err := c.proto.AppendBinaryBatch((*bufp)[:0], wires)
+		frame, err := c.appendBinary((*bufp)[:0], wires)
 		if err != nil {
 			encodeBufPool.Put(bufp)
 			return nil, err
@@ -436,23 +479,23 @@ func (c *Client) postBatch(wires []WireReport) (*WireBatchAck, error) {
 	}
 	var ack *WireBatchAck
 	err := c.retry(func() error {
-		resp, err := c.http.Post(c.base+"/reports", contentType, bytes.NewReader(body))
+		resp, err := c.http.Post(c.base+c.path, contentType, bytes.NewReader(body))
 		if err != nil {
-			return fmt.Errorf("collect: submit batch: %w", err)
+			return fmt.Errorf("collect: submit %sbatch: %w", c.tag, err)
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			io.Copy(io.Discard, resp.Body)
 			if resp.StatusCode == http.StatusRequestEntityTooLarge {
 				return &statusError{resp.StatusCode, fmt.Sprintf(
-					"collect: batch of %d reports (%d bytes) exceeds the server's %d-byte body cap; reduce the batch size",
-					len(wires), len(body), c.cfg.MaxBodyBytes)}
+					"collect: %sbatch of %d reports (%d bytes) exceeds the server's %d-byte body cap; reduce the batch size",
+					c.tag, len(wires), len(body), c.maxBody)}
 			}
-			return &statusError{resp.StatusCode, "collect: submit batch status " + resp.Status}
+			return &statusError{resp.StatusCode, "collect: submit " + c.tag + "batch status " + resp.Status}
 		}
 		var a WireBatchAck
 		if err := json.NewDecoder(resp.Body).Decode(&a); err != nil {
-			return fmt.Errorf("collect: decode batch ack: %w", err)
+			return fmt.Errorf("collect: decode %sbatch ack: %w", c.tag, err)
 		}
 		ack = &a
 		return nil
@@ -463,18 +506,24 @@ func (c *Client) postBatch(wires []WireReport) (*WireBatchAck, error) {
 	return ack, nil
 }
 
-// Estimates fetches the server's current calibrated estimates.
-func (c *Client) Estimates() (*WireEstimates, error) {
-	resp, err := c.http.Get(c.base + "/estimates")
+// getJSON GETs base+path and decodes the 200 body into out; what names the
+// document in errors.
+func (c *batchClient[W]) getJSON(path, what string, out any) error {
+	resp, err := c.http.Get(c.base + path)
 	if err != nil {
-		return nil, fmt.Errorf("collect: estimates: %w", err)
+		return fmt.Errorf("collect: %s: %w", what, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("collect: estimates status %s", resp.Status)
+		return fmt.Errorf("collect: %s status %s", what, resp.Status)
 	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// Estimates fetches the server's current calibrated estimates.
+func (c *Client) Estimates() (*WireEstimates, error) {
 	var est WireEstimates
-	if err := json.NewDecoder(resp.Body).Decode(&est); err != nil {
+	if err := c.getJSON("/estimates", "estimates", &est); err != nil {
 		return nil, err
 	}
 	return &est, nil
@@ -482,16 +531,8 @@ func (c *Client) Estimates() (*WireEstimates, error) {
 
 // Stats fetches the server's operational snapshot.
 func (c *Client) Stats() (*WireStats, error) {
-	resp, err := c.http.Get(c.base + "/stats")
-	if err != nil {
-		return nil, fmt.Errorf("collect: stats: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("collect: stats status %s", resp.Status)
-	}
 	var st WireStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := c.getJSON("/stats", "stats", &st); err != nil {
 		return nil, err
 	}
 	return &st, nil

@@ -29,6 +29,15 @@
 // accepts another server's fingerprinted state envelope, which is how edge
 // collectors (cmd/mcimedge) push their locally merged aggregates up to a
 // root server.
+//
+// All of that lifecycle is written once, in the generic report-tier engine
+// (tier.go): the frequency tier (this file) and the numeric mean tier
+// (mean.go) are two instantiations that each supply only a codec over their
+// protocol, and a new report tier is a one-file addition of the same shape.
+// The interactive top-k mining tier (topk.go) has its own round/lane logic
+// and shares just the durable log helper (durable.go). Clients mirror the
+// split: one buffered batch client (client.go) under Client and MeanClient,
+// configured by a single ClientOption set.
 package collect
 
 import (
@@ -40,10 +49,10 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mean"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
@@ -123,69 +132,47 @@ type WireWALStats struct {
 	LastSnapshot         string `json:"last_snapshot,omitempty"` // RFC 3339; empty if never
 }
 
-// shard is one independently locked aggregator. count mirrors the reports
-// the shard's aggregator holds; it is advanced under mu (like the server
-// total) but read lock-free, so /stats can report the per-shard spread
-// without touching the ingest locks.
-type shard struct {
-	mu    sync.Mutex
-	acc   core.Aggregator
-	count atomic.Int64
-}
-
-// Server accumulates perturbed reports for one protocol over HTTP.
-// It is safe for concurrent use: writes land on one of its shards (picked
-// round-robin per request so concurrent ingestion scales with cores), and
-// reads merge all shards into a point-in-time aggregate.
+// Server accumulates perturbed reports over HTTP for up to three tiers: a
+// frequency tier, a numeric mean tier (both instances of the report-tier
+// engine, see tier.go) and interactive top-k mining sessions. It is safe
+// for concurrent use.
 type Server struct {
 	proto        *core.Protocol
-	cfg          WireConfig
+	meanProto    *core.NumericProtocol
+	meanSet      bool // WithMean was given (even a nil protocol, which NewServer refuses)
 	maxBody      int64
 	mergeMaxBody int64
+	shardN       int
 
-	// ingestMu orders report-stream writes (reader side) against
-	// whole-state transitions — Restore, Drain, WAL compaction (writer
-	// side) — so a WAL append and its aggregator apply are atomic with
-	// respect to the segment boundary a compaction snapshot covers.
-	ingestMu     sync.RWMutex
-	wal          *wal.Log
 	walDir       string
 	walFreqSub   string // subdirectory of walDir holding the frequency log ("" = walDir itself)
 	walOpts      wal.Options
 	compactAfter int64
-	compacting   atomic.Bool
 
 	// limit, when set, rate-limits ingestion across every report endpoint
 	// (see ratelimit.go); nil means unlimited.
 	limit *rateLimiter
 
-	next   atomic.Uint64 // round-robin shard cursor
-	total  atomic.Int64  // reports ingested; cheap read for acks vs locking every shard
-	gen    atomic.Int64  // whole-state generation; bumped (before total is stored) by install/takeLocked
-	shards []*shard
-
-	// Estimate-cache configuration (recorded by options, resolved into
-	// freqCache after initObs) and the WAL replay parallelism (see cache.go).
+	// Estimate-cache configuration and the WAL replay parallelism, recorded
+	// by options and resolved per tier (see cache.go).
 	cacheDisabled     bool
 	cacheStaleReports int64
 	cacheStaleAge     time.Duration
 	replayWorkers     int
-	freqCache         *estimateCache
 
-	// topk hosts interactive mining sessions when WithTopKSessions is set
-	// (see topk.go); nil otherwise.
+	// The tiers; each is nil unless mounted. freq serves proto, mean serves
+	// meanProto (WithMean), topk hosts interactive mining sessions
+	// (WithTopKSessions, see topk.go).
+	freq *tier[core.Aggregator, WireReport]
+	mean *tier[mean.Aggregator, WireMeanReport]
 	topk *sessionHub
 
-	// mean hosts the numeric mean tier when WithMean is set (see mean.go);
-	// nil otherwise.
-	mean *meanHub
-
 	// Observability (see obs.go): the registry behind GET /metrics, the
-	// structured logger, and the pre-resolved hot-path handles.
+	// structured logger, and the mining tier's pre-resolved hot-path handles
+	// (the report tiers carry their own).
 	obs     *obs.Registry
 	logger  *obs.Logger
 	started time.Time
-	freqM   *tierMetrics
 	topkM   *tierMetrics
 }
 
@@ -201,7 +188,7 @@ func WithShards(n int) ServerOption {
 		if n < 1 {
 			n = runtime.GOMAXPROCS(0)
 		}
-		s.shards = make([]*shard, n)
+		s.shardN = n
 	}
 }
 
@@ -308,43 +295,19 @@ func NewServer(p *core.Protocol, opts ...ServerOption) (*Server, error) {
 		maxBody:      DefaultMaxBodyBytes,
 		mergeMaxBody: DefaultMergeMaxBodyBytes,
 		compactAfter: DefaultCompactAfterBytes,
-		shards:       make([]*shard, runtime.GOMAXPROCS(0)),
-	}
-	if p != nil {
-		s.cfg = WireConfig{
-			Protocol: p.Name(),
-			Classes:  p.Classes(),
-			Items:    p.Items(),
-			Epsilon:  p.Epsilon(),
-			Split:    p.Split(),
-			Wire:     wireFormats(),
-		}
+		shardN:       runtime.GOMAXPROCS(0),
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
-	if p == nil && s.mean == nil && s.topk == nil {
+	if p == nil && !s.meanSet && s.topk == nil {
 		return nil, fmt.Errorf("collect: nil protocol and no other tier to serve (WithMean, WithTopKSessions)")
 	}
-	s.cfg.MaxBodyBytes = s.maxBody
-	shardCount := len(s.shards)
-	if s.topk != nil {
-		// Session rounds absorb through per-session shard lanes sized like
-		// the frequency tier's aggregator shards (see topk.go).
-		s.topk.shardN = max(1, shardCount)
-	}
-	if p != nil {
-		for i := range s.shards {
-			s.shards[i] = &shard{acc: p.NewAggregator()}
-		}
-	} else {
-		s.shards = nil
-	}
-	if s.mean != nil {
+	if s.meanSet {
 		// The mean tier's clients self-configure from /mean/config the same
 		// way frequency clients do from /config, so the same
 		// reconstructibility check applies.
-		np := s.mean.proto
+		np := s.meanProto
 		if np == nil {
 			return nil, fmt.Errorf("collect: nil numeric protocol")
 		}
@@ -355,18 +318,18 @@ func NewServer(p *core.Protocol, opts ...ServerOption) (*Server, error) {
 		if err := np.WireCompatible(rebuilt); err != nil {
 			return nil, fmt.Errorf("collect: numeric protocol %q does not match what clients reconstruct from that name: %w", np.Name(), err)
 		}
-		s.mean.init(shardCount, s.maxBody)
 	}
 	// Metrics before the WALs open: the logs' hook counters and the replay
 	// instrumentation live on the registry built here.
 	s.initObs()
 	if p != nil {
-		s.freqCache = newEstimateCache(s.cacheDisabled, s.cacheStaleReports, s.cacheStaleAge,
-			newCacheMetrics(s.obs, "freq"))
+		s.freq = newTier[core.Aggregator, WireReport](s, freqCodec{p}, "freq", "")
 	}
-	if s.mean != nil {
-		s.mean.cache = newEstimateCache(s.cacheDisabled, s.cacheStaleReports, s.cacheStaleAge,
-			newCacheMetrics(s.obs, "mean"))
+	if s.meanSet {
+		s.mean = newTier[mean.Aggregator, WireMeanReport](s, meanCodec{s.meanProto}, "mean", "mean ")
+	}
+	if s.topk != nil {
+		s.topk.init(s)
 	}
 	if s.walDir != "" {
 		// Every accepted /merge envelope becomes one WAL record (plus a
@@ -375,20 +338,7 @@ func NewServer(p *core.Protocol, opts ...ServerOption) (*Server, error) {
 		if max := int64(wal.MaxRecordBytes - 1); s.mergeMaxBody > max {
 			s.mergeMaxBody = max
 		}
-		if p != nil {
-			if err := s.openWAL(); err != nil {
-				return nil, err
-			}
-		}
-		if s.mean != nil {
-			if err := s.openMeanWAL(); err != nil {
-				s.Close()
-				return nil, err
-			}
-		}
-	}
-	if s.topk != nil && s.walDir != "" {
-		if err := s.openTopKWAL(); err != nil {
+		if err := s.openWALs(); err != nil {
 			s.Close()
 			return nil, err
 		}
@@ -396,11 +346,37 @@ func NewServer(p *core.Protocol, opts ...ServerOption) (*Server, error) {
 	return s, nil
 }
 
+// openWALs opens and replays each mounted tier's log. The frequency log
+// sits at the directory root by default; under WithWALTierLayout it moves
+// into freq/ (Join with "" is the identity).
+func (s *Server) openWALs() error {
+	if s.freq != nil {
+		if err := s.freq.openWAL(s, s.walFreqSub); err != nil {
+			return err
+		}
+	}
+	if s.mean != nil {
+		if err := s.mean.openWAL(s, "mean"); err != nil {
+			return err
+		}
+	}
+	if s.topk != nil {
+		return s.topk.openWAL(s)
+	}
+	return nil
+}
+
 // Protocol returns the protocol the server aggregates for.
 func (s *Server) Protocol() *core.Protocol { return s.proto }
 
-// Shards returns the number of aggregator shards.
-func (s *Server) Shards() int { return len(s.shards) }
+// Shards returns the number of frequency-tier aggregator shards (0 on a
+// server built without a frequency protocol).
+func (s *Server) Shards() int {
+	if s.freq == nil {
+		return 0
+	}
+	return len(s.freq.shards)
+}
 
 // Handler returns the HTTP routes:
 //
@@ -432,11 +408,8 @@ func (s *Server) Shards() int { return len(s.shards) }
 //	GET    /topk/sessions/{id}/result   → per-class rankings
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	if s.proto != nil {
-		mux.HandleFunc("GET /config", s.handleConfig)
-		mux.HandleFunc("POST /report", s.handleReport)
-		mux.HandleFunc("POST /reports", s.handleReportBatch)
-		mux.HandleFunc("GET /estimates", s.handleEstimates)
+	if s.freq != nil {
+		s.freq.mount(mux, "")
 	}
 	mux.HandleFunc("POST /merge", s.handleMerge)
 	mux.HandleFunc("GET /stats", s.handleStats)
@@ -445,10 +418,7 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	if s.mean != nil {
-		mux.HandleFunc("GET /mean/config", s.handleMeanConfig)
-		mux.HandleFunc("POST /mean/report", s.handleMeanReport)
-		mux.HandleFunc("POST /mean/reports", s.handleMeanReportBatch)
-		mux.HandleFunc("GET /mean/estimates", s.handleMeanEstimates)
+		s.mean.mount(mux, "/mean")
 	}
 	if s.topk != nil {
 		mux.HandleFunc("POST /topk/sessions", s.handleTopKCreate)
@@ -459,10 +429,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /topk/sessions/{id}/result", s.handleTopKResult)
 	}
 	return mux
-}
-
-func (s *Server) handleConfig(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.cfg)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -480,36 +446,23 @@ func (s *Server) StatsSnapshot() WireStats {
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Build:         &build,
 	}
-	if s.proto != nil {
+	if s.freq != nil {
 		st.Protocol = s.proto.Name()
-		st.ShardReports = make([]int64, len(s.shards))
-		for i, sh := range s.shards {
-			st.ShardReports[i] = sh.count.Load()
-		}
+		st.ShardReports = s.freq.shardReports()
+		st.WAL = s.freq.walStats()
 	}
 	if s.mean != nil {
-		st.Mean = s.mean.stats()
+		st.Mean = &WireMeanStats{
+			Protocol:     s.meanProto.Name(),
+			Reports:      s.mean.reports(),
+			ShardReports: s.mean.shardReports(),
+			WAL:          s.mean.walStats(),
+		}
 	}
 	if s.topk != nil {
 		st.TopK = s.topk.stats()
 	}
-	if s.wal != nil {
-		ws := s.wal.Stats()
-		st.WAL = &WireWALStats{
-			Segments:             ws.Segments,
-			BytesSinceCompaction: ws.BytesSinceCompaction,
-		}
-		if !ws.LastSnapshot.IsZero() {
-			st.WAL.LastSnapshot = ws.LastSnapshot.UTC().Format(time.RFC3339)
-		}
-	}
 	return st
-}
-
-// readBody drains the request body under the server's report-batch size
-// cap, answering 413 (and returning false) when the cap is exceeded.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	return s.readBodyLimit(w, r, s.maxBody)
 }
 
 // bodyPool recycles request-body buffers across the hot batch endpoints,
@@ -526,7 +479,7 @@ const maxPooledBodyBytes = 4 << 20
 // them) before calling release, and must call release exactly once on
 // every ok return. m is the calling tier's instrumentation: bodies over
 // the size cap count under its body-rejection series.
-func (s *Server) readBodyPooled(w http.ResponseWriter, r *http.Request, m *tierMetrics) (body []byte, release func(), ok bool) {
+func readBodyPooled(w http.ResponseWriter, r *http.Request, limit int64, m *tierMetrics) (body []byte, release func(), ok bool) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	release = func() {
@@ -534,12 +487,12 @@ func (s *Server) readBodyPooled(w http.ResponseWriter, r *http.Request, m *tierM
 			bodyPool.Put(buf)
 		}
 	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody)); err != nil {
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
 		release()
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			m.rejectedBody.Inc()
-			http.Error(w, fmt.Sprintf("collect: body exceeds %d bytes", s.maxBody), http.StatusRequestEntityTooLarge)
+			http.Error(w, fmt.Sprintf("collect: body exceeds %d bytes", limit), http.StatusRequestEntityTooLarge)
 		} else {
 			http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
 		}
@@ -548,9 +501,10 @@ func (s *Server) readBodyPooled(w http.ResponseWriter, r *http.Request, m *tierM
 	return buf.Bytes(), release, true
 }
 
-// readBodyLimit is readBody under an explicit cap (POST /merge has its own,
-// larger one).
-func (s *Server) readBodyLimit(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+// readBody drains the request body under limit — the server's report-batch
+// size cap, or POST /merge's own, larger one — answering 413 (and returning
+// false) when the cap is exceeded.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
@@ -564,181 +518,72 @@ func (s *Server) readBodyLimit(w http.ResponseWriter, r *http.Request, limit int
 	return body, true
 }
 
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
+// freqCodec adapts a core.Protocol to the report-tier engine (see tier.go);
+// the embedded protocol supplies the naming, aggregator and envelope half
+// of the codec.
+type freqCodec struct{ *core.Protocol }
+
+func (c freqCodec) config(maxBody int64) any {
+	return WireConfig{
+		Protocol:     c.Name(),
+		Classes:      c.Classes(),
+		Items:        c.Items(),
+		Epsilon:      c.Epsilon(),
+		Split:        c.Split(),
+		MaxBodyBytes: maxBody,
+		Wire:         wireFormats(),
 	}
-	m := s.freqM
-	var rep WireReport
-	if err := json.Unmarshal(body, &rep); err != nil {
-		m.rejectedDecode.Inc()
-		http.Error(w, "decode: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	decoded, err := s.proto.DecodeReport(rep)
-	if err != nil {
-		m.rejectedItem.Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := s.admitReports(1); err != nil {
-		m.observeIngestError(err, 1)
-		writeIngestError(w, err)
-		return
-	}
-	if err := s.ingest([]WireReport{rep}, []core.Report{decoded}); err != nil {
-		m.observeIngestError(err, 1)
-		writeIngestError(w, err)
-		return
-	}
-	m.reportsJSON.Inc()
-	writeJSON(w, map[string]int{"reports": s.Reports()})
 }
 
-// ingest makes a batch of accepted reports durable (when a WAL is attached,
-// the wire forms are logged before any aggregator sees them — write-ahead)
-// and folds the decoded forms into a shard. A WAL append failure rejects
-// the whole batch: nothing was applied, so the client may safely retry.
-func (s *Server) ingest(wires []WireReport, reps []core.Report) error {
-	if len(reps) == 0 {
-		return nil
-	}
-	s.ingestMu.RLock()
-	if s.wal != nil {
-		rec, err := batchRecord(wires)
-		if err == nil {
-			err = s.wal.Append(rec)
+func (c freqCodec) decode(wires []WireReport) ([]WireReport, func(core.Aggregator), []WireItemError) {
+	accepted, reps, rejected := decodeEach(wires, c.DecodeReport)
+	return accepted, func(acc core.Aggregator) {
+		for _, rep := range reps {
+			acc.Add(rep)
 		}
-		if err != nil {
-			s.ingestMu.RUnlock()
-			return fmt.Errorf("collect: wal append: %w", err)
-		}
-	}
-	s.apply(reps)
-	s.ingestMu.RUnlock()
-	s.maybeCompact()
-	return nil
+	}, rejected
 }
 
-// apply folds decoded reports into one shard under a single lock
-// acquisition. The shard is picked round-robin so concurrent requests spread
-// across shards instead of contending on one mutex. The total counter is
-// advanced while the shard lock is still held so that Restore — which takes
-// every shard lock before overwriting the counter — cannot interleave
-// between a shard write and its count.
-func (s *Server) apply(reps []core.Report) {
-	sh := s.shards[s.next.Add(1)%uint64(len(s.shards))]
-	sh.mu.Lock()
-	for _, rep := range reps {
-		sh.acc.Add(rep)
-	}
-	sh.count.Add(int64(len(reps)))
-	s.total.Add(int64(len(reps)))
-	sh.mu.Unlock()
+func (c freqCodec) validateBinary(frame []byte) (int, error) { return c.ValidateBinaryBatch(frame) }
+
+func (c freqCodec) applyBinary(acc core.Aggregator, frame []byte) (int, error) {
+	return c.ApplyBinaryBatch(acc, frame)
 }
 
-// merged returns a point-in-time merge of all shards. The result is exact:
-// shard aggregators hold integer counts, so merging then estimating equals
-// estimating a single aggregator fed the same stream — and merge order is
-// irrelevant, so the copies can be combined in any tree shape.
-//
-// Each shard lock is held only long enough to copy the shard's counts
-// (Clone when the aggregator supports it, merge-into-empty otherwise); the
-// copies are merged outside every lock, pairwise across goroutines, so an
-// estimate read never stalls the ingest lanes behind the full N-shard
-// merge and calibration.
-func (s *Server) merged() core.Aggregator {
-	copies := make([]core.Aggregator, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		copies[i] = cloneFreqAggLocked(s.proto, sh.acc)
-		sh.mu.Unlock()
-	}
-	return mergeAggTree(copies, func(dst, src core.Aggregator) error { return dst.Merge(src) })
-}
-
-// cloneFreqAggLocked copies one shard's aggregate while its lock is held:
-// a cheap count-vector Clone when available, otherwise an exact
-// merge-into-empty copy (integer counts merge exactly, so the copy is
-// bit-identical either way).
-func cloneFreqAggLocked(p *core.Protocol, acc core.Aggregator) core.Aggregator {
-	if cl, ok := acc.(core.Cloner); ok {
-		if c := cl.Clone(); c != nil {
-			return c
-		}
-	}
-	out := p.NewAggregator()
-	if err := out.Merge(acc); err != nil {
-		panic("collect: shard merge: " + err.Error()) // identical protocol by construction
-	}
-	return out
-}
-
-// mergeAggTree folds shard copies pairwise: each round merges the top half
-// into the bottom half concurrently, halving the list, so an N-shard merge
-// costs ~log2(N) rounds of parallel pairwise merges instead of N
-// sequential ones. Merge errors panic — the copies share one protocol by
-// construction.
-func mergeAggTree[A any](copies []A, merge func(dst, src A) error) A {
-	n := len(copies)
-	for n > 1 {
-		half := n / 2
-		var wg sync.WaitGroup
-		for i := 0; i < half; i++ {
-			pair := i
-			run := func() {
-				if err := merge(copies[pair], copies[n-1-pair]); err != nil {
-					panic("collect: shard merge: " + err.Error())
-				}
-			}
-			if half > 1 {
-				wg.Add(1)
-				go func() { defer wg.Done(); run() }()
-			} else {
-				run()
-			}
-		}
-		wg.Wait()
-		n -= half
-	}
-	return copies[0]
-}
-
-func (s *Server) handleEstimates(w http.ResponseWriter, _ *http.Request) {
-	s.freqCache.serve(w, s.freqVersion(), s.renderEstimates)
-}
-
-// freqVersion reads the frequency tier's cache version, total before gen
-// (the order the state transitions require — see cache.go).
-func (s *Server) freqVersion() cacheVersion {
-	t := s.total.Load()
-	return cacheVersion{gen: s.gen.Load(), total: t}
-}
-
-// renderEstimates recomputes the /estimates body from the shards. The
-// generation is read before any shard is copied, so an entry rendered
-// across a concurrent Restore/Drain is keyed under the superseded
-// generation and can never be served.
-func (s *Server) renderEstimates() ([]byte, cacheVersion, error) {
-	gen := s.gen.Load()
-	acc := s.merged()
+func (c freqCodec) estimates(acc core.Aggregator) any {
 	freq := acc.Estimates()
-	body, err := encodeJSONBody(WireEstimates{
+	return WireEstimates{
 		Reports:     acc.N(),
 		Frequencies: freq,
 		// Reuse the matrix for row-sum-based frameworks instead of paying
 		// the full calibration a second time.
 		ClassSizes: core.ClassSizesFromEstimates(acc, freq),
-	})
-	return body, cacheVersion{gen: gen, total: int64(acc.N())}, err
+	}
 }
 
-// Reports returns the number of reports accumulated so far. It reads a
-// single atomic counter, so request acknowledgements do not serialize on
-// the shard locks.
+// decodeEach runs one tier's per-report wire decoder over a batch: the wire
+// forms that decoded, their decoded forms (same order), and an itemized
+// error per refused report, indexed into wires.
+func decodeEach[W, R any](wires []W, decode func(W) (R, error)) (accepted []W, reps []R, rejected []WireItemError) {
+	accepted, reps = make([]W, 0, len(wires)), make([]R, 0, len(wires))
+	for i, w := range wires {
+		rep, err := decode(w)
+		if err != nil {
+			rejected = append(rejected, WireItemError{Index: i, Error: err.Error()})
+			continue
+		}
+		accepted, reps = append(accepted, w), append(reps, rep)
+	}
+	return accepted, reps, rejected
+}
+
+// Reports returns the number of frequency reports accumulated so far (0
+// without a frequency tier).
 func (s *Server) Reports() int {
-	return int(s.total.Load())
+	if s.freq == nil {
+		return 0
+	}
+	return s.freq.reports()
 }
 
 // errNoFrequencyTier is returned by the frequency state operations on a
@@ -754,10 +599,10 @@ func errNoFrequencyTier() error {
 // The snapshot is the merged view; shard layout is not preserved. Every
 // protocol supports it.
 func (s *Server) Snapshot() ([]byte, error) {
-	if s.proto == nil {
+	if s.freq == nil {
 		return nil, errNoFrequencyTier()
 	}
-	return s.proto.MarshalAggregator(s.merged())
+	return s.freq.snapshot()
 }
 
 // Restore replaces the aggregation state with a Snapshot envelope taken
@@ -767,57 +612,10 @@ func (s *Server) Snapshot() ([]byte, error) {
 // superseding every record written before the restore. The restored counts
 // land on one shard; subsequent ingestion spreads over all shards as usual.
 func (s *Server) Restore(data []byte) error {
-	if s.proto == nil {
+	if s.freq == nil {
 		return errNoFrequencyTier()
 	}
-	restored, err := s.proto.UnmarshalAggregator(data)
-	if err != nil {
-		return err
-	}
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	// The WAL must be moved past its history (roll, then seal the restored
-	// state as the new snapshot) BEFORE the memory swap: if either step
-	// fails, the running state is genuinely untouched, whereas installing
-	// first would leave the server serving state the log does not replay
-	// to. Ingestion is quiesced (ingestMu held exclusively) across all of
-	// it, so no record lands between the roll boundary and the install.
-	if s.wal != nil {
-		cover, err := s.wal.Roll()
-		if err != nil {
-			return fmt.Errorf("collect: wal roll for restore: %w", err)
-		}
-		if err := s.wal.Seal(cover, data); err != nil {
-			return fmt.Errorf("collect: wal seal for restore: %w", err)
-		}
-	}
-	s.install(restored)
-	return nil
-}
-
-// install swaps the whole aggregate for agg. It holds every shard lock
-// across the swap and the counter reset so concurrent ingestion is either
-// fully before (wiped and uncounted) or fully after (kept and counted) —
-// never half of each. The generation is bumped before the total is stored
-// (the estimate cache's version read order depends on it — see cache.go).
-func (s *Server) install(agg core.Aggregator) {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	s.gen.Add(1)
-	for i, sh := range s.shards {
-		if i == 0 {
-			sh.acc = agg
-			sh.count.Store(int64(agg.N()))
-		} else {
-			sh.acc = s.proto.NewAggregator()
-			sh.count.Store(0)
-		}
-	}
-	s.total.Store(int64(agg.N()))
-	for _, sh := range s.shards {
-		sh.mu.Unlock()
-	}
+	return s.freq.restore(data)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

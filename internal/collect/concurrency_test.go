@@ -49,87 +49,70 @@ func TestConcurrentSubmissions(t *testing.T) {
 	}
 }
 
-// TestConcurrentDurableIngestion hammers a WAL-backed server with parallel
-// ingestion, merges and compactions at once — the full writer-side locking
-// surface (ingestMu read path, shard locks, WAL mutex, compaction's
-// exclusive quiesce). Run with -race. Afterwards a restart must recover
-// every report.
+// TestConcurrentDurableIngestion hammers a WAL-backed server — each report
+// tier in turn — with parallel ingestion, merges and compactions at once:
+// the full writer-side locking surface (ingestMu read path, shard locks,
+// WAL mutex, compaction's exclusive quiesce). Run with -race. Afterwards a
+// restart must recover every report.
 func TestConcurrentDurableIngestion(t *testing.T) {
-	const c, d, workers, perWorker = 2, 6, 6, 200
-	dir := t.TempDir()
-	newSrv := func() *Server {
-		srv, err := NewServer(mustProtocol(t, "ptscp", c, d, 2, 0.5),
-			WithShards(4),
-			WithWAL(dir),
-			WithWALOptions(wal.Options{Sync: wal.SyncNever, SegmentBytes: 4 << 10}),
-			WithCompactAfter(8<<10))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return srv
-	}
-	srv := newSrv()
-	peer, err := NewServer(mustProtocol(t, "ptscp", c, d, 2, 0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestWires(t, peer, wireStream(t, peer.proto, 50, 77), 10)
-	env, err := peer.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	const workers, perWorker = 6, 200
+	for _, tc := range tierCases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			newSrv := func() *Server {
+				return tc.newServer(t, 2,
+					WithShards(4),
+					WithWAL(dir),
+					WithWALOptions(wal.Options{Sync: wal.SyncNever, SegmentBytes: 4 << 10}),
+					WithCompactAfter(8<<10))
+			}
+			srv := newSrv()
+			peer := tc.newServer(t, 2)
+			tc.mustFeed(t, peer, 77, 0, 50, 10)
+			env, err := tc.snapshot(peer)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wires := wireStream(t, srv.proto, perWorker, uint64(100+w))
-			for i := 0; i < perWorker; i += 10 {
-				chunk := wires[i : i+10]
-				reps := make([]core.Report, len(chunk))
-				for j, wr := range chunk {
-					rep, err := srv.proto.DecodeReport(wr)
-					if err != nil {
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					if err := tc.feed(t, srv, uint64(100+w), 0, perWorker, 10); err != nil {
+						t.Error(err)
+					}
+				}(w)
+			}
+			// Concurrent merges and explicit compactions while ingestion runs.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 5; i++ {
+					if _, err := srv.MergeState(env); err != nil {
 						t.Error(err)
 						return
 					}
-					reps[j] = rep
+					if err := tc.compact(srv); err != nil {
+						t.Error(err)
+						return
+					}
 				}
-				if err := srv.ingest(chunk, reps); err != nil {
-					t.Error(err)
-					return
-				}
+			}()
+			wg.Wait()
+			want := workers*perWorker + 5*50
+			if got := tc.reports(srv); got != want {
+				t.Fatalf("server saw %d reports, want %d", got, want)
 			}
-		}(w)
-	}
-	// Concurrent merges and explicit compactions while ingestion runs.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 5; i++ {
-			if _, err := srv.MergeState(env); err != nil {
-				t.Error(err)
-				return
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
 			}
-			if err := srv.Compact(); err != nil {
-				t.Error(err)
-				return
+			restarted := newSrv()
+			defer restarted.Close()
+			if got := tc.reports(restarted); got != want {
+				t.Fatalf("recovered %d reports, want %d", got, want)
 			}
-		}
-	}()
-	wg.Wait()
-	want := workers*perWorker + 5*50
-	if got := srv.Reports(); got != want {
-		t.Fatalf("server saw %d reports, want %d", got, want)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	restarted := newSrv()
-	defer restarted.Close()
-	if got := restarted.Reports(); got != want {
-		t.Fatalf("recovered %d reports, want %d", got, want)
+		})
 	}
 }
 

@@ -1,28 +1,32 @@
 package collect
 
 import (
-	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
-// This file wires the server to its write-ahead log. The durability
-// contract: a report batch is appended to the WAL (as the accepted wire
-// reports, re-validated on replay) before any aggregator sees it, and
-// federation envelopes are logged the same way, so replaying snapshot +
-// tail after an unclean shutdown reconstructs the aggregate bit-identically
-// — integer counts make replay order irrelevant. Compaction periodically
-// folds the log down to one state envelope plus a short tail, bounding both
-// disk usage and restart time.
+// This file is the durable half every tier shares. The durability
+// contract: a report batch is appended to the tier's WAL (as the accepted
+// wire reports or the raw binary frame, re-validated on replay) before any
+// aggregator sees it, and federation envelopes are logged the same way, so
+// replaying snapshot + tail after an unclean shutdown reconstructs the
+// aggregate bit-identically — integer counts make replay order irrelevant.
+// Compaction periodically folds the log down to one state snapshot plus a
+// short tail, bounding both disk usage and restart time. Each tier keeps
+// its own log (<dir>/ or <dir>/freq, <dir>/mean, <dir>/topk) with the same
+// sync options, so the tiers' records never interleave and each compacts
+// independently.
 
-// WAL record types: the first byte of every record says how to replay the
-// rest.
+// WAL record types of the report tiers: the first byte of every record
+// says how to replay the rest. (The mining-session log has its own set, see
+// topk.go.)
 const (
-	// recBatch frames a JSON array of accepted WireReports.
+	// recBatch frames a JSON array of accepted wire reports.
 	recBatch = 'B'
 	// recEnvelope frames a fingerprinted aggregator state envelope merged
 	// through MergeState.
@@ -41,154 +45,175 @@ const (
 	walReplayWorkersHelp = "Goroutines that applied WAL records during the startup replay, by log (1 = sequential)."
 )
 
-// batchRecord encodes accepted wire reports as one WAL record.
-func batchRecord(wires []WireReport) ([]byte, error) {
-	body, err := json.Marshal(wires)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte{recBatch}, body...), nil
+// durableLog is one tier's write-ahead log and its compaction machinery —
+// embedded by the report tiers and by the mining-session hub. The zero
+// value (log == nil) is a tier without durability: every method but
+// appendRecord is then a no-op.
+type durableLog struct {
+	// ingestMu orders the owner's logged writes (reader side) against
+	// whole-state transitions (writer side: compaction, and whatever else
+	// the owner quiesces ingestion for), so a WAL append and its apply are
+	// atomic with respect to the segment boundary a snapshot covers.
+	ingestMu sync.RWMutex
+	log      *wal.Log
+	logger   *obs.Logger
+
+	compactAfter int64
+	// marshalState serializes the owner's complete applied state for a
+	// compaction snapshot; called with ingestMu held exclusively.
+	marshalState func() ([]byte, error)
+	// compactMu is held for the lifetime of a background compaction: its
+	// TryLock is the single-flight gate, and close takes it to wait the
+	// compaction out. closed (guarded by it) refuses compactions after close.
+	compactMu sync.Mutex
+	closed    bool
 }
 
-// envelopeRecord encodes a merged state envelope as one WAL record.
-func envelopeRecord(env []byte) []byte {
-	return append([]byte{recEnvelope}, env...)
-}
-
-// openWAL opens the configured log and replays it into the (still
-// unserved) shards: the latest snapshot becomes the base state, the record
-// tail is re-ingested on top. Called from NewServer before the handler is
-// exposed, so no locking is needed beyond what apply/install already do.
-func (s *Server) openWAL() error {
+// open opens the log under <s.walDir>/sub with the server's sync options
+// and the log=<name> metric hooks, and replays it — onSnapshot for the
+// latest snapshot, then onRecord for every tail record, across workers
+// goroutines (1 = in log order). Called from NewServer before the handler
+// is exposed, so the callbacks need no locking beyond their own.
+func (d *durableLog) open(s *Server, sub, name string, workers int,
+	marshalState func() ([]byte, error), onSnapshot, onRecord func([]byte) error) error {
 	opts := s.walOpts
-	wm, replayG := NewWALMetrics(s.obs, "freq")
+	wm, replayG := NewWALMetrics(s.obs, name)
 	opts.Metrics = wm
-	// The frequency log sits at the directory root by default; under
-	// WithWALTierLayout it moves into freq/ (Join with "" is the identity).
-	l, err := wal.Open(filepath.Join(s.walDir, s.walFreqSub), opts)
+	l, err := wal.Open(filepath.Join(s.walDir, sub), opts)
 	if err != nil {
-		return fmt.Errorf("collect: %w", err)
+		return fmt.Errorf("collect: %s wal: %w", name, err)
 	}
-	workers := s.replayWorkerCount()
-	s.obs.Gauge(walReplayWorkersName, walReplayWorkersHelp, "log", "freq").Set(float64(workers))
-	replayStart := time.Now()
-	err = l.ReplayParallel(workers,
-		func(snap []byte) error {
-			agg, err := s.proto.UnmarshalAggregator(snap)
-			if err != nil {
-				return fmt.Errorf("collect: wal snapshot does not match protocol %s: %w", s.proto.Name(), err)
-			}
-			s.install(agg)
-			return nil
-		},
-		s.replayRecord,
-	)
-	if err != nil {
+	s.obs.Gauge(walReplayWorkersName, walReplayWorkersHelp, "log", name).Set(float64(workers))
+	start := time.Now()
+	if err := l.ReplayParallel(workers, onSnapshot, onRecord); err != nil {
 		l.Close()
 		return err
 	}
-	replayG.Set(time.Since(replayStart).Seconds())
-	s.wal = l
+	replayG.Set(time.Since(start).Seconds())
+	d.log, d.compactAfter, d.marshalState = l, s.compactAfter, marshalState
 	return nil
 }
 
-// replayRecord re-applies one WAL record. Records were validated before
-// they were written, so a record that fails to decode means the log does
-// not belong to this server's protocol configuration — an operator error
-// worth failing loudly on, not skipping.
-func (s *Server) replayRecord(rec []byte) error {
-	if len(rec) == 0 {
-		return fmt.Errorf("collect: empty wal record")
-	}
-	switch rec[0] {
-	case recBatch:
-		var wires []WireReport
-		if err := json.Unmarshal(rec[1:], &wires); err != nil {
-			return fmt.Errorf("collect: wal batch record: %w", err)
-		}
-		reps := make([]core.Report, len(wires))
-		for i, wr := range wires {
-			rep, err := s.proto.DecodeReport(wr)
-			if err != nil {
-				return fmt.Errorf("collect: wal batch record does not match protocol %s: %w", s.proto.Name(), err)
-			}
-			reps[i] = rep
-		}
-		if len(reps) > 0 {
-			s.apply(reps)
-		}
-		return nil
-	case recBinaryBatch:
-		return s.replayBinaryRecord(rec[1:])
-	case recEnvelope:
-		agg, err := s.proto.UnmarshalAggregator(rec[1:])
-		if err != nil {
-			return fmt.Errorf("collect: wal envelope record: %w", err)
-		}
-		return s.mergeShard(agg)
-	default:
-		return fmt.Errorf("collect: unknown wal record type %#x", rec[0])
-	}
+// appendRecord logs one typed record. Caller checked log != nil (so that
+// building the payload is skipped on non-durable tiers) and holds
+// ingestMu.RLock.
+func (d *durableLog) appendRecord(typ byte, payload []byte) error {
+	return d.log.Append(append([]byte{typ}, payload...))
 }
 
-// maybeCompact kicks off a background compaction when the WAL has
-// accumulated compactAfter bytes past its last snapshot. At most one
-// compaction runs at a time; extra triggers are dropped, not queued.
-func (s *Server) maybeCompact() {
-	if s.wal == nil || s.wal.BytesSinceSeal() < s.compactAfter {
+// maybeCompact kicks off a background compaction when the log has
+// accumulated compactAfter bytes past its last snapshot. At most one runs
+// at a time; extra triggers are dropped, not queued.
+func (d *durableLog) maybeCompact() {
+	if d.log == nil || d.log.BytesSinceSeal() < d.compactAfter {
 		return
 	}
-	if !s.compacting.CompareAndSwap(false, true) {
+	if !d.compactMu.TryLock() {
+		return
+	}
+	if d.closed {
+		d.compactMu.Unlock()
 		return
 	}
 	go func() {
-		defer s.compacting.Store(false)
-		if err := s.Compact(); err != nil {
-			s.logger.Error("background wal compaction failed",
-				"tier", "freq", "segments", s.wal.Stats().Segments, "err", err)
+		defer d.compactMu.Unlock()
+		if err := d.compact(); err != nil {
+			// Loud but non-fatal: the log keeps growing and replay still works.
+			d.logger.Error("background wal compaction failed",
+				"segments", d.log.Stats().Segments, "err", err)
 		}
 	}()
 }
 
-// Compact folds the WAL down to a snapshot of the current aggregate plus an
-// empty tail: appends are quiesced just long enough to roll the log and
-// marshal the merged state, then the snapshot is sealed and the covered
-// segments deleted. Estimates are unaffected; a restart after a compaction
-// replays the snapshot instead of the raw records. It errors on servers
-// without a WAL.
-func (s *Server) Compact() error {
-	if s.wal == nil {
-		return fmt.Errorf("collect: server has no WAL to compact")
-	}
-	s.ingestMu.Lock()
-	cover, err := s.wal.Roll()
-	var env []byte
+// compact folds the log down to a snapshot of the current state plus an
+// empty tail: writes are quiesced just long enough to roll the log and
+// marshal the state, then the snapshot is sealed and the covered segments
+// deleted. A restart after a compaction replays the snapshot instead of
+// the raw records.
+func (d *durableLog) compact() error {
+	d.ingestMu.Lock()
+	cover, err := d.log.Roll()
+	var snap []byte
 	if err == nil {
-		env, err = s.proto.MarshalAggregator(s.merged())
+		snap, err = d.marshalState()
 	}
-	s.ingestMu.Unlock()
+	d.ingestMu.Unlock()
 	if err != nil {
 		return err
 	}
-	return s.wal.Seal(cover, env)
+	return d.log.Seal(cover, snap)
+}
+
+// supersede moves the log past its whole history: roll, then seal snap as
+// the snapshot a restart begins from. A no-op without a log. Caller holds
+// ingestMu exclusively and swaps its in-memory state only on success.
+func (d *durableLog) supersede(snap []byte) error {
+	if d.log == nil {
+		return nil
+	}
+	cover, err := d.log.Roll()
+	if err != nil {
+		return fmt.Errorf("wal roll: %w", err)
+	}
+	if err := d.log.Seal(cover, snap); err != nil {
+		return fmt.Errorf("wal seal: %w", err)
+	}
+	return nil
+}
+
+// walStats is the tier's durability slice of /stats; nil without a log.
+func (d *durableLog) walStats() *WireWALStats {
+	if d.log == nil {
+		return nil
+	}
+	ws := d.log.Stats()
+	st := &WireWALStats{Segments: ws.Segments, BytesSinceCompaction: ws.BytesSinceCompaction}
+	if !ws.LastSnapshot.IsZero() {
+		st.LastSnapshot = ws.LastSnapshot.UTC().Format(time.RFC3339)
+	}
+	return st
+}
+
+// close flushes and closes the log, after waiting out an in-flight
+// background compaction — closing under it would fail its Roll/Seal with
+// "log is closed" and log a spurious compaction error on every graceful
+// shutdown that lands mid-compaction.
+func (d *durableLog) close() error {
+	if d.log == nil {
+		return nil
+	}
+	d.compactMu.Lock()
+	d.closed = true
+	d.compactMu.Unlock()
+	return d.log.Close()
+}
+
+// Compact folds the frequency tier's WAL down to a snapshot of the current
+// aggregate plus an empty tail. Estimates are unaffected. It errors on
+// servers without a frequency WAL.
+func (s *Server) Compact() error {
+	if s.freq == nil || s.freq.log == nil {
+		return fmt.Errorf("collect: server has no WAL to compact")
+	}
+	return s.freq.compact()
 }
 
 // Close flushes and closes the server's logs — the report WAL and, when
 // mounted, the mean tier's and the mining session WALs (a no-op without
-// them). Serve traffic must be quiesced first — http.Server.Shutdown
-// before Close.
+// them) — waiting for any background compaction to finish first. Serve
+// traffic must be quiesced first — http.Server.Shutdown before Close.
 func (s *Server) Close() error {
 	var err error
-	if s.wal != nil {
-		err = s.wal.Close()
+	if s.freq != nil {
+		err = s.freq.close()
 	}
-	if s.mean != nil && s.mean.log != nil {
-		if merr := s.mean.log.Close(); err == nil {
+	if s.mean != nil {
+		if merr := s.mean.close(); err == nil {
 			err = merr
 		}
 	}
-	if s.topk != nil && s.topk.log != nil {
-		if terr := s.topk.log.Close(); err == nil {
+	if s.topk != nil {
+		if terr := s.topk.close(); err == nil {
 			err = terr
 		}
 	}

@@ -77,7 +77,7 @@ func TestFederatedMergeEqualsCentralized(t *testing.T) {
 			if root.Reports() != n {
 				t.Fatalf("root holds %d reports, want %d", root.Reports(), n)
 			}
-			rootAgg, centralAgg := root.merged(), central.merged()
+			rootAgg, centralAgg := root.freq.merged(), central.freq.merged()
 			if !reflect.DeepEqual(rootAgg.Estimates(), centralAgg.Estimates()) {
 				t.Fatal("federated estimates not bit-identical to centralized ingestion")
 			}
@@ -190,7 +190,7 @@ func TestDrainPushFailureRemerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestWires(t, direct, wires, 10)
-	if !reflect.DeepEqual(retaken.Estimates(), direct.merged().Estimates()) {
+	if !reflect.DeepEqual(retaken.Estimates(), direct.freq.merged().Estimates()) {
 		t.Fatal("re-merged drain not bit-identical to direct ingestion")
 	}
 }

@@ -132,7 +132,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte("{\"label\":1,\"value\":0,\"seed\":77}\n{\"label\":0,\"value\":2}\n"))
 	protos := fuzzProtocols(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		wires, itemErrs, droppedTail, err := decodeBatch(data)
+		wires, itemErrs, droppedTail, err := decodeBatchItems[WireReport](data)
 		if err != nil {
 			return // envelope rejected wholesale
 		}
@@ -144,12 +144,9 @@ func FuzzDecodeBatch(f *testing.F) {
 				t.Fatalf("negative error index %d", ie.Index)
 			}
 		}
-		for _, iw := range wires {
-			if iw.index < 0 {
-				t.Fatalf("negative item index %d", iw.index)
-			}
+		for _, w := range wires {
 			for _, p := range protos {
-				decoded, err := p.DecodeReport(iw.report)
+				decoded, err := p.DecodeReport(w)
 				if err != nil {
 					continue
 				}

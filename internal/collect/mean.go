@@ -1,18 +1,10 @@
 package collect
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mean"
-	"repro/internal/obs"
-	"repro/internal/wal"
 )
 
 // This file is the numeric mean tier: the collection server hosts the
@@ -34,11 +26,9 @@ import (
 // its own log under <dir>/mean with the same sync options, so the two
 // tiers' records never interleave and each compacts independently.
 //
-// meanHub deliberately mirrors the frequency tier's machinery
-// (collect.go/durable.go/merge.go) method for method — same locking
-// discipline, same write-ahead contract, same drain-undo semantics. A fix
-// to either tier's concurrency or durability path almost certainly applies
-// to the other; keep them in lockstep.
+// The tier is the report-tier engine (tier.go) instantiated over meanCodec,
+// so the parity holds by construction: this file declares only the wire
+// types, the codec and the exported …Mean forwards.
 
 // WireMeanConfig describes the mean collection round so clients can
 // self-configure: Protocol names the framework (hecmean, ptsmean, cpmean)
@@ -79,71 +69,49 @@ type WireMeanStats struct {
 // protocol name must be client-reconstructible (every canonical name is);
 // NewServer verifies it the same way it verifies the frequency protocol.
 func WithMean(p *core.NumericProtocol) ServerOption {
-	return func(s *Server) { s.mean = &meanHub{proto: p} }
+	return func(s *Server) { s.meanProto, s.meanSet = p, true }
 }
 
-// meanShard is one independently locked mean aggregator.
-type meanShard struct {
-	mu  sync.Mutex
-	acc mean.Aggregator
-	// count is the reports folded into this shard, advanced under mu but
-	// readable lock-free (the /stats shard breakdown).
-	count atomic.Int64
-}
+// meanCodec adapts a core.NumericProtocol to the report-tier engine (see
+// tier.go); the embedded protocol supplies the naming, aggregator and
+// envelope half of the codec.
+type meanCodec struct{ *core.NumericProtocol }
 
-// meanHub owns the mean tier's state: its protocol, shards and (on durable
-// servers) its write-ahead log. Concurrency mirrors the frequency tier:
-// writes land on a round-robin shard, reads merge all shards exactly, and
-// ingestMu orders report appends (reader side) against whole-state
-// transitions — restore, drain, compaction (writer side).
-type meanHub struct {
-	proto *core.NumericProtocol
-	cfg   WireMeanConfig
-
-	ingestMu     sync.RWMutex
-	log          *wal.Log
-	compactAfter int64
-	compacting   atomic.Bool
-
-	next   atomic.Uint64
-	total  atomic.Int64
-	shards []*meanShard
-
-	// gen counts whole-state transitions, bumped (before total is stored)
-	// by install/takeLocked while every shard lock is held; with total it
-	// versions the estimate cache (see cache.go).
-	gen   atomic.Int64
-	cache *estimateCache
-
-	metrics *tierMetrics
-	logger  *obs.Logger
-}
-
-// init builds the hub's shards; called from NewServer after options.
-func (h *meanHub) init(shards int, maxBody int64) {
-	p := h.proto
-	h.cfg = WireMeanConfig{
-		Protocol:     p.Name(),
-		Classes:      p.Classes(),
-		Epsilon:      p.Epsilon(),
-		Split:        p.Split(),
+func (c meanCodec) config(maxBody int64) any {
+	return WireMeanConfig{
+		Protocol:     c.Name(),
+		Classes:      c.Classes(),
+		Epsilon:      c.Epsilon(),
+		Split:        c.Split(),
 		MaxBodyBytes: maxBody,
 		Wire:         wireFormats(),
 	}
-	h.shards = make([]*meanShard, shards)
-	for i := range h.shards {
-		h.shards[i] = &meanShard{acc: p.NewAggregator()}
-	}
+}
+
+func (c meanCodec) decode(wires []WireMeanReport) ([]WireMeanReport, func(mean.Aggregator), []WireItemError) {
+	accepted, reps, rejected := decodeEach(wires, c.DecodeMeanReport)
+	return accepted, func(acc mean.Aggregator) {
+		for _, rep := range reps {
+			acc.Add(rep)
+		}
+	}, rejected
+}
+
+func (c meanCodec) validateBinary(frame []byte) (int, error) {
+	return c.ValidateBinaryMeanBatch(frame)
+}
+
+func (c meanCodec) applyBinary(acc mean.Aggregator, frame []byte) (int, error) {
+	return c.ApplyBinaryMeanBatch(acc, frame)
+}
+
+func (c meanCodec) estimates(acc mean.Aggregator) any {
+	return WireMeanEstimates{Reports: acc.N(), Means: acc.Means(), ClassSizes: acc.ClassSizes()}
 }
 
 // MeanProtocol returns the numeric protocol the server aggregates for, or
 // nil when the mean tier is not mounted.
-func (s *Server) MeanProtocol() *core.NumericProtocol {
-	if s.mean == nil {
-		return nil
-	}
-	return s.mean.proto
-}
+func (s *Server) MeanProtocol() *core.NumericProtocol { return s.meanProto }
 
 // MeanReports returns the number of mean reports accumulated so far (0
 // when the tier is not mounted).
@@ -151,404 +119,12 @@ func (s *Server) MeanReports() int {
 	if s.mean == nil {
 		return 0
 	}
-	return int(s.mean.total.Load())
+	return s.mean.reports()
 }
 
 // errNoMeanTier is returned by the mean state operations on a server
 // without the tier.
 func errNoMeanTier() error { return fmt.Errorf("collect: server has no mean tier (WithMean)") }
-
-// ---------------------------------------------------------------------------
-// HTTP handlers.
-// ---------------------------------------------------------------------------
-
-func (s *Server) handleMeanConfig(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.mean.cfg)
-}
-
-func (s *Server) handleMeanReport(w http.ResponseWriter, r *http.Request) {
-	m := s.mean.metrics
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	var rep WireMeanReport
-	if err := json.Unmarshal(body, &rep); err != nil {
-		m.rejectedDecode.Inc()
-		http.Error(w, "decode: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	decoded, err := s.mean.proto.DecodeMeanReport(rep)
-	if err != nil {
-		m.rejectedItem.Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := s.admitReports(1); err != nil {
-		m.observeIngestError(err, 1)
-		writeIngestError(w, err)
-		return
-	}
-	if err := s.mean.ingest([]WireMeanReport{rep}, []mean.Report{decoded}); err != nil {
-		m.observeIngestError(err, 1)
-		writeIngestError(w, err)
-		return
-	}
-	m.reportsJSON.Inc()
-	writeJSON(w, map[string]int{"reports": s.MeanReports()})
-}
-
-// handleMeanReportBatch ingests a batch of mean reports through the same
-// batch machinery as the frequency endpoint: JSON array or NDJSON (or an
-// all-or-nothing binary frame, selected by content type — see binary.go),
-// whole body under the server's size cap (413 beyond it), per-item
-// validation with itemized rejections.
-func (s *Server) handleMeanReportBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	m := s.mean.metrics
-	body, release, ok := s.readBodyPooled(w, r, m)
-	if !ok {
-		return
-	}
-	defer release()
-	m.bytes.Add(int64(len(body)))
-	if isBinaryContentType(r.Header.Get("Content-Type")) {
-		s.handleBinaryMeanBatch(w, body, start)
-		return
-	}
-	items, itemErrs, droppedTail, err := decodeBatchItems[WireMeanReport](body)
-	if err != nil {
-		m.rejectedDecode.Inc()
-		http.Error(w, "decode batch: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	decoded := make([]mean.Report, 0, len(items))
-	accepted := make([]WireMeanReport, 0, len(items))
-	for _, it := range items {
-		rep, derr := s.mean.proto.DecodeMeanReport(it.report)
-		if derr != nil {
-			itemErrs = append(itemErrs, WireItemError{Index: it.index, Error: derr.Error()})
-			continue
-		}
-		decoded = append(decoded, rep)
-		accepted = append(accepted, it.report)
-	}
-	if err := s.admitReports(len(decoded)); err != nil {
-		m.observeIngestError(err, len(decoded))
-		writeIngestError(w, err)
-		return
-	}
-	if err := s.mean.ingest(accepted, decoded); err != nil {
-		m.observeIngestError(err, len(decoded))
-		writeIngestError(w, err)
-		return
-	}
-	m.batchesJSON.Inc()
-	m.reportsJSON.Add(int64(len(decoded)))
-	m.rejectedItem.Add(int64(len(itemErrs) + droppedTail))
-	var ack WireBatchAck
-	ack.Accepted = len(decoded)
-	ack.Rejected = len(itemErrs) + droppedTail
-	ack.Reports = s.MeanReports()
-	if len(itemErrs) > maxBatchErrors {
-		itemErrs = itemErrs[:maxBatchErrors]
-		ack.ErrorsTruncated = true
-	}
-	ack.Errors = itemErrs
-	writeJSON(w, ack)
-	m.latency.Observe(time.Since(start).Seconds())
-}
-
-func (s *Server) handleMeanEstimates(w http.ResponseWriter, _ *http.Request) {
-	h := s.mean
-	h.cache.serve(w, h.version(), h.renderEstimates)
-}
-
-// version reads the mean tier's live cache version: total BEFORE gen, so a
-// read torn by a concurrent install mislabels the total under the old —
-// dead — generation (see cache.go for why that is safe).
-func (h *meanHub) version() cacheVersion {
-	t := h.total.Load()
-	return cacheVersion{gen: h.gen.Load(), total: t}
-}
-
-// renderEstimates recomputes the mean estimate body from the shards and
-// returns the version it must be cached under. The generation is read
-// before any shard is cloned, so a render racing an install keys its body
-// under the superseded generation and is never served again.
-func (h *meanHub) renderEstimates() ([]byte, cacheVersion, error) {
-	gen := h.gen.Load()
-	acc := h.merged()
-	body, err := encodeJSONBody(WireMeanEstimates{
-		Reports:    acc.N(),
-		Means:      acc.Means(),
-		ClassSizes: acc.ClassSizes(),
-	})
-	return body, cacheVersion{gen: gen, total: int64(acc.N())}, err
-}
-
-// meanStats assembles the /stats mean block.
-func (h *meanHub) stats() *WireMeanStats {
-	st := &WireMeanStats{Protocol: h.proto.Name(), Reports: int(h.total.Load())}
-	st.ShardReports = make([]int64, len(h.shards))
-	for i, sh := range h.shards {
-		st.ShardReports[i] = sh.count.Load()
-	}
-	if h.log != nil {
-		ws := h.log.Stats()
-		st.WAL = &WireWALStats{
-			Segments:             ws.Segments,
-			BytesSinceCompaction: ws.BytesSinceCompaction,
-		}
-		if !ws.LastSnapshot.IsZero() {
-			st.WAL.LastSnapshot = ws.LastSnapshot.UTC().Format(time.RFC3339)
-		}
-	}
-	return st
-}
-
-// ---------------------------------------------------------------------------
-// Ingestion, aggregation, durability — the same write-ahead discipline as
-// the frequency tier, against the hub's own log.
-// ---------------------------------------------------------------------------
-
-// ingest makes a batch of accepted mean reports durable (wire forms logged
-// before any aggregator sees them) and folds the decoded forms into a
-// shard. A WAL append failure rejects the whole batch: nothing was
-// applied, so the client may safely retry.
-func (h *meanHub) ingest(wires []WireMeanReport, reps []mean.Report) error {
-	if len(reps) == 0 {
-		return nil
-	}
-	h.ingestMu.RLock()
-	if h.log != nil {
-		body, err := json.Marshal(wires)
-		if err == nil {
-			err = h.log.Append(append([]byte{recBatch}, body...))
-		}
-		if err != nil {
-			h.ingestMu.RUnlock()
-			return fmt.Errorf("collect: mean wal append: %w", err)
-		}
-	}
-	h.apply(reps)
-	h.ingestMu.RUnlock()
-	h.maybeCompact()
-	return nil
-}
-
-// apply folds decoded reports into one round-robin shard under a single
-// lock acquisition, advancing the total under the shard lock so restores
-// cannot interleave between a write and its count.
-func (h *meanHub) apply(reps []mean.Report) {
-	sh := h.shards[h.next.Add(1)%uint64(len(h.shards))]
-	sh.mu.Lock()
-	for _, rep := range reps {
-		sh.acc.Add(rep)
-	}
-	sh.count.Add(int64(len(reps)))
-	h.total.Add(int64(len(reps)))
-	sh.mu.Unlock()
-}
-
-// merged returns a point-in-time exact merge of all shards. Like the
-// frequency tier, each shard lock is held only long enough to clone the
-// shard; the merge work itself runs outside every lock, pairwise across
-// goroutines (see Server.merged).
-func (h *meanHub) merged() mean.Aggregator {
-	copies := make([]mean.Aggregator, len(h.shards))
-	for i, sh := range h.shards {
-		sh.mu.Lock()
-		copies[i] = cloneMeanAggLocked(h.proto, sh.acc)
-		sh.mu.Unlock()
-	}
-	return mergeAggTree(copies, func(dst, src mean.Aggregator) error { return dst.Merge(src) })
-}
-
-// cloneMeanAggLocked snapshots one mean shard's aggregator; the caller
-// holds the shard lock. Every built-in mean aggregator implements
-// mean.Cloner; the merge-into-empty fallback keeps custom aggregators
-// correct.
-func cloneMeanAggLocked(p *core.NumericProtocol, acc mean.Aggregator) mean.Aggregator {
-	if c, ok := acc.(mean.Cloner); ok {
-		if cp := c.Clone(); cp != nil {
-			return cp
-		}
-	}
-	cp := p.NewAggregator()
-	if err := cp.Merge(acc); err != nil {
-		panic("collect: mean shard clone: " + err.Error()) // identical protocol by construction
-	}
-	return cp
-}
-
-// install swaps the whole mean aggregate for agg, holding every shard lock
-// across the swap and the counter reset. The generation is bumped before
-// the total is stored so the estimate cache can never mistake a
-// pre-install body for current state.
-func (h *meanHub) install(agg mean.Aggregator) {
-	for _, sh := range h.shards {
-		sh.mu.Lock()
-	}
-	h.gen.Add(1)
-	for i, sh := range h.shards {
-		if i == 0 {
-			sh.acc = agg
-			sh.count.Store(int64(agg.N()))
-		} else {
-			sh.acc = h.proto.NewAggregator()
-			sh.count.Store(0)
-		}
-	}
-	h.total.Store(int64(agg.N()))
-	for _, sh := range h.shards {
-		sh.mu.Unlock()
-	}
-}
-
-// mergeShard folds agg into one round-robin shard.
-func (h *meanHub) mergeShard(agg mean.Aggregator) error {
-	sh := h.shards[h.next.Add(1)%uint64(len(h.shards))]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.acc.Merge(agg); err != nil {
-		return fmt.Errorf("collect: merge mean state: %w", err)
-	}
-	sh.count.Add(int64(agg.N()))
-	h.total.Add(int64(agg.N()))
-	return nil
-}
-
-// mergeDurable logs the envelope (write-ahead) and folds agg into a shard
-// — the mean half of the shared POST /merge endpoint.
-func (h *meanHub) mergeDurable(env []byte, agg mean.Aggregator) (int, error) {
-	n := agg.N()
-	if n == 0 {
-		return 0, nil
-	}
-	h.ingestMu.RLock()
-	if h.log != nil {
-		if err := h.log.Append(envelopeRecord(env)); err != nil {
-			h.ingestMu.RUnlock()
-			return 0, fmt.Errorf("%w: mean wal append: %v", errNotDurable, err)
-		}
-	}
-	err := h.mergeShard(agg)
-	h.ingestMu.RUnlock()
-	if err != nil {
-		return 0, err
-	}
-	h.metrics.merged.Add(int64(n))
-	h.maybeCompact()
-	return n, nil
-}
-
-// openMeanWAL opens and replays the mean tier's log under <dir>/mean.
-// Called from NewServer before the handler is exposed.
-func (s *Server) openMeanWAL() error {
-	h := s.mean
-	h.compactAfter = s.compactAfter
-	opts := s.walOpts
-	wm, replayG := NewWALMetrics(s.obs, "mean")
-	opts.Metrics = wm
-	l, err := wal.Open(filepath.Join(s.walDir, "mean"), opts)
-	if err != nil {
-		return fmt.Errorf("collect: mean tier: %w", err)
-	}
-	workers := s.replayWorkerCount()
-	s.obs.Gauge(walReplayWorkersName, walReplayWorkersHelp, "log", "mean").Set(float64(workers))
-	replayStart := time.Now()
-	err = l.ReplayParallel(workers,
-		func(snap []byte) error {
-			agg, err := h.proto.UnmarshalAggregator(snap)
-			if err != nil {
-				return fmt.Errorf("collect: mean wal snapshot does not match protocol %s: %w", h.proto.Name(), err)
-			}
-			h.install(agg)
-			return nil
-		},
-		h.replayRecord,
-	)
-	if err != nil {
-		l.Close()
-		return err
-	}
-	replayG.Set(time.Since(replayStart).Seconds())
-	h.log = l
-	return nil
-}
-
-// replayRecord re-applies one mean WAL record; a record that fails to
-// decode means the log does not belong to this protocol configuration —
-// fail loudly, do not skip.
-func (h *meanHub) replayRecord(rec []byte) error {
-	if len(rec) == 0 {
-		return fmt.Errorf("collect: empty mean wal record")
-	}
-	switch rec[0] {
-	case recBatch:
-		var wires []WireMeanReport
-		if err := json.Unmarshal(rec[1:], &wires); err != nil {
-			return fmt.Errorf("collect: mean wal batch record: %w", err)
-		}
-		reps := make([]mean.Report, len(wires))
-		for i, wr := range wires {
-			rep, err := h.proto.DecodeMeanReport(wr)
-			if err != nil {
-				return fmt.Errorf("collect: mean wal batch record does not match protocol %s: %w", h.proto.Name(), err)
-			}
-			reps[i] = rep
-		}
-		if len(reps) > 0 {
-			h.apply(reps)
-		}
-		return nil
-	case recBinaryBatch:
-		return h.replayBinaryRecord(rec[1:])
-	case recEnvelope:
-		agg, err := h.proto.UnmarshalAggregator(rec[1:])
-		if err != nil {
-			return fmt.Errorf("collect: mean wal envelope record: %w", err)
-		}
-		return h.mergeShard(agg)
-	default:
-		return fmt.Errorf("collect: unknown mean wal record type %#x", rec[0])
-	}
-}
-
-// maybeCompact kicks off a background compaction of the mean log once
-// compactAfter bytes accumulate past its last snapshot.
-func (h *meanHub) maybeCompact() {
-	if h.log == nil || h.log.BytesSinceSeal() < h.compactAfter {
-		return
-	}
-	if !h.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer h.compacting.Store(false)
-		if err := h.compact(); err != nil {
-			h.logger.Error("background wal compaction failed",
-				"segments", h.log.Stats().Segments, "err", err)
-		}
-	}()
-}
-
-// compact folds the mean log down to one snapshot envelope plus an empty
-// tail, quiescing mean ingestion just long enough to roll and marshal.
-func (h *meanHub) compact() error {
-	h.ingestMu.Lock()
-	cover, err := h.log.Roll()
-	var env []byte
-	if err == nil {
-		env, err = h.proto.MarshalAggregator(h.merged())
-	}
-	h.ingestMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return h.log.Seal(cover, env)
-}
 
 // CompactMean folds the mean tier's WAL into a snapshot of its current
 // aggregate, like Compact does for the frequency log. It errors on servers
@@ -569,7 +145,7 @@ func (s *Server) SnapshotMean() ([]byte, error) {
 	if s.mean == nil {
 		return nil, errNoMeanTier()
 	}
-	return s.mean.proto.MarshalAggregator(s.mean.merged())
+	return s.mean.snapshot()
 }
 
 // RestoreMean replaces the mean aggregate with a SnapshotMean envelope
@@ -579,24 +155,7 @@ func (s *Server) RestoreMean(data []byte) error {
 	if s.mean == nil {
 		return errNoMeanTier()
 	}
-	h := s.mean
-	restored, err := h.proto.UnmarshalAggregator(data)
-	if err != nil {
-		return err
-	}
-	h.ingestMu.Lock()
-	defer h.ingestMu.Unlock()
-	if h.log != nil {
-		cover, err := h.log.Roll()
-		if err != nil {
-			return fmt.Errorf("collect: mean wal roll for restore: %w", err)
-		}
-		if err := h.log.Seal(cover, data); err != nil {
-			return fmt.Errorf("collect: mean wal seal for restore: %w", err)
-		}
-	}
-	h.install(restored)
-	return nil
+	return s.mean.restore(data)
 }
 
 // DrainMean atomically removes and returns the mean tier's entire
@@ -608,48 +167,5 @@ func (s *Server) DrainMean() (mean.Aggregator, error) {
 	if s.mean == nil {
 		return nil, errNoMeanTier()
 	}
-	h := s.mean
-	h.ingestMu.Lock()
-	defer h.ingestMu.Unlock()
-	taken := h.takeLocked()
-	if h.log != nil {
-		cover, err := h.log.Roll()
-		if err != nil {
-			h.mergeShard(taken) // records still logged: memory-only undo
-			return nil, fmt.Errorf("collect: mean wal roll after drain: %w", err)
-		}
-		env, err := h.proto.MarshalAggregator(h.proto.NewAggregator())
-		if err == nil {
-			err = h.log.Seal(cover, env)
-		}
-		if err != nil {
-			h.mergeShard(taken)
-			return nil, fmt.Errorf("collect: mean wal seal after drain: %w", err)
-		}
-	}
-	return taken, nil
-}
-
-// takeLocked swaps every shard for a fresh aggregator and returns the
-// merged removed state. Caller holds ingestMu exclusively. Like install,
-// the generation is bumped before the total is stored so the estimate
-// cache can never serve a pre-drain body as current.
-func (h *meanHub) takeLocked() mean.Aggregator {
-	taken := h.proto.NewAggregator()
-	for _, sh := range h.shards {
-		sh.mu.Lock()
-	}
-	h.gen.Add(1)
-	for _, sh := range h.shards {
-		if err := taken.Merge(sh.acc); err != nil {
-			panic("collect: mean shard merge: " + err.Error()) // identical protocol by construction
-		}
-		sh.acc = h.proto.NewAggregator()
-		sh.count.Store(0)
-	}
-	h.total.Store(0)
-	for _, sh := range h.shards {
-		sh.mu.Unlock()
-	}
-	return taken
+	return s.mean.drain()
 }

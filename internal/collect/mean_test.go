@@ -74,22 +74,7 @@ func meanWireStream(t testing.TB, proto *core.NumericProtocol, n int, seed uint6
 // batches, as the batch endpoint would.
 func ingestMeanWires(t testing.TB, srv *Server, wires []WireMeanReport, batch int) {
 	t.Helper()
-	for len(wires) > 0 {
-		n := min(batch, len(wires))
-		chunk := wires[:n]
-		reps := make([]mean.Report, n)
-		for i, wr := range chunk {
-			rep, err := srv.mean.proto.DecodeMeanReport(wr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reps[i] = rep
-		}
-		if err := srv.mean.ingest(chunk, reps); err != nil {
-			t.Fatal(err)
-		}
-		wires = wires[n:]
-	}
+	ingestTier(t, srv.mean, wires, batch)
 }
 
 // offlineEstimator builds the mean.Estimator matching a canonical numeric
@@ -132,7 +117,7 @@ func TestServedMeanMatchesOffline(t *testing.T) {
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 
-			client, err := NewMeanClient(ts.URL, ts.Client(), seed, WithMeanBatchSize(128))
+			client, err := NewMeanClient(ts.URL, ts.Client(), seed, WithBatchSize(128))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,7 +187,7 @@ func TestFederatedMeanMergeEqualsCentralized(t *testing.T) {
 				if edge.MeanReports() != 0 {
 					t.Fatalf("edge %d holds %d reports after drain", e, edge.MeanReports())
 				}
-				env, err := edge.mean.proto.MarshalAggregator(taken)
+				env, err := edge.meanProto.MarshalAggregator(taken)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -288,7 +273,7 @@ func TestMeanWALCrashRecoveryBitIdentical(t *testing.T) {
 func TestMeanWALRefusesForeignSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	a := newMeanServer(t, "cpmean", 3, 2, 0.5, WithWAL(dir))
-	ingestMeanWires(t, a, meanWireStream(t, a.mean.proto, 50, 1), 10)
+	ingestMeanWires(t, a, meanWireStream(t, a.meanProto, 50, 1), 10)
 	if err := a.CompactMean(); err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +309,7 @@ func TestMergeRoutesBothTiers(t *testing.T) {
 	}
 	// A mean envelope.
 	meanPeer := newMeanServer(t, "cpmean", 2, 2, 0.5)
-	ingestMeanWires(t, meanPeer, meanWireStream(t, meanPeer.mean.proto, 40, 4), 10)
+	ingestMeanWires(t, meanPeer, meanWireStream(t, meanPeer.meanProto, 40, 4), 10)
 	meanEnv, err := meanPeer.SnapshotMean()
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +338,7 @@ func TestMergeRoutesBothTiers(t *testing.T) {
 	}
 	// Wrong-budget mean envelope: valid, just not ours → 409.
 	foreign := newMeanServer(t, "cpmean", 2, 1, 0.5)
-	ingestMeanWires(t, foreign, meanWireStream(t, foreign.mean.proto, 10, 5), 10)
+	ingestMeanWires(t, foreign, meanWireStream(t, foreign.meanProto, 10, 5), 10)
 	foreignEnv, err := foreign.SnapshotMean()
 	if err != nil {
 		t.Fatal(err)
@@ -483,13 +468,13 @@ func TestMeanEndpointValidation(t *testing.T) {
 // lost or double-counted.
 func TestMeanDrainRemerge(t *testing.T) {
 	edge := newMeanServer(t, "ptsmean", 2, 2, 0.5)
-	wires := meanWireStream(t, edge.mean.proto, 40, 4)
+	wires := meanWireStream(t, edge.meanProto, 40, 4)
 	ingestMeanWires(t, edge, wires[:30], 10)
 	taken, err := edge.DrainMean()
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := edge.mean.proto.MarshalAggregator(taken)
+	env, err := edge.meanProto.MarshalAggregator(taken)
 	if err != nil {
 		t.Fatal(err)
 	}

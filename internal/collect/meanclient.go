@@ -1,13 +1,8 @@
 package collect
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mean"
@@ -19,7 +14,8 @@ import (
 // runs the real client half (mean.Encoder) of the numeric protocol the
 // server advertises at /mean/config, so the same MeanClient speaks every
 // mean framework. Submissions can be immediate (SubmitBatch) or buffered
-// (Buffer + Flush).
+// (Buffer + Flush, with the same failure semantics as the frequency
+// Client's — both are the one buffered batch client in client.go).
 //
 // Every submission names the user's canonical index: HEC-Mean derives its
 // partition group from it, and a served collection fed the same
@@ -28,89 +24,23 @@ import (
 //
 // A MeanClient is not safe for concurrent use; run one per goroutine.
 type MeanClient struct {
-	base      string
-	http      *http.Client
-	tenant    string
-	token     string
-	proto     *core.NumericProtocol
-	enc       mean.Encoder
-	rng       *xrand.Rand
-	batchSize int
-	ndjson    bool
-	binary    bool
-	retries   int
-	retryBase time.Duration
-	sleep     func(time.Duration) // injectable for tests
-	cfg       WireMeanConfig
-	pending   []WireMeanReport
-}
-
-// MeanClientOption configures a MeanClient.
-type MeanClientOption func(*MeanClient)
-
-// WithMeanBatchSize sets the buffered auto-flush threshold. n < 1 restores
-// DefaultBatchSize.
-func WithMeanBatchSize(n int) MeanClientOption {
-	return func(c *MeanClient) {
-		if n < 1 {
-			n = DefaultBatchSize
-		}
-		c.batchSize = n
-	}
-}
-
-// WithMeanNDJSON makes batch submissions use the NDJSON stream encoding
-// instead of a JSON array.
-func WithMeanNDJSON(on bool) MeanClientOption {
-	return func(c *MeanClient) { c.ndjson = on }
-}
-
-// WithMeanBinary makes batch submissions use the binary wire frame instead
-// of JSON, with the same semantics as the frequency client's WithBinary.
-// NewMeanClient fails when the server's /mean/config does not advertise
-// "binary" in its wire list.
-func WithMeanBinary(on bool) MeanClientOption {
-	return func(c *MeanClient) { c.binary = on }
-}
-
-// WithMeanRetry tunes the 5xx retry policy, with the same semantics as the
-// frequency client's WithRetry.
-func WithMeanRetry(retries int, base time.Duration) MeanClientOption {
-	return func(c *MeanClient) {
-		if retries < 0 {
-			retries = 0
-		}
-		if base < 1 {
-			base = DefaultRetryBase
-		}
-		c.retries = retries
-		c.retryBase = base
-	}
+	batchClient[WireMeanReport]
+	proto *core.NumericProtocol
+	enc   mean.Encoder
+	rng   *xrand.Rand
+	cfg   WireMeanConfig
 }
 
 // FetchMeanProtocol reads the mean round configuration a server advertises
 // at baseURL/mean/config and reconstructs the matching numeric protocol.
-// A server without the mean tier answers 404, which surfaces as an error.
-// It is the single place the config→protocol rules live, shared by
-// NewMeanClient and by peers joining a federation tier (cmd/mcimedge).
+// A server without the mean tier answers 404, which surfaces as
+// ErrTierNotServed. It is the single place the config→protocol rules live,
+// shared by NewMeanClient and by peers joining a federation tier
+// (cmd/mcimedge).
 func FetchMeanProtocol(baseURL string, hc *http.Client) (*core.NumericProtocol, WireMeanConfig, error) {
-	if hc == nil {
-		hc = http.DefaultClient
-	}
 	var cfg WireMeanConfig
-	resp, err := hc.Get(baseURL + "/mean/config")
-	if err != nil {
-		return nil, cfg, fmt.Errorf("collect: fetch mean config: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, cfg, fmt.Errorf("%w: /mean/config answered %s (the server does not mount the mean tier)", ErrTierNotServed, resp.Status)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, cfg, fmt.Errorf("collect: mean config status %s", resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&cfg); err != nil {
-		return nil, cfg, fmt.Errorf("collect: decode mean config: %w", err)
+	if err := fetchTierConfig(baseURL, hc, "/mean/config", "mean ", &cfg); err != nil {
+		return nil, cfg, err
 	}
 	proto, err := core.NewNumericProtocol(cfg.Protocol, cfg.Classes, cfg.Epsilon, cfg.Split)
 	if err != nil {
@@ -120,33 +50,18 @@ func FetchMeanProtocol(baseURL string, hc *http.Client) (*core.NumericProtocol, 
 }
 
 // NewMeanClient fetches the server's mean configuration from baseURL and
-// prepares the matching local encoder seeded with seed. Options are applied
-// before the configuration fetch, so WithMeanTenant reroutes the fetch
-// itself.
-func NewMeanClient(baseURL string, hc *http.Client, seed uint64, opts ...MeanClientOption) (*MeanClient, error) {
-	c := &MeanClient{
-		base:      baseURL,
-		http:      hc,
-		rng:       xrand.New(seed),
-		batchSize: DefaultBatchSize,
-		retries:   DefaultRetries,
-		retryBase: DefaultRetryBase,
-		sleep:     time.Sleep,
-	}
-	for _, opt := range opts {
-		opt(c)
-	}
-	if c.tenant != "" {
-		c.base = TenantBaseURL(c.base, c.tenant)
-	}
-	c.http = BearerClient(c.http, c.token)
+// prepares the matching local encoder seeded with seed. It takes the same
+// ClientOptions as NewClient, applied before the configuration fetch, so
+// WithTenant reroutes the fetch itself.
+func NewMeanClient(baseURL string, hc *http.Client, seed uint64, opts ...ClientOption) (*MeanClient, error) {
+	c := &MeanClient{batchClient: newBatchClient[WireMeanReport](baseURL, hc, opts), rng: xrand.New(seed)}
 	proto, cfg, err := FetchMeanProtocol(c.base, c.http)
 	if err != nil {
 		return nil, err
 	}
 	c.proto, c.enc, c.cfg = proto, proto.Encoder(), cfg
-	if c.binary && !wireSupports(cfg.Wire, "binary") {
-		return nil, fmt.Errorf("collect: server %s does not advertise the binary wire format for the mean tier (wire=%v)", c.base, cfg.Wire)
+	if err := c.bind("/mean/reports", "mean ", cfg.MaxBodyBytes, cfg.Wire, proto.AppendBinaryMeanBatch); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -179,138 +94,13 @@ func (c *MeanClient) SubmitBatch(firstUser int, vs []mean.Value) (*WireBatchAck,
 // and appends the report to the local batch buffer, flushing automatically
 // when BatchSize reports have accumulated. Call Flush after the last
 // Buffer to ship the remainder.
-func (c *MeanClient) Buffer(user int, v mean.Value) error {
-	c.pending = append(c.pending, c.perturb(user, v))
-	if len(c.pending) >= c.batchSize {
-		return c.Flush()
-	}
-	return nil
-}
-
-// Pending returns the number of buffered reports not yet shipped.
-func (c *MeanClient) Pending() int { return len(c.pending) }
-
-// Flush ships the buffered reports in batch requests of at most BatchSize
-// reports each, with the same failure semantics as the frequency client's
-// Flush: an error status keeps the chunk buffered for retry (a 413 halves
-// the batch size first), a transport error drops the in-flight chunk
-// (at-most-once), and a partial rejection surfaces as *BatchRejectedError
-// with the chunk removed from the buffer.
-func (c *MeanClient) Flush() error {
-	sent, total := 0, len(c.pending)
-	for len(c.pending) > 0 {
-		n := min(len(c.pending), c.batchSize)
-		wires := c.pending[:n]
-		ack, err := c.postBatch(wires)
-		var se *statusError
-		if errors.As(err, &se) {
-			if se.Code == http.StatusRequestEntityTooLarge && n > 1 {
-				c.batchSize = (n + 1) / 2
-			}
-			return err // not ingested: buffer kept for retry
-		}
-		if err != nil {
-			c.pending = c.pending[n:] // in-flight chunk may have landed: drop it
-			return err
-		}
-		c.pending = c.pending[n:]
-		if ack.Rejected > 0 {
-			errs := make([]WireItemError, len(ack.Errors))
-			for i, ie := range ack.Errors {
-				ie.Index += sent // chunk-relative → flush-start-relative
-				errs[i] = ie
-			}
-			return &BatchRejectedError{
-				Submitted: sent + n,
-				Buffered:  total,
-				Rejected:  ack.Rejected,
-				Errors:    errs,
-				Truncated: ack.ErrorsTruncated,
-			}
-		}
-		sent += n
-	}
-	c.pending = nil // release the drained buffer's backing array
-	return nil
-}
-
-// postBatch encodes wires per the client's batch encoding and POSTs them
-// to /mean/reports, retrying 5xx responses per the retry policy.
-func (c *MeanClient) postBatch(wires []WireMeanReport) (*WireBatchAck, error) {
-	var (
-		body        []byte
-		contentType string
-	)
-	if c.binary {
-		bufp := encodeBufPool.Get().(*[]byte)
-		frame, err := c.proto.AppendBinaryMeanBatch((*bufp)[:0], wires)
-		if err != nil {
-			encodeBufPool.Put(bufp)
-			return nil, err
-		}
-		*bufp = frame[:0]
-		defer encodeBufPool.Put(bufp)
-		body, contentType = frame, BinaryContentType
-	} else {
-		var buf bytes.Buffer
-		if c.ndjson {
-			contentType = NDJSONContentType
-			enc := json.NewEncoder(&buf)
-			for _, wr := range wires {
-				if err := enc.Encode(wr); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			contentType = "application/json"
-			if err := json.NewEncoder(&buf).Encode(wires); err != nil {
-				return nil, err
-			}
-		}
-		body = buf.Bytes()
-	}
-	var ack *WireBatchAck
-	err := retryOn5xx(c.retries, c.retryBase, c.sleep, func() error {
-		resp, err := c.http.Post(c.base+"/mean/reports", contentType, bytes.NewReader(body))
-		if err != nil {
-			return fmt.Errorf("collect: submit mean batch: %w", err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, resp.Body)
-			if resp.StatusCode == http.StatusRequestEntityTooLarge {
-				return &statusError{resp.StatusCode, fmt.Sprintf(
-					"collect: mean batch of %d reports (%d bytes) exceeds the server's %d-byte body cap; reduce the batch size",
-					len(wires), len(body), c.cfg.MaxBodyBytes)}
-			}
-			return &statusError{resp.StatusCode, "collect: submit mean batch status " + resp.Status}
-		}
-		var a WireBatchAck
-		if err := json.NewDecoder(resp.Body).Decode(&a); err != nil {
-			return fmt.Errorf("collect: decode mean batch ack: %w", err)
-		}
-		ack = &a
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ack, nil
-}
+func (c *MeanClient) Buffer(user int, v mean.Value) error { return c.buffer(c.perturb(user, v)) }
 
 // Estimates fetches the mean tier's current calibrated means and class
 // sizes.
 func (c *MeanClient) Estimates() (*WireMeanEstimates, error) {
-	resp, err := c.http.Get(c.base + "/mean/estimates")
-	if err != nil {
-		return nil, fmt.Errorf("collect: mean estimates: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("collect: mean estimates status %s", resp.Status)
-	}
 	var est WireMeanEstimates
-	if err := json.NewDecoder(resp.Body).Decode(&est); err != nil {
+	if err := c.getJSON("/mean/estimates", "mean estimates", &est); err != nil {
 		return nil, err
 	}
 	return &est, nil

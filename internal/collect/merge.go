@@ -47,7 +47,7 @@ var errNotDurable = errors.New("collect: merge not made durable")
 // failure while logging the merge is a 500 and the envelope was not
 // merged.
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBodyLimit(w, r, s.mergeMaxBody)
+	body, ok := readBody(w, r, s.mergeMaxBody)
 	if !ok {
 		return
 	}
@@ -78,29 +78,21 @@ func (s *Server) MergeState(env []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if s.proto != nil && fp == s.proto.Fingerprint() {
-		agg, err := s.proto.UnmarshalAggregator(env)
-		if err != nil {
-			return 0, err
-		}
-		return s.mergeDurable(env, agg)
+	if s.freq != nil && fp == s.proto.Fingerprint() {
+		return s.freq.mergeDurable(env)
 	}
-	if s.mean != nil && fp == s.mean.proto.Fingerprint() {
-		agg, err := s.mean.proto.UnmarshalAggregator(env)
-		if err != nil {
-			return 0, err
-		}
-		return s.mean.mergeDurable(env, agg)
+	if s.mean != nil && fp == s.meanProto.Fingerprint() {
+		return s.mean.mergeDurable(env)
 	}
 	// Name every tier the server does serve — fingerprint AND protocol — so
 	// an edge operator reading the 409 body can see exactly which side is
 	// misconfigured instead of guessing.
 	var tiers []string
-	if s.proto != nil {
+	if s.freq != nil {
 		tiers = append(tiers, fmt.Sprintf("frequency %q (protocol %s)", s.proto.Fingerprint(), s.proto.Name()))
 	}
 	if s.mean != nil {
-		tiers = append(tiers, fmt.Sprintf("mean %q (protocol %s)", s.mean.proto.Fingerprint(), s.mean.proto.Name()))
+		tiers = append(tiers, fmt.Sprintf("mean %q (protocol %s)", s.meanProto.Fingerprint(), s.meanProto.Name()))
 	}
 	served := "no tier"
 	if len(tiers) > 0 {
@@ -108,46 +100,6 @@ func (s *Server) MergeState(env []byte) (int, error) {
 	}
 	return 0, fmt.Errorf("%w: envelope %q matches none of this server's tiers (serving %s)",
 		core.ErrIncompatibleState, fp, served)
-}
-
-// mergeDurable logs the envelope (write-ahead) and folds agg into a shard.
-func (s *Server) mergeDurable(env []byte, agg core.Aggregator) (int, error) {
-	n := agg.N()
-	if n == 0 {
-		return 0, nil
-	}
-	s.ingestMu.RLock()
-	if s.wal != nil {
-		if err := s.wal.Append(envelopeRecord(env)); err != nil {
-			s.ingestMu.RUnlock()
-			return 0, fmt.Errorf("%w: wal append: %v", errNotDurable, err)
-		}
-	}
-	err := s.mergeShard(agg)
-	s.ingestMu.RUnlock()
-	if err != nil {
-		return 0, err
-	}
-	s.freqM.merged.Add(int64(n))
-	s.maybeCompact()
-	return n, nil
-}
-
-// mergeShard folds agg into one round-robin-picked shard. Like apply, the
-// total is advanced under the shard lock so Restore cannot interleave
-// between the merge and its count.
-func (s *Server) mergeShard(agg core.Aggregator) error {
-	sh := s.shards[s.next.Add(1)%uint64(len(s.shards))]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.acc.Merge(agg); err != nil {
-		// The envelope fingerprint matched this protocol, so the aggregator
-		// types match by construction.
-		return fmt.Errorf("collect: merge state: %w", err)
-	}
-	sh.count.Add(int64(agg.N()))
-	s.total.Add(int64(agg.N()))
-	return nil
 }
 
 // Drain atomically removes and returns the server's entire aggregate,
@@ -158,65 +110,11 @@ func (s *Server) mergeShard(agg core.Aggregator) error {
 // so a restart does not resurrect (and re-push) reports that were handed
 // to the caller; the window between a drain and a successful upstream push
 // is the one place durability is delegated to the caller holding the
-// aggregate.
-//
-// Drain is atomic: when the WAL cannot be moved past the drained state, the
-// aggregate is folded back in, nothing is handed out, and the error is
-// returned — handing the state out anyway would let a restart replay (and
-// the caller push) the same reports twice.
+// aggregate. Drain is atomic: if the WAL cannot be moved past the drained
+// state, the aggregate is folded back in and nothing is handed out.
 func (s *Server) Drain() (core.Aggregator, error) {
-	if s.proto == nil {
+	if s.freq == nil {
 		return nil, errNoFrequencyTier()
 	}
-	// ingestMu is held exclusively across the take AND the WAL roll+seal:
-	// releasing it between them would let a concurrent background
-	// compaction seal the post-drain state and prune the drained records,
-	// after which the memory-only undo below could no longer claim "the
-	// records are still in the log".
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	taken := s.takeLocked()
-	if s.wal != nil {
-		cover, err := s.wal.Roll()
-		if err != nil {
-			s.mergeShard(taken) // records still logged: memory-only undo
-			return nil, fmt.Errorf("collect: wal roll after drain: %w", err)
-		}
-		env, err := s.proto.MarshalAggregator(s.proto.NewAggregator())
-		if err == nil {
-			err = s.wal.Seal(cover, env)
-		}
-		if err != nil {
-			// The drained records are still in the log (the seal that would
-			// have superseded them failed), so fold the state back into
-			// memory only — a WAL append here would double them on replay.
-			s.mergeShard(taken)
-			return nil, fmt.Errorf("collect: wal seal after drain: %w", err)
-		}
-	}
-	return taken, nil
-}
-
-// takeLocked swaps every shard for a fresh aggregator and returns the
-// merged removed state. Caller holds ingestMu exclusively. Like install,
-// the generation is bumped before the total is stored so the estimate
-// cache can never serve a pre-drain body as current.
-func (s *Server) takeLocked() core.Aggregator {
-	taken := s.proto.NewAggregator()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	s.gen.Add(1)
-	for _, sh := range s.shards {
-		if err := taken.Merge(sh.acc); err != nil {
-			panic("collect: shard merge: " + err.Error()) // identical protocol by construction
-		}
-		sh.acc = s.proto.NewAggregator()
-		sh.count.Store(0)
-	}
-	s.total.Store(0)
-	for _, sh := range s.shards {
-		sh.mu.Unlock()
-	}
-	return taken
+	return s.freq.drain()
 }

@@ -21,7 +21,7 @@ import (
 // Merged federation envelopes count separately under
 // mcim_merge_reports_total.
 
-// tierMetrics is the per-tier (freq, mean) ingest instrumentation.
+// tierMetrics is the per-tier (freq, mean, topk) ingest instrumentation.
 type tierMetrics struct {
 	reportsJSON   *obs.Counter
 	reportsBinary *obs.Counter
@@ -67,7 +67,7 @@ func newTierMetrics(reg *obs.Registry, tier string) *tierMetrics {
 	}
 }
 
-// observeIngestError classifies a refused batch (admitReports or the
+// observeIngestError classifies a refused batch (the rate limiter or the
 // write-ahead append) into the rejection counters; n is the report count
 // that was refused.
 func (m *tierMetrics) observeIngestError(err error, n int) {
@@ -154,9 +154,11 @@ func WithLogger(l *obs.Logger) ServerOption {
 // register their own series on it and merge it into roll-up views.
 func (s *Server) Metrics() *obs.Registry { return s.obs }
 
-// initObs builds the registry and every pre-resolved handle. Called from
-// NewServer after options are applied and the tier set is known, before
-// the WALs open (their hooks register here).
+// initObs builds the registry and the server-wide series. Called from
+// NewServer after options are applied, before the tiers are built (each
+// registers its own pre-resolved handles on the registry, see newTier and
+// sessionHub.init) and before the WALs open (their hooks register here
+// too).
 func (s *Server) initObs() {
 	s.obs = obs.NewRegistry()
 	if s.logger == nil {
@@ -167,26 +169,4 @@ func (s *Server) initObs() {
 	s.obs.GaugeFunc("mcim_uptime_seconds",
 		"Seconds since this collection server was constructed.",
 		func() float64 { return time.Since(s.started).Seconds() })
-	if s.proto != nil {
-		s.freqM = newTierMetrics(s.obs, "freq")
-	}
-	if s.mean != nil {
-		s.mean.metrics = newTierMetrics(s.obs, "mean")
-		s.mean.logger = s.logger.With("tier", "mean")
-	}
-	if s.topk != nil {
-		h := s.topk
-		s.topkM = newTierMetrics(s.obs, "topk")
-		h.logger = s.logger.With("tier", "topk")
-		h.rounds = s.obs.Counter("mcim_topk_rounds_advanced_total",
-			"Mining-session rounds sealed and advanced by report ingestion (WAL replay excluded).")
-		h.stale = s.obs.Counter("mcim_topk_stale_batches_total",
-			"Round-report batches rejected whole with 410 Gone because their round had sealed.")
-		s.obs.GaugeFunc("mcim_topk_sessions",
-			"Mining sessions currently tracked (open and completed-but-unqueried).",
-			func() float64 { n, _ := h.counts(); return float64(n) })
-		s.obs.GaugeFunc("mcim_topk_open_sessions",
-			"Mining sessions still mid-protocol.",
-			func() float64 { _, open := h.counts(); return float64(open) })
-	}
 }

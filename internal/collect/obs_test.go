@@ -164,7 +164,7 @@ func TestMetricsMatchStatsUnderLoad(t *testing.T) {
 		}(uint64(w+1), binary)
 		go func(seed uint64, binary bool) {
 			defer wg.Done()
-			cl, err := NewMeanClient(ts.URL, ts.Client(), seed, WithMeanBinary(binary))
+			cl, err := NewMeanClient(ts.URL, ts.Client(), seed, WithBinary(binary))
 			if err != nil {
 				errc <- err
 				return

@@ -54,8 +54,12 @@ func newRateLimiter(rps float64, burst int) *rateLimiter {
 }
 
 // admit asks the bucket for n reports: nil when admitted, a
-// *RateLimitedError with the time until credit returns otherwise.
+// *RateLimitedError with the time until credit returns otherwise. A nil
+// limiter admits everything.
 func (l *rateLimiter) admit(n int) error {
+	if l == nil || n == 0 {
+		return nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	now := l.now()
@@ -69,6 +73,17 @@ func (l *rateLimiter) admit(n int) error {
 	// cross back above zero.
 	wait := time.Duration((-l.tokens/l.rate)*float64(time.Second)) + time.Millisecond
 	return &RateLimitedError{RetryAfter: wait}
+}
+
+// refund returns the charge for n admitted reports the server then failed
+// to ingest (its WAL append failed; nothing was applied).
+func (l *rateLimiter) refund(n int) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	l.tokens = math.Min(l.burst, l.tokens+float64(n))
+	l.mu.Unlock()
 }
 
 // WithRateLimit caps sustained ingestion at rps reports per second across
@@ -85,15 +100,6 @@ func WithRateLimit(rps float64, burst int) ServerOption {
 		}
 		s.limit = newRateLimiter(rps, burst)
 	}
-}
-
-// admitReports charges n accepted reports against the server's rate
-// limiter; a no-op without one.
-func (s *Server) admitReports(n int) error {
-	if s.limit == nil || n == 0 {
-		return nil
-	}
-	return s.limit.admit(n)
 }
 
 // writeIngestError maps an ingestion failure onto its HTTP shape: a rate

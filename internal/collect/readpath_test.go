@@ -81,7 +81,7 @@ func TestEstimateCacheBitIdentical(t *testing.T) {
 			if !bytes.Equal(again, plain) {
 				t.Fatal("repeat cached read diverges from uncached render")
 			}
-			if hits := cachedSrv.freqCache.m.hit.Value(); hits < 1 {
+			if hits := cachedSrv.freq.cache.m.hit.Value(); hits < 1 {
 				t.Fatalf("repeat read at an unchanged version recorded %d hits, want >= 1", hits)
 			}
 
@@ -192,7 +192,7 @@ func TestEstimateCacheStaleness(t *testing.T) {
 	if !bytes.Equal(stale, rendered) {
 		t.Fatal("read within the staleness budget did not replay the cached body")
 	}
-	if n := srv.freqCache.m.staleHit.Value(); n < 1 {
+	if n := srv.freq.cache.m.staleHit.Value(); n < 1 {
 		t.Fatalf("stale read recorded %d stale hits, want >= 1", n)
 	}
 

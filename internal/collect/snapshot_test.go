@@ -29,11 +29,7 @@ func TestServerCheckpointRestart(t *testing.T) {
 			submit := func(srv *Server, n int) {
 				for i := 0; i < n; i++ {
 					wire := proto.EncodeReport(enc.Encode(core.Pair{Class: i % c, Item: i % d}, r))
-					dec, err := srv.proto.DecodeReport(wire)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := srv.ingest([]WireReport{wire}, []core.Report{dec}); err != nil {
+					if err := ingestChunk(srv.freq, []WireReport{wire}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -54,7 +50,7 @@ func TestServerCheckpointRestart(t *testing.T) {
 			if srvB.Reports() != 800 {
 				t.Fatalf("restored server has %d reports", srvB.Reports())
 			}
-			if !reflect.DeepEqual(srvB.merged().Estimates(), srvA.merged().Estimates()) {
+			if !reflect.DeepEqual(srvB.freq.merged().Estimates(), srvA.freq.merged().Estimates()) {
 				t.Fatal("restored estimates not bit-identical")
 			}
 		})

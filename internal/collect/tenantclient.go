@@ -11,8 +11,8 @@ import (
 // server (internal/tenant) serves every collection endpoint under
 // /t/<name>/... and may guard the routes with a per-tenant bearer token.
 // TenantBaseURL and BearerClient are the two primitives — prefix the base
-// URL, decorate the http.Client — and WithTenant/WithMeanTenant apply both
-// to the report clients, so everything built on a base URL plus an
+// URL, decorate the http.Client — and WithTenant applies both to either
+// report client, so everything built on a base URL plus an
 // *http.Client (TopKSession included) targets a tenant with no further
 // changes.
 
@@ -70,13 +70,8 @@ func FetchTenantMeanProtocol(baseURL, name, token string, hc *http.Client) (*cor
 
 // WithTenant points the client at tenant name's routes on a multi-tenant
 // server and attaches its bearer token to every request ("" for an
-// unguarded tenant). The base URL passed to NewClient stays the server
-// root.
+// unguarded tenant). The base URL passed to NewClient / NewMeanClient
+// stays the server root.
 func WithTenant(name, token string) ClientOption {
-	return func(c *Client) { c.tenant, c.token = name, token }
-}
-
-// WithMeanTenant is WithTenant for the mean client.
-func WithMeanTenant(name, token string) MeanClientOption {
-	return func(c *MeanClient) { c.tenant, c.token = name, token }
+	return func(c *clientConfig) { c.tenant, c.token = name, token }
 }

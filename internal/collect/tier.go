@@ -1,0 +1,661 @@
+package collect
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"sync"
+	"sync/atomic"
+	"time"
+)
+
+// This file is the report-tier engine. The paper's frameworks all reduce to
+// one server contract — aggregators of integer counts that add, merge
+// exactly and calibrate on read — so the lifecycle around them is written
+// once: sharded round-robin ingestion (JSON and binary), write-ahead
+// durability with compaction, lock-light merge-on-read behind the versioned
+// estimate cache, snapshot/restore/drain, federation merges and the four
+// HTTP endpoints. tier[A, W] is instantiated once per report tier (the
+// frequency tier in collect.go, the numeric mean tier in mean.go); what a
+// tier supplies is a codec. The engine never asks which tier it serves:
+// anything tier-specific is a codec method or a string handed to newTier.
+
+// aggregator is the slice of the server contract the engine itself relies
+// on; Add and the calibrated reads stay behind the codec.
+type aggregator[A any] interface {
+	N() int
+	Merge(other A) error
+}
+
+// codec adapts one protocol family to the engine. The first five methods
+// are exactly what *core.Protocol and *core.NumericProtocol already
+// export, so an adapter embeds its protocol and adds the rest. Every
+// per-report loop lives behind these methods, in the adapter's concrete
+// code: the engine makes one dynamic call per batch or frame, never one per
+// report.
+type codec[A any, W any] interface {
+	Name() string
+	Fingerprint() string
+	NewAggregator() A
+	MarshalAggregator(A) ([]byte, error)
+	UnmarshalAggregator([]byte) (A, error)
+
+	// config is the tier's /config body.
+	config(maxBody int64) any
+	// decode validates wire reports against the protocol's shape. It
+	// returns the wire forms that passed (what a durable tier logs), add —
+	// which folds their decoded forms into one aggregator — and one
+	// itemized error per refused report, indexed into wires.
+	decode(wires []W) (accepted []W, add func(A), rejected []WireItemError)
+	// validateBinary checks a binary frame end to end (CRC, header, every
+	// record) and returns its report count; applyBinary folds a validated
+	// frame into acc.
+	validateBinary(frame []byte) (int, error)
+	applyBinary(acc A, frame []byte) (int, error)
+	// estimates is the tier's /estimates body for a merged aggregate.
+	estimates(acc A) any
+}
+
+// shard is one independently locked aggregator. count mirrors the reports
+// the shard's aggregator holds; it is advanced under mu (like the tier
+// total) but read lock-free, so /stats can report the per-shard spread
+// without touching the ingest locks.
+type shard[A any] struct {
+	mu    sync.Mutex
+	acc   A
+	count atomic.Int64
+}
+
+// tier is one report tier's whole server-side state. Writes land on one of
+// its shards (picked round-robin per request so concurrent ingestion scales
+// with cores), reads merge all shards into a point-in-time aggregate, and
+// the embedded durableLog's ingestMu orders report-stream writes (reader
+// side) against whole-state transitions — restore, drain, compaction
+// (writer side) — so a WAL append and its aggregator apply are atomic with
+// respect to the segment boundary a compaction snapshot covers.
+type tier[A aggregator[A], W any] struct {
+	durableLog
+	c codec[A, W]
+	// name labels the tier's metrics, logger and WAL ("freq", "mean"); tag
+	// qualifies its error messages ("" for the frequency tier, whose
+	// messages predate tiers, "mean " otherwise).
+	name, tag string
+	cfg       any
+	maxBody   int64
+	limit     *rateLimiter
+
+	next   atomic.Uint64 // round-robin shard cursor
+	total  atomic.Int64  // reports ingested; cheap read for acks vs locking every shard
+	gen    atomic.Int64  // whole-state generation; bumped (before total is stored) by install/takeLocked
+	shards []*shard[A]
+
+	cache *estimateCache
+	m     *tierMetrics
+}
+
+// newTier builds a tier for s from its resolved options. Called from
+// NewServer once the registry exists, before any WAL opens.
+func newTier[A aggregator[A], W any](s *Server, c codec[A, W], name, tag string) *tier[A, W] {
+	t := &tier[A, W]{
+		c: c, name: name, tag: tag,
+		cfg:     c.config(s.maxBody),
+		maxBody: s.maxBody,
+		limit:   s.limit,
+		shards:  make([]*shard[A], s.shardN),
+		m:       newTierMetrics(s.obs, name),
+		cache: newEstimateCache(s.cacheDisabled, s.cacheStaleReports, s.cacheStaleAge,
+			newCacheMetrics(s.obs, name)),
+	}
+	t.logger = s.logger.With("tier", name)
+	for i := range t.shards {
+		t.shards[i] = &shard[A]{acc: c.NewAggregator()}
+	}
+	return t
+}
+
+// mount registers the tier's four endpoints under prefix ("" or "/mean").
+func (t *tier[A, W]) mount(mux *http.ServeMux, prefix string) {
+	mux.HandleFunc("GET "+prefix+"/config", t.handleConfig)
+	mux.HandleFunc("POST "+prefix+"/report", t.handleReport)
+	mux.HandleFunc("POST "+prefix+"/reports", t.handleBatch)
+	mux.HandleFunc("GET "+prefix+"/estimates", t.handleEstimates)
+}
+
+// reports returns the number of reports accumulated so far. It reads a
+// single atomic counter, so request acknowledgements do not serialize on
+// the shard locks.
+func (t *tier[A, W]) reports() int { return int(t.total.Load()) }
+
+// shardReports is the per-shard report spread, in shard order.
+func (t *tier[A, W]) shardReports() []int64 {
+	out := make([]int64, len(t.shards))
+	for i, sh := range t.shards {
+		out[i] = sh.count.Load()
+	}
+	return out
+}
+
+// ---------------------------------------------------------------------------
+// HTTP handlers.
+// ---------------------------------------------------------------------------
+
+func (t *tier[A, W]) handleConfig(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, t.cfg)
+}
+
+func (t *tier[A, W]) handleReport(w http.ResponseWriter, r *http.Request) {
+	m := t.m
+	body, ok := readBody(w, r, t.maxBody)
+	if !ok {
+		return
+	}
+	var rep W
+	if err := json.Unmarshal(body, &rep); err != nil {
+		m.rejectedDecode.Inc()
+		http.Error(w, "decode: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	accepted, add, rejected := t.c.decode([]W{rep})
+	if len(rejected) > 0 {
+		m.rejectedItem.Inc()
+		http.Error(w, rejected[0].Error, http.StatusBadRequest)
+		return
+	}
+	if err := t.ingest(accepted, add); err != nil {
+		m.observeIngestError(err, 1)
+		writeIngestError(w, err)
+		return
+	}
+	m.reportsJSON.Inc()
+	writeJSON(w, map[string]int{"reports": t.reports()})
+}
+
+// handleBatch ingests a batch of reports submitted as a JSON array of wire
+// reports, an NDJSON stream (one object per line), or — selected by the
+// BinaryContentType media type — one binary wire frame. The whole body is
+// subject to the server's size cap (413 beyond it); a syntactically
+// unreadable envelope is a 400; individually invalid items (bad label,
+// out-of-range bit index, malformed NDJSON record) are rejected per item
+// while the rest of the batch is accepted. Binary frames are all-or-nothing
+// instead (see binary.go).
+func (t *tier[A, W]) handleBatch(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	m := t.m
+	body, release, ok := readBodyPooled(w, r, t.maxBody, m)
+	if !ok {
+		return
+	}
+	defer release()
+	m.bytes.Add(int64(len(body)))
+	if isBinaryContentType(r.Header.Get("Content-Type")) {
+		t.handleBinaryBatch(w, body, start)
+		return
+	}
+	wires, itemErrs, droppedTail, err := decodeBatchItems[W](body)
+	if err != nil {
+		m.rejectedDecode.Inc()
+		http.Error(w, "decode batch: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	accepted, add, rejected := t.c.decode(wires)
+	itemErrs = append(itemErrs, rejected...)
+	if err := t.ingest(accepted, add); err != nil {
+		m.observeIngestError(err, len(accepted))
+		writeIngestError(w, err)
+		return
+	}
+	m.batchesJSON.Inc()
+	m.reportsJSON.Add(int64(len(accepted)))
+	m.rejectedItem.Add(int64(len(itemErrs) + droppedTail))
+	ack := WireBatchAck{
+		Accepted: len(accepted),
+		Rejected: len(itemErrs) + droppedTail,
+		Reports:  t.reports(),
+	}
+	if len(itemErrs) > maxBatchErrors {
+		itemErrs = itemErrs[:maxBatchErrors]
+		ack.ErrorsTruncated = true
+	}
+	ack.Errors = itemErrs
+	writeJSON(w, ack)
+	m.latency.Observe(time.Since(start).Seconds())
+}
+
+// handleBinaryBatch ingests one binary frame: validated end to end first
+// (CRC, header, every record against the protocol's wire shape), then
+// logged and applied — so a 400 frame provably left no trace, and the WAL
+// only ever holds frames that replay cleanly.
+func (t *tier[A, W]) handleBinaryBatch(w http.ResponseWriter, body []byte, start time.Time) {
+	m := t.m
+	count, err := t.c.validateBinary(body)
+	if err != nil {
+		m.rejectedDecode.Inc()
+		http.Error(w, "decode batch: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if count > 0 {
+		if err := t.ingestBinary(body, count); err != nil {
+			m.observeIngestError(err, count)
+			writeIngestError(w, err)
+			return
+		}
+	}
+	m.batchesBinary.Inc()
+	m.reportsBinary.Add(int64(count))
+	writeJSON(w, WireBatchAck{Accepted: count, Reports: t.reports()})
+	m.latency.Observe(time.Since(start).Seconds())
+}
+
+func (t *tier[A, W]) handleEstimates(w http.ResponseWriter, _ *http.Request) {
+	// The live cache version: total BEFORE gen, so a read torn by a
+	// concurrent install mislabels the total under the old — dead —
+	// generation (see cache.go for why that is safe).
+	total := t.total.Load()
+	t.cache.serve(w, cacheVersion{gen: t.gen.Load(), total: total}, t.renderEstimates)
+}
+
+// renderEstimates recomputes the /estimates body from the shards and
+// returns the version it must be cached under. The generation is read
+// before any shard is copied, so an entry rendered across a concurrent
+// Restore/Drain is keyed under the superseded generation and can never be
+// served.
+func (t *tier[A, W]) renderEstimates() ([]byte, cacheVersion, error) {
+	gen := t.gen.Load()
+	acc := t.merged()
+	body, err := encodeJSONBody(t.c.estimates(acc))
+	return body, cacheVersion{gen: gen, total: int64(acc.N())}, err
+}
+
+// ---------------------------------------------------------------------------
+// Ingestion.
+// ---------------------------------------------------------------------------
+
+// ingest admits a batch of accepted reports against the rate limiter, makes
+// it durable (when a WAL is attached, the wire forms are logged before any
+// aggregator sees them — write-ahead) and folds the decoded forms into a
+// shard. A WAL append failure rejects the whole batch: nothing was applied,
+// so the client may safely retry.
+func (t *tier[A, W]) ingest(wires []W, add func(A)) error {
+	n := len(wires)
+	if n == 0 {
+		return nil
+	}
+	if err := t.limit.admit(n); err != nil {
+		return err
+	}
+	t.ingestMu.RLock()
+	if t.log != nil {
+		rec, err := json.Marshal(wires)
+		if err == nil {
+			err = t.appendRecord(recBatch, rec)
+		}
+		if err != nil {
+			t.ingestMu.RUnlock()
+			return t.notLogged(n, err)
+		}
+	}
+	t.apply(n, add)
+	t.ingestMu.RUnlock()
+	t.maybeCompact()
+	return nil
+}
+
+// ingestBinary is ingest for a validated binary frame of count reports: the
+// raw frame is logged write-ahead (the record replays through the same
+// validate+apply path), then folded into a shard.
+func (t *tier[A, W]) ingestBinary(frame []byte, count int) error {
+	if err := t.limit.admit(count); err != nil {
+		return err
+	}
+	t.ingestMu.RLock()
+	if t.log != nil {
+		if err := t.appendRecord(recBinaryBatch, frame); err != nil {
+			t.ingestMu.RUnlock()
+			return t.notLogged(count, err)
+		}
+	}
+	err := t.applyBinary(frame)
+	t.ingestMu.RUnlock()
+	if err != nil {
+		// Unreachable for a frame validateBinary accepted; surfaced loudly
+		// rather than swallowed in case of a codec bug.
+		return err
+	}
+	t.maybeCompact()
+	return nil
+}
+
+// notLogged reports a failed write-ahead append of n admitted reports.
+// Nothing was applied and the client is told to retry (500), so the rate
+// limiter's charge is returned: the client's own 5xx retries would
+// otherwise pay for the same reports again on every attempt and turn a disk
+// hiccup into 429s.
+func (t *tier[A, W]) notLogged(n int, err error) error {
+	t.limit.refund(n)
+	return fmt.Errorf("collect: %swal append: %w", t.tag, err)
+}
+
+// pick returns the next shard round-robin, so concurrent requests spread
+// across shards instead of contending on one mutex.
+func (t *tier[A, W]) pick() *shard[A] {
+	return t.shards[t.next.Add(1)%uint64(len(t.shards))]
+}
+
+// apply folds n decoded reports into one shard under a single lock
+// acquisition. The total counter is advanced while the shard lock is still
+// held so that install — which takes every shard lock before overwriting
+// the counter — cannot interleave between a shard write and its count.
+func (t *tier[A, W]) apply(n int, add func(A)) {
+	sh := t.pick()
+	sh.mu.Lock()
+	add(sh.acc)
+	sh.count.Add(int64(n))
+	t.total.Add(int64(n))
+	sh.mu.Unlock()
+}
+
+// applyBinary folds a validated frame into one shard under the same
+// discipline as apply. The bit-vector protocols take the packed words
+// straight into their accumulator counts — no per-report allocations.
+func (t *tier[A, W]) applyBinary(frame []byte) error {
+	sh := t.pick()
+	sh.mu.Lock()
+	n, err := t.c.applyBinary(sh.acc, frame)
+	if err == nil {
+		sh.count.Add(int64(n))
+		t.total.Add(int64(n))
+	}
+	sh.mu.Unlock()
+	return err
+}
+
+// ---------------------------------------------------------------------------
+// Merge-on-read and whole-state transitions.
+// ---------------------------------------------------------------------------
+
+// merged returns a point-in-time merge of all shards. The result is exact:
+// shard aggregators hold integer counts, so merging then estimating equals
+// estimating a single aggregator fed the same stream — and merge order is
+// irrelevant, so the copies can be combined in any tree shape.
+//
+// Each shard lock is held only long enough to copy the shard's counts; the
+// copies are merged outside every lock, pairwise across goroutines, so an
+// estimate read never stalls the ingest lanes behind the full N-shard
+// merge and calibration.
+func (t *tier[A, W]) merged() A {
+	copies := make([]A, len(t.shards))
+	for i, sh := range t.shards {
+		sh.mu.Lock()
+		copies[i] = t.cloneLocked(sh.acc)
+		sh.mu.Unlock()
+	}
+	return mergeAggTree(copies)
+}
+
+// cloneLocked copies one shard's aggregate while its lock is held: a cheap
+// count-vector Clone when the aggregator offers one (core.Cloner,
+// mean.Cloner — every built-in does; nil means its accumulator cannot),
+// otherwise an exact merge-into-empty copy. Integer counts merge exactly,
+// so the copy is bit-identical either way.
+func (t *tier[A, W]) cloneLocked(acc A) A {
+	if cl, ok := any(acc).(interface{ Clone() A }); ok {
+		if c := cl.Clone(); any(c) != nil {
+			return c
+		}
+	}
+	out := t.c.NewAggregator()
+	if err := out.Merge(acc); err != nil {
+		panic("collect: shard clone: " + err.Error()) // identical protocol by construction
+	}
+	return out
+}
+
+// mergeAggTree folds shard copies pairwise: each round merges the top half
+// into the bottom half concurrently, halving the list, so an N-shard merge
+// costs ~log2(N) rounds of parallel pairwise merges instead of N
+// sequential ones. Merge errors panic — the copies share one protocol by
+// construction.
+func mergeAggTree[A aggregator[A]](copies []A) A {
+	n := len(copies)
+	for n > 1 {
+		half := n / 2
+		var wg sync.WaitGroup
+		for i := 0; i < half; i++ {
+			pair := i
+			run := func() {
+				if err := copies[pair].Merge(copies[n-1-pair]); err != nil {
+					panic("collect: shard merge: " + err.Error())
+				}
+			}
+			if half > 1 {
+				wg.Add(1)
+				go func() { defer wg.Done(); run() }()
+			} else {
+				run()
+			}
+		}
+		wg.Wait()
+		n -= half
+	}
+	return copies[0]
+}
+
+// snapshot serializes the merged aggregate into a fingerprinted state
+// envelope; shard layout is not preserved.
+func (t *tier[A, W]) snapshot() ([]byte, error) {
+	return t.c.MarshalAggregator(t.merged())
+}
+
+// restore replaces the aggregate with a snapshot envelope from the
+// identical protocol fingerprint; a mismatched or corrupt envelope is
+// refused and the running state is untouched.
+func (t *tier[A, W]) restore(data []byte) error {
+	restored, err := t.c.UnmarshalAggregator(data)
+	if err != nil {
+		return err
+	}
+	t.ingestMu.Lock()
+	defer t.ingestMu.Unlock()
+	// The WAL must be moved past its history (roll, then seal the restored
+	// state as the new snapshot) BEFORE the memory swap: if either step
+	// fails, the running state is genuinely untouched, whereas installing
+	// first would leave the server serving state the log does not replay
+	// to. Ingestion is quiesced (ingestMu held exclusively) across all of
+	// it, so no record lands between the roll boundary and the install.
+	if err := t.supersede(data); err != nil {
+		return fmt.Errorf("collect: %srestore: %w", t.tag, err)
+	}
+	t.install(restored)
+	return nil
+}
+
+// install swaps the whole aggregate for agg (it lands on one shard;
+// subsequent ingestion spreads over all shards as usual). It holds every
+// shard lock across the swap and the counter reset so concurrent ingestion
+// is either fully before (wiped and uncounted) or fully after (kept and
+// counted) — never half of each. The generation is bumped before the total
+// is stored (the estimate cache's version read order depends on it — see
+// cache.go).
+func (t *tier[A, W]) install(agg A) {
+	for _, sh := range t.shards {
+		sh.mu.Lock()
+	}
+	t.gen.Add(1)
+	for i, sh := range t.shards {
+		if i == 0 {
+			sh.acc = agg
+			sh.count.Store(int64(agg.N()))
+		} else {
+			sh.acc = t.c.NewAggregator()
+			sh.count.Store(0)
+		}
+	}
+	t.total.Store(int64(agg.N()))
+	for _, sh := range t.shards {
+		sh.mu.Unlock()
+	}
+}
+
+// drain atomically removes and returns the entire aggregate, leaving the
+// tier empty. It is atomic: when the WAL cannot be moved past the drained
+// state, the aggregate is folded back in, nothing is handed out, and the
+// error is returned — handing the state out anyway would let a restart
+// replay (and the caller push) the same reports twice.
+func (t *tier[A, W]) drain() (A, error) {
+	// ingestMu is held exclusively across the take AND the WAL roll+seal:
+	// releasing it between them would let a concurrent background
+	// compaction seal the post-drain state and prune the drained records,
+	// after which the memory-only undo below could no longer claim "the
+	// records are still in the log".
+	t.ingestMu.Lock()
+	defer t.ingestMu.Unlock()
+	taken := t.takeLocked()
+	if t.log != nil {
+		empty, err := t.c.MarshalAggregator(t.c.NewAggregator())
+		if err == nil {
+			err = t.supersede(empty)
+		}
+		if err != nil {
+			// The drained records are still in the log (the seal that would
+			// have superseded them failed), so fold the state back into
+			// memory only — a WAL append here would double them on replay.
+			t.mergeShard(taken) //nolint:errcheck — same protocol by construction
+			var none A
+			return none, fmt.Errorf("collect: %sdrain: %w", t.tag, err)
+		}
+	}
+	return taken, nil
+}
+
+// takeLocked swaps every shard for a fresh aggregator and returns the
+// merged removed state. Caller holds ingestMu exclusively. Like install,
+// the generation is bumped before the total is stored so the estimate
+// cache can never serve a pre-drain body as current.
+func (t *tier[A, W]) takeLocked() A {
+	taken := t.c.NewAggregator()
+	for _, sh := range t.shards {
+		sh.mu.Lock()
+	}
+	t.gen.Add(1)
+	for _, sh := range t.shards {
+		if err := taken.Merge(sh.acc); err != nil {
+			panic("collect: shard merge: " + err.Error()) // identical protocol by construction
+		}
+		sh.acc = t.c.NewAggregator()
+		sh.count.Store(0)
+	}
+	t.total.Store(0)
+	for _, sh := range t.shards {
+		sh.mu.Unlock()
+	}
+	return taken
+}
+
+// ---------------------------------------------------------------------------
+// Federation merges.
+// ---------------------------------------------------------------------------
+
+// mergeDurable is the tier's half of MergeState: the envelope (already
+// matched to this tier by fingerprint) is logged write-ahead and folded
+// into a shard, returning the reports it contributed.
+func (t *tier[A, W]) mergeDurable(env []byte) (int, error) {
+	agg, err := t.c.UnmarshalAggregator(env)
+	if err != nil {
+		return 0, err
+	}
+	n := agg.N()
+	if n == 0 {
+		return 0, nil
+	}
+	t.ingestMu.RLock()
+	if t.log != nil {
+		if err := t.appendRecord(recEnvelope, env); err != nil {
+			t.ingestMu.RUnlock()
+			return 0, fmt.Errorf("%w: %swal append: %v", errNotDurable, t.tag, err)
+		}
+	}
+	err = t.mergeShard(agg)
+	t.ingestMu.RUnlock()
+	if err != nil {
+		return 0, err
+	}
+	t.m.merged.Add(int64(n))
+	t.maybeCompact()
+	return n, nil
+}
+
+// mergeShard folds agg into one round-robin-picked shard. Like apply, the
+// total is advanced under the shard lock so install cannot interleave
+// between the merge and its count.
+func (t *tier[A, W]) mergeShard(agg A) error {
+	sh := t.pick()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if err := sh.acc.Merge(agg); err != nil {
+		// The envelope fingerprint matched this protocol, so the aggregator
+		// types match by construction.
+		return fmt.Errorf("collect: merge %sstate: %w", t.tag, err)
+	}
+	sh.count.Add(int64(agg.N()))
+	t.total.Add(int64(agg.N()))
+	return nil
+}
+
+// ---------------------------------------------------------------------------
+// Write-ahead log.
+// ---------------------------------------------------------------------------
+
+// openWAL opens the tier's log under <dir>/sub and replays it into the
+// (still unserved) shards: the latest snapshot becomes the base state, the
+// record tail is re-ingested on top — across the configured replay workers,
+// since the records are commutative integer folds.
+func (t *tier[A, W]) openWAL(s *Server, sub string) error {
+	return t.open(s, sub, t.name, s.replayWorkerCount(), t.snapshot,
+		func(snap []byte) error {
+			agg, err := t.c.UnmarshalAggregator(snap)
+			if err != nil {
+				return fmt.Errorf("collect: %swal snapshot does not match protocol %s: %w", t.tag, t.c.Name(), err)
+			}
+			t.install(agg)
+			return nil
+		},
+		t.replayRecord)
+}
+
+// replayRecord re-applies one WAL record. Records were validated before
+// they were written, so a record that fails to decode means the log does
+// not belong to this tier's protocol configuration — an operator error
+// worth failing loudly on, not skipping.
+func (t *tier[A, W]) replayRecord(rec []byte) error {
+	if len(rec) == 0 {
+		return fmt.Errorf("collect: empty %swal record", t.tag)
+	}
+	switch rec[0] {
+	case recBatch:
+		var wires []W
+		if err := json.Unmarshal(rec[1:], &wires); err != nil {
+			return fmt.Errorf("collect: %swal batch record: %w", t.tag, err)
+		}
+		accepted, add, rejected := t.c.decode(wires)
+		if len(rejected) > 0 {
+			return fmt.Errorf("collect: %swal batch record does not match protocol %s: %s", t.tag, t.c.Name(), rejected[0].Error)
+		}
+		if len(accepted) > 0 {
+			t.apply(len(accepted), add)
+		}
+		return nil
+	case recBinaryBatch:
+		if err := t.applyBinary(rec[1:]); err != nil {
+			return fmt.Errorf("collect: %swal binary batch record does not match protocol %s: %w", t.tag, t.c.Name(), err)
+		}
+		return nil
+	case recEnvelope:
+		agg, err := t.c.UnmarshalAggregator(rec[1:])
+		if err != nil {
+			return fmt.Errorf("collect: %swal envelope record: %w", t.tag, err)
+		}
+		return t.mergeShard(agg)
+	default:
+		return fmt.Errorf("collect: unknown %swal record type %#x", t.tag, rec[0])
+	}
+}

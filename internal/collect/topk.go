@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/state"
 	"repro/internal/topk"
-	"repro/internal/wal"
 )
 
 // This file is the interactive mining tier: the collection server hosts
@@ -198,14 +196,15 @@ func (sess *liveSession) position() (round, received, quota int, done bool) {
 	return round, received, quota, done
 }
 
-// sessionHub owns the hosted sessions and their write-ahead log.
+// sessionHub owns the hosted sessions and, through the embedded durableLog,
+// their write-ahead log.
 type sessionHub struct {
-	// ingestMu orders session mutations (reader side: creates, report
-	// batches) against whole-state transitions (writer side: compaction),
-	// so a WAL append and its planner apply are atomic with respect to
-	// the segment boundary a compaction snapshot covers. Per-session
-	// locks nest inside it.
-	ingestMu sync.RWMutex
+	// durableLog.ingestMu orders session mutations (reader side: creates,
+	// report batches) against whole-state transitions (writer side:
+	// compaction), so a WAL append and its planner apply are atomic with
+	// respect to the segment boundary a compaction snapshot covers.
+	// Per-session locks nest inside it.
+	durableLog
 
 	mu       sync.Mutex // guards sessions, order, nextID, reserved
 	sessions map[string]*liveSession
@@ -213,11 +212,8 @@ type sessionHub struct {
 	nextID   uint64
 	reserved int // creates past the cap check but before install
 
-	maxSessions  int
-	shardN       int // absorb shards per session lane (the server's shard count)
-	log          *wal.Log
-	compactAfter int64
-	compacting   atomic.Bool
+	maxSessions int
+	shardN      int // absorb shards per session lane (the server's shard count)
 
 	// Accepted-report totals by wire format, advanced at the same handler
 	// sites as the mcim_ingest_reports_total series so /stats and /metrics
@@ -225,9 +221,28 @@ type sessionHub struct {
 	reportsJSON   atomic.Int64
 	reportsBinary atomic.Int64
 
-	logger *obs.Logger
 	rounds *obs.Counter // rounds sealed by live ingestion (replay excluded)
 	stale  *obs.Counter // whole batches answered 410 Gone
+}
+
+// init resolves the hub against the server's options and registers its
+// series. Called from NewServer before the WAL opens.
+func (h *sessionHub) init(s *Server) {
+	// Session rounds absorb through per-session shard lanes sized like the
+	// report tiers' aggregator shards.
+	h.shardN = max(1, s.shardN)
+	h.logger = s.logger.With("tier", "topk")
+	s.topkM = newTierMetrics(s.obs, "topk")
+	h.rounds = s.obs.Counter("mcim_topk_rounds_advanced_total",
+		"Mining-session rounds sealed and advanced by report ingestion (WAL replay excluded).")
+	h.stale = s.obs.Counter("mcim_topk_stale_batches_total",
+		"Round-report batches rejected whole with 410 Gone because their round had sealed.")
+	s.obs.GaugeFunc("mcim_topk_sessions",
+		"Mining sessions currently tracked (open and completed-but-unqueried).",
+		func() float64 { n, _ := h.counts(); return float64(n) })
+	s.obs.GaugeFunc("mcim_topk_open_sessions",
+		"Mining sessions still mid-protocol.",
+		func() float64 { _, open := h.counts(); return float64(open) })
 }
 
 // counts snapshots the tracked-session totals for the gauges: every session
@@ -298,29 +313,13 @@ type hubSessionSnapshot struct {
 	State []byte
 }
 
-// openTopKWAL opens and replays the session log. Called from NewServer
-// before the handler is exposed, so no locking is needed.
-func (s *Server) openTopKWAL() error {
-	h := s.topk
-	h.compactAfter = s.compactAfter
-	opts := s.walOpts
-	wm, replayG := NewWALMetrics(s.obs, "topk")
-	opts.Metrics = wm
-	l, err := wal.Open(filepath.Join(s.walDir, "topk"), opts)
-	if err != nil {
-		return fmt.Errorf("collect: topk sessions: %w", err)
-	}
-	// Session rounds are ordered (absorb order is the round order), so this
-	// log always replays sequentially regardless of WithWALReplayWorkers.
-	s.obs.Gauge(walReplayWorkersName, walReplayWorkersHelp, "log", "topk").Set(1)
-	replayStart := time.Now()
-	err = l.Replay(h.installSnapshot, h.replayRecord)
-	if err != nil {
-		l.Close()
+// openWAL opens and replays the session log under <dir>/topk. Session
+// rounds are ordered (absorb order is the round order), so this log always
+// replays sequentially regardless of WithWALReplayWorkers.
+func (h *sessionHub) openWAL(s *Server) error {
+	if err := h.open(s, "topk", "topk", 1, h.marshalSessions, h.installSnapshot, h.replayRecord); err != nil {
 		return err
 	}
-	replayG.Set(time.Since(replayStart).Seconds())
-	h.log = l
 	// Replay applied reports straight into the planners (single writer, no
 	// lanes); stand up the live rounds' ingest lanes now, before handlers
 	// run.
@@ -522,48 +521,16 @@ func (h *sessionHub) drainPartialsLocked() error {
 	return nil
 }
 
-// maybeCompact folds the session log into a snapshot once enough record
-// bytes accumulate past the last one. At most one compaction runs at a
-// time; extra triggers are dropped.
-func (h *sessionHub) maybeCompact() {
-	if h.log == nil || h.log.BytesSinceSeal() < h.compactAfter {
-		return
+// marshalSessions is the hub's compaction snapshot (durableLog.compact calls
+// it with ingestMu held exclusively). Shard partials hold reports the
+// planners haven't seen yet; they are folded in first so the snapshot is
+// the complete applied state. The lanes stay installed — their reservation
+// counters already match the merged totals.
+func (h *sessionHub) marshalSessions() ([]byte, error) {
+	if err := h.drainPartialsLocked(); err != nil {
+		return nil, err
 	}
-	if !h.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer h.compacting.Store(false)
-		if err := h.compact(); err != nil {
-			// Mirrors Server.maybeCompact: compaction failures are loud
-			// but non-fatal — the log keeps growing and replay still works.
-			h.logger.Error("background wal compaction failed",
-				"segments", h.log.Stats().Segments, "err", err)
-		}
-	}()
-}
-
-// compact quiesces session ingestion just long enough to roll the log and
-// marshal every session, then seals the snapshot.
-func (h *sessionHub) compact() error {
-	h.ingestMu.Lock()
-	cover, err := h.log.Roll()
-	if err == nil {
-		// Shard partials hold reports the planners haven't seen yet; fold
-		// them in so the snapshot is the complete applied state. The lanes
-		// stay installed — their reservation counters already match the
-		// merged totals.
-		err = h.drainPartialsLocked()
-	}
-	var snap []byte
-	if err == nil {
-		snap, err = h.snapshotLocked()
-	}
-	h.ingestMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return h.log.Seal(cover, snap)
+	return h.snapshotLocked()
 }
 
 // snapshotLocked marshals every session in creation order. Caller holds
@@ -660,6 +627,8 @@ type WireTopKStats struct {
 	ReportsJSON   int64                 `json:"reports_json"`
 	ReportsBinary int64                 `json:"reports_binary"`
 	Detail        []WireTopKSessionStat `json:"detail,omitempty"`
+	// WAL is present only on servers running with a write-ahead log.
+	WAL *WireWALStats `json:"wal,omitempty"`
 }
 
 // WireTopKSessionStat is one session's live position.
@@ -686,6 +655,7 @@ func (h *sessionHub) stats() *WireTopKStats {
 		Sessions:      len(sessions),
 		ReportsJSON:   h.reportsJSON.Load(),
 		ReportsBinary: h.reportsBinary.Load(),
+		WAL:           h.walStats(),
 	}
 	for _, sess := range sessions {
 		round, received, quota, done := sess.position()
@@ -727,7 +697,7 @@ func sessionInfo(id string, pl *topk.Planner) WireTopKSessionInfo {
 // handleTopKCreate creates a session from a topk.SessionParams body.
 func (s *Server) handleTopKCreate(w http.ResponseWriter, r *http.Request) {
 	h := s.topk
-	body, ok := s.readBody(w, r)
+	body, ok := readBody(w, r, s.maxBody)
 	if !ok {
 		return
 	}
@@ -772,7 +742,7 @@ func (s *Server) handleTopKCreate(w http.ResponseWriter, r *http.Request) {
 	if h.log != nil {
 		rec, err := json.Marshal(wireSessionCreate{ID: id, Params: pl.Params()})
 		if err == nil {
-			err = h.log.Append(append([]byte{recSessionCreate}, rec...))
+			err = h.appendRecord(recSessionCreate, rec)
 		}
 		if err != nil {
 			h.mu.Lock()
@@ -815,7 +785,7 @@ func (s *Server) handleTopKDelete(w http.ResponseWriter, r *http.Request) {
 	if h.log != nil {
 		rec, err := json.Marshal(wireSessionDelete{ID: sess.id})
 		if err == nil {
-			err = h.log.Append(append([]byte{recSessionDelete}, rec...))
+			err = h.appendRecord(recSessionDelete, rec)
 		}
 		if err != nil {
 			http.Error(w, "collect: wal append: "+err.Error(), http.StatusInternalServerError)
@@ -918,6 +888,14 @@ func (h *sessionHub) writeStaleAck(w http.ResponseWriter, ack WireTopKAck) {
 	json.NewEncoder(w).Encode(ack) //nolint:errcheck — best-effort error body
 }
 
+// indexedReport pairs a round report with its position in the submitted
+// batch, so rejections decided after filtering (the quota reservation) can
+// still be attributed.
+type indexedReport struct {
+	index  int
+	report topk.RoundReport
+}
+
 // handleTopKReports ingests a batch of round reports — a JSON array or
 // NDJSON under the same body cap and 413 behavior as /reports, or (by the
 // BinaryContentType media type) one binary session frame. Reports land in
@@ -939,7 +917,7 @@ func (s *Server) handleTopKReports(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, release, ok := s.readBodyPooled(w, r, m)
+	body, release, ok := readBodyPooled(w, r, s.maxBody, m)
 	if !ok {
 		return
 	}
@@ -970,23 +948,23 @@ func (s *Server) handleTopKReports(w http.ResponseWriter, r *http.Request) {
 	// Pass 1 (read-only): classify against the lane's layout snapshot.
 	// Acceptance is order-dependent only through the quota, settled below
 	// by the reservation.
-	accepted := make([]indexedItem[topk.RoundReport], 0, len(items))
+	accepted := make([]indexedReport, 0, len(items))
 	staleRejects := 0
-	for _, it := range items {
+	for i, rep := range items {
 		if lane == nil {
 			staleRejects++
-			itemErrs = append(itemErrs, WireItemError{Index: it.index, Error: topk.ErrSessionDone.Error()})
+			itemErrs = append(itemErrs, WireItemError{Index: i, Error: topk.ErrSessionDone.Error()})
 			continue
 		}
-		if cerr := lane.layout.CheckReport(it.report); cerr != nil {
+		if cerr := lane.layout.CheckReport(rep); cerr != nil {
 			var rm *topk.RoundMismatchError
 			if errors.As(cerr, &rm) {
 				staleRejects++
 			}
-			itemErrs = append(itemErrs, WireItemError{Index: it.index, Error: cerr.Error()})
+			itemErrs = append(itemErrs, WireItemError{Index: i, Error: cerr.Error()})
 			continue
 		}
-		accepted = append(accepted, it)
+		accepted = append(accepted, indexedReport{index: i, report: rep})
 	}
 	// Reserve quota for as much of the batch as the round still has room
 	// for; everything past the reservation is posting to a round this batch
@@ -1004,7 +982,7 @@ func (s *Server) handleTopKReports(w http.ResponseWriter, r *http.Request) {
 	// The round reports draw from the same server-wide rate bucket as the
 	// other tiers; a refused batch left no trace (not logged, not absorbed,
 	// reservation returned) and may be resubmitted after the hinted delay.
-	if err := s.admitReports(len(accepted)); err != nil {
+	if err := s.limit.admit(len(accepted)); err != nil {
 		if lane != nil {
 			lane.unreserve(int64(take))
 		}
@@ -1023,9 +1001,10 @@ func (s *Server) handleTopKReports(w http.ResponseWriter, r *http.Request) {
 		}
 		rec, err := json.Marshal(wireSessionReports{ID: sess.id, Reports: reps})
 		if err == nil {
-			err = h.log.Append(append([]byte{recSessionReports}, rec...))
+			err = h.appendRecord(recSessionReports, rec)
 		}
 		if err != nil {
+			s.limit.refund(take) // not ingested: the client's retry must not pay twice
 			lane.unreserve(int64(take))
 			sess.roundMu.RUnlock()
 			h.ingestMu.RUnlock()
@@ -1160,7 +1139,7 @@ func (s *Server) ingestTopKBinary(w http.ResponseWriter, sess *liveSession, body
 			f.Count, quota-received, f.Round), http.StatusConflict)
 		return
 	}
-	if err := s.admitReports(f.Count); err != nil {
+	if err := s.limit.admit(f.Count); err != nil {
 		lane.unreserve(int64(f.Count))
 		sess.roundMu.RUnlock()
 		h.ingestMu.RUnlock()
@@ -1171,10 +1150,8 @@ func (s *Server) ingestTopKBinary(w http.ResponseWriter, sess *liveSession, body
 	// Durability before application: the accepted frame is logged raw —
 	// no re-encode, and replay re-validates the same bytes.
 	if h.log != nil {
-		rec := make([]byte, 0, 1+len(body))
-		rec = append(rec, recSessionBinaryFrame)
-		rec = append(rec, body...)
-		if err := h.log.Append(rec); err != nil {
+		if err := h.appendRecord(recSessionBinaryFrame, body); err != nil {
+			s.limit.refund(f.Count) // not ingested: the client's retry must not pay twice
 			lane.unreserve(int64(f.Count))
 			sess.roundMu.RUnlock()
 			h.ingestMu.RUnlock()

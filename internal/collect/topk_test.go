@@ -652,9 +652,11 @@ func TestTopKMixedWireHammer(t *testing.T) {
 }
 
 // TestTopKStatsBlock: /stats carries the mining tier — open sessions, the
-// live round per session, and reports folded this round.
+// live round per session, reports folded this round, and (on a durable
+// server) the session log's WAL block.
 func TestTopKStatsBlock(t *testing.T) {
-	_, hs := topkTestServer(t)
+	srv, hs := topkTestServer(t, WithWAL(t.TempDir()))
+	defer srv.Close()
 	data := topkTestData(2, 64, 200, 64)
 	const seed = 11
 	ts, err := NewTopKSession(hs.URL, nil, topk.SessionParams{
@@ -700,6 +702,10 @@ func TestTopKStatsBlock(t *testing.T) {
 	d := st.TopK.Detail[0]
 	if d.ID != ts.ID() || d.Framework != "hec" || d.Round != 0 || d.Received != 3 || d.Done {
 		t.Fatalf("session stat %+v", d)
+	}
+	// The create and the report batch are both logged and not yet compacted.
+	if w := st.TopK.WAL; w == nil || w.Segments < 1 || w.BytesSinceCompaction <= 0 || w.LastSnapshot != "" {
+		t.Fatalf("topk wal stats %+v, want a live uncompacted log", w)
 	}
 }
 

@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -25,26 +26,40 @@ func wireStream(t testing.TB, proto *core.Protocol, n int, seed uint64) []WireRe
 	return out
 }
 
-// ingestWires pushes a wire stream through the server's ingest path in
-// batches, as the batch endpoint would.
-func ingestWires(t testing.TB, srv *Server, wires []WireReport, batch int) {
-	t.Helper()
+// ingestChunk pushes one chunk of wire reports through a tier's
+// decode-then-ingest path, as its batch endpoint would.
+func ingestChunk[A aggregator[A], W any](tr *tier[A, W], chunk []W) error {
+	accepted, add, rejected := tr.c.decode(chunk)
+	if len(rejected) > 0 {
+		return errors.New(rejected[0].Error)
+	}
+	return tr.ingest(accepted, add)
+}
+
+// feedTier pushes a wire stream through a tier's ingest path in batches.
+func feedTier[A aggregator[A], W any](tr *tier[A, W], wires []W, batch int) error {
 	for len(wires) > 0 {
 		n := min(batch, len(wires))
-		chunk := wires[:n]
-		reps := make([]core.Report, n)
-		for i, wr := range chunk {
-			rep, err := srv.proto.DecodeReport(wr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reps[i] = rep
-		}
-		if err := srv.ingest(chunk, reps); err != nil {
-			t.Fatal(err)
+		if err := ingestChunk(tr, wires[:n]); err != nil {
+			return err
 		}
 		wires = wires[n:]
 	}
+	return nil
+}
+
+// ingestTier is feedTier on the test goroutine.
+func ingestTier[A aggregator[A], W any](t testing.TB, tr *tier[A, W], wires []W, batch int) {
+	t.Helper()
+	if err := feedTier(tr, wires, batch); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// ingestWires pushes a frequency wire stream through the server in batches.
+func ingestWires(t testing.TB, srv *Server, wires []WireReport, batch int) {
+	t.Helper()
+	ingestTier(t, srv.freq, wires, batch)
 }
 
 // tearLastSegment appends a torn frame to the newest WAL segment,
@@ -115,7 +130,7 @@ func TestWALCrashRecoveryBitIdentical(t *testing.T) {
 			if restarted.Reports() != n {
 				t.Fatalf("recovered %d reports, want %d", restarted.Reports(), n)
 			}
-			recovered, reference := restarted.merged(), ref.merged()
+			recovered, reference := restarted.freq.merged(), ref.freq.merged()
 			if !reflect.DeepEqual(recovered.Estimates(), reference.Estimates()) {
 				t.Fatal("recovered estimates not bit-identical to uninterrupted run")
 			}
@@ -126,78 +141,68 @@ func TestWALCrashRecoveryBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWALRecoveryAcrossCompaction checks that recovery still reconstructs
-// the exact aggregate when the log has been compacted mid-stream: state =
-// snapshot + tail, not raw records alone.
+// TestWALRecoveryAcrossCompaction checks, for both report tiers, that
+// recovery still reconstructs the exact aggregate when the log has been
+// compacted mid-stream: state = snapshot + tail, not raw records alone.
 func TestWALRecoveryAcrossCompaction(t *testing.T) {
-	const c, d, n = 2, 8, 900
-	proto := mustProtocol(t, "ptscp", c, d, 2, 0.5)
-	wires := wireStream(t, proto, n, 5)
+	const n = 900
+	for _, tc := range tierCases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := tc.newServer(t, 2)
+			tc.mustFeed(t, ref, 5, 0, n, 50)
 
-	ref, err := NewServer(mustProtocol(t, "ptscp", c, d, 2, 0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestWires(t, ref, wires, 50)
+			dir := t.TempDir()
+			walOpts := WithWALOptions(wal.Options{Sync: wal.SyncAlways})
+			srv := tc.newServer(t, 2, WithWAL(dir), walOpts)
+			tc.mustFeed(t, srv, 5, 0, 600, 50)
+			if err := tc.compact(srv); err != nil {
+				t.Fatal(err)
+			}
+			tc.mustFeed(t, srv, 5, 600, n, 50)
+			tearLastSegment(t, filepath.Join(dir, tc.walSub))
+			// Killed without Close.
 
-	dir := t.TempDir()
-	srv, err := NewServer(proto, WithWAL(dir), WithWALOptions(wal.Options{Sync: wal.SyncAlways}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestWires(t, srv, wires[:600], 50)
-	if err := srv.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	ingestWires(t, srv, wires[600:], 50)
-	tearLastSegment(t, dir)
-	// Killed without Close.
-
-	restarted, err := NewServer(mustProtocol(t, "ptscp", c, d, 2, 0.5),
-		WithWAL(dir), WithWALOptions(wal.Options{Sync: wal.SyncAlways}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restarted.Close()
-	if restarted.Reports() != n {
-		t.Fatalf("recovered %d reports, want %d", restarted.Reports(), n)
-	}
-	if !reflect.DeepEqual(restarted.merged().Estimates(), ref.merged().Estimates()) {
-		t.Fatal("recovery across compaction not bit-identical")
+			restarted := tc.newServer(t, 2, WithWAL(dir), walOpts)
+			defer restarted.Close()
+			if got := tc.reports(restarted); got != n {
+				t.Fatalf("recovered %d reports, want %d", got, n)
+			}
+			if !reflect.DeepEqual(tc.estimates(restarted), tc.estimates(ref)) {
+				t.Fatal("recovery across compaction not bit-identical")
+			}
+		})
 	}
 }
 
-// TestWALAutoCompaction checks the background threshold trigger: enough
-// ingested bytes shrink the replay tail to (near) nothing, and /stats-level
-// numbers reflect it.
+// TestWALAutoCompaction checks the background threshold trigger on both
+// report tiers: enough ingested bytes shrink the replay tail to (near)
+// nothing, and /stats-level numbers reflect it.
 func TestWALAutoCompaction(t *testing.T) {
-	proto := mustProtocol(t, "ptscp", 2, 8, 2, 0.5)
-	dir := t.TempDir()
-	srv, err := NewServer(proto,
-		WithWAL(dir),
-		WithWALOptions(wal.Options{Sync: wal.SyncAlways, SegmentBytes: 4 << 10}),
-		WithCompactAfter(16<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	wires := wireStream(t, proto, 3000, 9)
-	ingestWires(t, srv, wires, 100)
-	// The trigger is asynchronous; compacting synchronously afterwards
-	// makes the assertion deterministic while still exercising the trigger
-	// path above.
-	if err := srv.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	st := srv.wal.Stats()
-	if st.BytesSinceCompaction != 0 {
-		t.Fatalf("bytes since compaction %d after explicit compact", st.BytesSinceCompaction)
-	}
-	if st.LastSnapshot.IsZero() {
-		t.Fatal("no snapshot time after compact")
-	}
-	if srv.Reports() != 3000 {
-		t.Fatalf("reports %d after compaction, want 3000", srv.Reports())
+	for _, tc := range tierCases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := tc.newServer(t, 2,
+				WithWAL(t.TempDir()),
+				WithWALOptions(wal.Options{Sync: wal.SyncAlways, SegmentBytes: 4 << 10}),
+				WithCompactAfter(16<<10))
+			defer srv.Close()
+			tc.mustFeed(t, srv, 9, 0, 3000, 100)
+			// The trigger is asynchronous; compacting synchronously afterwards
+			// makes the assertion deterministic while still exercising the
+			// trigger path above.
+			if err := tc.compact(srv); err != nil {
+				t.Fatal(err)
+			}
+			st := tc.log(srv).Stats()
+			if st.BytesSinceCompaction != 0 {
+				t.Fatalf("bytes since compaction %d after explicit compact", st.BytesSinceCompaction)
+			}
+			if st.LastSnapshot.IsZero() {
+				t.Fatal("no snapshot time after compact")
+			}
+			if got := tc.reports(srv); got != 3000 {
+				t.Fatalf("reports %d after compaction, want 3000", got)
+			}
+		})
 	}
 }
 
@@ -227,7 +232,7 @@ func ExampleServer_wal() {
 	defer os.RemoveAll(dir)
 	proto, _ := core.NewProtocol("ptscp", 2, 4, 2, 0.5)
 	srv, _ := NewServer(proto, WithWAL(dir))
-	fmt.Println("durable:", srv.wal != nil)
+	fmt.Println("durable:", srv.freq.log != nil)
 	srv.Close()
 	// Output: durable: true
 }

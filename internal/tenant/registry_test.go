@@ -180,7 +180,7 @@ func TestTenantLifecycle(t *testing.T) {
 	}
 
 	// Mean tier.
-	mc, err := collect.NewMeanClient(ts.URL, nil, 2, collect.WithMeanTenant("acme", sp.Token))
+	mc, err := collect.NewMeanClient(ts.URL, nil, 2, collect.WithTenant("acme", sp.Token))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestRegistryCrashRecovery(t *testing.T) {
 		if _, err := c.SubmitBatch(freqPairs(150+50*i, 3, 16, uint64(20+i))); err != nil {
 			t.Fatal(err)
 		}
-		mc, err := collect.NewMeanClient(ts1.URL, nil, uint64(30+i), collect.WithMeanTenant(name, ""))
+		mc, err := collect.NewMeanClient(ts1.URL, nil, uint64(30+i), collect.WithTenant(name, ""))
 		if err != nil {
 			t.Fatal(err)
 		}
