@@ -21,12 +21,16 @@ race:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -timeout=20m ./...
 
-# Snapshot the ingestion + perturbation benchmarks (frequency reports,
-# top-k mining rounds, the numeric mean tier, tenant-routed ingestion, the
-# estimate read path and WAL replay) into BENCH_ingest.json (ns/op, B/op,
-# allocs/op, reports/s per benchmark).
+# Snapshot the ingestion + perturbation benchmarks (the in-process frame
+# apply, frequency reports, top-k mining rounds, the numeric mean tier,
+# tenant-routed ingestion, the estimate read path and WAL replay) into
+# BENCH_ingest.json (ns/op, B/op, allocs/op, reports/s per benchmark), at one
+# and at two procs — benchsnap keys every entry on name and procs.
+BENCH_SNAPSHOT := ApplyBinaryBatch|TopKAbsorbFrame|CollectIngest|Perturb|TopKRound|MeanIngest|TenantRouted|EstimateRead|WALReplay
+BENCH_SNAPSHOT_RUN = $(GO) test -run='^$$' -bench='$(BENCH_SNAPSHOT)' -benchmem -benchtime=1s -cpu 1,2 .
+
 bench-json:
-	$(GO) test -run='^$$' -bench='CollectIngest|Perturb|TopKRound|MeanIngest|TenantRouted|EstimateRead|WALReplay' -benchmem -benchtime=1s . | $(GO) run ./cmd/benchsnap -out BENCH_ingest.json
+	$(BENCH_SNAPSHOT_RUN) | $(GO) run ./cmd/benchsnap -out BENCH_ingest.json
 
 # The bench-regression gate: rerun the snapshot benchmarks and diff them
 # against the committed BENCH_ingest.json, failing when anything regressed
@@ -36,7 +40,7 @@ bench-json:
 BENCH_THRESHOLD ?= 0.15
 
 bench-check:
-	$(GO) test -run='^$$' -bench='CollectIngest|Perturb|TopKRound|MeanIngest|TenantRouted|EstimateRead|WALReplay' -benchmem -benchtime=1s . | \
+	$(BENCH_SNAPSHOT_RUN) | \
 		$(GO) run ./cmd/benchsnap -compare BENCH_ingest.json -threshold $(BENCH_THRESHOLD) -out bench-compare.txt || \
 		{ cat bench-compare.txt; exit 1; }
 	@cat bench-compare.txt

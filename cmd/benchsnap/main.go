@@ -11,7 +11,8 @@
 // With -compare it becomes the repo's bench-regression gate instead: the
 // fresh run on stdin is diffed against a committed snapshot, and the exit
 // status is nonzero when any shared benchmark regressed beyond -threshold
-// (fraction, default 0.15). Throughput (reports/s, higher is better) is the
+// (fraction, default 0.15). Benchmarks are matched on name and procs, so a
+// `-cpu 1,2` run is gated per proc count. Throughput (reports/s, higher is better) is the
 // preferred comparison metric, falling back to ns/op (lower is better).
 // When both snapshots also carry allocs/op it is gated as a secondary
 // metric (lower is better) — a benchmark whose committed snapshot says 0
@@ -44,6 +45,16 @@ type Benchmark struct {
 	Procs      int                `json:"procs"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
+}
+
+// id is the benchmark's identity in a comparison — its name and procs, spelt
+// the way `go test` prints them (no suffix at one proc) — so a -cpu 1,2 run
+// carries two independent entries per benchmark.
+func (b Benchmark) id() string {
+	if b.Procs == 1 {
+		return b.Name
+	}
+	return b.Name + "-" + strconv.Itoa(b.Procs)
 }
 
 // Snapshot is the output document.
@@ -118,9 +129,9 @@ func main() {
 // direction. Benchmarks only in one snapshot are listed as warnings;
 // improvements and in-tolerance drift are OK lines.
 func compare(old, fresh *Snapshot, threshold float64) (report string, regressed bool) {
-	freshByName := make(map[string]Benchmark, len(fresh.Benchmarks))
+	freshByID := make(map[string]Benchmark, len(fresh.Benchmarks))
 	for _, b := range fresh.Benchmarks {
-		freshByName[b.Name] = b
+		freshByID[b.id()] = b
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "bench comparison (threshold %.0f%%)\n", threshold*100)
@@ -129,20 +140,20 @@ func compare(old, fresh *Snapshot, threshold float64) (report string, regressed 
 	}
 	seen := make(map[string]bool, len(old.Benchmarks))
 	for _, ob := range old.Benchmarks {
-		seen[ob.Name] = true
-		nb, ok := freshByName[ob.Name]
+		seen[ob.id()] = true
+		nb, ok := freshByID[ob.id()]
 		if !ok {
-			fmt.Fprintf(&sb, "WARN %s: missing from fresh run\n", ob.Name)
+			fmt.Fprintf(&sb, "WARN %s: missing from fresh run\n", ob.id())
 			continue
 		}
 		metric, higherBetter := pickMetric(ob, nb)
 		if metric == "" {
-			fmt.Fprintf(&sb, "WARN %s: no shared comparable metric\n", ob.Name)
+			fmt.Fprintf(&sb, "WARN %s: no shared comparable metric\n", ob.id())
 			continue
 		}
 		ov, nv := ob.Metrics[metric], nb.Metrics[metric]
 		if ov == 0 {
-			fmt.Fprintf(&sb, "WARN %s: old %s is zero\n", ob.Name, metric)
+			fmt.Fprintf(&sb, "WARN %s: old %s is zero\n", ob.id(), metric)
 			continue
 		}
 		delta := nv/ov - 1 // signed fractional change
@@ -156,15 +167,15 @@ func compare(old, fresh *Snapshot, threshold float64) (report string, regressed 
 		if bad {
 			verdict, regressed = "FAIL", true
 		}
-		fmt.Fprintf(&sb, "%s %s: %s %.4g -> %.4g (%+.1f%%)\n", verdict, ob.Name, metric, ov, nv, delta*100)
+		fmt.Fprintf(&sb, "%s %s: %s %.4g -> %.4g (%+.1f%%)\n", verdict, ob.id(), metric, ov, nv, delta*100)
 		if line, bad := compareAllocs(ob, nb, metric, threshold); line != "" {
 			sb.WriteString(line)
 			regressed = regressed || bad
 		}
 	}
 	for _, nb := range fresh.Benchmarks {
-		if !seen[nb.Name] {
-			fmt.Fprintf(&sb, "NEW  %s: not in the committed snapshot\n", nb.Name)
+		if !seen[nb.id()] {
+			fmt.Fprintf(&sb, "NEW  %s: not in the committed snapshot\n", nb.id())
 		}
 	}
 	return sb.String(), regressed
@@ -194,7 +205,7 @@ func compareAllocs(ob, nb Benchmark, primary string, threshold float64) (line st
 	if bad {
 		verdict = "FAIL"
 	}
-	return fmt.Sprintf("%s %s: %s %.4g -> %.4g\n", verdict, ob.Name, key, ov, nv), bad
+	return fmt.Sprintf("%s %s: %s %.4g -> %.4g\n", verdict, ob.id(), key, ov, nv), bad
 }
 
 // pickMetric chooses the comparison metric both runs report: throughput

@@ -206,3 +206,27 @@ func TestCompareAllocsGate(t *testing.T) {
 		}
 	})
 }
+
+// TestCompareKeysOnProcs pins that a -cpu list does not collide: the same
+// benchmark at one and at two procs is two entries, each gated against its
+// own committed line.
+func TestCompareKeysOnProcs(t *testing.T) {
+	at := func(procs int, reportsPerSec float64) Benchmark {
+		return Benchmark{Name: "BenchmarkIngest", Procs: procs, Iterations: 1,
+			Metrics: map[string]float64{"reports_per_s": reportsPerSec}}
+	}
+	old := &Snapshot{Benchmarks: []Benchmark{at(1, 1_000_000), at(2, 1_800_000)}}
+	// Two procs lost 40%; one proc is unchanged. Keyed on name alone the
+	// second line would overwrite the first and both would compare to it.
+	report, regressed := compare(old, &Snapshot{Benchmarks: []Benchmark{at(1, 1_000_000), at(2, 1_080_000)}}, 0.15)
+	if !regressed {
+		t.Fatalf("a 40%% loss at two procs passed the gate:\n%s", report)
+	}
+	if !strings.Contains(report, "OK   BenchmarkIngest: ") || !strings.Contains(report, "FAIL BenchmarkIngest-2: ") {
+		t.Fatalf("report does not gate each proc count on its own line:\n%s", report)
+	}
+	report, _ = compare(old, &Snapshot{Benchmarks: []Benchmark{at(1, 1_000_000), at(4, 3_000_000)}}, 0.15)
+	if !strings.Contains(report, "WARN BenchmarkIngest-2: missing") || !strings.Contains(report, "NEW  BenchmarkIngest-4") {
+		t.Fatalf("a changed proc list is not reported as missing/new:\n%s", report)
+	}
+}

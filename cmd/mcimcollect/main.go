@@ -308,7 +308,7 @@ func withPprof(h http.Handler, token string) http.Handler {
 // requests, closes the durable state via closer, and runs final to log the
 // run's totals.
 func runServer(addr string, handler http.Handler, drain time.Duration, closer func() error, final func()) {
-	hs := &http.Server{Addr: addr, Handler: handler}
+	hs := collect.NewHTTPServer(addr, handler)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

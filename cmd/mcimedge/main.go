@@ -111,7 +111,7 @@ func main() {
 			"reports", srv.Reports()+srv.MeanReports(), "freq", srv.Reports(), "mean", srv.MeanReports())
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := collect.NewHTTPServer(*addr, srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

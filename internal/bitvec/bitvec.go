@@ -167,17 +167,3 @@ func FromWords(n int, words []uint64) *Vector {
 	copy(v.words, words)
 	return v
 }
-
-// AddWordsInto adds each bit of a packed word slice (as 0/1) into counts —
-// AddInto without materializing a Vector, for decode loops that already
-// hold the words. Every set bit must index into counts; the caller
-// guarantees no stray bits beyond len(counts) (it panics otherwise, via the
-// slice bounds check).
-func AddWordsInto(words []uint64, counts []int64) {
-	for wi, w := range words {
-		for w != 0 {
-			counts[wi<<6+bits.TrailingZeros64(w)]++
-			w &= w - 1
-		}
-	}
-}

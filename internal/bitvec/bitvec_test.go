@@ -242,21 +242,3 @@ func TestFromWordsRejectsMalformed(t *testing.T) {
 		})
 	}
 }
-
-// TestAddWordsInto checks the word-walk accumulate against the bit-by-bit
-// AddInto, over a straddling word boundary.
-func TestAddWordsInto(t *testing.T) {
-	v := New(70)
-	for _, i := range []int{0, 5, 63, 64, 69} {
-		v.Set(i)
-	}
-	direct := make([]int64, 70)
-	v.AddInto(direct)
-	viaWords := make([]int64, 70)
-	AddWordsInto(v.Words(), viaWords)
-	for i := range direct {
-		if direct[i] != viaWords[i] {
-			t.Fatalf("counts diverge at bit %d: AddInto %d, AddWordsInto %d", i, direct[i], viaWords[i])
-		}
-	}
-}

@@ -544,10 +544,12 @@ func (c freqCodec) decode(wires []WireReport) ([]WireReport, func(core.Aggregato
 	}, rejected
 }
 
-func (c freqCodec) validateBinary(frame []byte) (int, error) { return c.ValidateBinaryBatch(frame) }
+func (c freqCodec) validateBinary(frame []byte) (core.CheckedFrame, error) {
+	return c.ValidateBinaryBatch(frame)
+}
 
-func (c freqCodec) applyBinary(acc core.Aggregator, frame []byte) (int, error) {
-	return c.ApplyBinaryBatch(acc, frame)
+func (c freqCodec) applyBinary(acc core.Aggregator, f core.CheckedFrame) {
+	c.ApplyCheckedBatch(acc, f)
 }
 
 func (c freqCodec) estimates(acc core.Aggregator) any {

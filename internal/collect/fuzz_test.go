@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 
@@ -9,14 +10,15 @@ import (
 	"repro/internal/xrand"
 )
 
-// fuzzProtocols covers all three wire payload shapes: ptscp (bit-vector
-// reports), ptj over a small joint domain (bare-value reports, since the
+// fuzzProtocols covers all three wire payload shapes: ptscp and pts
+// (bit-vector reports, with and without the validity flag), ptj over a
+// small joint domain (bare-value reports, since the
 // adaptive mechanism picks GRR there), and pts+olh (value-plus-seed
 // reports).
 func fuzzProtocols(f *testing.F) []*core.Protocol {
 	f.Helper()
-	out := make([]*core.Protocol, 0, 3)
-	for _, name := range []string{"ptscp", "pts+olh"} {
+	out := make([]*core.Protocol, 0, 4)
+	for _, name := range []string{"ptscp", "pts", "pts+olh"} {
 		p, err := core.NewProtocol(name, 3, 8, 1, 0.5)
 		if err != nil {
 			f.Fatal(err)
@@ -207,10 +209,11 @@ func FuzzDecodeBinaryBatch(f *testing.F) {
 	f.Add([]byte("MCBW"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, p := range protos {
-			n, err := p.ValidateBinaryBatch(data)
+			checked, err := p.ValidateBinaryBatch(data)
 			if err != nil {
 				continue
 			}
+			n := checked.Count()
 			agg := p.NewAggregator()
 			applied, err := p.ApplyBinaryBatch(agg, data)
 			if err != nil {
@@ -225,17 +228,34 @@ func FuzzDecodeBinaryBatch(f *testing.F) {
 			if err != nil || len(wires) != n {
 				t.Fatalf("%s: decode of validated frame: %d wires, %v", p.Name(), len(wires), err)
 			}
+			viaAdd := p.NewAggregator()
 			for _, wp := range wires {
-				if _, derr := p.DecodeReport(wp); derr != nil {
+				rep, derr := p.DecodeReport(wp)
+				if derr != nil {
 					t.Fatalf("%s: binary-accepted report rejected by DecodeReport: %v", p.Name(), derr)
 				}
+				viaAdd.Add(rep)
+			}
+			// And the whole-frame apply must leave the state the per-report
+			// path leaves.
+			want, err := viaAdd.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := agg.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: frame apply and per-report Add left different states", p.Name())
 			}
 		}
 		for _, p := range numProtos {
-			n, err := p.ValidateBinaryMeanBatch(data)
+			checked, err := p.ValidateBinaryMeanBatch(data)
 			if err != nil {
 				continue
 			}
+			n := checked.Count()
 			agg := p.NewAggregator()
 			applied, err := p.ApplyBinaryMeanBatch(agg, data)
 			if err != nil {

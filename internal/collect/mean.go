@@ -97,12 +97,12 @@ func (c meanCodec) decode(wires []WireMeanReport) ([]WireMeanReport, func(mean.A
 	}, rejected
 }
 
-func (c meanCodec) validateBinary(frame []byte) (int, error) {
+func (c meanCodec) validateBinary(frame []byte) (core.CheckedFrame, error) {
 	return c.ValidateBinaryMeanBatch(frame)
 }
 
-func (c meanCodec) applyBinary(acc mean.Aggregator, frame []byte) (int, error) {
-	return c.ApplyBinaryMeanBatch(acc, frame)
+func (c meanCodec) applyBinary(acc mean.Aggregator, f core.CheckedFrame) {
+	c.ApplyCheckedMeanBatch(acc, f)
 }
 
 func (c meanCodec) estimates(acc mean.Aggregator) any {

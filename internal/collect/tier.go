@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/core"
 )
 
 // This file is the report-tier engine. The paper's frameworks all reduce to
@@ -48,10 +50,10 @@ type codec[A any, W any] interface {
 	// itemized error per refused report, indexed into wires.
 	decode(wires []W) (accepted []W, add func(A), rejected []WireItemError)
 	// validateBinary checks a binary frame end to end (CRC, header, every
-	// record) and returns its report count; applyBinary folds a validated
-	// frame into acc.
-	validateBinary(frame []byte) (int, error)
-	applyBinary(acc A, frame []byte) (int, error)
+	// record); applyBinary folds the frame it vouched for into acc, which
+	// cannot fail.
+	validateBinary(frame []byte) (core.CheckedFrame, error)
+	applyBinary(acc A, f core.CheckedFrame)
 	// estimates is the tier's /estimates body for a merged aggregate.
 	estimates(acc A) any
 }
@@ -227,14 +229,15 @@ func (t *tier[A, W]) handleBatch(w http.ResponseWriter, r *http.Request) {
 // only ever holds frames that replay cleanly.
 func (t *tier[A, W]) handleBinaryBatch(w http.ResponseWriter, body []byte, start time.Time) {
 	m := t.m
-	count, err := t.c.validateBinary(body)
+	f, err := t.c.validateBinary(body)
 	if err != nil {
 		m.rejectedDecode.Inc()
 		http.Error(w, "decode batch: "+err.Error(), http.StatusBadRequest)
 		return
 	}
+	count := f.Count()
 	if count > 0 {
-		if err := t.ingestBinary(body, count); err != nil {
+		if err := t.ingestBinary(body, f); err != nil {
 			m.observeIngestError(err, count)
 			writeIngestError(w, err)
 			return
@@ -300,10 +303,11 @@ func (t *tier[A, W]) ingest(wires []W, add func(A)) error {
 	return nil
 }
 
-// ingestBinary is ingest for a validated binary frame of count reports: the
-// raw frame is logged write-ahead (the record replays through the same
+// ingestBinary is ingest for a binary frame and the proof of its validation:
+// the raw frame is logged write-ahead (the record replays through the same
 // validate+apply path), then folded into a shard.
-func (t *tier[A, W]) ingestBinary(frame []byte, count int) error {
+func (t *tier[A, W]) ingestBinary(frame []byte, f core.CheckedFrame) error {
+	count := f.Count()
 	if err := t.limit.admit(count); err != nil {
 		return err
 	}
@@ -314,13 +318,8 @@ func (t *tier[A, W]) ingestBinary(frame []byte, count int) error {
 			return t.notLogged(count, err)
 		}
 	}
-	err := t.applyBinary(frame)
+	t.applyBinary(f)
 	t.ingestMu.RUnlock()
-	if err != nil {
-		// Unreachable for a frame validateBinary accepted; surfaced loudly
-		// rather than swallowed in case of a codec bug.
-		return err
-	}
 	t.maybeCompact()
 	return nil
 }
@@ -355,18 +354,17 @@ func (t *tier[A, W]) apply(n int, add func(A)) {
 }
 
 // applyBinary folds a validated frame into one shard under the same
-// discipline as apply. The bit-vector protocols take the packed words
-// straight into their accumulator counts — no per-report allocations.
-func (t *tier[A, W]) applyBinary(frame []byte) error {
+// discipline as apply. The bit-vector protocols sum the frame's packed rows
+// by column straight into their accumulator counts — nothing is allocated or
+// re-validated under the lock.
+func (t *tier[A, W]) applyBinary(f core.CheckedFrame) {
+	n := int64(f.Count())
 	sh := t.pick()
 	sh.mu.Lock()
-	n, err := t.c.applyBinary(sh.acc, frame)
-	if err == nil {
-		sh.count.Add(int64(n))
-		t.total.Add(int64(n))
-	}
+	t.c.applyBinary(sh.acc, f)
+	sh.count.Add(n)
+	t.total.Add(n)
 	sh.mu.Unlock()
-	return err
 }
 
 // ---------------------------------------------------------------------------
@@ -645,9 +643,11 @@ func (t *tier[A, W]) replayRecord(rec []byte) error {
 		}
 		return nil
 	case recBinaryBatch:
-		if err := t.applyBinary(rec[1:]); err != nil {
+		f, err := t.c.validateBinary(rec[1:])
+		if err != nil {
 			return fmt.Errorf("collect: %swal binary batch record does not match protocol %s: %w", t.tag, t.c.Name(), err)
 		}
+		t.applyBinary(f)
 		return nil
 	case recEnvelope:
 		agg, err := t.c.UnmarshalAggregator(rec[1:])

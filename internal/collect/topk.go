@@ -1103,7 +1103,8 @@ func (s *Server) ingestTopKBinary(w http.ResponseWriter, sess *liveSession, body
 		h.ingestMu.RUnlock()
 		return
 	}
-	if err := f.Validate(lane.layout); err != nil {
+	checked, err := f.Check(lane.layout)
+	if err != nil {
 		sess.roundMu.RUnlock()
 		h.ingestMu.RUnlock()
 		m.rejectedDecode.Inc()
@@ -1162,15 +1163,8 @@ func (s *Server) ingestTopKBinary(w http.ResponseWriter, sess *liveSession, body
 	}
 	sh := lane.shards[lane.next.Add(1)%uint64(len(lane.shards))]
 	sh.mu.Lock()
-	aerr := sh.part.AbsorbFrame(f)
+	sh.part.AbsorbChecked(checked)
 	sh.mu.Unlock()
-	if aerr != nil {
-		// Unreachable: the frame validated against this exact layout above.
-		sess.roundMu.RUnlock()
-		h.ingestMu.RUnlock()
-		http.Error(w, "collect: absorb binary frame: "+aerr.Error(), http.StatusInternalServerError)
-		return
-	}
 	sealNow := lane.remaining.Load() == 0
 	sess.roundMu.RUnlock()
 	if sealNow {

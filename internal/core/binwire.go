@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/fo"
@@ -29,8 +28,8 @@ import (
 //
 //   - bit-vector reports (OUE/SUE, PTS-CP): uvarint label, then the bit
 //     vector packed as ceil(bitsLen/64) little-endian words. Fixed-size and
-//     zero-parse: the server folds the words straight into its accumulator
-//     counts without materializing a bitvec.Vector per report.
+//     zero-parse: the server sums a frame's vectors by column, in place,
+//     straight into its accumulator counts (bitvec.AddRows).
 //   - value reports (GRR): uvarint label, uvarint value.
 //   - seeded value reports (OLH): uvarint label, uvarint value, seed[u64].
 //   - mean reports: uvarint label, uvarint symbol.
@@ -168,140 +167,165 @@ func (p *Protocol) AppendBinaryBatch(dst []byte, wires []WirePayload) ([]byte, e
 	return finishBinaryFrame(dst, off), nil
 }
 
-// binaryReport is one record handed to a frame walk: Words is the packed
-// bit vector for bit-shaped protocols (valid until the next record), nil
-// for value-shaped ones.
-type binaryReport struct {
+// CheckedFrame is a binary frame a protocol's Validate… method has checked
+// end to end — CRC, header, every record against the wire shape — which is
+// what the matching ApplyChecked… method needs to fold it with no failure
+// path. Holding one is the proof, so a server validates each frame once. It
+// aliases the frame's bytes and is valid only while they are unchanged.
+type CheckedFrame struct {
+	owner   any // the protocol that checked it
+	records []byte
+	count   int
+}
+
+// Count returns the number of reports the frame carries.
+func (f CheckedFrame) Count() int { return f.count }
+
+// binaryRecord is one record handed to a frame walk: Bits is the offset, in
+// the record region, of the packed bit vector of a bit-shaped protocol's
+// report; Value and Seed belong to a value-shaped one.
+type binaryRecord struct {
 	Label int
 	Value int
 	Seed  uint64
-	Words []uint64
+	Bits  int
 }
 
-// visitBinaryBatch validates a frequency frame record by record, calling
-// visit (when non-nil) for each one, and returns the record count. Every
-// semantic check DecodeReport performs on a JSON payload happens here too —
-// label range, value range, no stray bits beyond the domain — so a frame
-// that walks cleanly yields reports that are always safe to aggregate. The
-// walk allocates nothing beyond one reused word buffer per call.
-func (p *Protocol) visitBinaryBatch(data []byte, visit func(i int, r binaryReport) error) (int, error) {
-	if p.shapeErr != nil {
-		return 0, p.shapeErr
-	}
-	rec, count, err := openBinaryFrame(data, binaryTierFrequency)
-	if err != nil {
-		return 0, err
-	}
+// walkBinaryRecords validates a frequency frame's record region record by
+// record, calling visit (when non-nil) for each one. Every semantic check
+// DecodeReport performs on a JSON payload happens here too — label range,
+// value range, no stray bits beyond the domain — so a region that walks
+// cleanly yields reports that are always safe to aggregate. The walk
+// allocates nothing.
+func (p *Protocol) walkBinaryRecords(rec []byte, count int, visit func(binaryRecord)) error {
 	s := p.shape
 	nw := (s.bitsLen + 63) / 64
-	var words []uint64
-	if s.bitsLen > 0 && visit != nil {
-		words = make([]uint64, nw)
-	}
 	pos := 0
 	for i := 0; i < count; i++ {
 		label, n := binary.Uvarint(rec[pos:])
 		if n <= 0 {
-			return 0, fmt.Errorf("core: binary record %d: truncated label", i)
+			return fmt.Errorf("core: binary record %d: truncated label", i)
 		}
 		pos += n
 		if label >= uint64(s.classes) {
-			return 0, fmt.Errorf("core: binary record %d: %s label %d outside [0,%d)", i, p.name, label, s.classes)
+			return fmt.Errorf("core: binary record %d: %s label %d outside [0,%d)", i, p.name, label, s.classes)
 		}
-		r := binaryReport{Label: int(label)}
+		r := binaryRecord{Label: int(label)}
 		if s.bitsLen > 0 {
 			if len(rec)-pos < nw*8 {
-				return 0, fmt.Errorf("core: binary record %d: truncated %d-bit vector", i, s.bitsLen)
+				return fmt.Errorf("core: binary record %d: truncated %d-bit vector", i, s.bitsLen)
 			}
 			last := binary.LittleEndian.Uint64(rec[pos+(nw-1)*8:])
 			if rem := uint(s.bitsLen) % 64; rem != 0 && last>>rem != 0 {
-				return 0, fmt.Errorf("core: binary record %d: stray bits beyond the %d-bit domain", i, s.bitsLen)
+				return fmt.Errorf("core: binary record %d: stray bits beyond the %d-bit domain", i, s.bitsLen)
 			}
-			if visit != nil {
-				for wi := 0; wi < nw; wi++ {
-					words[wi] = binary.LittleEndian.Uint64(rec[pos+wi*8:])
-				}
-				r.Words = words
-			}
+			r.Bits = pos
 			pos += nw * 8
 		} else {
 			v, n := binary.Uvarint(rec[pos:])
 			if n <= 0 {
-				return 0, fmt.Errorf("core: binary record %d: truncated value", i)
+				return fmt.Errorf("core: binary record %d: truncated value", i)
 			}
 			pos += n
 			if v >= uint64(s.valueRange) {
-				return 0, fmt.Errorf("core: binary record %d: %s value %d outside [0,%d)", i, p.name, v, s.valueRange)
+				return fmt.Errorf("core: binary record %d: %s value %d outside [0,%d)", i, p.name, v, s.valueRange)
 			}
 			r.Value = int(v)
 			if s.seed {
 				if len(rec)-pos < 8 {
-					return 0, fmt.Errorf("core: binary record %d: truncated hash seed", i)
+					return fmt.Errorf("core: binary record %d: truncated hash seed", i)
 				}
 				r.Seed = binary.LittleEndian.Uint64(rec[pos:])
 				pos += 8
 			}
 		}
 		if visit != nil {
-			if err := visit(i, r); err != nil {
-				return 0, err
-			}
+			visit(r)
 		}
 	}
 	if pos != len(rec) {
-		return 0, fmt.Errorf("core: binary frame has %d trailing record bytes", len(rec)-pos)
+		return fmt.Errorf("core: binary frame has %d trailing record bytes", len(rec)-pos)
 	}
-	return count, nil
+	return nil
 }
 
 // ValidateBinaryBatch checks a frequency frame end to end — CRC, header,
 // every record against the protocol's wire shape — without touching an
-// aggregator, and returns the record count. A frame it accepts is
-// guaranteed to apply cleanly, which is what lets a durable server log the
-// raw frame write-ahead and a sharded server apply it under one lock with
-// no failure path in between.
-func (p *Protocol) ValidateBinaryBatch(data []byte) (int, error) {
-	return p.visitBinaryBatch(data, nil)
+// aggregator. The frame it returns is guaranteed to apply cleanly, which is
+// what lets a durable server log the raw bytes write-ahead and a sharded
+// server apply them under one lock with no failure path in between. It never
+// panics: corrupted, truncated or mis-tiered inputs come back as errors.
+func (p *Protocol) ValidateBinaryBatch(data []byte) (CheckedFrame, error) {
+	if p.shapeErr != nil {
+		return CheckedFrame{}, p.shapeErr
+	}
+	rec, count, err := openBinaryFrame(data, binaryTierFrequency)
+	if err != nil {
+		return CheckedFrame{}, err
+	}
+	if err := p.walkBinaryRecords(rec, count, nil); err != nil {
+		return CheckedFrame{}, err
+	}
+	return CheckedFrame{owner: p, records: rec, count: count}, nil
 }
 
-// wordsReportAdder is implemented by aggregators that can fold a packed
-// bit-vector report without materializing a bitvec.Vector. addReportWords
-// returns false (leaving the aggregate untouched) when the underlying
-// accumulator cannot take words, in which case the caller falls back to a
-// regular Add.
-type wordsReportAdder interface {
-	addReportWords(label int, words []uint64) bool
+// rowsAdder is implemented by this package's aggregators: addRows folds the
+// bit-vector reports of one checked frame without materializing any of
+// them. rows[label] lists the offsets in rec of the packed vectors reported
+// under that label (it is scratch: an aggregator may reorder it).
+type rowsAdder interface {
+	addRows(rec []byte, rows [][]int)
+}
+
+// ApplyCheckedBatch folds every record of a frame ValidateBinaryBatch
+// accepted into agg. Bit-vector reports take two passes over the frame: a
+// label walk that files each report's offset under its label, then — per
+// label, inside the protocol's own aggregators — the counters, the VP drop
+// rule and one column sum (bitvec.AddRows) over the label's rows. Nothing
+// is allocated per report or, after warm-up, per frame.
+func (p *Protocol) ApplyCheckedBatch(agg Aggregator, f CheckedFrame) {
+	if f.owner != p {
+		panic("core: frame was checked by another protocol")
+	}
+	s := p.shape
+	if ra, ok := agg.(rowsAdder); ok && s.bitsLen > 0 {
+		sets := bitvec.GetRowSets(s.classes)
+		rowBytes := (s.bitsLen + 63) / 64 * 8
+		for pos, i := 0, 0; i < f.count; i++ {
+			label, n := binary.Uvarint(f.records[pos:])
+			sets.Add(int(label), pos+n)
+			pos += n + rowBytes
+		}
+		ra.addRows(f.records, sets.Rows())
+		sets.Put()
+		return
+	}
+	// Value reports, and aggregators from outside this package: one Add per
+	// record. A reused scratch vector would be unsafe — the Add contract
+	// allows retaining the report.
+	p.walkBinaryRecords(f.records, f.count, func(r binaryRecord) { //nolint:errcheck — checked frame
+		item := fo.Report{Value: r.Value, Seed: r.Seed}
+		if s.bitsLen > 0 {
+			item = fo.Report{Bits: bitvec.New(s.bitsLen)}
+			for _, b := range bitvec.AppendSetBits(nil, f.records[r.Bits:], (s.bitsLen+63)/64) {
+				item.Bits.Set(b)
+			}
+		}
+		agg.Add(Report{Class: r.Label, Item: item})
+	})
 }
 
 // ApplyBinaryBatch validates a frequency frame and folds every record into
-// agg, returning the record count. The frame is all-or-nothing from the
-// caller's perspective: validation runs ahead of the first Add (via
-// ValidateBinaryBatch or a prior caller-side call — the walk re-checks
-// structure either way), so an invalid frame returns an error with nothing
-// applied. For the protocol's own aggregators the bit-vector path is
-// allocation-free: words fold straight into the accumulator counts.
+// agg, returning the record count. The frame is all-or-nothing: validation
+// runs ahead of the first add, so an invalid frame returns an error with
+// nothing applied.
 func (p *Protocol) ApplyBinaryBatch(agg Aggregator, data []byte) (int, error) {
-	// The apply walk below adds records as it validates them, so a frame
-	// failing mid-walk would be half-applied. Validate first — the frame is
-	// in memory and the validation walk is a fraction of the apply cost.
-	if _, err := p.visitBinaryBatch(data, nil); err != nil {
+	f, err := p.ValidateBinaryBatch(data)
+	if err != nil {
 		return 0, err
 	}
-	wa, _ := agg.(wordsReportAdder)
-	return p.visitBinaryBatch(data, func(i int, r binaryReport) error {
-		if r.Words != nil {
-			if wa != nil && wa.addReportWords(r.Label, r.Words) {
-				return nil
-			}
-			// Fallback for aggregators outside this package: rebuild the
-			// vector per report (a reused scratch vector would be unsafe —
-			// the Add contract allows retaining the report).
-			agg.Add(Report{Class: r.Label, Item: fo.Report{Bits: bitvec.FromWords(p.shape.bitsLen, r.Words)}})
-			return nil
-		}
-		agg.Add(Report{Class: r.Label, Item: fo.Report{Value: r.Value, Seed: r.Seed}})
-		return nil
-	})
+	p.ApplyCheckedBatch(agg, f)
+	return f.count, nil
 }
 
 // DecodeBinaryBatch materializes every payload of a frequency frame — the
@@ -309,28 +333,22 @@ func (p *Protocol) ApplyBinaryBatch(agg Aggregator, data []byte) (int, error) {
 // uses ApplyBinaryBatch instead; this is for tools and tests that need the
 // payloads themselves.
 func (p *Protocol) DecodeBinaryBatch(data []byte) ([]WirePayload, error) {
+	f, err := p.ValidateBinaryBatch(data)
+	if err != nil {
+		return nil, err
+	}
 	var out []WirePayload
-	_, err := p.visitBinaryBatch(data, func(i int, r binaryReport) error {
+	p.walkBinaryRecords(f.records, f.count, func(r binaryRecord) { //nolint:errcheck — checked frame
 		w := WirePayload{Label: r.Label}
-		if r.Words != nil {
-			for wi, word := range r.Words {
-				for word != 0 {
-					b := wi<<6 + bits.TrailingZeros64(word)
-					w.Bits = append(w.Bits, b)
-					word &= word - 1
-				}
-			}
+		if n := p.shape.bitsLen; n > 0 {
+			w.Bits = bitvec.AppendSetBits(nil, f.records[r.Bits:], (n+63)/64)
 		} else {
 			v := r.Value
 			w.Value = &v
 			w.Seed = r.Seed
 		}
 		out = append(out, w)
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 
@@ -357,75 +375,82 @@ func (p *NumericProtocol) AppendBinaryMeanBatch(dst []byte, wires []WireMeanRepo
 	return finishBinaryFrame(dst, off), nil
 }
 
-// visitBinaryMeanBatch validates a mean frame record by record, calling
-// visit (when non-nil) for each decoded report, and returns the record
-// count. Decoded reports are always safe to feed to the protocol's
-// aggregator.
-func (p *NumericProtocol) visitBinaryMeanBatch(data []byte, visit func(i int, rep mean.Report) error) (int, error) {
-	rec, count, err := openBinaryFrame(data, binaryTierMean)
-	if err != nil {
-		return 0, err
-	}
+// walkBinaryMeanRecords validates a mean frame's record region record by
+// record, calling visit (when non-nil) for each decoded report. Decoded
+// reports are always safe to feed to the protocol's aggregator.
+func (p *NumericProtocol) walkBinaryMeanRecords(rec []byte, count int, visit func(mean.Report)) error {
 	pos := 0
 	for i := 0; i < count; i++ {
 		label, n := binary.Uvarint(rec[pos:])
 		if n <= 0 {
-			return 0, fmt.Errorf("core: binary record %d: truncated label", i)
+			return fmt.Errorf("core: binary record %d: truncated label", i)
 		}
 		pos += n
 		sym, n := binary.Uvarint(rec[pos:])
 		if n <= 0 {
-			return 0, fmt.Errorf("core: binary record %d: truncated symbol", i)
+			return fmt.Errorf("core: binary record %d: truncated symbol", i)
 		}
 		pos += n
 		if label >= uint64(p.classes) {
-			return 0, fmt.Errorf("core: binary record %d: %s label %d outside [0,%d)", i, p.name, label, p.classes)
+			return fmt.Errorf("core: binary record %d: %s label %d outside [0,%d)", i, p.name, label, p.classes)
 		}
 		if sym >= uint64(p.halves.Symbols) {
-			return 0, fmt.Errorf("core: binary record %d: %s symbol %d outside [0,%d)", i, p.name, sym, p.halves.Symbols)
+			return fmt.Errorf("core: binary record %d: %s symbol %d outside [0,%d)", i, p.name, sym, p.halves.Symbols)
 		}
 		if visit != nil {
-			if err := visit(i, mean.Report{Label: int(label), Symbol: int(sym)}); err != nil {
-				return 0, err
-			}
+			visit(mean.Report{Label: int(label), Symbol: int(sym)})
 		}
 	}
 	if pos != len(rec) {
-		return 0, fmt.Errorf("core: binary frame has %d trailing record bytes", len(rec)-pos)
+		return fmt.Errorf("core: binary frame has %d trailing record bytes", len(rec)-pos)
 	}
-	return count, nil
+	return nil
 }
 
 // ValidateBinaryMeanBatch checks a mean frame end to end without touching
-// an aggregator and returns the record count; a frame it accepts is
-// guaranteed to apply cleanly.
-func (p *NumericProtocol) ValidateBinaryMeanBatch(data []byte) (int, error) {
-	return p.visitBinaryMeanBatch(data, nil)
+// an aggregator; the frame it returns is guaranteed to apply cleanly.
+func (p *NumericProtocol) ValidateBinaryMeanBatch(data []byte) (CheckedFrame, error) {
+	rec, count, err := openBinaryFrame(data, binaryTierMean)
+	if err != nil {
+		return CheckedFrame{}, err
+	}
+	if err := p.walkBinaryMeanRecords(rec, count, nil); err != nil {
+		return CheckedFrame{}, err
+	}
+	return CheckedFrame{owner: p, records: rec, count: count}, nil
+}
+
+// ApplyCheckedMeanBatch folds every record of a frame ValidateBinaryMeanBatch
+// accepted into agg. Mean reports are two ints; the walk allocates nothing.
+func (p *NumericProtocol) ApplyCheckedMeanBatch(agg mean.Aggregator, f CheckedFrame) {
+	if f.owner != p {
+		panic("core: frame was checked by another protocol")
+	}
+	p.walkBinaryMeanRecords(f.records, f.count, agg.Add) //nolint:errcheck — checked frame
 }
 
 // ApplyBinaryMeanBatch validates a mean frame and folds every record into
-// agg, returning the record count. Mean reports are two ints; the apply
-// walk allocates nothing.
+// agg, returning the record count; an invalid frame returns an error with
+// nothing applied.
 func (p *NumericProtocol) ApplyBinaryMeanBatch(agg mean.Aggregator, data []byte) (int, error) {
-	if _, err := p.visitBinaryMeanBatch(data, nil); err != nil {
+	f, err := p.ValidateBinaryMeanBatch(data)
+	if err != nil {
 		return 0, err
 	}
-	return p.visitBinaryMeanBatch(data, func(i int, rep mean.Report) error {
-		agg.Add(rep)
-		return nil
-	})
+	p.ApplyCheckedMeanBatch(agg, f)
+	return f.count, nil
 }
 
 // DecodeBinaryMeanBatch materializes every payload of a mean frame; the
 // hot path uses ApplyBinaryMeanBatch instead.
 func (p *NumericProtocol) DecodeBinaryMeanBatch(data []byte) ([]WireMeanReport, error) {
-	var out []WireMeanReport
-	_, err := p.visitBinaryMeanBatch(data, func(i int, rep mean.Report) error {
-		out = append(out, WireMeanReport{Label: rep.Label, Symbol: rep.Symbol})
-		return nil
-	})
+	f, err := p.ValidateBinaryMeanBatch(data)
 	if err != nil {
 		return nil, err
 	}
+	var out []WireMeanReport
+	p.walkBinaryMeanRecords(f.records, f.count, func(rep mean.Report) { //nolint:errcheck — checked frame
+		out = append(out, WireMeanReport{Label: rep.Label, Symbol: rep.Symbol})
+	})
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -49,12 +50,12 @@ func TestBinaryBatchRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: AppendBinaryBatch: %v", p.Name(), err)
 		}
-		count, err := p.ValidateBinaryBatch(frame)
+		checked, err := p.ValidateBinaryBatch(frame)
 		if err != nil {
 			t.Fatalf("%s: ValidateBinaryBatch: %v", p.Name(), err)
 		}
-		if count != n {
-			t.Fatalf("%s: validated %d records, want %d", p.Name(), count, n)
+		if checked.Count() != n {
+			t.Fatalf("%s: validated %d records, want %d", p.Name(), checked.Count(), n)
 		}
 		got, err := p.DecodeBinaryBatch(frame)
 		if err != nil {
@@ -131,6 +132,85 @@ func TestBinaryApplyMatchesJSONDecode(t *testing.T) {
 		}
 		if !reflect.DeepEqual(binAgg.ClassSizes(), jsonAgg.ClassSizes()) {
 			t.Fatalf("%s: binary and JSON class sizes differ", p.Name())
+		}
+	}
+}
+
+// TestBinaryApplyMatchesAddState pins the column-sum apply to the per-report
+// path at the level of aggregator state: for every framework that ships bit
+// vectors, over OUE and SUE, ApplyBinaryBatch must leave exactly the state
+// that Add over the decoded payloads leaves — equal marshalled bytes — on
+// ordinary frames, one-report frames, empty frames, frames whose every
+// report the VP rule drops, and onto an aggregator that already holds
+// counts.
+func TestBinaryApplyMatchesAddState(t *testing.T) {
+	for _, d := range []int{63, 64, 70, 1000} { // 64: the CP flag sits alone in a second word
+		for _, name := range []string{"hec", "ptj", "pts", "pts+sue", "ptscp"} {
+			const c = 4
+			p, err := NewProtocol(name, c, d, 2.0, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.shape.bitsLen == 0 {
+				t.Fatalf("%s at d=%d does not ship bit vectors", name, d)
+			}
+			frames := map[string][]WirePayload{
+				"ordinary": encodeWires(t, p, c, d, 700, uint64(d)),
+				"one":      encodeWires(t, p, c, d, 1, 5),
+				"empty":    nil,
+			}
+			if name == "ptscp" {
+				dropped := encodeWires(t, p, c, d, 90, 9)
+				for i := range dropped {
+					if bits := dropped[i].Bits; len(bits) == 0 || bits[len(bits)-1] != d {
+						dropped[i].Bits = append(bits, d)
+					}
+				}
+				frames["all dropped"] = dropped
+			}
+			for kind, wires := range frames {
+				frame, err := p.AppendBinaryBatch(nil, wires)
+				if err != nil {
+					t.Fatal(err)
+				}
+				viaAdd, viaApply := p.NewAggregator(), p.NewAggregator()
+				// An aggregator from outside the package has no row path and
+				// takes one materialized report per record.
+				foreign := struct{ Aggregator }{p.NewAggregator()}
+				for round := 0; round < 2; round++ { // the second lands on held counts
+					decoded, err := p.DecodeBinaryBatch(frame)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, w := range decoded {
+						rep, err := p.DecodeReport(w)
+						if err != nil {
+							t.Fatal(err)
+						}
+						viaAdd.Add(rep)
+					}
+					if n, err := p.ApplyBinaryBatch(viaApply, frame); err != nil || n != len(wires) {
+						t.Fatalf("%s d=%d %s: applied %d of %d: %v", name, d, kind, n, len(wires), err)
+					}
+					want, err := viaAdd.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := viaApply.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s d=%d %s frame, round %d: ApplyBinaryBatch state differs from Add over the decoded reports", name, d, kind, round)
+					}
+					if _, err := p.ApplyBinaryBatch(foreign, frame); err != nil {
+						t.Fatal(err)
+					}
+					if got, err = foreign.MarshalBinary(); err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("%s d=%d %s frame, round %d: per-record fallback state differs (%v)", name, d, kind, round, err)
+					}
+				}
+			}
 		}
 	}
 }

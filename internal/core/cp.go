@@ -131,31 +131,19 @@ func (a *CPAccumulator) Add(rep CPReport) {
 	})
 }
 
-// AddWords folds one report handed as its perturbed label plus the d+1-bit
-// vector packed into words (the bitvec backing layout) — Add without
-// materializing a Vector, the allocation-free apply path of the binary
-// wire decoder. The words are borrowed for the call only. Malformed input
-// (bad label, wrong word count, stray bits beyond the flag) panics, like
-// Add.
-func (a *CPAccumulator) AddWords(label int, words []uint64) {
+// addRows folds the reports of one binary frame that carry perturbed label
+// label — Add for each, without materializing a Vector: report r is the
+// d+1-bit vector packed little-endian at rec[offs[r]:]. Flagged reports are
+// counted and then dropped from offs (it is reordered in place); the rest
+// are summed by column. Malformed input panics, like Add.
+func (a *CPAccumulator) addRows(label int, rec []byte, offs []int) {
 	d := a.cp.d
-	if label < 0 || label >= a.cp.c {
-		panic(fmt.Sprintf("core: CP report label %d outside [0,%d)", label, a.cp.c))
-	}
-	if len(words) != (d+1+63)/64 {
-		panic(fmt.Sprintf("core: CP report of %d words != %d bits", len(words), d+1))
-	}
-	if rem := uint(d+1) % 64; rem != 0 && words[len(words)-1]>>rem != 0 {
-		panic(fmt.Sprintf("core: CP report has stray bits beyond %d", d+1))
-	}
-	a.total++
-	a.labelCounts[label]++
-	if words[d>>6]>>(uint(d)&63)&1 != 0 {
-		return // flag set: dropped by the VP rule
-	}
-	// The flag bit at index d is the only legal bit ≥ d, and it is 0 here,
-	// so every remaining set bit is a valid item index.
-	bitvec.AddWordsInto(words, a.itemCounts[label])
+	a.total += len(offs)
+	a.labelCounts[label] += int64(len(offs))
+	// The flag bit at index d is the only legal bit ≥ d, and it is 0 in every
+	// kept row, so every remaining set bit is a valid item index.
+	kept := bitvec.RowsWithBitClear(rec, offs, d)
+	bitvec.AddRows(a.itemCounts[label], rec, kept, (d+1+63)/64)
 }
 
 // Merge folds another accumulator of the same mechanism into this one.

@@ -403,20 +403,13 @@ func (a *hecAggregator) Add(rep Report) {
 	a.total++
 }
 
-// addReportWords implements the binary decoder's zero-allocation fast
-// path: the group's accumulator takes the packed bit vector directly when
-// it can (UE-backed adaptive mechanism at OUE scale).
-func (a *hecAggregator) addReportWords(g int, words []uint64) bool {
-	if g < 0 || g >= a.c {
-		panic(fmt.Sprintf("core: hec report group %d outside [0,%d)", g, a.c))
+// addRows implements rowsAdder: each group's reports go to its accumulator,
+// which is UE-backed whenever the wire carries bit vectors.
+func (a *hecAggregator) addRows(rec []byte, rows [][]int) {
+	for g, offs := range rows {
+		a.accs[g].(fo.RowsAdder).AddRows(rec, offs)
+		a.total += len(offs)
 	}
-	wa, ok := a.accs[g].(fo.WordsAdder)
-	if !ok {
-		return false
-	}
-	wa.AddWords(words)
-	a.total++
-	return true
 }
 
 func (a *hecAggregator) Merge(other Aggregator) error {
@@ -566,19 +559,10 @@ func (a *ptjAggregator) Add(rep Report) {
 	a.acc.Add(rep.Item)
 }
 
-// addReportWords implements the binary decoder's zero-allocation fast
-// path over the joint-domain accumulator. The frame walk has already
-// bounded label to the wire's single-value domain {0}.
-func (a *ptjAggregator) addReportWords(label int, words []uint64) bool {
-	if label != 0 {
-		panic(fmt.Sprintf("core: ptj report class %d, want 0 (class is in the joint value)", label))
-	}
-	wa, ok := a.acc.(fo.WordsAdder)
-	if !ok {
-		return false
-	}
-	wa.AddWords(words)
-	return true
+// addRows implements rowsAdder over the joint-domain accumulator; the wire's
+// label domain is the single value 0.
+func (a *ptjAggregator) addRows(rec []byte, rows [][]int) {
+	a.acc.(fo.RowsAdder).AddRows(rec, rows[0])
 }
 
 func (a *ptjAggregator) Merge(other Aggregator) error {
@@ -718,21 +702,15 @@ func (a *ptsAggregator) Add(rep Report) {
 	a.total++
 }
 
-// addReportWords implements the binary decoder's zero-allocation fast
-// path: the routed class's item accumulator takes the packed bit vector
-// directly when the item mechanism is unary-encoded.
-func (a *ptsAggregator) addReportWords(label int, words []uint64) bool {
-	if label < 0 || label >= a.c {
-		panic(fmt.Sprintf("core: pts report label %d outside [0,%d)", label, a.c))
+// addRows implements rowsAdder: each perturbed label's reports go to its
+// routed class's item accumulator, which is UE-backed whenever the wire
+// carries bit vectors.
+func (a *ptsAggregator) addRows(rec []byte, rows [][]int) {
+	for label, offs := range rows {
+		a.accs[label].(fo.RowsAdder).AddRows(rec, offs)
+		a.labelCounts[label] += int64(len(offs))
+		a.total += len(offs)
 	}
-	wa, ok := a.accs[label].(fo.WordsAdder)
-	if !ok {
-		return false
-	}
-	a.labelCounts[label]++
-	wa.AddWords(words)
-	a.total++
-	return true
 }
 
 func (a *ptsAggregator) Merge(other Aggregator) error {
@@ -894,11 +872,11 @@ func (a *cpAggregator) Add(rep Report) {
 	a.acc.Add(CPReport{Label: rep.Class, Bits: rep.Item.Bits})
 }
 
-// addReportWords implements the binary decoder's zero-allocation fast
-// path by delegating to CPAccumulator.AddWords.
-func (a *cpAggregator) addReportWords(label int, words []uint64) bool {
-	a.acc.AddWords(label, words)
-	return true
+// addRows implements rowsAdder by delegating to CPAccumulator.addRows.
+func (a *cpAggregator) addRows(rec []byte, rows [][]int) {
+	for label, offs := range rows {
+		a.acc.addRows(label, rec, offs)
+	}
 }
 
 func (a *cpAggregator) Merge(other Aggregator) error {

@@ -93,16 +93,16 @@ type CountsReader interface {
 	Counts() []int64
 }
 
-// WordsAdder is implemented by accumulators that can fold a bit-vector
-// report handed as packed words (the bitvec.Vector backing layout) without
-// materializing a Vector — the zero-allocation apply path of the binary
-// wire decoder. The words are only borrowed for the call; implementations
-// must not retain the slice.
-type WordsAdder interface {
-	// AddWords folds one report given as ceil(DomainSize()/64) packed
-	// little-endian words. Like Add, malformed input (wrong word count,
-	// stray bits beyond the domain) panics.
-	AddWords(words []uint64)
+// RowsAdder is implemented by accumulators that can fold bit-vector reports
+// while they are still packed in a wire frame (the bitvec.Vector backing
+// layout, little-endian) — the whole-frame apply path of the binary wire
+// decoder, which sums the reports by column instead of visiting set bits.
+// The frame bytes are only borrowed for the call.
+type RowsAdder interface {
+	// AddRows folds len(offs) reports; report r is the ceil(DomainSize()/64)
+	// words at rec[offs[r]:]. Like Add, malformed input (a stray bit beyond
+	// the domain, a row running off rec) panics.
+	AddRows(rec []byte, offs []int)
 }
 
 // checkDomain panics when v is outside [0, d); all mechanisms share it so

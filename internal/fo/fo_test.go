@@ -1,6 +1,7 @@
 package fo
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -388,44 +389,53 @@ func TestEmpiricalVarianceMatchesTheory(t *testing.T) {
 	}
 }
 
-// TestUEAddWordsMatchesAdd pins the zero-alloc word path against the
+// TestUEAddRowsMatchesAdd pins the whole-frame row path against the
 // bit-vector Add path: feeding the same perturbed reports through both must
-// produce identical accumulator state (counts, n, estimates), and the word
-// path must reject out-of-shape input.
-func TestUEAddWordsMatchesAdd(t *testing.T) {
+// produce identical accumulator state (counts, n), and the row path must
+// reject out-of-shape input.
+func TestUEAddRowsMatchesAdd(t *testing.T) {
 	u, err := NewOUE(70, 2) // straddles a word boundary
 	if err != nil {
 		t.Fatal(err)
 	}
 	viaAdd := u.NewAccumulator()
-	viaWords := u.NewAccumulator().(WordsAdder)
+	viaRows := u.NewAccumulator().(RowsAdder)
 	r := xrand.New(41)
+	var rec []byte
+	var offs []int
 	for i := 0; i < 200; i++ {
 		rep := u.Perturb(i%70, r)
 		viaAdd.Add(rep)
-		viaWords.AddWords(rep.Bits.Words())
+		rec = append(rec, 0xff) // rows need not be aligned
+		offs = append(offs, len(rec))
+		for _, w := range rep.Bits.Words() {
+			rec = binary.LittleEndian.AppendUint64(rec, w)
+		}
 	}
-	a, b := viaAdd.(*ueAccumulator), viaWords.(*ueAccumulator)
+	viaRows.AddRows(rec, offs)
+	a, b := viaAdd.(*ueAccumulator), viaRows.(*ueAccumulator)
 	if a.n != b.n {
-		t.Fatalf("report counts diverge: Add %d, AddWords %d", a.n, b.n)
+		t.Fatalf("report counts diverge: Add %d, AddRows %d", a.n, b.n)
 	}
 	for i := range a.counts {
 		if a.counts[i] != b.counts[i] {
-			t.Fatalf("counts diverge at %d: Add %d, AddWords %d", i, a.counts[i], b.counts[i])
+			t.Fatalf("counts diverge at %d: Add %d, AddRows %d", i, a.counts[i], b.counts[i])
 		}
 	}
-	for _, bad := range [][]uint64{
-		make([]uint64, 1), // short a word
-		make([]uint64, 3), // a word over
-		{0, 1 << 30},      // stray bit 94 beyond d=70
+	for name, bad := range map[string]struct {
+		rec  []byte
+		offs []int
+	}{
+		"stray bit 94 beyond d=70":  {binary.LittleEndian.AppendUint64(make([]byte, 8), 1<<30), []int{0}},
+		"row running off the frame": {make([]byte, 16), []int{8}},
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("AddWords accepted malformed words %v", bad)
+					t.Fatalf("AddRows accepted %s", name)
 				}
 			}()
-			viaWords.AddWords(bad)
+			viaRows.AddRows(bad.rec, bad.offs)
 		}()
 	}
 }

@@ -154,17 +154,11 @@ func (a *ueAccumulator) Add(rep Report) {
 	a.n++
 }
 
-// AddWords implements WordsAdder: it folds a report handed as packed words
-// straight into the count vector, the allocation-free twin of Add.
-func (a *ueAccumulator) AddWords(words []uint64) {
-	if len(words) != (a.m.d+63)/64 {
-		panic(fmt.Sprintf("fo: UE report of %d words != domain %d", len(words), a.m.d))
-	}
-	if rem := uint(a.m.d) % 64; rem != 0 && words[len(words)-1]>>rem != 0 {
-		panic(fmt.Sprintf("fo: UE report has stray bits beyond domain %d", a.m.d))
-	}
-	bitvec.AddWordsInto(words, a.counts)
-	a.n++
+// AddRows implements RowsAdder: it folds reports still packed in a frame
+// straight into the count vector, the whole-frame twin of Add.
+func (a *ueAccumulator) AddRows(rec []byte, offs []int) {
+	bitvec.AddRows(a.counts, rec, offs, (a.m.d+63)/64)
+	a.n += len(offs)
 }
 
 func (a *ueAccumulator) Merge(other Accumulator) error {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
@@ -112,29 +111,13 @@ func (l *RoundLayout) CheckReport(rep RoundReport) error {
 	return validateBits(rep.Bits, l.Bits[l.aggIndex(rep.Class)])
 }
 
-// maxWords returns the widest aggregate's packed word count.
-func (l *RoundLayout) maxWords() int {
-	nw := 0
-	for _, b := range l.Bits {
-		if w := (b + 63) / 64; w > nw {
-			nw = w
-		}
-	}
-	return nw
-}
-
 // walkRecords validates a frame's record region record by record, calling
-// visit (when non-nil) for each one with the class and the packed bit-vector
-// words (valid until the next record). Every semantic check CheckReport
-// performs on a JSON report happens here too — class range, no stray bits
-// beyond the aggregate's domain — so a frame that walks cleanly is always
-// safe to absorb. The walk allocates nothing beyond one reused word buffer
-// per call.
-func (l *RoundLayout) walkRecords(records []byte, count int, visit func(class int, words []uint64) error) error {
-	var words []uint64
-	if visit != nil {
-		words = make([]uint64, l.maxWords())
-	}
+// visit (when non-nil) for each one with the class and the offset in records
+// of its packed bit vector. Every semantic check CheckReport performs on a
+// JSON report happens here too — class range, no stray bits beyond the
+// aggregate's domain — so a frame that walks cleanly is always safe to
+// absorb. The walk allocates nothing.
+func (l *RoundLayout) walkRecords(records []byte, count int, visit func(class, off int)) error {
 	pos := 0
 	for i := 0; i < count; i++ {
 		class, n := binary.Uvarint(records[pos:])
@@ -159,13 +142,7 @@ func (l *RoundLayout) walkRecords(records []byte, count int, visit func(class in
 			return fmt.Errorf("topk: binary record %d: stray bits beyond the %d-bit domain", i, bitsLen)
 		}
 		if visit != nil {
-			w := words[:nw]
-			for wi := 0; wi < nw; wi++ {
-				w[wi] = binary.LittleEndian.Uint64(records[pos+wi*8:])
-			}
-			if err := visit(int(class), w); err != nil {
-				return err
-			}
+			visit(int(class), pos)
 		}
 		pos += nw * 8
 	}
@@ -335,40 +312,49 @@ func PeekRoundFrame(data []byte) (RoundFrame, error) {
 	return f, nil
 }
 
-// Validate checks the frame's records end to end against the layout without
+// CheckedRoundFrame is a frame Check has validated end to end against one
+// layout, which is what a partial of that layout needs to absorb it with no
+// failure path. Holding one is the proof, so a server validates each frame
+// once.
+type CheckedRoundFrame struct {
+	RoundFrame
+	layout *RoundLayout
+}
+
+// Check validates the frame's records end to end against the layout without
 // absorbing anything. A frame it accepts is guaranteed to absorb cleanly,
 // which is what lets a durable server log the raw frame write-ahead and a
 // sharded server apply it with no failure path in between. A frame for
 // another round fails with RoundMismatchError, same as CheckReport.
-func (f RoundFrame) Validate(l *RoundLayout) error {
+func (f RoundFrame) Check(l *RoundLayout) (CheckedRoundFrame, error) {
 	if f.Round != l.Round {
-		return &RoundMismatchError{Got: f.Round, Live: l.Round}
+		return CheckedRoundFrame{}, &RoundMismatchError{Got: f.Round, Live: l.Round}
 	}
-	return l.walkRecords(f.records, f.Count, nil)
+	if err := l.walkRecords(f.records, f.Count, nil); err != nil {
+		return CheckedRoundFrame{}, err
+	}
+	return CheckedRoundFrame{RoundFrame: f, layout: l}, nil
+}
+
+// Validate is Check for callers that only want the verdict.
+func (f RoundFrame) Validate(l *RoundLayout) error {
+	_, err := f.Check(l)
+	return err
 }
 
 // DecodeRoundFrame materializes every report of a validated frame — the
 // binary analogue of unmarshalling a JSON batch body. The hot ingest path
-// absorbs words directly instead; this is for tools and tests.
+// absorbs the packed rows directly instead; this is for tools and tests.
 func DecodeRoundFrame(l *RoundLayout, f RoundFrame) ([]RoundReport, error) {
-	if f.Round != l.Round {
-		return nil, &RoundMismatchError{Got: f.Round, Live: l.Round}
-	}
-	out := make([]RoundReport, 0, f.Count)
-	err := l.walkRecords(f.records, f.Count, func(class int, words []uint64) error {
-		rep := RoundReport{Round: f.Round, Class: class}
-		for wi, word := range words {
-			for word != 0 {
-				rep.Bits = append(rep.Bits, wi<<6+bits.TrailingZeros64(word))
-				word &= word - 1
-			}
-		}
-		out = append(out, rep)
-		return nil
-	})
-	if err != nil {
+	if _, err := f.Check(l); err != nil {
 		return nil, err
 	}
+	out := make([]RoundReport, 0, f.Count)
+	l.walkRecords(f.records, f.Count, func(class, off int) { //nolint:errcheck — checked frame
+		nw := (l.Bits[l.aggIndex(class)] + 63) / 64
+		out = append(out, RoundReport{Round: f.Round, Class: class,
+			Bits: bitvec.AppendSetBits(nil, f.records[off:], nw)})
+	})
 	return out, nil
 }
 
@@ -427,30 +413,8 @@ func NewRoundPartial(l *RoundLayout) *RoundPartial {
 // Received returns how many reports the partial currently holds.
 func (p *RoundPartial) Received() int { return p.received }
 
-// absorbWords folds one validated record (class + packed bit-vector words)
-// into the partial, mirroring roundAgg.add exactly: under VP a set flag bit
-// drops the report after counting it.
-func (p *RoundPartial) absorbWords(class int, words []uint64) {
-	p.labelRouted[class]++
-	p.labelTotal++
-	p.received++
-	a := &p.aggs[p.layout.aggIndex(class)]
-	a.n++
-	if p.layout.VP {
-		flag := len(a.counts) // the last wire bit
-		if words[flag>>6]>>(uint(flag)&63)&1 == 1 {
-			a.dropped++
-			return
-		}
-		a.kept++
-	}
-	// Safe: the walk rejected stray bits beyond the wire length and the
-	// flag bit is unset, so every set bit indexes a bucket count.
-	bitvec.AddWordsInto(words, a.counts)
-}
-
 // Absorb folds one JSON-path report into the partial, validating it against
-// the layout first (CheckReport) — the sparse-bits twin of absorbWords, so
+// the layout first (CheckReport) — the sparse-bits twin of AbsorbChecked, so
 // mixed JSON and binary traffic lands in the same partials.
 func (p *RoundPartial) Absorb(rep RoundReport) error {
 	if err := p.layout.CheckReport(rep); err != nil {
@@ -477,18 +441,53 @@ func (p *RoundPartial) Absorb(rep RoundReport) error {
 	return nil
 }
 
-// AbsorbFrame folds every record of a frame into the partial. The frame is
-// all-or-nothing: a validation walk runs ahead of the first absorb, so an
-// invalid frame returns an error with nothing applied. The apply walk never
-// materializes a RoundReport — words fold straight into the counts.
+// AbsorbChecked folds every record of a frame Check accepted for this
+// partial's layout, mirroring Absorb report for report. A class walk files
+// each record's offset under its aggregate and bumps the label statistics;
+// then each aggregate counts its rows, applies the VP drop rule on the flag
+// bit (the last wire bit) and sums the kept rows by column — no RoundReport
+// is ever materialized.
+func (p *RoundPartial) AbsorbChecked(f CheckedRoundFrame) {
+	l := p.layout
+	if f.layout != l {
+		panic("topk: frame was checked against another layout")
+	}
+	sets := bitvec.GetRowSets(len(l.Bits))
+	for pos, i := 0, 0; i < f.Count; i++ {
+		class, n := binary.Uvarint(f.records[pos:])
+		p.labelRouted[class]++
+		agg := l.aggIndex(int(class))
+		sets.Add(agg, pos+n)
+		pos += n + (l.Bits[agg]+63)/64*8
+	}
+	p.labelTotal += int64(f.Count)
+	p.received += f.Count
+	for i, rows := range sets.Rows() {
+		a := &p.aggs[i]
+		a.n += len(rows)
+		if l.VP {
+			kept := bitvec.RowsWithBitClear(f.records, rows, len(a.counts))
+			a.dropped += len(rows) - len(kept)
+			a.kept += len(kept)
+			rows = kept
+		}
+		// Safe: Check rejected stray bits beyond the wire length and the flag
+		// bit is clear, so every set bit indexes a bucket count.
+		bitvec.AddRows(a.counts, f.records, rows, (l.Bits[i]+63)/64)
+	}
+	sets.Put()
+}
+
+// AbsorbFrame validates a frame against the partial's layout and folds it in.
+// The frame is all-or-nothing: an invalid one returns an error with nothing
+// applied.
 func (p *RoundPartial) AbsorbFrame(f RoundFrame) error {
-	if err := f.Validate(p.layout); err != nil {
+	cf, err := f.Check(p.layout)
+	if err != nil {
 		return err
 	}
-	return p.layout.walkRecords(f.records, f.Count, func(class int, words []uint64) error {
-		p.absorbWords(class, words)
-		return nil
-	})
+	p.AbsorbChecked(cf)
+	return nil
 }
 
 // reset zeroes the partial in place for the next round of its layout's
@@ -547,41 +546,20 @@ func (pl *Planner) MergePartial(p *RoundPartial) error {
 	return nil
 }
 
-// addWords folds one validated packed record into the aggregate — add
-// without materializing the set-bit list.
-func (a *roundAgg) addWords(words []uint64) {
-	a.n++
-	if a.vp {
-		flag := a.buckets
-		if words[flag>>6]>>(uint(flag)&63)&1 == 1 {
-			a.dropped++
-			return
-		}
-		a.kept++
-	}
-	bitvec.AddWordsInto(words, a.counts)
-}
-
 // AbsorbRoundFrame folds every record of a frame straight into the live
 // round — the single-writer path WAL replay uses, where no sharding exists
-// and the planner is exclusively held. All-or-nothing like AbsorbFrame: the
-// validation walk runs first, so an invalid frame leaves the round
-// untouched. The quota is advisory, exactly as in Absorb.
+// and the planner is exclusively held: the frame is absorbed into a partial
+// of its own and merged at once. All-or-nothing like AbsorbFrame: validation
+// runs first, so an invalid frame leaves the round untouched. The quota is
+// advisory, exactly as in Absorb.
 func (pl *Planner) AbsorbRoundFrame(f RoundFrame) error {
 	l, ok := pl.Layout()
 	if !ok {
 		return ErrSessionDone
 	}
-	if err := f.Validate(l); err != nil {
+	p := NewRoundPartial(l)
+	if err := p.AbsorbFrame(f); err != nil {
 		return err
 	}
-	return l.walkRecords(f.records, f.Count, func(class int, words []uint64) error {
-		if pl.p.Framework == "pts" {
-			pl.labelRouted[class]++
-			pl.labelTotal++
-		}
-		pl.aggs[pl.aggIndex(class)].addWords(words)
-		pl.received++
-		return nil
-	})
+	return pl.MergePartial(p)
 }

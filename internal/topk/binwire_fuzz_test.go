@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -9,8 +10,9 @@ import (
 
 // FuzzTopKBinaryBatch throws arbitrary bytes at the session-tier binary
 // frame path and pins its contract: a frame that peeks and validates
-// cleanly absorbs exactly its declared count, and every record it carries
-// survives CheckReport when decoded; a frame that fails anywhere — CRC,
+// cleanly absorbs exactly its declared count, every record it carries
+// survives CheckReport when decoded, and absorbing those one by one leaves
+// the same partial; a frame that fails anywhere — CRC,
 // truncation, semantic corruption — absorbs nothing at all.
 func FuzzTopKBinaryBatch(f *testing.F) {
 	// One live layout per framework, covering single- and per-class
@@ -80,10 +82,16 @@ func FuzzTopKBinaryBatch(f *testing.F) {
 			if len(reps) != frame.Count {
 				t.Fatalf("decoded %d reports, declared %d", len(reps), frame.Count)
 			}
+			// Absorbing the decoded reports one by one both re-checks each
+			// (CheckReport) and must leave the state the frame left.
+			viaAbsorb := NewRoundPartial(l)
 			for i, rep := range reps {
-				if err := l.CheckReport(rep); err != nil {
+				if err := viaAbsorb.Absorb(rep); err != nil {
 					t.Fatalf("absorbed record %d fails CheckReport: %v", i, err)
 				}
+			}
+			if !reflect.DeepEqual(part, viaAbsorb) {
+				t.Fatalf("frame absorb left %+v, per-report Absorb %+v", part, viaAbsorb)
 			}
 		}
 	})

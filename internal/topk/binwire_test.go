@@ -231,6 +231,60 @@ func TestShardedAbsorbMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestAbsorbFrameMatchesAbsorb pins the column-sum absorb to the per-report
+// path at the level of partial state: over hand-built layouts whose
+// aggregates have unequal widths — word-aligned, straddling and, under VP,
+// with the flag bit alone in its word — one frame of random reports must
+// leave a partial exactly as Absorb report by report leaves it, for frames
+// big enough to be summed by column, single-report frames and empty ones.
+func TestAbsorbFrameMatchesAbsorb(t *testing.T) {
+	r := xrand.New(31)
+	for _, l := range []*RoundLayout{
+		{Round: 2, Classes: 3, Bits: []int{70, 129, 64}},
+		{Round: 2, Classes: 3, VP: true, Bits: []int{71, 130, 65}},
+		{Round: 0, Classes: 4, Single: true, VP: true, Bits: []int{257}},
+		{Round: 1, Classes: 1, PTJ: true, Single: true, Bits: []int{300}},
+	} {
+		for _, n := range []int{0, 1, 40, 900} {
+			reps := make([]RoundReport, n)
+			for i := range reps {
+				rep := RoundReport{Round: l.Round}
+				if !l.PTJ {
+					rep.Class = r.Intn(l.Classes)
+				}
+				for b := 0; b < l.Bits[l.aggIndex(rep.Class)]; b++ {
+					if r.Float64() < 0.3 {
+						rep.Bits = append(rep.Bits, b)
+					}
+				}
+				reps[i] = rep
+			}
+			frame, err := AppendRoundFrame(nil, "s", l, reps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := PeekRoundFrame(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaAbsorb, viaFrame := NewRoundPartial(l), NewRoundPartial(l)
+			for round := 0; round < 2; round++ { // the second lands on held counts
+				for _, rep := range reps {
+					if err := viaAbsorb.Absorb(rep); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := viaFrame.AbsorbFrame(f); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(viaFrame, viaAbsorb) {
+					t.Fatalf("layout %+v, %d reports, round %d: AbsorbFrame left %+v, per-report Absorb %+v", l, n, round, viaFrame, viaAbsorb)
+				}
+			}
+		}
+	}
+}
+
 // TestAbsorbRoundFrameMatchesSequential pins the WAL-replay path: feeding a
 // session nothing but raw frames through Planner.AbsorbRoundFrame is
 // byte-identical to per-report Absorb.
