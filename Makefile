@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-check bench-harness fmt fmt-fix lint staticcheck metrics-lint fuzz ci
+.PHONY: all build test race race-wal bench bench-json bench-check bench-harness fmt fmt-fix lint staticcheck metrics-lint fuzz ci
 
 all: build test
 
@@ -16,6 +16,14 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The write-ahead log's concurrency tests, ten times under the race
+# detector: appends against blocked and failing flushes, against rolls and
+# seals, and the server-level crash recovery under concurrent writers. The
+# log flushes outside its mutex, so these are what hold that design up.
+race-wal:
+	$(GO) test -race -count=10 -timeout=10m ./internal/wal
+	$(GO) test -race -count=10 -timeout=10m -run 'TestWALConcurrent|TestConcurrentDurable' ./internal/collect
+
 # One iteration of every benchmark: keeps them compiling and running
 # without turning the suite into a perf run.
 bench:
@@ -26,7 +34,7 @@ bench:
 # tenant-routed ingestion, the estimate read path and WAL replay) into
 # BENCH_ingest.json (ns/op, B/op, allocs/op, reports/s per benchmark), at one
 # and at two procs — benchsnap keys every entry on name and procs.
-BENCH_SNAPSHOT := ApplyBinaryBatch|TopKAbsorbFrame|CollectIngest|Perturb|TopKRound|MeanIngest|TenantRouted|EstimateRead|WALReplay
+BENCH_SNAPSHOT := ApplyBinaryBatch|TopKAbsorbFrame|CollectIngest|Perturb|TopKRound|MeanIngest|TenantRouted|EstimateRead|WALReplay|WALAppend
 BENCH_SNAPSHOT_RUN = $(GO) test -run='^$$' -bench='$(BENCH_SNAPSHOT)' -benchmem -benchtime=1s -cpu 1,2 .
 
 bench-json:
@@ -100,4 +108,4 @@ else
 	done
 endif
 
-ci: fmt lint staticcheck build race metrics-lint bench-harness fuzz bench
+ci: fmt lint staticcheck build race race-wal metrics-lint bench-harness fuzz bench

@@ -35,6 +35,8 @@ var requiredFamilies = []string{
 	"mcim_wal_appends_total",
 	"mcim_wal_appended_bytes_total",
 	"mcim_wal_fsyncs_total",
+	"mcim_wal_sync_errors_total",
+	"mcim_wal_append_lock_wait_seconds",
 	"mcim_wal_segment_rolls_total",
 	"mcim_wal_compactions_total",
 	"mcim_wal_torn_truncations_total",

@@ -139,6 +139,9 @@ func benchPostType(b *testing.B, hc *http.Client, url, contentType string, body 
 //	batched-sharded-binary: the same pipeline fed binary wire frames —
 //	                 pooled body buffers, CRC-checked frames, word-packed
 //	                 bit vectors applied without materializing reports.
+//	batched-sharded-binary-wal: the binary pipeline made durable — every
+//	                 frame appended to the write-ahead log (interval
+//	                 fsync, background compaction) before it is applied.
 func BenchmarkCollectIngest(b *testing.B) {
 	b.Run("single-mutex", func(b *testing.B) {
 		srv, ts := benchServer(b, 1)
@@ -166,6 +169,19 @@ func BenchmarkCollectIngest(b *testing.B) {
 	})
 	b.Run("batched-sharded-binary", func(b *testing.B) {
 		srv, ts := benchServer(b, 0)
+		bodies := benchWireBinaryBodies(b, 16, benchBatchSize)
+		hc := ts.Client()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchPostType(b, hc, ts.URL+"/reports", collect.BinaryContentType, bodies[i%len(bodies)])
+		}
+		b.StopTimer()
+		reportThroughput(b, srv, b.N*benchBatchSize)
+	})
+	b.Run("batched-sharded-binary-wal", func(b *testing.B) {
+		srv, ts := benchReadServer(b, collect.WithWAL(b.TempDir()))
+		defer srv.Close()
 		bodies := benchWireBinaryBodies(b, 16, benchBatchSize)
 		hc := ts.Client()
 		b.ReportAllocs()

@@ -71,14 +71,23 @@ type durableLog struct {
 
 // open opens the log under <s.walDir>/sub with the server's sync options
 // and the log=<name> metric hooks, and replays it — onSnapshot for the
-// latest snapshot, then onRecord for every tail record, across workers
-// goroutines (1 = in log order). Called from NewServer before the handler
-// is exposed, so the callbacks need no locking beyond their own.
-func (d *durableLog) open(s *Server, sub, name string, workers int,
+// latest snapshot, then onRecord for every tail record. commutative is the
+// owner's one declaration that its records fold in any order: the replay
+// then fans out across the configured workers and the log flushes rolled
+// segments behind its appenders (wal.Options.Commutative); an ordered log
+// replays in log order and never writes past an unflushed segment. Called
+// from NewServer before the handler is exposed, so the callbacks need no
+// locking beyond their own.
+func (d *durableLog) open(s *Server, sub, name string, commutative bool,
 	marshalState func() ([]byte, error), onSnapshot, onRecord func([]byte) error) error {
 	opts := s.walOpts
 	wm, replayG := NewWALMetrics(s.obs, name)
 	opts.Metrics = wm
+	opts.Commutative = commutative
+	workers := 1
+	if commutative {
+		workers = s.replayWorkerCount()
+	}
 	l, err := wal.Open(filepath.Join(s.walDir, sub), opts)
 	if err != nil {
 		return fmt.Errorf("collect: %s wal: %w", name, err)
@@ -98,7 +107,7 @@ func (d *durableLog) open(s *Server, sub, name string, workers int,
 // building the payload is skipped on non-durable tiers) and holds
 // ingestMu.RLock.
 func (d *durableLog) appendRecord(typ byte, payload []byte) error {
-	return d.log.Append(append([]byte{typ}, payload...))
+	return d.log.AppendTyped(typ, payload)
 }
 
 // maybeCompact kicks off a background compaction when the log has

@@ -92,7 +92,12 @@ func NewWALMetrics(reg *obs.Registry, name string) (*wal.Metrics, *obs.Gauge) {
 		AppendedBytes: reg.Counter("mcim_wal_appended_bytes_total",
 			"Framed record bytes appended to the write-ahead log, by log.", "log", name),
 		Fsyncs: reg.Counter("mcim_wal_fsyncs_total",
-			"Explicit fsyncs of the active WAL segment, by log.", "log", name),
+			"Successful explicit fsyncs of a WAL segment (per append, per tick, per roll, per Sync), by log.", "log", name),
+		SyncErrors: reg.Counter("mcim_wal_sync_errors_total",
+			"WAL flushes that failed (segment or directory fsync, close of a rolled segment), by log.", "log", name),
+		LockWait: reg.Histogram("mcim_wal_append_lock_wait_seconds",
+			"Time an append waited for the log mutex (behind a roll or another writer) in seconds, by log.",
+			obs.LatencyBuckets, "log", name),
 		Rolls: reg.Counter("mcim_wal_segment_rolls_total",
 			"WAL segment rotations (size, torn-quarantine, compaction roll), by log.", "log", name),
 		Seals: reg.Counter("mcim_wal_compactions_total",

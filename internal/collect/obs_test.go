@@ -80,6 +80,8 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		"mcim_wal_appends_total":             "counter",
 		"mcim_wal_appended_bytes_total":      "counter",
 		"mcim_wal_fsyncs_total":              "counter",
+		"mcim_wal_sync_errors_total":         "counter",
+		"mcim_wal_append_lock_wait_seconds":  "histogram",
 		"mcim_wal_segment_rolls_total":       "counter",
 		"mcim_wal_compactions_total":         "counter",
 		"mcim_wal_torn_truncations_total":    "counter",

@@ -608,7 +608,7 @@ func (t *tier[A, W]) mergeShard(agg A) error {
 // record tail is re-ingested on top — across the configured replay workers,
 // since the records are commutative integer folds.
 func (t *tier[A, W]) openWAL(s *Server, sub string) error {
-	return t.open(s, sub, t.name, s.replayWorkerCount(), t.snapshot,
+	return t.open(s, sub, t.name, true, t.snapshot,
 		func(snap []byte) error {
 			agg, err := t.c.UnmarshalAggregator(snap)
 			if err != nil {

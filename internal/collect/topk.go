@@ -317,7 +317,7 @@ type hubSessionSnapshot struct {
 // rounds are ordered (absorb order is the round order), so this log always
 // replays sequentially regardless of WithWALReplayWorkers.
 func (h *sessionHub) openWAL(s *Server) error {
-	if err := h.open(s, "topk", "topk", 1, h.marshalSessions, h.installSnapshot, h.replayRecord); err != nil {
+	if err := h.open(s, "topk", "topk", false, h.marshalSessions, h.installSnapshot, h.replayRecord); err != nil {
 		return err
 	}
 	// Replay applied reports straight into the planners (single writer, no

@@ -1,12 +1,16 @@
 package collect
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -138,6 +142,123 @@ func TestWALCrashRecoveryBitIdentical(t *testing.T) {
 				t.Fatal("recovered class sizes not bit-identical to uninterrupted run")
 			}
 		})
+	}
+}
+
+// TestWALConcurrentCrashRecoveryBitIdentical is the crash-recovery pin under
+// the load the log's narrow critical section exists for: four writers push
+// 33 KB frames while size-triggered rolls (256 KiB segments, retired behind
+// the appenders) and background compactions (every 1 MiB) run beside them.
+// The process then vanishes without Close, and a restart must come back
+// bit-identical to the offline aggregate of what was acknowledged.
+func TestWALConcurrentCrashRecoveryBitIdentical(t *testing.T) {
+	const (
+		c, d             = 5, 1000
+		frames, perFrame = 8, 256
+		writers, rounds  = 4, 6
+	)
+	proto := mustProtocol(t, "ptscp", c, d, 2, 0.5)
+	wires := wireStream(t, proto, frames*perFrame, 29)
+	bodies := make([][]byte, frames)
+	for i := range bodies {
+		var err error
+		if bodies[i], err = proto.AppendBinaryBatch(nil, wires[i*perFrame:(i+1)*perFrame]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	post := func(srv *Server, body []byte) error {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/reports", bytes.NewReader(body))
+		req.Header.Set("Content-Type", BinaryContentType)
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			return fmt.Errorf("status %d: %s", rec.Code, rec.Body)
+		}
+		return nil
+	}
+
+	ref, err := NewServer(mustProtocol(t, "ptscp", c, d, 2, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < writers*rounds; i++ {
+		for _, body := range bodies {
+			if err := post(ref, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	opts := []ServerOption{WithWAL(dir), WithCompactAfter(1 << 20),
+		WithWALOptions(wal.Options{Sync: wal.SyncInterval, SegmentBytes: 256 << 10})}
+	crashed, err := NewServer(proto, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer crashed.Close()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				for _, body := range bodies {
+					if err := post(crashed, body); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// A kill stops the compactor too; here it is still this process's
+	// goroutine, so let it finish before another log opens the directory.
+	crashed.freq.compactMu.Lock()
+	crashed.freq.compactMu.Unlock()
+	if st := crashed.freq.log.Stats(); st.LastSnapshot.IsZero() {
+		t.Fatalf("no compaction ran (%+v): the test did not exercise a seal under load", st)
+	}
+	tearLastSegment(t, dir)
+
+	restarted, err := NewServer(mustProtocol(t, "ptscp", c, d, 2, 0.5), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	if got, want := restarted.Reports(), ref.Reports(); got != want {
+		t.Fatalf("recovered %d reports, want %d", got, want)
+	}
+	recovered, reference := restarted.freq.merged(), ref.freq.merged()
+	if !reflect.DeepEqual(recovered.Estimates(), reference.Estimates()) {
+		t.Fatal("recovered estimates not bit-identical to the offline aggregate")
+	}
+	if !reflect.DeepEqual(recovered.ClassSizes(), reference.ClassSizes()) {
+		t.Fatal("recovered class sizes not bit-identical to the offline aggregate")
+	}
+}
+
+// TestWALOrderingDeclarations pins which logs may flush rolled segments
+// behind their appenders: the report tiers, whose records are commutative
+// folds — and not the mining-session log, whose replay is order-dependent.
+// (The tenant registry's log has the same pin in internal/tenant.)
+func TestWALOrderingDeclarations(t *testing.T) {
+	np, err := core.NewNumericProtocol("cpmean", 3, 2, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(mustProtocol(t, "ptscp", 3, 8, 2, 0.5),
+		WithMean(np), WithTopKSessions(TopKOptions{}), WithWAL(t.TempDir()), WithWALTierLayout())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if !srv.freq.log.Commutative() || !srv.mean.log.Commutative() {
+		t.Fatal("a report tier opened its log ordered")
+	}
+	if srv.topk.log.Commutative() {
+		t.Fatal("the mining-session log was opened commutative")
 	}
 }
 

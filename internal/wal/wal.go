@@ -22,12 +22,20 @@
 // appends, Rolls to a new segment, snapshots its aggregation state, and
 // Seals — which durably writes the snapshot and deletes the segments it
 // covers. The log itself never interprets record payloads.
+//
+// Locking: Log.mu guards the active-segment pointer and the byte counters,
+// and an appender holds it for its two writes. Flushes happen outside it —
+// Seal's file work, the interval ticker's and Sync's fsync, and the
+// retirement of an outgoing segment on a log whose records commute
+// (Options.Commutative) — so a roll or a compaction does not stall ingest.
 package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -75,6 +83,19 @@ type Options struct {
 	// Metrics, when non-nil, receives operational counts. The log never
 	// blocks on it; every field is optional.
 	Metrics *Metrics
+	// Commutative is the owner's declaration that its records may be applied
+	// in any order and that replay tolerates a gap — the declaration
+	// ReplayParallel already requires. Under SyncInterval and SyncNever such
+	// a log flushes an outgoing segment behind its appenders instead of
+	// making the roll wait for it, so a power loss may cost any of the last
+	// interval's records rather than a suffix of them. An ordered log (the
+	// zero value) never writes to segment N+1 before N is flushed. Set in
+	// code by the log's owner; it is not an operator's choice.
+	Commutative bool
+
+	// syncFile stands in for (*os.File).Sync in this package's tests, which
+	// block or fail a flush through it.
+	syncFile func(*os.File) error
 }
 
 // Adder is the narrow counter interface the log reports through; an
@@ -84,6 +105,12 @@ type Adder interface {
 	Add(delta int64)
 }
 
+// Observer is the narrow histogram interface the log reports durations
+// through; an obs.Histogram satisfies it.
+type Observer interface {
+	Observe(v float64)
+}
+
 // Metrics is the set of counters a Log advances. Any field (or the whole
 // struct) may be nil.
 type Metrics struct {
@@ -91,10 +118,16 @@ type Metrics struct {
 	// counts their framed size.
 	Appends       Adder
 	AppendedBytes Adder
-	// Fsyncs counts explicit flushes of the active segment (per-append
+	// Fsyncs counts successful explicit flushes of a segment (per-append
 	// under SyncAlways, ticker flushes under SyncInterval, Sync calls, and
 	// the flush of an outgoing segment on roll).
 	Fsyncs Adder
+	// SyncErrors counts flushes that failed: a segment or directory fsync,
+	// or the close of an outgoing segment.
+	SyncErrors Adder
+	// LockWait observes, in seconds, how long each Append waited for the
+	// log mutex — writers stalled behind a roll or behind each other.
+	LockWait Observer
 	// Rolls counts segment rotations (size-triggered, torn-quarantine, and
 	// explicit Roll) — not the fresh segment every Open starts.
 	Rolls Adder
@@ -126,6 +159,18 @@ func (m *Metrics) noteAppend(frameLen int64) {
 func (m *Metrics) noteFsync() {
 	if m != nil {
 		add(m.Fsyncs, 1)
+	}
+}
+
+func (m *Metrics) noteSyncError() {
+	if m != nil {
+		add(m.SyncErrors, 1)
+	}
+}
+
+func (m *Metrics) noteLockWait(d time.Duration) {
+	if m != nil && m.LockWait != nil {
+		m.LockWait.Observe(d.Seconds())
 	}
 }
 
@@ -191,20 +236,51 @@ type Log struct {
 	dir  string
 	opts Options
 
+	// mu guards the active-segment pointer and the bookkeeping below. It is
+	// never held across a flush, with two exceptions that are the point of
+	// their modes: SyncAlways's per-append fsync, and the retirement of an
+	// outgoing segment when that must finish before the next write (see
+	// startSegment).
 	mu          sync.Mutex
 	active      *os.File
 	activeSeq   int
 	activeBytes int64
-	segments    int   // segments on disk incl. the active one
-	sinceSeal   int64 // record bytes appended after the sealed boundary
+	segBytes    map[int]int64 // record bytes of every segment on disk but the active one
 	lastSnap    time.Time
 	dirty       bool // written since last fsync (interval policy)
-	torn        bool // a failed write may have left garbage in the active segment
+	torn        bool // the active segment must not be appended to; the next Append rolls first
 	closed      bool
+
+	// sinceSeal is the record bytes in segments the last snapshot does not
+	// cover. Written under mu; BytesSinceSeal reads it without.
+	sinceSeal atomic.Int64
+
+	// sealMu serialises Seals, whose file work runs outside mu, and guards
+	// snaps, the snapshot files on disk.
+	sealMu sync.Mutex
+	snaps  []int
+
+	// The retirer: one goroutine flushing outgoing segments behind the
+	// appenders of a commutative log. retireQ is nil when segments are
+	// retired inline. retMu guards retPending (segments queued or in
+	// flight) and retErr (the first failure not yet reported); the retirer
+	// never takes mu.
+	retireQ    chan *os.File
+	retireDone chan struct{}
+	retMu      sync.Mutex
+	retIdle    *sync.Cond
+	retPending int
+	retErr     error
 
 	stopSync chan struct{}
 	syncDone chan struct{}
 }
+
+// retireQueue bounds the outgoing segments waiting for their flush: enough
+// that a roll rarely finds the queue full while one fsync is in flight, small
+// enough that unflushed data stays within a few segments. A roll that does
+// find it full waits, as every roll would without the queue.
+const retireQueue = 4
 
 // Open prepares dir (creating it if needed), accounts for what a crash left
 // behind, and starts a fresh active segment numbered after everything on
@@ -225,11 +301,19 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{dir: dir, opts: opts}
+	l := &Log{dir: dir, opts: opts, segBytes: make(map[int]int64)}
 	segs, snaps, err := l.scan()
 	if err != nil {
 		return nil, err
 	}
+	for _, seq := range segs {
+		fi, err := os.Stat(l.segPath(seq))
+		if err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
+		}
+		l.segBytes[seq] = fi.Size()
+	}
+	l.snaps = snaps
 	// The new active segment must sort after every existing segment AND
 	// land inside the latest snapshot's replay range (seq >= its coverage
 	// boundary), or a restart would skip the records written this run.
@@ -245,13 +329,23 @@ func Open(dir string, opts Options) (*Log, error) {
 			l.lastSnap = fi.ModTime()
 		}
 	}
-	l.sinceSeal, err = l.bytesAfter(coveredSeq(snaps), segs)
-	if err != nil {
-		return nil, err
-	}
-	l.segments = len(segs)
 	if err := l.startSegment(next); err != nil {
 		return nil, err
+	}
+	// Make the directory entry itself durable: fsyncing record bytes into a
+	// file whose entry a power loss can erase would protect nothing. (Later
+	// segments get this from the retirement of the one they replace.)
+	if err := l.syncDir(); err != nil {
+		l.active.Close()
+		os.Remove(l.segPath(next))
+		return nil, err
+	}
+	l.sinceSeal.Store(l.bytesFrom(coveredSeq(snaps)))
+	if opts.Commutative && opts.Sync != SyncAlways {
+		l.retireQ = make(chan *os.File, retireQueue)
+		l.retireDone = make(chan struct{})
+		l.retIdle = sync.NewCond(&l.retMu)
+		go l.retireLoop()
 	}
 	if l.opts.Sync == SyncInterval {
 		l.stopSync = make(chan struct{})
@@ -260,6 +354,10 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	return l, nil
 }
+
+// Commutative reports the Options.Commutative declaration the log was
+// opened with.
+func (l *Log) Commutative() bool { return l.opts.Commutative }
 
 // coveredSeq returns the first segment sequence NOT covered by the latest
 // snapshot (0 when there is no snapshot, which covers nothing).
@@ -306,44 +404,126 @@ func matchSeq(name, format string, seq *int) bool {
 	return true
 }
 
-// bytesAfter sums the sizes of segments with seq >= from.
-func (l *Log) bytesAfter(from int, segs []int) (int64, error) {
+// bytesFrom sums the record bytes of segments with seq >= from, the active
+// one included. Caller holds mu (or is Open).
+func (l *Log) bytesFrom(from int) int64 {
 	var total int64
-	for _, seq := range segs {
-		if seq < from {
-			continue
-		}
-		fi, err := os.Stat(l.segPath(seq))
-		if err != nil {
-			return 0, fmt.Errorf("wal: %w", err)
-		}
-		total += fi.Size()
+	if l.activeSeq >= from {
+		total = l.activeBytes
 	}
-	return total, nil
+	for seq, n := range l.segBytes {
+		if seq >= from {
+			total += n
+		}
+	}
+	return total
 }
 
-// startSegment opens a new active segment. Caller holds mu (or is Open).
+// startSegment creates segment seq, makes it the active one and retires the
+// segment it replaces. On a commutative log the outgoing segment goes to
+// the retirer and the caller carries on; otherwise it is retired here,
+// before any byte reaches the new segment, and a failure fails the roll and
+// marks the new segment torn so the next Append rolls afresh — an
+// acknowledged record never sits in a segment whose directory entry could
+// not be made durable. Caller holds mu (or is Open, with nothing to retire).
 func (l *Log) startSegment(seq int) error {
 	f, err := os.OpenFile(l.segPath(seq), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	// Make the directory entry itself durable: fsyncing record bytes into a
-	// file whose entry a power loss can erase would protect nothing.
-	if err := l.syncDir(); err != nil {
-		f.Close()
-		os.Remove(l.segPath(seq))
-		return err
-	}
-	if l.active != nil {
-		l.active.Sync()
-		l.active.Close()
-		l.opts.Metrics.noteFsync()
+	old := l.active
+	if old != nil {
+		l.segBytes[l.activeSeq] = l.activeBytes
 		l.opts.Metrics.noteRoll()
 	}
 	l.active, l.activeSeq, l.activeBytes = f, seq, 0
-	l.segments++
+	if old == nil {
+		return nil
+	}
+	if l.retireQ != nil {
+		l.retMu.Lock()
+		l.retPending++
+		l.retMu.Unlock()
+		l.retireQ <- old
+		return nil
+	}
+	if err := l.retire(old); err != nil {
+		l.torn = true
+		return err
+	}
 	return nil
+}
+
+// retire makes an outgoing segment durable and lets go of it: fsync the
+// segment, close it, then fsync the directory, which is also what makes
+// the entry of the segment that replaced it durable. It takes no lock.
+func (l *Log) retire(f *os.File) error {
+	err := l.flush(f)
+	if cerr := f.Close(); cerr != nil {
+		l.opts.Metrics.noteSyncError()
+		if err == nil {
+			err = fmt.Errorf("wal: close segment: %w", cerr)
+		}
+	}
+	if derr := l.syncDir(); err == nil {
+		err = derr
+	}
+	return err
+}
+
+// retireLoop is the retirer goroutine; it ends when Close closes the queue.
+func (l *Log) retireLoop() {
+	defer close(l.retireDone)
+	for f := range l.retireQ {
+		err := l.retire(f)
+		l.retMu.Lock()
+		l.retPending--
+		if l.retErr == nil {
+			l.retErr = err
+		}
+		l.retIdle.Broadcast()
+		l.retMu.Unlock()
+	}
+}
+
+// drainRetired waits until every segment handed to the retirer is flushed
+// and returns the first failure since the last call.
+func (l *Log) drainRetired() error {
+	if l.retireQ == nil {
+		return nil
+	}
+	l.retMu.Lock()
+	defer l.retMu.Unlock()
+	for l.retPending > 0 {
+		l.retIdle.Wait()
+	}
+	err := l.retErr
+	l.retErr = nil
+	return err
+}
+
+// fsync is (*os.File).Sync, or the test seam in its place.
+func (l *Log) fsync(f *os.File) error {
+	if l.opts.syncFile != nil {
+		return l.opts.syncFile(f)
+	}
+	return f.Sync()
+}
+
+// flush fsyncs a segment file, counting the outcome. os.ErrClosed is not a
+// failure: the caller raced a roll, whose retirement flushed the file.
+func (l *Log) flush(f *os.File) error {
+	err := l.fsync(f)
+	switch {
+	case err == nil:
+		l.opts.Metrics.noteFsync()
+	case errors.Is(err, os.ErrClosed):
+		return nil
+	default:
+		l.opts.Metrics.noteSyncError()
+		err = fmt.Errorf("wal: fsync: %w", err)
+	}
+	return err
 }
 
 // syncDir fsyncs the log directory so file creations, renames and deletes
@@ -358,22 +538,64 @@ func (l *Log) syncDir() error {
 		err = cerr
 	}
 	if err != nil {
+		l.opts.Metrics.noteSyncError()
 		return fmt.Errorf("wal: sync dir: %w", err)
 	}
 	return nil
 }
 
 // Append durably (per the sync policy) adds one record to the log.
-func (l *Log) Append(record []byte) error {
-	if len(record) > MaxRecordBytes {
-		return fmt.Errorf("wal: record of %d bytes exceeds %d", len(record), MaxRecordBytes)
+func (l *Log) Append(record []byte) error { return l.append(false, 0, record) }
+
+// AppendTyped is Append of the record typ‖payload — the same bytes on disk
+// — without the caller having to build that record.
+func (l *Log) AppendTyped(typ byte, payload []byte) error { return l.append(true, typ, payload) }
+
+// crcByte is crc32.Update(crc, castagnoli, []byte{b}) spelt out: a stack
+// byte handed to crc32.Update escapes to the heap (the implementation is
+// picked through a function value), and append must not allocate.
+func crcByte(crc uint32, b byte) uint32 {
+	crc = ^crc
+	return ^(castagnoli[byte(crc)^b] ^ (crc >> 8))
+}
+
+// append writes one record: payload, behind the byte typ when typed. The
+// frame header and the CRC are computed before the mutex is taken.
+func (l *Log) append(typed bool, typ byte, payload []byte) error {
+	var (
+		hdr  [9]byte
+		head = hdr[:8]
+		n    = len(payload)
+		crc  uint32
+	)
+	if typed {
+		hdr[8], head, n, crc = typ, hdr[:9], n+1, crcByte(0, typ)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	if n > MaxRecordBytes {
+		return fmt.Errorf("wal: record of %d bytes exceeds %d", n, MaxRecordBytes)
+	}
+	binary.LittleEndian.PutUint32(hdr[:4], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Update(crc, castagnoli, payload))
+
+	// An uncontended append reads no clock.
+	var wait time.Duration
+	if !l.mu.TryLock() {
+		start := time.Now()
+		l.mu.Lock()
+		wait = time.Since(start)
+	}
+	err := l.appendLocked(head, payload, int64(8+n))
+	l.mu.Unlock()
+	l.opts.Metrics.noteLockWait(wait)
+	return err
+}
+
+// appendLocked is the critical section of append: pick the segment, write
+// the frame, bump the counters.
+func (l *Log) appendLocked(head, payload []byte, frameLen int64) error {
 	if l.closed {
 		return fmt.Errorf("wal: log is closed")
 	}
-	frameLen := int64(8 + len(record))
 	// A failed write may have left a partial frame behind; replay stops a
 	// segment at the first torn frame, so appending more records after one
 	// would silently lose them on restart. Quarantine the damage by rolling
@@ -385,33 +607,28 @@ func (l *Log) Append(record []byte) error {
 		}
 		l.torn = false
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(record)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(record, castagnoli))
-	if _, err := l.active.Write(hdr[:]); err != nil {
+	if _, err := l.active.Write(head); err != nil {
 		l.clipActive()
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	if _, err := l.active.Write(record); err != nil {
+	if _, err := l.active.Write(payload); err != nil {
 		l.clipActive()
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	switch l.opts.Sync {
 	case SyncAlways:
-		if err := l.active.Sync(); err == nil {
-			l.opts.Metrics.noteFsync()
-		} else {
+		if err := l.flush(l.active); err != nil {
 			// The record's durability is unknown; the caller will report
 			// failure (and its client may retry), so the record must not
 			// survive to replay alongside the retry.
 			l.clipActive()
-			return fmt.Errorf("wal: fsync: %w", err)
+			return err
 		}
 	case SyncInterval:
 		l.dirty = true
 	}
 	l.activeBytes += frameLen
-	l.sinceSeal += frameLen
+	l.sinceSeal.Add(frameLen)
 	l.opts.Metrics.noteAppend(frameLen)
 	return nil
 }
@@ -677,13 +894,58 @@ func (l *Log) Roll() (int, error) {
 // then deletes those segments and any older snapshots. The snapshot file is
 // written to a temp name, fsynced, and renamed, so a crash mid-seal leaves
 // either the old snapshot chain or the new one — never a half-written
-// snapshot that replay would trust.
+// snapshot that replay would trust. Appends proceed while a Seal runs: it
+// takes the log mutex only to pick the segments it will delete and to
+// publish the result.
 func (l *Log) Seal(coverSeq int, snapshot []byte) error {
+	l.sealMu.Lock()
+	defer l.sealMu.Unlock()
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	closed := l.closed
+	var covered []int
+	for seq := range l.segBytes {
+		if seq < coverSeq {
+			covered = append(covered, seq)
+		}
+	}
+	l.mu.Unlock()
+	if closed {
 		return fmt.Errorf("wal: log is closed")
 	}
+	if err := l.writeSnapshot(coverSeq, snapshot); err != nil {
+		return err
+	}
+	// A file that cannot be removed stays in the books — /stats keeps
+	// matching the directory — and the next Seal tries it again.
+	removed := covered[:0]
+	for _, seq := range covered {
+		if removeFile(l.segPath(seq)) {
+			removed = append(removed, seq)
+		}
+	}
+	snaps := l.snaps[:0]
+	for _, seq := range l.snaps {
+		if seq > coverSeq || (seq < coverSeq && !removeFile(l.snapPath(seq))) {
+			snaps = append(snaps, seq)
+		}
+	}
+	l.snaps = append(snaps, coverSeq)
+	err := l.syncDir()
+
+	l.mu.Lock()
+	for _, seq := range removed {
+		delete(l.segBytes, seq)
+	}
+	l.sinceSeal.Store(l.bytesFrom(coverSeq))
+	l.lastSnap = time.Now()
+	l.mu.Unlock()
+	l.opts.Metrics.noteSeal()
+	return err
+}
+
+// writeSnapshot makes snap-<coverSeq> durable: temp file, fsync, rename,
+// directory fsync.
+func (l *Log) writeSnapshot(coverSeq int, snapshot []byte) error {
 	tmp, err := os.CreateTemp(l.dir, "snap-*.tmp")
 	if err != nil {
 		return fmt.Errorf("wal: seal: %w", err)
@@ -696,60 +958,34 @@ func (l *Log) Seal(coverSeq int, snapshot []byte) error {
 		_, err = tmp.Write(snapshot)
 	}
 	if err == nil {
-		err = tmp.Sync()
+		err = l.fsync(tmp)
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("wal: seal: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), l.snapPath(coverSeq))
 	}
-	if err := os.Rename(tmp.Name(), l.snapPath(coverSeq)); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("wal: seal: %w", err)
 	}
 	// The rename must be durable before anything it supersedes is deleted;
 	// otherwise a crash could persist the deletes but not the new snapshot,
 	// leaving neither the old segments nor the state that replaced them.
-	if err := l.syncDir(); err != nil {
-		return err
-	}
-	segs, snaps, err := l.scan()
-	if err != nil {
-		return err
-	}
-	for _, seq := range segs {
-		if seq < coverSeq && seq != l.activeSeq {
-			os.Remove(l.segPath(seq))
-		}
-	}
-	for _, seq := range snaps {
-		if seq < coverSeq {
-			os.Remove(l.snapPath(seq))
-		}
-	}
-	if err := l.syncDir(); err != nil {
-		return err
-	}
-	l.lastSnap = time.Now()
-	l.opts.Metrics.noteSeal()
-	segs, _, err = l.scan()
-	if err != nil {
-		return err
-	}
-	l.segments = len(segs)
-	l.sinceSeal, err = l.bytesAfter(coverSeq, segs)
-	return err
+	return l.syncDir()
+}
+
+// removeFile reports whether path is gone after trying to remove it.
+func removeFile(path string) bool {
+	err := os.Remove(path)
+	return err == nil || errors.Is(err, fs.ErrNotExist)
 }
 
 // BytesSinceSeal returns the record bytes appended beyond the last sealed
-// snapshot's coverage — the replay cost a restart would pay right now.
-func (l *Log) BytesSinceSeal() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sinceSeal
-}
+// snapshot's coverage — the replay cost a restart would pay right now. It
+// takes no lock: the ingest path asks after every batch.
+func (l *Log) BytesSinceSeal() int64 { return l.sinceSeal.Load() }
 
 // Stats returns the log's operational snapshot.
 func (l *Log) Stats() Stats {
@@ -757,20 +993,37 @@ func (l *Log) Stats() Stats {
 	defer l.mu.Unlock()
 	// All in-memory bookkeeping: a monitoring poller must not stall the
 	// append hot path behind directory I/O.
-	return Stats{Segments: l.segments, BytesSinceCompaction: l.sinceSeal, LastSnapshot: l.lastSnap}
+	return Stats{Segments: len(l.segBytes) + 1, BytesSinceCompaction: l.sinceSeal.Load(), LastSnapshot: l.lastSnap}
 }
 
-// Sync flushes the active segment to disk regardless of policy.
+// Sync flushes everything appended so far to disk regardless of policy:
+// the segments still with the retirer, then the active one. It returns the
+// first failure, including a retirement's since the last Sync.
 func (l *Log) Sync() error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed || l.active == nil {
-		return nil
-	}
+	f := l.active // nil once closed
 	l.dirty = false
-	err := l.active.Sync()
-	if err == nil {
-		l.opts.Metrics.noteFsync()
+	l.mu.Unlock()
+	// f first, the retirer second: a roll after this point hands f itself
+	// to the retirer, and every earlier segment is already in its queue.
+	err := l.drainRetired()
+	if f != nil {
+		if ferr := l.flushActive(f); err == nil {
+			err = ferr
+		}
+	}
+	return err
+}
+
+// flushActive fsyncs f — the segment that was active when the caller held
+// mu, and cleared dirty — outside mu. A failure puts dirty back, so the
+// next tick retries.
+func (l *Log) flushActive(f *os.File) error {
+	err := l.flush(f)
+	if err != nil {
+		l.mu.Lock()
+		l.dirty = true
+		l.mu.Unlock()
 	}
 	return err
 }
@@ -784,20 +1037,23 @@ func (l *Log) syncLoop() {
 		select {
 		case <-t.C:
 			l.mu.Lock()
+			var f *os.File
 			if l.dirty && !l.closed {
-				l.dirty = false
-				l.active.Sync()
-				l.opts.Metrics.noteFsync()
+				f, l.dirty = l.active, false
 			}
 			l.mu.Unlock()
+			if f != nil {
+				l.flushActive(f) // counted, and retried next tick
+			}
 		case <-l.stopSync:
 			return
 		}
 	}
 }
 
-// Close flushes and closes the log. Appends after Close error. Close is
-// idempotent — a second call is a no-op returning nil.
+// Close flushes and closes the log, returning the first failure — a
+// retirement's since the last Sync included. Appends after Close error.
+// Close is idempotent — a second call is a no-op returning nil.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -812,10 +1068,16 @@ func (l *Log) Close() error {
 		close(l.stopSync)
 		<-l.syncDone
 	}
-	if active == nil {
-		return nil
+	var err error
+	if l.retireQ != nil {
+		// No roll can be sending: they check closed under mu.
+		close(l.retireQ)
+		<-l.retireDone
+		err = l.drainRetired()
 	}
-	err := active.Sync()
+	if ferr := l.flush(active); err == nil {
+		err = ferr
+	}
 	if cerr := active.Close(); err == nil {
 		err = cerr
 	}
