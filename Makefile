@@ -30,11 +30,12 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -timeout=20m ./...
 
 # Snapshot the ingestion + perturbation benchmarks (the in-process frame
-# apply, frequency reports, top-k mining rounds, the numeric mean tier,
-# tenant-routed ingestion, the estimate read path and WAL replay) into
+# apply of both report tiers, frequency reports, top-k mining rounds, the
+# numeric mean tier, tenant-routed ingestion, the estimate read path and WAL
+# replay) into
 # BENCH_ingest.json (ns/op, B/op, allocs/op, reports/s per benchmark), at one
 # and at two procs — benchsnap keys every entry on name and procs.
-BENCH_SNAPSHOT := ApplyBinaryBatch|TopKAbsorbFrame|CollectIngest|Perturb|TopKRound|MeanIngest|TenantRouted|EstimateRead|WALReplay|WALAppend
+BENCH_SNAPSHOT := ApplyBinaryBatch|ApplyBinaryMeanBatch|TopKAbsorbFrame|CollectIngest|Perturb|TopKRound|MeanIngest|TenantRouted|EstimateRead|WALReplay|WALAppend
 BENCH_SNAPSHOT_RUN = $(GO) test -run='^$$' -bench='$(BENCH_SNAPSHOT)' -benchmem -benchtime=1s -cpu 1,2 .
 
 bench-json:

@@ -10,6 +10,9 @@
 //	                                                are the 5,000-bit joint
 //	                                                domain); ε=8 reports are
 //	                                                ~15× sparser than ε=2
+//	ApplyBinaryMeanBatch/<framework>/c<classes>/<n> one 'M' frame of n mean
+//	                                                reports; c200 labels are
+//	                                                mostly two-byte varints
 //	TopKAbsorbFrame                                 one 512-report 'T' frame
 //	                                                into a round partial
 //
@@ -71,6 +74,30 @@ func BenchmarkApplyBinaryBatch(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+func BenchmarkApplyBinaryMeanBatch(b *testing.B) {
+	for _, tc := range []struct {
+		name              string
+		classes, perFrame int
+	}{{"cpmean", 5, 4096}, {"cpmean", 5, 64}, {"ptsmean", 200, 4096}} {
+		b.Run(fmt.Sprintf("%s/c%d/%d", tc.name, tc.classes, tc.perFrame), func(b *testing.B) {
+			p, err := core.NewNumericProtocol(tc.name, tc.classes, 2, 0.5)
+			if err != nil {
+				b.Fatal(err)
+			}
+			frames := benchMeanBodies(b, p, 16, tc.perFrame, true)
+			agg := p.NewAggregator()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.ApplyBinaryMeanBatch(agg, frames[i%len(frames)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportsPerSec(b, tc.perFrame)
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -232,8 +233,10 @@ func encodeJSONBody(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// writeJSONBody writes a pre-rendered JSON body.
+// writeJSONBody writes a pre-rendered JSON body. Its length is known, so it
+// is declared: net/http then frames the body by length, not in chunks.
 func writeJSONBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)
 }

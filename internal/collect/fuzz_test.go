@@ -168,6 +168,13 @@ func FuzzDecodeBatch(f *testing.F) {
 func FuzzDecodeBinaryBatch(f *testing.F) {
 	protos := fuzzProtocols(f)
 	numProtos := fuzzNumericProtocols(f)
+	// One numeric domain wide enough for two-byte labels, so mean frames mix
+	// both record shapes from the first seed on.
+	wide, err := core.NewNumericProtocol("ptsmean", 300, 1, 0.5)
+	if err != nil {
+		f.Fatal(err)
+	}
+	numProtos = append(numProtos, wide)
 	r := xrand.New(7)
 	// Seed with real frames from every protocol shape plus corruptions of
 	// each, so cross-protocol and cross-tier decodes run from the start.
@@ -263,6 +270,32 @@ func FuzzDecodeBinaryBatch(f *testing.F) {
 			}
 			if applied != n || agg.N() != n {
 				t.Fatalf("%s: declared %d mean reports, applied %d, aggregated %d", p.Name(), n, applied, agg.N())
+			}
+			// The same differential as the frequency tier: the frame's
+			// cell counts against its reports, materialized, re-checked by
+			// the JSON-path decoder and folded one Add at a time.
+			wires, err := p.DecodeBinaryMeanBatch(data)
+			if err != nil || len(wires) != n {
+				t.Fatalf("%s: decode of validated mean frame: %d wires, %v", p.Name(), len(wires), err)
+			}
+			viaAdd := p.NewAggregator()
+			for _, w := range wires {
+				rep, derr := p.DecodeMeanReport(w)
+				if derr != nil {
+					t.Fatalf("%s: binary-accepted mean report rejected by DecodeMeanReport: %v", p.Name(), derr)
+				}
+				viaAdd.Add(rep)
+			}
+			want, err := viaAdd.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := agg.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: mean frame apply and per-report Add left different states", p.Name())
 			}
 		}
 	})

@@ -92,7 +92,7 @@ func (c meanCodec) decode(wires []WireMeanReport) ([]WireMeanReport, func(mean.A
 	accepted, reps, rejected := decodeEach(wires, c.DecodeMeanReport)
 	return accepted, func(acc mean.Aggregator) {
 		for _, rep := range reps {
-			acc.Add(rep)
+			acc.AddCounts(rep.Label, rep.Symbol, 1)
 		}
 	}, rejected
 }

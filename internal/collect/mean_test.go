@@ -536,3 +536,115 @@ func TestMeanCheckpointRestart(t *testing.T) {
 		t.Fatal("failed restore mutated the aggregate")
 	}
 }
+
+// TestMeanBinaryWALReplayMatchesPerReportAdd holds the mean log's replay to
+// the per-report path: a WAL of raw 'W' frames — an inline-table domain and
+// one beyond it, frames from one report to 4,096, many small segments and a
+// torn tail — must recover, sequentially and in parallel, to a SnapshotMean
+// envelope byte-identical to one aggregator fed the same frames one decoded
+// report at a time.
+func TestMeanBinaryWALReplayMatchesPerReportAdd(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		classes int
+	}{{"cpmean", 5}, {"ptsmean", 200}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			build := func(replayWorkers int) *Server {
+				return newMeanServer(t, tc.name, tc.classes, 2, 0.5, WithShards(4), WithWAL(dir),
+					WithWALOptions(wal.Options{Sync: wal.SyncNever, SegmentBytes: 2 << 10}),
+					WithCompactAfter(1<<40), WithWALReplayWorkers(replayWorkers))
+			}
+			srv := build(1)
+			np := srv.MeanProtocol()
+			ts := httptest.NewServer(srv.Handler())
+			oracle, total := np.NewAggregator(), 0
+			for seed, n := range []int{1, 64, 4096, 7, 500, 63, 1, 2048} {
+				wires := meanWireStream(t, np, n, uint64(seed))
+				frame, err := np.AppendBinaryMeanBatch(nil, wires)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.Post(ts.URL+"/mean/reports", BinaryContentType, bytes.NewReader(frame))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("POST %d-report frame: status %d", n, resp.StatusCode)
+				}
+				decoded, err := np.DecodeBinaryMeanBatch(frame)
+				if err != nil || !reflect.DeepEqual(decoded, wires) {
+					t.Fatalf("%d-report frame did not decode to its reports: %v", n, err)
+				}
+				for _, w := range decoded {
+					rep, err := np.DecodeMeanReport(w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					oracle.Add(rep)
+				}
+				total += n
+			}
+			want, err := np.MarshalAggregator(oracle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live, err := srv.SnapshotMean()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(live, want) {
+				t.Fatal("live mean state diverges from per-report Add over the same frames")
+			}
+			ts.Close()
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tearLastSegment(t, dir+"/mean")
+			for _, workers := range []int{1, 4} {
+				restarted := build(workers)
+				got, err := restarted.SnapshotMean()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if restarted.MeanReports() != total || !bytes.Equal(got, want) {
+					t.Fatalf("replay with %d workers recovered %d of %d reports, envelope identical: %v",
+						workers, restarted.MeanReports(), total, bytes.Equal(got, want))
+				}
+				if err := restarted.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestMeanApplyBinaryAllocatesNothing pins the shard-lock section of a mean
+// frame: with the counts carried inside the checked frame, folding it into
+// a shard allocates nothing at a domain the inline table holds.
+func TestMeanApplyBinaryAllocatesNothing(t *testing.T) {
+	srv := newMeanServer(t, "cpmean", 5, 2, 0.5, WithShards(2))
+	np := srv.MeanProtocol()
+	frame, err := np.AppendBinaryMeanBatch(nil, meanWireStream(t, np, 4096, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := srv.mean.c.validateBinary(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { srv.mean.applyBinary(f) }); allocs != 0 {
+		t.Fatalf("applyBinary allocated %v times per frame, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := srv.mean.c.validateBinary(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("validateBinary allocated %v times per frame, want 0", allocs)
+	}
+	if got, want := srv.MeanReports(), 101*4096; got != want {
+		t.Fatalf("server holds %d reports, want %d", got, want)
+	}
+}

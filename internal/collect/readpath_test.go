@@ -159,6 +159,57 @@ func TestMeanEstimateCacheBitIdentical(t *testing.T) {
 	}
 }
 
+// TestEstimateBodiesDeclareLength pins the framing of an estimates response
+// over a real listener: the body is rendered before the first byte is sent,
+// so it goes out under a Content-Length and not chunked — on the miss that
+// renders it, on the hit that replays it and with the cache off. The body is
+// kept well over net/http's 2 KB sniff buffer, below which the server would
+// have declared the length by itself.
+func TestEstimateBodiesDeclareLength(t *testing.T) {
+	const classes, items = 3, 512
+	for _, opts := range [][]ServerOption{nil, {WithEstimateCacheDisabled()}} {
+		proto, err := core.NewProtocol("ptscp", classes, items, 2, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServer(proto, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := newHTTPServer(t, srv)
+		cl, err := NewClient(ts.URL, ts.Client(), 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.SubmitBatch(testPairs(classes, items, 300, 7)); err != nil {
+			t.Fatal(err)
+		}
+		for _, read := range []string{"miss", "hit"} {
+			resp, err := ts.Client().Get(ts.URL + "/estimates")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(body) <= 4096 {
+				t.Fatalf("%s: body of %d bytes is too small to tell the framings apart", read, len(body))
+			}
+			if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(body)) {
+				t.Fatalf("%s (opts %d): Transfer-Encoding %v, Content-Length %d, want none and %d",
+					read, len(opts), resp.TransferEncoding, resp.ContentLength, len(body))
+			}
+		}
+		if len(opts) == 0 {
+			if hits := srv.freq.cache.m.hit.Value(); hits != 1 {
+				t.Fatalf("second read recorded %d cache hits, want 1", hits)
+			}
+		}
+	}
+}
+
 // TestEstimateCacheStaleness exercises the WithEstimateCache staleness
 // bound: within maxStaleReports the old body is replayed verbatim; past it
 // the cache must re-render.

@@ -172,14 +172,35 @@ func (p *Protocol) AppendBinaryBatch(dst []byte, wires []WirePayload) ([]byte, e
 // what the matching ApplyChecked… method needs to fold it with no failure
 // path. Holding one is the proof, so a server validates each frame once. It
 // aliases the frame's bytes and is valid only while they are unchanged.
+//
+// A mean frame's check is also its count: the value carries one counter per
+// (label, symbol) cell — inline while classes × symbols fits, in a slice of
+// its own beyond that. Applying only reads them, so a frame applied twice,
+// copied or dropped unapplied disturbs nothing.
 type CheckedFrame struct {
 	owner   any // the protocol that checked it
 	records []byte
 	count   int
+	inline  [checkedInlineCells]uint32
+	spill   []uint32
 }
+
+// checkedInlineCells sizes the inline table: cpmean to 5 classes, the sign
+// protocols to 8. Every frame of either tier is passed around with it, which
+// is what keeps it this small. A frame's count is a u32, so no cell can
+// overflow.
+const checkedInlineCells = 16
 
 // Count returns the number of reports the frame carries.
 func (f CheckedFrame) Count() int { return f.count }
+
+// meanCells returns the frame's cell counters, indexed label*symbols+symbol.
+func (f *CheckedFrame) meanCells() []uint32 {
+	if f.spill != nil {
+		return f.spill
+	}
+	return f.inline[:]
+}
 
 // binaryRecord is one record handed to a frame walk: Bits is the offset, in
 // the record region, of the packed bit vector of a bit-shaped protocol's
@@ -375,31 +396,38 @@ func (p *NumericProtocol) AppendBinaryMeanBatch(dst []byte, wires []WireMeanRepo
 	return finishBinaryFrame(dst, off), nil
 }
 
-// walkBinaryMeanRecords validates a mean frame's record region record by
-// record, calling visit (when non-nil) for each decoded report. Decoded
-// reports are always safe to feed to the protocol's aggregator.
-func (p *NumericProtocol) walkBinaryMeanRecords(rec []byte, count int, visit func(mean.Report)) error {
+// countMeanRecords is the mean tier's one record walk: it checks every
+// record of a frame's record region — both varints complete, label and
+// symbol in range, no bytes left over — and counts it into cells, indexed
+// label*symbols+symbol and zero on entry. A record whose two varints are
+// single bytes (every label under 128) is read as the two bytes it is; any
+// other goes through binary.Uvarint in the same iteration.
+func (p *NumericProtocol) countMeanRecords(cells []uint32, rec []byte, count int) error {
+	classes, symbols := uint64(p.classes), uint64(p.halves.Symbols)
 	pos := 0
 	for i := 0; i < count; i++ {
-		label, n := binary.Uvarint(rec[pos:])
-		if n <= 0 {
-			return fmt.Errorf("core: binary record %d: truncated label", i)
+		var label, sym uint64
+		if pos+1 < len(rec) && (rec[pos]|rec[pos+1]) < 0x80 {
+			label, sym = uint64(rec[pos]), uint64(rec[pos+1])
+			pos += 2
+		} else {
+			var n int
+			if label, n = binary.Uvarint(rec[pos:]); n <= 0 {
+				return fmt.Errorf("core: binary record %d: truncated label", i)
+			}
+			pos += n
+			if sym, n = binary.Uvarint(rec[pos:]); n <= 0 {
+				return fmt.Errorf("core: binary record %d: truncated symbol", i)
+			}
+			pos += n
 		}
-		pos += n
-		sym, n := binary.Uvarint(rec[pos:])
-		if n <= 0 {
-			return fmt.Errorf("core: binary record %d: truncated symbol", i)
-		}
-		pos += n
-		if label >= uint64(p.classes) {
+		if label >= classes {
 			return fmt.Errorf("core: binary record %d: %s label %d outside [0,%d)", i, p.name, label, p.classes)
 		}
-		if sym >= uint64(p.halves.Symbols) {
+		if sym >= symbols {
 			return fmt.Errorf("core: binary record %d: %s symbol %d outside [0,%d)", i, p.name, sym, p.halves.Symbols)
 		}
-		if visit != nil {
-			visit(mean.Report{Label: int(label), Symbol: int(sym)})
-		}
+		cells[label*symbols+sym]++
 	}
 	if pos != len(rec) {
 		return fmt.Errorf("core: binary frame has %d trailing record bytes", len(rec)-pos)
@@ -408,36 +436,61 @@ func (p *NumericProtocol) walkBinaryMeanRecords(rec []byte, count int, visit fun
 }
 
 // ValidateBinaryMeanBatch checks a mean frame end to end without touching
-// an aggregator; the frame it returns is guaranteed to apply cleanly.
+// an aggregator; the frame it returns is guaranteed to apply cleanly, and
+// already holds the frame's (label, symbol) counts, so applying it does not
+// read the records again.
 func (p *NumericProtocol) ValidateBinaryMeanBatch(data []byte) (CheckedFrame, error) {
-	rec, count, err := openBinaryFrame(data, binaryTierMean)
-	if err != nil {
+	var f CheckedFrame
+	if err := p.checkMeanFrame(&f, data); err != nil {
 		return CheckedFrame{}, err
 	}
-	if err := p.walkBinaryMeanRecords(rec, count, nil); err != nil {
-		return CheckedFrame{}, err
-	}
-	return CheckedFrame{owner: p, records: rec, count: count}, nil
+	return f, nil
 }
 
-// ApplyCheckedMeanBatch folds every record of a frame ValidateBinaryMeanBatch
-// accepted into agg. Mean reports are two ints; the walk allocates nothing.
+// checkMeanFrame is ValidateBinaryMeanBatch into a zero frame the caller
+// owns; f is proof of nothing unless the error is nil.
+func (p *NumericProtocol) checkMeanFrame(f *CheckedFrame, data []byte) error {
+	rec, count, err := openBinaryFrame(data, binaryTierMean)
+	if err != nil {
+		return err
+	}
+	f.owner, f.records, f.count = p, rec, count
+	if n := p.classes * p.halves.Symbols; n > len(f.inline) {
+		f.spill = make([]uint32, n)
+	}
+	return p.countMeanRecords(f.meanCells(), rec, count)
+}
+
+// ApplyCheckedMeanBatch folds a frame ValidateBinaryMeanBatch accepted into
+// agg: one AddCounts per occupied (label, symbol) cell, whatever the
+// frame's report count. It allocates nothing and leaves f as it was, so a
+// frame may be applied to any number of aggregators.
 func (p *NumericProtocol) ApplyCheckedMeanBatch(agg mean.Aggregator, f CheckedFrame) {
+	p.applyMeanCells(agg, &f)
+}
+
+// applyMeanCells is ApplyCheckedMeanBatch on the caller's own frame.
+func (p *NumericProtocol) applyMeanCells(agg mean.Aggregator, f *CheckedFrame) {
 	if f.owner != p {
 		panic("core: frame was checked by another protocol")
 	}
-	p.walkBinaryMeanRecords(f.records, f.count, agg.Add) //nolint:errcheck — checked frame
+	symbols := p.halves.Symbols
+	for cell, n := range f.meanCells()[:p.classes*symbols] {
+		if n != 0 {
+			agg.AddCounts(cell/symbols, cell%symbols, int64(n))
+		}
+	}
 }
 
 // ApplyBinaryMeanBatch validates a mean frame and folds every record into
 // agg, returning the record count; an invalid frame returns an error with
 // nothing applied.
 func (p *NumericProtocol) ApplyBinaryMeanBatch(agg mean.Aggregator, data []byte) (int, error) {
-	f, err := p.ValidateBinaryMeanBatch(data)
-	if err != nil {
+	var f CheckedFrame
+	if err := p.checkMeanFrame(&f, data); err != nil {
 		return 0, err
 	}
-	p.ApplyCheckedMeanBatch(agg, f)
+	p.applyMeanCells(agg, &f)
 	return f.count, nil
 }
 
@@ -449,8 +502,11 @@ func (p *NumericProtocol) DecodeBinaryMeanBatch(data []byte) ([]WireMeanReport, 
 		return nil, err
 	}
 	var out []WireMeanReport
-	p.walkBinaryMeanRecords(f.records, f.count, func(rep mean.Report) { //nolint:errcheck — checked frame
-		out = append(out, WireMeanReport{Label: rep.Label, Symbol: rep.Symbol})
-	})
+	for pos, i := 0, 0; i < f.count; i++ {
+		label, n := binary.Uvarint(f.records[pos:])
+		sym, m := binary.Uvarint(f.records[pos+n:])
+		pos += n + m
+		out = append(out, WireMeanReport{Label: int(label), Symbol: int(sym)})
+	}
 	return out, nil
 }

@@ -126,21 +126,24 @@ func (m *CPMean) NewAccumulator() *Accumulator {
 }
 
 // Add folds one report into the aggregate.
-func (a *Accumulator) Add(rep Report) {
-	if rep.Label < 0 || rep.Label >= a.m.classes {
-		panic(fmt.Sprintf("mean: report label %d outside [0,%d)", rep.Label, a.m.classes))
-	}
-	a.total++
-	a.labels[rep.Label]++
-	switch rep.Symbol {
+func (a *Accumulator) Add(rep Report) { a.AddCounts(rep.Label, rep.Symbol, 1) }
+
+// AddCounts folds n reports of one (label, symbol) cell. The cell and the
+// count are checked before anything is counted, so a recovered panic leaves
+// the aggregate as it was.
+func (a *Accumulator) AddCounts(label, symbol int, n int64) {
+	checkCell(label, a.m.classes, n)
+	switch symbol {
 	case Plus:
-		a.plus[rep.Label]++
+		a.plus[label] += n
 	case Minus:
-		a.minus[rep.Label]++
+		a.minus[label] += n
 	case Bottom:
 	default:
-		panic(fmt.Sprintf("mean: bad symbol %d", rep.Symbol))
+		panic(fmt.Sprintf("mean: bad symbol %d", symbol))
 	}
+	a.labels[label] += n
+	a.total += int(n)
 }
 
 // Merge folds another accumulator of the same mechanism into this one.

@@ -47,6 +47,12 @@ type Aggregator interface {
 	// wire by the numeric protocol's codec are always safe to Add;
 	// hand-built out-of-domain reports panic.
 	Add(Report)
+	// AddCounts folds n reports of one (label, symbol) cell at once — what
+	// Add does n times over, which is how a binary frame (counted into
+	// cells by the protocol's codec) reaches the aggregate. n must not be
+	// negative; an out-of-domain cell or a negative n panics like Add, and
+	// a recovered panic leaves the aggregate unchanged.
+	AddCounts(label, symbol int, n int64)
 	// Merge folds another aggregator of the same framework into this one.
 	Merge(other Aggregator) error
 	// N returns the number of reports added so far.
@@ -100,6 +106,17 @@ func signSymbol(sign int) int {
 		return Plus
 	}
 	return Minus
+}
+
+// checkCell is the half of an AddCounts domain check the aggregators share
+// (the symbol alphabet is each one's own).
+func checkCell(label, classes int, n int64) {
+	if label < 0 || label >= classes {
+		panic(fmt.Sprintf("mean: report label %d outside [0,%d)", label, classes))
+	}
+	if n < 0 {
+		panic(fmt.Sprintf("mean: negative report count %d", n))
+	}
 }
 
 // checkValue panics on a pair outside the (classes, [−1,1]) domain —
@@ -171,19 +188,20 @@ func newSignCounts(c int) signCounts {
 }
 
 // Add validates and folds one sign report.
-func (a *signCounts) Add(rep Report) {
-	if rep.Label < 0 || rep.Label >= a.c {
-		panic(fmt.Sprintf("mean: report label %d outside [0,%d)", rep.Label, a.c))
-	}
-	switch rep.Symbol {
+func (a *signCounts) Add(rep Report) { a.AddCounts(rep.Label, rep.Symbol, 1) }
+
+// AddCounts validates and folds n reports of one (label, sign) cell.
+func (a *signCounts) AddCounts(label, symbol int, n int64) {
+	checkCell(label, a.c, n)
+	switch symbol {
 	case Plus:
-		a.plus[rep.Label]++
+		a.plus[label] += n
 	case Minus:
-		a.minus[rep.Label]++
+		a.minus[label] += n
 	default:
-		panic(fmt.Sprintf("mean: bad sign symbol %d", rep.Symbol))
+		panic(fmt.Sprintf("mean: bad sign symbol %d", symbol))
 	}
-	a.total++
+	a.total += int(n)
 }
 
 // merge folds another count set of the same class domain into this one.
@@ -418,6 +436,8 @@ type cpAggregator struct {
 }
 
 func (a *cpAggregator) Add(rep Report) { a.acc.Add(rep) }
+
+func (a *cpAggregator) AddCounts(label, symbol int, n int64) { a.acc.AddCounts(label, symbol, n) }
 
 func (a *cpAggregator) Merge(other Aggregator) error {
 	o, ok := other.(*cpAggregator)

@@ -216,3 +216,49 @@ func TestEstimateClassSizes(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregatorPanicsLeaveNoTrace pins check-then-mutate on every
+// aggregator: an out-of-domain Add or AddCounts panics, and the recovered
+// aggregator marshals to the bytes it held before — no report total or
+// label count ahead of the sign counts. AddCounts on a valid cell is n Adds.
+func TestAggregatorPanicsLeaveNoTrace(t *testing.T) {
+	for name, h := range meanHalves(t, 3, 1, 0.5) {
+		agg, byAdd := h.NewAggregator(), h.NewAggregator()
+		agg.AddCounts(1, Plus, 3)
+		agg.AddCounts(2, Minus, 0)
+		for i := 0; i < 3; i++ {
+			byAdd.Add(Report{Label: 1, Symbol: Plus})
+		}
+		before, err := agg.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := byAdd.MarshalBinary(); !reflect.DeepEqual(before, want) {
+			t.Errorf("%s: AddCounts(1, Plus, 3) and three Adds left different states", name)
+		}
+		for what, bad := range map[string]func(){
+			"bad symbol":      func() { agg.Add(Report{Label: 1, Symbol: h.Symbols}) },
+			"negative symbol": func() { agg.Add(Report{Label: 1, Symbol: -1}) },
+			"label too big":   func() { agg.Add(Report{Label: 3, Symbol: Plus}) },
+			"negative label":  func() { agg.AddCounts(-1, Plus, 2) },
+			"counted symbol":  func() { agg.AddCounts(0, h.Symbols, 2) },
+			"negative count":  func() { agg.AddCounts(0, Plus, -1) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s did not panic", name, what)
+					}
+				}()
+				bad()
+			}()
+			after, err := agg.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(after, before) || agg.N() != 3 {
+				t.Errorf("%s: recovered %s changed the aggregate (N=%d)", name, what, agg.N())
+			}
+		}
+	}
+}

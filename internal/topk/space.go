@@ -128,6 +128,11 @@ func shuffleFromDesc(sd SpaceDesc) (*shuffleSpace, error) {
 		if s.starts[j+1] <= s.starts[j] {
 			return nil, fmt.Errorf("topk: empty or reversed bucket %d", j)
 		}
+		// The last start is the pool's length, but one before it may
+		// overshoot and come back.
+		if s.starts[j+1] > len(s.pool) {
+			return nil, fmt.Errorf("topk: bucket %d ends beyond the pool", j)
+		}
 		for i := s.starts[j]; i < s.starts[j+1]; i++ {
 			v := s.pool[i]
 			if v < 0 || v >= sd.Domain {

@@ -29,10 +29,9 @@ func benchMeanProtocol(b *testing.B) *core.NumericProtocol {
 }
 
 // benchMeanBodies pre-builds nBodies batch bodies of batchSize mean
-// reports each, in the given wire encoding.
-func benchMeanBodies(b *testing.B, nBodies, batchSize int, binary bool) [][]byte {
+// reports each for proto, in the given wire encoding.
+func benchMeanBodies(b *testing.B, proto *core.NumericProtocol, nBodies, batchSize int, binary bool) [][]byte {
 	b.Helper()
-	proto := benchMeanProtocol(b)
 	enc := proto.Encoder()
 	r := xrand.New(42)
 	bodies := make([][]byte, nBodies)
@@ -40,7 +39,7 @@ func benchMeanBodies(b *testing.B, nBodies, batchSize int, binary bool) [][]byte
 	for i := range bodies {
 		wires := make([]collect.WireMeanReport, batchSize)
 		for j := range wires {
-			v := mean.Value{Class: r.Intn(benchClasses), X: 2*r.Float64() - 1}
+			v := mean.Value{Class: r.Intn(proto.Classes()), X: 2*r.Float64() - 1}
 			wires[j] = proto.EncodeMeanReport(enc.Encode(v, user, r))
 			user++
 		}
@@ -89,10 +88,10 @@ func BenchmarkMeanIngest(b *testing.B) {
 		b.ReportMetric(float64(b.N*batchSize)/b.Elapsed().Seconds(), "reports/s")
 	}
 	b.Run("json", func(b *testing.B) {
-		run(b, "application/json", benchBatchSize, benchMeanBodies(b, 16, benchBatchSize, false))
+		run(b, "application/json", benchBatchSize, benchMeanBodies(b, benchMeanProtocol(b), 16, benchBatchSize, false))
 	})
 	b.Run("binary", func(b *testing.B) {
 		const batchSize = 4096
-		run(b, collect.BinaryContentType, batchSize, benchMeanBodies(b, 16, batchSize, true))
+		run(b, collect.BinaryContentType, batchSize, benchMeanBodies(b, benchMeanProtocol(b), 16, batchSize, true))
 	})
 }
