@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-wal bench bench-json bench-check bench-harness fmt fmt-fix lint staticcheck metrics-lint fuzz ci
+.PHONY: all build test race race-wal race-topk bench bench-json bench-check bench-harness fmt fmt-fix lint staticcheck metrics-lint fuzz ci
 
 all: build test
 
@@ -23,6 +23,15 @@ race:
 race-wal:
 	$(GO) test -race -count=10 -timeout=10m ./internal/wal
 	$(GO) test -race -count=10 -timeout=10m -run 'TestWALConcurrent|TestConcurrentDurable' ./internal/collect
+
+# The mining tier's concurrency tests, ten times under the race detector:
+# posts racing a round's seal over both wires, kill -9 recovery of sessions
+# mid-round, and the planner/partial equivalences underneath them. A session
+# is one planner behind one lock with validation outside it; these are what
+# hold that design up.
+race-topk:
+	$(GO) test -race -count=10 -timeout=10m -run 'TestTopKRoundSealRace|TestTopKMixedWireHammer|TestTopK.*SurvivesRestart|TestTopKFrameCommittedAfterSeal' ./internal/collect
+	$(GO) test -race -count=10 -timeout=10m -run 'Partial|Planner|Session' ./internal/topk
 
 # One iteration of every benchmark: keeps them compiling and running
 # without turning the suite into a perf run.
@@ -109,4 +118,4 @@ else
 	done
 endif
 
-ci: fmt lint staticcheck build race race-wal metrics-lint bench-harness fuzz bench
+ci: fmt lint staticcheck build race race-wal race-topk metrics-lint bench-harness fuzz bench

@@ -91,7 +91,7 @@ func main() {
 		items     = flag.Int("items", 1000, "item domain size")
 		eps       = flag.Float64("eps", 2, "privacy budget ε")
 		split     = flag.Float64("split", 0.5, "label budget fraction ε₁/ε (pts, ptscp)")
-		shards    = flag.Int("shards", 0, "accumulator shards (serve mode; 0 = GOMAXPROCS)")
+		shards    = flag.Int("shards", 0, "accumulator shards of the report tiers (serve mode; 0 = GOMAXPROCS)")
 		maxBody   = flag.Int64("maxbody", 0, "request body cap in bytes (serve mode; 0 = default 8 MiB)")
 		walDir    = flag.String("wal-dir", "", "write-ahead log directory (serve mode; empty = not durable)")
 		walSync   = flag.String("wal-sync", "interval", "WAL fsync policy: always | interval | never")

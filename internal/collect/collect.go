@@ -34,10 +34,10 @@
 // (tier.go): the frequency tier (this file) and the numeric mean tier
 // (mean.go) are two instantiations that each supply only a codec over their
 // protocol, and a new report tier is a one-file addition of the same shape.
-// The interactive top-k mining tier (topk.go) has its own round/lane logic
-// and shares just the durable log helper (durable.go). Clients mirror the
-// split: one buffered batch client (client.go) under Client and MeanClient,
-// configured by a single ClientOption set.
+// The interactive top-k mining tier (topk.go) is a planner per session
+// behind one lock and shares just the durable log helper (durable.go).
+// Clients mirror the split: one buffered batch client (client.go) under
+// Client and MeanClient, configured by a single ClientOption set.
 package collect
 
 import (
@@ -68,9 +68,13 @@ const DefaultMaxBodyBytes = 8 << 20
 // batch limit would wedge a backlogged edge permanently (every push 413s,
 // is re-merged locally, and grows further). It must stay below
 // wal.MaxRecordBytes: a WAL-backed server logs every merged envelope as
-// one record, and accepting an envelope it cannot make durable would 500
-// the push after reading it.
+// one record (plus a type byte), and accepting an envelope it cannot make
+// durable would 500 the push after reading it.
 const DefaultMergeMaxBodyBytes = 256 << 20
+
+// The /merge cap fits one WAL record: the constant below fails to compile
+// (negative uint) the day it does not.
+const _ = uint(wal.MaxRecordBytes - 1 - DefaultMergeMaxBodyBytes)
 
 // WireConfig describes the collection round so clients can self-configure.
 // Protocol names the frequency-estimation framework (hec, ptj, pts, ptscp)
@@ -137,12 +141,11 @@ type WireWALStats struct {
 // engine, see tier.go) and interactive top-k mining sessions. It is safe
 // for concurrent use.
 type Server struct {
-	proto        *core.Protocol
-	meanProto    *core.NumericProtocol
-	meanSet      bool // WithMean was given (even a nil protocol, which NewServer refuses)
-	maxBody      int64
-	mergeMaxBody int64
-	shardN       int
+	proto     *core.Protocol
+	meanProto *core.NumericProtocol
+	meanSet   bool // WithMean was given (even a nil protocol, which NewServer refuses)
+	maxBody   int64
+	shardN    int
 
 	walDir       string
 	walFreqSub   string // subdirectory of walDir holding the frequency log ("" = walDir itself)
@@ -179,9 +182,10 @@ type Server struct {
 // ServerOption configures a Server beyond the protocol parameters.
 type ServerOption func(*Server)
 
-// WithShards sets the number of aggregator shards. More shards means less
-// write contention under concurrent ingestion; estimates are unaffected
-// (shards merge exactly). n < 1 restores the default of
+// WithShards sets the number of aggregator shards of the report tiers
+// (frequency and mean; mining sessions are not sharded). More shards means
+// less write contention under concurrent ingestion; estimates are
+// unaffected (shards merge exactly). n < 1 restores the default of
 // runtime.GOMAXPROCS(0).
 func WithShards(n int) ServerOption {
 	return func(s *Server) {
@@ -201,18 +205,6 @@ func WithMaxBodyBytes(n int64) ServerOption {
 			n = DefaultMaxBodyBytes
 		}
 		s.maxBody = n
-	}
-}
-
-// WithMergeMaxBodyBytes caps the accepted body size for POST /merge state
-// envelopes, independently of the report-batch cap. n < 1 restores
-// DefaultMergeMaxBodyBytes.
-func WithMergeMaxBodyBytes(n int64) ServerOption {
-	return func(s *Server) {
-		if n < 1 {
-			n = DefaultMergeMaxBodyBytes
-		}
-		s.mergeMaxBody = n
 	}
 }
 
@@ -293,7 +285,6 @@ func NewServer(p *core.Protocol, opts ...ServerOption) (*Server, error) {
 	s := &Server{
 		proto:        p,
 		maxBody:      DefaultMaxBodyBytes,
-		mergeMaxBody: DefaultMergeMaxBodyBytes,
 		compactAfter: DefaultCompactAfterBytes,
 		shardN:       runtime.GOMAXPROCS(0),
 	}
@@ -332,12 +323,6 @@ func NewServer(p *core.Protocol, opts ...ServerOption) (*Server, error) {
 		s.topk.init(s)
 	}
 	if s.walDir != "" {
-		// Every accepted /merge envelope becomes one WAL record (plus a
-		// type byte); cap acceptance at what the log can actually frame, or
-		// a push would be read fully and then 500 at the append.
-		if max := int64(wal.MaxRecordBytes - 1); s.mergeMaxBody > max {
-			s.mergeMaxBody = max
-		}
 		if err := s.openWALs(); err != nil {
 			s.Close()
 			return nil, err

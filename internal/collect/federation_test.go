@@ -3,6 +3,7 @@ package collect
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -146,6 +147,36 @@ func TestMergeEndpointRejects(t *testing.T) {
 	}
 	if root.Reports() != 25 {
 		t.Fatalf("root reports %d after merge, want 25", root.Reports())
+	}
+}
+
+// zeroReader is an endless body of zero bytes.
+type zeroReader struct{}
+
+func (zeroReader) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestMergeOverCapAnswers413: a /merge body one byte over the endpoint's
+// fixed cap is answered 413 and merges nothing. The body is streamed to the
+// handler in process; the server still buffers up to the cap, so -short
+// skips it.
+func TestMergeOverCapAnswers413(t *testing.T) {
+	if testing.Short() {
+		t.Skip("buffers DefaultMergeMaxBodyBytes")
+	}
+	root, ts := newTestServer(t, 2, 6, 3)
+	ts.Close()
+	ingestWires(t, root, wireStream(t, root.proto, 5, 4), 5)
+	req := httptest.NewRequest(http.MethodPost, "/merge", io.LimitReader(zeroReader{}, DefaultMergeMaxBodyBytes+1))
+	rec := httptest.NewRecorder()
+	root.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap merge answered %d, want 413", rec.Code)
+	}
+	if root.Reports() != 5 {
+		t.Fatalf("over-cap merge changed the aggregate (%d reports, want 5)", root.Reports())
 	}
 }
 

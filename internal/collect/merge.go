@@ -47,7 +47,7 @@ var errNotDurable = errors.New("collect: merge not made durable")
 // failure while logging the merge is a 500 and the envelope was not
 // merged.
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r, s.mergeMaxBody)
+	body, ok := readBody(w, r, DefaultMergeMaxBodyBytes)
 	if !ok {
 		return
 	}

@@ -41,6 +41,19 @@ import (
 // session's marshaled state (an internal/state envelope per session). A
 // restarted server replays snapshot + tail and resumes mid-flight sessions
 // to bit-identical results.
+//
+// Concurrency: a session is a planner behind one mutex. Rounds are
+// interlocked — every report validates against and mutates the live round,
+// and round t+1's candidate space is a function of round t's counts — so a
+// session has no parallelism to offer beyond validating outside the lock,
+// which is what a report batch does: it reads the round's layout pointer
+// under the lock, validates against that immutable layout unlocked, and
+// re-locks to commit (commitRound) only if the pointer is still the live
+// round's. Concurrent posters to one session therefore serialise on the
+// absorb itself (≈18 ns a report on a binary frame); sessions are
+// independent of each other.
+//
+// Lock order: hub.ingestMu → liveSession.mu → hub.mu.
 
 // DefaultMaxTopKSessions caps concurrently tracked sessions (open and
 // completed-but-unqueried); each holds candidate-space state proportional
@@ -69,131 +82,24 @@ func WithTopKSessions(o TopKOptions) ServerOption {
 	}
 }
 
-// liveSession is one hosted mining session. Two locks split its state by
-// lifetime: mu serializes planner access (round seals, snapshots, the
-// done-state reads), while roundMu guards the lane pointer — the live
-// round's shared ingest state. Rounds are interlocked (every report both
-// validates against and mutates the live round), but within one round
-// absorption is associative, so report batches only take roundMu.RLock plus
-// one shard lock and never touch the planner; the seal takes roundMu.Lock,
-// waits out in-flight batches, and merges the shards exactly once.
-//
-// Lock order: hub.ingestMu → roundMu → hub.mu → mu. position() and the
-// seal take roundMu before mu; nothing takes them in the other order.
+// liveSession is one hosted mining session. mu guards the planner and
+// deleted; report handlers hold it from their quota arithmetic through their
+// WAL append and absorb, which is what makes a round's WAL records precede
+// its seal — and any deletion record — in log order.
 type liveSession struct {
 	mu sync.Mutex
 	id string
 	pl *topk.Planner
-
-	// roundMu guards lane and deleted. Report handlers hold the read side
-	// from the lane lookup through their WAL append and shard apply, which
-	// is what makes a round's WAL records precede its seal — and any
-	// deletion record — in log order.
-	roundMu sync.RWMutex
-	// lane is the live round's ingest lane; nil once the session is done.
-	lane *topkLane
 	// deleted marks a session evicted while a report handler already held
 	// a reference: the handler must not append WAL records for it after
 	// its deletion record (replay order would break).
 	deleted bool
 }
 
-// topkLane is one round's shared ingest state: the layout snapshot reports
-// validate against without the planner, the remaining-quota gate, and the
-// shard partials they absorb into. A lane is immutable except through its
-// atomics and shard locks, and is replaced wholesale at the seal.
-type topkLane struct {
-	round  int
-	quota  int
-	layout *topk.RoundLayout
-
-	// remaining is the round's unreserved quota. Reservations are taken
-	// before the WAL append (and returned on its failure), so the round
-	// never over-admits: whoever drives it to zero triggers the seal.
-	remaining atomic.Int64
-	// next round-robins batches over the shards.
-	next   atomic.Uint64
-	shards []*topkShard
-}
-
-// topkShard is one absorb shard: a partial aggregate behind its own lock,
-// so concurrent batches on one session contend 1/shardN of the time.
-type topkShard struct {
-	mu   sync.Mutex
-	part *topk.RoundPartial
-}
-
-// reserveUpTo takes up to n reports of the remaining quota and returns how
-// many it got — the JSON path's reservation, where a batch's tail past the
-// seal is rejected per item.
-func (l *topkLane) reserveUpTo(n int64) int64 {
-	for {
-		r := l.remaining.Load()
-		take := min(r, n)
-		if take <= 0 {
-			return 0
-		}
-		if l.remaining.CompareAndSwap(r, r-take) {
-			return take
-		}
-	}
-}
-
-// reserveExact takes exactly n or nothing — the binary path's reservation,
-// where a frame applies whole or not at all.
-func (l *topkLane) reserveExact(n int64) bool {
-	for {
-		r := l.remaining.Load()
-		if r < n {
-			return false
-		}
-		if l.remaining.CompareAndSwap(r, r-n) {
-			return true
-		}
-	}
-}
-
-// unreserve returns a failed reservation (admission or WAL append refused
-// the reports after the quota was taken).
-func (l *topkLane) unreserve(n int64) { l.remaining.Add(n) }
-
-// installLane builds the live round's lane from the planner, or clears it
-// once the session is done. Caller holds roundMu exclusively and mu (or has
-// exclusive access during startup), with the planner advanced past any
-// empty rounds first.
-func (sess *liveSession) installLane(shardN int) {
-	layout, ok := sess.pl.Layout()
-	if !ok {
-		sess.lane = nil
-		return
-	}
-	lane := &topkLane{round: layout.Round, quota: sess.pl.Quota(), layout: layout}
-	// A snapshot-restored session resumes mid-round: the lane starts with
-	// the quota that is actually still unfilled.
-	lane.remaining.Store(int64(max0(lane.quota - sess.pl.Received())))
-	lane.shards = make([]*topkShard, shardN)
-	for i := range lane.shards {
-		lane.shards[i] = &topkShard{part: topk.NewRoundPartial(layout)}
-	}
-	sess.lane = lane
-}
-
-// position snapshots the session's live coordinates for acks, broadcasts
-// and stats. Mid-round the lane is ahead of the planner (reports rest in
-// shard partials until the seal), so its reservation count is the received
-// figure clients should see. Caller must not hold roundMu or mu.
-func (sess *liveSession) position() (round, received, quota int, done bool) {
-	sess.roundMu.RLock()
-	lane := sess.lane
-	sess.roundMu.RUnlock()
-	sess.mu.Lock()
-	round, received, quota, done = sess.pl.Round(), sess.pl.Received(), sess.pl.Quota(), sess.pl.Done()
-	sess.mu.Unlock()
-	if lane != nil && lane.round == round {
-		quota = lane.quota
-		received = lane.quota - int(lane.remaining.Load())
-	}
-	return round, received, quota, done
+// ackLocked is an acknowledgement carrying the session's live position, for
+// the handler to fill in what it accepted and rejected. Caller holds mu.
+func (sess *liveSession) ackLocked() WireTopKAck {
+	return WireTopKAck{Round: sess.pl.Round(), Received: sess.pl.Received(), Done: sess.pl.Done()}
 }
 
 // sessionHub owns the hosted sessions and, through the embedded durableLog,
@@ -213,7 +119,6 @@ type sessionHub struct {
 	reserved int // creates past the cap check but before install
 
 	maxSessions int
-	shardN      int // absorb shards per session lane (the server's shard count)
 
 	// Accepted-report totals by wire format, advanced at the same handler
 	// sites as the mcim_ingest_reports_total series so /stats and /metrics
@@ -228,9 +133,6 @@ type sessionHub struct {
 // init resolves the hub against the server's options and registers its
 // series. Called from NewServer before the WAL opens.
 func (h *sessionHub) init(s *Server) {
-	// Session rounds absorb through per-session shard lanes sized like the
-	// report tiers' aggregator shards.
-	h.shardN = max(1, s.shardN)
 	h.logger = s.logger.With("tier", "topk")
 	s.topkM = newTierMetrics(s.obs, "topk")
 	h.rounds = s.obs.Counter("mcim_topk_rounds_advanced_total",
@@ -239,30 +141,21 @@ func (h *sessionHub) init(s *Server) {
 		"Round-report batches rejected whole with 410 Gone because their round had sealed.")
 	s.obs.GaugeFunc("mcim_topk_sessions",
 		"Mining sessions currently tracked (open and completed-but-unqueried).",
-		func() float64 { n, _ := h.counts(); return float64(n) })
+		func() float64 { return float64(h.stats().Sessions) })
 	s.obs.GaugeFunc("mcim_topk_open_sessions",
 		"Mining sessions still mid-protocol.",
-		func() float64 { _, open := h.counts(); return float64(open) })
+		func() float64 { return float64(h.stats().Open) })
 }
 
-// counts snapshots the tracked-session totals for the gauges: every session
-// currently in the map, and the subset still mid-protocol.
-func (h *sessionHub) counts() (total, open int) {
+// list returns the tracked sessions in creation order.
+func (h *sessionHub) list() []*liveSession {
 	h.mu.Lock()
-	sessions := make([]*liveSession, 0, len(h.sessions))
-	for _, sess := range h.sessions {
-		sessions = append(sessions, sess)
+	defer h.mu.Unlock()
+	sessions := make([]*liveSession, len(h.order))
+	for i, id := range h.order {
+		sessions[i] = h.sessions[id]
 	}
-	h.mu.Unlock()
-	for _, sess := range sessions {
-		sess.mu.Lock()
-		done := sess.pl.Done()
-		sess.mu.Unlock()
-		if !done {
-			open++
-		}
-	}
-	return len(sessions), open
+	return sessions
 }
 
 // Session WAL record types (first byte of every record).
@@ -315,19 +208,10 @@ type hubSessionSnapshot struct {
 
 // openWAL opens and replays the session log under <dir>/topk. Session
 // rounds are ordered (absorb order is the round order), so this log always
-// replays sequentially regardless of WithWALReplayWorkers.
+// replays sequentially regardless of WithWALReplayWorkers. Replay absorbs
+// into the same planners the handlers then serve.
 func (h *sessionHub) openWAL(s *Server) error {
-	if err := h.open(s, "topk", "topk", false, h.marshalSessions, h.installSnapshot, h.replayRecord); err != nil {
-		return err
-	}
-	// Replay applied reports straight into the planners (single writer, no
-	// lanes); stand up the live rounds' ingest lanes now, before handlers
-	// run.
-	for _, sess := range h.sessions {
-		advanceOnQuota(sess.pl)
-		sess.installLane(h.shardN)
-	}
-	return nil
+	return h.open(s, "topk", "topk", false, h.marshalSessions, h.installSnapshot, h.replayRecord)
 }
 
 // installSnapshot restores every session from a compaction snapshot.
@@ -350,6 +234,10 @@ func (h *sessionHub) installSnapshot(snap []byte) error {
 		if err != nil {
 			return fmt.Errorf("collect: topk session %s: %w", ss.ID, err)
 		}
+		// A snapshot is never taken of a full round (the batch that fills one
+		// seals it under the same lock), but nothing in its bytes says so,
+		// and commitRound relies on a live round having room.
+		advanceOnQuota(pl)
 		sessions[ss.ID] = &liveSession{id: ss.ID, pl: pl}
 		order = append(order, ss.ID)
 	}
@@ -451,103 +339,21 @@ func advanceOnQuota(pl *topk.Planner) {
 	}
 }
 
-// sealSession seals the session's live round if its quota is fully in:
-// waits out in-flight report batches (roundMu write side), merges every
-// shard partial into the planner, advances it, and installs the next
-// round's lane. Any handler that observes remaining == 0 calls this — the
-// batch that took the last reservation and any batch that lost the race to
-// it — and exactly one performs the work: latecomers find either a live
-// lane with quota left or a done session, and return 0. Returns the rounds
-// advanced (the handler's feed for the rounds counter; replay never comes
-// through here). Caller holds ingestMu (either side) and must not hold
-// roundMu or sess.mu.
-func (h *sessionHub) sealSession(sess *liveSession) int64 {
-	sess.roundMu.Lock()
-	defer sess.roundMu.Unlock()
-	lane := sess.lane
-	if lane == nil || lane.remaining.Load() != 0 {
-		return 0
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	for _, sh := range lane.shards {
-		// No batch can hold a shard lock here (they nest under
-		// roundMu.RLock), but keep the discipline uniform.
-		sh.mu.Lock()
-		err := sess.pl.MergePartial(sh.part)
-		sh.mu.Unlock()
-		if err != nil {
-			// Unreachable by the seal protocol (partials only ever hold the
-			// lane's round); refuse to advance on a corrupt merge.
-			h.logger.Error("topk shard merge failed", "session", sess.id, "err", err)
-			return 0
-		}
-	}
-	before := sess.pl.Round()
-	advanceOnQuota(sess.pl)
-	sess.installLane(h.shardN)
-	return int64(sess.pl.Round() - before)
-}
-
-// drainPartialsLocked folds every session's shard partials into its
-// planner, so a snapshot taken next marshals the complete mid-round state.
-// Caller holds ingestMu exclusively (no batch is mid-flight, so reserved
-// equals absorbed and the lanes' remaining counters stay consistent).
-func (h *sessionHub) drainPartialsLocked() error {
-	h.mu.Lock()
-	sessions := make([]*liveSession, 0, len(h.sessions))
-	for _, sess := range h.sessions {
-		sessions = append(sessions, sess)
-	}
-	h.mu.Unlock()
-	for _, sess := range sessions {
-		sess.roundMu.Lock()
-		lane := sess.lane
-		sess.mu.Lock()
-		var err error
-		if lane != nil {
-			for _, sh := range lane.shards {
-				if err = sess.pl.MergePartial(sh.part); err != nil {
-					break
-				}
-			}
-		}
-		sess.mu.Unlock()
-		sess.roundMu.Unlock()
-		if err != nil {
-			return fmt.Errorf("collect: drain topk session %s: %w", sess.id, err)
-		}
-	}
-	return nil
-}
-
-// marshalSessions is the hub's compaction snapshot (durableLog.compact calls
-// it with ingestMu held exclusively). Shard partials hold reports the
-// planners haven't seen yet; they are folded in first so the snapshot is
-// the complete applied state. The lanes stay installed — their reservation
-// counters already match the merged totals.
+// marshalSessions is the hub's compaction snapshot: every session's planner
+// — its live round's counts included — marshaled in creation order.
+// durableLog.compact calls it with ingestMu held exclusively, so no create
+// sits between claiming its id and installing its session, and no report is
+// mid-apply.
 func (h *sessionHub) marshalSessions() ([]byte, error) {
-	if err := h.drainPartialsLocked(); err != nil {
-		return nil, err
-	}
-	return h.snapshotLocked()
-}
-
-// snapshotLocked marshals every session in creation order. Caller holds
-// ingestMu exclusively (no report is mid-apply).
-func (h *sessionHub) snapshotLocked() ([]byte, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	hs := hubSnapshot{NextID: h.nextID}
-	for _, id := range h.order {
-		sess := h.sessions[id]
+	for _, sess := range h.list() {
 		sess.mu.Lock()
 		blob, err := sess.pl.MarshalBinary()
 		sess.mu.Unlock()
 		if err != nil {
-			return nil, fmt.Errorf("collect: marshal topk session %s: %w", id, err)
+			return nil, fmt.Errorf("collect: marshal topk session %s: %w", sess.id, err)
 		}
-		hs.Sessions = append(hs.Sessions, hubSessionSnapshot{ID: id, State: blob})
+		hs.Sessions = append(hs.Sessions, hubSessionSnapshot{ID: sess.id, State: blob})
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(hs); err != nil {
@@ -642,15 +448,9 @@ type WireTopKSessionStat struct {
 	Done      bool   `json:"done"`
 }
 
-// topkStats snapshots every session's position in creation order.
+// stats snapshots every session's position in creation order.
 func (h *sessionHub) stats() *WireTopKStats {
-	h.mu.Lock()
-	order := append([]string(nil), h.order...)
-	sessions := make([]*liveSession, 0, len(order))
-	for _, id := range order {
-		sessions = append(sessions, h.sessions[id])
-	}
-	h.mu.Unlock()
+	sessions := h.list()
 	st := &WireTopKStats{
 		Sessions:      len(sessions),
 		ReportsJSON:   h.reportsJSON.Load(),
@@ -658,19 +458,18 @@ func (h *sessionHub) stats() *WireTopKStats {
 		WAL:           h.walStats(),
 	}
 	for _, sess := range sessions {
-		round, received, quota, done := sess.position()
 		sess.mu.Lock()
-		framework, rounds := sess.pl.Params().Framework, sess.pl.Rounds()
-		sess.mu.Unlock()
+		pl := sess.pl
 		stat := WireTopKSessionStat{
 			ID:        sess.id,
-			Framework: framework,
-			Round:     round,
-			Rounds:    rounds,
-			Received:  received,
-			Quota:     quota,
-			Done:      done,
+			Framework: pl.Params().Framework,
+			Round:     pl.Round(),
+			Rounds:    pl.Rounds(),
+			Received:  pl.Received(),
+			Quota:     pl.Quota(),
+			Done:      pl.Done(),
 		}
+		sess.mu.Unlock()
 		if !stat.Done {
 			st.Open++
 		}
@@ -752,11 +551,9 @@ func (s *Server) handleTopKCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	sess := &liveSession{id: id, pl: pl}
-	sess.installLane(h.shardN)
 	h.mu.Lock()
 	h.reserved--
-	h.sessions[id] = sess
+	h.sessions[id] = &liveSession{id: id, pl: pl}
 	h.order = append(h.order, id)
 	h.mu.Unlock()
 	writeJSON(w, sessionInfo(id, pl))
@@ -773,11 +570,10 @@ func (s *Server) handleTopKDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	h.ingestMu.RLock()
 	defer h.ingestMu.RUnlock()
-	// The write side of roundMu waits out in-flight report batches (they
-	// hold the read side through their WAL appends), so no report record
-	// for this session can land after its deletion record.
-	sess.roundMu.Lock()
-	defer sess.roundMu.Unlock()
+	// Report batches append their WAL records under the session lock, so
+	// none for this session can land after its deletion record.
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
 	if sess.deleted {
 		http.Error(w, fmt.Sprintf("collect: no session %q", sess.id), http.StatusNotFound)
 		return
@@ -829,11 +625,6 @@ func (s *Server) handleTopKRound(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Hold the round steady while building the broadcast: seals take
-	// roundMu exclusively, so the config and the lane-derived received
-	// figure describe the same round.
-	sess.roundMu.RLock()
-	lane := sess.lane
 	sess.mu.Lock()
 	out := WireTopKRound{
 		Done:     sess.pl.Done(),
@@ -842,10 +633,6 @@ func (s *Server) handleTopKRound(w http.ResponseWriter, r *http.Request) {
 		Wire:     wireFormats(),
 	}
 	sess.mu.Unlock()
-	if lane != nil {
-		out.Received = lane.quota - int(lane.remaining.Load())
-	}
-	sess.roundMu.RUnlock()
 	writeJSON(w, out)
 }
 
@@ -866,19 +653,6 @@ func (s *Server) handleTopKResult(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, res)
 }
 
-// ackAt builds an acknowledgement carrying the session's live position.
-// Caller must not hold roundMu or sess.mu.
-func ackAt(sess *liveSession, accepted, rejected int) WireTopKAck {
-	round, received, _, done := sess.position()
-	return WireTopKAck{
-		Accepted: accepted,
-		Rejected: rejected,
-		Round:    round,
-		Received: received,
-		Done:     done,
-	}
-}
-
 // writeStaleAck answers a whole-batch 410 Gone: the body is the regular
 // ack, whose round index tells the client what is live now.
 func (h *sessionHub) writeStaleAck(w http.ResponseWriter, ack WireTopKAck) {
@@ -888,12 +662,125 @@ func (h *sessionHub) writeStaleAck(w http.ResponseWriter, ack WireTopKAck) {
 	json.NewEncoder(w).Encode(ack) //nolint:errcheck — best-effort error body
 }
 
-// indexedReport pairs a round report with its position in the submitted
-// batch, so rejections decided after filtering (the quota reservation) can
-// still be attributed.
-type indexedReport struct {
-	index  int
-	report topk.RoundReport
+// liveRound reads what a report batch validates against — the live round's
+// layout, nil once the session is done — together with the position a
+// header-stale answer carries. It answers 404 itself for a session evicted
+// since the lookup.
+func (s *Server) liveRound(w http.ResponseWriter, sess *liveSession) (*topk.RoundLayout, WireTopKAck, bool) {
+	sess.mu.Lock()
+	layout, _ := sess.pl.Layout()
+	deleted, ack := sess.deleted, sess.ackLocked()
+	sess.mu.Unlock()
+	if deleted {
+		http.Error(w, fmt.Sprintf("collect: no session %q", sess.id), http.StatusNotFound)
+		return nil, ack, false
+	}
+	return layout, ack, true
+}
+
+// roundBatch is a validated report batch on its way into a session's live
+// round: what the two wires hand commitRound.
+type roundBatch struct {
+	// layout is the round the batch was validated against (liveRound); nil
+	// when the session was already done, and then n is 0.
+	layout *topk.RoundLayout
+	// n reports passed validation and ask for quota. whole marks a binary
+	// frame, which takes all n or nothing; a JSON batch takes what fits.
+	n     int
+	whole bool
+	// record renders the WAL record of the first take reports, absorb folds
+	// those into the planner. Both run under the session lock, after the
+	// quota and the rate limiter have said yes.
+	record func(take int) (typ byte, payload []byte, err error)
+	absorb func(pl *topk.Planner, take int) error
+}
+
+// commitRound is the one critical section of round ingestion, shared by
+// both wires: if the round the batch was validated against is still live,
+// it takes quota (plain arithmetic — the session lock is the only writer),
+// draws from the server-wide rate bucket, logs the accepted reports
+// write-ahead as one record, absorbs them, seals the round if that filled
+// it, and reads the position the ack carries. A batch whose round sealed in
+// the meantime comes back with stale set — the error a report for that round
+// would now be rejected with — and left no trace: not logged, not charged.
+// Refusals are answered here and return ok false: 404 for a session evicted
+// meanwhile, 409 for a frame larger than the round's remaining quota, 429
+// from the rate limiter (resubmit after the hinted delay), 500 for a failed
+// WAL append (charge refunded: the client's retry must not pay twice).
+func (s *Server) commitRound(w http.ResponseWriter, sess *liveSession, b roundBatch) (take int, stale error, ack WireTopKAck, ok bool) {
+	h := s.topk
+	h.ingestMu.RLock()
+	take, stale, ack, err := s.commitLocked(sess, b)
+	h.ingestMu.RUnlock()
+	if err != nil {
+		var refused *statusError
+		if errors.As(err, &refused) {
+			http.Error(w, refused.msg, refused.Code)
+		} else {
+			s.topkM.observeIngestError(err, take)
+			writeIngestError(w, err)
+		}
+		return 0, nil, ack, false
+	}
+	h.maybeCompact()
+	return take, stale, ack, true
+}
+
+// commitLocked is commitRound under the session lock. Caller holds
+// ingestMu.RLock.
+func (s *Server) commitLocked(sess *liveSession, b roundBatch) (take int, stale error, ack WireTopKAck, err error) {
+	h, pl := s.topk, sess.pl
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.deleted {
+		// Evicted between lookup and lock: a report record appended now
+		// would follow the deletion record on replay.
+		return 0, nil, ack, &statusError{http.StatusNotFound, fmt.Sprintf("collect: no session %q", sess.id)}
+	}
+	if cur, _ := pl.Layout(); cur != b.layout {
+		stale = topk.ErrSessionDone
+		if !pl.Done() {
+			stale = &topk.RoundMismatchError{Got: b.layout.Round, Live: pl.Round()}
+		}
+		return 0, stale, sess.ackLocked(), nil
+	}
+	room := pl.Quota() - pl.Received()
+	take = min(b.n, room)
+	if b.whole && take < b.n {
+		// The frame is live but larger than the round's remaining quota; a
+		// frame is all-or-nothing, so the client must resize it (the error
+		// carries the live position).
+		return 0, nil, ack, &statusError{http.StatusConflict, fmt.Sprintf(
+			"collect: frame of %d reports exceeds the %d remaining in round %d", b.n, room, pl.Round())}
+	}
+	if err := s.limit.admit(take); err != nil {
+		return take, nil, ack, err
+	}
+	if take > 0 {
+		// Durability before application, so a crash replays exactly what
+		// was acknowledged.
+		if h.log != nil {
+			typ, rec, err := b.record(take)
+			if err == nil {
+				err = h.appendRecord(typ, rec)
+			}
+			if err != nil {
+				s.limit.refund(take)
+				return take, nil, ack, fmt.Errorf("collect: wal append: %w", err)
+			}
+		}
+		// Every report passed validation against the layout the planner
+		// still holds, so this cannot fail.
+		if err := b.absorb(pl, take); err != nil {
+			return take, nil, ack, &statusError{http.StatusInternalServerError, "collect: absorb accepted report: " + err.Error()}
+		}
+		// Seal before acking, so the ack — and the 410 of whoever comes
+		// next — carries the advanced round index.
+		before := pl.Round()
+		advanceOnQuota(pl)
+		h.rounds.Add(int64(pl.Round() - before))
+	}
+	return take, nil, sess.ackLocked(), nil
 }
 
 // handleTopKReports ingests a batch of round reports — a JSON array or
@@ -903,13 +790,6 @@ type indexedReport struct {
 // after the seal (in this batch or a later one) are rejected, and a batch
 // rejected entirely for that reason is answered 410 Gone with the live
 // round index.
-//
-// Concurrency: the handler validates against the lane's immutable layout
-// snapshot, reserves quota with one atomic, and absorbs into one shard
-// partial — the session mutex is never taken mid-round, so batches on one
-// session proceed in parallel. Whoever observes the quota hit zero runs
-// the seal (sealSession), which merges the shards into the planner exactly
-// once; merged state is bit-identical to sequential absorption.
 func (s *Server) handleTopKReports(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	h, m := s.topk, s.topkM
@@ -933,128 +813,72 @@ func (s *Server) handleTopKReports(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "decode batch: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-
-	h.ingestMu.RLock()
-	sess.roundMu.RLock()
-	if sess.deleted {
-		// Evicted between lookup and lock: a report record appended now
-		// would follow the deletion record on replay.
-		sess.roundMu.RUnlock()
-		h.ingestMu.RUnlock()
-		http.Error(w, fmt.Sprintf("collect: no session %q", sess.id), http.StatusNotFound)
+	layout, _, ok := s.liveRound(w, sess)
+	if !ok {
 		return
 	}
-	lane := sess.lane
-	// Pass 1 (read-only): classify against the lane's layout snapshot.
-	// Acceptance is order-dependent only through the quota, settled below
-	// by the reservation.
-	accepted := make([]indexedReport, 0, len(items))
+	// Classify against the layout, outside the lock. Acceptance is
+	// order-dependent only through the quota, settled in the commit. at[i] is
+	// accepted[i]'s position in the submitted batch, so a rejection decided
+	// there can still be attributed.
+	accepted := make([]topk.RoundReport, 0, len(items))
+	at := make([]int, 0, len(items))
 	staleRejects := 0
 	for i, rep := range items {
-		if lane == nil {
-			staleRejects++
-			itemErrs = append(itemErrs, WireItemError{Index: i, Error: topk.ErrSessionDone.Error()})
-			continue
+		cerr := error(topk.ErrSessionDone)
+		if layout != nil {
+			cerr = layout.CheckReport(rep)
 		}
-		if cerr := lane.layout.CheckReport(rep); cerr != nil {
+		if cerr != nil {
 			var rm *topk.RoundMismatchError
-			if errors.As(cerr, &rm) {
+			if layout == nil || errors.As(cerr, &rm) {
 				staleRejects++
 			}
 			itemErrs = append(itemErrs, WireItemError{Index: i, Error: cerr.Error()})
 			continue
 		}
-		accepted = append(accepted, indexedReport{index: i, report: rep})
+		accepted, at = append(accepted, rep), append(at, i)
 	}
-	// Reserve quota for as much of the batch as the round still has room
-	// for; everything past the reservation is posting to a round this batch
-	// (or a concurrent one) is sealing.
-	take := 0
-	if lane != nil && len(accepted) > 0 {
-		take = int(lane.reserveUpTo(int64(len(accepted))))
-	}
-	for _, it := range accepted[take:] {
-		staleRejects++
-		itemErrs = append(itemErrs, WireItemError{Index: it.index,
-			Error: fmt.Sprintf("topk: round %d sealed by this batch", lane.round)})
-	}
-	accepted = accepted[:take]
-	// The round reports draw from the same server-wide rate bucket as the
-	// other tiers; a refused batch left no trace (not logged, not absorbed,
-	// reservation returned) and may be resubmitted after the hinted delay.
-	if err := s.limit.admit(len(accepted)); err != nil {
-		if lane != nil {
-			lane.unreserve(int64(take))
-		}
-		sess.roundMu.RUnlock()
-		h.ingestMu.RUnlock()
-		m.observeIngestError(err, len(accepted))
-		writeIngestError(w, err)
+	take, stale, ack, ok := s.commitRound(w, sess, roundBatch{
+		layout: layout,
+		n:      len(accepted),
+		record: func(take int) (byte, []byte, error) {
+			rec, err := json.Marshal(wireSessionReports{ID: sess.id, Reports: accepted[:take]})
+			return recSessionReports, rec, err
+		},
+		absorb: func(pl *topk.Planner, take int) error {
+			for _, rep := range accepted[:take] {
+				if err := pl.Absorb(rep); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	})
+	if !ok {
 		return
 	}
-	// Durability before application: the accepted reports are logged as
-	// one record, so a crash replays exactly what was acknowledged.
-	if h.log != nil && len(accepted) > 0 {
-		reps := make([]topk.RoundReport, len(accepted))
-		for i, it := range accepted {
-			reps[i] = it.report
-		}
-		rec, err := json.Marshal(wireSessionReports{ID: sess.id, Reports: reps})
-		if err == nil {
-			err = h.appendRecord(recSessionReports, rec)
-		}
-		if err != nil {
-			s.limit.refund(take) // not ingested: the client's retry must not pay twice
-			lane.unreserve(int64(take))
-			sess.roundMu.RUnlock()
-			h.ingestMu.RUnlock()
-			m.rejectedWAL.Add(int64(len(accepted)))
-			http.Error(w, "collect: wal append: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
+	// Everything past take was posting to a round this batch, or a
+	// concurrent one, sealed.
+	if stale == nil && take < len(at) {
+		stale = fmt.Errorf("topk: round %d sealed by this batch", layout.Round)
 	}
-	// Apply into one shard. Every accepted report passed CheckReport
-	// against the same immutable layout the partial validates with, so
-	// failures are impossible here.
-	if len(accepted) > 0 {
-		sh := lane.shards[lane.next.Add(1)%uint64(len(lane.shards))]
-		sh.mu.Lock()
-		var aerr error
-		for _, it := range accepted {
-			if aerr = sh.part.Absorb(it.report); aerr != nil {
-				break
-			}
-		}
-		sh.mu.Unlock()
-		if aerr != nil {
-			sess.roundMu.RUnlock()
-			h.ingestMu.RUnlock()
-			http.Error(w, "collect: absorb accepted report: "+aerr.Error(), http.StatusInternalServerError)
-			return
-		}
+	for _, i := range at[take:] {
+		staleRejects++
+		itemErrs = append(itemErrs, WireItemError{Index: i, Error: stale.Error()})
 	}
-	sealNow := lane != nil && lane.remaining.Load() == 0
-	sess.roundMu.RUnlock()
-	if sealNow {
-		// Either this batch took the last of the quota, or it lost the race
-		// to the batch that did: seal (idempotently) before acking so the
-		// ack — and a whole-batch 410 — carries the advanced round index.
-		h.rounds.Add(h.sealSession(sess))
-	}
-	ack := ackAt(sess, len(accepted), len(itemErrs)+droppedTail)
-	h.ingestMu.RUnlock()
-	h.maybeCompact()
+	ack.Accepted, ack.Rejected = take, len(itemErrs)+droppedTail
 
 	m.batchesJSON.Inc()
-	m.reportsJSON.Add(int64(len(accepted)))
-	h.reportsJSON.Add(int64(len(accepted)))
-	m.rejectedItem.Add(int64(len(itemErrs) + droppedTail))
+	m.reportsJSON.Add(int64(take))
+	h.reportsJSON.Add(int64(take))
+	m.rejectedItem.Add(int64(ack.Rejected))
 	if len(itemErrs) > maxBatchErrors {
 		itemErrs = itemErrs[:maxBatchErrors]
 		ack.ErrorsTruncated = true
 	}
 	ack.Errors = itemErrs
-	if ack.Accepted == 0 && len(items) > 0 && staleRejects == len(itemErrs) {
+	if take == 0 && len(items) > 0 && staleRejects == len(itemErrs) {
 		h.writeStaleAck(w, ack)
 		return
 	}
@@ -1064,14 +888,14 @@ func (s *Server) handleTopKReports(w http.ResponseWriter, r *http.Request) {
 
 // ingestTopKBinary ingests one binary session frame ('T' tier, see
 // internal/topk/binwire.go): peek answers addressing and staleness from
-// the header alone, the records are validated in full against the lane's
-// layout, the whole frame reserves quota atomically (all-or-nothing), the
-// raw frame bytes are write-ahead logged, and the packed bit-vectors fold
-// word-wise into one shard partial without ever materializing report
-// structs. body is the pooled request body (already counted into the
-// byte series); the caller's deferred release reclaims it.
+// the header alone, the records are validated in full against the live
+// round's layout, and the commit takes the whole frame or nothing, logs the
+// raw frame bytes write-ahead, and sums the packed bit-vectors by column
+// into the round's counts without ever materializing report structs. body
+// is the pooled request body (already counted into the byte series); the
+// caller's deferred release reclaims it.
 func (s *Server) ingestTopKBinary(w http.ResponseWriter, sess *liveSession, body []byte, start time.Time) {
-	h, m := s.topk, s.topkM
+	m := s.topkM
 	f, err := topk.PeekRoundFrame(body)
 	if err != nil {
 		m.rejectedDecode.Inc()
@@ -1084,108 +908,61 @@ func (s *Server) ingestTopKBinary(w http.ResponseWriter, sess *liveSession, body
 			http.StatusBadRequest)
 		return
 	}
-
-	h.ingestMu.RLock()
-	sess.roundMu.RLock()
-	if sess.deleted {
-		sess.roundMu.RUnlock()
-		h.ingestMu.RUnlock()
-		http.Error(w, fmt.Sprintf("collect: no session %q", sess.id), http.StatusNotFound)
+	layout, ack, ok := s.liveRound(w, sess)
+	if !ok {
 		return
 	}
-	lane := sess.lane
-	if lane == nil || f.Round != lane.round {
+	if layout == nil || f.Round != layout.Round {
 		// Stale (or done) by the header alone — the records were never
 		// decoded. The ack names the live round.
-		sess.roundMu.RUnlock()
-		m.rejectedItem.Add(int64(f.Count))
-		h.writeStaleAck(w, ackAt(sess, 0, f.Count))
-		h.ingestMu.RUnlock()
+		s.staleFrame(w, f.Count, ack)
 		return
 	}
-	checked, err := f.Check(lane.layout)
+	checked, err := f.Check(layout)
 	if err != nil {
-		sess.roundMu.RUnlock()
-		h.ingestMu.RUnlock()
 		m.rejectedDecode.Inc()
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if f.Count == 0 {
-		sess.roundMu.RUnlock()
-		ack := ackAt(sess, 0, 0)
-		h.ingestMu.RUnlock()
-		m.batchesBinary.Inc()
-		writeJSON(w, ack)
-		m.latency.Observe(time.Since(start).Seconds())
-		return
-	}
-	if !lane.reserveExact(int64(f.Count)) {
-		sess.roundMu.RUnlock()
-		if lane.remaining.Load() == 0 {
-			// Lost the race to the sealing batch: resolve the seal, then
-			// 410 with the advanced round.
-			h.rounds.Add(h.sealSession(sess))
-			m.rejectedItem.Add(int64(f.Count))
-			h.writeStaleAck(w, ackAt(sess, 0, f.Count))
-			h.ingestMu.RUnlock()
-			return
-		}
-		// The frame is live but larger than the round's remaining quota; a
-		// frame is all-or-nothing, so the client must resize it (the error
-		// carries the live position).
-		_, received, quota, _ := sess.position()
-		h.ingestMu.RUnlock()
-		http.Error(w, fmt.Sprintf("collect: frame of %d reports exceeds the %d remaining in round %d",
-			f.Count, quota-received, f.Round), http.StatusConflict)
-		return
-	}
-	if err := s.limit.admit(f.Count); err != nil {
-		lane.unreserve(int64(f.Count))
-		sess.roundMu.RUnlock()
-		h.ingestMu.RUnlock()
-		m.observeIngestError(err, f.Count)
-		writeIngestError(w, err)
-		return
-	}
-	// Durability before application: the accepted frame is logged raw —
-	// no re-encode, and replay re-validates the same bytes.
-	if h.log != nil {
-		if err := h.appendRecord(recSessionBinaryFrame, body); err != nil {
-			s.limit.refund(f.Count) // not ingested: the client's retry must not pay twice
-			lane.unreserve(int64(f.Count))
-			sess.roundMu.RUnlock()
-			h.ingestMu.RUnlock()
-			m.rejectedWAL.Add(int64(f.Count))
-			http.Error(w, "collect: wal append: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-	}
-	sh := lane.shards[lane.next.Add(1)%uint64(len(lane.shards))]
-	sh.mu.Lock()
-	sh.part.AbsorbChecked(checked)
-	sh.mu.Unlock()
-	sealNow := lane.remaining.Load() == 0
-	sess.roundMu.RUnlock()
-	if sealNow {
-		h.rounds.Add(h.sealSession(sess))
-	}
-	ack := ackAt(sess, f.Count, 0)
-	h.ingestMu.RUnlock()
-	h.maybeCompact()
-
-	m.batchesBinary.Inc()
-	m.reportsBinary.Add(int64(f.Count))
-	h.reportsBinary.Add(int64(f.Count))
-	writeJSON(w, ack)
-	m.latency.Observe(time.Since(start).Seconds())
+	s.commitTopKFrame(w, sess, layout, checked, body, start)
 }
 
-func max0(n int) int {
-	if n < 0 {
-		return 0
+// staleFrame answers a frame whose round is no longer live: 410, every
+// record rejected, the live position in the body.
+func (s *Server) staleFrame(w http.ResponseWriter, count int, ack WireTopKAck) {
+	s.topkM.rejectedItem.Add(int64(count))
+	ack.Rejected = count
+	s.topk.writeStaleAck(w, ack)
+}
+
+// commitTopKFrame commits a frame checked against layout and answers it.
+// The round may have sealed since the check: the commit notices (the layout
+// pointer moved) and the frame is answered like any other stale one.
+func (s *Server) commitTopKFrame(w http.ResponseWriter, sess *liveSession, layout *topk.RoundLayout,
+	checked topk.CheckedRoundFrame, body []byte, start time.Time) {
+	h, m := s.topk, s.topkM
+	take, stale, ack, ok := s.commitRound(w, sess, roundBatch{
+		layout: layout,
+		n:      checked.Count,
+		whole:  true,
+		// The accepted frame is logged raw — no re-encode, and replay
+		// re-validates the same bytes.
+		record: func(int) (byte, []byte, error) { return recSessionBinaryFrame, body, nil },
+		absorb: func(pl *topk.Planner, _ int) error { return pl.AbsorbChecked(checked) },
+	})
+	if !ok {
+		return
 	}
-	return n
+	if stale != nil {
+		s.staleFrame(w, checked.Count, ack)
+		return
+	}
+	ack.Accepted = take
+	m.batchesBinary.Inc()
+	m.reportsBinary.Add(int64(take))
+	h.reportsBinary.Add(int64(take))
+	writeJSON(w, ack)
+	m.latency.Observe(time.Since(start).Seconds())
 }
 
 // ---------------------------------------------------------------------------
@@ -1275,7 +1052,12 @@ func (ts *TopKSession) PostReports(reps []topk.RoundReport) (*WireTopKAck, error
 	if err != nil {
 		return nil, err
 	}
-	resp, err := ts.http.Post(ts.base+"/topk/sessions/"+ts.info.ID+"/reports", "application/json", bytes.NewReader(body))
+	return ts.postReports("application/json", body)
+}
+
+// postReports posts one encoded batch and decodes its acknowledgement.
+func (ts *TopKSession) postReports(contentType string, body []byte) (*WireTopKAck, error) {
+	resp, err := ts.http.Post(ts.base+"/topk/sessions/"+ts.info.ID+"/reports", contentType, bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("collect: session %s reports: %w", ts.info.ID, err)
 	}
@@ -1319,24 +1101,7 @@ func (ts *TopKSession) PostReportsBinary(cfg *topk.RoundConfig, reps []topk.Roun
 	}
 	*bufp = frame[:0]
 	defer encodeBufPool.Put(bufp)
-	resp, err := ts.http.Post(ts.base+"/topk/sessions/"+ts.info.ID+"/reports", BinaryContentType, bytes.NewReader(frame))
-	if err != nil {
-		return nil, fmt.Errorf("collect: session %s reports: %w", ts.info.ID, err)
-	}
-	defer resp.Body.Close()
-	var ack WireTopKAck
-	decodeErr := json.NewDecoder(resp.Body).Decode(&ack)
-	if resp.StatusCode != http.StatusOK {
-		err := &statusError{resp.StatusCode, fmt.Sprintf("collect: session %s reports status %s", ts.info.ID, resp.Status)}
-		if resp.StatusCode == http.StatusGone && decodeErr == nil {
-			return &ack, err
-		}
-		return nil, err
-	}
-	if decodeErr != nil {
-		return nil, fmt.Errorf("collect: decode reports ack: %w", decodeErr)
-	}
-	return &ack, nil
+	return ts.postReports(BinaryContentType, frame)
 }
 
 // Result fetches the final per-class rankings; it errors (with a 409

@@ -1,0 +1,214 @@
+package collect
+
+import (
+	"bytes"
+	"encoding/gob"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/state"
+	"repro/internal/topk"
+	"repro/internal/wal"
+)
+
+// plannerFields mirrors the gob payload of a marshaled planner, field by
+// field. States written by two processes are compared through it rather than
+// byte for byte: gob numbers a type when a process first encodes it, so equal
+// states marshaled by different processes can differ in their type ids.
+type plannerFields struct {
+	Params          topk.SessionParams
+	Round, Received int
+	Done            bool
+	Rand            []byte
+	Global          *topk.SpaceDesc
+	Spaces          []topk.SpaceDesc
+	Aggs            []struct {
+		VP               bool
+		Buckets          int
+		Counts           []int64
+		N, Kept, Dropped int
+	}
+	LabelRouted []int64
+	LabelTotal  int64
+	CPFlags     []bool
+	Result      *topk.Result
+}
+
+func decodePlannerFields(t *testing.T, blob []byte) plannerFields {
+	t.Helper()
+	_, payload, err := state.Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f plannerFields
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&f); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestParentWrittenSessionLogReplays replays a session log the parent commit
+// (the sharded-lane hub) wrote and left behind under kill -9 — a compaction
+// snapshot taken mid-round, then 'C', JSON 'T', binary 'W' and 'D' records, a
+// session that ran to its result inside the tail, and a torn last frame — and
+// holds the replay to what the parent's own restart made of the same bytes:
+// the same sessions, the same marshaled planner state, the same rankings.
+// testdata/topk_parent_log is that directory plus the parent's expectations.
+func TestParentWrittenSessionLogReplays(t *testing.T) {
+	const fixture = "testdata/topk_parent_log"
+	dir := t.TempDir()
+	logDir := filepath.Join(dir, "topk")
+	if err := os.Mkdir(logDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(filepath.Join(fixture, "wal", "topk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(fixture, "wal", "topk", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(logDir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, hs := topkTestServer(t, WithWAL(dir), WithWALOptions(wal.Options{Sync: wal.SyncNever}))
+	defer srv.Close()
+
+	if _, err := OpenTopKSession(hs.URL, nil, "s000002"); err == nil {
+		t.Fatal("the session the log's 'D' record evicted came back")
+	} else if code, _ := StatusCode(err); code != http.StatusNotFound {
+		t.Fatalf("evicted session: %v", err)
+	}
+	wantResult := func(id string) *topk.Result {
+		t.Helper()
+		blob, err := os.ReadFile(filepath.Join(fixture, id+".result.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res topk.Result
+		if err := json.Unmarshal(blob, &res); err != nil {
+			t.Fatal(err)
+		}
+		return &res
+	}
+	for _, id := range []string{"s000001", "s000003"} {
+		sess, ok := srv.topk.lookup(id)
+		if !ok {
+			t.Fatalf("session %s not recovered", id)
+		}
+		got, err := sess.pl.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(fixture, id+".state"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := decodePlannerFields(t, got), decodePlannerFields(t, want); !reflect.DeepEqual(g, w) {
+			t.Fatalf("session %s replayed to\n%+v\nthe parent replayed it to\n%+v", id, g, w)
+		}
+	}
+	// s000003 ran to completion inside the log's tail.
+	ts3, err := OpenTopKSession(hs.URL, nil, "s000003")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ts3.Result(); err != nil || !reflect.DeepEqual(got, wantResult("s000003")) {
+		t.Fatalf("s000003 result %+v (err %v), the parent served %+v", got, err, wantResult("s000003"))
+	}
+	// s000001 was killed mid-round with users [0,320) answered; finished
+	// from there it must rank what the parent ranked.
+	ts1, err := OpenTopKSession(hs.URL, nil, "s000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := topkTestData(2, 64, 1500, 71)
+	if got := driveSession(t, ts1, data.Pairs, 1601, 64, 320); !reflect.DeepEqual(got, wantResult("s000001")) {
+		t.Fatalf("s000001 finished on %+v, the parent on %+v", got, wantResult("s000001"))
+	}
+}
+
+// TestTopKFrameCommittedAfterSeal pins the one race the single session lock
+// leaves open by design: a frame is validated against round r's layout
+// outside the lock, round r seals, and only then does the frame reach the
+// commit. It must be answered 410 with the advanced round, and leave no WAL
+// record and no rate-limit debit behind.
+func TestTopKFrameCommittedAfterSeal(t *testing.T) {
+	srv, hs := topkTestServer(t, WithWAL(t.TempDir()), WithRateLimit(1000, 100000))
+	defer srv.Close()
+	frozen := time.Now()
+	srv.limit.now = func() time.Time { return frozen } // no refill: debits stay visible
+	data := topkTestData(2, 64, 400, 67)
+	const seed = 6868
+	ts, err := NewTopKSession(hs.URL, nil, topk.SessionParams{
+		Framework: "pts", Classes: data.Classes, Items: data.Items,
+		K: 2, Eps: 2, Users: data.N(), Seed: seed, Opt: topk.Optimized(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := ts.Round()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := topk.NewRoundEncoder(rd.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := make([]topk.RoundReport, rd.Config.Quota+8)
+	for i := range reps {
+		if reps[i], err = enc.Encode(data.Pairs[i], topk.UserRand(seed, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill, late := reps[:rd.Config.Quota], reps[rd.Config.Quota:]
+
+	// The late frame gets as far as a handler does before its commit...
+	sess, _ := srv.topk.lookup(ts.ID())
+	layout, _, ok := srv.liveRound(httptest.NewRecorder(), sess)
+	if !ok || layout == nil {
+		t.Fatal("fresh session has no live round")
+	}
+	body, err := topk.AppendRoundFrame(nil, ts.ID(), layout, late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := topk.PeekRoundFrame(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked, err := f.Check(layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ...then the round fills and seals under it...
+	if ack, err := ts.PostReportsBinary(rd.Config, fill); err != nil || ack.Round != 1 {
+		t.Fatalf("filling round 0: ack %+v, err %v", ack, err)
+	}
+	logged, tokens := srv.topk.walStats().BytesSinceCompaction, srv.limit.tokens
+	// ...and the commit finds another round live.
+	rec := httptest.NewRecorder()
+	srv.commitTopKFrame(rec, sess, layout, checked, body, time.Now())
+	var ack WireTopKAck
+	if err := json.Unmarshal(rec.Body.Bytes(), &ack); rec.Code != http.StatusGone || err != nil {
+		t.Fatalf("late commit answered %d %q (decode: %v), want 410 with an ack", rec.Code, rec.Body, err)
+	}
+	if ack.Round != 1 || ack.Accepted != 0 || ack.Rejected != len(late) || ack.Received != 0 {
+		t.Fatalf("late commit ack %+v, want round 1 with all %d rejected", ack, len(late))
+	}
+	if got := srv.topk.walStats().BytesSinceCompaction; got != logged {
+		t.Fatalf("late commit grew the session log from %d to %d bytes", logged, got)
+	}
+	if srv.limit.tokens != tokens {
+		t.Fatalf("late commit moved the rate bucket from %v to %v", tokens, srv.limit.tokens)
+	}
+}

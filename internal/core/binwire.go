@@ -61,45 +61,74 @@ var binaryMagic = [4]byte{'M', 'C', 'B', 'W'}
 // binaryCRC is the CRC-32C table shared with the state envelope and WAL.
 var binaryCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// binaryZeros is a zero region appended in chunks when reserving packed
-// bit-vector bytes, so encoding never allocates a scratch slice.
+// binaryZeros is the zero region AppendZeros copies from.
 var binaryZeros [1024]byte
 
-// appendBinaryHeader starts a frame for count records of the given tier.
-func appendBinaryHeader(dst []byte, tier byte, count int) []byte {
-	dst = append(dst, binaryMagic[:]...)
-	dst = append(dst, BinaryWireVersion, tier)
-	return binary.LittleEndian.AppendUint32(dst, uint32(count))
+// AppendZeros appends n zero bytes — how the encoders reserve a packed bit
+// vector before setting its bits, without allocating a scratch slice.
+func AppendZeros(dst []byte, n int) []byte {
+	for n > 0 {
+		k := min(n, len(binaryZeros))
+		dst = append(dst, binaryZeros[:k]...)
+		n -= k
+	}
+	return dst
 }
 
-// finishBinaryFrame appends the CRC over the frame that started at off.
-func finishBinaryFrame(dst []byte, off int) []byte {
+// AppendBinaryFrameHeader starts an MCBW frame of the given tier: magic,
+// version, tier byte. The tier's own header fields follow. Exported with
+// OpenBinaryFrame and FinishBinaryFrame for the session tier's codec
+// (internal/topk/binwire.go), so the envelope is written once.
+func AppendBinaryFrameHeader(dst []byte, tier byte) []byte {
+	dst = append(dst, binaryMagic[:]...)
+	return append(dst, BinaryWireVersion, tier)
+}
+
+// FinishBinaryFrame appends the CRC over the frame that started at off.
+func FinishBinaryFrame(dst []byte, off int) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[off:], binaryCRC))
 }
 
-// openBinaryFrame checks the CRC and header of a frame and returns its
-// record region and declared record count. It never panics: corrupted,
-// truncated or mis-tiered inputs come back as errors before any record is
-// touched.
-func openBinaryFrame(data []byte, tier byte) (records []byte, count int, err error) {
-	if len(data) < binaryMinFrameLen {
-		return nil, 0, fmt.Errorf("core: binary frame truncated (%d bytes)", len(data))
+// OpenBinaryFrame checks what every MCBW frame shares — length (minLen is
+// the tier's shortest frame, CRC included), CRC, magic, version and tier —
+// and returns the bytes between the tier byte and the CRC. It never panics:
+// corrupted, truncated or mis-tiered inputs come back as errors before
+// anything tier-specific is touched. The errors carry no package prefix;
+// each tier's codec adds its own.
+func OpenBinaryFrame(data []byte, tier byte, minLen int) ([]byte, error) {
+	if len(data) < minLen {
+		return nil, fmt.Errorf("binary frame truncated (%d bytes)", len(data))
 	}
 	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
 	if got, want := crc32.Checksum(body, binaryCRC), binary.LittleEndian.Uint32(crcBytes); got != want {
-		return nil, 0, fmt.Errorf("core: binary frame CRC mismatch (got %08x, want %08x)", got, want)
+		return nil, fmt.Errorf("binary frame CRC mismatch (got %08x, want %08x)", got, want)
 	}
 	if [4]byte(body[:4]) != binaryMagic {
-		return nil, 0, fmt.Errorf("core: bad binary frame magic %q", body[:4])
+		return nil, fmt.Errorf("bad binary frame magic %q", body[:4])
 	}
 	if v := body[4]; v != BinaryWireVersion {
-		return nil, 0, fmt.Errorf("core: binary frame version %d, this build reads %d", v, BinaryWireVersion)
+		return nil, fmt.Errorf("binary frame version %d, this build reads %d", v, BinaryWireVersion)
 	}
 	if t := body[5]; t != tier {
-		return nil, 0, fmt.Errorf("core: binary frame tier %q, want %q", t, tier)
+		return nil, fmt.Errorf("binary frame tier %q, want %q", t, tier)
 	}
-	records = body[binaryHeaderLen:]
-	n := binary.LittleEndian.Uint32(body[6:binaryHeaderLen])
+	return body[6:], nil
+}
+
+// appendBinaryHeader starts a frame for count records of the given tier.
+func appendBinaryHeader(dst []byte, tier byte, count int) []byte {
+	return binary.LittleEndian.AppendUint32(AppendBinaryFrameHeader(dst, tier), uint32(count))
+}
+
+// openBinaryFrame opens a report-tier frame and returns its record region
+// and declared record count.
+func openBinaryFrame(data []byte, tier byte) (records []byte, count int, err error) {
+	rest, err := OpenBinaryFrame(data, tier, binaryMinFrameLen)
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: %w", err)
+	}
+	records = rest[4:]
+	n := binary.LittleEndian.Uint32(rest)
 	// Every record costs at least one byte, so a count beyond the record
 	// bytes is structurally impossible — catch it before the walk does.
 	if uint64(n) > uint64(len(records)) {
@@ -135,11 +164,7 @@ func (p *Protocol) AppendBinaryBatch(dst []byte, wires []WirePayload) ([]byte, e
 				return nil, fmt.Errorf("core: %s report %d carries a value, want a %d-bit vector", p.name, i, s.bitsLen)
 			}
 			base := len(dst)
-			for rem := nw * 8; rem > 0; {
-				k := min(rem, len(binaryZeros))
-				dst = append(dst, binaryZeros[:k]...)
-				rem -= k
-			}
+			dst = AppendZeros(dst, nw*8)
 			for _, b := range w.Bits {
 				if b < 0 || b >= s.bitsLen {
 					return nil, fmt.Errorf("core: %s report %d bit %d outside [0,%d)", p.name, i, b, s.bitsLen)
@@ -164,7 +189,7 @@ func (p *Protocol) AppendBinaryBatch(dst []byte, wires []WirePayload) ([]byte, e
 			return nil, fmt.Errorf("core: %s report %d carries a hash seed, want none", p.name, i)
 		}
 	}
-	return finishBinaryFrame(dst, off), nil
+	return FinishBinaryFrame(dst, off), nil
 }
 
 // CheckedFrame is a binary frame a protocol's Validate… method has checked
@@ -393,7 +418,7 @@ func (p *NumericProtocol) AppendBinaryMeanBatch(dst []byte, wires []WireMeanRepo
 		dst = binary.AppendUvarint(dst, uint64(w.Label))
 		dst = binary.AppendUvarint(dst, uint64(w.Symbol))
 	}
-	return finishBinaryFrame(dst, off), nil
+	return FinishBinaryFrame(dst, off), nil
 }
 
 // countMeanRecords is the mean tier's one record walk: it checks every

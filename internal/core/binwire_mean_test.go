@@ -111,7 +111,7 @@ func TestMeanFrameKernelMatchesPerReportAdd(t *testing.T) {
 
 // meanFrame hand-frames raw record bytes under a declared count.
 func meanFrame(count int, records ...byte) []byte {
-	return finishBinaryFrame(append(appendBinaryHeader(nil, binaryTierMean, count), records...), 0)
+	return FinishBinaryFrame(append(appendBinaryHeader(nil, binaryTierMean, count), records...), 0)
 }
 
 // TestMeanFrameMalformedRecords pins what the walk rejects and the error it

@@ -271,7 +271,7 @@ func TestBinaryBatchRejectsCorruption(t *testing.T) {
 	stray = append(stray, 0)                   // label 0
 	stray = append(stray, make([]byte, 16)...) // d+1=65 bits → 2 words
 	stray[len(stray)-1] |= 0x80                // bit 127, far beyond bit 64
-	stray = finishBinaryFrame(stray, 0)
+	stray = FinishBinaryFrame(stray, 0)
 	check("stray bits", stray)
 
 	// A record count that does not match the framed records (here: count 2,
@@ -279,7 +279,7 @@ func TestBinaryBatchRejectsCorruption(t *testing.T) {
 	short := appendBinaryHeader(nil, binaryTierFrequency, 2)
 	short = append(short, 0)
 	short = append(short, make([]byte, 16)...)
-	short = finishBinaryFrame(short, 0)
+	short = FinishBinaryFrame(short, 0)
 	check("count overrun", short)
 }
 
@@ -337,7 +337,7 @@ func TestBinaryMeanBatch(t *testing.T) {
 		// Out-of-range symbol: hand-framed, rejected with nothing applied.
 		bad := appendBinaryHeader(nil, binaryTierMean, 1)
 		bad = append(bad, 0, byte(p.Symbols()))
-		bad = finishBinaryFrame(bad, 0)
+		bad = FinishBinaryFrame(bad, 0)
 		agg := p.NewAggregator()
 		if _, err := p.ApplyBinaryMeanBatch(agg, bad); err == nil {
 			t.Fatalf("%s: out-of-range symbol accepted", name)

@@ -308,7 +308,7 @@ func (r *Registry) Create(sp Spec) error {
 
 	srv, err := sp.build(r.tenantDir(sp.Name), r.walOpts)
 	if err != nil {
-		r.unreserve(sp.Name)
+		r.dropReservation(sp.Name)
 		return err
 	}
 
@@ -348,8 +348,8 @@ func (r *Registry) Ensure(sp Spec) error {
 	return err
 }
 
-// unreserve releases a name reserved by Create after a failed build.
-func (r *Registry) unreserve(name string) {
+// dropReservation releases a name reserved by Create after a failed build.
+func (r *Registry) dropReservation(name string) {
 	r.mu.Lock()
 	delete(r.reserved, name)
 	r.mu.Unlock()

@@ -102,8 +102,9 @@ type Spec struct {
 	RateLimit float64 `json:"rate_limit,omitempty"`
 	RateBurst int     `json:"rate_burst,omitempty"`
 
-	// Shards overrides the tenant's aggregator shard count; <1 keeps the
-	// collect default (GOMAXPROCS).
+	// Shards overrides the aggregator shard count of the tenant's report
+	// tiers (frequency, mean; mining sessions are not sharded); <1 keeps
+	// the collect default (GOMAXPROCS).
 	Shards int `json:"shards,omitempty"`
 
 	// Cache tunes the tenant's estimate cache; absent keeps the default

@@ -3,7 +3,6 @@ package topk
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
@@ -11,7 +10,9 @@ import (
 
 // This file is the binary wire codec for round-report batches — the session
 // tier of the MCBW frame format (internal/core/binwire.go holds the
-// frequency 'F' and mean 'M' tiers). A frame carries one whole batch for one
+// frequency 'F' and mean 'M' tiers, and the envelope checks all three share)
+// — and RoundPartial, the one aggregate a round's reports are counted into,
+// whichever wire they came by. A frame carries one whole batch for one
 // session round:
 //
 //	magic[4]="MCBW" version[u8] tier[u8]='T' sidLen[u8] sid[sidLen]
@@ -49,25 +50,15 @@ const (
 	roundMinFrameLen = roundFrameFixedLen + 1 + 4
 )
 
-// roundMagic is the shared MCBW frame magic (core's is unexported).
-var roundMagic = [4]byte{'M', 'C', 'B', 'W'}
-
-// roundCRC is the CRC-32C table shared with the other MCBW tiers.
-var roundCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// roundZeros is a zero region appended in chunks when reserving packed
-// bit-vector bytes, so encoding never allocates a scratch slice.
-var roundZeros [1024]byte
-
 // ---------------------------------------------------------------------------
 // Round layout.
 // ---------------------------------------------------------------------------
 
 // RoundLayout is the wire shape of one round: everything needed to validate
-// and decode that round's reports without holding the planner — so the hot
-// ingest path classifies and absorbs reports against an immutable snapshot
-// instead of serializing on the session lock. Server-side it comes from
-// Planner.Layout, client-side from LayoutOf over the round broadcast.
+// and decode that round's reports without holding the planner — so a server
+// validates a batch against the immutable layout outside its session lock.
+// Server-side it comes from Planner.Layout, client-side from LayoutOf over
+// the round broadcast.
 type RoundLayout struct {
 	// Round is the round index reports must carry.
 	Round int
@@ -95,8 +86,8 @@ func (l *RoundLayout) aggIndex(class int) int {
 }
 
 // CheckReport validates a report against the layout without mutating
-// anything, mirroring Planner.CheckReport exactly: round match
-// (RoundMismatchError otherwise), class range and bit-vector shape.
+// anything: round match (RoundMismatchError otherwise), class range and
+// bit-vector shape. A report that passes is safe to absorb.
 func (l *RoundLayout) CheckReport(rep RoundReport) error {
 	if rep.Round != l.Round {
 		return &RoundMismatchError{Got: rep.Round, Live: l.Round}
@@ -152,25 +143,15 @@ func (l *RoundLayout) walkRecords(records []byte, count int, visit func(class, o
 	return nil
 }
 
-// Layout snapshots the live round's wire shape, or false once the session is
-// done. The snapshot is immutable: later Absorb/Advance calls on the planner
-// do not affect it, so it may be shared across goroutines.
+// Layout returns the live round's wire shape, or false once the session is
+// done. The planner builds it once per round and never writes it again, so
+// the pointer may be shared across goroutines and identifies the round:
+// while Layout returns the same pointer, the round has not sealed.
 func (pl *Planner) Layout() (*RoundLayout, bool) {
 	if pl.done {
 		return nil, false
 	}
-	l := &RoundLayout{
-		Round:   pl.round,
-		Classes: pl.p.Classes,
-		PTJ:     pl.p.Framework == "ptj",
-		Single:  pl.p.Framework == "ptj" || (pl.p.Framework == "pts" && pl.round < pl.itF),
-		VP:      pl.p.Opt.VP,
-		Bits:    make([]int, len(pl.aggs)),
-	}
-	for i, a := range pl.aggs {
-		l.Bits[i] = a.bitsLen()
-	}
-	return l, true
+	return pl.layout, true
 }
 
 // LayoutOf derives the round's wire shape from its broadcast — the client
@@ -245,8 +226,7 @@ func AppendRoundFrame(dst []byte, sid string, l *RoundLayout, reps []RoundReport
 		return nil, fmt.Errorf("topk: session id length %d outside [1,255]", len(sid))
 	}
 	off := len(dst)
-	dst = append(dst, roundMagic[:]...)
-	dst = append(dst, core.BinaryWireVersion, roundTier, byte(len(sid)))
+	dst = append(core.AppendBinaryFrameHeader(dst, roundTier), byte(len(sid)))
 	dst = append(dst, sid...)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(l.Round))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(reps)))
@@ -257,16 +237,12 @@ func AppendRoundFrame(dst []byte, sid string, l *RoundLayout, reps []RoundReport
 		dst = binary.AppendUvarint(dst, uint64(rep.Class))
 		nw := (l.Bits[l.aggIndex(rep.Class)] + 63) / 64
 		base := len(dst)
-		for rem := nw * 8; rem > 0; {
-			k := min(rem, len(roundZeros))
-			dst = append(dst, roundZeros[:k]...)
-			rem -= k
-		}
+		dst = core.AppendZeros(dst, nw*8)
 		for _, b := range rep.Bits {
 			dst[base+(b>>3)] |= 1 << (uint(b) & 7)
 		}
 	}
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[off:], roundCRC)), nil
+	return core.FinishBinaryFrame(dst, off), nil
 }
 
 // PeekRoundFrame checks a frame's CRC and header and returns the addressed
@@ -275,34 +251,22 @@ func AppendRoundFrame(dst []byte, sid string, l *RoundLayout, reps []RoundReport
 // for the records. It never panics: corrupted, truncated or mis-tiered
 // inputs come back as errors.
 func PeekRoundFrame(data []byte) (RoundFrame, error) {
-	if len(data) < roundMinFrameLen {
-		return RoundFrame{}, fmt.Errorf("topk: binary frame truncated (%d bytes)", len(data))
+	rest, err := core.OpenBinaryFrame(data, roundTier, roundMinFrameLen)
+	if err != nil {
+		return RoundFrame{}, fmt.Errorf("topk: %w", err)
 	}
-	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.Checksum(body, roundCRC), binary.LittleEndian.Uint32(crcBytes); got != want {
-		return RoundFrame{}, fmt.Errorf("topk: binary frame CRC mismatch (got %08x, want %08x)", got, want)
-	}
-	if [4]byte(body[:4]) != roundMagic {
-		return RoundFrame{}, fmt.Errorf("topk: bad binary frame magic %q", body[:4])
-	}
-	if v := body[4]; v != core.BinaryWireVersion {
-		return RoundFrame{}, fmt.Errorf("topk: binary frame version %d, this build reads %d", v, core.BinaryWireVersion)
-	}
-	if t := body[5]; t != roundTier {
-		return RoundFrame{}, fmt.Errorf("topk: binary frame tier %q, want %q", t, roundTier)
-	}
-	sidLen := int(body[6])
+	sidLen := int(rest[0])
 	if sidLen < 1 {
 		return RoundFrame{}, fmt.Errorf("topk: binary frame with an empty session id")
 	}
-	if len(body) < 7+sidLen+8 {
+	if len(rest) < 1+sidLen+8 {
 		return RoundFrame{}, fmt.Errorf("topk: binary frame truncated inside its header")
 	}
 	f := RoundFrame{
-		SID:     body[7 : 7+sidLen],
-		Round:   int(binary.LittleEndian.Uint32(body[7+sidLen:])),
-		Count:   int(binary.LittleEndian.Uint32(body[7+sidLen+4:])),
-		records: body[7+sidLen+8:],
+		SID:     rest[1 : 1+sidLen],
+		Round:   int(binary.LittleEndian.Uint32(rest[1+sidLen:])),
+		Count:   int(binary.LittleEndian.Uint32(rest[1+sidLen+4:])),
+		records: rest[1+sidLen+8:],
 	}
 	// Every record costs at least one byte, so a count beyond the record
 	// bytes is structurally impossible — catch it before any walk does.
@@ -323,9 +287,9 @@ type CheckedRoundFrame struct {
 
 // Check validates the frame's records end to end against the layout without
 // absorbing anything. A frame it accepts is guaranteed to absorb cleanly,
-// which is what lets a durable server log the raw frame write-ahead and a
-// sharded server apply it with no failure path in between. A frame for
-// another round fails with RoundMismatchError, same as CheckReport.
+// which is what lets a durable server log the raw frame write-ahead and
+// apply it with no failure path in between. A frame for another round fails
+// with RoundMismatchError, same as CheckReport.
 func (f RoundFrame) Check(l *RoundLayout) (CheckedRoundFrame, error) {
 	if f.Round != l.Round {
 		return CheckedRoundFrame{}, &RoundMismatchError{Got: f.Round, Live: l.Round}
@@ -359,35 +323,48 @@ func DecodeRoundFrame(l *RoundLayout, f RoundFrame) ([]RoundReport, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded absorption.
+// The round aggregate.
 // ---------------------------------------------------------------------------
 
-// partialAgg is one aggregate's slice of a RoundPartial: the same counters
-// as roundAgg, accumulated independently and merged at seal.
-type partialAgg struct {
+// spaceAgg is one candidate space's share of a round: raw per-bucket support
+// counts, which rank identically to calibrated estimates within a round
+// because the calibration is a shared affine map. Under VP, reports whose
+// perturbed flag bit is set are dropped (Theorem 5's noise-reduction rule)
+// and only counted.
+type spaceAgg struct {
 	counts  []int64
-	n       int
-	kept    int
-	dropped int
+	n       int // reports folded in
+	kept    int // VP: reports with flag 0
+	dropped int // VP: reports discarded by the flag rule
 }
 
-// RoundPartial is one shard's partial aggregate of one round: everything a
-// report mutates in the planner (bucket counts, VP keep/drop counters, pts
-// label statistics), accumulated lock-free with respect to every other
-// shard and folded into the planner exactly once, at round seal
-// (Planner.MergePartial). All of it is integer addition, so absorbing a
-// round's reports across any number of partials in any order merges to the
-// same planner state as absorbing them sequentially — bit-identically.
+// scores returns the per-bucket pruning criterion.
+func (a *spaceAgg) scores() []float64 {
+	out := make([]float64, len(a.counts))
+	for i, c := range a.counts {
+		out[i] = float64(c)
+	}
+	return out
+}
+
+// RoundPartial is the aggregate of one round: everything a report mutates
+// (bucket counts, VP keep/drop counters, pts label statistics). A Planner
+// holds one as its live round — every report, JSON or binary, served or
+// replayed, is counted there — and a free-standing one counts a share of a
+// round somewhere else (an edge collector, a benchmark rung, a test's
+// shard) until Planner.MergePartial folds it in. All of it is integer
+// addition, so absorbing a round's reports across any number of partials in
+// any order merges to the same planner state as absorbing them sequentially
+// — bit-identically.
 //
-// A RoundPartial is not safe for concurrent use; the collection server runs
-// one behind each shard lock.
+// A RoundPartial is not safe for concurrent use.
 type RoundPartial struct {
 	layout *RoundLayout
-	aggs   []partialAgg
+	aggs   []spaceAgg
 
 	// Label statistics are tracked unconditionally (the wire class is the
-	// perturbed label only under pts; MergePartial folds them in only
-	// there), keeping the absorb path branch-free on the framework.
+	// perturbed label only under pts, and only a pts planner reads them),
+	// keeping the absorb path branch-free on the framework.
 	labelRouted []int64
 	labelTotal  int64
 
@@ -398,7 +375,7 @@ type RoundPartial struct {
 func NewRoundPartial(l *RoundLayout) *RoundPartial {
 	p := &RoundPartial{
 		layout:      l,
-		aggs:        make([]partialAgg, len(l.Bits)),
+		aggs:        make([]spaceAgg, len(l.Bits)),
 		labelRouted: make([]int64, l.Classes),
 	}
 	for i, b := range l.Bits {
@@ -415,7 +392,7 @@ func (p *RoundPartial) Received() int { return p.received }
 
 // Absorb folds one JSON-path report into the partial, validating it against
 // the layout first (CheckReport) — the sparse-bits twin of AbsorbChecked, so
-// mixed JSON and binary traffic lands in the same partials.
+// mixed JSON and binary traffic lands in the same counts.
 func (p *RoundPartial) Absorb(rep RoundReport) error {
 	if err := p.layout.CheckReport(rep); err != nil {
 		return err
@@ -490,6 +467,36 @@ func (p *RoundPartial) AbsorbFrame(f RoundFrame) error {
 	return nil
 }
 
+// merge adds o's counters into p. The two need not share a layout pointer
+// (a partial built over LayoutOf a broadcast merges into the planner's own),
+// only its shape, which is checked before anything is added.
+func (p *RoundPartial) merge(o *RoundPartial) error {
+	if len(o.aggs) != len(p.aggs) || len(o.labelRouted) != len(p.labelRouted) {
+		return fmt.Errorf("topk: merge of %d partial aggregates over %d classes into %d over %d",
+			len(o.aggs), len(o.labelRouted), len(p.aggs), len(p.labelRouted))
+	}
+	for i := range o.aggs {
+		if len(o.aggs[i].counts) != len(p.aggs[i].counts) {
+			return fmt.Errorf("topk: partial aggregate %d holds %d buckets, want %d", i, len(o.aggs[i].counts), len(p.aggs[i].counts))
+		}
+	}
+	for i := range o.aggs {
+		oa, a := &o.aggs[i], &p.aggs[i]
+		for j, c := range oa.counts {
+			a.counts[j] += c
+		}
+		a.n += oa.n
+		a.kept += oa.kept
+		a.dropped += oa.dropped
+	}
+	for c, v := range o.labelRouted {
+		p.labelRouted[c] += v
+	}
+	p.labelTotal += o.labelTotal
+	p.received += o.received
+	return nil
+}
+
 // reset zeroes the partial in place for the next round of its layout's
 // shape, keeping the allocations. MergePartial calls it after draining.
 func (p *RoundPartial) reset() {
@@ -508,11 +515,10 @@ func (p *RoundPartial) reset() {
 }
 
 // MergePartial drains a partial into the live round: counts, VP counters and
-// (for pts) label statistics add in, received advances, and the partial is
-// reset for reuse. Merging the shards of a round in any order yields the
-// same planner state as absorbing their reports sequentially. An empty
-// partial merges into any round (a no-op); a non-empty one must match the
-// live round — by the seal protocol it always does.
+// label statistics add in, received advances, and the partial is reset for
+// reuse. Merging the partials of a round in any order yields the same
+// planner state as absorbing their reports sequentially. An empty partial
+// merges into any round (a no-op); a non-empty one must match the live round.
 func (pl *Planner) MergePartial(p *RoundPartial) error {
 	if p.received == 0 {
 		return nil
@@ -520,46 +526,36 @@ func (pl *Planner) MergePartial(p *RoundPartial) error {
 	if pl.done || p.layout.Round != pl.round {
 		return fmt.Errorf("topk: merge of %d round-%d reports into live round %d", p.received, p.layout.Round, pl.round)
 	}
-	if len(p.aggs) != len(pl.aggs) {
-		return fmt.Errorf("topk: merge of %d partial aggregates into %d", len(p.aggs), len(pl.aggs))
+	if err := pl.live.merge(p); err != nil {
+		return err
 	}
-	for i := range p.aggs {
-		pa, a := &p.aggs[i], pl.aggs[i]
-		if len(pa.counts) != len(a.counts) {
-			return fmt.Errorf("topk: partial aggregate %d holds %d buckets, want %d", i, len(pa.counts), len(a.counts))
-		}
-		for j, c := range pa.counts {
-			a.counts[j] += c
-		}
-		a.n += pa.n
-		a.kept += pa.kept
-		a.dropped += pa.dropped
-	}
-	if pl.p.Framework == "pts" {
-		for c, v := range p.labelRouted {
-			pl.labelRouted[c] += v
-		}
-		pl.labelTotal += p.labelTotal
-	}
-	pl.received += p.received
 	p.reset()
 	return nil
 }
 
-// AbsorbRoundFrame folds every record of a frame straight into the live
-// round — the single-writer path WAL replay uses, where no sharding exists
-// and the planner is exclusively held: the frame is absorbed into a partial
-// of its own and merged at once. All-or-nothing like AbsorbFrame: validation
-// runs first, so an invalid frame leaves the round untouched. The quota is
+// AbsorbRoundFrame validates a frame against the live round and folds every
+// record of it straight into the round's aggregate — what WAL replay of a
+// raw frame record does. All-or-nothing like AbsorbFrame: validation runs
+// first, so an invalid frame leaves the round untouched. The quota is
 // advisory, exactly as in Absorb.
 func (pl *Planner) AbsorbRoundFrame(f RoundFrame) error {
-	l, ok := pl.Layout()
-	if !ok {
+	if pl.done {
 		return ErrSessionDone
 	}
-	p := NewRoundPartial(l)
-	if err := p.AbsorbFrame(f); err != nil {
-		return err
+	return pl.live.AbsorbFrame(f)
+}
+
+// AbsorbChecked folds a frame already checked against the live round's
+// layout (Layout) — the serving path, which validates outside the session
+// lock. A frame checked against any other layout, an earlier round's
+// included, is refused with nothing applied.
+func (pl *Planner) AbsorbChecked(f CheckedRoundFrame) error {
+	if pl.done {
+		return ErrSessionDone
 	}
-	return pl.MergePartial(p)
+	if f.layout != pl.layout {
+		return fmt.Errorf("topk: round-%d frame was not checked against live round %d's layout", f.Round, pl.round)
+	}
+	pl.live.AbsorbChecked(f)
+	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -372,7 +371,7 @@ func TestRoundFrameRejections(t *testing.T) {
 	resealed := append([]byte(nil), frame[:len(frame)-4]...)
 	countOff := 4 + 1 + 1 + 1 + len("sess") + 4
 	binary.LittleEndian.PutUint32(resealed[countOff:], 65)
-	resealed = binary.LittleEndian.AppendUint32(resealed, crc32.Checksum(resealed, roundCRC))
+	resealed = core.FinishBinaryFrame(resealed, 0)
 	f, err := PeekRoundFrame(resealed)
 	if err != nil {
 		t.Fatal(err)

@@ -164,10 +164,20 @@ type singleConfig struct {
 	vp        bool
 }
 
+// singleRound is the aggregate of one round over one candidate space of the
+// given bucket count — what the single-domain run counts into.
+func singleRound(round, buckets int, vp bool) *RoundPartial {
+	bits := buckets
+	if vp {
+		bits++
+	}
+	return NewRoundPartial(&RoundLayout{Round: round, Classes: 1, Single: true, VP: vp, Bits: []int{bits}})
+}
+
 // mineSingle runs the iterative pruning scheme over one domain as a thin
 // loop over the session halves: each round the server side lays out the
-// space and aggregates raw bucket counts (roundAgg), while each user
-// perturbs their own value client-side with their own generator
+// space and aggregates raw bucket counts (a one-space RoundPartial), while
+// each user perturbs their own value client-side with their own generator
 // (perturbBucket over UserRand), exactly as a served session's clients do.
 // items holds each user's value, with core.Invalid for users whose value
 // is invalid a priori; values invalidated later by pruning are handled per
@@ -181,7 +191,7 @@ func mineSingle(items []int, cfg singleConfig, r *xrand.Rand) ([]int, error) {
 	iters := iterationsFor(cfg.domain, cfg.buckets, cfg.shuffling)
 	bounds := groupBounds(len(items), iters)
 	for it := 0; it < iters; it++ {
-		agg := newRoundAgg(sp.Buckets(), cfg.vp)
+		agg := singleRound(it, sp.Buckets(), cfg.vp)
 		var (
 			vp  *core.VP
 			ue  *fo.UE
@@ -201,12 +211,15 @@ func mineSingle(items []int, cfg singleConfig, r *xrand.Rand) ([]int, error) {
 			if items[u] != core.Invalid {
 				bucket = sp.BucketOf(items[u])
 			}
-			agg.add(perturbBucket(sp, vp, ue, bucket, ur).Ones())
+			if err := agg.Absorb(RoundReport{Round: it, Bits: perturbBucket(sp, vp, ue, bucket, ur).Ones()}); err != nil {
+				return nil, err
+			}
 		}
+		scores := agg.aggs[0].scores()
 		if it == iters-1 {
-			return rankFinal(sp, agg.scores(), cfg.limit), nil
+			return rankFinal(sp, scores, cfg.limit), nil
 		}
-		sp.Prune(agg.scores(), pruneKeep(sp, cfg.keep), r)
+		sp.Prune(scores, pruneKeep(sp, cfg.keep), r)
 	}
 	// iters >= 1 always, so the loop returns; this is unreachable.
 	return nil, fmt.Errorf("topk: empty iteration schedule")

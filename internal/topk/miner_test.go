@@ -126,11 +126,14 @@ func TestRoundAggVPDropsFlagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := newRoundAgg(8, true)
+	round := singleRound(0, 8, true)
 	r := xrand.New(35)
 	for i := 0; i < 1000; i++ {
-		agg.add(vp.Perturb(core.Invalid, r).Ones())
+		if err := round.Absorb(RoundReport{Bits: vp.Perturb(core.Invalid, r).Ones()}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	agg := &round.aggs[0]
 	if agg.kept+agg.dropped != 1000 || agg.dropped == 0 {
 		t.Fatalf("kept %d dropped %d of 1000 invalid reports", agg.kept, agg.dropped)
 	}

@@ -89,58 +89,6 @@ func (e *RoundMismatchError) Error() string {
 	return fmt.Sprintf("topk: report for round %d, live round is %d", e.Got, e.Live)
 }
 
-// roundAgg is the server-side aggregate of one round for one candidate
-// space: raw per-bucket support counts, which rank identically to
-// calibrated estimates within a round because the calibration is a shared
-// affine map. Under VP, reports whose perturbed flag bit is set are
-// dropped (Theorem 5's noise-reduction rule).
-type roundAgg struct {
-	vp      bool
-	buckets int
-	counts  []int64
-	n       int // reports folded in
-	kept    int // VP: reports with flag 0
-	dropped int // VP: reports discarded by the flag rule
-}
-
-func newRoundAgg(buckets int, vp bool) *roundAgg {
-	return &roundAgg{vp: vp, buckets: buckets, counts: make([]int64, buckets)}
-}
-
-// bitsLen returns the wire bit-vector length the aggregate expects.
-func (a *roundAgg) bitsLen() int {
-	if a.vp {
-		return a.buckets + 1
-	}
-	return a.buckets
-}
-
-// add folds one validated report's set bits into the aggregate.
-func (a *roundAgg) add(bits []int) {
-	a.n++
-	if a.vp {
-		for _, b := range bits {
-			if b == a.buckets { // perturbed validity flag set: drop
-				a.dropped++
-				return
-			}
-		}
-		a.kept++
-	}
-	for _, b := range bits {
-		a.counts[b]++
-	}
-}
-
-// scores returns the per-bucket pruning criterion.
-func (a *roundAgg) scores() []float64 {
-	out := make([]float64, len(a.counts))
-	for i, c := range a.counts {
-		out[i] = float64(c)
-	}
-	return out
-}
-
 // Planner is the server half of one interactive mining session
 // (the SessionPlanner): it broadcasts round configs, absorbs one-round
 // reports, and on Advance prunes candidate spaces, hands global candidates
@@ -156,16 +104,23 @@ type Planner struct {
 	itF    int   // pts: leading global (Algorithm 1) rounds
 	quotas []int // reports per round
 
-	round    int
-	received int
-	done     bool
+	round int
+	done  bool
 
 	global space   // pts global-phase space (nil once forked or absent)
 	spaces []space // per-class spaces (hec, pts phase 2); [1]space for ptj
 
-	aggs []*roundAgg // current round, one per active space
+	// layout and live are the current round, each built once when the round
+	// opens: the wire shape reports validate against, and the aggregate —
+	// one per active space — they are counted into. After the final round
+	// live stays as that round's counts (they are part of the marshaled
+	// state); a session restored already done has none.
+	layout *RoundLayout
+	live   *RoundPartial
 
-	labelRouted []int64 // pts: perturbed-label counts across all rounds
+	// pts: perturbed-label counts over the sealed rounds; the live round's
+	// are in live until Advance folds them in.
+	labelRouted []int64
 	labelTotal  int64
 	cpFlags     []bool // pts: final-round CP switch, fixed when it opens
 
@@ -278,8 +233,14 @@ func (pl *Planner) Rounds() int { return pl.iters }
 // Round returns the live round index (== Rounds once done).
 func (pl *Planner) Round() int { return pl.round }
 
-// Received returns how many reports the live round has absorbed.
-func (pl *Planner) Received() int { return pl.received }
+// Received returns how many reports the live round has absorbed (0 once
+// done).
+func (pl *Planner) Received() int {
+	if pl.done {
+		return 0
+	}
+	return pl.live.received
+}
 
 // Quota returns the live round's report quota (0 once done).
 func (pl *Planner) Quota() int {
@@ -303,24 +264,53 @@ func (pl *Planner) activeSpaces() []space {
 	return pl.spaces
 }
 
-// openRound prepares the aggregates for the (newly) live round and, when
-// the final pts round opens, fixes the per-class CP switch from the label
-// statistics of all earlier rounds — the broadcastable form of Algorithm 2
-// line 8: correlated perturbation only where the amount routed to the
-// class has not exceeded b times its estimated true size.
-func (pl *Planner) openRound() {
+// openLive builds the layout and the empty aggregate of the live round.
+func (pl *Planner) openLive() {
 	active := pl.activeSpaces()
-	pl.aggs = make([]*roundAgg, len(active))
-	for i, sp := range active {
-		pl.aggs[i] = newRoundAgg(sp.Buckets(), pl.p.Opt.VP)
+	pl.layout = &RoundLayout{
+		Round:   pl.round,
+		Classes: pl.p.Classes,
+		PTJ:     pl.p.Framework == "ptj",
+		Single:  pl.p.Framework == "ptj" || (pl.p.Framework == "pts" && pl.round < pl.itF),
+		VP:      pl.p.Opt.VP,
+		Bits:    make([]int, len(active)),
 	}
-	pl.received = 0
+	for i, sp := range active {
+		pl.layout.Bits[i] = sp.Buckets()
+		if pl.p.Opt.VP {
+			pl.layout.Bits[i]++ // the validity flag bit
+		}
+	}
+	pl.live = NewRoundPartial(pl.layout)
+}
+
+// openRound prepares the (newly) live round and, when the final pts round
+// opens, fixes the per-class CP switch from the label statistics of all
+// earlier rounds — the broadcastable form of Algorithm 2 line 8: correlated
+// perturbation only where the amount routed to the class has not exceeded b
+// times its estimated true size.
+func (pl *Planner) openRound() {
+	pl.openLive()
 	if pl.p.Framework == "pts" && pl.p.Opt.CP && pl.round == pl.iters-1 {
 		pl.cpFlags = make([]bool, pl.p.Classes)
 		for cl := range pl.cpFlags {
 			pl.cpFlags[cl] = cpFeasible(pl.labelRouted[cl], pl.labelTotal, pl.label, pl.p.Opt.B)
 		}
 	}
+}
+
+// sealLabels moves the live round's label statistics into the all-rounds
+// totals (pts; the other frameworks keep none).
+func (pl *Planner) sealLabels() {
+	if pl.p.Framework != "pts" {
+		return
+	}
+	for c, v := range pl.live.labelRouted {
+		pl.labelRouted[c] += v
+		pl.live.labelRouted[c] = 0
+	}
+	pl.labelTotal += pl.live.labelTotal
+	pl.live.labelTotal = 0
 }
 
 // Config returns the live round's broadcast, or nil once the session is
@@ -358,18 +348,6 @@ func (pl *Planner) Config() *RoundConfig {
 	return cfg
 }
 
-// aggIndex maps a report's wire class to the aggregate it lands in.
-func (pl *Planner) aggIndex(class int) int {
-	switch {
-	case pl.p.Framework == "ptj":
-		return 0
-	case pl.p.Framework == "pts" && pl.round < pl.itF:
-		return 0
-	default:
-		return class
-	}
-}
-
 // CheckReport validates a report against the live round without mutating
 // anything: round match (RoundMismatchError / ErrSessionDone otherwise),
 // class range and bit-vector shape. A report that passes is safe to
@@ -378,32 +356,16 @@ func (pl *Planner) CheckReport(rep RoundReport) error {
 	if pl.done {
 		return ErrSessionDone
 	}
-	if rep.Round != pl.round {
-		return &RoundMismatchError{Got: rep.Round, Live: pl.round}
-	}
-	if pl.p.Framework == "ptj" {
-		if rep.Class != 0 {
-			return fmt.Errorf("topk: ptj report class %d, want 0 (class is in the joint value)", rep.Class)
-		}
-	} else if rep.Class < 0 || rep.Class >= pl.p.Classes {
-		return fmt.Errorf("topk: report class %d outside [0,%d)", rep.Class, pl.p.Classes)
-	}
-	return validateBits(rep.Bits, pl.aggs[pl.aggIndex(rep.Class)].bitsLen())
+	return pl.layout.CheckReport(rep)
 }
 
 // Absorb folds one report into the live round. The quota is advisory —
 // the planner accepts extra reports; drivers advance on quota.
 func (pl *Planner) Absorb(rep RoundReport) error {
-	if err := pl.CheckReport(rep); err != nil {
-		return err
+	if pl.done {
+		return ErrSessionDone
 	}
-	if pl.p.Framework == "pts" {
-		pl.labelRouted[rep.Class]++
-		pl.labelTotal++
-	}
-	pl.aggs[pl.aggIndex(rep.Class)].add(rep.Bits)
-	pl.received++
-	return nil
+	return pl.live.Absorb(rep)
 }
 
 // Advance seals the live round: the final round ranks (the session is done
@@ -415,12 +377,14 @@ func (pl *Planner) Advance() error {
 		return ErrSessionDone
 	}
 	c, k := pl.p.Classes, pl.p.K
+	pl.sealLabels()
 	if pl.round == pl.iters-1 {
 		pl.finishFinal()
 		return nil
 	}
+	aggs := pl.live.aggs
 	if pl.p.Framework == "pts" && pl.round < pl.itF {
-		pl.global.Prune(pl.aggs[0].scores(), pruneKeep(pl.global, 2*k*c), pl.rand)
+		pl.global.Prune(aggs[0].scores(), pruneKeep(pl.global, 2*k*c), pl.rand)
 		if pl.round == pl.itF-1 {
 			// Global-to-per-class hand-off: every class starts from the
 			// surviving global candidates.
@@ -436,7 +400,7 @@ func (pl *Planner) Advance() error {
 			keep = 2 * k * c
 		}
 		for i, sp := range pl.spaces {
-			sp.Prune(pl.aggs[i].scores(), pruneKeep(sp, keep), pl.rand)
+			sp.Prune(aggs[i].scores(), pruneKeep(sp, keep), pl.rand)
 		}
 	}
 	pl.round++
@@ -448,11 +412,12 @@ func (pl *Planner) Advance() error {
 func (pl *Planner) finishFinal() {
 	c, k := pl.p.Classes, pl.p.K
 	res := &Result{PerClass: make([][]int, c), UsedCP: make([]bool, c)}
+	aggs := pl.live.aggs
 	if pl.p.Framework == "ptj" {
 		// Rank the full final pool of joint pairs, then project onto
 		// per-class lists.
 		d := pl.p.Items
-		for _, joint := range rankFinal(pl.spaces[0], pl.aggs[0].scores(), 4*k*c) {
+		for _, joint := range rankFinal(pl.spaces[0], aggs[0].scores(), 4*k*c) {
 			cl, item := joint/d, joint%d
 			if len(res.PerClass[cl]) < k {
 				res.PerClass[cl] = append(res.PerClass[cl], item)
@@ -460,7 +425,7 @@ func (pl *Planner) finishFinal() {
 		}
 	} else {
 		for cl := 0; cl < c; cl++ {
-			res.PerClass[cl] = rankFinal(pl.spaces[cl], pl.aggs[cl].scores(), k)
+			res.PerClass[cl] = rankFinal(pl.spaces[cl], aggs[cl].scores(), k)
 		}
 		if pl.cpFlags != nil {
 			copy(res.UsedCP, pl.cpFlags)
@@ -468,7 +433,6 @@ func (pl *Planner) finishFinal() {
 	}
 	pl.result = res
 	pl.round = pl.iters
-	pl.received = 0
 	pl.done = true
 }
 
@@ -560,13 +524,22 @@ func (pl *Planner) MarshalBinary() ([]byte, error) {
 	st := plannerState{
 		Params:      pl.p,
 		Round:       pl.round,
-		Received:    pl.received,
+		Received:    pl.Received(),
 		Done:        pl.done,
 		Rand:        rnd,
 		LabelRouted: pl.labelRouted,
 		LabelTotal:  pl.labelTotal,
 		CPFlags:     pl.cpFlags,
 		Result:      pl.result,
+	}
+	if pl.p.Framework == "pts" && !pl.done {
+		// The marshaled label statistics are the all-rounds totals, the live
+		// round included.
+		st.LabelRouted = make([]int64, len(pl.labelRouted))
+		for c, v := range pl.labelRouted {
+			st.LabelRouted[c] = v + pl.live.labelRouted[c]
+		}
+		st.LabelTotal += pl.live.labelTotal
 	}
 	if pl.global != nil {
 		d := pl.global.Desc()
@@ -578,9 +551,11 @@ func (pl *Planner) MarshalBinary() ([]byte, error) {
 			st.Spaces[i] = sp.Desc()
 		}
 	}
-	st.Aggs = make([]aggState, len(pl.aggs))
-	for i, a := range pl.aggs {
-		st.Aggs[i] = aggState{VP: a.vp, Buckets: a.buckets, Counts: a.counts, N: a.n, Kept: a.kept, Dropped: a.dropped}
+	if pl.live != nil {
+		st.Aggs = make([]aggState, len(pl.live.aggs))
+		for i, a := range pl.live.aggs {
+			st.Aggs[i] = aggState{VP: pl.p.Opt.VP, Buckets: len(a.counts), Counts: a.counts, N: a.n, Kept: a.kept, Dropped: a.dropped}
+		}
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
@@ -627,7 +602,6 @@ func UnmarshalSession(data []byte) (*Planner, error) {
 	if st.Received < 0 {
 		return nil, fmt.Errorf("topk: negative received count %d", st.Received)
 	}
-	pl.received = st.Received
 	inGlobalPhase := pl.p.Framework == "pts" && pl.round < pl.itF
 	if st.Global != nil {
 		if !inGlobalPhase {
@@ -670,20 +644,23 @@ func UnmarshalSession(data []byte) (*Planner, error) {
 			return nil, fmt.Errorf("topk: final CP round without its CP switch")
 		}
 	}
-	active := pl.activeSpaces()
-	if len(st.Aggs) != len(active) {
-		return nil, fmt.Errorf("topk: state carries %d round aggregates, want %d", len(st.Aggs), len(active))
+	// The restored totals already include the live round's label counts
+	// (they are not marshaled apart), so the live aggregate restarts its own
+	// at zero: every reader takes the sum.
+	pl.openLive()
+	pl.live.received = st.Received
+	if len(st.Aggs) != len(pl.live.aggs) {
+		return nil, fmt.Errorf("topk: state carries %d round aggregates, want %d", len(st.Aggs), len(pl.live.aggs))
 	}
-	pl.aggs = make([]*roundAgg, len(active))
 	for i, as := range st.Aggs {
-		sp := active[i]
-		if as.VP != pl.p.Opt.VP || as.Buckets != sp.Buckets() || len(as.Counts) != as.Buckets {
+		a := &pl.live.aggs[i]
+		if as.VP != pl.p.Opt.VP || as.Buckets != len(a.counts) || len(as.Counts) != as.Buckets {
 			return nil, fmt.Errorf("topk: round aggregate %d does not match its space layout", i)
 		}
 		if as.N < 0 || as.Kept < 0 || as.Dropped < 0 {
 			return nil, fmt.Errorf("topk: negative aggregate counters")
 		}
-		pl.aggs[i] = &roundAgg{vp: as.VP, buckets: as.Buckets, counts: as.Counts, n: as.N, kept: as.Kept, dropped: as.Dropped}
+		*a = spaceAgg{counts: as.Counts, n: as.N, kept: as.Kept, dropped: as.Dropped}
 	}
 	return pl, nil
 }

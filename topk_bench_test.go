@@ -3,7 +3,7 @@
 // format. Reports are pre-perturbed and pre-marshalled (or pre-framed)
 // outside the timer, so the numbers isolate server-side round ingestion —
 // request handling, decode/validate against the live round, and the fold
-// into the round's shard lane — the per-round hot path of a served mining
+// into the round's aggregate — the per-round hot path of a served mining
 // session.
 //
 //	json:    512 topk.RoundReports as a JSON array.
@@ -117,16 +117,47 @@ func BenchmarkTopKRoundIngest(b *testing.B) {
 	})
 	b.Run("binary", func(b *testing.B) {
 		hs, ts, cfg, batches := topkBenchSession(b)
-		layout, err := topk.LayoutOf(cfg)
-		if err != nil {
+		benchTopKPosts(b, hs, ts, collect.BinaryContentType, topkBenchFrames(b, ts, cfg, batches))
+	})
+}
+
+// topkBenchFrames packs each batch into one 'T' frame addressed to ts.
+func topkBenchFrames(b *testing.B, ts *collect.TopKSession, cfg *topk.RoundConfig, batches [][]topk.RoundReport) [][]byte {
+	b.Helper()
+	layout, err := topk.LayoutOf(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bodies := make([][]byte, len(batches))
+	for i, reps := range batches {
+		if bodies[i], err = topk.AppendRoundFrame(nil, ts.ID(), layout, reps); err != nil {
 			b.Fatal(err)
 		}
-		bodies := make([][]byte, len(batches))
-		for i, reps := range batches {
-			if bodies[i], err = topk.AppendRoundFrame(nil, ts.ID(), layout, reps); err != nil {
-				b.Fatal(err)
+	}
+	return bodies
+}
+
+// BenchmarkTopKRoundIngestParallel is the concurrent variant: every proc
+// posts 512-report frames into ONE session, so the frames meet on that
+// session's lock. A round offers a server no other parallelism (round t+1's
+// candidate space is a function of round t's counts), which makes this the
+// number that says what serialising a session's absorbs costs at -cpu 2.
+func BenchmarkTopKRoundIngestParallel(b *testing.B) {
+	b.Run("binary", func(b *testing.B) {
+		hs, ts, cfg, batches := topkBenchSession(b)
+		bodies := topkBenchFrames(b, ts, cfg, batches)
+		url := hs.URL + "/topk/sessions/" + ts.ID() + "/reports"
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			hc := hs.Client()
+			i := 0
+			for pb.Next() {
+				benchPostType(b, hc, url, collect.BinaryContentType, bodies[i%len(bodies)])
+				i++
 			}
-		}
-		benchTopKPosts(b, hs, ts, collect.BinaryContentType, bodies)
+		})
+		b.StopTimer()
+		b.ReportMetric(float64(b.N*topkBenchBatch)/b.Elapsed().Seconds(), "reports/s")
 	})
 }
