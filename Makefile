@@ -16,13 +16,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The write-ahead log's concurrency tests, ten times under the race
-# detector: appends against blocked and failing flushes, against rolls and
-# seals, and the server-level crash recovery under concurrent writers. The
-# log flushes outside its mutex, so these are what hold that design up.
+# The write-ahead log's and the report tiers' concurrency tests, ten times
+# under the race detector: appends against blocked and failing flushes,
+# against rolls and seals, the server-level crash recovery under concurrent
+# writers, and concurrent batches, single reports and reads into one tier.
+# The log flushes outside its mutex and a tier is one aggregate behind one
+# lock, so these are what hold those two designs up.
 race-wal:
 	$(GO) test -race -count=10 -timeout=10m ./internal/wal
-	$(GO) test -race -count=10 -timeout=10m -run 'TestWALConcurrent|TestConcurrentDurable' ./internal/collect
+	$(GO) test -race -count=10 -timeout=10m -run 'TestWALConcurrent|TestConcurrentDurable|TestConcurrentBatchIngest|TestConcurrentSubmissions|TestConcurrentReadsDuringWrites' ./internal/collect
 
 # The mining tier's concurrency tests, ten times under the race detector:
 # posts racing a round's seal over both wires, kill -9 recovery of sessions

@@ -40,7 +40,7 @@ import (
 // Benchmark is one parsed benchmark result line.
 type Benchmark struct {
 	// Name is the benchmark name with the -GOMAXPROCS suffix stripped,
-	// e.g. "BenchmarkCollectIngest/batched-sharded".
+	// e.g. "BenchmarkCollectIngest/batched".
 	Name       string             `json:"name"`
 	Procs      int                `json:"procs"`
 	Iterations int64              `json:"iterations"`

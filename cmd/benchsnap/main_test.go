@@ -11,7 +11,7 @@ goarch: amd64
 pkg: repro
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkCollectIngest/single-mutex         	   35192	     33457 ns/op	     29889 reports/s	    8814 B/op	     105 allocs/op
-BenchmarkCollectIngest/batched-sharded      	     678	   1807064 ns/op	    283333 reports/s	  496883 B/op	    4031 allocs/op
+BenchmarkCollectIngest/batched      	     678	   1807064 ns/op	    283333 reports/s	  496883 B/op	    4031 allocs/op
 BenchmarkGRRPerturb-8   	12345678	        95.31 ns/op	       0 B/op	       0 allocs/op
 PASS
 ok  	repro	5.912s
@@ -62,11 +62,11 @@ func TestParseLineRejectsGarbage(t *testing.T) {
 // TestParseLineSubBenchmarkDash guards the name/procs split: a trailing
 // -N is a procs suffix, but a dash inside a sub-benchmark name is not.
 func TestParseLineSubBenchmarkDash(t *testing.T) {
-	b, err := parseLine("BenchmarkCollectIngest/batched-sharded 678 1807064 ns/op")
+	b, err := parseLine("BenchmarkCollectIngest/batched 678 1807064 ns/op")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Name != "BenchmarkCollectIngest/batched-sharded" || b.Procs != 1 {
+	if b.Name != "BenchmarkCollectIngest/batched" || b.Procs != 1 {
 		t.Fatalf("parsed %+v", b)
 	}
 }

@@ -91,7 +91,6 @@ func main() {
 		items     = flag.Int("items", 1000, "item domain size")
 		eps       = flag.Float64("eps", 2, "privacy budget ε")
 		split     = flag.Float64("split", 0.5, "label budget fraction ε₁/ε (pts, ptscp)")
-		shards    = flag.Int("shards", 0, "accumulator shards of the report tiers (serve mode; 0 = GOMAXPROCS)")
 		maxBody   = flag.Int64("maxbody", 0, "request body cap in bytes (serve mode; 0 = default 8 MiB)")
 		walDir    = flag.String("wal-dir", "", "write-ahead log directory (serve mode; empty = not durable)")
 		walSync   = flag.String("wal-sync", "interval", "WAL fsync policy: always | interval | never")
@@ -176,9 +175,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		opts := []collect.ServerOption{
-			collect.WithShards(*shards), collect.WithMaxBodyBytes(*maxBody),
-		}
+		opts := []collect.ServerOption{collect.WithMaxBodyBytes(*maxBody)}
 		if *meanOn != "" {
 			np, err := core.NewNumericProtocol(*meanOn, *classes, *eps, *split)
 			if err != nil {
@@ -221,7 +218,7 @@ func main() {
 		}
 		if p := srv.Protocol(); p != nil {
 			logger.Info("collecting", "addr", *addr, "protocol", p.Name(),
-				"classes", p.Classes(), "items", p.Items(), "eps", p.Epsilon(), "shards", srv.Shards())
+				"classes", p.Classes(), "items", p.Items(), "eps", p.Epsilon())
 		} else {
 			logger.Info("collecting", "addr", *addr, "freq_tier", false)
 		}

@@ -58,7 +58,6 @@ func main() {
 		tenantName = flag.String("tenant", "", "tenant on a multi-tenant upstream to serve and push to (empty = upstream's unprefixed routes)")
 		token      = flag.String("token", "", "bearer token for the upstream tenant's data routes")
 		pushEvery  = flag.Duration("push-every", 10*time.Second, "how often to push the merged aggregate upstream")
-		shards     = flag.Int("shards", 0, "accumulator shards (0 = GOMAXPROCS)")
 		maxBody    = flag.Int64("maxbody", 0, "request body cap in bytes (0 = default 8 MiB)")
 		walDir     = flag.String("wal-dir", "", "write-ahead log directory (empty = not durable)")
 		walSync    = flag.String("wal-sync", "interval", "WAL fsync policy: always | interval | never")
@@ -89,9 +88,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("fetch upstream config: %v", err)
 	}
-	opts := []collect.ServerOption{
-		collect.WithShards(*shards), collect.WithMaxBodyBytes(*maxBody),
-	}
+	opts := []collect.ServerOption{collect.WithMaxBodyBytes(*maxBody)}
 	if meanProto != nil {
 		opts = append(opts, collect.WithMean(meanProto))
 	}

@@ -26,7 +26,7 @@
 //
 // Self-contained runs (spin up an in-process server on a loopback port):
 //
-//	mcimload -selfserve -framework ptscp -users 200000 -clients 8 -batch 256 -shards 8
+//	mcimload -selfserve -framework ptscp -users 200000 -clients 8 -batch 256
 //	mcimload -selfserve -wire binary -users 200000 -clients 8 -batch 512
 //	mcimload -selfserve -mode topk -miner pts -k 8 -users 200000 -clients 8
 //	mcimload -selfserve -mode mean -mean-framework cpmean -users 200000 -clients 8
@@ -139,7 +139,6 @@ func main() {
 		meanFw    = flag.String("mean-framework", "cpmean", "mean framework (mean mode, selfserve): hecmean | ptsmean | cpmean")
 		optimized = flag.Bool("optimized", true, "topk mode: run the paper's full optimization set (false = baseline)")
 		k         = flag.Int("k", 8, "per-class ranking size (topk mode)")
-		shards    = flag.Int("shards", 0, "server accumulator shards (selfserve mode; 0 = GOMAXPROCS)")
 		classes   = flag.Int("classes", 5, "number of classes (selfserve mode)")
 		items     = flag.Int("items", 1000, "item domain size (selfserve mode)")
 		eps       = flag.Float64("eps", 2, "privacy budget ε")
@@ -234,14 +233,14 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			opts = []collect.ServerOption{collect.WithShards(*shards), collect.WithMean(np)}
+			opts = []collect.ServerOption{collect.WithMean(np)}
 		} else {
 			var err error
 			proto, err = core.NewProtocol(*framework, *classes, *items, *eps, *split)
 			if err != nil {
 				log.Fatal(err)
 			}
-			opts = []collect.ServerOption{collect.WithShards(*shards), collect.WithTopKSessions(collect.TopKOptions{})}
+			opts = []collect.ServerOption{collect.WithTopKSessions(collect.TopKOptions{})}
 		}
 		srv, err := collect.NewServer(proto, opts...)
 		if err != nil {
@@ -254,11 +253,11 @@ func main() {
 		go http.Serve(ln, srv.Handler()) //nolint:errcheck — dies with the process
 		base = "http://" + ln.Addr().String()
 		if *mode == "mean" {
-			log.Printf("in-process mean-tier server (%s) on %s (c=%d ε=%v, %d shards)",
-				*meanFw, base, *classes, *eps, srv.Shards())
+			log.Printf("in-process mean-tier server (%s) on %s (c=%d ε=%v)",
+				*meanFw, base, *classes, *eps)
 		} else {
-			log.Printf("in-process %s server on %s (c=%d d=%d ε=%v, %d shards, topk sessions on)",
-				proto.Name(), base, *classes, *items, *eps, srv.Shards())
+			log.Printf("in-process %s server on %s (c=%d d=%d ε=%v, topk sessions on)",
+				proto.Name(), base, *classes, *items, *eps)
 		}
 	}
 
@@ -279,8 +278,7 @@ func main() {
 			log.Fatalf("mcimload: -wire binary needs batched submission (-batch >= 1)")
 		}
 		spec := tenant.Spec{
-			Freq:   &tenant.FreqSpec{Protocol: *framework, Classes: *classes, Items: *items, Epsilon: *eps, Split: *split},
-			Shards: *shards,
+			Freq: &tenant.FreqSpec{Protocol: *framework, Classes: *classes, Items: *items, Epsilon: *eps, Split: *split},
 		}
 		sum.Framework = *framework
 		runFanout(base, *adminTok, *tenantsN, spec, *dsName, *users, &sum, *batch, *ndjson, binary, *clients, *seed, *jsonOut)
@@ -347,7 +345,7 @@ func main() {
 	}
 	if stats, err := fetchStats(base, hc); err == nil {
 		if stats.Protocol != "" {
-			log.Printf("server: %d reports over %d shards (%s)", stats.Reports, stats.Shards, stats.Protocol)
+			log.Printf("server: %d reports (%s)", stats.Reports, stats.Protocol)
 		}
 		if stats.WAL != nil {
 			log.Printf("server wal: %d segments, %d bytes since last compaction (last snapshot %q)",

@@ -1,5 +1,5 @@
 // Ingestion benchmarks for the collection server: the seed single-report,
-// single-accumulator path versus the batched, sharded pipeline, over real
+// one-request-per-report path versus the batched pipeline, over real
 // HTTP on a loopback listener. Wire bodies are pre-perturbed and
 // pre-marshalled outside the timer so the numbers isolate server-side
 // ingestion (request handling, decode, validation, accumulation), not
@@ -12,7 +12,6 @@ package mcim_test
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -20,6 +19,7 @@ import (
 
 	"repro/internal/collect"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/xrand"
 )
 
@@ -97,11 +97,11 @@ func benchWireBinaryBodies(b *testing.B, nBodies, batchSize int) [][]byte {
 	return bodies
 }
 
-// benchServer starts a collection server with the given shard count on a
+// benchServer starts a collection server with the given options on a
 // loopback listener.
-func benchServer(b *testing.B, shards int) (*collect.Server, *httptest.Server) {
+func benchServer(b *testing.B, opts ...collect.ServerOption) (*collect.Server, *httptest.Server) {
 	b.Helper()
-	srv, err := collect.NewServer(benchProtocol(b), collect.WithShards(shards))
+	srv, err := collect.NewServer(benchProtocol(b), opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -132,19 +132,17 @@ func benchPostType(b *testing.B, hc *http.Client, url, contentType string, body 
 // comparable number across sub-benchmarks is the reports/s metric (ns/op is
 // per request, and a batched request carries 512 reports).
 //
-//	single-mutex:    the seed path — one report per POST /report, one
-//	                 accumulator behind one mutex.
-//	batched-sharded: the pipeline path — 512 reports per POST /reports,
-//	                 GOMAXPROCS-sharded accumulators.
-//	batched-sharded-binary: the same pipeline fed binary wire frames —
-//	                 pooled body buffers, CRC-checked frames, word-packed
-//	                 bit vectors applied without materializing reports.
-//	batched-sharded-binary-wal: the binary pipeline made durable — every
-//	                 frame appended to the write-ahead log (interval
-//	                 fsync, background compaction) before it is applied.
+//	single-mutex:    the seed path — one report per POST /report.
+//	batched:         the pipeline path — 512 reports per POST /reports.
+//	batched-binary:  the same pipeline fed binary wire frames — pooled body
+//	                 buffers, CRC-checked frames, word-packed bit vectors
+//	                 applied without materializing reports.
+//	batched-binary-wal: the binary pipeline made durable — every frame
+//	                 appended to the write-ahead log (interval fsync,
+//	                 background compaction) before it is applied.
 func BenchmarkCollectIngest(b *testing.B) {
 	b.Run("single-mutex", func(b *testing.B) {
-		srv, ts := benchServer(b, 1)
+		srv, ts := benchServer(b)
 		bodies := benchWireBodies(b, 1024, 1)
 		hc := ts.Client()
 		b.ReportAllocs()
@@ -155,8 +153,8 @@ func BenchmarkCollectIngest(b *testing.B) {
 		b.StopTimer()
 		reportThroughput(b, srv, b.N)
 	})
-	b.Run("batched-sharded", func(b *testing.B) {
-		srv, ts := benchServer(b, 0) // GOMAXPROCS shards
+	b.Run("batched", func(b *testing.B) {
+		srv, ts := benchServer(b)
 		bodies := benchWireBodies(b, 16, benchBatchSize)
 		hc := ts.Client()
 		b.ReportAllocs()
@@ -167,8 +165,8 @@ func BenchmarkCollectIngest(b *testing.B) {
 		b.StopTimer()
 		reportThroughput(b, srv, b.N*benchBatchSize)
 	})
-	b.Run("batched-sharded-binary", func(b *testing.B) {
-		srv, ts := benchServer(b, 0)
+	b.Run("batched-binary", func(b *testing.B) {
+		srv, ts := benchServer(b)
 		bodies := benchWireBinaryBodies(b, 16, benchBatchSize)
 		hc := ts.Client()
 		b.ReportAllocs()
@@ -179,8 +177,8 @@ func BenchmarkCollectIngest(b *testing.B) {
 		b.StopTimer()
 		reportThroughput(b, srv, b.N*benchBatchSize)
 	})
-	b.Run("batched-sharded-binary-wal", func(b *testing.B) {
-		srv, ts := benchReadServer(b, collect.WithWAL(b.TempDir()))
+	b.Run("batched-binary-wal", func(b *testing.B) {
+		srv, ts := benchServer(b, collect.WithWAL(b.TempDir()))
 		defer srv.Close()
 		bodies := benchWireBinaryBodies(b, 16, benchBatchSize)
 		hc := ts.Client()
@@ -194,30 +192,38 @@ func BenchmarkCollectIngest(b *testing.B) {
 	})
 }
 
-// BenchmarkCollectIngestParallel is the concurrent-writer variant: many
-// in-flight batch requests exercising shard spreading. On multicore
-// hardware this is where sharding separates from the single mutex.
+// BenchmarkCollectIngestParallel is the concurrent-writer variant: one
+// poster per proc, all into the one tier, so at -cpu 2 and up the requests
+// decode and validate in parallel and meet at the lock around the tier's
+// aggregate. This is the benchmark that shows what that lock costs — JSON
+// batches spend their time in the decode outside it, binary frames are
+// nearly all transport and fold — and lock-wait-ns/op is the server's own
+// mcim_tier_lock_wait_seconds over the run, per request.
 func BenchmarkCollectIngestParallel(b *testing.B) {
-	for _, shards := range []int{1, 0} {
-		name := fmt.Sprintf("shards=%d", shards)
-		if shards == 0 {
-			name = "shards=gomaxprocs"
-		}
-		b.Run(name, func(b *testing.B) {
-			srv, ts := benchServer(b, shards)
-			bodies := benchWireBodies(b, 16, benchBatchSize)
+	for _, wire := range []struct {
+		name, contentType string
+		bodies            func(b *testing.B, n, batch int) [][]byte
+	}{
+		{"json", "application/json", benchWireBodies},
+		{"binary", collect.BinaryContentType, benchWireBinaryBodies},
+	} {
+		b.Run(wire.name, func(b *testing.B) {
+			srv, ts := benchServer(b)
+			bodies := wire.bodies(b, 16, benchBatchSize)
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				hc := ts.Client()
 				i := 0
 				for pb.Next() {
-					benchPost(b, hc, ts.URL+"/reports", bodies[i%len(bodies)])
+					benchPostType(b, hc, ts.URL+"/reports", wire.contentType, bodies[i%len(bodies)])
 					i++
 				}
 			})
 			b.StopTimer()
 			reportThroughput(b, srv, b.N*benchBatchSize)
+			wait := srv.Metrics().Histogram("mcim_tier_lock_wait_seconds", "", obs.LatencyBuckets, "tier", "freq")
+			b.ReportMetric(wait.Sum()*1e9/float64(b.N), "lock-wait-ns/op")
 		})
 	}
 }

@@ -22,13 +22,12 @@ func main() {
 		users   = 5000
 	)
 	// Start the aggregation server on an ephemeral port, speaking the
-	// paper's PTS-CP protocol. Writes spread over four accumulator shards;
-	// estimates merge them exactly on read.
+	// paper's PTS-CP protocol.
 	proto, err := mcim.NewProtocol("ptscp", classes, items, eps, 0.5)
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := collect.NewServer(proto, collect.WithShards(4))
+	srv, err := collect.NewServer(proto)
 	if err != nil {
 		log.Fatal(err)
 	}

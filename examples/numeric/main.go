@@ -7,9 +7,9 @@
 // flag.
 //
 // The second half serves the same estimation over HTTP: an in-process
-// collection server mounts the mean tier (batched ingestion, sharded
-// aggregation), a client perturbs every pair locally with the canonical
-// user index, and the served means come back bit-identical to the offline
+// collection server mounts the mean tier (batched ingestion, one aggregate
+// of counts), a client perturbs every pair locally with the canonical user
+// index, and the served means come back bit-identical to the offline
 // Estimate pass — the served tier is the offline estimator, deployed.
 package main
 
@@ -89,7 +89,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := collect.NewServer(nil, collect.WithMean(proto), collect.WithShards(4))
+	srv, err := collect.NewServer(nil, collect.WithMean(proto))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -235,58 +236,130 @@ func TestBufferedClientFlush(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesSingleAccumulator is the merge property test: for every
-// canonical protocol, the same report stream split round-robin over many
-// shards and merged on read must produce estimates bit-identical to a
-// single-aggregator server.
+// postMixedConcurrently splits wires into chunks and posts them to path from
+// several goroutines at once, even chunks as JSON arrays and odd ones as
+// binary frames, so the tier's one aggregate is reached in an arbitrary
+// order over both wires. Every chunk must be accepted whole.
+func postMixedConcurrently[W any](t *testing.T, ts *httptest.Server, path string, wires []W, frame func([]byte, []W) ([]byte, error)) {
+	t.Helper()
+	const posters, chunk = 8, 125
+	var wg sync.WaitGroup
+	for p := 0; p < posters; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for k := p; k*chunk < len(wires); k += posters {
+				part := wires[k*chunk : min((k+1)*chunk, len(wires))]
+				body, contentType := mustJSON(t, part), "application/json"
+				if k%2 == 1 {
+					var err error
+					if body, err = frame(nil, part); err != nil {
+						t.Error(err)
+						return
+					}
+					contentType = BinaryContentType
+				}
+				resp, err := ts.Client().Post(ts.URL+path, contentType, bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var ack WireBatchAck
+				err = json.NewDecoder(resp.Body).Decode(&ack)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || ack.Accepted != len(part) {
+					t.Errorf("chunk %d (%s): status %d, ack %+v, err %v", k, contentType, resp.StatusCode, ack, err)
+					return
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+}
+
+// sameCounts fails unless two aggregates marshal to the same bytes — the
+// count tables themselves, before any calibration.
+func sameCounts(t *testing.T, served, offline interface{ MarshalBinary() ([]byte, error) }) {
+	t.Helper()
+	got, err := served.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := offline.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("served counts differ from the offline aggregator's")
+	}
+}
+
+// TestShardedMatchesSingleAccumulator is the pin under the whole serving
+// design (its name predates the single aggregate): whatever order
+// concurrent requests reach a tier's aggregate in, over either wire, the
+// server holds exactly the counts — and serves exactly the estimates — of
+// one offline aggregator fed the same reports in sequence. Every canonical
+// frequency framework, then every mean framework.
 func TestShardedMatchesSingleAccumulator(t *testing.T) {
 	const c, d, n = 3, 12, 4000
 	for _, name := range core.ProtocolNames() {
 		t.Run(name, func(t *testing.T) {
-			proto := mustProtocol(t, name, c, d, 2, 0.5)
-			sharded, err := NewServer(proto, WithShards(8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			single, err := NewServer(proto, WithShards(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Identical perturbed wire stream into both servers.
-			enc := proto.Encoder()
-			r := xrand.New(6)
-			for i := 0; i < n; i++ {
-				wire := proto.EncodeReport(enc.Encode(core.Pair{Class: r.Intn(c), Item: r.Intn(d)}, r))
-				for _, srv := range []*Server{sharded, single} {
-					if err := ingestChunk(srv.freq, []WireReport{wire}); err != nil {
-						t.Fatal(err)
-					}
+			srv, ts := newProtoServer(t, name, c, d, 2)
+			proto := srv.Protocol()
+			wires := wireStream(t, proto, n, 6)
+			offline := proto.NewAggregator()
+			for _, w := range wires {
+				rep, err := proto.DecodeReport(w)
+				if err != nil {
+					t.Fatal(err)
 				}
+				offline.Add(rep)
 			}
-			accS, accU := sharded.freq.merged(), single.freq.merged()
-			if accS.N() != n || accU.N() != n {
-				t.Fatalf("totals %d/%d, want %d", accS.N(), accU.N(), n)
+			postMixedConcurrently(t, ts, "/reports", wires, proto.AppendBinaryBatch)
+			served := srv.freq.clone()
+			if served.N() != n {
+				t.Fatalf("server holds %d reports, want %d", served.N(), n)
 			}
-			fs, fu := accS.Estimates(), accU.Estimates()
-			for cl := 0; cl < c; cl++ {
-				if s, u := accS.ClassSizes()[cl], accU.ClassSizes()[cl]; s != u {
-					t.Fatalf("class %d size %v != %v", cl, s, u)
+			sameCounts(t, served, offline)
+			if !reflect.DeepEqual(served.Estimates(), offline.Estimates()) ||
+				!reflect.DeepEqual(served.ClassSizes(), offline.ClassSizes()) {
+				t.Fatal("served estimates differ from the offline aggregator's")
+			}
+		})
+	}
+	for _, name := range core.NumericProtocolNames() {
+		t.Run(name, func(t *testing.T) {
+			srv := newMeanServer(t, name, c, 2, 0.5)
+			ts := newHTTPServer(t, srv)
+			np := srv.MeanProtocol()
+			wires := meanWireStream(t, np, n, 6)
+			offline := np.NewAggregator()
+			for _, w := range wires {
+				rep, err := np.DecodeMeanReport(w)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for i := 0; i < d; i++ {
-					if fs[cl][i] != fu[cl][i] {
-						t.Fatalf("f(%d,%d): sharded %v != single %v", cl, i, fs[cl][i], fu[cl][i])
-					}
-				}
+				offline.Add(rep)
+			}
+			postMixedConcurrently(t, ts, "/mean/reports", wires, np.AppendBinaryMeanBatch)
+			served := srv.mean.clone()
+			if served.N() != n {
+				t.Fatalf("server holds %d reports, want %d", served.N(), n)
+			}
+			sameCounts(t, served, offline)
+			if !reflect.DeepEqual(served.Means(), offline.Means()) ||
+				!reflect.DeepEqual(served.ClassSizes(), offline.ClassSizes()) {
+				t.Fatal("served means differ from the offline aggregator's")
 			}
 		})
 	}
 }
 
-// TestShardedConcurrentBatchIngest hammers the sharded ingestion path from
-// many goroutines; run with -race. Nothing may be lost or double-counted,
-// and the merged estimates must stay well-formed.
-func TestShardedConcurrentBatchIngest(t *testing.T) {
-	srv, err := NewServer(mustProtocol(t, "ptscp", 3, 16, 2, 0.5), WithShards(4))
+// TestConcurrentBatchIngest hammers the batch ingestion path from many
+// goroutines; run with -race. Nothing may be lost or double-counted,
+// and the estimates must stay well-formed.
+func TestConcurrentBatchIngest(t *testing.T) {
+	srv, err := NewServer(mustProtocol(t, "ptscp", 3, 16, 2, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +407,7 @@ func TestShardedConcurrentBatchIngest(t *testing.T) {
 	if got := srv.Reports(); got != wantTotal {
 		t.Fatalf("server saw %d reports, want %d", got, wantTotal)
 	}
-	acc := srv.freq.merged()
+	acc := srv.freq.clone()
 	total := 0.0
 	for _, sz := range acc.ClassSizes() {
 		total += sz

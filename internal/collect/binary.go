@@ -18,8 +18,8 @@ import "strings"
 // misconfiguration — the whole frame is a 400 (naming the offending record
 // index) and nothing is applied. That is also what lets the hot path skip
 // per-item bookkeeping entirely: the frame is validated once, logged
-// write-ahead as raw bytes, and folded into a shard word-at-a-time with
-// zero per-report allocations.
+// write-ahead as raw bytes, and folded into the aggregate word-at-a-time
+// with zero per-report allocations.
 
 // BinaryContentType is the media type that selects the binary batch frame
 // on the report endpoints. Servers advertise it in the config `wire` list;

@@ -36,8 +36,8 @@ func TestBinaryBatchMatchesJSONAllProtocols(t *testing.T) {
 	pairs := testPairs(c, d, n, 5)
 	for _, name := range core.ProtocolNames() {
 		t.Run(name, func(t *testing.T) {
-			_, tsJSON := newProtoServer(t, name, c, d, 2, WithShards(3))
-			_, tsBin := newProtoServer(t, name, c, d, 2, WithShards(3))
+			_, tsJSON := newProtoServer(t, name, c, d, 2)
+			_, tsBin := newProtoServer(t, name, c, d, 2)
 			jsonClient, err := NewClient(tsJSON.URL, tsJSON.Client(), 42)
 			if err != nil {
 				t.Fatal(err)
@@ -84,8 +84,8 @@ func TestBinaryMeanBatchMatchesJSONAllFrameworks(t *testing.T) {
 	}
 	for _, name := range meanFrameworks {
 		t.Run(name, func(t *testing.T) {
-			srvJSON := newMeanServer(t, name, classes, 2, 0.5, WithShards(3))
-			srvBin := newMeanServer(t, name, classes, 2, 0.5, WithShards(3))
+			srvJSON := newMeanServer(t, name, classes, 2, 0.5)
+			srvBin := newMeanServer(t, name, classes, 2, 0.5)
 			tsJSON, tsBin := newHTTPServer(t, srvJSON), newHTTPServer(t, srvBin)
 			jsonClient, err := NewMeanClient(tsJSON.URL, tsJSON.Client(), 42)
 			if err != nil {
@@ -120,7 +120,7 @@ func TestBinaryMeanBatchMatchesJSONAllFrameworks(t *testing.T) {
 }
 
 // TestBinaryJSONClientsInterleave checks mixed-wire deployments: JSON and
-// binary clients feeding the same sharded server interleaved produce the
+// binary clients feeding the same server interleaved produce the
 // aggregate an all-JSON pair of clients produces — the wire format is
 // invisible to the aggregate.
 func TestBinaryJSONClientsInterleave(t *testing.T) {
@@ -144,7 +144,7 @@ func TestBinaryJSONClientsInterleave(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Alternate chunks between the two clients: a takes even chunks,
-		// b odd ones, so the shards see genuinely interleaved wires.
+		// b odd ones, so the aggregate sees genuinely interleaved wires.
 		for lo := 0; lo < n; lo += chunk {
 			cl := a
 			if (lo/chunk)%2 == 1 {
@@ -159,8 +159,8 @@ func TestBinaryJSONClientsInterleave(t *testing.T) {
 			}
 		}
 	}
-	_, tsMixed := newProtoServer(t, "ptscp", c, d, 2, WithShards(4))
-	_, tsJSON := newProtoServer(t, "ptscp", c, d, 2, WithShards(4))
+	_, tsMixed := newProtoServer(t, "ptscp", c, d, 2)
+	_, tsJSON := newProtoServer(t, "ptscp", c, d, 2)
 	build(t, tsMixed.URL, tsMixed.Client(), true)
 	build(t, tsJSON.URL, tsJSON.Client(), false)
 	probeMixed, err := NewClient(tsMixed.URL, tsMixed.Client(), 7)
@@ -193,7 +193,7 @@ func TestBinaryEndpointRejectsBadFrames(t *testing.T) {
 		c, d = 3, 17
 		n    = 64
 	)
-	srv, ts := newProtoServer(t, "ptscp", c, d, 2, WithShards(2))
+	srv, ts := newProtoServer(t, "ptscp", c, d, 2)
 	p := mustProtocol(t, "ptscp", c, d, 2, 0.5)
 	enc := p.Encoder()
 	r := xrand.New(3)

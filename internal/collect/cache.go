@@ -14,13 +14,13 @@ import (
 
 // This file is the versioned estimate cache behind GET /estimates and GET
 // /mean/estimates. Every tier keys its rendered response on a version pair
-// (gen, total): gen counts whole-state transitions (Restore/Drain install a
-// new generation while holding every shard lock), total the reports folded
-// within the current generation. Within one generation the aggregate is
-// append-only and total is advanced under the owning shard's lock, so two
-// states with the same (gen, total) are bit-identical — a cached body can
-// be replayed verbatim with zero shard-lock acquisitions, which is what
-// keeps read polling off the ingest lanes.
+// (gen, total): gen counts whole-state transitions (Restore/Drain swap in a
+// new generation while holding the aggregate's lock), total the reports
+// folded within the current generation. Within one generation the aggregate
+// is append-only and total is advanced under that same lock, so two states
+// with the same (gen, total) are bit-identical — a cached body can be
+// replayed verbatim without taking the lock, which is what keeps read
+// polling off the ingest path.
 //
 // Version read order matters: readers load total BEFORE gen, and the state
 // transitions bump gen BEFORE storing the new total. Any torn read then
@@ -29,7 +29,7 @@ import (
 // produce dead cache entries, never wrong bodies.
 //
 // Exact mode (the default) serves a cached body only at the exact current
-// version, so responses are bit-identical to merge-on-read, byte for byte
+// version, so responses are bit-identical to recompute-on-read, byte for byte
 // (bodies are rendered with the same encoder writeJSON uses). The
 // WithEstimateCache staleness knobs let operators trade freshness for read
 // cost: a body within maxStaleReports reports (and maxStaleAge, when set)
@@ -104,7 +104,7 @@ func WithEstimateCache(maxStaleReports int64, maxStaleAge time.Duration) ServerO
 }
 
 // WithEstimateCacheDisabled turns the estimate cache off entirely: every
-// read recomputes from the shards. Meant for benchmarking the uncached read
+// read recomputes from the aggregate. Meant for benchmarking the uncached read
 // path; production servers should keep the cache on.
 func WithEstimateCacheDisabled() ServerOption {
 	return func(s *Server) { s.cacheDisabled = true }
@@ -161,9 +161,9 @@ func (c *estimateCache) lookupLocked(cur cacheVersion) (body []byte, stale int64
 }
 
 // serve answers one estimates request. cur is the tier's version read
-// total-before-gen; render recomputes the body from the shards and returns
-// the version it must be cached under (its gen read before any shard was
-// copied, its total the merged aggregate's own report count).
+// total-before-gen; render recomputes the body from a copy of the aggregate
+// and returns the version it must be cached under (its gen read before the
+// copy was taken, its total the copy's own report count).
 func (c *estimateCache) serve(w http.ResponseWriter, cur cacheVersion, render func() (body []byte, ver cacheVersion, err error)) {
 	if c.disabled {
 		body, _, err := render()

@@ -5,7 +5,7 @@
 // calibrated classwise estimates.
 //
 // The pipeline is mechanism-generic: the server is built around a
-// core.Protocol (hec, ptj, pts or ptscp), its shards hold that protocol's
+// core.Protocol (hec, ptj, pts or ptscp), it holds one of that protocol's
 // Aggregators, and the wire codec is delegated to the protocol, so all four
 // frameworks stream through the same endpoints. /config advertises the
 // protocol name and clients reconstruct the matching Encoder from it.
@@ -16,12 +16,11 @@
 //
 // The ingestion path is built for population-scale traffic: reports can be
 // submitted one per request (POST /report) or, preferably, in batches
-// (POST /reports, JSON array or NDJSON stream), and the server spreads
-// writes over N independently locked aggregator shards so concurrent
-// batches never serialize on a single mutex. Shards are merged on read,
-// which is exact: aggregators hold integer counts, so the merged estimates
-// are bit-identical to a single-aggregator server fed the same report
-// stream.
+// (POST /reports, JSON array, NDJSON stream or binary frame). Concurrent
+// requests decode, validate and log in parallel and serialize only on the
+// fold into the tier's one aggregate of integer counts, which is why the
+// served estimates are bit-identical to an offline aggregator fed the same
+// reports in any order.
 //
 // Two production affordances sit on top (see durable.go and merge.go): a
 // write-ahead log (WithWAL) that makes the aggregate survive unclean
@@ -47,7 +46,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sync"
 	"time"
 
@@ -110,10 +108,6 @@ type WireEstimates struct {
 type WireStats struct {
 	Protocol string `json:"protocol"`
 	Reports  int    `json:"reports"`
-	Shards   int    `json:"shards"`
-	// ShardReports is the per-shard report spread, read from lock-free
-	// per-shard counters so /stats never touches the ingest locks.
-	ShardReports []int64 `json:"shard_reports,omitempty"`
 	// WAL is present only on servers running with a write-ahead log.
 	WAL *WireWALStats `json:"wal,omitempty"`
 	// TopK is present only on servers hosting interactive mining sessions:
@@ -145,7 +139,6 @@ type Server struct {
 	meanProto *core.NumericProtocol
 	meanSet   bool // WithMean was given (even a nil protocol, which NewServer refuses)
 	maxBody   int64
-	shardN    int
 
 	walDir       string
 	walFreqSub   string // subdirectory of walDir holding the frequency log ("" = walDir itself)
@@ -181,20 +174,6 @@ type Server struct {
 
 // ServerOption configures a Server beyond the protocol parameters.
 type ServerOption func(*Server)
-
-// WithShards sets the number of aggregator shards of the report tiers
-// (frequency and mean; mining sessions are not sharded). More shards means
-// less write contention under concurrent ingestion; estimates are
-// unaffected (shards merge exactly). n < 1 restores the default of
-// runtime.GOMAXPROCS(0).
-func WithShards(n int) ServerOption {
-	return func(s *Server) {
-		if n < 1 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		s.shardN = n
-	}
-}
 
 // WithMaxBodyBytes caps the accepted request body size for report
 // submissions. Oversized requests are rejected with 413. n < 1 restores
@@ -286,7 +265,6 @@ func NewServer(p *core.Protocol, opts ...ServerOption) (*Server, error) {
 		proto:        p,
 		maxBody:      DefaultMaxBodyBytes,
 		compactAfter: DefaultCompactAfterBytes,
-		shardN:       runtime.GOMAXPROCS(0),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -354,15 +332,6 @@ func (s *Server) openWALs() error {
 // Protocol returns the protocol the server aggregates for.
 func (s *Server) Protocol() *core.Protocol { return s.proto }
 
-// Shards returns the number of frequency-tier aggregator shards (0 on a
-// server built without a frequency protocol).
-func (s *Server) Shards() int {
-	if s.freq == nil {
-		return 0
-	}
-	return len(s.freq.shards)
-}
-
 // Handler returns the HTTP routes:
 //
 //	GET  /config    → WireConfig (protocol name + round parameters)
@@ -371,7 +340,7 @@ func (s *Server) Shards() int {
 //	POST /merge     → accept a fingerprinted aggregator state envelope
 //	                  (routed to the frequency or mean tier by fingerprint)
 //	GET  /estimates → WireEstimates (the protocol's calibrated frequencies)
-//	GET  /stats     → WireStats (reports ingested, shard count, protocol, WAL)
+//	GET  /stats     → WireStats (reports ingested, protocol, WAL)
 //	GET  /metrics   → Prometheus text exposition of the server's registry
 //	GET  /healthz   → 200 ok
 //
@@ -427,21 +396,18 @@ func (s *Server) StatsSnapshot() WireStats {
 	build := obs.Build()
 	st := WireStats{
 		Reports:       s.Reports(),
-		Shards:        s.Shards(),
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Build:         &build,
 	}
 	if s.freq != nil {
 		st.Protocol = s.proto.Name()
-		st.ShardReports = s.freq.shardReports()
 		st.WAL = s.freq.walStats()
 	}
 	if s.mean != nil {
 		st.Mean = &WireMeanStats{
-			Protocol:     s.meanProto.Name(),
-			Reports:      s.mean.reports(),
-			ShardReports: s.mean.shardReports(),
-			WAL:          s.mean.walStats(),
+			Protocol: s.meanProto.Name(),
+			Reports:  s.mean.reports(),
+			WAL:      s.mean.walStats(),
 		}
 	}
 	if s.topk != nil {
@@ -583,8 +549,7 @@ func errNoFrequencyTier() error {
 // individual reports beyond what the protocol's aggregator retains by
 // design) into a versioned, fingerprinted state envelope, so the server can
 // checkpoint across restarts or ship its aggregate to a federation peer.
-// The snapshot is the merged view; shard layout is not preserved. Every
-// protocol supports it.
+// Every protocol supports it.
 func (s *Server) Snapshot() ([]byte, error) {
 	if s.freq == nil {
 		return nil, errNoFrequencyTier()
@@ -596,8 +561,7 @@ func (s *Server) Snapshot() ([]byte, error) {
 // from a server with the identical protocol fingerprint; a mismatched or
 // corrupt envelope is refused and the running state is untouched. On a
 // WAL-backed server the restored state also becomes the log's new snapshot,
-// superseding every record written before the restore. The restored counts
-// land on one shard; subsequent ingestion spreads over all shards as usual.
+// superseding every record written before the restore.
 func (s *Server) Restore(data []byte) error {
 	if s.freq == nil {
 		return errNoFrequencyTier()

@@ -51,7 +51,7 @@ func TestConcurrentSubmissions(t *testing.T) {
 
 // TestConcurrentDurableIngestion hammers a WAL-backed server — each report
 // tier in turn — with parallel ingestion, merges and compactions at once:
-// the full writer-side locking surface (ingestMu read path, shard locks,
+// the full writer-side locking surface (ingestMu read path, the aggregate lock,
 // WAL mutex, compaction's exclusive quiesce). Run with -race. Afterwards a
 // restart must recover every report.
 func TestConcurrentDurableIngestion(t *testing.T) {
@@ -61,7 +61,6 @@ func TestConcurrentDurableIngestion(t *testing.T) {
 			dir := t.TempDir()
 			newSrv := func() *Server {
 				return tc.newServer(t, 2,
-					WithShards(4),
 					WithWAL(dir),
 					WithWALOptions(wal.Options{Sync: wal.SyncNever, SegmentBytes: 4 << 10}),
 					WithCompactAfter(8<<10))

@@ -78,7 +78,7 @@ func TestFederatedMergeEqualsCentralized(t *testing.T) {
 			if root.Reports() != n {
 				t.Fatalf("root holds %d reports, want %d", root.Reports(), n)
 			}
-			rootAgg, centralAgg := root.freq.merged(), central.freq.merged()
+			rootAgg, centralAgg := root.freq.clone(), central.freq.clone()
 			if !reflect.DeepEqual(rootAgg.Estimates(), centralAgg.Estimates()) {
 				t.Fatal("federated estimates not bit-identical to centralized ingestion")
 			}
@@ -221,7 +221,7 @@ func TestDrainPushFailureRemerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestWires(t, direct, wires, 10)
-	if !reflect.DeepEqual(retaken.Estimates(), direct.freq.merged().Estimates()) {
+	if !reflect.DeepEqual(retaken.Estimates(), direct.freq.clone().Estimates()) {
 		t.Fatal("re-merged drain not bit-identical to direct ingestion")
 	}
 }

@@ -11,8 +11,8 @@ import (
 // classwise mean-estimation frameworks (internal/mean via
 // core.NumericProtocol) with full parity to the frequency tier — batched
 // ingestion over the same JSON-array/NDJSON machinery and 413 body cap,
-// sharded aggregation merged exactly on read, write-ahead durability with
-// compaction snapshots, and edge→root federation through the shared POST
+// one aggregate of integer counts cloned on read, write-ahead durability
+// with compaction snapshots, and edge→root federation through the shared POST
 // /merge endpoint (envelopes route by fingerprint, so one root federates
 // both tiers).
 //
@@ -58,9 +58,6 @@ type WireMeanEstimates struct {
 type WireMeanStats struct {
 	Protocol string `json:"protocol"`
 	Reports  int    `json:"reports"`
-	// ShardReports is the per-shard report count, in shard order — read
-	// lock-free from the shards' own counters (see WireStats.ShardReports).
-	ShardReports []int64 `json:"shard_reports,omitempty"`
 	// WAL is present only on servers running with a write-ahead log.
 	WAL *WireWALStats `json:"wal,omitempty"`
 }
@@ -140,7 +137,7 @@ func (s *Server) CompactMean() error {
 }
 
 // SnapshotMean serializes the mean tier's aggregate into a fingerprinted
-// state envelope — the merged view, shard layout not preserved.
+// state envelope.
 func (s *Server) SnapshotMean() ([]byte, error) {
 	if s.mean == nil {
 		return nil, errNoMeanTier()

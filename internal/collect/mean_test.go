@@ -104,7 +104,7 @@ func offlineEstimator(t testing.TB, name string, eps, split float64) mean.Estima
 
 // TestServedMeanMatchesOffline pins the tier's acceptance criterion: the
 // full HTTP pipeline — /mean/config fetch, client-side encoding with the
-// canonical user index, buffered batch ingestion over sharded aggregators
+// canonical user index, buffered batch ingestion into the tier aggregate
 // — produces estimates bit-identical to the offline Estimator.Estimate
 // pass under the same seed and user assignment, for every framework.
 func TestServedMeanMatchesOffline(t *testing.T) {
@@ -113,7 +113,7 @@ func TestServedMeanMatchesOffline(t *testing.T) {
 	data := meanTestDataset(classes, n, 9)
 	for _, name := range meanFrameworks {
 		t.Run(name, func(t *testing.T) {
-			srv := newMeanServer(t, name, classes, eps, split, WithShards(4))
+			srv := newMeanServer(t, name, classes, eps, split)
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 
@@ -211,7 +211,7 @@ func TestFederatedMeanMergeEqualsCentralized(t *testing.T) {
 			if root.MeanReports() != n {
 				t.Fatalf("root holds %d reports, want %d", root.MeanReports(), n)
 			}
-			rootAgg, centralAgg := root.mean.merged(), central.mean.merged()
+			rootAgg, centralAgg := root.mean.clone(), central.mean.clone()
 			if !reflect.DeepEqual(rootAgg.Means(), centralAgg.Means()) {
 				t.Fatal("federated means not bit-identical to centralized ingestion")
 			}
@@ -257,7 +257,7 @@ func TestMeanWALCrashRecoveryBitIdentical(t *testing.T) {
 			if restarted.MeanReports() != n {
 				t.Fatalf("recovered %d reports, want %d", restarted.MeanReports(), n)
 			}
-			recovered, reference := restarted.mean.merged(), ref.mean.merged()
+			recovered, reference := restarted.mean.clone(), ref.mean.clone()
 			if !reflect.DeepEqual(recovered.Means(), reference.Means()) {
 				t.Fatal("recovered means not bit-identical to uninterrupted run")
 			}
@@ -491,7 +491,7 @@ func TestMeanDrainRemerge(t *testing.T) {
 	}
 	direct := newMeanServer(t, "ptsmean", 2, 2, 0.5)
 	ingestMeanWires(t, direct, wires, 10)
-	if !reflect.DeepEqual(retaken.Means(), direct.mean.merged().Means()) {
+	if !reflect.DeepEqual(retaken.Means(), direct.mean.clone().Means()) {
 		t.Fatal("re-merged drain not bit-identical to direct ingestion")
 	}
 }
@@ -512,7 +512,7 @@ func TestMeanCheckpointRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := newMeanServer(t, "cpmean", 2, 3, 0.5, WithShards(3))
+	b := newMeanServer(t, "cpmean", 2, 3, 0.5)
 	if err := b.RestoreMean(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +520,7 @@ func TestMeanCheckpointRestart(t *testing.T) {
 	if b.MeanReports() != 600 {
 		t.Fatalf("restored server holds %d reports, want 600", b.MeanReports())
 	}
-	if !reflect.DeepEqual(b.mean.merged().Means(), whole.mean.merged().Means()) {
+	if !reflect.DeepEqual(b.mean.clone().Means(), whole.mean.clone().Means()) {
 		t.Fatal("restart not bit-identical")
 	}
 	// A foreign snapshot is refused and leaves the state untouched.
@@ -551,7 +551,7 @@ func TestMeanBinaryWALReplayMatchesPerReportAdd(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			build := func(replayWorkers int) *Server {
-				return newMeanServer(t, tc.name, tc.classes, 2, 0.5, WithShards(4), WithWAL(dir),
+				return newMeanServer(t, tc.name, tc.classes, 2, 0.5, WithWAL(dir),
 					WithWALOptions(wal.Options{Sync: wal.SyncNever, SegmentBytes: 2 << 10}),
 					WithCompactAfter(1<<40), WithWALReplayWorkers(replayWorkers))
 			}
@@ -620,11 +620,11 @@ func TestMeanBinaryWALReplayMatchesPerReportAdd(t *testing.T) {
 	}
 }
 
-// TestMeanApplyBinaryAllocatesNothing pins the shard-lock section of a mean
+// TestMeanApplyBinaryAllocatesNothing pins the locked section of a mean
 // frame: with the counts carried inside the checked frame, folding it into
-// a shard allocates nothing at a domain the inline table holds.
+// the aggregate allocates nothing at a domain the inline table holds.
 func TestMeanApplyBinaryAllocatesNothing(t *testing.T) {
-	srv := newMeanServer(t, "cpmean", 5, 2, 0.5, WithShards(2))
+	srv := newMeanServer(t, "cpmean", 5, 2, 0.5)
 	np := srv.MeanProtocol()
 	frame, err := np.AppendBinaryMeanBatch(nil, meanWireStream(t, np, 4096, 3))
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 // keeps its zero-alloc budget (gated by bench-check on allocs/op).
 //
 // Counting discipline: ingest series are advanced ONLY in the HTTP
-// handlers, never in apply/mergeShard, so WAL replay at startup does not
+// handlers, never in apply/mergeIn, so WAL replay at startup does not
 // inflate them and the counters stay exactly equal to the /stats report
 // totals on a fresh server (pinned by TestMetricsMatchStatsUnderLoad).
 // Merged federation envelopes count separately under

@@ -77,6 +77,7 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		"mcim_ingest_rejected_total":         "counter",
 		"mcim_ingest_latency_seconds":        "histogram",
 		"mcim_merge_reports_total":           "counter",
+		"mcim_tier_lock_wait_seconds":        "histogram",
 		"mcim_wal_appends_total":             "counter",
 		"mcim_wal_appended_bytes_total":      "counter",
 		"mcim_wal_fsyncs_total":              "counter",
@@ -138,7 +139,7 @@ func TestMetricsMatchStatsUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(proto, WithMean(np), WithShards(4))
+	srv, err := NewServer(proto, WithMean(np))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +243,46 @@ func TestMetricsMatchStatsUnderLoad(t *testing.T) {
 		if batchSum != latCount {
 			t.Errorf("%s batches %v != latency observations %v", tier, batchSum, latCount)
 		}
+		// Every accepted batch took the aggregate's lock exactly once.
+		if lw := samples[`mcim_tier_lock_wait_seconds_count{tier="`+tier+`"}`]; lw != batchSum {
+			t.Errorf("%s lock-wait observations %v != batches %v", tier, lw, batchSum)
+		}
 	}
 	for _, tier := range []string{"freq", "mean"} {
 		if got := samples[`mcim_ingest_rejected_total{tier="`+tier+`",reason="decode"}`]; got != 1 {
 			t.Errorf("%s decode rejections %v, want exactly 1", tier, got)
 		}
+	}
+}
+
+// TestTierLockWaitExcludesReplay: the lock-wait histogram observes served
+// writes, one per batch, and WAL replay — which folds through the same lock —
+// leaves it at zero, like the tier's ingest counters.
+func TestTierLockWaitExcludesReplay(t *testing.T) {
+	const n, batch = 600, 50
+	dir := t.TempDir()
+	proto := mustProtocol(t, "ptscp", 3, 10, 2, 0.5)
+	srv, err := NewServer(proto, WithWAL(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestWires(t, srv, wireStream(t, proto, n, 5), batch)
+	if got := srv.freq.lockWait.Count(); got != n/batch {
+		t.Fatalf("%d lock-wait observations after %d batches", got, n/batch)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restarted, err := NewServer(proto, WithWAL(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	if restarted.Reports() != n {
+		t.Fatalf("recovered %d reports, want %d", restarted.Reports(), n)
+	}
+	if got := restarted.freq.lockWait.Count(); got != 0 {
+		t.Fatalf("replay left %d lock-wait observations, want 0", got)
 	}
 }
 

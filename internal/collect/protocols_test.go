@@ -22,7 +22,7 @@ func TestEndToEndAllProtocols(t *testing.T) {
 	)
 	for _, name := range core.ProtocolNames() {
 		t.Run(name, func(t *testing.T) {
-			srv, ts := newProtoServer(t, name, c, d, eps, WithShards(4))
+			srv, ts := newProtoServer(t, name, c, d, eps)
 			client, err := NewClient(ts.URL, ts.Client(), 99)
 			if err != nil {
 				t.Fatal(err)

@@ -51,7 +51,7 @@ func TestEstimateCacheBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				srv, err := NewServer(proto, append([]ServerOption{WithShards(4)}, opts...)...)
+				srv, err := NewServer(proto, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,7 +119,7 @@ func TestMeanEstimateCacheBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				srv, err := NewServer(nil, append([]ServerOption{WithShards(4), WithMean(np)}, opts...)...)
+				srv, err := NewServer(nil, append([]ServerOption{WithMean(np)}, opts...)...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -219,7 +219,7 @@ func TestEstimateCacheStaleness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(proto, WithShards(4), WithEstimateCache(10, 0))
+	srv, err := NewServer(proto, WithEstimateCache(10, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestEstimateReadsUnderConcurrentIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := NewServer(proto, append([]ServerOption{WithShards(4), WithMean(np)}, opts...)...)
+		srv, err := NewServer(proto, append([]ServerOption{WithMean(np)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,7 +453,7 @@ func TestParallelReplayBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := NewServer(proto, WithMean(np), WithShards(4),
+		srv, err := NewServer(proto, WithMean(np),
 			WithWAL(dir), WithWALTierLayout(),
 			WithWALOptions(wal.Options{Sync: wal.SyncNever, SegmentBytes: 2 << 10}),
 			WithCompactAfter(1<<40),
@@ -491,7 +491,7 @@ func TestParallelReplayBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One envelope record, from a memory-only donor server's snapshot.
-	donor, err := NewServer(srv.proto, WithShards(1))
+	donor, err := NewServer(srv.proto)
 	if err != nil {
 		t.Fatal(err)
 	}

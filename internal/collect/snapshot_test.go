@@ -50,7 +50,7 @@ func TestServerCheckpointRestart(t *testing.T) {
 			if srvB.Reports() != 800 {
 				t.Fatalf("restored server has %d reports", srvB.Reports())
 			}
-			if !reflect.DeepEqual(srvB.freq.merged().Estimates(), srvA.freq.merged().Estimates()) {
+			if !reflect.DeepEqual(srvB.freq.clone().Estimates(), srvA.freq.clone().Estimates()) {
 				t.Fatal("restored estimates not bit-identical")
 			}
 		})

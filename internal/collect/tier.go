@@ -9,13 +9,14 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // This file is the report-tier engine. The paper's frameworks all reduce to
 // one server contract — aggregators of integer counts that add, merge
 // exactly and calibrate on read — so the lifecycle around them is written
-// once: sharded round-robin ingestion (JSON and binary), write-ahead
-// durability with compaction, lock-light merge-on-read behind the versioned
+// once: ingestion (JSON and binary) into one aggregate behind one lock,
+// write-ahead durability with compaction, clone-on-read behind the versioned
 // estimate cache, snapshot/restore/drain, federation merges and the four
 // HTTP endpoints. tier[A, W] is instantiated once per report tier (the
 // frequency tier in collect.go, the numeric mean tier in mean.go); what a
@@ -54,27 +55,20 @@ type codec[A any, W any] interface {
 	// cannot fail.
 	validateBinary(frame []byte) (core.CheckedFrame, error)
 	applyBinary(acc A, f core.CheckedFrame)
-	// estimates is the tier's /estimates body for a merged aggregate.
+	// estimates is the tier's /estimates body for a copy of the aggregate.
 	estimates(acc A) any
 }
 
-// shard is one independently locked aggregator. count mirrors the reports
-// the shard's aggregator holds; it is advanced under mu (like the tier
-// total) but read lock-free, so /stats can report the per-shard spread
-// without touching the ingest locks.
-type shard[A any] struct {
-	mu    sync.Mutex
-	acc   A
-	count atomic.Int64
-}
-
-// tier is one report tier's whole server-side state. Writes land on one of
-// its shards (picked round-robin per request so concurrent ingestion scales
-// with cores), reads merge all shards into a point-in-time aggregate, and
-// the embedded durableLog's ingestMu orders report-stream writes (reader
-// side) against whole-state transitions — restore, drain, compaction
-// (writer side) — so a WAL append and its aggregator apply are atomic with
-// respect to the segment boundary a compaction snapshot covers.
+// tier is one report tier's whole server-side state: one aggregate of
+// integer counts behind one mutex. Everything a request costs per report —
+// JSON decode, validation, the WAL append — happens before the lock; only
+// the fold into the counts is under it (≈25 ns a report for a bit-vector
+// frame, one add per occupied cell for a mean frame), and a read copies the
+// counts under it and calibrates and renders outside it. The embedded
+// durableLog's ingestMu orders report-stream writes (reader side) against
+// whole-state transitions — restore, drain, compaction (writer side) — so a
+// WAL append and its aggregator apply are atomic with respect to the
+// segment boundary a compaction snapshot covers.
 type tier[A aggregator[A], W any] struct {
 	durableLog
 	c codec[A, W]
@@ -86,13 +80,18 @@ type tier[A aggregator[A], W any] struct {
 	maxBody   int64
 	limit     *rateLimiter
 
-	next   atomic.Uint64 // round-robin shard cursor
-	total  atomic.Int64  // reports ingested; cheap read for acks vs locking every shard
-	gen    atomic.Int64  // whole-state generation; bumped (before total is stored) by install/takeLocked
-	shards []*shard[A]
+	// mu guards acc. total mirrors acc.N() and gen counts whole-state
+	// swaps; both are written under mu and read without it, so acks and the
+	// estimate cache's version check never take the lock.
+	mu    sync.Mutex
+	acc   A
+	total atomic.Int64
+	gen   atomic.Int64
 
 	cache *estimateCache
 	m     *tierMetrics
+	// lockWait observes how long each served write waited for mu.
+	lockWait *obs.Histogram
 }
 
 // newTier builds a tier for s from its resolved options. Called from
@@ -103,15 +102,15 @@ func newTier[A aggregator[A], W any](s *Server, c codec[A, W], name, tag string)
 		cfg:     c.config(s.maxBody),
 		maxBody: s.maxBody,
 		limit:   s.limit,
-		shards:  make([]*shard[A], s.shardN),
+		acc:     c.NewAggregator(),
 		m:       newTierMetrics(s.obs, name),
+		lockWait: s.obs.Histogram("mcim_tier_lock_wait_seconds",
+			"Time a write (batch, frame or merged envelope) waited for the lock around the tier's aggregate in seconds, by tier (WAL replay excluded).",
+			obs.LatencyBuckets, "tier", name),
 		cache: newEstimateCache(s.cacheDisabled, s.cacheStaleReports, s.cacheStaleAge,
 			newCacheMetrics(s.obs, name)),
 	}
 	t.logger = s.logger.With("tier", name)
-	for i := range t.shards {
-		t.shards[i] = &shard[A]{acc: c.NewAggregator()}
-	}
 	return t
 }
 
@@ -125,17 +124,8 @@ func (t *tier[A, W]) mount(mux *http.ServeMux, prefix string) {
 
 // reports returns the number of reports accumulated so far. It reads a
 // single atomic counter, so request acknowledgements do not serialize on
-// the shard locks.
+// the aggregate's lock.
 func (t *tier[A, W]) reports() int { return int(t.total.Load()) }
-
-// shardReports is the per-shard report spread, in shard order.
-func (t *tier[A, W]) shardReports() []int64 {
-	out := make([]int64, len(t.shards))
-	for i, sh := range t.shards {
-		out[i] = sh.count.Load()
-	}
-	return out
-}
 
 // ---------------------------------------------------------------------------
 // HTTP handlers.
@@ -251,20 +241,20 @@ func (t *tier[A, W]) handleBinaryBatch(w http.ResponseWriter, body []byte, start
 
 func (t *tier[A, W]) handleEstimates(w http.ResponseWriter, _ *http.Request) {
 	// The live cache version: total BEFORE gen, so a read torn by a
-	// concurrent install mislabels the total under the old — dead —
+	// concurrent swap mislabels the total under the old — dead —
 	// generation (see cache.go for why that is safe).
 	total := t.total.Load()
 	t.cache.serve(w, cacheVersion{gen: t.gen.Load(), total: total}, t.renderEstimates)
 }
 
-// renderEstimates recomputes the /estimates body from the shards and
-// returns the version it must be cached under. The generation is read
-// before any shard is copied, so an entry rendered across a concurrent
+// renderEstimates recomputes the /estimates body from a copy of the
+// aggregate and returns the version it must be cached under. The generation
+// is read before the copy is taken, so an entry rendered across a concurrent
 // Restore/Drain is keyed under the superseded generation and can never be
 // served.
 func (t *tier[A, W]) renderEstimates() ([]byte, cacheVersion, error) {
 	gen := t.gen.Load()
-	acc := t.merged()
+	acc := t.clone()
 	body, err := encodeJSONBody(t.c.estimates(acc))
 	return body, cacheVersion{gen: gen, total: int64(acc.N())}, err
 }
@@ -275,9 +265,9 @@ func (t *tier[A, W]) renderEstimates() ([]byte, cacheVersion, error) {
 
 // ingest admits a batch of accepted reports against the rate limiter, makes
 // it durable (when a WAL is attached, the wire forms are logged before any
-// aggregator sees them — write-ahead) and folds the decoded forms into a
-// shard. A WAL append failure rejects the whole batch: nothing was applied,
-// so the client may safely retry.
+// aggregator sees them — write-ahead) and folds the decoded forms into the
+// aggregate. A WAL append failure rejects the whole batch: nothing was
+// applied, so the client may safely retry.
 func (t *tier[A, W]) ingest(wires []W, add func(A)) error {
 	n := len(wires)
 	if n == 0 {
@@ -297,15 +287,16 @@ func (t *tier[A, W]) ingest(wires []W, add func(A)) error {
 			return t.notLogged(n, err)
 		}
 	}
-	t.apply(n, add)
+	wait := t.apply(n, add)
 	t.ingestMu.RUnlock()
+	t.lockWait.Observe(wait.Seconds())
 	t.maybeCompact()
 	return nil
 }
 
 // ingestBinary is ingest for a binary frame and the proof of its validation:
 // the raw frame is logged write-ahead (the record replays through the same
-// validate+apply path), then folded into a shard.
+// validate+apply path), then folded into the aggregate.
 func (t *tier[A, W]) ingestBinary(frame []byte, f core.CheckedFrame) error {
 	count := f.Count()
 	if err := t.limit.admit(count); err != nil {
@@ -318,8 +309,9 @@ func (t *tier[A, W]) ingestBinary(frame []byte, f core.CheckedFrame) error {
 			return t.notLogged(count, err)
 		}
 	}
-	t.applyBinary(f)
+	wait := t.applyBinary(f)
 	t.ingestMu.RUnlock()
+	t.lockWait.Observe(wait.Seconds())
 	t.maybeCompact()
 	return nil
 }
@@ -334,114 +326,71 @@ func (t *tier[A, W]) notLogged(n int, err error) error {
 	return fmt.Errorf("collect: %swal append: %w", t.tag, err)
 }
 
-// pick returns the next shard round-robin, so concurrent requests spread
-// across shards instead of contending on one mutex.
-func (t *tier[A, W]) pick() *shard[A] {
-	return t.shards[t.next.Add(1)%uint64(len(t.shards))]
+// lock takes mu and returns how long the caller waited for it. An
+// uncontended acquire reads no clock — the shape wal.Log.append uses for
+// the log mutex. The serving paths observe the wait under
+// mcim_tier_lock_wait_seconds; WAL replay drops it, like the tier's other
+// series.
+func (t *tier[A, W]) lock() (wait time.Duration) {
+	if !t.mu.TryLock() {
+		start := time.Now()
+		t.mu.Lock()
+		wait = time.Since(start)
+	}
+	return wait
 }
 
-// apply folds n decoded reports into one shard under a single lock
-// acquisition. The total counter is advanced while the shard lock is still
-// held so that install — which takes every shard lock before overwriting
-// the counter — cannot interleave between a shard write and its count.
-func (t *tier[A, W]) apply(n int, add func(A)) {
-	sh := t.pick()
-	sh.mu.Lock()
-	add(sh.acc)
-	sh.count.Add(int64(n))
+// apply folds n decoded reports into the aggregate under one lock
+// acquisition. The total is advanced while the lock is still held, so a
+// swap cannot interleave between a write and its count.
+func (t *tier[A, W]) apply(n int, add func(A)) time.Duration {
+	wait := t.lock()
+	add(t.acc)
 	t.total.Add(int64(n))
-	sh.mu.Unlock()
+	t.mu.Unlock()
+	return wait
 }
 
-// applyBinary folds a validated frame into one shard under the same
+// applyBinary folds a validated frame into the aggregate under the same
 // discipline as apply. The bit-vector protocols sum the frame's packed rows
 // by column straight into their accumulator counts — nothing is allocated or
 // re-validated under the lock.
-func (t *tier[A, W]) applyBinary(f core.CheckedFrame) {
-	n := int64(f.Count())
-	sh := t.pick()
-	sh.mu.Lock()
-	t.c.applyBinary(sh.acc, f)
-	sh.count.Add(n)
-	t.total.Add(n)
-	sh.mu.Unlock()
+func (t *tier[A, W]) applyBinary(f core.CheckedFrame) time.Duration {
+	wait := t.lock()
+	t.c.applyBinary(t.acc, f)
+	t.total.Add(int64(f.Count()))
+	t.mu.Unlock()
+	return wait
 }
 
 // ---------------------------------------------------------------------------
-// Merge-on-read and whole-state transitions.
+// Clone-on-read and whole-state transitions.
 // ---------------------------------------------------------------------------
 
-// merged returns a point-in-time merge of all shards. The result is exact:
-// shard aggregators hold integer counts, so merging then estimating equals
-// estimating a single aggregator fed the same stream — and merge order is
-// irrelevant, so the copies can be combined in any tree shape.
-//
-// Each shard lock is held only long enough to copy the shard's counts; the
-// copies are merged outside every lock, pairwise across goroutines, so an
-// estimate read never stalls the ingest lanes behind the full N-shard
-// merge and calibration.
-func (t *tier[A, W]) merged() A {
-	copies := make([]A, len(t.shards))
-	for i, sh := range t.shards {
-		sh.mu.Lock()
-		copies[i] = t.cloneLocked(sh.acc)
-		sh.mu.Unlock()
-	}
-	return mergeAggTree(copies)
-}
-
-// cloneLocked copies one shard's aggregate while its lock is held: a cheap
-// count-vector Clone when the aggregator offers one (core.Cloner,
-// mean.Cloner — every built-in does; nil means its accumulator cannot),
-// otherwise an exact merge-into-empty copy. Integer counts merge exactly,
-// so the copy is bit-identical either way.
-func (t *tier[A, W]) cloneLocked(acc A) A {
-	if cl, ok := any(acc).(interface{ Clone() A }); ok {
+// clone returns a point-in-time copy of the aggregate. The lock is held
+// only for the copy of the counts — a cheap count-vector Clone when the
+// aggregator offers one (core.Cloner, mean.Cloner — every built-in does;
+// nil means its accumulator cannot), otherwise an exact merge-into-empty
+// copy, bit-identical either way because integer counts merge exactly —
+// so calibrating and rendering an estimate never holds up ingestion.
+func (t *tier[A, W]) clone() A {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if cl, ok := any(t.acc).(interface{ Clone() A }); ok {
 		if c := cl.Clone(); any(c) != nil {
 			return c
 		}
 	}
 	out := t.c.NewAggregator()
-	if err := out.Merge(acc); err != nil {
-		panic("collect: shard clone: " + err.Error()) // identical protocol by construction
+	if err := out.Merge(t.acc); err != nil {
+		panic("collect: aggregate clone: " + err.Error()) // identical protocol by construction
 	}
 	return out
 }
 
-// mergeAggTree folds shard copies pairwise: each round merges the top half
-// into the bottom half concurrently, halving the list, so an N-shard merge
-// costs ~log2(N) rounds of parallel pairwise merges instead of N
-// sequential ones. Merge errors panic — the copies share one protocol by
-// construction.
-func mergeAggTree[A aggregator[A]](copies []A) A {
-	n := len(copies)
-	for n > 1 {
-		half := n / 2
-		var wg sync.WaitGroup
-		for i := 0; i < half; i++ {
-			pair := i
-			run := func() {
-				if err := copies[pair].Merge(copies[n-1-pair]); err != nil {
-					panic("collect: shard merge: " + err.Error())
-				}
-			}
-			if half > 1 {
-				wg.Add(1)
-				go func() { defer wg.Done(); run() }()
-			} else {
-				run()
-			}
-		}
-		wg.Wait()
-		n -= half
-	}
-	return copies[0]
-}
-
-// snapshot serializes the merged aggregate into a fingerprinted state
-// envelope; shard layout is not preserved.
+// snapshot serializes the aggregate into a fingerprinted state envelope.
 func (t *tier[A, W]) snapshot() ([]byte, error) {
-	return t.c.MarshalAggregator(t.merged())
+	return t.c.MarshalAggregator(t.clone())
 }
 
 // restore replaces the aggregate with a snapshot envelope from the
@@ -456,48 +405,37 @@ func (t *tier[A, W]) restore(data []byte) error {
 	defer t.ingestMu.Unlock()
 	// The WAL must be moved past its history (roll, then seal the restored
 	// state as the new snapshot) BEFORE the memory swap: if either step
-	// fails, the running state is genuinely untouched, whereas installing
+	// fails, the running state is genuinely untouched, whereas swapping
 	// first would leave the server serving state the log does not replay
 	// to. Ingestion is quiesced (ingestMu held exclusively) across all of
-	// it, so no record lands between the roll boundary and the install.
+	// it, so no record lands between the roll boundary and the swap.
 	if err := t.supersede(data); err != nil {
 		return fmt.Errorf("collect: %srestore: %w", t.tag, err)
 	}
-	t.install(restored)
+	t.swap(restored)
 	return nil
 }
 
-// install swaps the whole aggregate for agg (it lands on one shard;
-// subsequent ingestion spreads over all shards as usual). It holds every
-// shard lock across the swap and the counter reset so concurrent ingestion
-// is either fully before (wiped and uncounted) or fully after (kept and
-// counted) — never half of each. The generation is bumped before the total
-// is stored (the estimate cache's version read order depends on it — see
-// cache.go).
-func (t *tier[A, W]) install(agg A) {
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-	}
+// swap replaces the whole aggregate with agg and returns the one it
+// replaced. Holding mu across the exchange and the counter reset means
+// concurrent ingestion is either fully before (handed out or wiped, and
+// uncounted) or fully after (kept and counted) — never half of each. The
+// generation is bumped before the total is stored (the estimate cache's
+// version read order depends on it — see cache.go).
+func (t *tier[A, W]) swap(agg A) A {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	old := t.acc
 	t.gen.Add(1)
-	for i, sh := range t.shards {
-		if i == 0 {
-			sh.acc = agg
-			sh.count.Store(int64(agg.N()))
-		} else {
-			sh.acc = t.c.NewAggregator()
-			sh.count.Store(0)
-		}
-	}
+	t.acc = agg
 	t.total.Store(int64(agg.N()))
-	for _, sh := range t.shards {
-		sh.mu.Unlock()
-	}
+	return old
 }
 
 // drain atomically removes and returns the entire aggregate, leaving the
 // tier empty. It is atomic: when the WAL cannot be moved past the drained
-// state, the aggregate is folded back in, nothing is handed out, and the
-// error is returned — handing the state out anyway would let a restart
+// state, the aggregate is put back, nothing is handed out, and the error is
+// returned — handing the state out anyway would let a restart
 // replay (and the caller push) the same reports twice.
 func (t *tier[A, W]) drain() (A, error) {
 	// ingestMu is held exclusively across the take AND the WAL roll+seal:
@@ -507,7 +445,7 @@ func (t *tier[A, W]) drain() (A, error) {
 	// records are still in the log".
 	t.ingestMu.Lock()
 	defer t.ingestMu.Unlock()
-	taken := t.takeLocked()
+	taken := t.swap(t.c.NewAggregator())
 	if t.log != nil {
 		empty, err := t.c.MarshalAggregator(t.c.NewAggregator())
 		if err == nil {
@@ -515,38 +453,16 @@ func (t *tier[A, W]) drain() (A, error) {
 		}
 		if err != nil {
 			// The drained records are still in the log (the seal that would
-			// have superseded them failed), so fold the state back into
-			// memory only — a WAL append here would double them on replay.
-			t.mergeShard(taken) //nolint:errcheck — same protocol by construction
+			// have superseded them failed), so put the state back in memory
+			// only — a WAL append here would double them on replay. Every
+			// writer holds ingestMu's reader side, so the empty aggregate
+			// being replaced is still empty.
+			t.swap(taken)
 			var none A
 			return none, fmt.Errorf("collect: %sdrain: %w", t.tag, err)
 		}
 	}
 	return taken, nil
-}
-
-// takeLocked swaps every shard for a fresh aggregator and returns the
-// merged removed state. Caller holds ingestMu exclusively. Like install,
-// the generation is bumped before the total is stored so the estimate
-// cache can never serve a pre-drain body as current.
-func (t *tier[A, W]) takeLocked() A {
-	taken := t.c.NewAggregator()
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-	}
-	t.gen.Add(1)
-	for _, sh := range t.shards {
-		if err := taken.Merge(sh.acc); err != nil {
-			panic("collect: shard merge: " + err.Error()) // identical protocol by construction
-		}
-		sh.acc = t.c.NewAggregator()
-		sh.count.Store(0)
-	}
-	t.total.Store(0)
-	for _, sh := range t.shards {
-		sh.mu.Unlock()
-	}
-	return taken
 }
 
 // ---------------------------------------------------------------------------
@@ -555,7 +471,7 @@ func (t *tier[A, W]) takeLocked() A {
 
 // mergeDurable is the tier's half of MergeState: the envelope (already
 // matched to this tier by fingerprint) is logged write-ahead and folded
-// into a shard, returning the reports it contributed.
+// into the aggregate, returning the reports it contributed.
 func (t *tier[A, W]) mergeDurable(env []byte) (int, error) {
 	agg, err := t.c.UnmarshalAggregator(env)
 	if err != nil {
@@ -572,31 +488,30 @@ func (t *tier[A, W]) mergeDurable(env []byte) (int, error) {
 			return 0, fmt.Errorf("%w: %swal append: %v", errNotDurable, t.tag, err)
 		}
 	}
-	err = t.mergeShard(agg)
+	wait, err := t.mergeIn(agg)
 	t.ingestMu.RUnlock()
 	if err != nil {
 		return 0, err
 	}
+	t.lockWait.Observe(wait.Seconds())
 	t.m.merged.Add(int64(n))
 	t.maybeCompact()
 	return n, nil
 }
 
-// mergeShard folds agg into one round-robin-picked shard. Like apply, the
-// total is advanced under the shard lock so install cannot interleave
-// between the merge and its count.
-func (t *tier[A, W]) mergeShard(agg A) error {
-	sh := t.pick()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.acc.Merge(agg); err != nil {
+// mergeIn folds agg into the aggregate. Like apply, the total is advanced
+// under the lock so a swap cannot interleave between the merge and its
+// count.
+func (t *tier[A, W]) mergeIn(agg A) (time.Duration, error) {
+	wait := t.lock()
+	defer t.mu.Unlock()
+	if err := t.acc.Merge(agg); err != nil {
 		// The envelope fingerprint matched this protocol, so the aggregator
 		// types match by construction.
-		return fmt.Errorf("collect: merge %sstate: %w", t.tag, err)
+		return wait, fmt.Errorf("collect: merge %sstate: %w", t.tag, err)
 	}
-	sh.count.Add(int64(agg.N()))
 	t.total.Add(int64(agg.N()))
-	return nil
+	return wait, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -604,7 +519,7 @@ func (t *tier[A, W]) mergeShard(agg A) error {
 // ---------------------------------------------------------------------------
 
 // openWAL opens the tier's log under <dir>/sub and replays it into the
-// (still unserved) shards: the latest snapshot becomes the base state, the
+// (still unserved) aggregate: the latest snapshot becomes the base state, the
 // record tail is re-ingested on top — across the configured replay workers,
 // since the records are commutative integer folds.
 func (t *tier[A, W]) openWAL(s *Server, sub string) error {
@@ -614,7 +529,7 @@ func (t *tier[A, W]) openWAL(s *Server, sub string) error {
 			if err != nil {
 				return fmt.Errorf("collect: %swal snapshot does not match protocol %s: %w", t.tag, t.c.Name(), err)
 			}
-			t.install(agg)
+			t.swap(agg)
 			return nil
 		},
 		t.replayRecord)
@@ -654,7 +569,8 @@ func (t *tier[A, W]) replayRecord(rec []byte) error {
 		if err != nil {
 			return fmt.Errorf("collect: %swal envelope record: %w", t.tag, err)
 		}
-		return t.mergeShard(agg)
+		_, err = t.mergeIn(agg)
+		return err
 	default:
 		return fmt.Errorf("collect: unknown %swal record type %#x", t.tag, rec[0])
 	}

@@ -109,7 +109,7 @@ var tierCases = []tierCase{
 		},
 		reports: (*Server).Reports,
 		estimates: func(srv *Server) any {
-			acc := srv.freq.merged()
+			acc := srv.freq.clone()
 			return []any{acc.Estimates(), acc.ClassSizes()}
 		},
 		compact:  (*Server).Compact,
@@ -134,7 +134,7 @@ var tierCases = []tierCase{
 		},
 		reports: (*Server).MeanReports,
 		estimates: func(srv *Server) any {
-			acc := srv.mean.merged()
+			acc := srv.mean.clone()
 			return []any{acc.Means(), acc.ClassSizes()}
 		},
 		compact:  (*Server).CompactMean,

@@ -873,12 +873,15 @@ func (s *Server) handleTopKReports(w http.ResponseWriter, r *http.Request) {
 	m.reportsJSON.Add(int64(take))
 	h.reportsJSON.Add(int64(take))
 	m.rejectedItem.Add(int64(ack.Rejected))
+	// Decided on the full error list: the ack carries at most
+	// maxBatchErrors of it.
+	wholeStale := take == 0 && len(items) > 0 && staleRejects == len(itemErrs)
 	if len(itemErrs) > maxBatchErrors {
 		itemErrs = itemErrs[:maxBatchErrors]
 		ack.ErrorsTruncated = true
 	}
 	ack.Errors = itemErrs
-	if take == 0 && len(items) > 0 && staleRejects == len(itemErrs) {
+	if wholeStale {
 		h.writeStaleAck(w, ack)
 		return
 	}

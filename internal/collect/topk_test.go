@@ -513,6 +513,54 @@ func TestTopKRoundSealRace(t *testing.T) {
 	}
 }
 
+// TestTopKLargeStaleBatchGone pins the 410 for a wholly stale JSON batch
+// longer than the ack's error list: the verdict is taken on every rejection,
+// not on the maxBatchErrors of them the ack carries.
+func TestTopKLargeStaleBatchGone(t *testing.T) {
+	srv, hs := topkTestServer(t)
+	data := topkTestData(2, 64, 400, 63)
+	const seed = 778
+	ts, err := NewTopKSession(hs.URL, nil, topk.SessionParams{
+		Framework: "pts", Classes: data.Classes, Items: data.Items,
+		K: 2, Eps: 2, Users: data.N(), Seed: seed, Opt: topk.Optimized(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := ts.Round()
+	if err != nil {
+		t.Fatal(err)
+	}
+	quota := rd.Config.Quota
+	enc, err := topk.NewRoundEncoder(rd.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := make([]topk.RoundReport, quota+512)
+	for i := range reps {
+		if reps[i], err = enc.Encode(data.Pairs[i%data.N()], topk.UserRand(seed, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Seal round 0.
+	if ack, err := ts.PostReports(reps[:quota]); err != nil || ack.Accepted != quota || ack.Round != 1 {
+		t.Fatalf("filling round 0: ack %+v, err %v", ack, err)
+	}
+	for _, n := range []int{maxBatchErrors + 1, 512} {
+		before := srv.topk.stale.Value()
+		ack, err := ts.PostReports(reps[quota : quota+n])
+		if code, _ := StatusCode(err); code != http.StatusGone || ack == nil {
+			t.Fatalf("%d stale reports: ack %+v, err %v, want 410", n, ack, err)
+		}
+		if ack.Accepted != 0 || ack.Rejected != n || !ack.ErrorsTruncated || len(ack.Errors) != maxBatchErrors || ack.Round != 1 {
+			t.Fatalf("%d stale reports: ack %+v", n, ack)
+		}
+		if got := srv.topk.stale.Value() - before; got != 1 {
+			t.Fatalf("%d stale reports: mcim_topk_stale_batches_total moved by %d, want 1", n, got)
+		}
+	}
+}
+
 // TestTopKMixedWireHammer races JSON batches and binary frames into one
 // round from many goroutines: exactly the quota is absorbed across both
 // wires, the sealed round's stale posts come back 410 with the advanced

@@ -134,7 +134,7 @@ func TestWALCrashRecoveryBitIdentical(t *testing.T) {
 			if restarted.Reports() != n {
 				t.Fatalf("recovered %d reports, want %d", restarted.Reports(), n)
 			}
-			recovered, reference := restarted.freq.merged(), ref.freq.merged()
+			recovered, reference := restarted.freq.clone(), ref.freq.clone()
 			if !reflect.DeepEqual(recovered.Estimates(), reference.Estimates()) {
 				t.Fatal("recovered estimates not bit-identical to uninterrupted run")
 			}
@@ -230,7 +230,7 @@ func TestWALConcurrentCrashRecoveryBitIdentical(t *testing.T) {
 	if got, want := restarted.Reports(), ref.Reports(); got != want {
 		t.Fatalf("recovered %d reports, want %d", got, want)
 	}
-	recovered, reference := restarted.freq.merged(), ref.freq.merged()
+	recovered, reference := restarted.freq.clone(), ref.freq.clone()
 	if !reflect.DeepEqual(recovered.Estimates(), reference.Estimates()) {
 		t.Fatal("recovered estimates not bit-identical to the offline aggregate")
 	}

@@ -298,8 +298,8 @@ func (p *Protocol) walkBinaryRecords(rec []byte, count int, visit func(binaryRec
 // ValidateBinaryBatch checks a frequency frame end to end — CRC, header,
 // every record against the protocol's wire shape — without touching an
 // aggregator. The frame it returns is guaranteed to apply cleanly, which is
-// what lets a durable server log the raw bytes write-ahead and a sharded
-// server apply them under one lock with no failure path in between. It never
+// what lets a durable server log the raw bytes write-ahead and then apply
+// them under its aggregate's lock with no failure path in between. It never
 // panics: corrupted, truncated or mis-tiered inputs come back as errors.
 func (p *Protocol) ValidateBinaryBatch(data []byte) (CheckedFrame, error) {
 	if p.shapeErr != nil {

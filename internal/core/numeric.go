@@ -13,7 +13,7 @@ import (
 // frameworks (internal/mean) together with the wire codec and the
 // fingerprinted state envelope that let the tier ride the same collection
 // infrastructure as the frequency frameworks — batched HTTP ingestion,
-// sharded aggregation, write-ahead durability and edge→root federation.
+// write-ahead durability and edge→root federation.
 //
 // A mean report is tiny and fixed-shape: the (perturbed or partition)
 // label plus one symbol — the stochastically rounded sign (Minus/Plus), or

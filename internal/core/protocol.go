@@ -76,8 +76,8 @@ type Aggregator interface {
 
 // Cloner is implemented by aggregators that can copy their aggregate state
 // cheaply (slice copies of integer counts). Collection servers use it to
-// snapshot a shard while holding its lock only for the copy, then merge and
-// calibrate the copies outside every lock. Clone may return nil when the
+// snapshot their aggregate while holding its lock only for the copy, then
+// calibrate the copy outside the lock. Clone may return nil when the
 // aggregator is backed by an accumulator that cannot clone (a custom
 // fo.Mechanism outside internal/fo) — callers must fall back to merging
 // under the lock. A non-nil clone shares no mutable state with the

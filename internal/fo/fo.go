@@ -73,8 +73,8 @@ type Accumulator interface {
 
 // Cloner is implemented by accumulators that can copy their aggregate state
 // cheaply (a slice copy of integer counts, never a re-encode). Collection
-// servers use it to snapshot a shard under its lock and merge/estimate the
-// copies outside the lock. The clone shares the immutable mechanism but no
+// servers use it to snapshot their aggregate under its lock and estimate
+// from the copy outside the lock. The clone shares the immutable mechanism but no
 // mutable state: mutating either side never affects the other.
 type Cloner interface {
 	// Clone returns an independent copy of the accumulator.

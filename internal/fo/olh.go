@@ -125,8 +125,8 @@ func (a *olhAccumulator) Merge(other Accumulator) error {
 func (a *olhAccumulator) N() int { return len(a.reports) }
 
 // Clone implements Cloner. OLH retains reports rather than counts, so the
-// copy is O(N) — still far cheaper than holding a shard lock across the
-// O(N·d) rehashing estimate pass.
+// copy is O(N) — still far cheaper than holding the aggregate's lock across
+// the O(N·d) rehashing estimate pass.
 func (a *olhAccumulator) Clone() Accumulator {
 	return &olhAccumulator{m: a.m, reports: append([]olhReport(nil), a.reports...)}
 }

@@ -76,8 +76,8 @@ type Aggregator interface {
 
 // Cloner is implemented by aggregators that can copy their aggregate state
 // cheaply (slice copies of the integer sign counts). Collection servers use
-// it to snapshot a shard while holding its lock only for the copy, then
-// merge and calibrate the copies outside every lock. Every framework in
+// it to snapshot their aggregate while holding its lock only for the copy,
+// then calibrate the copy outside the lock. Every framework in
 // this package implements it; the clone shares no mutable state with the
 // original.
 type Cloner interface {

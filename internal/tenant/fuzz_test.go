@@ -14,7 +14,7 @@ func FuzzTenantSpec(f *testing.F) {
 	f.Add([]byte(`{"name":"acme","freq":{"protocol":"ptscp","classes":3,"items":16,"epsilon":2,"split":0.5}}`))
 	f.Add([]byte(`{"name":"m","mean":{"protocol":"hecmean","classes":2,"epsilon":1}}`))
 	f.Add([]byte(`{"name":"k","topk":{"max_sessions":4},"token":"s3cret","rate_limit":10,"rate_burst":2}`))
-	f.Add([]byte(`{"name":"x","freq":{"protocol":"pts+a","classes":1,"items":2,"epsilon":0.1,"split":0.9},"max_body_bytes":1024,"shards":2}`))
+	f.Add([]byte(`{"name":"x","freq":{"protocol":"pts+a","classes":1,"items":2,"epsilon":0.1,"split":0.9},"max_body_bytes":1024}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"name":"../evil","freq":{"protocol":"hec","classes":2,"items":4,"epsilon":2}}`))

@@ -196,8 +196,8 @@ func (r *Registry) handleStats(w http.ResponseWriter, _ *http.Request) {
 		srvs[i] = r.tenants[name].srv
 	}
 	r.mu.RUnlock()
-	// Snapshots are taken outside r.mu: StatsSnapshot merges shard state
-	// and must not hold the registry lock against the data path.
+	// Snapshots are taken outside r.mu: StatsSnapshot reads each tier's
+	// state and must not hold the registry lock against the data path.
 	st := WireRegistryStats{Tenants: make([]WireTenantStats, 0, len(names))}
 	for i, name := range names {
 		snap := srvs[i].StatsSnapshot()

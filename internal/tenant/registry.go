@@ -17,7 +17,7 @@ import (
 )
 
 // DefaultMaxTenants caps how many tenants a registry hosts; each holds a
-// full collect.Server (shards, open WAL segments, possibly planners).
+// full collect.Server (aggregates, open WAL segments, possibly planners).
 const DefaultMaxTenants = 1024
 
 // registryFingerprint seals registry WAL snapshots; a mismatch means the

@@ -1,6 +1,6 @@
 // Package tenant hosts many named collection instances — tenants — behind
 // one HTTP surface. Each tenant is a full collect.Server (frequency, mean,
-// and/or top-k tiers) with its own shards, write-ahead log subdirectory,
+// and/or top-k tiers) with its own aggregates, write-ahead log subdirectory,
 // body cap, bearer token, and ingestion rate limit; the registry itself is
 // write-ahead logged, so a crashed host restarts with the exact tenant set
 // and every tenant's exact state. Data routes live under /t/<name>/...,
@@ -102,11 +102,6 @@ type Spec struct {
 	RateLimit float64 `json:"rate_limit,omitempty"`
 	RateBurst int     `json:"rate_burst,omitempty"`
 
-	// Shards overrides the aggregator shard count of the tenant's report
-	// tiers (frequency, mean; mining sessions are not sharded); <1 keeps
-	// the collect default (GOMAXPROCS).
-	Shards int `json:"shards,omitempty"`
-
 	// Cache tunes the tenant's estimate cache; absent keeps the default
 	// exact mode.
 	Cache *CacheSpec `json:"cache,omitempty"`
@@ -166,9 +161,6 @@ func (sp *Spec) Validate() error {
 	if sp.RateBurst < 0 {
 		return fmt.Errorf("tenant: %q: negative rate_burst", sp.Name)
 	}
-	if sp.Shards < 0 {
-		return fmt.Errorf("tenant: %q: negative shards", sp.Name)
-	}
 	if c := sp.Cache; c != nil {
 		if c.MaxStaleReports < 0 {
 			return fmt.Errorf("tenant: %q: negative cache.max_stale_reports", sp.Name)
@@ -220,9 +212,6 @@ func (sp *Spec) build(walDir string, walOpts wal.Options) (*collect.Server, erro
 	}
 	if sp.TopK != nil {
 		opts = append(opts, collect.WithTopKSessions(collect.TopKOptions{MaxSessions: sp.TopK.MaxSessions}))
-	}
-	if sp.Shards > 0 {
-		opts = append(opts, collect.WithShards(sp.Shards))
 	}
 	if sp.MaxBodyBytes > 0 {
 		opts = append(opts, collect.WithMaxBodyBytes(sp.MaxBodyBytes))

@@ -61,12 +61,11 @@ func benchMeanBodies(b *testing.B, proto *core.NumericProtocol, nBodies, batchSi
 }
 
 // BenchmarkMeanIngest measures sustained server-side ingestion of the mean
-// tier over POST /mean/reports (GOMAXPROCS-sharded aggregators). The
-// comparable number is the reports/s metric. Mean reports are two uvarints
-// on the binary wire, so the binary variant runs the batch machinery at
-// maximal report density; it uses a larger batch (4096) because compact
-// frames make big batches cheap — that is the operating point the format
-// exists for.
+// tier over POST /mean/reports. The comparable number is the reports/s
+// metric. Mean reports are two uvarints on the binary wire, so the binary
+// variant runs the batch machinery at maximal report density; it uses a
+// larger batch (4096) because compact frames make big batches cheap — that
+// is the operating point the format exists for.
 func BenchmarkMeanIngest(b *testing.B) {
 	run := func(b *testing.B, contentType string, batchSize int, bodies [][]byte) {
 		srv, err := collect.NewServer(nil, collect.WithMean(benchMeanProtocol(b)))

@@ -18,19 +18,6 @@ import (
 	"repro/internal/wal"
 )
 
-// benchReadServer starts a collection server with GOMAXPROCS shards and
-// the given extra options on a loopback listener.
-func benchReadServer(b *testing.B, opts ...collect.ServerOption) (*collect.Server, *httptest.Server) {
-	b.Helper()
-	srv, err := collect.NewServer(benchProtocol(b), append([]collect.ServerOption{collect.WithShards(0)}, opts...)...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	b.Cleanup(ts.Close)
-	return srv, ts
-}
-
 // benchGet fetches url and drains the body, failing on any non-200.
 func benchGet(b *testing.B, hc *http.Client, url string) {
 	b.Helper()
@@ -59,7 +46,7 @@ func benchPreload(b *testing.B, ts *httptest.Server, batches int) {
 // BenchmarkEstimateRead measures GET /estimates — the poll every dashboard
 // and mining loop sits in.
 //
-//	uncached:            every read merges the shards and re-renders
+//	uncached:            every read clones the aggregate and re-renders
 //	                     (WithEstimateCacheDisabled — the pre-cache path).
 //	cached:              quiescent server; after the first render every
 //	                     read is a version-checked replay of cached bytes.
@@ -69,7 +56,7 @@ func benchPreload(b *testing.B, ts *httptest.Server, batches int) {
 func BenchmarkEstimateRead(b *testing.B) {
 	const preloadBatches = 8
 	b.Run("uncached", func(b *testing.B) {
-		_, ts := benchReadServer(b, collect.WithEstimateCacheDisabled())
+		_, ts := benchServer(b, collect.WithEstimateCacheDisabled())
 		benchPreload(b, ts, preloadBatches)
 		hc := ts.Client()
 		b.ReportAllocs()
@@ -79,7 +66,7 @@ func BenchmarkEstimateRead(b *testing.B) {
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
-		_, ts := benchReadServer(b)
+		_, ts := benchServer(b)
 		benchPreload(b, ts, preloadBatches)
 		hc := ts.Client()
 		b.ReportAllocs()
@@ -89,7 +76,7 @@ func BenchmarkEstimateRead(b *testing.B) {
 		}
 	})
 	b.Run("cached-under-ingest", func(b *testing.B) {
-		_, ts := benchReadServer(b)
+		_, ts := benchServer(b)
 		benchPreload(b, ts, preloadBatches)
 		bodies := benchWireBinaryBodies(b, 16, benchBatchSize)
 		stop := make(chan struct{})
@@ -120,7 +107,7 @@ func BenchmarkEstimateRead(b *testing.B) {
 
 // BenchmarkWALReplay measures startup recovery: one multi-segment log of
 // binary batch records is built once, then each iteration opens a fresh
-// copy of it cold — NewServer replays snapshot + tail into the shards —
+// copy of it cold — NewServer replays snapshot + tail into the aggregate —
 // and verifies the recovered report count. Each open seals one more
 // (empty) active segment into the directory it runs on, so iterations
 // replay a per-iteration clone rather than mutating the shared fixture

@@ -39,14 +39,14 @@ func benchRegistry(b *testing.B) (*tenant.Registry, *httptest.Server) {
 // the tenant registry. Sub-benchmarks:
 //
 //	legacy:  a dedicated collect.Server, no registry in the path — the
-//	         baseline BenchmarkCollectIngest/batched-sharded-binary shape.
+//	         baseline BenchmarkCollectIngest/batched-binary shape.
 //	aliased: the registry's unprefixed route, which resolves the default
 //	         tenant (one map lookup + one mux dispatch extra).
 //	routed:  the registry's /t/default/reports route (lookup + StripPrefix).
 func BenchmarkTenantRoutedIngest(b *testing.B) {
 	bodies := benchWireBinaryBodies(b, 16, benchBatchSize)
 	b.Run("legacy", func(b *testing.B) {
-		srv, ts := benchServer(b, 0)
+		srv, ts := benchServer(b)
 		hc := ts.Client()
 		b.ReportAllocs()
 		b.ResetTimer()
