@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-wal race-topk bench bench-json bench-check bench-harness fmt fmt-fix lint staticcheck metrics-lint fuzz ci
+.PHONY: all build test race race-wal race-topk bench bench-json bench-check bench-harness load-smoke fmt fmt-fix lint staticcheck metrics-lint fuzz ci
 
 all: build test
 
@@ -72,6 +72,15 @@ bench-check:
 bench-harness:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
+# The load generator as a process: one self-served run per tier over the
+# binary wire. Each run exits non-zero unless the server acknowledged and
+# holds exactly the population, so this is the paper's evaluation through
+# the real wire, run by something other than a human.
+load-smoke:
+	@set -e; for m in freq mean topk; do \
+		$(GO) run ./cmd/mcimload -selfserve -mode $$m -wire binary -users 20000 -clients 4 -json; \
+	done
+
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
@@ -120,4 +129,4 @@ else
 	done
 endif
 
-ci: fmt lint staticcheck build race race-wal race-topk metrics-lint bench-harness fuzz bench
+ci: fmt lint staticcheck build race race-wal race-topk metrics-lint bench-harness load-smoke fuzz bench

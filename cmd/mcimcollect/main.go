@@ -1,11 +1,7 @@
-// Command mcimcollect runs the HTTP collection pipeline: an aggregation
+// Command mcimcollect runs the HTTP collection server: an aggregation
 // server for any of the frequency-estimation frameworks (hec, ptj, pts,
-// ptscp), and a client mode that simulates a user population submitting to
-// it. The server advertises its framework in /config; clients reconstruct
-// the matching encoder from it, so the simulate mode needs no framework
-// flag of its own.
-//
-// Server (pick the framework with -framework):
+// ptscp), picked with -framework. It advertises the framework in /config and
+// clients reconstruct the matching encoder from it (mcimload -url drives one):
 //
 //	mcimcollect -serve -addr :8090 -framework ptscp -classes 5 -items 1000 -eps 2
 //
@@ -50,11 +46,6 @@
 //
 // The server shuts down gracefully on SIGINT/SIGTERM, draining in-flight
 // requests and logging the final ingested-report count.
-//
-// Simulated clients (each user perturbs locally; raw pairs never leave the
-// process):
-//
-//	mcimcollect -simulate -url http://localhost:8090 -users 10000 -seed 7
 package main
 
 import (
@@ -76,41 +67,97 @@ import (
 	"repro/internal/obs"
 	"repro/internal/tenant"
 	"repro/internal/wal"
-	"repro/internal/xrand"
 )
 
+// config is the parsed command line.
+type config struct {
+	serve                   bool
+	addr, framework, mean   string
+	classes, items          int
+	eps, split              float64
+	maxBody                 int64
+	walDir, walSync         string
+	walEvery                time.Duration
+	walSeg, walCompactAfter int64
+	topk                    bool
+	topkMax, maxTenants     int
+	tenants, adminToken     string
+	drain                   time.Duration
+	logLevel, logFormat     string
+}
+
+// parseFlags defines the command's flags on fs and parses args into a config.
+func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
+	var c config
+	fs.BoolVar(&c.serve, "serve", false, "run the aggregation server")
+	fs.StringVar(&c.addr, "addr", ":8090", "server listen address")
+	fs.StringVar(&c.framework, "framework", "ptscp", "frequency-estimation framework: hec | ptj | pts | ptscp | pts+<oue|sue|olh|grr|adaptive> | none (serve another tier alone)")
+	fs.StringVar(&c.mean, "mean", "", "also serve the numeric mean tier under /mean: hecmean | ptsmean | cpmean (empty = off)")
+	fs.IntVar(&c.classes, "classes", 5, "number of classes")
+	fs.IntVar(&c.items, "items", 1000, "item domain size")
+	fs.Float64Var(&c.eps, "eps", 2, "privacy budget ε")
+	fs.Float64Var(&c.split, "split", 0.5, "label budget fraction ε₁/ε (pts, ptscp)")
+	fs.Int64Var(&c.maxBody, "maxbody", 0, "request body cap in bytes (0 = default 8 MiB)")
+	fs.StringVar(&c.walDir, "wal-dir", "", "write-ahead log directory (empty = not durable)")
+	fs.StringVar(&c.walSync, "wal-sync", "interval", "WAL fsync policy: always | interval | never")
+	fs.DurationVar(&c.walEvery, "wal-sync-every", 0, "flush cadence under -wal-sync interval (0 = default 200ms)")
+	fs.Int64Var(&c.walSeg, "wal-segment-bytes", 0, "WAL segment roll size (0 = default 4 MiB)")
+	fs.Int64Var(&c.walCompactAfter, "wal-compact-after", 0, "WAL bytes past the last snapshot before background compaction (0 = default 64 MiB)")
+	fs.BoolVar(&c.topk, "topk", false, "serve interactive top-k mining sessions under /topk/sessions")
+	fs.IntVar(&c.topkMax, "topk-max-sessions", 0, "cap on tracked mining sessions (0 = default 64)")
+	fs.StringVar(&c.tenants, "tenants", "", "JSON file with an array of tenant specs: serve a multi-tenant registry instead of one collection")
+	fs.StringVar(&c.adminToken, "admin-token", "", "bearer token guarding /admin/tenants and /debug/pprof (empty = open)")
+	fs.IntVar(&c.maxTenants, "max-tenants", 0, "cap on hosted tenants (tenants mode; 0 = default 1024)")
+	fs.DurationVar(&c.drain, "drain", 5*time.Second, "graceful shutdown drain timeout")
+	fs.StringVar(&c.logLevel, "log-level", "info", "structured log level: debug | info | warn | error")
+	fs.StringVar(&c.logFormat, "log-format", "kv", "structured log line format: kv | json")
+	return &c, fs.Parse(args)
+}
+
+// walOptions maps the -wal-* tuning flags onto the log's options.
+func (c *config) walOptions() (wal.Options, error) {
+	policy, err := wal.ParseSyncPolicy(c.walSync)
+	return wal.Options{SegmentBytes: c.walSeg, Sync: policy, SyncEvery: c.walEvery}, err
+}
+
+// newServer maps the flags of a plain (single-collection) -serve onto the
+// protocol and options of a collect.Server and builds it.
+func (c *config) newServer() (*collect.Server, error) {
+	var proto *core.Protocol
+	if c.framework != "" && c.framework != "none" {
+		var err error
+		if proto, err = core.NewProtocol(c.framework, c.classes, c.items, c.eps, c.split); err != nil {
+			return nil, err
+		}
+	}
+	opts := []collect.ServerOption{collect.WithMaxBodyBytes(c.maxBody)}
+	if c.mean != "" {
+		np, err := core.NewNumericProtocol(c.mean, c.classes, c.eps, c.split)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, collect.WithMean(np))
+	}
+	if c.topk {
+		opts = append(opts, collect.WithTopKSessions(collect.TopKOptions{MaxSessions: c.topkMax}))
+	}
+	if c.walDir != "" {
+		walOpts, err := c.walOptions()
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, collect.WithWAL(c.walDir), collect.WithWALOptions(walOpts), collect.WithCompactAfter(c.walCompactAfter))
+	}
+	return collect.NewServer(proto, opts...)
+}
+
 func main() {
-	var (
-		serve     = flag.Bool("serve", false, "run the aggregation server")
-		simulate  = flag.Bool("simulate", false, "run a simulated client population")
-		addr      = flag.String("addr", ":8090", "server listen address")
-		url       = flag.String("url", "http://localhost:8090", "server URL (simulate mode)")
-		framework = flag.String("framework", "ptscp", "frequency-estimation framework (serve mode): hec | ptj | pts | ptscp | pts+<oue|sue|olh|grr|adaptive> | none (serve another tier alone)")
-		meanOn    = flag.String("mean", "", "also serve the numeric mean tier under /mean: hecmean | ptsmean | cpmean (serve mode; empty = off)")
-		classes   = flag.Int("classes", 5, "number of classes")
-		items     = flag.Int("items", 1000, "item domain size")
-		eps       = flag.Float64("eps", 2, "privacy budget ε")
-		split     = flag.Float64("split", 0.5, "label budget fraction ε₁/ε (pts, ptscp)")
-		maxBody   = flag.Int64("maxbody", 0, "request body cap in bytes (serve mode; 0 = default 8 MiB)")
-		walDir    = flag.String("wal-dir", "", "write-ahead log directory (serve mode; empty = not durable)")
-		walSync   = flag.String("wal-sync", "interval", "WAL fsync policy: always | interval | never")
-		walEvery  = flag.Duration("wal-sync-every", 0, "flush cadence under -wal-sync interval (0 = default 200ms)")
-		walSeg    = flag.Int64("wal-segment-bytes", 0, "WAL segment roll size (0 = default 4 MiB)")
-		walCAfter = flag.Int64("wal-compact-after", 0, "WAL bytes past the last snapshot before background compaction (0 = default 64 MiB)")
-		topkOn    = flag.Bool("topk", false, "serve interactive top-k mining sessions under /topk/sessions (serve mode)")
-		topkMax   = flag.Int("topk-max-sessions", 0, "cap on tracked mining sessions (serve mode; 0 = default 64)")
-		tenants   = flag.String("tenants", "", "JSON file with an array of tenant specs: serve a multi-tenant registry instead of one collection (serve mode)")
-		adminTok  = flag.String("admin-token", "", "bearer token guarding /admin/tenants and /debug/pprof (serve modes; empty = open)")
-		maxTen    = flag.Int("max-tenants", 0, "cap on hosted tenants (tenants mode; 0 = default 1024)")
-		users     = flag.Int("users", 10000, "simulated users (simulate mode)")
-		batch     = flag.Int("batch", 256, "reports per batch request (simulate mode; 0 = one request per report)")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
-		drain     = flag.Duration("drain", 5*time.Second, "graceful shutdown drain timeout (serve mode)")
-		logLevel  = flag.String("log-level", "info", "structured log level: debug | info | warn | error")
-		logFormat = flag.String("log-format", "kv", "structured log line format: kv | json")
-	)
-	flag.Parse()
-	if err := obs.SetupDefault(*logLevel, *logFormat); err != nil {
+	c, _ := parseFlags(flag.CommandLine, os.Args[1:]) // ExitOnError: a bad flag exits in Parse
+	if !c.serve {
+		flag.Usage()
+		return
+	}
+	if err := obs.SetupDefault(c.logLevel, c.logFormat); err != nil {
 		log.Fatal(err)
 	}
 	// Route the stdlib log package (log.Fatal below) through the structured
@@ -119,17 +166,12 @@ func main() {
 	log.SetOutput(obs.StdlogWriter(obs.LevelError))
 	logger := obs.Default()
 
-	switch {
-	case *serve && *tenants != "":
-		walOpts := wal.Options{SegmentBytes: *walSeg, SyncEvery: *walEvery}
-		if *walDir != "" {
-			policy, err := wal.ParseSyncPolicy(*walSync)
-			if err != nil {
-				log.Fatal(err)
-			}
-			walOpts.Sync = policy
+	if c.tenants != "" {
+		walOpts, err := c.walOptions()
+		if err != nil {
+			log.Fatal(err)
 		}
-		specData, err := os.ReadFile(*tenants)
+		specData, err := os.ReadFile(c.tenants)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -138,10 +180,10 @@ func main() {
 			log.Fatal(err)
 		}
 		reg, err := tenant.New(tenant.Options{
-			Dir:        *walDir,
+			Dir:        c.walDir,
 			WAL:        walOpts,
-			MaxTenants: *maxTen,
-			AdminToken: *adminTok,
+			MaxTenants: c.maxTenants,
+			AdminToken: c.adminToken,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -154,121 +196,43 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		if *walDir != "" {
-			logger.Info("tenant registry durable", "dir", *walDir, "sync", *walSync)
-		}
-		logger.Info("serving tenants", "count", len(reg.Names()), "addr", *addr, "names", fmt.Sprint(reg.Names()))
-		runServer(*addr, reg.Handler(), *drain, reg.Close, func() {
+		logger.Info("serving tenants", "count", len(reg.Names()), "addr", c.addr, "names", fmt.Sprint(reg.Names()),
+			"wal_dir", c.walDir, "wal_sync", c.walSync)
+		runServer(c.addr, reg.Handler(), c.drain, reg.Close, func() {
 			for _, name := range reg.Names() {
 				if srv := reg.Tenant(name); srv != nil {
 					logger.Info("tenant final total", "tenant", name, "reports", srv.Reports()+srv.MeanReports())
 				}
 			}
 		})
-
-	case *serve:
-		var proto *core.Protocol
-		if *framework != "" && *framework != "none" {
-			var err error
-			proto, err = core.NewProtocol(*framework, *classes, *items, *eps, *split)
-			if err != nil {
-				log.Fatal(err)
-			}
-		}
-		opts := []collect.ServerOption{collect.WithMaxBodyBytes(*maxBody)}
-		if *meanOn != "" {
-			np, err := core.NewNumericProtocol(*meanOn, *classes, *eps, *split)
-			if err != nil {
-				log.Fatal(err)
-			}
-			opts = append(opts, collect.WithMean(np))
-		}
-		if *topkOn {
-			opts = append(opts, collect.WithTopKSessions(collect.TopKOptions{MaxSessions: *topkMax}))
-		}
-		if *walDir != "" {
-			policy, err := wal.ParseSyncPolicy(*walSync)
-			if err != nil {
-				log.Fatal(err)
-			}
-			opts = append(opts,
-				collect.WithWAL(*walDir),
-				collect.WithWALOptions(wal.Options{
-					SegmentBytes: *walSeg,
-					Sync:         policy,
-					SyncEvery:    *walEvery,
-				}),
-				collect.WithCompactAfter(*walCAfter))
-		}
-		srv, err := collect.NewServer(proto, opts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *walDir != "" {
-			logger.Info("write-ahead log open", "dir", *walDir, "sync", *walSync,
-				"recovered_reports", srv.Reports()+srv.MeanReports())
-		}
-		if *meanOn != "" {
-			np := srv.MeanProtocol()
-			logger.Info("numeric mean tier enabled", "path", "/mean",
-				"protocol", np.Name(), "classes", np.Classes(), "eps", np.Epsilon())
-		}
-		if *topkOn {
-			logger.Info("top-k mining sessions enabled", "path", "/topk/sessions")
-		}
-		if p := srv.Protocol(); p != nil {
-			logger.Info("collecting", "addr", *addr, "protocol", p.Name(),
-				"classes", p.Classes(), "items", p.Items(), "eps", p.Epsilon())
-		} else {
-			logger.Info("collecting", "addr", *addr, "freq_tier", false)
-		}
-		runServer(*addr, withPprof(srv.Handler(), *adminTok), *drain, srv.Close, func() {
-			logger.Info("final total", "reports", srv.Reports()+srv.MeanReports(),
-				"freq", srv.Reports(), "mean", srv.MeanReports())
-		})
-
-	case *simulate:
-		client, err := collect.NewClient(*url, nil, *seed, collect.WithBatchSize(*batch))
-		if err != nil {
-			log.Fatal(err)
-		}
-		// The population domain (and the framework encoder) comes from the
-		// server's config, not the local flags: submitting pairs outside the
-		// round's domain is a client bug.
-		cfg := client.Config()
-		logger.Info("server config", "protocol", cfg.Protocol,
-			"classes", cfg.Classes, "items", cfg.Items, "eps", cfg.Epsilon)
-		r := xrand.New(*seed)
-		start := time.Now()
-		for i := 0; i < *users; i++ {
-			// A skewed synthetic population: class sizes decay, items
-			// Zipf-ish within class.
-			pair := core.Pair{Class: r.Intn(cfg.Classes), Item: r.Intn(1 + r.Intn(cfg.Items))}
-			if *batch > 0 {
-				err = client.Buffer(pair)
-			} else {
-				err = client.Submit(pair)
-			}
-			if err != nil {
-				log.Fatalf("user %d: %v", i, err)
-			}
-		}
-		if err := client.Flush(); err != nil {
-			log.Fatal(err)
-		}
-		est, err := client.Estimates()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("submitted %d reports in %v\n", *users, time.Since(start).Round(time.Millisecond))
-		fmt.Printf("server total: %d reports\n", est.Reports)
-		for c, sz := range est.ClassSizes {
-			fmt.Printf("class %d estimated size: %.0f\n", c, sz)
-		}
-
-	default:
-		flag.Usage()
+		return
 	}
+
+	srv, err := c.newServer()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if c.walDir != "" {
+		logger.Info("write-ahead log open", "dir", c.walDir, "sync", c.walSync,
+			"recovered_reports", srv.Reports()+srv.MeanReports())
+	}
+	if np := srv.MeanProtocol(); np != nil {
+		logger.Info("numeric mean tier enabled", "path", "/mean",
+			"protocol", np.Name(), "classes", np.Classes(), "eps", np.Epsilon())
+	}
+	if c.topk {
+		logger.Info("top-k mining sessions enabled", "path", "/topk/sessions")
+	}
+	if p := srv.Protocol(); p != nil {
+		logger.Info("collecting", "addr", c.addr, "protocol", p.Name(),
+			"classes", p.Classes(), "items", p.Items(), "eps", p.Epsilon())
+	} else {
+		logger.Info("collecting", "addr", c.addr, "freq_tier", false)
+	}
+	runServer(c.addr, withPprof(srv.Handler(), c.adminToken), c.drain, srv.Close, func() {
+		logger.Info("final total", "reports", srv.Reports()+srv.MeanReports(),
+			"freq", srv.Reports(), "mean", srv.MeanReports())
+	})
 }
 
 // withPprof wraps a plain collect handler with the net/http/pprof routes,

@@ -42,6 +42,32 @@ func postBatchRaw(t *testing.T, url, contentType, body string) (*WireBatchAck, i
 	return &ack, resp.StatusCode
 }
 
+// postNDJSON perturbs pairs with c and posts them to c's server as a
+// hand-built NDJSON stream — a shape the server parses and no client option
+// produces. It reports failures as errors so worker goroutines can call it.
+func postNDJSON(hc *http.Client, c *Client, pairs []core.Pair) (*WireBatchAck, error) {
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for _, p := range pairs {
+		if err := enc.Encode(c.perturb(p)); err != nil {
+			return nil, err
+		}
+	}
+	resp, err := hc.Post(c.base+"/reports", NDJSONContentType, &body)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("ndjson batch status %s", resp.Status)
+	}
+	var ack WireBatchAck
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+		return nil, err
+	}
+	return &ack, nil
+}
+
 func TestBatchEndpointHappyPath(t *testing.T) {
 	srv, ts := newTestServer(t, 2, 6, 4)
 	client, err := NewClient(ts.URL, ts.Client(), 3)
@@ -70,7 +96,7 @@ func TestBatchEndpointHappyPath(t *testing.T) {
 
 func TestBatchEndpointNDJSON(t *testing.T) {
 	srv, ts := newTestServer(t, 2, 6, 4)
-	client, err := NewClient(ts.URL, ts.Client(), 3, WithNDJSON(true))
+	client, err := NewClient(ts.URL, ts.Client(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +104,7 @@ func TestBatchEndpointNDJSON(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = core.Pair{Class: i % 2, Item: i % 6}
 	}
-	ack, err := client.SubmitBatch(pairs)
+	ack, err := postNDJSON(ts.Client(), client, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +402,7 @@ func TestConcurrentBatchIngest(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			client, err := NewClient(ts.URL, ts.Client(), uint64(w+1), WithNDJSON(w%2 == 0))
+			client, err := NewClient(ts.URL, ts.Client(), uint64(w+1))
 			if err != nil {
 				errs <- err
 				return
@@ -387,7 +413,12 @@ func TestConcurrentBatchIngest(t *testing.T) {
 				for i := range pairs {
 					pairs[i] = core.Pair{Class: r.Intn(3), Item: r.Intn(16)}
 				}
-				ack, err := client.SubmitBatch(pairs)
+				// Even workers stream NDJSON, odd ones post JSON arrays.
+				submit := client.SubmitBatch
+				if w%2 == 0 {
+					submit = func(pairs []core.Pair) (*WireBatchAck, error) { return postNDJSON(ts.Client(), client, pairs) }
+				}
+				ack, err := submit(pairs)
 				if err != nil {
 					errs <- err
 					return

@@ -40,7 +40,6 @@ type clientConfig struct {
 	tenant    string
 	token     string
 	batchSize int
-	ndjson    bool
 	binary    bool
 	retries   int
 	retryBase time.Duration
@@ -60,19 +59,12 @@ func WithBatchSize(n int) ClientOption {
 	}
 }
 
-// WithNDJSON makes batch submissions use the NDJSON stream encoding instead
-// of a JSON array. The server accepts both; NDJSON suits producers that
-// append records incrementally.
-func WithNDJSON(on bool) ClientOption {
-	return func(c *clientConfig) { c.ndjson = on }
-}
-
 // WithBinary makes batch submissions use the binary wire frame instead of
 // JSON — roughly an order of magnitude smaller and cheaper to decode for
 // unary-encoded protocols. NewClient and NewMeanClient fail when the
 // server's tier config does not advertise "binary" in its wire list
-// (servers predating the format speak JSON only). Binary overrides NDJSON
-// for batches; single-report Submit stays JSON.
+// (servers predating the format speak JSON only). Single-report Submit
+// stays JSON.
 func WithBinary(on bool) ClientOption {
 	return func(c *clientConfig) { c.binary = on }
 }
@@ -461,21 +453,10 @@ func (c *batchClient[W]) postBatch(wires []W) (*WireBatchAck, error) {
 		body, contentType = frame, BinaryContentType
 	} else {
 		var buf bytes.Buffer
-		if c.ndjson {
-			contentType = NDJSONContentType
-			enc := json.NewEncoder(&buf)
-			for _, wr := range wires {
-				if err := enc.Encode(wr); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			contentType = "application/json"
-			if err := json.NewEncoder(&buf).Encode(wires); err != nil {
-				return nil, err
-			}
+		if err := json.NewEncoder(&buf).Encode(wires); err != nil {
+			return nil, err
 		}
-		body = buf.Bytes()
+		body, contentType = buf.Bytes(), "application/json"
 	}
 	var ack *WireBatchAck
 	err := c.retry(func() error {

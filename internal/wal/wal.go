@@ -38,6 +38,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -653,6 +654,32 @@ func (l *Log) clipActive() {
 // shape after an unclean shutdown. Either callback returning an error
 // aborts the replay with it.
 func (l *Log) Replay(onSnapshot func(snapshot []byte) error, onRecord func(record []byte) error) error {
+	return l.replay(1, onSnapshot, onRecord)
+}
+
+// ReplayParallel is Replay with onRecord fanned across a pool of workers
+// goroutines: segment files are prefetched ahead of the frame walk, the
+// walk itself stays sequential (bounds and CRC checks preserve the
+// intact-prefix torn-tail semantics exactly), and each intact payload is
+// dispatched to the pool. workers ≤ 1 is Replay.
+//
+// It is only safe when record application is commutative (integer-count
+// merges) and onRecord is safe for concurrent use — records are applied
+// out of order across workers. onSnapshot still runs alone, before any
+// record. The first onRecord error stops dispatch and is returned after
+// the pool drains; payload slices alias per-segment read buffers that are
+// never reused, so a callback may retain them for the call's duration
+// without copying.
+func (l *Log) ReplayParallel(workers int, onSnapshot func(snapshot []byte) error, onRecord func(record []byte) error) error {
+	return l.replay(workers, onSnapshot, onRecord)
+}
+
+// replay is the one snapshot selection and the one frame walk behind both
+// exported replays. With one worker a segment is read when the walk reaches
+// it and a record is applied where the walk finds it; with more, a reader
+// goroutine has the next segment ready and the walk hands each record to a
+// pool instead.
+func (l *Log) replay(workers int, onSnapshot, onRecord func([]byte) error) (err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	segs, snaps, err := l.scan()
@@ -674,156 +701,107 @@ func (l *Log) Replay(onSnapshot func(snapshot []byte) error, onRecord func(recor
 		from = snaps[i]
 		break
 	}
+	segs = slices.DeleteFunc(segs, func(seq int) bool { return seq < from || seq == l.activeSeq })
+	if len(segs) == 0 {
+		return nil
+	}
+
+	readSeg := func(seq int) ([]byte, error) { return os.ReadFile(l.segPath(seq)) }
+	read, apply := readSeg, onRecord
+	var failed atomic.Bool // a pool worker's onRecord returned an error
+	if workers > 1 {
+		type segData struct {
+			data []byte
+			err  error
+		}
+		segCh := make(chan segData, 2)
+		done := make(chan struct{})
+		defer close(done)
+		go func() {
+			defer close(segCh)
+			for _, seq := range segs {
+				data, err := readSeg(seq)
+				select {
+				case segCh <- segData{data: data, err: err}:
+				case <-done:
+					return
+				}
+			}
+		}()
+		read = func(int) ([]byte, error) {
+			sd := <-segCh
+			return sd.data, sd.err
+		}
+
+		var (
+			wg       sync.WaitGroup
+			errMu    sync.Mutex
+			firstErr error
+		)
+		recCh := make(chan []byte, 4*workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for rec := range recCh {
+					if failed.Load() {
+						continue
+					}
+					if err := onRecord(rec); err != nil {
+						errMu.Lock()
+						if firstErr == nil {
+							firstErr = err
+						}
+						errMu.Unlock()
+						failed.Store(true)
+					}
+				}
+			}()
+		}
+		apply = func(rec []byte) error {
+			recCh <- rec
+			return nil
+		}
+		// The pool's first error is the replay's, reported once it drained.
+		defer func() {
+			close(recCh)
+			wg.Wait()
+			if firstErr != nil {
+				err = firstErr
+			}
+		}()
+	}
+
 	for _, seq := range segs {
-		if seq < from || seq == l.activeSeq {
-			continue
-		}
-		torn, err := replaySegment(l.segPath(seq), func(record []byte) error {
-			l.opts.Metrics.noteReplayed(1)
-			return onRecord(record)
-		})
+		data, err := read(seq)
 		if err != nil {
-			return err
+			return fmt.Errorf("wal: %w", err)
 		}
-		if torn {
+		for len(data) >= 8 {
+			n := binary.LittleEndian.Uint32(data[:4])
+			if uint64(n) > MaxRecordBytes || uint64(n) > uint64(len(data)-8) {
+				break // torn length or payload: end of this segment's intact prefix
+			}
+			payload := data[8 : 8+n]
+			if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[4:8]) {
+				break // torn payload bytes
+			}
+			if failed.Load() {
+				return nil // stop dispatching; the deferred drain reports the error
+			}
+			l.opts.Metrics.noteReplayed(1)
+			if err := apply(payload); err != nil {
+				return err
+			}
+			data = data[8+n:]
+		}
+		// Bytes left after the intact prefix — a frame that failed a check
+		// above, or the 1–7 bytes of a torn header — are a torn write at crash.
+		if len(data) > 0 {
 			l.opts.Metrics.noteTorn()
 		}
 	}
 	return nil
-}
-
-// ReplayParallel is Replay with onRecord fanned across a pool of workers
-// goroutines: segment files are prefetched ahead of the frame walk, the
-// walk itself stays sequential (bounds and CRC checks preserve the
-// intact-prefix torn-tail semantics exactly), and each intact payload is
-// dispatched to the pool. workers ≤ 1 delegates to Replay.
-//
-// It is only safe when record application is commutative (integer-count
-// merges) and onRecord is safe for concurrent use — records are applied
-// out of order across workers. onSnapshot still runs alone, before any
-// record. The first onRecord error stops dispatch and is returned after
-// the pool drains; payload slices alias per-segment read buffers that are
-// never reused, so a callback may retain them for the call's duration
-// without copying.
-func (l *Log) ReplayParallel(workers int, onSnapshot func(snapshot []byte) error, onRecord func(record []byte) error) error {
-	if workers <= 1 {
-		return l.Replay(onSnapshot, onRecord)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	segs, snaps, err := l.scan()
-	if err != nil {
-		return err
-	}
-	// Snapshot selection is identical to Replay: latest structurally valid
-	// snapshot wins, corrupt ones fall back to the previous.
-	from := 0
-	for i := len(snaps) - 1; i >= 0; i-- {
-		payload, err := readSnapshotFile(l.snapPath(snaps[i]))
-		if err != nil {
-			continue
-		}
-		if err := onSnapshot(payload); err != nil {
-			return err
-		}
-		from = snaps[i]
-		break
-	}
-	var replay []int
-	for _, seq := range segs {
-		if seq < from || seq == l.activeSeq {
-			continue
-		}
-		replay = append(replay, seq)
-	}
-	if len(replay) == 0 {
-		return nil
-	}
-
-	// Reader goroutine prefetches the next segment file while the walk
-	// dispatches the current one.
-	type segData struct {
-		data []byte
-		err  error
-	}
-	segCh := make(chan segData, 2)
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		defer close(segCh)
-		for _, seq := range replay {
-			data, err := os.ReadFile(l.segPath(seq))
-			select {
-			case segCh <- segData{data: data, err: err}:
-			case <-done:
-				return
-			}
-		}
-	}()
-
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-		failed   atomic.Bool
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		failed.Store(true)
-	}
-	recCh := make(chan []byte, 4*workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rec := range recCh {
-				if failed.Load() {
-					continue
-				}
-				if err := onRecord(rec); err != nil {
-					setErr(err)
-				}
-			}
-		}()
-	}
-dispatch:
-	for sd := range segCh {
-		if sd.err != nil {
-			setErr(fmt.Errorf("wal: %w", sd.err))
-			break
-		}
-		data := sd.data
-		torn := false
-		for len(data) >= 8 {
-			n := binary.LittleEndian.Uint32(data[:4])
-			if uint64(n) > MaxRecordBytes || uint64(n) > uint64(len(data)-8) {
-				torn = true // torn length or payload: end of this segment's intact prefix
-				break
-			}
-			payload := data[8 : 8+n]
-			if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[4:8]) {
-				torn = true // torn payload bytes
-				break
-			}
-			if failed.Load() {
-				break dispatch
-			}
-			l.opts.Metrics.noteReplayed(1)
-			recCh <- payload
-			data = data[8+n:]
-		}
-		// 1–7 trailing bytes are a torn frame header.
-		if torn || len(data) > 0 {
-			l.opts.Metrics.noteTorn()
-		}
-	}
-	close(recCh)
-	wg.Wait()
-	return firstErr
 }
 
 // readSnapshotFile reads a snapshot file (one record frame) and verifies
@@ -845,32 +823,6 @@ func readSnapshotFile(path string) ([]byte, error) {
 		return nil, fmt.Errorf("wal: snapshot %s CRC mismatch", path)
 	}
 	return payload, nil
-}
-
-// replaySegment streams one segment's intact record prefix into onRecord.
-// torn reports whether leftover bytes after the intact prefix ended the
-// segment early — the signature of a torn write at crash.
-func replaySegment(path string, onRecord func([]byte) error) (torn bool, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false, fmt.Errorf("wal: %w", err)
-	}
-	for len(data) >= 8 {
-		n := binary.LittleEndian.Uint32(data[:4])
-		if uint64(n) > MaxRecordBytes || uint64(n) > uint64(len(data)-8) {
-			return true, nil // torn length or payload: end of this segment's intact prefix
-		}
-		payload := data[8 : 8+n]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[4:8]) {
-			return true, nil // torn payload bytes
-		}
-		if err := onRecord(payload); err != nil {
-			return false, err
-		}
-		data = data[8+n:]
-	}
-	// 1–7 trailing bytes are a torn frame header.
-	return len(data) > 0, nil
 }
 
 // Roll closes the active segment and starts a new one, returning the new
