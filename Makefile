@@ -87,8 +87,18 @@ fmt:
 fmt-fix:
 	gofmt -w .
 
+# Report-tier state has one codec, the count table of internal/state; gob is
+# left to the mining tier's ordered session records and to the one-version
+# read shim for state written before tables. lint fails when any other
+# non-test file imports it, so a second state codec cannot grow back.
+GOB_ALLOWED := internal/core/legacy.go internal/topk/session.go internal/collect/topk.go
+
 lint:
 	$(GO) vet ./...
+	@bad="$$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | \
+		xargs grep -lE '^(import)?[[:space:]]*([[:alnum:]_.]+[[:space:]]+)?"encoding/gob"' | \
+		sed "s|^$$PWD/||" | grep -vxF $(addprefix -e ,$(GOB_ALLOWED)))"; \
+	if [ -n "$$bad" ]; then echo "encoding/gob imported outside $(GOB_ALLOWED):"; echo "$$bad"; exit 1; fi
 
 # Pinned so local and CI runs agree; `go run` fetches the tool on demand
 # (network required on first use).

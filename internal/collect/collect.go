@@ -232,22 +232,17 @@ func WithCompactAfter(n int64) ServerOption {
 	}
 }
 
-// NewServer builds a collection server for the given protocol's reports.
-// The protocol must have a wire codec (every canonical protocol does);
+// NewServer builds a collection server for the given protocol's reports;
 // build one with core.NewProtocol. p may be nil when the server hosts
 // another tier — NewServer(nil, WithMean(np)) serves the numeric mean tier
 // alone, with the frequency endpoints unmounted.
 //
-// A caveat for OLH-backed protocols (pts+olh): their aggregators retain
-// every report (OLH recovers supports by rehashing, so there is no compact
-// count matrix), which means server memory grows with N and every
-// /estimates read costs O(N·d). Fine for bounded rounds; prefer a
-// unary-encoded protocol for open-ended collection.
+// A caveat for OLH-backed protocols (pts+olh): OLH recovers a report's
+// supports by rehashing every item under the report's seed, so each report
+// costs d hashes to ingest. The state stays a fixed-size count table; prefer
+// a unary-encoded protocol where ingest throughput matters.
 func NewServer(p *core.Protocol, opts ...ServerOption) (*Server, error) {
 	if p != nil {
-		if err := p.WireSupported(); err != nil {
-			return nil, fmt.Errorf("collect: protocol %s cannot serve the wire: %w", p.Name(), err)
-		}
 		// Clients rebuild their encoder from the name in /config alone, so a
 		// name that core.NewProtocol cannot resolve — or one that resolves to
 		// different mechanisms than the server actually aggregates with, which

@@ -3,10 +3,12 @@ package collect
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/mean"
+	"repro/internal/state"
 	"repro/internal/xrand"
 )
 
@@ -69,22 +71,41 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzUnmarshalEnvelope drives the aggregator-state decoder — the bytes a
 // server accepts on POST /merge, restores from disk checkpoints, and
-// replays from WAL snapshots — with arbitrary inputs: corrupted, truncated
-// and wrong-fingerprint envelopes must error, never panic, and anything
-// accepted must be a usable aggregator of the right protocol.
+// replays from WAL snapshots — with arbitrary inputs, for every report-tier
+// framework of both tiers. Each input is decoded as an envelope and, so
+// that mutations reach the payload decoder under a valid CRC, re-sealed as
+// one under each protocol's fingerprint. Corrupt inputs must error, never
+// panic; an accepted state must be a count table some report stream could
+// produce, estimate to finite values, merge, and — unless it came in the
+// gob format from before tables — re-marshal to exactly its own bytes.
 func FuzzUnmarshalEnvelope(f *testing.F) {
-	protos := fuzzProtocols(f)
+	hec, err := core.NewProtocol("hec", 3, 8, 1, 0.5)
+	if err != nil {
+		f.Fatal(err)
+	}
+	protos := append(fuzzProtocols(f), hec)
+	numProtos := fuzzNumericProtocols(f)
 	// Seed with real envelopes (empty and populated) from every protocol —
 	// feeding protocol A's envelope to protocol B exercises the
 	// wrong-fingerprint path from the first run.
 	r := xrand.New(1)
+	seed := func(empty, full []byte) {
+		f.Add(empty)
+		f.Add(full)
+		f.Add(full[:len(full)/2]) // truncated
+		mangled := append([]byte(nil), full...)
+		mangled[len(mangled)/2] ^= 0xff
+		f.Add(mangled) // corrupted
+		if _, payload, err := state.Decode(full); err == nil {
+			f.Add(payload) // a bare payload, re-sealed by the target
+		}
+	}
 	for _, p := range protos {
 		agg := p.NewAggregator()
 		empty, err := p.MarshalAggregator(agg)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(empty)
 		enc := p.Encoder()
 		for i := 0; i < 20; i++ {
 			agg.Add(enc.Encode(core.Pair{Class: i % p.Classes(), Item: i % p.Items()}, r))
@@ -93,31 +114,119 @@ func FuzzUnmarshalEnvelope(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(full)
-		f.Add(full[:len(full)/2]) // truncated
-		mangled := append([]byte(nil), full...)
-		mangled[len(mangled)/2] ^= 0xff
-		f.Add(mangled) // corrupted
+		seed(empty, full)
+	}
+	for _, p := range numProtos {
+		agg := p.NewAggregator()
+		empty, err := p.MarshalAggregator(agg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		enc := p.Encoder()
+		for i := 0; i < 20; i++ {
+			agg.Add(enc.Encode(mean.Value{Class: i % p.Classes(), X: 0.5}, i, r))
+		}
+		full, err := p.MarshalAggregator(agg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seed(empty, full)
 	}
 	f.Add([]byte{})
 	f.Add([]byte("MCSE"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, p := range protos {
-			agg, err := p.UnmarshalAggregator(data)
-			if err != nil {
-				continue
+			for _, env := range [][]byte{data, state.Encode(p.Fingerprint(), data)} {
+				agg, err := p.UnmarshalAggregator(env)
+				if err != nil {
+					continue
+				}
+				again, err := p.MarshalAggregator(agg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkAcceptedState(t, p.Name(), env, again, agg.N(), append(agg.Estimates(), agg.ClassSizes()))
+				if err := p.NewAggregator().Merge(agg); err != nil {
+					t.Fatalf("%s accepted an unmergeable aggregator: %v", p.Name(), err)
+				}
 			}
-			// Accepted state must be usable: estimable and mergeable into a
-			// fresh aggregator of the same protocol.
-			if agg.N() < 0 {
-				t.Fatalf("%s accepted negative report count %d", p.Name(), agg.N())
-			}
-			agg.Estimates()
-			if err := p.NewAggregator().Merge(agg); err != nil {
-				t.Fatalf("%s accepted an unmergeable aggregator: %v", p.Name(), err)
+		}
+		for _, p := range numProtos {
+			for _, env := range [][]byte{data, state.Encode(p.Fingerprint(), data)} {
+				agg, err := p.UnmarshalAggregator(env)
+				if err != nil {
+					continue
+				}
+				again, err := p.MarshalAggregator(agg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkAcceptedState(t, p.Name(), env, again, agg.N(), [][]float64{agg.Means(), agg.ClassSizes()})
+				if err := p.NewAggregator().Merge(agg); err != nil {
+					t.Fatalf("%s accepted an unmergeable aggregator: %v", p.Name(), err)
+				}
 			}
 		}
 	})
+}
+
+// checkAcceptedState holds a state envelope env that a protocol accepted,
+// re-marshalled as again, to what only a report stream produces: n
+// reports, finite calibrated values, and a count table that keeps its
+// invariants — checked here independently of the decoder — and whose bytes
+// are env's own when env already carried a table.
+func checkAcceptedState(t *testing.T, name string, env, again []byte, n int, calibrated [][]float64) {
+	t.Helper()
+	for _, row := range calibrated {
+		for _, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%s accepted a state that estimates to %v", name, v)
+			}
+		}
+	}
+	_, payload, err := state.Decode(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, canon, err := state.Decode(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := state.DecodeTable(canon)
+	if err != nil {
+		t.Fatalf("%s re-marshalled an accepted state to a table it refuses: %v", name, err)
+	}
+	if tab.N != int64(n) || n < 0 {
+		t.Fatalf("%s accepted %d reports, its table holds %d", name, n, tab.N)
+	}
+	var routed int64
+	for i, c := range tab.Cells {
+		if c < 0 {
+			t.Fatalf("%s accepted a negative count", name)
+		}
+		if i < tab.Routes {
+			routed += c
+		}
+	}
+	if tab.Routes > 0 && routed != tab.N {
+		t.Fatalf("%s accepted route counts summing to %d of %d reports", name, routed, tab.N)
+	}
+	for r := 0; r < tab.Rows; r++ {
+		var sum int64
+		for _, c := range tab.Row(r) {
+			sum += c
+			if c > tab.Route(r) {
+				t.Fatalf("%s accepted a cell of %d above its row's %d reports", name, c, tab.Route(r))
+			}
+		}
+		if tab.OneHot && sum != tab.Route(r) {
+			t.Fatalf("%s accepted a one-hot row summing to %d of %d reports", name, sum, tab.Route(r))
+		}
+	}
+	// A gob payload never opens with a table's tag byte.
+	if payload[0] == canon[0] && !bytes.Equal(payload, canon) {
+		t.Fatalf("%s accepted a table that re-marshals to other bytes", name)
+	}
 }
 
 // FuzzDecodeBatch drives the batch splitter (JSON array and NDJSON paths)

@@ -368,24 +368,13 @@ func (t *tier[A, W]) applyBinary(f core.CheckedFrame) time.Duration {
 // ---------------------------------------------------------------------------
 
 // clone returns a point-in-time copy of the aggregate. The lock is held
-// only for the copy of the counts — a cheap count-vector Clone when the
-// aggregator offers one (core.Cloner, mean.Cloner — every built-in does;
-// nil means its accumulator cannot), otherwise an exact merge-into-empty
-// copy, bit-identical either way because integer counts merge exactly —
-// so calibrating and rendering an estimate never holds up ingestion.
+// only for the copy of its count table — every aggregator of both tiers is a
+// core.Cloner or mean.Cloner — so calibrating and rendering an estimate
+// never holds up ingestion.
 func (t *tier[A, W]) clone() A {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if cl, ok := any(t.acc).(interface{ Clone() A }); ok {
-		if c := cl.Clone(); any(c) != nil {
-			return c
-		}
-	}
-	out := t.c.NewAggregator()
-	if err := out.Merge(t.acc); err != nil {
-		panic("collect: aggregate clone: " + err.Error()) // identical protocol by construction
-	}
-	return out
+	return any(t.acc).(interface{ Clone() A }).Clone()
 }
 
 // snapshot serializes the aggregate into a fingerprinted state envelope.

@@ -29,7 +29,7 @@ import (
 //   - bit-vector reports (OUE/SUE, PTS-CP): uvarint label, then the bit
 //     vector packed as ceil(bitsLen/64) little-endian words. Fixed-size and
 //     zero-parse: the server sums a frame's vectors by column, in place,
-//     straight into its accumulator counts (bitvec.AddRows).
+//     straight into its count table (bitvec.AddRows).
 //   - value reports (GRR): uvarint label, uvarint value.
 //   - seeded value reports (OLH): uvarint label, uvarint value, seed[u64].
 //   - mean reports: uvarint label, uvarint symbol.
@@ -144,12 +144,8 @@ func openBinaryFrame(data []byte, tier byte) (records []byte, count int, err err
 // AppendBinaryBatch appends one binary frame carrying wires to dst and
 // returns the extended slice. Payloads are validated against the protocol's
 // wire shape (exactly like DecodeReport would), so a frame this returns is
-// always accepted by the matching decoder. Protocols over custom item
-// mechanisms have no wire codec and return their WireSupported error.
+// always accepted by the matching decoder.
 func (p *Protocol) AppendBinaryBatch(dst []byte, wires []WirePayload) ([]byte, error) {
-	if p.shapeErr != nil {
-		return nil, p.shapeErr
-	}
 	s := p.shape
 	off := len(dst)
 	dst = appendBinaryHeader(dst, binaryTierFrequency, len(wires))
@@ -302,9 +298,6 @@ func (p *Protocol) walkBinaryRecords(rec []byte, count int, visit func(binaryRec
 // them under its aggregate's lock with no failure path in between. It never
 // panics: corrupted, truncated or mis-tiered inputs come back as errors.
 func (p *Protocol) ValidateBinaryBatch(data []byte) (CheckedFrame, error) {
-	if p.shapeErr != nil {
-		return CheckedFrame{}, p.shapeErr
-	}
 	rec, count, err := openBinaryFrame(data, binaryTierFrequency)
 	if err != nil {
 		return CheckedFrame{}, err

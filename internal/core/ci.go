@@ -25,7 +25,7 @@ func (a *CPAccumulator) EstimateWithCI(c, i int, z float64) (Interval, error) {
 	est := a.Estimate(c, i)
 	f := math.Max(est, 0)
 	n := math.Max(a.EstimateClassSize(c), f)
-	total := float64(a.total)
+	total := float64(a.t.N)
 	if n > total {
 		n = total
 	}

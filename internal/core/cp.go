@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/fo"
+	"repro/internal/state"
 	"repro/internal/xrand"
 )
 
@@ -90,24 +91,18 @@ func (cp *CP) Perturb(pair Pair, r *xrand.Rand) CPReport {
 	return CPReport{Label: perturbed, Bits: cp.item.Perturb(item, r)}
 }
 
-// CPAccumulator aggregates correlated-perturbation reports. For each class
-// it keeps the raw 1-bit item counts of reports whose perturbed label is
-// that class AND whose perturbed flag bit is 0 (the VP drop rule), plus the
-// raw per-class label counts ñ used by the calibration.
+// CPAccumulator aggregates correlated-perturbation reports in one count
+// table (state.Table): per class, ñ(C), the reports whose perturbed label is
+// C, and the row of 1-bit item counts of those whose perturbed flag bit is
+// 0 (the VP drop rule) — no cell exceeds its class's ñ(C).
 type CPAccumulator struct {
-	cp          *CP
-	itemCounts  [][]int64 // [class][item] kept-report bit counts
-	labelCounts []int64   // ñ(C): reports with perturbed label C
-	total       int       // N: all reports
+	cp *CP
+	t  state.Table
 }
 
 // NewAccumulator returns an empty aggregator for cp's reports.
 func (cp *CP) NewAccumulator() *CPAccumulator {
-	ic := make([][]int64, cp.c)
-	for i := range ic {
-		ic[i] = make([]int64, cp.d)
-	}
-	return &CPAccumulator{cp: cp, itemCounts: ic, labelCounts: make([]int64, cp.c)}
+	return &CPAccumulator{cp: cp, t: state.NewTable(state.Shape{Routes: cp.c, Rows: cp.c, Cols: cp.d})}
 }
 
 // Add folds one report into the aggregate.
@@ -118,12 +113,12 @@ func (a *CPAccumulator) Add(rep CPReport) {
 	if rep.Bits.Len() != a.cp.d+1 {
 		panic(fmt.Sprintf("core: CP report bits %d != %d", rep.Bits.Len(), a.cp.d+1))
 	}
-	a.total++
-	a.labelCounts[rep.Label]++
+	a.t.N++
+	a.t.Cells[rep.Label]++
 	if rep.Bits.Get(a.cp.d) {
 		return // flag set: dropped by the VP rule
 	}
-	counts := a.itemCounts[rep.Label]
+	counts := a.t.Row(rep.Label)
 	rep.Bits.ForEachSet(func(i int) {
 		if i < a.cp.d {
 			counts[i]++
@@ -138,59 +133,43 @@ func (a *CPAccumulator) Add(rep CPReport) {
 // are summed by column. Malformed input panics, like Add.
 func (a *CPAccumulator) addRows(label int, rec []byte, offs []int) {
 	d := a.cp.d
-	a.total += len(offs)
-	a.labelCounts[label] += int64(len(offs))
+	a.t.N += int64(len(offs))
+	a.t.Cells[label] += int64(len(offs))
 	// The flag bit at index d is the only legal bit ≥ d, and it is 0 in every
 	// kept row, so every remaining set bit is a valid item index.
 	kept := bitvec.RowsWithBitClear(rec, offs, d)
-	bitvec.AddRows(a.itemCounts[label], rec, kept, (d+1+63)/64)
+	bitvec.AddRows(a.t.Row(label), rec, kept, (d+1+63)/64)
 }
 
 // Merge folds another accumulator of the same mechanism into this one.
-func (a *CPAccumulator) Merge(o *CPAccumulator) error {
-	if o.cp.c != a.cp.c || o.cp.d != a.cp.d {
-		return fmt.Errorf("core: CP merge domain mismatch")
-	}
-	for c := range a.itemCounts {
-		for i := range a.itemCounts[c] {
-			a.itemCounts[c][i] += o.itemCounts[c][i]
-		}
-		a.labelCounts[c] += o.labelCounts[c]
-	}
-	a.total += o.total
-	return nil
-}
+func (a *CPAccumulator) Merge(o *CPAccumulator) error { return a.t.Merge(&o.t) }
 
 // Total returns N, the number of reports received.
-func (a *CPAccumulator) Total() int { return a.total }
+func (a *CPAccumulator) Total() int { return int(a.t.N) }
 
-// Clone returns an independent copy of the aggregate: a deep copy of the
-// count vectors sharing only the immutable mechanism. Mutating either side
-// never affects the other.
-func (a *CPAccumulator) Clone() *CPAccumulator {
-	ic := make([][]int64, len(a.itemCounts))
-	for c, row := range a.itemCounts {
-		ic[c] = append([]int64(nil), row...)
-	}
-	return &CPAccumulator{
-		cp:          a.cp,
-		itemCounts:  ic,
-		labelCounts: append([]int64(nil), a.labelCounts...),
-		total:       a.total,
-	}
-}
+// Clone returns an independent copy of the aggregate, sharing only the
+// immutable mechanism.
+func (a *CPAccumulator) Clone() *CPAccumulator { return &CPAccumulator{cp: a.cp, t: a.t.Clone()} }
+
+// MarshalBinary encodes the count table, so a collection server can
+// checkpoint its aggregation state across restarts.
+func (a *CPAccumulator) MarshalBinary() ([]byte, error) { return a.t.MarshalBinary() }
+
+// UnmarshalBinary restores a count table of this accumulator's shape; on
+// error the accumulator is unchanged.
+func (a *CPAccumulator) UnmarshalBinary(data []byte) error { return a.t.UnmarshalBinary(data) }
 
 // RawPairCount returns f̃(C, I), the kept-report bit count.
-func (a *CPAccumulator) RawPairCount(c, i int) int64 { return a.itemCounts[c][i] }
+func (a *CPAccumulator) RawPairCount(c, i int) int64 { return a.t.Row(c)[i] }
 
 // RawLabelCount returns ñ(C), the perturbed-label count.
-func (a *CPAccumulator) RawLabelCount(c int) int64 { return a.labelCounts[c] }
+func (a *CPAccumulator) RawLabelCount(c int) int64 { return a.t.Cells[c] }
 
 // EstimateClassSize returns n̂ = (ñ − N·q₁)/(p₁−q₁), the unbiased estimate
 // of the number of users with label C.
 func (a *CPAccumulator) EstimateClassSize(c int) float64 {
 	p1, q1 := a.cp.label.P(), a.cp.label.Q()
-	return (float64(a.labelCounts[c]) - float64(a.total)*q1) / (p1 - q1)
+	return (float64(a.t.Cells[c]) - float64(a.t.N)*q1) / (p1 - q1)
 }
 
 // Estimate returns the calibrated frequency f̂(C, I) of Eq. (4):
@@ -203,8 +182,8 @@ func (a *CPAccumulator) Estimate(c, i int) float64 {
 	p1, q1, p2, q2 := a.cp.Probabilities()
 	den := p1 * (1 - q2) * (p2 - q2)
 	nHat := a.EstimateClassSize(c)
-	fTilde := float64(a.itemCounts[c][i])
-	return (fTilde-float64(a.total)*q1*q2*(1-p2))/den -
+	fTilde := float64(a.t.Row(c)[i])
+	return (fTilde-float64(a.t.N)*q1*q2*(1-p2))/den -
 		nHat*q2*(p1*(1-q2)-q1*(1-p2))/den
 }
 
@@ -216,11 +195,11 @@ func (a *CPAccumulator) EstimateAll() [][]float64 {
 	out := NewMatrix(a.cp.c, a.cp.d)
 	p1, q1, p2, q2 := a.cp.Probabilities()
 	den := p1 * (1 - q2) * (p2 - q2)
-	bias := float64(a.total) * q1 * q2 * (1 - p2)
+	bias := float64(a.t.N) * q1 * q2 * (1 - p2)
 	for c := 0; c < a.cp.c; c++ {
 		nHat := a.EstimateClassSize(c)
 		corr := nHat * q2 * (p1*(1-q2) - q1*(1-p2)) / den
-		cnts, row := a.itemCounts[c], out[c]
+		cnts, row := a.t.Row(c), out[c]
 		for i := 0; i < a.cp.d; i++ {
 			row[i] = (float64(cnts[i])-bias)/den - corr
 		}

@@ -1,19 +1,15 @@
 package core
 
 import (
-	"bytes"
-	"encoding"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
-	"repro/internal/fo"
 	"repro/internal/state"
 )
 
 // This file makes every framework's server half durable and shippable: each
-// Aggregator implements MarshalBinary/UnmarshalBinary, and Protocol wraps
-// those bytes in a versioned internal/state envelope fingerprinted with the
+// Aggregator encodes its count table (state.Table), and Protocol wraps those
+// bytes in a versioned internal/state envelope fingerprinted with the
 // protocol's full identity. The envelope is what crosses process boundaries
 // — disk checkpoints, WAL compaction snapshots, and the edge→root /merge
 // tier — so a payload can never be restored into a protocol it does not
@@ -52,8 +48,10 @@ func (p *Protocol) MarshalAggregator(a Aggregator) ([]byte, error) {
 // verifies it belongs to this protocol before trusting a byte of the
 // payload: the envelope's CRC and framing are checked by internal/state,
 // the fingerprint must match p's exactly (ErrIncompatibleState otherwise),
-// and the payload's own shape invariants are validated by the aggregator's
-// UnmarshalBinary. Corrupt or adversarial inputs error; they never panic.
+// and the table's shape and invariants are validated by the aggregator's
+// UnmarshalBinary. A payload written before tables is read through the
+// one-version shim (legacy.go). Corrupt or adversarial inputs error; they
+// never panic.
 func (p *Protocol) UnmarshalAggregator(data []byte) (Aggregator, error) {
 	fp, payload, err := state.Decode(data)
 	if err != nil {
@@ -63,197 +61,11 @@ func (p *Protocol) UnmarshalAggregator(data []byte) (Aggregator, error) {
 		return nil, fmt.Errorf("%w: envelope %q, protocol %q", ErrIncompatibleState, fp, want)
 	}
 	agg := p.NewAggregator()
+	if payload, err = upgradeFrequencyState(agg, payload); err != nil {
+		return nil, err
+	}
 	if err := agg.UnmarshalBinary(payload); err != nil {
 		return nil, err
 	}
 	return agg, nil
-}
-
-// ---------------------------------------------------------------------------
-// Per-framework aggregator state.
-//
-// The composite aggregators (HEC, PTS) serialize each wrapped
-// frequency-oracle accumulator through its own BinaryMarshaler, so the
-// fo-level shape validation runs on restore, then re-check the cross-
-// accumulator invariants (report totals must reconcile) that only the
-// framework layer knows.
-// ---------------------------------------------------------------------------
-
-// marshalFOAccumulator serializes one wrapped frequency-oracle accumulator.
-// Every accumulator in internal/fo implements BinaryMarshaler; protocols
-// over custom mechanism types outside the module do not, and fail here with
-// a typed explanation rather than a silent skip.
-func marshalFOAccumulator(acc any) ([]byte, error) {
-	m, ok := acc.(encoding.BinaryMarshaler)
-	if !ok {
-		return nil, fmt.Errorf("core: item accumulator %T does not support binary snapshots", acc)
-	}
-	return m.MarshalBinary()
-}
-
-// unmarshalFOAccumulator restores one wrapped frequency-oracle accumulator.
-func unmarshalFOAccumulator(acc any, data []byte) error {
-	u, ok := acc.(encoding.BinaryUnmarshaler)
-	if !ok {
-		return fmt.Errorf("core: item accumulator %T does not support binary snapshots", acc)
-	}
-	return u.UnmarshalBinary(data)
-}
-
-// hecState is the serialized form of an hecAggregator: one frequency-oracle
-// accumulator per group plus the report total.
-type hecState struct {
-	Groups [][]byte
-	Total  int
-}
-
-// MarshalBinary implements the Aggregator snapshot contract.
-func (a *hecAggregator) MarshalBinary() ([]byte, error) {
-	st := hecState{Groups: make([][]byte, len(a.accs)), Total: a.total}
-	for g, acc := range a.accs {
-		blob, err := marshalFOAccumulator(acc)
-		if err != nil {
-			return nil, fmt.Errorf("core: hec group %d: %w", g, err)
-		}
-		st.Groups[g] = blob
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("core: hec snapshot encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalBinary implements the Aggregator snapshot contract; on error the
-// aggregator is left unchanged.
-func (a *hecAggregator) UnmarshalBinary(data []byte) error {
-	var st hecState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("core: hec snapshot decode: %w", err)
-	}
-	if len(st.Groups) != a.c {
-		return fmt.Errorf("core: hec snapshot has %d groups, aggregator has %d", len(st.Groups), a.c)
-	}
-	if st.Total < 0 {
-		return fmt.Errorf("core: hec snapshot negative total %d", st.Total)
-	}
-	accs := make([]fo.Accumulator, a.c)
-	sum := 0
-	for g, blob := range st.Groups {
-		accs[g] = a.mech.NewAccumulator()
-		if err := unmarshalFOAccumulator(accs[g], blob); err != nil {
-			return fmt.Errorf("core: hec group %d: %w", g, err)
-		}
-		sum += accs[g].N()
-	}
-	// Every report lands in exactly one group, so the groups must account
-	// for the total exactly.
-	if sum != st.Total {
-		return fmt.Errorf("core: hec snapshot groups hold %d reports, total claims %d", sum, st.Total)
-	}
-	a.accs, a.total = accs, st.Total
-	return nil
-}
-
-// ptjState is the serialized form of a ptjAggregator: the single joint-
-// domain accumulator.
-type ptjState struct {
-	Joint []byte
-}
-
-// MarshalBinary implements the Aggregator snapshot contract.
-func (a *ptjAggregator) MarshalBinary() ([]byte, error) {
-	blob, err := marshalFOAccumulator(a.acc)
-	if err != nil {
-		return nil, fmt.Errorf("core: ptj: %w", err)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ptjState{Joint: blob}); err != nil {
-		return nil, fmt.Errorf("core: ptj snapshot encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalBinary implements the Aggregator snapshot contract; on error the
-// aggregator is left unchanged. The receiver must come fresh from the
-// protocol (its joint accumulator carries the mechanism), which is how
-// Protocol.UnmarshalAggregator always calls it.
-func (a *ptjAggregator) UnmarshalBinary(data []byte) error {
-	var st ptjState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("core: ptj snapshot decode: %w", err)
-	}
-	// Restore into a scratch accumulator of the same mechanism so a
-	// mid-restore failure cannot leave a half-written aggregate behind.
-	restored := a.mech.NewAccumulator()
-	if err := unmarshalFOAccumulator(restored, st.Joint); err != nil {
-		return fmt.Errorf("core: ptj: %w", err)
-	}
-	a.acc = restored
-	return nil
-}
-
-// ptsState is the serialized form of a ptsAggregator: one item accumulator
-// and one label count per perturbed-label route, plus the report total.
-type ptsState struct {
-	LabelCounts []int64
-	Routes      [][]byte
-	Total       int
-}
-
-// MarshalBinary implements the Aggregator snapshot contract.
-func (a *ptsAggregator) MarshalBinary() ([]byte, error) {
-	st := ptsState{
-		LabelCounts: a.labelCounts,
-		Routes:      make([][]byte, len(a.accs)),
-		Total:       a.total,
-	}
-	for ci, acc := range a.accs {
-		blob, err := marshalFOAccumulator(acc)
-		if err != nil {
-			return nil, fmt.Errorf("core: pts route %d: %w", ci, err)
-		}
-		st.Routes[ci] = blob
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("core: pts snapshot encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalBinary implements the Aggregator snapshot contract; on error the
-// aggregator is left unchanged.
-func (a *ptsAggregator) UnmarshalBinary(data []byte) error {
-	var st ptsState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("core: pts snapshot decode: %w", err)
-	}
-	if len(st.Routes) != a.c || len(st.LabelCounts) != a.c {
-		return fmt.Errorf("core: pts snapshot has %d routes / %d label counts, aggregator has %d classes",
-			len(st.Routes), len(st.LabelCounts), a.c)
-	}
-	if st.Total < 0 {
-		return fmt.Errorf("core: pts snapshot negative total %d", st.Total)
-	}
-	accs := make([]fo.Accumulator, a.c)
-	sum := int64(0)
-	for ci, blob := range st.Routes {
-		accs[ci] = a.item.NewAccumulator()
-		if err := unmarshalFOAccumulator(accs[ci], blob); err != nil {
-			return fmt.Errorf("core: pts route %d: %w", ci, err)
-		}
-		// Add routes every report into the accumulator of its perturbed
-		// label and bumps that label's count in lockstep.
-		if int64(accs[ci].N()) != st.LabelCounts[ci] {
-			return fmt.Errorf("core: pts snapshot route %d holds %d reports, label count claims %d",
-				ci, accs[ci].N(), st.LabelCounts[ci])
-		}
-		sum += st.LabelCounts[ci]
-	}
-	if sum != int64(st.Total) {
-		return fmt.Errorf("core: pts snapshot routes hold %d reports, total claims %d", sum, st.Total)
-	}
-	a.accs, a.labelCounts, a.total = accs, st.LabelCounts, st.Total
-	return nil
 }

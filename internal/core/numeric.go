@@ -163,7 +163,9 @@ func (p *NumericProtocol) MarshalAggregator(a mean.Aggregator) ([]byte, error) {
 // UnmarshalAggregator decodes an envelope produced by MarshalAggregator
 // and verifies it belongs to this protocol before trusting a byte of the
 // payload; a mismatched fingerprint is ErrIncompatibleState (409 at the
-// federation endpoint), corruption is a plain error, and neither panics.
+// federation endpoint), corruption or an impossible table is a plain error,
+// and neither panics. State from before count tables is read through the
+// shim in legacy.go.
 func (p *NumericProtocol) UnmarshalAggregator(data []byte) (mean.Aggregator, error) {
 	fp, payload, err := state.Decode(data)
 	if err != nil {
@@ -173,6 +175,9 @@ func (p *NumericProtocol) UnmarshalAggregator(data []byte) (mean.Aggregator, err
 		return nil, fmt.Errorf("%w: envelope %q, protocol %q", ErrIncompatibleState, fp, want)
 	}
 	agg := p.NewAggregator()
+	if payload, err = upgradeMeanState(p, payload); err != nil {
+		return nil, err
+	}
 	if err := agg.UnmarshalBinary(payload); err != nil {
 		return nil, err
 	}

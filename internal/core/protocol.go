@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/fo"
+	"repro/internal/state"
 	"repro/internal/xrand"
 )
 
@@ -40,11 +41,12 @@ type Encoder interface {
 	Encode(pair Pair, r *xrand.Rand) Report
 }
 
-// Aggregator is the server half of a framework: it folds reports into
-// aggregate counts and produces the framework's calibrated estimates.
-// Implementations are not safe for concurrent use; shard and Merge instead.
-// Merging is exact — aggregates hold integer counts, so any partition of a
-// report stream over aggregators merges to bit-identical estimates.
+// Aggregator is the server half of a framework: it folds reports into one
+// count table (state.Table) and produces the framework's calibrated
+// estimates from it. Implementations are not safe for concurrent use; shard
+// and Merge instead. Merging is exact — aggregates hold integer counts, so
+// any partition of a report stream over aggregators merges to bit-identical
+// estimates.
 type Aggregator interface {
 	// Add folds one report into the aggregate. Reports decoded from the
 	// wire by the protocol's codec are always safe to Add; hand-built
@@ -60,28 +62,24 @@ type Aggregator interface {
 	// calibration where the framework has one (PTS, PTS-CP), row sums of
 	// the frequency estimates otherwise (HEC, PTJ).
 	ClassSizes() []float64
-	// MarshalBinary serializes the aggregate state (never individual
-	// reports beyond what the aggregator retains by design) so servers can
-	// checkpoint and federate. Restoring and estimating is bit-identical to
-	// estimating the live aggregator. Prefer Protocol.MarshalAggregator,
-	// which wraps the bytes in a fingerprinted envelope.
+	// MarshalBinary encodes the count table — never a report — so servers
+	// can checkpoint and federate. Restoring and estimating is
+	// bit-identical to estimating the live aggregator. Prefer
+	// Protocol.MarshalAggregator, which wraps the bytes in a fingerprinted
+	// envelope.
 	MarshalBinary() ([]byte, error)
-	// UnmarshalBinary restores state serialized by MarshalBinary from an
-	// aggregator with the same protocol parameters; a mismatch is an error
-	// and leaves the aggregator unchanged. Prefer
-	// Protocol.UnmarshalAggregator, which verifies the envelope fingerprint
-	// before trusting the payload.
+	// UnmarshalBinary restores a table encoded by MarshalBinary from an
+	// aggregator with the same protocol parameters; a mismatched shape or a
+	// table no report stream could produce is an error and leaves the
+	// aggregator unchanged. Prefer Protocol.UnmarshalAggregator, which
+	// verifies the envelope fingerprint before trusting the payload.
 	UnmarshalBinary([]byte) error
 }
 
-// Cloner is implemented by aggregators that can copy their aggregate state
-// cheaply (slice copies of integer counts). Collection servers use it to
-// snapshot their aggregate while holding its lock only for the copy, then
-// calibrate the copy outside the lock. Clone may return nil when the
-// aggregator is backed by an accumulator that cannot clone (a custom
-// fo.Mechanism outside internal/fo) — callers must fall back to merging
-// under the lock. A non-nil clone shares no mutable state with the
-// original.
+// Cloner is implemented by every aggregator in this package: Clone copies
+// the count table (one slice copy), sharing nothing mutable with the
+// original. Collection servers clone under their aggregate's lock and
+// calibrate the copy outside it.
 type Cloner interface {
 	Clone() Aggregator
 }
@@ -106,25 +104,29 @@ type wireShape struct {
 	seed       bool // value report carries a public hash seed (OLH)
 }
 
-// shapeOf derives the wire shape of an item mechanism's reports. Custom
-// fo.Mechanism implementations outside this module have no codec; protocols
-// built over them still work in-process but refuse wire use.
-func shapeOf(m fo.Mechanism, classes int) (wireShape, error) {
+// shapeOf derives the wire shape of an item mechanism's reports: a bit
+// vector (UE), a hashed bucket with its seed (OLH), or a value (GRR, the
+// rest of fo's closed set).
+func shapeOf(m fo.Mechanism, classes int) wireShape {
 	switch mm := m.(type) {
-	case *fo.GRR:
-		return wireShape{classes: classes, valueRange: mm.DomainSize()}, nil
 	case *fo.UE:
-		return wireShape{classes: classes, bitsLen: mm.DomainSize()}, nil
+		return wireShape{classes: classes, bitsLen: mm.DomainSize()}
 	case *fo.OLH:
-		return wireShape{classes: classes, valueRange: mm.G(), seed: true}, nil
-	default:
-		return wireShape{}, fmt.Errorf("core: no wire codec for item mechanism %T", m)
+		return wireShape{classes: classes, valueRange: mm.G(), seed: true}
 	}
+	return wireShape{classes: classes, valueRange: m.DomainSize()}
+}
+
+// oneHot reports whether every report of m supports exactly one value
+// (GRR), which is the invariant its table rows keep (state.Shape).
+func oneHot(m fo.Mechanism) bool {
+	_, ok := m.(*fo.GRR)
+	return ok
 }
 
 // Protocol is a matched Encoder/Aggregator pair for one framework plus the
 // wire codec between them. Build one with NewProtocol (canonical frameworks
-// by name) or NewPTSProtocolWithItem (PTS over a custom item mechanism).
+// by name) or NewPTSProtocolWithItem (PTS over any internal/fo mechanism).
 type Protocol struct {
 	name       string
 	c, d       int
@@ -132,7 +134,6 @@ type Protocol struct {
 	enc        Encoder
 	newAgg     func() Aggregator
 	shape      wireShape
-	shapeErr   error
 	// mechID fingerprints the perturbation mechanisms behind the halves
 	// (names and support probabilities), so two protocols can be checked
 	// for wire compatibility beyond their advertised name and parameters.
@@ -239,11 +240,6 @@ func (p *Protocol) Encoder() Encoder { return p.enc }
 // NewAggregator returns an empty server half.
 func (p *Protocol) NewAggregator() Aggregator { return p.newAgg() }
 
-// WireSupported reports whether the protocol can (de)serialize its reports
-// for the wire; it is non-nil only for protocols over custom item mechanism
-// types the codec does not know.
-func (p *Protocol) WireSupported() error { return p.shapeErr }
-
 // WireCompatible reports whether o's reports are interchangeable with p's:
 // same name, domain, budget, wire shape AND underlying mechanisms. It is
 // how a collection server checks that clients reconstructing the protocol
@@ -286,9 +282,6 @@ func (p *Protocol) EncodeReport(rep Report) WirePayload {
 // and rebuilds the in-memory Report. Decoded reports are always safe to feed
 // to the protocol's Aggregator.
 func (p *Protocol) DecodeReport(w WirePayload) (Report, error) {
-	if p.shapeErr != nil {
-		return Report{}, p.shapeErr
-	}
 	s := p.shape
 	if w.Label < 0 || w.Label >= s.classes {
 		return Report{}, fmt.Errorf("core: %s report label %d outside [0,%d)", p.name, w.Label, s.classes)
@@ -340,6 +333,66 @@ func estimateViaProtocol(p *Protocol, data *Dataset, r *xrand.Rand) ([][]float64
 }
 
 // ---------------------------------------------------------------------------
+// The count table every frequency aggregator keeps.
+// ---------------------------------------------------------------------------
+
+// counts is the one count table (state.Table) every frequency aggregator
+// embeds: N, one count per route where the framework routes reports (HEC's
+// groups, PTS's perturbed labels), then one row of item supports per route.
+// N is a field, Clone one copy, Merge one vector add and the snapshot the
+// table's own codec; a framework adds only its encoder and calibration.
+type counts struct{ t state.Table }
+
+func newCounts(s state.Shape) counts { return counts{state.NewTable(s)} }
+
+func (a *counts) N() int { return int(a.t.N) }
+
+func (a *counts) table() *state.Table { return &a.t }
+
+// MarshalBinary implements the Aggregator snapshot contract.
+func (a *counts) MarshalBinary() ([]byte, error) { return a.t.MarshalBinary() }
+
+// UnmarshalBinary implements the Aggregator snapshot contract.
+func (a *counts) UnmarshalBinary(data []byte) error { return a.t.UnmarshalBinary(data) }
+
+// add folds item into route's row and counts the report.
+func (a *counts) add(route int, mech fo.Mechanism, item fo.Report) {
+	if route < 0 || route >= a.t.Rows {
+		panic(fmt.Sprintf("core: report route %d outside [0,%d)", route, a.t.Rows))
+	}
+	fo.Fold(mech, a.t.Row(route), item)
+	a.count(route, 1)
+}
+
+// count records n reports routed to route.
+func (a *counts) count(route, n int) {
+	if a.t.Routes > 0 {
+		a.t.Cells[route] += int64(n)
+	}
+	a.t.N += int64(n)
+}
+
+// addRows implements rowsAdder for routes over a unary encoding: each
+// route's packed rows are summed by column into its row.
+func (a *counts) addRows(rec []byte, rows [][]int) {
+	nw := (a.t.Cols + 63) / 64
+	for route, offs := range rows {
+		bitvec.AddRows(a.t.Row(route), rec, offs, nw)
+		a.count(route, len(offs))
+	}
+}
+
+// mergeCounts is every frequency aggregator's Merge: other must be the same
+// framework, whose table it adds in.
+func mergeCounts[T interface{ table() *state.Table }](a T, other Aggregator) error {
+	o, ok := other.(T)
+	if !ok {
+		return fmt.Errorf("core: cannot merge %T into %T", other, a)
+	}
+	return a.table().Merge(o.table())
+}
+
+// ---------------------------------------------------------------------------
 // HEC halves.
 // ---------------------------------------------------------------------------
 
@@ -351,12 +404,12 @@ func newHECProtocol(c, d int, eps, split float64) (*Protocol, error) {
 	if err != nil {
 		return nil, err
 	}
-	shape, shapeErr := shapeOf(mech, c)
+	shape := state.Shape{Routes: c, Rows: c, Cols: d, OneHot: oneHot(mech)}
 	return &Protocol{
 		name: "hec", c: c, d: d, eps: eps, split: split,
 		enc:    &hecEncoder{c: c, d: d, mech: mech},
-		newAgg: func() Aggregator { return newHECAggregator(c, d, mech) },
-		shape:  shape, shapeErr: shapeErr, mechID: mechFingerprint(mech),
+		newAgg: func() Aggregator { return &hecAggregator{counts: newCounts(shape), mech: mech} },
+		shape:  shapeOf(mech, c), mechID: mechFingerprint(mech),
 	}, nil
 }
 
@@ -377,101 +430,39 @@ func (e *hecEncoder) Encode(pair Pair, r *xrand.Rand) Report {
 	return Report{Class: g, Item: e.mech.Perturb(item, r)}
 }
 
-// hecAggregator keeps one frequency-oracle accumulator per group and
-// calibrates with f̂(C,I) = (c·f̃(C,I) − N·q)/(p−q), which carries the
-// Section V invalid-data bias — HEC is the baseline.
+// hecAggregator routes each report to its group — one route count and one
+// row of supports per group — and calibrates with
+// f̂(C,I) = (c·f̃(C,I) − N·q)/(p−q), which carries the Section V
+// invalid-data bias — HEC is the baseline.
 type hecAggregator struct {
-	c, d  int
-	mech  fo.Mechanism
-	accs  []fo.Accumulator
-	total int
+	counts
+	mech fo.Mechanism
 }
 
-func newHECAggregator(c, d int, mech fo.Mechanism) *hecAggregator {
-	accs := make([]fo.Accumulator, c)
-	for g := range accs {
-		accs[g] = mech.NewAccumulator()
-	}
-	return &hecAggregator{c: c, d: d, mech: mech, accs: accs}
-}
+func (a *hecAggregator) Add(rep Report) { a.add(rep.Class, a.mech, rep.Item) }
 
-func (a *hecAggregator) Add(rep Report) {
-	if rep.Class < 0 || rep.Class >= a.c {
-		panic(fmt.Sprintf("core: hec report group %d outside [0,%d)", rep.Class, a.c))
-	}
-	a.accs[rep.Class].Add(rep.Item)
-	a.total++
-}
+func (a *hecAggregator) Merge(other Aggregator) error { return mergeCounts(a, other) }
 
-// addRows implements rowsAdder: each group's reports go to its accumulator,
-// which is UE-backed whenever the wire carries bit vectors.
-func (a *hecAggregator) addRows(rec []byte, rows [][]int) {
-	for g, offs := range rows {
-		a.accs[g].(fo.RowsAdder).AddRows(rec, offs)
-		a.total += len(offs)
-	}
-}
-
-func (a *hecAggregator) Merge(other Aggregator) error {
-	o, ok := other.(*hecAggregator)
-	if !ok {
-		return fmt.Errorf("core: cannot merge %T into hec aggregator", other)
-	}
-	if o.c != a.c || o.d != a.d {
-		return fmt.Errorf("core: hec merge domain mismatch")
-	}
-	for g := range a.accs {
-		if err := a.accs[g].Merge(o.accs[g]); err != nil {
-			return err
-		}
-	}
-	a.total += o.total
-	return nil
-}
-
-func (a *hecAggregator) N() int { return a.total }
-
-// Clone implements Cloner: each group's accumulator is cloned (nil when any
-// cannot), sharing only the immutable mechanism.
-func (a *hecAggregator) Clone() Aggregator {
-	accs := make([]fo.Accumulator, len(a.accs))
-	for g, acc := range a.accs {
-		cl, ok := acc.(fo.Cloner)
-		if !ok {
-			return nil
-		}
-		accs[g] = cl.Clone()
-	}
-	return &hecAggregator{c: a.c, d: a.d, mech: a.mech, accs: accs, total: a.total}
-}
+// Clone implements Cloner.
+func (a *hecAggregator) Clone() Aggregator { return &hecAggregator{counts{a.t.Clone()}, a.mech} }
 
 func (a *hecAggregator) Estimates() [][]float64 {
-	n := float64(a.total)
+	n := float64(a.t.N)
 	p, q := a.mech.P(), a.mech.Q()
 	pq := p - q
 	nq := n * q
-	cf := float64(a.c)
-	out := NewMatrix(a.c, a.d)
-	for g := 0; g < a.c; g++ {
-		// The accumulator's Estimate is (f̃ − N_g·q)/(p−q) over the group's
-		// own N_g, so recompute the raw support to follow the paper's
+	cf := float64(a.t.Rows)
+	out := NewMatrix(a.t.Rows, a.t.Cols)
+	for g, row := range out {
+		// A group's oracle estimate is (f̃ − N_g·q)/(p−q) over its own N_g;
+		// recovering the raw support from it follows the paper's
 		// calibration exactly. Every hoisted product repeats the per-cell
-		// expression on identical operands, and the count fast path repeats
-		// Estimate's own op sequence, so the matrix is bit-identical to the
-		// per-cell interface loop.
-		ngq := float64(a.accs[g].N()) * q
-		row := out[g]
-		if cr, ok := a.accs[g].(fo.CountsReader); ok {
-			cnts := cr.Counts()
-			for i := 0; i < a.d; i++ {
-				est := (float64(cnts[i]) - ngq) / pq
-				raw := est*pq + ngq
-				row[i] = (cf*raw - nq) / pq
-			}
-			continue
-		}
-		for i := 0; i < a.d; i++ {
-			raw := a.accs[g].Estimate(i)*pq + ngq
+		// expression on identical operands, so the matrix is bit-identical
+		// to the per-cell form.
+		ngq := float64(a.t.Cells[g]) * q
+		for i, c := range a.t.Row(g) {
+			est := (float64(c) - ngq) / pq
+			raw := est*pq + ngq
 			row[i] = (cf*raw - nq) / pq
 		}
 	}
@@ -523,13 +514,14 @@ func newPTJProtocol(c, d int, eps, split float64) (*Protocol, error) {
 		return nil, err
 	}
 	// PTJ reports carry no label: the class is folded into the joint value,
-	// so the wire label domain is the single value 0.
-	shape, shapeErr := shapeOf(mech, 1)
+	// so the wire label domain is the single value 0, and the table is one
+	// row over the joint domain.
+	shape := state.Shape{Rows: 1, Cols: c * d, OneHot: oneHot(mech)}
 	return &Protocol{
 		name: "ptj", c: c, d: d, eps: eps, split: split,
 		enc:    &ptjEncoder{d: d, mech: mech},
-		newAgg: func() Aggregator { return &ptjAggregator{c: c, d: d, mech: mech, acc: mech.NewAccumulator()} },
-		shape:  shape, shapeErr: shapeErr, mechID: mechFingerprint(mech),
+		newAgg: func() Aggregator { return &ptjAggregator{counts: newCounts(shape), c: c, d: d, mech: mech} },
+		shape:  shapeOf(mech, 1), mechID: mechFingerprint(mech),
 	}, nil
 }
 
@@ -543,73 +535,40 @@ func (e *ptjEncoder) Encode(pair Pair, r *xrand.Rand) Report {
 	return Report{Item: e.mech.Perturb(JointIndex(pair, e.d), r)}
 }
 
-// ptjAggregator is one frequency-oracle accumulator over the joint domain,
-// reshaped to c×d on read. mech is kept alongside the accumulator so binary
-// restores can rebuild a fresh one.
+// ptjAggregator counts the joint domain in one row, reshaped to c×d on read.
 type ptjAggregator struct {
+	counts
 	c, d int
 	mech fo.Mechanism
-	acc  fo.Accumulator
 }
 
 func (a *ptjAggregator) Add(rep Report) {
 	if rep.Class != 0 {
 		panic(fmt.Sprintf("core: ptj report class %d, want 0 (class is in the joint value)", rep.Class))
 	}
-	a.acc.Add(rep.Item)
+	a.add(0, a.mech, rep.Item)
 }
 
-// addRows implements rowsAdder over the joint-domain accumulator; the wire's
-// label domain is the single value 0.
-func (a *ptjAggregator) addRows(rec []byte, rows [][]int) {
-	a.acc.(fo.RowsAdder).AddRows(rec, rows[0])
-}
+func (a *ptjAggregator) Merge(other Aggregator) error { return mergeCounts(a, other) }
 
-func (a *ptjAggregator) Merge(other Aggregator) error {
-	o, ok := other.(*ptjAggregator)
-	if !ok {
-		return fmt.Errorf("core: cannot merge %T into ptj aggregator", other)
-	}
-	if o.c != a.c || o.d != a.d {
-		return fmt.Errorf("core: ptj merge domain mismatch")
-	}
-	return a.acc.Merge(o.acc)
-}
-
-func (a *ptjAggregator) N() int { return a.acc.N() }
-
-// Clone implements Cloner: the joint-domain accumulator is cloned (nil when
-// it cannot), sharing only the immutable mechanism.
+// Clone implements Cloner.
 func (a *ptjAggregator) Clone() Aggregator {
-	cl, ok := a.acc.(fo.Cloner)
-	if !ok {
-		return nil
-	}
-	return &ptjAggregator{c: a.c, d: a.d, mech: a.mech, acc: cl.Clone()}
+	return &ptjAggregator{counts{a.t.Clone()}, a.c, a.d, a.mech}
 }
 
+// Estimates calibrates the joint counts straight into the c×d matrix; the
+// hoisted N·q and p−q repeat the oracle estimate's own operands, so the
+// matrix is bit-identical to estimating the joint domain and reshaping.
 func (a *ptjAggregator) Estimates() [][]float64 {
 	out := NewMatrix(a.c, a.d)
-	if cr, ok := a.acc.(fo.CountsReader); ok {
-		// Calibrate straight from the flat joint counts instead of asking the
-		// accumulator for an intermediate c·d estimate slice. The hoisted
-		// N·q and p−q repeat Estimate's own operands, so the matrix is
-		// bit-identical to EstimateAll + reshape.
-		cnts := cr.Counts()
-		q := a.mech.Q()
-		nq := float64(a.acc.N()) * q
-		pq := a.mech.P() - q
-		for c := 0; c < a.c; c++ {
-			row, base := out[c], c*a.d
-			for i := 0; i < a.d; i++ {
-				row[i] = (float64(cnts[base+i]) - nq) / pq
-			}
+	cnts := a.t.Row(0)
+	q := a.mech.Q()
+	nq := float64(a.t.N) * q
+	pq := a.mech.P() - q
+	for c, row := range out {
+		for i := range row {
+			row[i] = (float64(cnts[c*a.d+i]) - nq) / pq
 		}
-		return out
-	}
-	est := a.acc.EstimateAll()
-	for c := 0; c < a.c; c++ {
-		copy(out[c], est[c*a.d:(c+1)*a.d])
 	}
 	return out
 }
@@ -622,13 +581,12 @@ func (a *ptjAggregator) classSizesAreRowSums() {}
 // PTS halves (generic over the item mechanism).
 // ---------------------------------------------------------------------------
 
-// NewPTSProtocolWithItem vends the PTS halves over a custom item mechanism
-// (fo.NewOUE is the paper's choice; fo.NewOLH trades server time for O(log g)
-// communication). The Eq. (6) calibration only needs the item mechanism's
-// support probabilities, so any fo.Mechanism works. Protocols over mechanism
-// types outside internal/fo work in-process but have no wire codec; name is
-// what the protocol advertises and must not collide with a canonical name
-// unless it is parameter-compatible with it.
+// NewPTSProtocolWithItem vends the PTS halves over any internal/fo item
+// mechanism (fo.NewOUE is the paper's choice; fo.NewOLH trades server time
+// for O(log g) communication). The Eq. (6) calibration only needs the item
+// mechanism's support probabilities. name is what the protocol advertises
+// and must not collide with a canonical name unless it is
+// parameter-compatible with it.
 func NewPTSProtocolWithItem(name string, c, d int, eps, split float64, item ItemMechanismFactory) (*Protocol, error) {
 	if c <= 0 {
 		return nil, fmt.Errorf("core: pts protocol with %d classes", c)
@@ -651,12 +609,14 @@ func NewPTSProtocolWithItem(name string, c, d int, eps, split float64, item Item
 	if itemMech.DomainSize() != d {
 		return nil, fmt.Errorf("core: item mechanism domain %d != %d", itemMech.DomainSize(), d)
 	}
-	shape, shapeErr := shapeOf(itemMech, c)
+	shape := state.Shape{Routes: c, Rows: c, Cols: d, OneHot: oneHot(itemMech)}
 	return &Protocol{
 		name: name, c: c, d: d, eps: eps, split: split,
-		enc:    &ptsEncoder{label: label, item: itemMech},
-		newAgg: func() Aggregator { return newPTSAggregator(c, d, label, itemMech) },
-		shape:  shape, shapeErr: shapeErr,
+		enc: &ptsEncoder{label: label, item: itemMech},
+		newAgg: func() Aggregator {
+			return &ptsAggregator{counts: newCounts(shape), label: label, item: itemMech}
+		},
+		shape:  shapeOf(itemMech, c),
 		mechID: mechFingerprint(label) + "+" + mechFingerprint(itemMech),
 	}, nil
 }
@@ -673,87 +633,27 @@ func (e *ptsEncoder) Encode(pair Pair, r *xrand.Rand) Report {
 	return Report{Class: lab, Item: e.item.Perturb(pair.Item, r)}
 }
 
-// ptsAggregator routes reports into per-perturbed-label item accumulators
-// and calibrates with Eq. (6), which corrects for labels that migrated
-// between classes.
+// ptsAggregator routes reports by perturbed label — one label count and one
+// row of item supports per label — and calibrates with Eq. (6), which
+// corrects for labels that migrated between classes.
 type ptsAggregator struct {
-	c, d        int
-	label       *fo.GRR
-	item        fo.Mechanism
-	labelCounts []int64
-	accs        []fo.Accumulator
-	total       int
+	counts
+	label *fo.GRR
+	item  fo.Mechanism
 }
 
-func newPTSAggregator(c, d int, label *fo.GRR, item fo.Mechanism) *ptsAggregator {
-	accs := make([]fo.Accumulator, c)
-	for i := range accs {
-		accs[i] = item.NewAccumulator()
-	}
-	return &ptsAggregator{c: c, d: d, label: label, item: item, labelCounts: make([]int64, c), accs: accs}
-}
+func (a *ptsAggregator) Add(rep Report) { a.add(rep.Class, a.item, rep.Item) }
 
-func (a *ptsAggregator) Add(rep Report) {
-	if rep.Class < 0 || rep.Class >= a.c {
-		panic(fmt.Sprintf("core: pts report label %d outside [0,%d)", rep.Class, a.c))
-	}
-	a.labelCounts[rep.Class]++
-	a.accs[rep.Class].Add(rep.Item)
-	a.total++
-}
+func (a *ptsAggregator) Merge(other Aggregator) error { return mergeCounts(a, other) }
 
-// addRows implements rowsAdder: each perturbed label's reports go to its
-// routed class's item accumulator, which is UE-backed whenever the wire
-// carries bit vectors.
-func (a *ptsAggregator) addRows(rec []byte, rows [][]int) {
-	for label, offs := range rows {
-		a.accs[label].(fo.RowsAdder).AddRows(rec, offs)
-		a.labelCounts[label] += int64(len(offs))
-		a.total += len(offs)
-	}
-}
-
-func (a *ptsAggregator) Merge(other Aggregator) error {
-	o, ok := other.(*ptsAggregator)
-	if !ok {
-		return fmt.Errorf("core: cannot merge %T into pts aggregator", other)
-	}
-	if o.c != a.c || o.d != a.d {
-		return fmt.Errorf("core: pts merge domain mismatch")
-	}
-	for ci := range a.accs {
-		if err := a.accs[ci].Merge(o.accs[ci]); err != nil {
-			return err
-		}
-		a.labelCounts[ci] += o.labelCounts[ci]
-	}
-	a.total += o.total
-	return nil
-}
-
-func (a *ptsAggregator) N() int { return a.total }
-
-// Clone implements Cloner: each routed class's item accumulator is cloned
-// (nil when any cannot), plus a copy of the label counts, sharing only the
-// immutable mechanisms.
+// Clone implements Cloner.
 func (a *ptsAggregator) Clone() Aggregator {
-	accs := make([]fo.Accumulator, len(a.accs))
-	for ci, acc := range a.accs {
-		cl, ok := acc.(fo.Cloner)
-		if !ok {
-			return nil
-		}
-		accs[ci] = cl.Clone()
-	}
-	return &ptsAggregator{
-		c: a.c, d: a.d, label: a.label, item: a.item,
-		labelCounts: append([]int64(nil), a.labelCounts...),
-		accs:        accs, total: a.total,
-	}
+	return &ptsAggregator{counts{a.t.Clone()}, a.label, a.item}
 }
 
 func (a *ptsAggregator) Estimates() [][]float64 {
-	n := float64(a.total)
+	c, d := a.t.Rows, a.t.Cols
+	n := float64(a.t.N)
 	p1, q1 := a.label.P(), a.label.Q()
 	p2, q2 := a.item.P(), a.item.Q()
 	den1 := p1 - q1
@@ -762,70 +662,43 @@ func (a *ptsAggregator) Estimates() [][]float64 {
 	nq1 := n * q1
 	nq2 := n * q2
 	nq1q2 := n * q1 * q2
-	// Raw supports f̃(C,I) per routed class: taken as exact integer counts
-	// when the accumulator exposes them (every mechanism in internal/fo
-	// does; UE and GRR hand the whole count vector at once, OLH goes
-	// through its per-value rehash), so the Eq. (6) calibration is
-	// bit-identical to working from the bit-count matrix directly;
-	// reconstructed from the calibrated estimates as est·(p₂−q₂) + N_C·q₂
-	// otherwise. Every hoisted product below repeats the original per-cell
-	// expression on identical operands with its association preserved, so
-	// the output matrix is bit-identical to the unhoisted calibration.
-	raw := NewMatrix(a.c, a.d)
-	for ci := 0; ci < a.c; ci++ {
-		row := raw[ci]
-		if cr, ok := a.accs[ci].(fo.CountsReader); ok {
-			for i, c := range cr.Counts() {
-				row[i] = float64(c)
-			}
-			continue
-		}
-		if sup, ok := a.accs[ci].(interface{ Support(int) int64 }); ok {
-			for i := 0; i < a.d; i++ {
-				row[i] = float64(sup.Support(i))
-			}
-			continue
-		}
-		est := a.accs[ci].EstimateAll()
-		lq2 := float64(a.labelCounts[ci]) * q2
-		for i := 0; i < a.d; i++ {
-			row[i] = est[i]*den2 + lq2
-		}
-	}
-	out := NewMatrix(a.c, a.d)
+	// Every hoisted product below repeats the original per-cell expression
+	// on identical operands with its association preserved, so the output
+	// matrix is bit-identical to the unhoisted calibration over the exact
+	// integer supports.
+	out := NewMatrix(c, d)
 	// Item marginals f̂(I) = (Σ_C f̃(C,I) − N·q₂)/(p₂−q₂), accumulated
 	// row-major (same per-item addition order as the column walk) and
 	// pre-multiplied into the per-item Eq. (6) correction term with its
 	// original association f̂(I)·q₁·(p₂−q₂).
-	itemCorr := make([]float64, a.d)
-	for ci := 0; ci < a.c; ci++ {
-		for i, v := range raw[ci] {
-			itemCorr[i] += v
+	itemCorr := make([]float64, d)
+	for ci := 0; ci < c; ci++ {
+		for i, v := range a.t.Row(ci) {
+			itemCorr[i] += float64(v)
 		}
 	}
 	for i, sum := range itemCorr {
 		itemCorr[i] = (sum - nq2) / den2 * q1 * den2
 	}
-	for ci := 0; ci < a.c; ci++ {
-		nHat := (float64(a.labelCounts[ci]) - nq1) / den1
+	for ci, outRow := range out {
+		nHat := (float64(a.t.Cells[ci]) - nq1) / den1
 		classCorr := nHat * q2 * den1
-		rawRow, outRow := raw[ci], out[ci]
-		for i := 0; i < a.d; i++ {
+		for i, raw := range a.t.Row(ci) {
 			// Eq. (6).
-			outRow[i] = (rawRow[i] - classCorr - itemCorr[i] - nq1q2) / den
+			outRow[i] = (float64(raw) - classCorr - itemCorr[i] - nq1q2) / den
 		}
 	}
 	return out
 }
 
 func (a *ptsAggregator) ClassSizes() []float64 {
-	n := float64(a.total)
+	n := float64(a.t.N)
 	p1, q1 := a.label.P(), a.label.Q()
 	nq1 := n * q1
 	den1 := p1 - q1
-	out := make([]float64, a.c)
+	out := make([]float64, a.t.Rows)
 	for ci := range out {
-		out[ci] = (float64(a.labelCounts[ci]) - nq1) / den1
+		out[ci] = (float64(a.t.Cells[ci]) - nq1) / den1
 	}
 	return out
 }
@@ -861,9 +734,8 @@ func (e *cpEncoder) Encode(pair Pair, r *xrand.Rand) Report {
 	return Report{Class: rep.Label, Item: fo.Report{Bits: rep.Bits}}
 }
 
-// cpAggregator adapts CPAccumulator (the Eq. 4 calibration) to the generic
-// Aggregator interface. It also supports binary snapshots, delegated to the
-// wrapped accumulator, so collection servers can checkpoint.
+// cpAggregator adapts CPAccumulator (the Eq. 4 calibration over its count
+// table) to the generic Aggregator interface.
 type cpAggregator struct {
 	acc *CPAccumulator
 }
@@ -889,8 +761,7 @@ func (a *cpAggregator) Merge(other Aggregator) error {
 
 func (a *cpAggregator) N() int { return a.acc.Total() }
 
-// Clone implements Cloner by deep-copying the wrapped accumulator's count
-// vectors.
+// Clone implements Cloner.
 func (a *cpAggregator) Clone() Aggregator { return &cpAggregator{acc: a.acc.Clone()} }
 
 func (a *cpAggregator) Estimates() [][]float64 { return a.acc.EstimateAll() }
@@ -903,9 +774,8 @@ func (a *cpAggregator) ClassSizes() []float64 {
 	return out
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler by delegating to the
-// wrapped CPAccumulator snapshot format.
+// MarshalBinary implements the Aggregator snapshot contract.
 func (a *cpAggregator) MarshalBinary() ([]byte, error) { return a.acc.MarshalBinary() }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements the Aggregator snapshot contract.
 func (a *cpAggregator) UnmarshalBinary(data []byte) error { return a.acc.UnmarshalBinary(data) }

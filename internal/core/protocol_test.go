@@ -114,9 +114,6 @@ func TestWireCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := p.WireSupported(); err != nil {
-				t.Fatal(err)
-			}
 			enc := p.Encoder()
 			direct, viaWire := p.NewAggregator(), p.NewAggregator()
 			r, rp := xrand.New(seed), xrand.New(9)
@@ -226,8 +223,8 @@ func TestNewProtocolValidation(t *testing.T) {
 		p, err := NewProtocol(name, 2, 4, 1, 0.5)
 		if err != nil {
 			t.Errorf("named pts %q rejected: %v", name, err)
-		} else if err := p.WireSupported(); err != nil {
-			t.Errorf("named pts %q has no wire codec: %v", name, err)
+		} else if p.Name() != CanonicalProtocolName(name) {
+			t.Errorf("named pts %q canonicalized to %q", name, p.Name())
 		}
 	}
 	if _, err := NewProtocol("pts+nope", 2, 4, 1, 0.5); err == nil {
@@ -305,9 +302,6 @@ func TestPTSProtocolOverOLH(t *testing.T) {
 	}
 	p, err := NewPTSProtocolWithItem("pts-olh", c, d, eps, 0.5, factory)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.WireSupported(); err != nil {
 		t.Fatal(err)
 	}
 	enc := p.Encoder()

@@ -12,10 +12,9 @@ import (
 // O(log g) communication, and fo.NewAdaptive picks per domain size.
 type ItemMechanismFactory func(d int, eps float64) (fo.Mechanism, error)
 
-// PTSCustom is the PTS framework with a pluggable item mechanism. The
-// Eq. (6) calibration only needs the item mechanism's support probabilities
-// (p₂, q₂), so any fo.Mechanism works: the label-migration algebra is
-// unchanged.
+// PTSCustom is the PTS framework over another item mechanism of
+// internal/fo. The Eq. (6) calibration only needs the item mechanism's
+// support probabilities (p₂, q₂): the label-migration algebra is unchanged.
 type PTSCustom struct {
 	name  string
 	eps   float64
@@ -47,9 +46,9 @@ func (f *PTSCustom) Protocol(c, d int) (*Protocol, error) {
 }
 
 // Estimate implements FrequencyEstimator as a thin loop over the
-// framework's Encoder/Aggregator halves: reports are routed into
-// per-perturbed-label accumulators, the raw supports are recovered from
-// each accumulator's calibrated estimates and pushed through Eq. (6).
+// framework's Encoder/Aggregator halves: each report's item supports are
+// counted into its perturbed label's row, and the integer counts are pushed
+// through Eq. (6).
 func (f *PTSCustom) Estimate(data *Dataset, r *xrand.Rand) ([][]float64, error) {
 	if err := data.Validate(); err != nil {
 		return nil, err

@@ -41,6 +41,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsMismatch: a table restores only into an accumulator
+// of its own domain. The budget is not in the table; the envelope
+// fingerprint pins it (TestEnvelopeFingerprintMismatch).
 func TestSnapshotRejectsMismatch(t *testing.T) {
 	cp := mustCP(t, 3, 5, 2, 0.5)
 	blob, err := cp.NewAccumulator().MarshalBinary()
@@ -51,13 +54,9 @@ func TestSnapshotRejectsMismatch(t *testing.T) {
 	if err := wrongDomain.NewAccumulator().UnmarshalBinary(blob); err == nil {
 		t.Fatal("wrong domain accepted")
 	}
-	wrongBudget := mustCP(t, 3, 5, 1, 0.5)
-	if err := wrongBudget.NewAccumulator().UnmarshalBinary(blob); err == nil {
-		t.Fatal("wrong budget accepted")
-	}
-	wrongSplit := mustCP(t, 3, 5, 2, 0.25)
-	if err := wrongSplit.NewAccumulator().UnmarshalBinary(blob); err == nil {
-		t.Fatal("wrong split accepted")
+	wrongClasses := mustCP(t, 4, 5, 2, 0.5)
+	if err := wrongClasses.NewAccumulator().UnmarshalBinary(blob); err == nil {
+		t.Fatal("wrong class count accepted")
 	}
 	if err := cp.NewAccumulator().UnmarshalBinary([]byte("garbage")); err == nil {
 		t.Fatal("garbage accepted")

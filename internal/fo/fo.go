@@ -5,10 +5,13 @@
 // Security 2017), which the paper uses as its "state-of-the-art mechanism".
 //
 // Every mechanism perturbs one value from a categorical domain {0,..,d-1}
-// under ε-LDP and pairs with an Accumulator that produces unbiased count
-// estimates. The closed-form estimator variances are exposed so that the
-// theory package and the statistical tests can cross-check the
-// implementations.
+// under ε-LDP; server side, Fold counts a report's supports — the values it
+// counts toward — into one row of a count table (internal/state), and an
+// Accumulator is that one row plus the unbiased calibration. GRR, UE and
+// OLH are the whole set: Mechanism has an unexported method, so every
+// aggregate in the tree is a table these three fill. The closed-form
+// estimator variances are exposed so that the theory package and the
+// statistical tests can cross-check the implementations.
 package fo
 
 import (
@@ -16,6 +19,7 @@ import (
 	"math"
 
 	"repro/internal/bitvec"
+	"repro/internal/state"
 	"repro/internal/xrand"
 )
 
@@ -53,7 +57,16 @@ type Mechanism interface {
 	// Q returns the probability that a non-held value is supported (GRR
 	// flip mass per value, UE 0-bit flip, OLH effective 1/g).
 	Q() float64
+	// fold adds one to row[v] for every value v the report supports (row
+	// has DomainSize() cells). A malformed report panics before row is
+	// touched.
+	fold(row []int64, rep Report)
 }
+
+// Fold adds rep's supports to row, a DomainSize()-cell row of a count
+// table: the one way a report enters any aggregate. Malformed reports
+// panic and leave row as it was.
+func Fold(m Mechanism, row []int64, rep Report) { m.fold(row, rep) }
 
 // Accumulator aggregates perturbed reports and produces unbiased count
 // estimates. Implementations are not safe for concurrent use; shard and
@@ -71,39 +84,54 @@ type Accumulator interface {
 	EstimateAll() []float64
 }
 
-// Cloner is implemented by accumulators that can copy their aggregate state
-// cheaply (a slice copy of integer counts, never a re-encode). Collection
-// servers use it to snapshot their aggregate under its lock and estimate
-// from the copy outside the lock. The clone shares the immutable mechanism but no
-// mutable state: mutating either side never affects the other.
-type Cloner interface {
-	// Clone returns an independent copy of the accumulator.
-	Clone() Accumulator
+// accumulator is every mechanism's Accumulator: a one-row count table of
+// the supports of each value, calibrated with (support − N·q)/(p − q).
+type accumulator struct {
+	m Mechanism
+	t state.Table
 }
 
-// CountsReader is implemented by accumulators whose raw per-value supports
-// are held as a dense count vector (UE, GRR — not OLH, whose supports cost a
-// rehash pass per value). The composite calibrations (HEC, PTJ reshape,
-// PTS's Eq. 6) read it to run their per-cell loops over flat integer counts
-// instead of per-cell interface calls. The returned slice is borrowed: it
-// aliases live aggregator state and must not be mutated or retained across
-// an Add.
-type CountsReader interface {
-	// Counts returns the DomainSize()-length raw support counts.
-	Counts() []int64
+// newAccumulator returns an empty accumulator for m; oneHot says every
+// report supports exactly one value (GRR).
+func newAccumulator(m Mechanism, oneHot bool) *accumulator {
+	return &accumulator{m: m, t: state.NewTable(state.Shape{Rows: 1, Cols: m.DomainSize(), OneHot: oneHot})}
 }
 
-// RowsAdder is implemented by accumulators that can fold bit-vector reports
-// while they are still packed in a wire frame (the bitvec.Vector backing
-// layout, little-endian) — the whole-frame apply path of the binary wire
-// decoder, which sums the reports by column instead of visiting set bits.
-// The frame bytes are only borrowed for the call.
-type RowsAdder interface {
-	// AddRows folds len(offs) reports; report r is the ceil(DomainSize()/64)
-	// words at rec[offs[r]:]. Like Add, malformed input (a stray bit beyond
-	// the domain, a row running off rec) panics.
-	AddRows(rec []byte, offs []int)
+func (a *accumulator) Add(rep Report) {
+	a.m.fold(a.t.Row(0), rep)
+	a.t.N++
 }
+
+func (a *accumulator) Merge(other Accumulator) error {
+	o, ok := other.(*accumulator)
+	if !ok || o.m.Name() != a.m.Name() || o.m.P() != a.m.P() || o.m.Q() != a.m.Q() {
+		return fmt.Errorf("fo: cannot merge %T into a %s accumulator", other, a.m.Name())
+	}
+	return a.t.Merge(&o.t)
+}
+
+func (a *accumulator) N() int { return int(a.t.N) }
+
+func (a *accumulator) Estimate(v int) float64 {
+	checkDomain(v, a.m.DomainSize())
+	q := a.m.Q()
+	return (float64(a.t.Row(0)[v]) - float64(a.t.N)*q) / (a.m.P() - q)
+}
+
+func (a *accumulator) EstimateAll() []float64 {
+	out := make([]float64, a.m.DomainSize())
+	for v := range out {
+		out[v] = a.Estimate(v)
+	}
+	return out
+}
+
+// MarshalBinary encodes the accumulator's table (state.Table).
+func (a *accumulator) MarshalBinary() ([]byte, error) { return a.t.MarshalBinary() }
+
+// UnmarshalBinary restores a table of this accumulator's shape; on error
+// the accumulator is unchanged.
+func (a *accumulator) UnmarshalBinary(data []byte) error { return a.t.UnmarshalBinary(data) }
 
 // checkDomain panics when v is outside [0, d); all mechanisms share it so
 // misuse fails loudly at the perturbation site rather than corrupting

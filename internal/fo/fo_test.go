@@ -1,7 +1,6 @@
 package fo
 
 import (
-	"encoding/binary"
 	"math"
 	"testing"
 
@@ -237,11 +236,11 @@ func TestOLHSupportProbability(t *testing.T) {
 	}
 	r := xrand.New(107)
 	const n = 50000
-	acc := o.NewAccumulator().(*olhAccumulator)
+	acc := o.NewAccumulator().(*accumulator)
 	for i := 0; i < n; i++ {
 		acc.Add(o.Perturb(0, r))
 	}
-	support := float64(acc.Support(25)) // value 25 held by nobody
+	support := float64(acc.t.Row(0)[25]) // value 25 held by nobody
 	want := float64(n) / float64(o.G())
 	if math.Abs(support-want) > 5*math.Sqrt(want) {
 		t.Fatalf("support %v want %v", support, want)
@@ -386,56 +385,5 @@ func TestEmpiricalVarianceMatchesTheory(t *testing.T) {
 		if empVar < theory*0.6 || empVar > theory*1.6 {
 			t.Errorf("%s: empirical variance %.1f vs theory %.1f", mech.Name(), empVar, theory)
 		}
-	}
-}
-
-// TestUEAddRowsMatchesAdd pins the whole-frame row path against the
-// bit-vector Add path: feeding the same perturbed reports through both must
-// produce identical accumulator state (counts, n), and the row path must
-// reject out-of-shape input.
-func TestUEAddRowsMatchesAdd(t *testing.T) {
-	u, err := NewOUE(70, 2) // straddles a word boundary
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaAdd := u.NewAccumulator()
-	viaRows := u.NewAccumulator().(RowsAdder)
-	r := xrand.New(41)
-	var rec []byte
-	var offs []int
-	for i := 0; i < 200; i++ {
-		rep := u.Perturb(i%70, r)
-		viaAdd.Add(rep)
-		rec = append(rec, 0xff) // rows need not be aligned
-		offs = append(offs, len(rec))
-		for _, w := range rep.Bits.Words() {
-			rec = binary.LittleEndian.AppendUint64(rec, w)
-		}
-	}
-	viaRows.AddRows(rec, offs)
-	a, b := viaAdd.(*ueAccumulator), viaRows.(*ueAccumulator)
-	if a.n != b.n {
-		t.Fatalf("report counts diverge: Add %d, AddRows %d", a.n, b.n)
-	}
-	for i := range a.counts {
-		if a.counts[i] != b.counts[i] {
-			t.Fatalf("counts diverge at %d: Add %d, AddRows %d", i, a.counts[i], b.counts[i])
-		}
-	}
-	for name, bad := range map[string]struct {
-		rec  []byte
-		offs []int
-	}{
-		"stray bit 94 beyond d=70":  {binary.LittleEndian.AppendUint64(make([]byte, 8), 1<<30), []int{0}},
-		"row running off the frame": {make([]byte, 16), []int{8}},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("AddRows accepted %s", name)
-				}
-			}()
-			viaRows.AddRows(bad.rec, bad.offs)
-		}()
 	}
 }

@@ -1,7 +1,6 @@
 package fo
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/xrand"
@@ -72,8 +71,12 @@ func (g *GRR) PerturbValue(v int, r *xrand.Rand) int {
 }
 
 // NewAccumulator implements Mechanism.
-func (g *GRR) NewAccumulator() Accumulator {
-	return &grrAccumulator{m: g, counts: make([]int64, g.d)}
+func (g *GRR) NewAccumulator() Accumulator { return newAccumulator(g, true) }
+
+// fold implements Mechanism: a GRR report supports the one value it names.
+func (g *GRR) fold(row []int64, rep Report) {
+	checkDomain(rep.Value, g.d)
+	row[rep.Value]++
 }
 
 // EstimatorVariance implements Mechanism: the exact variance of the
@@ -83,63 +86,4 @@ func (g *GRR) EstimatorVariance(n int, trueCount float64) float64 {
 	f := trueCount
 	nf := float64(n) - f
 	return (f*g.p*(1-g.p) + nf*g.q*(1-g.q)) / ((g.p - g.q) * (g.p - g.q))
-}
-
-type grrAccumulator struct {
-	m      *GRR
-	counts []int64
-	n      int
-}
-
-func (a *grrAccumulator) Add(rep Report) {
-	checkDomain(rep.Value, a.m.d)
-	a.counts[rep.Value]++
-	a.n++
-}
-
-func (a *grrAccumulator) Merge(other Accumulator) error {
-	o, ok := other.(*grrAccumulator)
-	if !ok {
-		return fmt.Errorf("fo: cannot merge %T into GRR accumulator", other)
-	}
-	if o.m.d != a.m.d {
-		return fmt.Errorf("fo: GRR merge domain mismatch %d != %d", o.m.d, a.m.d)
-	}
-	for i, c := range o.counts {
-		a.counts[i] += c
-	}
-	a.n += o.n
-	return nil
-}
-
-func (a *grrAccumulator) N() int { return a.n }
-
-// Clone implements Cloner: a copy of the count vector, sharing the
-// immutable mechanism.
-func (a *grrAccumulator) Clone() Accumulator {
-	return &grrAccumulator{m: a.m, counts: append([]int64(nil), a.counts...), n: a.n}
-}
-
-// Counts implements CountsReader; the slice is borrowed, not a copy.
-func (a *grrAccumulator) Counts() []int64 { return a.counts }
-
-// Support returns the raw (uncalibrated) report count of value v. Exposed
-// so composite calibrations (PTS's Eq. 6) can work from exact integer
-// supports instead of reconstructing them from calibrated estimates.
-func (a *grrAccumulator) Support(v int) int64 {
-	checkDomain(v, a.m.d)
-	return a.counts[v]
-}
-
-func (a *grrAccumulator) Estimate(v int) float64 {
-	checkDomain(v, a.m.d)
-	return (float64(a.counts[v]) - float64(a.n)*a.m.q) / (a.m.p - a.m.q)
-}
-
-func (a *grrAccumulator) EstimateAll() []float64 {
-	out := make([]float64, a.m.d)
-	for v := range out {
-		out[v] = a.Estimate(v)
-	}
-	return out
 }

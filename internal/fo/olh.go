@@ -10,9 +10,9 @@ import (
 // OLH is Optimal Local Hashing: each user hashes their value into g =
 // round(e^ε)+1 buckets with a personal public hash seed and reports the
 // bucket under GRR(ε) over the g buckets. The server recovers support counts
-// by re-hashing every candidate value under every user's seed, which makes
-// aggregation O(N·d) — the communication/computation trade-off the paper
-// cites when preferring OUE.
+// by re-hashing every candidate value under the report's seed as the report
+// arrives — d hashes a report, O(N·d) in all, the communication/computation
+// trade-off the paper cites when preferring OUE — and keeps only the counts.
 type OLH struct {
 	d   int
 	eps float64
@@ -79,8 +79,20 @@ func (o *OLH) Perturb(v int, r *xrand.Rand) Report {
 }
 
 // NewAccumulator implements Mechanism.
-func (o *OLH) NewAccumulator() Accumulator {
-	return &olhAccumulator{m: o}
+func (o *OLH) NewAccumulator() Accumulator { return newAccumulator(o, false) }
+
+// fold implements Mechanism: an OLH report supports every value that its
+// seed hashes into the reported bucket.
+func (o *OLH) fold(row []int64, rep Report) {
+	if rep.Value < 0 || rep.Value >= o.g {
+		panic(fmt.Sprintf("fo: OLH report bucket %d outside [0,%d)", rep.Value, o.g))
+	}
+	row = row[:o.d]
+	for v := range row {
+		if o.hash(rep.Seed, v) == rep.Value {
+			row[v]++
+		}
+	}
 }
 
 // EstimatorVariance implements Mechanism. For OLH the effective support
@@ -91,69 +103,4 @@ func (o *OLH) EstimatorVariance(n int, trueCount float64) float64 {
 	f := trueCount
 	nf := float64(n) - f
 	return (f*o.p*(1-o.p) + nf*q*(1-q)) / ((o.p - q) * (o.p - q))
-}
-
-type olhReport struct {
-	seed  uint64
-	value int
-}
-
-type olhAccumulator struct {
-	m       *OLH
-	reports []olhReport
-}
-
-func (a *olhAccumulator) Add(rep Report) {
-	if rep.Value < 0 || rep.Value >= a.m.g {
-		panic(fmt.Sprintf("fo: OLH report bucket %d outside [0,%d)", rep.Value, a.m.g))
-	}
-	a.reports = append(a.reports, olhReport{seed: rep.Seed, value: rep.Value})
-}
-
-func (a *olhAccumulator) Merge(other Accumulator) error {
-	o, ok := other.(*olhAccumulator)
-	if !ok {
-		return fmt.Errorf("fo: cannot merge %T into OLH accumulator", other)
-	}
-	if o.m.d != a.m.d || o.m.g != a.m.g {
-		return fmt.Errorf("fo: OLH merge parameter mismatch")
-	}
-	a.reports = append(a.reports, o.reports...)
-	return nil
-}
-
-func (a *olhAccumulator) N() int { return len(a.reports) }
-
-// Clone implements Cloner. OLH retains reports rather than counts, so the
-// copy is O(N) — still far cheaper than holding the aggregate's lock across
-// the O(N·d) rehashing estimate pass.
-func (a *olhAccumulator) Clone() Accumulator {
-	return &olhAccumulator{m: a.m, reports: append([]olhReport(nil), a.reports...)}
-}
-
-// Support counts how many reports hash v into their reported bucket — the
-// raw support the estimator calibrates (see grrAccumulator.Support). O(N).
-func (a *olhAccumulator) Support(v int) int64 {
-	checkDomain(v, a.m.d)
-	c := int64(0)
-	for _, rep := range a.reports {
-		if a.m.hash(rep.seed, v) == rep.value {
-			c++
-		}
-	}
-	return c
-}
-
-func (a *olhAccumulator) Estimate(v int) float64 {
-	checkDomain(v, a.m.d)
-	q := 1 / float64(a.m.g)
-	return (float64(a.Support(v)) - float64(len(a.reports))*q) / (a.m.p - q)
-}
-
-func (a *olhAccumulator) EstimateAll() []float64 {
-	out := make([]float64, a.m.d)
-	for v := range out {
-		out[v] = a.Estimate(v)
-	}
-	return out
 }

@@ -126,8 +126,17 @@ func (u *UE) PerturbEncoded(encoded *bitvec.Vector, r *xrand.Rand) *bitvec.Vecto
 }
 
 // NewAccumulator implements Mechanism.
-func (u *UE) NewAccumulator() Accumulator {
-	return &ueAccumulator{m: u, counts: make([]int64, u.d)}
+func (u *UE) NewAccumulator() Accumulator { return newAccumulator(u, false) }
+
+// fold implements Mechanism: a UE report supports every set bit.
+func (u *UE) fold(row []int64, rep Report) {
+	if rep.Bits == nil {
+		panic("fo: UE report without bits")
+	}
+	if rep.Bits.Len() != u.d {
+		panic(fmt.Sprintf("fo: UE report length %d != domain %d", rep.Bits.Len(), u.d))
+	}
+	rep.Bits.AddInto(row)
 }
 
 // EstimatorVariance implements Mechanism.
@@ -135,73 +144,4 @@ func (u *UE) EstimatorVariance(n int, trueCount float64) float64 {
 	f := trueCount
 	nf := float64(n) - f
 	return (f*u.p*(1-u.p) + nf*u.q*(1-u.q)) / ((u.p - u.q) * (u.p - u.q))
-}
-
-type ueAccumulator struct {
-	m      *UE
-	counts []int64
-	n      int
-}
-
-func (a *ueAccumulator) Add(rep Report) {
-	if rep.Bits == nil {
-		panic("fo: UE accumulator received a report without bits")
-	}
-	if rep.Bits.Len() != a.m.d {
-		panic(fmt.Sprintf("fo: UE report length %d != domain %d", rep.Bits.Len(), a.m.d))
-	}
-	rep.Bits.AddInto(a.counts)
-	a.n++
-}
-
-// AddRows implements RowsAdder: it folds reports still packed in a frame
-// straight into the count vector, the whole-frame twin of Add.
-func (a *ueAccumulator) AddRows(rec []byte, offs []int) {
-	bitvec.AddRows(a.counts, rec, offs, (a.m.d+63)/64)
-	a.n += len(offs)
-}
-
-func (a *ueAccumulator) Merge(other Accumulator) error {
-	o, ok := other.(*ueAccumulator)
-	if !ok {
-		return fmt.Errorf("fo: cannot merge %T into UE accumulator", other)
-	}
-	if o.m.d != a.m.d {
-		return fmt.Errorf("fo: UE merge domain mismatch %d != %d", o.m.d, a.m.d)
-	}
-	for i, c := range o.counts {
-		a.counts[i] += c
-	}
-	a.n += o.n
-	return nil
-}
-
-func (a *ueAccumulator) N() int { return a.n }
-
-// Clone implements Cloner: a copy of the count vector, sharing the
-// immutable mechanism.
-func (a *ueAccumulator) Clone() Accumulator {
-	return &ueAccumulator{m: a.m, counts: append([]int64(nil), a.counts...), n: a.n}
-}
-
-// Counts implements CountsReader; the slice is borrowed, not a copy.
-func (a *ueAccumulator) Counts() []int64 { return a.counts }
-
-// Support returns the raw 1-bit count of value v (see grrAccumulator.Support).
-func (a *ueAccumulator) Support(v int) int64 {
-	checkDomain(v, a.m.d)
-	return a.counts[v]
-}
-
-func (a *ueAccumulator) Estimate(v int) float64 {
-	checkDomain(v, a.m.d)
-	return (float64(a.counts[v]) - float64(a.n)*a.m.q) / (a.m.p - a.m.q)
-}
-
-func (a *ueAccumulator) EstimateAll() []float64 {
-	out := make([]float64, a.m.d)
-	for v := range out {
-		out[v] = a.Estimate(v)
-	}
-	return out
 }

@@ -106,73 +106,43 @@ func (m *CPMean) Perturb(v Value, r *xrand.Rand) Report {
 	return Report{Label: lab, Symbol: symbol}
 }
 
-// Accumulator aggregates CPMean reports.
+// Accumulator aggregates CPMean reports in one count table of (label,
+// symbol) cells; a label's report count is its −, + and ⊥ cells summed.
 type Accumulator struct {
-	m      *CPMean
-	plus   []int64
-	minus  []int64
-	labels []int64
-	total  int
+	m     *CPMean
+	cells counts
 }
 
 // NewAccumulator returns an empty aggregator.
 func (m *CPMean) NewAccumulator() *Accumulator {
-	return &Accumulator{
-		m:      m,
-		plus:   make([]int64, m.classes),
-		minus:  make([]int64, m.classes),
-		labels: make([]int64, m.classes),
-	}
+	return &Accumulator{m: m, cells: newCounts(m.classes, 3)}
 }
 
 // Add folds one report into the aggregate.
-func (a *Accumulator) Add(rep Report) { a.AddCounts(rep.Label, rep.Symbol, 1) }
+func (a *Accumulator) Add(rep Report) { a.cells.Add(rep) }
 
 // AddCounts folds n reports of one (label, symbol) cell. The cell and the
 // count are checked before anything is counted, so a recovered panic leaves
 // the aggregate as it was.
-func (a *Accumulator) AddCounts(label, symbol int, n int64) {
-	checkCell(label, a.m.classes, n)
-	switch symbol {
-	case Plus:
-		a.plus[label] += n
-	case Minus:
-		a.minus[label] += n
-	case Bottom:
-	default:
-		panic(fmt.Sprintf("mean: bad symbol %d", symbol))
-	}
-	a.labels[label] += n
-	a.total += int(n)
-}
+func (a *Accumulator) AddCounts(label, symbol int, n int64) { a.cells.AddCounts(label, symbol, n) }
 
 // Merge folds another accumulator of the same mechanism into this one.
-func (a *Accumulator) Merge(o *Accumulator) error {
-	if o.m.classes != a.m.classes {
-		return fmt.Errorf("mean: merge class mismatch %d != %d", o.m.classes, a.m.classes)
-	}
-	for c := 0; c < a.m.classes; c++ {
-		a.plus[c] += o.plus[c]
-		a.minus[c] += o.minus[c]
-		a.labels[c] += o.labels[c]
-	}
-	a.total += o.total
-	return nil
-}
+func (a *Accumulator) Merge(o *Accumulator) error { return a.cells.t.Merge(&o.cells.t) }
 
 // Total returns the number of reports received.
-func (a *Accumulator) Total() int { return a.total }
+func (a *Accumulator) Total() int { return a.cells.N() }
 
 // EstimateSum returns the unbiased class-sum estimate T̂_C.
 func (a *Accumulator) EstimateSum(c int) float64 {
 	p1, _, p2, q2 := a.m.Probabilities()
-	return float64(a.plus[c]-a.minus[c]) / (p1 * (p2 - q2))
+	return float64(a.cells.cell(c, Plus)-a.cells.cell(c, Minus)) / (p1 * (p2 - q2))
 }
 
 // EstimateClassSize returns n̂_C from the perturbed label counts.
 func (a *Accumulator) EstimateClassSize(c int) float64 {
 	p1, q1, _, _ := a.m.Probabilities()
-	return (float64(a.labels[c]) - float64(a.total)*q1) / (p1 - q1)
+	labels := a.cells.cell(c, Minus) + a.cells.cell(c, Plus) + a.cells.cell(c, Bottom)
+	return (float64(labels) - float64(a.cells.t.N)*q1) / (p1 - q1)
 }
 
 // EstimateMean returns μ̂_C = T̂_C/n̂_C clamped to [−1, 1], or 0 when the

@@ -1,11 +1,10 @@
 package mean
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/fo"
+	"repro/internal/state"
 	"repro/internal/xrand"
 )
 
@@ -37,11 +36,11 @@ type Encoder interface {
 	Encode(v Value, user int, r *xrand.Rand) Report
 }
 
-// Aggregator is the server half: it folds reports into per-class integer
-// counts and produces the framework's calibrated estimates. Implementations
-// are not safe for concurrent use; shard and Merge instead. Merging is
-// exact — any partition of a report stream over aggregators merges to
-// bit-identical estimates.
+// Aggregator is the server half: it folds reports into one count table
+// (state.Table) and produces the framework's calibrated estimates.
+// Implementations are not safe for concurrent use; shard and Merge instead.
+// Merging is exact — any partition of a report stream over aggregators
+// merges to bit-identical estimates.
 type Aggregator interface {
 	// Add folds one report into the aggregate. Reports decoded from the
 	// wire by the numeric protocol's codec are always safe to Add;
@@ -64,22 +63,21 @@ type Aggregator interface {
 	// uniform prior N/c for HEC-Mean, whose deterministic partition
 	// carries no class signal — the strawman cannot do better.
 	ClassSizes() []float64
-	// MarshalBinary serializes the aggregate counts (never individual
-	// values) so servers can checkpoint and federate. Restoring and
-	// estimating is bit-identical to estimating the live aggregator.
+	// MarshalBinary encodes the count table (never individual values) so
+	// servers can checkpoint and federate. Restoring and estimating is
+	// bit-identical to estimating the live aggregator.
 	MarshalBinary() ([]byte, error)
-	// UnmarshalBinary restores state serialized by MarshalBinary from an
-	// aggregator with the same framework parameters; a mismatch is an
-	// error and leaves the aggregator unchanged.
+	// UnmarshalBinary restores a table encoded by MarshalBinary from an
+	// aggregator with the same framework parameters; a mismatched shape or
+	// a table no report stream could produce is an error and leaves the
+	// aggregator unchanged.
 	UnmarshalBinary([]byte) error
 }
 
-// Cloner is implemented by aggregators that can copy their aggregate state
-// cheaply (slice copies of the integer sign counts). Collection servers use
-// it to snapshot their aggregate while holding its lock only for the copy,
-// then calibrate the copy outside the lock. Every framework in
-// this package implements it; the clone shares no mutable state with the
-// original.
+// Cloner is implemented by every aggregator in this package: Clone copies
+// the count table (one slice copy), sharing nothing mutable with the
+// original. Collection servers clone under their aggregate's lock and
+// calibrate the copy outside it.
 type Cloner interface {
 	Clone() Aggregator
 }
@@ -108,17 +106,6 @@ func signSymbol(sign int) int {
 	return Minus
 }
 
-// checkCell is the half of an AddCounts domain check the aggregators share
-// (the symbol alphabet is each one's own).
-func checkCell(label, classes int, n int64) {
-	if label < 0 || label >= classes {
-		panic(fmt.Sprintf("mean: report label %d outside [0,%d)", label, classes))
-	}
-	if n < 0 {
-		panic(fmt.Sprintf("mean: negative report count %d", n))
-	}
-}
-
 // checkValue panics on a pair outside the (classes, [−1,1]) domain —
 // misuse at the perturbation site, mirroring the frequency encoders.
 func checkValue(v Value, classes, user int) {
@@ -131,6 +118,65 @@ func checkValue(v Value, classes, user int) {
 	if !(v.X >= -1 && v.X <= 1) { // catches NaN too
 		panic(fmt.Sprintf("mean: value %v outside [-1,1]", v.X))
 	}
+}
+
+// counts is the one count table (state.Table) every mean aggregator keeps:
+// a single route of classes × symbols cells, cell label·symbols+symbol
+// counting the reports of that (label, symbol) — the layout a checked
+// binary frame's cells already have. A report adds one to one cell, so the
+// cells sum to N and a label's report count is the sum of its symbols.
+type counts struct {
+	classes, symbols int
+	t                state.Table
+}
+
+func newCounts(classes, symbols int) counts {
+	return counts{classes, symbols, state.NewTable(state.Shape{Rows: 1, Cols: classes * symbols, OneHot: true})}
+}
+
+// Add validates and folds one report.
+func (a *counts) Add(rep Report) { a.AddCounts(rep.Label, rep.Symbol, 1) }
+
+// AddCounts validates and folds n reports of one (label, symbol) cell. The
+// cell and the count are checked before anything is counted, so a
+// recovered panic leaves the aggregate as it was.
+func (a *counts) AddCounts(label, symbol int, n int64) {
+	switch {
+	case label < 0 || label >= a.classes:
+		panic(fmt.Sprintf("mean: report label %d outside [0,%d)", label, a.classes))
+	case symbol < 0 || symbol >= a.symbols:
+		panic(fmt.Sprintf("mean: symbol %d outside [0,%d)", symbol, a.symbols))
+	case n < 0:
+		panic(fmt.Sprintf("mean: negative report count %d", n))
+	}
+	a.t.Row(0)[label*a.symbols+symbol] += n
+	a.t.N += n
+}
+
+// cell returns the reports of one (label, symbol).
+func (a *counts) cell(label, symbol int) int64 { return a.t.Row(0)[label*a.symbols+symbol] }
+
+// N implements the Aggregator report count.
+func (a *counts) N() int { return int(a.t.N) }
+
+func (a *counts) clone() counts { return counts{a.classes, a.symbols, a.t.Clone()} }
+
+func (a *counts) table() *state.Table { return &a.t }
+
+// MarshalBinary implements the Aggregator snapshot contract.
+func (a *counts) MarshalBinary() ([]byte, error) { return a.t.MarshalBinary() }
+
+// UnmarshalBinary implements the Aggregator snapshot contract.
+func (a *counts) UnmarshalBinary(data []byte) error { return a.t.UnmarshalBinary(data) }
+
+// mergeCounts is every mean aggregator's Merge: other must be the same
+// framework, whose table it adds in.
+func mergeCounts[T interface{ table() *state.Table }](a T, other Aggregator) error {
+	o, ok := other.(T)
+	if !ok {
+		return fmt.Errorf("mean: cannot merge %T into %T", other, a)
+	}
+	return a.table().Merge(o.table())
 }
 
 // ---------------------------------------------------------------------------
@@ -149,7 +195,7 @@ func NewHECMeanHalves(classes int, eps float64) (*Halves, error) {
 	}
 	return &Halves{
 		Encoder:       &hecEncoder{c: classes, sr: sr},
-		NewAggregator: func() Aggregator { return newHECAggregator(classes, sr) },
+		NewAggregator: func() Aggregator { return &hecAggregator{newCounts(classes, 2), sr} },
 		Symbols:       2,
 		MechID:        fmt.Sprintf("mod%d+SR[p=%v]", classes, sr.P()),
 	}, nil
@@ -173,113 +219,25 @@ func (e *hecEncoder) Encode(v Value, user int, r *xrand.Rand) Report {
 	return Report{Label: g, Symbol: signSymbol(e.sr.Perturb(x, r))}
 }
 
-// signCounts is the shared count-keeping core of the two-symbol (±)
-// aggregators (HEC-Mean, PTS-Mean): per-label plus/minus counts, exact
-// merging and the gob snapshot. The frameworks embed it and layer only
-// their calibration (Means/ClassSizes) on top.
-type signCounts struct {
-	c           int
-	plus, minus []int64
-	total       int
-}
-
-func newSignCounts(c int) signCounts {
-	return signCounts{c: c, plus: make([]int64, c), minus: make([]int64, c)}
-}
-
-// Add validates and folds one sign report.
-func (a *signCounts) Add(rep Report) { a.AddCounts(rep.Label, rep.Symbol, 1) }
-
-// AddCounts validates and folds n reports of one (label, sign) cell.
-func (a *signCounts) AddCounts(label, symbol int, n int64) {
-	checkCell(label, a.c, n)
-	switch symbol {
-	case Plus:
-		a.plus[label] += n
-	case Minus:
-		a.minus[label] += n
-	default:
-		panic(fmt.Sprintf("mean: bad sign symbol %d", symbol))
-	}
-	a.total += int(n)
-}
-
-// merge folds another count set of the same class domain into this one.
-func (a *signCounts) merge(o *signCounts) error {
-	if o.c != a.c {
-		return fmt.Errorf("mean: merge class mismatch %d != %d", o.c, a.c)
-	}
-	for ci := 0; ci < a.c; ci++ {
-		a.plus[ci] += o.plus[ci]
-		a.minus[ci] += o.minus[ci]
-	}
-	a.total += o.total
-	return nil
-}
-
-// N implements the Aggregator report count.
-func (a *signCounts) N() int { return a.total }
-
-// clone copies the count vectors.
-func (a *signCounts) clone() signCounts {
-	return signCounts{
-		c:     a.c,
-		plus:  append([]int64(nil), a.plus...),
-		minus: append([]int64(nil), a.minus...),
-		total: a.total,
-	}
-}
-
-// MarshalBinary implements the Aggregator snapshot contract.
-func (a *signCounts) MarshalBinary() ([]byte, error) {
-	return gobEncode(signState{Plus: a.plus, Minus: a.minus, Total: a.total})
-}
-
-// UnmarshalBinary implements the Aggregator snapshot contract; on error
-// the counts are left unchanged.
-func (a *signCounts) UnmarshalBinary(data []byte) error {
-	var st signState
-	if err := gobDecode(data, &st); err != nil {
-		return err
-	}
-	if err := st.validate(a.c); err != nil {
-		return err
-	}
-	a.plus, a.minus, a.total = st.Plus, st.Minus, st.Total
-	return nil
-}
-
 // hecAggregator keeps per-group sign counts and calibrates each group's
 // mean as if every member were valid, which carries the strawman's
 // shrink-toward-zero bias.
 type hecAggregator struct {
-	signCounts
+	counts
 	sr *SR
 }
 
-func newHECAggregator(c int, sr *SR) *hecAggregator {
-	return &hecAggregator{signCounts: newSignCounts(c), sr: sr}
-}
+func (a *hecAggregator) Merge(other Aggregator) error { return mergeCounts(a, other) }
 
-func (a *hecAggregator) Merge(other Aggregator) error {
-	o, ok := other.(*hecAggregator)
-	if !ok {
-		return fmt.Errorf("mean: cannot merge %T into HEC-Mean aggregator", other)
-	}
-	return a.signCounts.merge(&o.signCounts)
-}
-
-// Clone implements Cloner: a copy of the sign counts, sharing only the
-// immutable mechanism.
-func (a *hecAggregator) Clone() Aggregator {
-	return &hecAggregator{signCounts: a.signCounts.clone(), sr: a.sr}
-}
+// Clone implements Cloner.
+func (a *hecAggregator) Clone() Aggregator { return &hecAggregator{a.clone(), a.sr} }
 
 func (a *hecAggregator) Means() []float64 {
-	out := make([]float64, a.c)
-	for g := 0; g < a.c; g++ {
-		if n := a.plus[g] + a.minus[g]; n > 0 {
-			out[g] = a.sr.Calibrate(float64(a.plus[g]-a.minus[g])) / float64(n)
+	out := make([]float64, a.classes)
+	for g := range out {
+		plus, minus := a.cell(g, Plus), a.cell(g, Minus)
+		if n := plus + minus; n > 0 {
+			out[g] = a.sr.Calibrate(float64(plus-minus)) / float64(n)
 		}
 	}
 	return out
@@ -289,9 +247,9 @@ func (a *hecAggregator) Means() []float64 {
 // is a function of the user index alone, so group populations carry zero
 // information about class membership — part of why HEC is the strawman.
 func (a *hecAggregator) ClassSizes() []float64 {
-	out := make([]float64, a.c)
+	out := make([]float64, a.classes)
 	for g := range out {
-		out[g] = float64(a.total) / float64(a.c)
+		out[g] = float64(a.t.N) / float64(a.classes)
 	}
 	return out
 }
@@ -319,7 +277,7 @@ func NewPTSMeanHalves(classes int, eps, split float64) (*Halves, error) {
 	}
 	return &Halves{
 		Encoder:       &ptsEncoder{c: classes, label: label, sr: sr},
-		NewAggregator: func() Aggregator { return newPTSAggregator(classes, label, sr) },
+		NewAggregator: func() Aggregator { return &ptsAggregator{newCounts(classes, 2), label, sr} },
 		Symbols:       2,
 		MechID: fmt.Sprintf("%s[d=%d,p=%v,q=%v]+SR[p=%v]",
 			label.Name(), label.DomainSize(), label.P(), label.Q(), sr.P()),
@@ -343,40 +301,27 @@ func (e *ptsEncoder) Encode(v Value, user int, r *xrand.Rand) Report {
 // cross-class label migration with the E[S̃_C] = p₁T_C + q₁(T−T_C)
 // calibration.
 type ptsAggregator struct {
-	signCounts
+	counts
 	label *fo.GRR
 	sr    *SR
 }
 
-func newPTSAggregator(c int, label *fo.GRR, sr *SR) *ptsAggregator {
-	return &ptsAggregator{signCounts: newSignCounts(c), label: label, sr: sr}
-}
+func (a *ptsAggregator) Merge(other Aggregator) error { return mergeCounts(a, other) }
 
-func (a *ptsAggregator) Merge(other Aggregator) error {
-	o, ok := other.(*ptsAggregator)
-	if !ok {
-		return fmt.Errorf("mean: cannot merge %T into PTS-Mean aggregator", other)
-	}
-	return a.signCounts.merge(&o.signCounts)
-}
-
-// Clone implements Cloner: a copy of the sign counts, sharing only the
-// immutable mechanisms.
-func (a *ptsAggregator) Clone() Aggregator {
-	return &ptsAggregator{signCounts: a.signCounts.clone(), label: a.label, sr: a.sr}
-}
+// Clone implements Cloner.
+func (a *ptsAggregator) Clone() Aggregator { return &ptsAggregator{a.clone(), a.label, a.sr} }
 
 func (a *ptsAggregator) Means() []float64 {
 	p1, q1 := a.label.P(), a.label.Q()
 	// Calibrated routed sums and the global sum.
 	total := 0.0
-	routed := make([]float64, a.c)
+	routed := make([]float64, a.classes)
 	for ci := range routed {
-		routed[ci] = a.sr.Calibrate(float64(a.plus[ci] - a.minus[ci]))
+		routed[ci] = a.sr.Calibrate(float64(a.cell(ci, Plus) - a.cell(ci, Minus)))
 		total += routed[ci]
 	}
 	sizes := a.ClassSizes()
-	out := make([]float64, a.c)
+	out := make([]float64, a.classes)
 	for ci := range out {
 		tC := (routed[ci] - q1*total) / (p1 - q1)
 		if sizes[ci] > 1 {
@@ -387,11 +332,11 @@ func (a *ptsAggregator) Means() []float64 {
 }
 
 func (a *ptsAggregator) ClassSizes() []float64 {
-	n := float64(a.total)
+	n := float64(a.t.N)
 	p1, q1 := a.label.P(), a.label.Q()
-	out := make([]float64, a.c)
+	out := make([]float64, a.classes)
 	for ci := range out {
-		labelCount := float64(a.plus[ci] + a.minus[ci])
+		labelCount := float64(a.cell(ci, Plus) + a.cell(ci, Minus))
 		out[ci] = (labelCount - n*q1) / (p1 - q1)
 	}
 	return out
@@ -412,7 +357,7 @@ func NewCPMeanHalves(classes int, eps, split float64) (*Halves, error) {
 	p1, q1, p2, q2 := m.Probabilities()
 	return &Halves{
 		Encoder:       &cpEncoder{m: m},
-		NewAggregator: func() Aggregator { return &cpAggregator{acc: m.NewAccumulator()} },
+		NewAggregator: func() Aggregator { return &cpAggregator{m.NewAccumulator()} },
 		Symbols:       3,
 		MechID:        fmt.Sprintf("CPMean[p1=%v,q1=%v,p2=%v,q2=%v]", p1, q1, p2, q2),
 	}, nil
@@ -432,137 +377,42 @@ func (e *cpEncoder) Encode(v Value, user int, r *xrand.Rand) Report {
 // cpAggregator adapts the CPMean Accumulator (the difference estimator) to
 // the generic Aggregator interface.
 type cpAggregator struct {
-	acc *Accumulator
+	*Accumulator
 }
-
-func (a *cpAggregator) Add(rep Report) { a.acc.Add(rep) }
-
-func (a *cpAggregator) AddCounts(label, symbol int, n int64) { a.acc.AddCounts(label, symbol, n) }
 
 func (a *cpAggregator) Merge(other Aggregator) error {
 	o, ok := other.(*cpAggregator)
 	if !ok {
 		return fmt.Errorf("mean: cannot merge %T into CP-Mean aggregator", other)
 	}
-	return a.acc.Merge(o.acc)
+	return a.Accumulator.Merge(o.Accumulator)
 }
 
-func (a *cpAggregator) N() int { return a.acc.Total() }
+func (a *cpAggregator) N() int { return a.Total() }
 
-// Clone implements Cloner: a copy of the wrapped accumulator's count
-// vectors, sharing only the immutable mechanism.
+// Clone implements Cloner.
 func (a *cpAggregator) Clone() Aggregator {
-	return &cpAggregator{acc: &Accumulator{
-		m:      a.acc.m,
-		plus:   append([]int64(nil), a.acc.plus...),
-		minus:  append([]int64(nil), a.acc.minus...),
-		labels: append([]int64(nil), a.acc.labels...),
-		total:  a.acc.total,
-	}}
+	return &cpAggregator{&Accumulator{m: a.m, cells: a.cells.clone()}}
 }
 
 func (a *cpAggregator) Means() []float64 {
-	out := make([]float64, a.acc.m.classes)
+	out := make([]float64, a.m.classes)
 	for c := range out {
-		out[c] = a.acc.EstimateMean(c)
+		out[c] = a.EstimateMean(c)
 	}
 	return out
 }
 
 func (a *cpAggregator) ClassSizes() []float64 {
-	out := make([]float64, a.acc.m.classes)
+	out := make([]float64, a.m.classes)
 	for c := range out {
-		out[c] = a.acc.EstimateClassSize(c)
+		out[c] = a.EstimateClassSize(c)
 	}
 	return out
 }
 
-// ---------------------------------------------------------------------------
-// Aggregator snapshots: gob states with shape validation, so collection
-// servers can checkpoint, WAL-compact and federate mean aggregates the same
-// way they do frequency aggregates. On error the aggregator is unchanged.
-// ---------------------------------------------------------------------------
-
-// signState is the serialized form of the two-symbol aggregators (HEC-Mean,
-// PTS-Mean): per-label plus/minus counts and the report total.
-type signState struct {
-	Plus, Minus []int64
-	Total       int
-}
-
-// validate checks the counts against c classes and the claimed total.
-func (st *signState) validate(c int) error {
-	if len(st.Plus) != c || len(st.Minus) != c {
-		return fmt.Errorf("mean: snapshot has %d/%d labels, aggregator has %d", len(st.Plus), len(st.Minus), c)
-	}
-	sum := int64(0)
-	for ci := 0; ci < c; ci++ {
-		if st.Plus[ci] < 0 || st.Minus[ci] < 0 {
-			return fmt.Errorf("mean: snapshot label %d has negative counts", ci)
-		}
-		sum += st.Plus[ci] + st.Minus[ci]
-	}
-	// Every report carries exactly one sign, so the signs must account for
-	// the total exactly.
-	if sum != int64(st.Total) {
-		return fmt.Errorf("mean: snapshot signs hold %d reports, total claims %d", sum, st.Total)
-	}
-	return nil
-}
-
-func gobEncode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("mean: snapshot encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func gobDecode(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("mean: snapshot decode: %w", err)
-	}
-	return nil
-}
-
-// cpState is the serialized form of the CP-Mean aggregator: routed sign
-// counts, label counts (which also count ⊥ reports) and the total.
-type cpState struct {
-	Plus, Minus, Labels []int64
-	Total               int
-}
-
 // MarshalBinary implements the Aggregator snapshot contract.
-func (a *cpAggregator) MarshalBinary() ([]byte, error) {
-	return gobEncode(cpState{Plus: a.acc.plus, Minus: a.acc.minus, Labels: a.acc.labels, Total: a.acc.total})
-}
+func (a *cpAggregator) MarshalBinary() ([]byte, error) { return a.cells.MarshalBinary() }
 
 // UnmarshalBinary implements the Aggregator snapshot contract.
-func (a *cpAggregator) UnmarshalBinary(data []byte) error {
-	var st cpState
-	if err := gobDecode(data, &st); err != nil {
-		return err
-	}
-	c := a.acc.m.classes
-	if len(st.Plus) != c || len(st.Minus) != c || len(st.Labels) != c {
-		return fmt.Errorf("mean: CP snapshot has %d/%d/%d labels, aggregator has %d",
-			len(st.Plus), len(st.Minus), len(st.Labels), c)
-	}
-	sum := int64(0)
-	for ci := 0; ci < c; ci++ {
-		if st.Plus[ci] < 0 || st.Minus[ci] < 0 || st.Labels[ci] < 0 {
-			return fmt.Errorf("mean: CP snapshot label %d has negative counts", ci)
-		}
-		// Signs are a subset of the label's reports (the rest reported ⊥).
-		if st.Plus[ci]+st.Minus[ci] > st.Labels[ci] {
-			return fmt.Errorf("mean: CP snapshot label %d has %d signs but %d reports",
-				ci, st.Plus[ci]+st.Minus[ci], st.Labels[ci])
-		}
-		sum += st.Labels[ci]
-	}
-	if sum != int64(st.Total) {
-		return fmt.Errorf("mean: CP snapshot labels hold %d reports, total claims %d", sum, st.Total)
-	}
-	a.acc.plus, a.acc.minus, a.acc.labels, a.acc.total = st.Plus, st.Minus, st.Labels, st.Total
-	return nil
-}
+func (a *cpAggregator) UnmarshalBinary(data []byte) error { return a.cells.UnmarshalBinary(data) }

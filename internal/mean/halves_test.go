@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/state"
 	"repro/internal/xrand"
 )
 
@@ -125,37 +126,33 @@ func TestMeanSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMeanSnapshotValidation hand-builds inconsistent states and checks
-// the decoders refuse them.
+// TestMeanSnapshotValidation hand-builds tables no report stream could
+// produce and checks every aggregator refuses them: a mean report adds one
+// to one (label, symbol) cell, so the cells are non-negative and sum to N.
 func TestMeanSnapshotValidation(t *testing.T) {
-	h := meanHalves(t, 2, 2, 0.5)
-	// Sign aggregators: totals must reconcile with the counts.
-	bad, err := gobEncode(signState{Plus: []int64{3, 0}, Minus: []int64{0, 0}, Total: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"hec", "pts"} {
-		if err := h[name].NewAggregator().UnmarshalBinary(bad); err == nil {
-			t.Errorf("%s accepted a snapshot whose signs do not reconcile", name)
+	for name, h := range meanHalves(t, 2, 2, 0.5) {
+		for _, tc := range []struct {
+			what        string
+			n           int64
+			plus, minus int64 // label 0's cells
+		}{
+			{"signs that do not sum to N", 5, 3, 0},
+			{"more signs than reports", 2, 3, 1},
+			{"a negative count", 0, -1, 1},
+		} {
+			tab := state.NewTable(state.Shape{Rows: 1, Cols: 2 * h.Symbols, OneHot: true})
+			tab.N, tab.Cells[Plus], tab.Cells[Minus] = tc.n, tc.plus, tc.minus
+			blob, err := tab.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.NewAggregator().UnmarshalBinary(blob); err == nil {
+				t.Errorf("%s accepted a table with %s", name, tc.what)
+			}
 		}
-	}
-	neg, err := gobEncode(signState{Plus: []int64{-1, 1}, Minus: []int64{0, 0}, Total: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h["hec"].NewAggregator().UnmarshalBinary(neg); err == nil {
-		t.Error("hec accepted negative counts")
-	}
-	// CP: signs may not exceed the label's report count.
-	badCP, err := gobEncode(cpState{Plus: []int64{3, 0}, Minus: []int64{1, 0}, Labels: []int64{2, 0}, Total: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h["cp"].NewAggregator().UnmarshalBinary(badCP); err == nil {
-		t.Error("cp accepted more signs than reports")
-	}
-	if err := h["cp"].NewAggregator().UnmarshalBinary([]byte("not gob")); err == nil {
-		t.Error("cp accepted garbage bytes")
+		if err := h.NewAggregator().UnmarshalBinary([]byte("not a table")); err == nil {
+			t.Errorf("%s accepted garbage bytes", name)
+		}
 	}
 }
 

@@ -8,7 +8,9 @@
 // and nothing was corrupted or truncated in flight (CRC over the whole
 // frame, exact-length accounting). Interpreting the fingerprint — refusing
 // a payload whose framework, domain or budget does not match the receiver —
-// is the caller's job (core.Protocol.UnmarshalAggregator).
+// is the caller's job (core.Protocol.UnmarshalAggregator). What the report
+// tiers put in the payload is a Table, this package's count table and its
+// canonical codec (table.go).
 package state
 
 import (

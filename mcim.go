@@ -101,10 +101,10 @@ func NewPTS(eps, split float64) (*PTS, error) { return core.NewPTS(eps, split) }
 func NewPTSCP(eps, split float64) (*PTSCP, error) { return core.NewPTSCP(eps, split) }
 
 // ItemMechanismFactory builds an item perturber for a domain and budget,
-// letting PTS run over OLH, SUE or a custom oracle instead of OUE.
+// letting PTS run over OLH, SUE or GRR instead of OUE.
 type ItemMechanismFactory = core.ItemMechanismFactory
 
-// NewPTSWithItem builds a PTS variant with a custom item mechanism.
+// NewPTSWithItem builds a PTS variant over another item mechanism.
 func NewPTSWithItem(name string, eps, split float64, item ItemMechanismFactory) (FrequencyEstimator, error) {
 	return core.NewPTSWithItem(name, eps, split, item)
 }
@@ -147,7 +147,7 @@ func NewProtocol(name string, c, d int, eps, split float64) (*Protocol, error) {
 	return core.NewProtocol(name, c, d, eps, split)
 }
 
-// NewPTSProtocolWithItem vends the PTS halves over a custom item mechanism
+// NewPTSProtocolWithItem vends the PTS halves over an item mechanism
 // factory. For mechanisms with a name ("pts+olh" etc.) prefer NewProtocol,
 // whose protocols are reconstructible from their name by collection
 // clients; factory-built protocols with other names work in-process only.
