@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-wal race-topk bench bench-json bench-check bench-harness load-smoke fmt fmt-fix lint staticcheck metrics-lint fuzz ci
+.PHONY: all build test race race-wal race-topk replay-smoke bench bench-json bench-check bench-harness load-smoke fmt fmt-fix lint staticcheck metrics-lint fuzz ci
 
 all: build test
 
@@ -34,6 +34,12 @@ race-wal:
 race-topk:
 	$(GO) test -race -count=10 -timeout=10m -run 'TestTopKRoundSealRace|TestTopKMixedWireHammer|TestTopK.*SurvivesRestart|TestTopKFrameCommittedAfterSeal' ./internal/collect
 	$(GO) test -race -count=10 -timeout=10m -run 'Partial|Planner|Session' ./internal/topk
+
+# The recovery-equivalence pin — parallel WAL replay against sequential —
+# on its own, so a replay regression is named in the log rather than buried
+# in the package list.
+replay-smoke:
+	$(GO) test -race -run 'ParallelReplay|ReplayParallel' -v ./internal/collect ./internal/wal
 
 # One iteration of every benchmark: keeps them compiling and running
 # without turning the suite into a perf run.
@@ -139,4 +145,4 @@ else
 	done
 endif
 
-ci: fmt lint staticcheck build race race-wal race-topk metrics-lint bench-harness load-smoke fuzz bench
+ci: fmt lint staticcheck build race race-wal race-topk replay-smoke metrics-lint bench-harness load-smoke fuzz bench

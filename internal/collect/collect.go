@@ -61,10 +61,11 @@ const DefaultMaxBodyBytes = 8 << 20
 
 // DefaultMergeMaxBodyBytes caps POST /merge bodies separately and far more
 // generously: a state envelope is one per edge per push interval (not
-// per-client traffic), and report-retaining aggregators (pts+olh) produce
-// envelopes that grow with the edge's report count — capping them at the
-// batch limit would wedge a backlogged edge permanently (every push 413s,
-// is re-merged locally, and grows further). It must stay below
+// per-client traffic), and it is one count table — the route counts plus
+// rows×cols cells, each a uvarint of at most 10 bytes — whose size the
+// protocol's domain sets, whatever the edge's report count. The cap admits
+// tables of about 26 million cells at worst-case varint width, where the
+// batch limit would refuse every push of a large domain. It must stay below
 // wal.MaxRecordBytes: a WAL-backed server logs every merged envelope as
 // one record (plus a type byte), and accepting an envelope it cannot make
 // durable would 500 the push after reading it.
@@ -540,11 +541,10 @@ func errNoFrequencyTier() error {
 	return fmt.Errorf("collect: server has no frequency tier (built with a nil protocol)")
 }
 
-// Snapshot serializes the aggregation state (aggregate counts only — no
-// individual reports beyond what the protocol's aggregator retains by
-// design) into a versioned, fingerprinted state envelope, so the server can
-// checkpoint across restarts or ship its aggregate to a federation peer.
-// Every protocol supports it.
+// Snapshot serializes the aggregation state (one count table, never an
+// individual report) into a versioned, fingerprinted state envelope, so the
+// server can checkpoint across restarts or ship its aggregate to a
+// federation peer. Every protocol supports it.
 func (s *Server) Snapshot() ([]byte, error) {
 	if s.freq == nil {
 		return nil, errNoFrequencyTier()

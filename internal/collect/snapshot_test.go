@@ -10,7 +10,8 @@ import (
 )
 
 // snapshotFrameworks is every protocol the checkpoint tests cover: all four
-// canonical frameworks plus PTS over OLH (the report-retaining aggregator).
+// canonical frameworks plus PTS over OLH, whose supports are counted by
+// rehashing.
 var snapshotFrameworks = []string{"hec", "ptj", "pts", "ptscp", "pts+olh"}
 
 // TestServerCheckpointRestart simulates a server restart mid-collection for

@@ -28,6 +28,7 @@ import (
 type aggregator[A any] interface {
 	N() int
 	Merge(other A) error
+	Clone() A
 }
 
 // codec adapts one protocol family to the engine. The first five methods
@@ -368,13 +369,12 @@ func (t *tier[A, W]) applyBinary(f core.CheckedFrame) time.Duration {
 // ---------------------------------------------------------------------------
 
 // clone returns a point-in-time copy of the aggregate. The lock is held
-// only for the copy of its count table — every aggregator of both tiers is a
-// core.Cloner or mean.Cloner — so calibrating and rendering an estimate
-// never holds up ingestion.
+// only for the copy of its count table, so calibrating and rendering an
+// estimate never holds up ingestion.
 func (t *tier[A, W]) clone() A {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return any(t.acc).(interface{ Clone() A }).Clone()
+	return t.acc.Clone()
 }
 
 // snapshot serializes the aggregate into a fingerprinted state envelope.

@@ -308,50 +308,33 @@ func (p *Protocol) ValidateBinaryBatch(data []byte) (CheckedFrame, error) {
 	return CheckedFrame{owner: p, records: rec, count: count}, nil
 }
 
-// rowsAdder is implemented by this package's aggregators: addRows folds the
-// bit-vector reports of one checked frame without materializing any of
-// them. rows[label] lists the offsets in rec of the packed vectors reported
-// under that label (it is scratch: an aggregator may reorder it).
-type rowsAdder interface {
-	addRows(rec []byte, rows [][]int)
-}
-
 // ApplyCheckedBatch folds every record of a frame ValidateBinaryBatch
-// accepted into agg. Bit-vector reports take two passes over the frame: a
-// label walk that files each report's offset under its label, then — per
-// label, inside the protocol's own aggregators — the counters, the VP drop
-// rule and one column sum (bitvec.AddRows) over the label's rows. Nothing
-// is allocated per report or, after warm-up, per frame.
+// accepted into agg's table. Value reports are folded one per record.
+// Bit-vector reports take two passes over the frame: a label walk that files
+// each report's offset under its label, then the protocol's addRows — per
+// label, the counters, PTS-CP's VP drop rule and one column sum
+// (bitvec.AddRows) over the label's rows. Nothing is allocated per report
+// or, after warm-up, per frame.
 func (p *Protocol) ApplyCheckedBatch(agg Aggregator, f CheckedFrame) {
 	if f.owner != p {
 		panic("core: frame was checked by another protocol")
 	}
-	s := p.shape
-	if ra, ok := agg.(rowsAdder); ok && s.bitsLen > 0 {
-		sets := bitvec.GetRowSets(s.classes)
-		rowBytes := (s.bitsLen + 63) / 64 * 8
-		for pos, i := 0, 0; i < f.count; i++ {
-			label, n := binary.Uvarint(f.records[pos:])
-			sets.Add(int(label), pos+n)
-			pos += n + rowBytes
-		}
-		ra.addRows(f.records, sets.Rows())
-		sets.Put()
+	_, t := agg.counts()
+	if p.addRows == nil {
+		p.walkBinaryRecords(f.records, f.count, func(r binaryRecord) { //nolint:errcheck — checked frame
+			p.add(t, Report{Class: r.Label, Item: fo.Report{Value: r.Value, Seed: r.Seed}})
+		})
 		return
 	}
-	// Value reports, and aggregators from outside this package: one Add per
-	// record. A reused scratch vector would be unsafe — the Add contract
-	// allows retaining the report.
-	p.walkBinaryRecords(f.records, f.count, func(r binaryRecord) { //nolint:errcheck — checked frame
-		item := fo.Report{Value: r.Value, Seed: r.Seed}
-		if s.bitsLen > 0 {
-			item = fo.Report{Bits: bitvec.New(s.bitsLen)}
-			for _, b := range bitvec.AppendSetBits(nil, f.records[r.Bits:], (s.bitsLen+63)/64) {
-				item.Bits.Set(b)
-			}
-		}
-		agg.Add(Report{Class: r.Label, Item: item})
-	})
+	sets := bitvec.GetRowSets(p.shape.classes)
+	rowBytes := (p.shape.bitsLen + 63) / 64 * 8
+	for pos, i := 0, 0; i < f.count; i++ {
+		label, n := binary.Uvarint(f.records[pos:])
+		sets.Add(int(label), pos+n)
+		pos += n + rowBytes
+	}
+	p.addRows(t, f.records, sets.Rows())
+	sets.Put()
 }
 
 // ApplyBinaryBatch validates a frequency frame and folds every record into

@@ -25,6 +25,9 @@ type CP struct {
 	eps2  float64
 	label *fo.GRR
 	item  *VP
+	// id fingerprints the four probabilities, computed once: the
+	// calibration identity accumulators must share to merge.
+	id string
 }
 
 // CPReport is one perturbed label-item report.
@@ -53,7 +56,10 @@ func NewCP(c, d int, eps, split float64) (*CP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: CP item mechanism: %w", err)
 	}
-	return &CP{c: c, d: d, eps: eps, eps1: eps1, eps2: eps2, label: label, item: item}, nil
+	cp := &CP{c: c, d: d, eps: eps, eps1: eps1, eps2: eps2, label: label, item: item}
+	p1, q1, p2, q2 := cp.Probabilities()
+	cp.id = fmt.Sprintf("CP[p1=%v,q1=%v,p2=%v,q2=%v]", p1, q1, p2, q2)
+	return cp, nil
 }
 
 // Classes returns c.
@@ -94,7 +100,9 @@ func (cp *CP) Perturb(pair Pair, r *xrand.Rand) CPReport {
 // CPAccumulator aggregates correlated-perturbation reports in one count
 // table (state.Table): per class, ñ(C), the reports whose perturbed label is
 // C, and the row of 1-bit item counts of those whose perturbed flag bit is
-// 0 (the VP drop rule) — no cell exceeds its class's ñ(C).
+// 0 (the VP drop rule) — no cell exceeds its class's ñ(C). The ptscp
+// protocol's aggregator keeps the same table and shares its fold and
+// calibration.
 type CPAccumulator struct {
 	cp *CP
 	t  state.Table
@@ -102,47 +110,59 @@ type CPAccumulator struct {
 
 // NewAccumulator returns an empty aggregator for cp's reports.
 func (cp *CP) NewAccumulator() *CPAccumulator {
-	return &CPAccumulator{cp: cp, t: state.NewTable(state.Shape{Routes: cp.c, Rows: cp.c, Cols: cp.d})}
+	return &CPAccumulator{cp: cp, t: state.NewTable(cp.shape())}
 }
 
+// shape is the shape of cp's count table.
+func (cp *CP) shape() state.Shape { return state.Shape{Routes: cp.c, Rows: cp.c, Cols: cp.d} }
+
 // Add folds one report into the aggregate.
-func (a *CPAccumulator) Add(rep CPReport) {
-	if rep.Label < 0 || rep.Label >= a.cp.c {
-		panic(fmt.Sprintf("core: CP report label %d outside [0,%d)", rep.Label, a.cp.c))
+func (a *CPAccumulator) Add(rep CPReport) { a.cp.add(&a.t, rep) }
+
+// add folds one report into t, a table of cp's shape.
+func (cp *CP) add(t *state.Table, rep CPReport) {
+	if rep.Label < 0 || rep.Label >= cp.c {
+		panic(fmt.Sprintf("core: CP report label %d outside [0,%d)", rep.Label, cp.c))
 	}
-	if rep.Bits.Len() != a.cp.d+1 {
-		panic(fmt.Sprintf("core: CP report bits %d != %d", rep.Bits.Len(), a.cp.d+1))
+	if rep.Bits.Len() != cp.d+1 {
+		panic(fmt.Sprintf("core: CP report bits %d != %d", rep.Bits.Len(), cp.d+1))
 	}
-	a.t.N++
-	a.t.Cells[rep.Label]++
-	if rep.Bits.Get(a.cp.d) {
+	t.N++
+	t.Cells[rep.Label]++
+	if rep.Bits.Get(cp.d) {
 		return // flag set: dropped by the VP rule
 	}
-	counts := a.t.Row(rep.Label)
+	counts := t.Row(rep.Label)
 	rep.Bits.ForEachSet(func(i int) {
-		if i < a.cp.d {
+		if i < cp.d {
 			counts[i]++
 		}
 	})
 }
 
-// addRows folds the reports of one binary frame that carry perturbed label
-// label — Add for each, without materializing a Vector: report r is the
-// d+1-bit vector packed little-endian at rec[offs[r]:]. Flagged reports are
-// counted and then dropped from offs (it is reordered in place); the rest
-// are summed by column. Malformed input panics, like Add.
-func (a *CPAccumulator) addRows(label int, rec []byte, offs []int) {
-	d := a.cp.d
-	a.t.N += int64(len(offs))
-	a.t.Cells[label] += int64(len(offs))
-	// The flag bit at index d is the only legal bit ≥ d, and it is 0 in every
-	// kept row, so every remaining set bit is a valid item index.
-	kept := bitvec.RowsWithBitClear(rec, offs, d)
-	bitvec.AddRows(a.t.Row(label), rec, kept, (d+1+63)/64)
+// addRows folds the reports of one checked binary frame into t — add for
+// each, without materializing a Vector: rows[label] lists the offsets in rec
+// of the d+1-bit vectors packed little-endian under that perturbed label.
+// Flagged reports are counted and then dropped from the offsets (which are
+// reordered in place); the rest are summed by column.
+func (cp *CP) addRows(t *state.Table, rec []byte, rows [][]int) {
+	for label, offs := range rows {
+		count(t, label, len(offs))
+		// The flag bit at index d is the only legal bit ≥ d, and it is 0 in
+		// every kept row, so every remaining set bit is a valid item index.
+		kept := bitvec.RowsWithBitClear(rec, offs, cp.d)
+		bitvec.AddRows(t.Row(label), rec, kept, (cp.d+1+63)/64)
+	}
 }
 
-// Merge folds another accumulator of the same mechanism into this one.
-func (a *CPAccumulator) Merge(o *CPAccumulator) error { return a.t.Merge(&o.t) }
+// Merge folds another accumulator of the same mechanism into this one; an
+// accumulator of a mechanism with other probabilities is refused.
+func (a *CPAccumulator) Merge(o *CPAccumulator) error {
+	if o.cp != a.cp && o.cp.id != a.cp.id {
+		return fmt.Errorf("core: cannot merge a %s accumulator into a %s one", o.cp.id, a.cp.id)
+	}
+	return a.t.Merge(&o.t)
+}
 
 // Total returns N, the number of reports received.
 func (a *CPAccumulator) Total() int { return int(a.t.N) }
@@ -167,10 +187,7 @@ func (a *CPAccumulator) RawLabelCount(c int) int64 { return a.t.Cells[c] }
 
 // EstimateClassSize returns n̂ = (ñ − N·q₁)/(p₁−q₁), the unbiased estimate
 // of the number of users with label C.
-func (a *CPAccumulator) EstimateClassSize(c int) float64 {
-	p1, q1 := a.cp.label.P(), a.cp.label.Q()
-	return (float64(a.t.Cells[c]) - float64(a.t.N)*q1) / (p1 - q1)
-}
+func (a *CPAccumulator) EstimateClassSize(c int) float64 { return labelSize(a.cp.label, &a.t, c) }
 
 // Estimate returns the calibrated frequency f̂(C, I) of Eq. (4):
 //
@@ -187,20 +204,23 @@ func (a *CPAccumulator) Estimate(c, i int) float64 {
 		nHat*q2*(p1*(1-q2)-q1*(1-p2))/den
 }
 
-// EstimateAll returns the full calibrated c×d frequency matrix. The bias
-// term N·q₁·q₂·(1−p₂) is hoisted out of the cell loop with its original
-// association preserved, so the matrix is bit-identical to calling Estimate
-// per cell; the loop itself runs over the flat int64 count rows.
-func (a *CPAccumulator) EstimateAll() [][]float64 {
-	out := NewMatrix(a.cp.c, a.cp.d)
-	p1, q1, p2, q2 := a.cp.Probabilities()
+// EstimateAll returns the full calibrated c×d frequency matrix.
+func (a *CPAccumulator) EstimateAll() [][]float64 { return a.cp.estimateAll(&a.t) }
+
+// estimateAll is EstimateAll over t. The bias term N·q₁·q₂·(1−p₂) is
+// hoisted out of the cell loop with its original association preserved, so
+// the matrix is bit-identical to calling Estimate per cell; the loop itself
+// runs over the flat int64 count rows.
+func (cp *CP) estimateAll(t *state.Table) [][]float64 {
+	out := NewMatrix(cp.c, cp.d)
+	p1, q1, p2, q2 := cp.Probabilities()
 	den := p1 * (1 - q2) * (p2 - q2)
-	bias := float64(a.t.N) * q1 * q2 * (1 - p2)
-	for c := 0; c < a.cp.c; c++ {
-		nHat := a.EstimateClassSize(c)
+	bias := float64(t.N) * q1 * q2 * (1 - p2)
+	for c := 0; c < cp.c; c++ {
+		nHat := labelSize(cp.label, t, c)
 		corr := nHat * q2 * (p1*(1-q2) - q1*(1-p2)) / den
-		cnts, row := a.t.Row(c), out[c]
-		for i := 0; i < a.cp.d; i++ {
+		cnts, row := t.Row(c), out[c]
+		for i := 0; i < cp.d; i++ {
 			row[i] = (float64(cnts[i])-bias)/den - corr
 		}
 	}

@@ -28,8 +28,12 @@ var ErrIncompatibleState = errors.New("core: aggregator state belongs to an inco
 // when WireCompatible accepts them (the wire-shape comparison is implied by
 // the mechanism fingerprints, which include each mechanism's name, domain
 // and probabilities).
-func (p *Protocol) Fingerprint() string {
-	return fmt.Sprintf("%s|c=%d|d=%d|eps=%v|split=%v|%s", p.name, p.c, p.d, p.eps, p.split, p.mechID)
+func (p *Protocol) Fingerprint() string { return p.fp }
+
+// seal computes the fingerprint of a fully built protocol, once.
+func (p *Protocol) seal() *Protocol {
+	p.fp = fmt.Sprintf("%s|c=%d|d=%d|eps=%v|split=%v|%s", p.name, p.c, p.d, p.eps, p.split, p.mechID)
+	return p
 }
 
 // MarshalAggregator serializes a's state into a versioned envelope
@@ -41,7 +45,7 @@ func (p *Protocol) MarshalAggregator(a Aggregator) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return state.Encode(p.Fingerprint(), payload), nil
+	return state.Encode(p.fp, payload), nil
 }
 
 // UnmarshalAggregator decodes an envelope produced by MarshalAggregator and
@@ -57,11 +61,11 @@ func (p *Protocol) UnmarshalAggregator(data []byte) (Aggregator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if want := p.Fingerprint(); fp != want {
-		return nil, fmt.Errorf("%w: envelope %q, protocol %q", ErrIncompatibleState, fp, want)
+	if fp != p.fp {
+		return nil, fmt.Errorf("%w: envelope %q, protocol %q", ErrIncompatibleState, fp, p.fp)
 	}
 	agg := p.NewAggregator()
-	if payload, err = upgradeFrequencyState(agg, payload); err != nil {
+	if payload, err = upgradeFrequencyState(p, payload); err != nil {
 		return nil, err
 	}
 	if err := agg.UnmarshalBinary(payload); err != nil {

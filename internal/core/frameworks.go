@@ -50,14 +50,7 @@ func (h *HEC) Protocol(c, d int) (*Protocol, error) {
 // Estimate implements FrequencyEstimator as a thin loop over the
 // framework's Encoder/Aggregator halves.
 func (h *HEC) Estimate(data *Dataset, r *xrand.Rand) ([][]float64, error) {
-	if err := data.Validate(); err != nil {
-		return nil, err
-	}
-	p, err := h.Protocol(data.Classes, data.Items)
-	if err != nil {
-		return nil, err
-	}
-	return estimateViaProtocol(p, data, r)
+	return estimateViaProtocol(h.Protocol, data, r)
 }
 
 // ---------------------------------------------------------------------------
@@ -92,14 +85,7 @@ func (f *PTJ) Protocol(c, d int) (*Protocol, error) {
 // Estimate implements FrequencyEstimator as a thin loop over the
 // framework's Encoder/Aggregator halves.
 func (f *PTJ) Estimate(data *Dataset, r *xrand.Rand) ([][]float64, error) {
-	if err := data.Validate(); err != nil {
-		return nil, err
-	}
-	p, err := f.Protocol(data.Classes, data.Items)
-	if err != nil {
-		return nil, err
-	}
-	return estimateViaProtocol(p, data, r)
+	return estimateViaProtocol(f.Protocol, data, r)
 }
 
 // ---------------------------------------------------------------------------
@@ -139,14 +125,7 @@ func (f *PTS) Protocol(c, d int) (*Protocol, error) {
 // framework's Encoder/Aggregator halves (label GRR(ε₁), item OUE(ε₂),
 // Eq. 6 calibration in the aggregator).
 func (f *PTS) Estimate(data *Dataset, r *xrand.Rand) ([][]float64, error) {
-	if err := data.Validate(); err != nil {
-		return nil, err
-	}
-	p, err := f.Protocol(data.Classes, data.Items)
-	if err != nil {
-		return nil, err
-	}
-	return estimateViaProtocol(p, data, r)
+	return estimateViaProtocol(f.Protocol, data, r)
 }
 
 // ---------------------------------------------------------------------------
@@ -186,12 +165,5 @@ func (f *PTSCP) Protocol(c, d int) (*Protocol, error) {
 // framework's Encoder/Aggregator halves (correlated perturbation, Eq. 4
 // calibration in the aggregator).
 func (f *PTSCP) Estimate(data *Dataset, r *xrand.Rand) ([][]float64, error) {
-	if err := data.Validate(); err != nil {
-		return nil, err
-	}
-	p, err := f.Protocol(data.Classes, data.Items)
-	if err != nil {
-		return nil, err
-	}
-	return estimateViaProtocol(p, data, r)
+	return estimateViaProtocol(f.Protocol, data, r)
 }

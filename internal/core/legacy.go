@@ -66,43 +66,41 @@ func gobDecode(data []byte, v any) error {
 	return nil
 }
 
-// upgradeFrequencyState returns a payload agg can restore: payload itself
-// when it is a table, else the table rebuilt from the gob state agg's
-// framework wrote before tables.
-func upgradeFrequencyState(agg Aggregator, payload []byte) ([]byte, error) {
+// upgradeFrequencyState returns a payload p's aggregator can restore:
+// payload itself when it is a table, else the table rebuilt from the gob
+// state p's framework wrote before tables.
+func upgradeFrequencyState(p *Protocol, payload []byte) ([]byte, error) {
 	if !isGob(payload) {
 		return payload, nil
 	}
 	var t state.Table
 	var err error
-	switch a := agg.(type) {
-	case *hecAggregator:
+	switch p.framework {
+	case "hec":
 		var st gobHEC
 		if err = gobDecode(payload, &st); err == nil {
-			t, err = legacyRoutes(a.t.Shape, a.mech, st.Groups, st.Total)
+			t, err = legacyRoutes(p.table, p.item, st.Groups, st.Total)
 		}
-	case *ptjAggregator:
+	case "ptj":
 		var st gobPTJ
 		if err = gobDecode(payload, &st); err == nil {
-			t = state.NewTable(a.t.Shape)
-			t.N, err = legacyRow(t.Row(0), a.mech, st.Joint)
+			t = state.NewTable(p.table)
+			t.N, err = legacyRow(t.Row(0), p.item, st.Joint)
 		}
-	case *ptsAggregator:
+	case "pts":
 		var st gobPTS
 		if err = gobDecode(payload, &st); err == nil {
-			t, err = legacyRoutes(a.t.Shape, a.item, st.Routes, st.Total)
+			t, err = legacyRoutes(p.table, p.item, st.Routes, st.Total)
 		}
 		// Every report bumped its label's count and its route in lockstep.
 		if err == nil && !slices.Equal(st.LabelCounts, t.Cells[:t.Routes]) {
 			err = fmt.Errorf("core: pts state's label counts %v disagree with its routes %v", st.LabelCounts, t.Cells[:t.Routes])
 		}
-	case *cpAggregator:
+	default: // ptscp
 		var st gobCP
 		if err = gobDecode(payload, &st); err == nil {
-			t, err = legacyCP(a.acc.t.Shape, st)
+			t, err = legacyCP(p.table, st)
 		}
-	default:
-		err = fmt.Errorf("core: no state from before count tables for %T", agg)
 	}
 	if err != nil {
 		return nil, err

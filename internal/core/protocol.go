@@ -43,19 +43,26 @@ type Encoder interface {
 
 // Aggregator is the server half of a framework: it folds reports into one
 // count table (state.Table) and produces the framework's calibrated
-// estimates from it. Implementations are not safe for concurrent use; shard
-// and Merge instead. Merging is exact — aggregates hold integer counts, so
-// any partition of a report stream over aggregators merges to bit-identical
-// estimates.
+// estimates from it. Every protocol vends the same aggregator type, its
+// protocol plus one table; the framework is the protocol's. Implementations
+// are not safe for concurrent use; shard and Merge instead. Merging is
+// exact — aggregates hold integer counts, so any partition of a report
+// stream over aggregators merges to bit-identical estimates.
 type Aggregator interface {
 	// Add folds one report into the aggregate. Reports decoded from the
 	// wire by the protocol's codec are always safe to Add; hand-built
 	// out-of-domain reports panic.
 	Add(Report)
 	// Merge folds another aggregator of the same protocol into this one.
+	// An aggregator of another protocol is refused even when the tables'
+	// shapes coincide, since its counts calibrate differently.
 	Merge(other Aggregator) error
 	// N returns the number of reports added so far.
 	N() int
+	// Clone copies the count table (one slice copy), sharing nothing
+	// mutable with the original. Collection servers clone under their
+	// aggregate's lock and calibrate the copy outside it.
+	Clone() Aggregator
 	// Estimates returns the framework's calibrated c×d frequency matrix.
 	Estimates() [][]float64
 	// ClassSizes returns per-class population estimates: the label-count
@@ -74,12 +81,13 @@ type Aggregator interface {
 	// aggregator unchanged. Prefer Protocol.UnmarshalAggregator, which
 	// verifies the envelope fingerprint before trusting the payload.
 	UnmarshalBinary([]byte) error
+	// counts returns the protocol that vended the aggregator and its table.
+	// Being unexported, it also keeps every Aggregator this package's.
+	counts() (*Protocol, *state.Table)
 }
 
-// Cloner is implemented by every aggregator in this package: Clone copies
-// the count table (one slice copy), sharing nothing mutable with the
-// original. Collection servers clone under their aggregate's lock and
-// calibrate the copy outside it.
+// Cloner is Aggregator's Clone on its own. Every Aggregator implements it;
+// it is kept only because the benchmark harness (benchmark/) asserts it.
 type Cloner interface {
 	Clone() Aggregator
 }
@@ -104,26 +112,6 @@ type wireShape struct {
 	seed       bool // value report carries a public hash seed (OLH)
 }
 
-// shapeOf derives the wire shape of an item mechanism's reports: a bit
-// vector (UE), a hashed bucket with its seed (OLH), or a value (GRR, the
-// rest of fo's closed set).
-func shapeOf(m fo.Mechanism, classes int) wireShape {
-	switch mm := m.(type) {
-	case *fo.UE:
-		return wireShape{classes: classes, bitsLen: mm.DomainSize()}
-	case *fo.OLH:
-		return wireShape{classes: classes, valueRange: mm.G(), seed: true}
-	}
-	return wireShape{classes: classes, valueRange: m.DomainSize()}
-}
-
-// oneHot reports whether every report of m supports exactly one value
-// (GRR), which is the invariant its table rows keep (state.Shape).
-func oneHot(m fo.Mechanism) bool {
-	_, ok := m.(*fo.GRR)
-	return ok
-}
-
 // Protocol is a matched Encoder/Aggregator pair for one framework plus the
 // wire codec between them. Build one with NewProtocol (canonical frameworks
 // by name) or NewPTSProtocolWithItem (PTS over any internal/fo mechanism).
@@ -132,12 +120,32 @@ type Protocol struct {
 	c, d       int
 	eps, split float64
 	enc        Encoder
-	newAgg     func() Aggregator
 	shape      wireShape
 	// mechID fingerprints the perturbation mechanisms behind the halves
 	// (names and support probabilities), so two protocols can be checked
-	// for wire compatibility beyond their advertised name and parameters.
-	mechID string
+	// for wire compatibility beyond their advertised name and parameters;
+	// fp is the whole Fingerprint, computed once.
+	mechID, fp string
+
+	// The server half: what the one aggregator type needs of a framework.
+	// framework is the canonical framework (hec, ptj, pts or ptscp), and
+	// item the mechanism whose supports the rows count (nil for ptscp).
+	framework string
+	item      fo.Mechanism
+	// table is the shape of the aggregate's count table.
+	table state.Shape
+	// add routes and folds one report into the table.
+	add func(t *state.Table, rep Report)
+	// addRows folds the bit-vector reports of one checked frame: rows[label]
+	// lists the offsets in rec of the packed vectors reported under that
+	// label (scratch, which it may reorder). Nil for value reports.
+	addRows func(t *state.Table, rec []byte, rows [][]int)
+	// estimates is the framework's calibration.
+	estimates func(t *state.Table) [][]float64
+	// label is the label mechanism whose route counts calibrate into class
+	// sizes (PTS, PTS-CP); nil where class sizes are the row sums of the
+	// estimates (HEC, PTJ).
+	label *fo.GRR
 }
 
 // mechFingerprint summarizes a mechanism's calibration-relevant identity.
@@ -238,7 +246,7 @@ func (p *Protocol) Split() float64 { return p.split }
 func (p *Protocol) Encoder() Encoder { return p.enc }
 
 // NewAggregator returns an empty server half.
-func (p *Protocol) NewAggregator() Aggregator { return p.newAgg() }
+func (p *Protocol) NewAggregator() Aggregator { return &aggregator{p, state.NewTable(p.table)} }
 
 // WireCompatible reports whether o's reports are interchangeable with p's:
 // same name, domain, budget, wire shape AND underlying mechanisms. It is
@@ -320,11 +328,19 @@ func (p *Protocol) DecodeReport(w WirePayload) (Report, error) {
 	return rep, nil
 }
 
-// estimateViaProtocol is the batch path every framework's Estimate now runs
-// through: encode each pair in dataset order, fold into one aggregator,
+// estimateViaProtocol is the batch path every framework's Estimate runs
+// through: validate the dataset, build the framework's protocol for its
+// domain, encode each pair in dataset order, fold into one aggregator,
 // estimate. Feeding the same reports through any sharded-then-merged set of
 // aggregators reproduces this output bit-identically.
-func estimateViaProtocol(p *Protocol, data *Dataset, r *xrand.Rand) ([][]float64, error) {
+func estimateViaProtocol(protocol func(c, d int) (*Protocol, error), data *Dataset, r *xrand.Rand) ([][]float64, error) {
+	if err := data.Validate(); err != nil {
+		return nil, err
+	}
+	p, err := protocol(data.Classes, data.Items)
+	if err != nil {
+		return nil, err
+	}
 	enc, agg := p.Encoder(), p.NewAggregator()
 	for _, pair := range data.Pairs {
 		agg.Add(enc.Encode(pair, r))
@@ -333,63 +349,137 @@ func estimateViaProtocol(p *Protocol, data *Dataset, r *xrand.Rand) ([][]float64
 }
 
 // ---------------------------------------------------------------------------
-// The count table every frequency aggregator keeps.
+// The one aggregator.
 // ---------------------------------------------------------------------------
 
-// counts is the one count table (state.Table) every frequency aggregator
-// embeds: N, one count per route where the framework routes reports (HEC's
-// groups, PTS's perturbed labels), then one row of item supports per route.
-// N is a field, Clone one copy, Merge one vector add and the snapshot the
-// table's own codec; a framework adds only its encoder and calibration.
-type counts struct{ t state.Table }
+// aggregator is every protocol's Aggregator: the protocol that vended it and
+// one count table — N, one count per route where the framework routes
+// reports (HEC's groups, PTS's perturbed labels), then one row of item
+// supports per route. N is a field, Clone one copy, Merge one vector add and
+// the snapshot the table's own codec; the protocol folds reports in and
+// calibrates.
+type aggregator struct {
+	p *Protocol
+	t state.Table
+}
 
-func newCounts(s state.Shape) counts { return counts{state.NewTable(s)} }
+func (a *aggregator) Add(rep Report) { a.p.add(&a.t, rep) }
 
-func (a *counts) N() int { return int(a.t.N) }
-
-func (a *counts) table() *state.Table { return &a.t }
-
-// MarshalBinary implements the Aggregator snapshot contract.
-func (a *counts) MarshalBinary() ([]byte, error) { return a.t.MarshalBinary() }
-
-// UnmarshalBinary implements the Aggregator snapshot contract.
-func (a *counts) UnmarshalBinary(data []byte) error { return a.t.UnmarshalBinary(data) }
-
-// add folds item into route's row and counts the report.
-func (a *counts) add(route int, mech fo.Mechanism, item fo.Report) {
-	if route < 0 || route >= a.t.Rows {
-		panic(fmt.Sprintf("core: report route %d outside [0,%d)", route, a.t.Rows))
+// Merge adds other's table in when other belongs to the same protocol: the
+// same one, or one with the same fingerprint.
+func (a *aggregator) Merge(other Aggregator) error {
+	op, ot := other.counts()
+	if op != a.p && op.fp != a.p.fp {
+		return fmt.Errorf("core: cannot merge a %s aggregate into a %s one", op.fp, a.p.fp)
 	}
-	fo.Fold(mech, a.t.Row(route), item)
-	a.count(route, 1)
+	return a.t.Merge(ot)
+}
+
+func (a *aggregator) N() int { return int(a.t.N) }
+
+func (a *aggregator) Clone() Aggregator { return &aggregator{a.p, a.t.Clone()} }
+
+func (a *aggregator) Estimates() [][]float64 { return a.p.estimates(&a.t) }
+
+func (a *aggregator) ClassSizes() []float64 {
+	if a.p.label == nil {
+		return rowSums(a.Estimates())
+	}
+	out := make([]float64, a.t.Rows)
+	for c := range out {
+		out[c] = labelSize(a.p.label, &a.t, c)
+	}
+	return out
+}
+
+func (a *aggregator) MarshalBinary() ([]byte, error) { return a.t.MarshalBinary() }
+
+func (a *aggregator) UnmarshalBinary(data []byte) error { return a.t.UnmarshalBinary(data) }
+
+func (a *aggregator) counts() (*Protocol, *state.Table) { return a.p, &a.t }
+
+// rowSums is the class-size fallback for frameworks without a direct label
+// estimator: the row sum of an unbiased frequency matrix is an unbiased
+// population estimate (for HEC it additionally carries the strawman's bias).
+func rowSums(m [][]float64) []float64 {
+	out := make([]float64, len(m))
+	for c, row := range m {
+		for _, v := range row {
+			out[c] += v
+		}
+	}
+	return out
+}
+
+// ClassSizesFromEstimates returns a's class sizes, reusing an
+// already-computed Estimates() matrix when a derives sizes from it (hec,
+// ptj) instead of recomputing the full calibration.
+func ClassSizesFromEstimates(a Aggregator, est [][]float64) []float64 {
+	if p, _ := a.counts(); p.label == nil {
+		return rowSums(est)
+	}
+	return a.ClassSizes()
+}
+
+// labelSize returns n̂ = (ñ − N·q₁)/(p₁−q₁), the unbiased estimate of the
+// users with label c, from the ñ reports the label mechanism routed to c.
+func labelSize(label *fo.GRR, t *state.Table, c int) float64 {
+	p1, q1 := label.P(), label.Q()
+	return (float64(t.Cells[c]) - float64(t.N)*q1) / (p1 - q1)
 }
 
 // count records n reports routed to route.
-func (a *counts) count(route, n int) {
-	if a.t.Routes > 0 {
-		a.t.Cells[route] += int64(n)
+func count(t *state.Table, route, n int) {
+	if t.Routes > 0 {
+		t.Cells[route] += int64(n)
 	}
-	a.t.N += int64(n)
+	t.N += int64(n)
 }
 
-// addRows implements rowsAdder for routes over a unary encoding: each
-// route's packed rows are summed by column into its row.
-func (a *counts) addRows(rec []byte, rows [][]int) {
-	nw := (a.t.Cols + 63) / 64
+// ---------------------------------------------------------------------------
+// Frameworks whose rows count an item mechanism's supports: HEC, PTJ, PTS.
+// ---------------------------------------------------------------------------
+
+// countItems completes p as a protocol whose rows count item's supports:
+// one row per route (HEC's groups, PTS's perturbed labels), or one unrouted
+// row when routes is 0 (PTJ's joint domain). A report's label picks its row.
+// The mechanism decides the wire shape: a bit vector (UE), which a frame
+// folds by column sums, a hashed bucket with its seed (OLH), or a value
+// (GRR, the rest of fo's closed set), whose rows are one-hot.
+func (p *Protocol) countItems(item fo.Mechanism, routes int) *Protocol {
+	rows := max(routes, 1)
+	p.item, p.add = item, p.addItem
+	p.table = state.Shape{Routes: routes, Rows: rows, Cols: item.DomainSize()}
+	switch m := item.(type) {
+	case *fo.UE:
+		p.shape = wireShape{classes: rows, bitsLen: m.DomainSize()}
+		p.addRows = addUnaryRows
+	case *fo.OLH:
+		p.shape = wireShape{classes: rows, valueRange: m.G(), seed: true}
+	default:
+		p.shape = wireShape{classes: rows, valueRange: m.DomainSize()}
+		p.table.OneHot = true
+	}
+	return p.seal()
+}
+
+// addItem is add for a protocol whose rows count p.item's supports.
+func (p *Protocol) addItem(t *state.Table, rep Report) {
+	if rep.Class < 0 || rep.Class >= t.Rows {
+		panic(fmt.Sprintf("core: %s report label %d outside [0,%d)", p.name, rep.Class, t.Rows))
+	}
+	fo.Fold(p.item, t.Row(rep.Class), rep.Item)
+	count(t, rep.Class, 1)
+}
+
+// addUnaryRows is addRows for rows over a unary encoding: each label's
+// packed vectors are summed by column into its row.
+func addUnaryRows(t *state.Table, rec []byte, rows [][]int) {
+	nw := (t.Cols + 63) / 64
 	for route, offs := range rows {
-		bitvec.AddRows(a.t.Row(route), rec, offs, nw)
-		a.count(route, len(offs))
+		bitvec.AddRows(t.Row(route), rec, offs, nw)
+		count(t, route, len(offs))
 	}
-}
-
-// mergeCounts is every frequency aggregator's Merge: other must be the same
-// framework, whose table it adds in.
-func mergeCounts[T interface{ table() *state.Table }](a T, other Aggregator) error {
-	o, ok := other.(T)
-	if !ok {
-		return fmt.Errorf("core: cannot merge %T into %T", other, a)
-	}
-	return a.table().Merge(o.table())
 }
 
 // ---------------------------------------------------------------------------
@@ -404,13 +494,37 @@ func newHECProtocol(c, d int, eps, split float64) (*Protocol, error) {
 	if err != nil {
 		return nil, err
 	}
-	shape := state.Shape{Routes: c, Rows: c, Cols: d, OneHot: oneHot(mech)}
-	return &Protocol{
-		name: "hec", c: c, d: d, eps: eps, split: split,
-		enc:    &hecEncoder{c: c, d: d, mech: mech},
-		newAgg: func() Aggregator { return &hecAggregator{counts: newCounts(shape), mech: mech} },
-		shape:  shapeOf(mech, c), mechID: mechFingerprint(mech),
-	}, nil
+	proto := &Protocol{
+		name: "hec", framework: "hec", c: c, d: d, eps: eps, split: split,
+		enc: &hecEncoder{c: c, d: d, mech: mech}, mechID: mechFingerprint(mech),
+	}
+	// Each report is routed to its group — one route count and one row of
+	// supports per group — and calibrated with
+	// f̂(C,I) = (c·f̃(C,I) − N·q)/(p−q), which carries the Section V
+	// invalid-data bias — HEC is the baseline.
+	proto.estimates = func(t *state.Table) [][]float64 {
+		n := float64(t.N)
+		p, q := mech.P(), mech.Q()
+		pq := p - q
+		nq := n * q
+		cf := float64(t.Rows)
+		out := NewMatrix(t.Rows, t.Cols)
+		for g, row := range out {
+			// A group's oracle estimate is (f̃ − N_g·q)/(p−q) over its own N_g;
+			// recovering the raw support from it follows the paper's
+			// calibration exactly. Every hoisted product repeats the per-cell
+			// expression on identical operands, so the matrix is bit-identical
+			// to the per-cell form.
+			ngq := float64(t.Cells[g]) * q
+			for i, c := range t.Row(g) {
+				est := (float64(c) - ngq) / pq
+				raw := est*pq + ngq
+				row[i] = (cf*raw - nq) / pq
+			}
+		}
+		return out
+	}
+	return proto.countItems(mech, c), nil
 }
 
 // hecEncoder assigns the user to a uniform random group; a user whose label
@@ -430,77 +544,6 @@ func (e *hecEncoder) Encode(pair Pair, r *xrand.Rand) Report {
 	return Report{Class: g, Item: e.mech.Perturb(item, r)}
 }
 
-// hecAggregator routes each report to its group — one route count and one
-// row of supports per group — and calibrates with
-// f̂(C,I) = (c·f̃(C,I) − N·q)/(p−q), which carries the Section V
-// invalid-data bias — HEC is the baseline.
-type hecAggregator struct {
-	counts
-	mech fo.Mechanism
-}
-
-func (a *hecAggregator) Add(rep Report) { a.add(rep.Class, a.mech, rep.Item) }
-
-func (a *hecAggregator) Merge(other Aggregator) error { return mergeCounts(a, other) }
-
-// Clone implements Cloner.
-func (a *hecAggregator) Clone() Aggregator { return &hecAggregator{counts{a.t.Clone()}, a.mech} }
-
-func (a *hecAggregator) Estimates() [][]float64 {
-	n := float64(a.t.N)
-	p, q := a.mech.P(), a.mech.Q()
-	pq := p - q
-	nq := n * q
-	cf := float64(a.t.Rows)
-	out := NewMatrix(a.t.Rows, a.t.Cols)
-	for g, row := range out {
-		// A group's oracle estimate is (f̃ − N_g·q)/(p−q) over its own N_g;
-		// recovering the raw support from it follows the paper's
-		// calibration exactly. Every hoisted product repeats the per-cell
-		// expression on identical operands, so the matrix is bit-identical
-		// to the per-cell form.
-		ngq := float64(a.t.Cells[g]) * q
-		for i, c := range a.t.Row(g) {
-			est := (float64(c) - ngq) / pq
-			raw := est*pq + ngq
-			row[i] = (cf*raw - nq) / pq
-		}
-	}
-	return out
-}
-
-func (a *hecAggregator) ClassSizes() []float64 { return rowSums(a.Estimates()) }
-
-func (a *hecAggregator) classSizesAreRowSums() {}
-
-// rowSums is the class-size fallback for frameworks without a direct label
-// estimator: the row sum of an unbiased frequency matrix is an unbiased
-// population estimate (for HEC it additionally carries the strawman's bias).
-func rowSums(m [][]float64) []float64 {
-	out := make([]float64, len(m))
-	for c, row := range m {
-		for _, v := range row {
-			out[c] += v
-		}
-	}
-	return out
-}
-
-// rowSumSizer marks aggregators whose ClassSizes are defined as row sums of
-// Estimates, letting callers that already hold the matrix skip a second
-// full calibration pass.
-type rowSumSizer interface{ classSizesAreRowSums() }
-
-// ClassSizesFromEstimates returns a's class sizes, reusing an
-// already-computed Estimates() matrix when a derives sizes from it (hec,
-// ptj) instead of recomputing the full calibration.
-func ClassSizesFromEstimates(a Aggregator, est [][]float64) []float64 {
-	if _, ok := a.(rowSumSizer); ok {
-		return rowSums(est)
-	}
-	return a.ClassSizes()
-}
-
 // ---------------------------------------------------------------------------
 // PTJ halves.
 // ---------------------------------------------------------------------------
@@ -513,16 +556,30 @@ func newPTJProtocol(c, d int, eps, split float64) (*Protocol, error) {
 	if err != nil {
 		return nil, err
 	}
+	proto := &Protocol{
+		name: "ptj", framework: "ptj", c: c, d: d, eps: eps, split: split,
+		enc: &ptjEncoder{d: d, mech: mech}, mechID: mechFingerprint(mech),
+	}
 	// PTJ reports carry no label: the class is folded into the joint value,
 	// so the wire label domain is the single value 0, and the table is one
-	// row over the joint domain.
-	shape := state.Shape{Rows: 1, Cols: c * d, OneHot: oneHot(mech)}
-	return &Protocol{
-		name: "ptj", c: c, d: d, eps: eps, split: split,
-		enc:    &ptjEncoder{d: d, mech: mech},
-		newAgg: func() Aggregator { return &ptjAggregator{counts: newCounts(shape), c: c, d: d, mech: mech} },
-		shape:  shapeOf(mech, 1), mechID: mechFingerprint(mech),
-	}, nil
+	// row over the joint domain. It calibrates straight into the c×d matrix;
+	// the hoisted N·q and p−q repeat the oracle estimate's own operands, so
+	// the matrix is bit-identical to estimating the joint domain and
+	// reshaping.
+	proto.estimates = func(t *state.Table) [][]float64 {
+		out := NewMatrix(c, d)
+		cnts := t.Row(0)
+		q := mech.Q()
+		nq := float64(t.N) * q
+		pq := mech.P() - q
+		for ci, row := range out {
+			for i := range row {
+				row[i] = (float64(cnts[ci*d+i]) - nq) / pq
+			}
+		}
+		return out
+	}
+	return proto.countItems(mech, 0), nil
 }
 
 // ptjEncoder perturbs the pair as one value of the Cartesian domain C × I.
@@ -534,48 +591,6 @@ type ptjEncoder struct {
 func (e *ptjEncoder) Encode(pair Pair, r *xrand.Rand) Report {
 	return Report{Item: e.mech.Perturb(JointIndex(pair, e.d), r)}
 }
-
-// ptjAggregator counts the joint domain in one row, reshaped to c×d on read.
-type ptjAggregator struct {
-	counts
-	c, d int
-	mech fo.Mechanism
-}
-
-func (a *ptjAggregator) Add(rep Report) {
-	if rep.Class != 0 {
-		panic(fmt.Sprintf("core: ptj report class %d, want 0 (class is in the joint value)", rep.Class))
-	}
-	a.add(0, a.mech, rep.Item)
-}
-
-func (a *ptjAggregator) Merge(other Aggregator) error { return mergeCounts(a, other) }
-
-// Clone implements Cloner.
-func (a *ptjAggregator) Clone() Aggregator {
-	return &ptjAggregator{counts{a.t.Clone()}, a.c, a.d, a.mech}
-}
-
-// Estimates calibrates the joint counts straight into the c×d matrix; the
-// hoisted N·q and p−q repeat the oracle estimate's own operands, so the
-// matrix is bit-identical to estimating the joint domain and reshaping.
-func (a *ptjAggregator) Estimates() [][]float64 {
-	out := NewMatrix(a.c, a.d)
-	cnts := a.t.Row(0)
-	q := a.mech.Q()
-	nq := float64(a.t.N) * q
-	pq := a.mech.P() - q
-	for c, row := range out {
-		for i := range row {
-			row[i] = (float64(cnts[c*a.d+i]) - nq) / pq
-		}
-	}
-	return out
-}
-
-func (a *ptjAggregator) ClassSizes() []float64 { return rowSums(a.Estimates()) }
-
-func (a *ptjAggregator) classSizesAreRowSums() {}
 
 // ---------------------------------------------------------------------------
 // PTS halves (generic over the item mechanism).
@@ -609,16 +624,54 @@ func NewPTSProtocolWithItem(name string, c, d int, eps, split float64, item Item
 	if itemMech.DomainSize() != d {
 		return nil, fmt.Errorf("core: item mechanism domain %d != %d", itemMech.DomainSize(), d)
 	}
-	shape := state.Shape{Routes: c, Rows: c, Cols: d, OneHot: oneHot(itemMech)}
-	return &Protocol{
-		name: name, c: c, d: d, eps: eps, split: split,
-		enc: &ptsEncoder{label: label, item: itemMech},
-		newAgg: func() Aggregator {
-			return &ptsAggregator{counts: newCounts(shape), label: label, item: itemMech}
-		},
-		shape:  shapeOf(itemMech, c),
+	proto := &Protocol{
+		name: name, framework: "pts", c: c, d: d, eps: eps, split: split, label: label,
+		enc:    &ptsEncoder{label: label, item: itemMech},
 		mechID: mechFingerprint(label) + "+" + mechFingerprint(itemMech),
-	}, nil
+	}
+	// Reports are routed by perturbed label — one label count and one row of
+	// item supports per label — and calibrated with Eq. (6), which corrects
+	// for labels that migrated between classes.
+	proto.estimates = func(t *state.Table) [][]float64 {
+		c, d := t.Rows, t.Cols
+		n := float64(t.N)
+		p1, q1 := label.P(), label.Q()
+		p2, q2 := itemMech.P(), itemMech.Q()
+		den1 := p1 - q1
+		den2 := p2 - q2
+		den := den1 * den2
+		nq1 := n * q1
+		nq2 := n * q2
+		nq1q2 := n * q1 * q2
+		// Every hoisted product below repeats the original per-cell expression
+		// on identical operands with its association preserved, so the output
+		// matrix is bit-identical to the unhoisted calibration over the exact
+		// integer supports.
+		out := NewMatrix(c, d)
+		// Item marginals f̂(I) = (Σ_C f̃(C,I) − N·q₂)/(p₂−q₂), accumulated
+		// row-major (same per-item addition order as the column walk) and
+		// pre-multiplied into the per-item Eq. (6) correction term with its
+		// original association f̂(I)·q₁·(p₂−q₂).
+		itemCorr := make([]float64, d)
+		for ci := 0; ci < c; ci++ {
+			for i, v := range t.Row(ci) {
+				itemCorr[i] += float64(v)
+			}
+		}
+		for i, sum := range itemCorr {
+			itemCorr[i] = (sum - nq2) / den2 * q1 * den2
+		}
+		for ci, outRow := range out {
+			nHat := (float64(t.Cells[ci]) - nq1) / den1
+			classCorr := nHat * q2 * den1
+			for i, raw := range t.Row(ci) {
+				// Eq. (6).
+				outRow[i] = (float64(raw) - classCorr - itemCorr[i] - nq1q2) / den
+			}
+		}
+		return out
+	}
+	return proto.countItems(itemMech, c), nil
 }
 
 // ptsEncoder perturbs the label with GRR(ε₁) and the item independently with
@@ -633,93 +686,30 @@ func (e *ptsEncoder) Encode(pair Pair, r *xrand.Rand) Report {
 	return Report{Class: lab, Item: e.item.Perturb(pair.Item, r)}
 }
 
-// ptsAggregator routes reports by perturbed label — one label count and one
-// row of item supports per label — and calibrates with Eq. (6), which
-// corrects for labels that migrated between classes.
-type ptsAggregator struct {
-	counts
-	label *fo.GRR
-	item  fo.Mechanism
-}
-
-func (a *ptsAggregator) Add(rep Report) { a.add(rep.Class, a.item, rep.Item) }
-
-func (a *ptsAggregator) Merge(other Aggregator) error { return mergeCounts(a, other) }
-
-// Clone implements Cloner.
-func (a *ptsAggregator) Clone() Aggregator {
-	return &ptsAggregator{counts{a.t.Clone()}, a.label, a.item}
-}
-
-func (a *ptsAggregator) Estimates() [][]float64 {
-	c, d := a.t.Rows, a.t.Cols
-	n := float64(a.t.N)
-	p1, q1 := a.label.P(), a.label.Q()
-	p2, q2 := a.item.P(), a.item.Q()
-	den1 := p1 - q1
-	den2 := p2 - q2
-	den := den1 * den2
-	nq1 := n * q1
-	nq2 := n * q2
-	nq1q2 := n * q1 * q2
-	// Every hoisted product below repeats the original per-cell expression
-	// on identical operands with its association preserved, so the output
-	// matrix is bit-identical to the unhoisted calibration over the exact
-	// integer supports.
-	out := NewMatrix(c, d)
-	// Item marginals f̂(I) = (Σ_C f̃(C,I) − N·q₂)/(p₂−q₂), accumulated
-	// row-major (same per-item addition order as the column walk) and
-	// pre-multiplied into the per-item Eq. (6) correction term with its
-	// original association f̂(I)·q₁·(p₂−q₂).
-	itemCorr := make([]float64, d)
-	for ci := 0; ci < c; ci++ {
-		for i, v := range a.t.Row(ci) {
-			itemCorr[i] += float64(v)
-		}
-	}
-	for i, sum := range itemCorr {
-		itemCorr[i] = (sum - nq2) / den2 * q1 * den2
-	}
-	for ci, outRow := range out {
-		nHat := (float64(a.t.Cells[ci]) - nq1) / den1
-		classCorr := nHat * q2 * den1
-		for i, raw := range a.t.Row(ci) {
-			// Eq. (6).
-			outRow[i] = (float64(raw) - classCorr - itemCorr[i] - nq1q2) / den
-		}
-	}
-	return out
-}
-
-func (a *ptsAggregator) ClassSizes() []float64 {
-	n := float64(a.t.N)
-	p1, q1 := a.label.P(), a.label.Q()
-	nq1 := n * q1
-	den1 := p1 - q1
-	out := make([]float64, a.t.Rows)
-	for ci := range out {
-		out[ci] = (float64(a.t.Cells[ci]) - nq1) / den1
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // PTS-CP halves.
 // ---------------------------------------------------------------------------
 
+// newPTSCPProtocol serves CP reports with CPAccumulator's table and its
+// Eq. (4) calibration.
 func newPTSCPProtocol(c, d int, eps, split float64) (*Protocol, error) {
 	cp, err := NewCP(c, d, eps, split)
 	if err != nil {
 		return nil, err
 	}
-	p1, q1, p2, q2 := cp.Probabilities()
-	return &Protocol{
-		name: "ptscp", c: c, d: d, eps: eps, split: split,
+	return (&Protocol{
+		name: "ptscp", framework: "ptscp", c: c, d: d, eps: eps, split: split,
 		enc:    &cpEncoder{cp: cp},
-		newAgg: func() Aggregator { return &cpAggregator{acc: cp.NewAccumulator()} },
 		shape:  wireShape{classes: c, bitsLen: d + 1},
-		mechID: fmt.Sprintf("CP[p1=%v,q1=%v,p2=%v,q2=%v]", p1, q1, p2, q2),
-	}, nil
+		mechID: cp.id,
+		table:  cp.shape(),
+		add: func(t *state.Table, rep Report) {
+			cp.add(t, CPReport{Label: rep.Class, Bits: rep.Item.Bits})
+		},
+		addRows:   cp.addRows,
+		estimates: cp.estimateAll,
+		label:     cp.label,
+	}).seal(), nil
 }
 
 // cpEncoder applies the correlated perturbation (Section IV-B): the item
@@ -733,49 +723,3 @@ func (e *cpEncoder) Encode(pair Pair, r *xrand.Rand) Report {
 	rep := e.cp.Perturb(pair, r)
 	return Report{Class: rep.Label, Item: fo.Report{Bits: rep.Bits}}
 }
-
-// cpAggregator adapts CPAccumulator (the Eq. 4 calibration over its count
-// table) to the generic Aggregator interface.
-type cpAggregator struct {
-	acc *CPAccumulator
-}
-
-func (a *cpAggregator) Add(rep Report) {
-	a.acc.Add(CPReport{Label: rep.Class, Bits: rep.Item.Bits})
-}
-
-// addRows implements rowsAdder by delegating to CPAccumulator.addRows.
-func (a *cpAggregator) addRows(rec []byte, rows [][]int) {
-	for label, offs := range rows {
-		a.acc.addRows(label, rec, offs)
-	}
-}
-
-func (a *cpAggregator) Merge(other Aggregator) error {
-	o, ok := other.(*cpAggregator)
-	if !ok {
-		return fmt.Errorf("core: cannot merge %T into ptscp aggregator", other)
-	}
-	return a.acc.Merge(o.acc)
-}
-
-func (a *cpAggregator) N() int { return a.acc.Total() }
-
-// Clone implements Cloner.
-func (a *cpAggregator) Clone() Aggregator { return &cpAggregator{acc: a.acc.Clone()} }
-
-func (a *cpAggregator) Estimates() [][]float64 { return a.acc.EstimateAll() }
-
-func (a *cpAggregator) ClassSizes() []float64 {
-	out := make([]float64, a.acc.cp.c)
-	for c := range out {
-		out[c] = a.acc.EstimateClassSize(c)
-	}
-	return out
-}
-
-// MarshalBinary implements the Aggregator snapshot contract.
-func (a *cpAggregator) MarshalBinary() ([]byte, error) { return a.acc.MarshalBinary() }
-
-// UnmarshalBinary implements the Aggregator snapshot contract.
-func (a *cpAggregator) UnmarshalBinary(data []byte) error { return a.acc.UnmarshalBinary(data) }

@@ -403,4 +403,52 @@ func TestAggregatorMergeRejectsMismatch(t *testing.T) {
 	if err := big.NewAggregator().Merge(small.NewAggregator()); err == nil {
 		t.Error("ptscp aggregator merged a mismatched domain")
 	}
+	// Table shapes coincide in each pair below while the calibrations do
+	// not, so only the protocol identity tells them apart.
+	mustProtocol := func(name string, eps, split float64) *Protocol {
+		t.Helper()
+		p, err := NewProtocol(name, 3, 16, eps, split)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	sueAsPTS, err := NewPTSProtocolWithItem("pts", 3, 16, 1, 0.5,
+		func(d int, eps float64) (fo.Mechanism, error) { return fo.NewSUE(d, eps) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		what        string
+		into, other *Protocol
+	}{
+		{"pts ε=1 ← pts ε=4", mustProtocol("pts", 1, 0.5), mustProtocol("pts", 4, 0.5)},
+		{"pts ← pts+sue", mustProtocol("pts", 1, 0.5), mustProtocol("pts+sue", 1, 0.5)},
+		{"pts (OUE) ← pts over SUE", mustProtocol("pts", 1, 0.5), sueAsPTS},
+		{"ptscp split 0.5 ← 0.3", mustProtocol("ptscp", 1, 0.5), mustProtocol("ptscp", 1, 0.3)},
+	} {
+		into, other := tc.into.NewAggregator(), tc.other.NewAggregator()
+		fillAggregator(t, tc.other, other, 50, 7)
+		if err := into.Merge(other); err == nil {
+			t.Errorf("%s: merge accepted", tc.what)
+		}
+		if into.N() != 0 {
+			t.Errorf("%s: refused merge left %d reports", tc.what, into.N())
+		}
+	}
+	// Another protocol value with the same fingerprint is the same protocol.
+	a, b := mustProtocol("pts", 1, 0.5), mustProtocol("pts", 1, 0.5)
+	if err := a.NewAggregator().Merge(b.NewAggregator()); err != nil {
+		t.Errorf("equal protocols refused to merge: %v", err)
+	}
+	// The offline accumulator compares its mechanism's probabilities.
+	cp1, _ := NewCP(3, 16, 1, 0.5)
+	cp4, _ := NewCP(3, 16, 4, 0.5)
+	if err := cp1.NewAccumulator().Merge(cp4.NewAccumulator()); err == nil {
+		t.Error("CPAccumulator merged an accumulator of another budget")
+	}
+	same, _ := NewCP(3, 16, 1, 0.5)
+	if err := cp1.NewAccumulator().Merge(same.NewAccumulator()); err != nil {
+		t.Errorf("CPAccumulator refused an equal mechanism: %v", err)
+	}
 }

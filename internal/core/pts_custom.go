@@ -50,12 +50,5 @@ func (f *PTSCustom) Protocol(c, d int) (*Protocol, error) {
 // counted into its perturbed label's row, and the integer counts are pushed
 // through Eq. (6).
 func (f *PTSCustom) Estimate(data *Dataset, r *xrand.Rand) ([][]float64, error) {
-	if err := data.Validate(); err != nil {
-		return nil, err
-	}
-	p, err := f.Protocol(data.Classes, data.Items)
-	if err != nil {
-		return nil, err
-	}
-	return estimateViaProtocol(p, data, r)
+	return estimateViaProtocol(f.Protocol, data, r)
 }

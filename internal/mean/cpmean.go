@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/fo"
+	"repro/internal/state"
 	"repro/internal/xrand"
 )
 
@@ -36,6 +37,9 @@ type CPMean struct {
 	split   float64
 	label   *fo.GRR
 	p2, q2  float64
+	// id fingerprints the four probabilities, computed once: the
+	// calibration identity aggregates must share to merge.
+	id string
 }
 
 // NewCPMean builds the correlated mean mechanism; split = ε₁/ε.
@@ -54,14 +58,17 @@ func NewCPMean(classes int, eps, split float64) (*CPMean, error) {
 		return nil, err
 	}
 	e2 := math.Exp(eps * (1 - split))
-	return &CPMean{
+	m := &CPMean{
 		classes: classes,
 		eps:     eps,
 		split:   split,
 		label:   label,
 		p2:      e2 / (e2 + 2),
 		q2:      1 / (e2 + 2),
-	}, nil
+	}
+	p1, q1, p2, q2 := m.Probabilities()
+	m.id = fmt.Sprintf("CPMean[p1=%v,q1=%v,p2=%v,q2=%v]", p1, q1, p2, q2)
+	return m, nil
 }
 
 // Classes returns the label domain size.
@@ -107,52 +114,61 @@ func (m *CPMean) Perturb(v Value, r *xrand.Rand) Report {
 }
 
 // Accumulator aggregates CPMean reports in one count table of (label,
-// symbol) cells; a label's report count is its −, + and ⊥ cells summed.
+// symbol) cells; a label's report count is its −, + and ⊥ cells summed. The
+// cpmean halves' aggregator keeps the same table and shares its calibration.
 type Accumulator struct {
-	m     *CPMean
-	cells counts
+	m *CPMean
+	t state.Table
 }
 
 // NewAccumulator returns an empty aggregator.
-func (m *CPMean) NewAccumulator() *Accumulator {
-	return &Accumulator{m: m, cells: newCounts(m.classes, 3)}
-}
+func (m *CPMean) NewAccumulator() *Accumulator { return &Accumulator{m, newTable(m.classes, 3)} }
 
 // Add folds one report into the aggregate.
-func (a *Accumulator) Add(rep Report) { a.cells.Add(rep) }
+func (a *Accumulator) Add(rep Report) { a.AddCounts(rep.Label, rep.Symbol, 1) }
 
 // AddCounts folds n reports of one (label, symbol) cell. The cell and the
 // count are checked before anything is counted, so a recovered panic leaves
 // the aggregate as it was.
-func (a *Accumulator) AddCounts(label, symbol int, n int64) { a.cells.AddCounts(label, symbol, n) }
+func (a *Accumulator) AddCounts(label, symbol int, n int64) {
+	addCounts(&a.t, a.m.classes, 3, label, symbol, n)
+}
 
-// Merge folds another accumulator of the same mechanism into this one.
-func (a *Accumulator) Merge(o *Accumulator) error { return a.cells.t.Merge(&o.cells.t) }
+// Merge folds another accumulator of the same mechanism into this one; an
+// accumulator of a mechanism with other probabilities is refused.
+func (a *Accumulator) Merge(o *Accumulator) error {
+	if o.m != a.m && o.m.id != a.m.id {
+		return fmt.Errorf("mean: cannot merge a %s accumulator into a %s one", o.m.id, a.m.id)
+	}
+	return a.t.Merge(&o.t)
+}
 
 // Total returns the number of reports received.
-func (a *Accumulator) Total() int { return a.cells.N() }
+func (a *Accumulator) Total() int { return int(a.t.N) }
 
 // EstimateSum returns the unbiased class-sum estimate T̂_C.
-func (a *Accumulator) EstimateSum(c int) float64 {
-	p1, _, p2, q2 := a.m.Probabilities()
-	return float64(a.cells.cell(c, Plus)-a.cells.cell(c, Minus)) / (p1 * (p2 - q2))
-}
+func (a *Accumulator) EstimateSum(c int) float64 { return a.m.sum(&a.t, c) }
 
 // EstimateClassSize returns n̂_C from the perturbed label counts.
-func (a *Accumulator) EstimateClassSize(c int) float64 {
-	p1, q1, _, _ := a.m.Probabilities()
-	labels := a.cells.cell(c, Minus) + a.cells.cell(c, Plus) + a.cells.cell(c, Bottom)
-	return (float64(labels) - float64(a.cells.t.N)*q1) / (p1 - q1)
-}
+func (a *Accumulator) EstimateClassSize(c int) float64 { return labelSize(a.m.label, &a.t, 3, c) }
 
 // EstimateMean returns μ̂_C = T̂_C/n̂_C clamped to [−1, 1], or 0 when the
 // class-size estimate is too small to divide by.
-func (a *Accumulator) EstimateMean(c int) float64 {
-	n := a.EstimateClassSize(c)
+func (a *Accumulator) EstimateMean(c int) float64 { return a.m.mean(&a.t, c) }
+
+// sum is EstimateSum over t.
+func (m *CPMean) sum(t *state.Table, c int) float64 {
+	p1, _, p2, q2 := m.Probabilities()
+	return float64(cell(t, 3, c, Plus)-cell(t, 3, c, Minus)) / (p1 * (p2 - q2))
+}
+
+// mean is EstimateMean over t.
+func (m *CPMean) mean(t *state.Table, c int) float64 {
+	n := labelSize(m.label, t, 3, c)
 	if n <= 1 {
 		return 0
 	}
-	return clamp(a.EstimateSum(c) / n)
+	return clamp(m.sum(t, c) / n)
 }
 
 // SumVariance returns the closed-form variance of T̂_C:

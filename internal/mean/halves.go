@@ -37,10 +37,11 @@ type Encoder interface {
 }
 
 // Aggregator is the server half: it folds reports into one count table
-// (state.Table) and produces the framework's calibrated estimates.
-// Implementations are not safe for concurrent use; shard and Merge instead.
-// Merging is exact — any partition of a report stream over aggregators
-// merges to bit-identical estimates.
+// (state.Table) and produces the framework's calibrated estimates. Every
+// framework's halves vend the same aggregator type, the halves plus one
+// table; the calibration is the halves'. Implementations are not safe for
+// concurrent use; shard and Merge instead. Merging is exact — any partition
+// of a report stream over aggregators merges to bit-identical estimates.
 type Aggregator interface {
 	// Add folds one report into the aggregate. Reports decoded from the
 	// wire by the numeric protocol's codec are always safe to Add;
@@ -53,9 +54,15 @@ type Aggregator interface {
 	// a recovered panic leaves the aggregate unchanged.
 	AddCounts(label, symbol int, n int64)
 	// Merge folds another aggregator of the same framework into this one.
+	// An aggregator of other halves is refused even when the tables' shapes
+	// coincide, since its counts calibrate differently.
 	Merge(other Aggregator) error
 	// N returns the number of reports added so far.
 	N() int
+	// Clone copies the count table (one slice copy), sharing nothing
+	// mutable with the original. Collection servers clone under their
+	// aggregate's lock and calibrate the copy outside it.
+	Clone() Aggregator
 	// Means returns the calibrated classwise mean estimates.
 	Means() []float64
 	// ClassSizes returns per-class population estimates: the label-count
@@ -72,14 +79,9 @@ type Aggregator interface {
 	// a table no report stream could produce is an error and leaves the
 	// aggregator unchanged.
 	UnmarshalBinary([]byte) error
-}
-
-// Cloner is implemented by every aggregator in this package: Clone copies
-// the count table (one slice copy), sharing nothing mutable with the
-// original. Collection servers clone under their aggregate's lock and
-// calibrate the copy outside it.
-type Cloner interface {
-	Clone() Aggregator
+	// counts returns the halves that vended the aggregator and its table.
+	// Being unexported, it also keeps every Aggregator this package's.
+	counts() (*Halves, *state.Table)
 }
 
 // Halves bundles one framework's client/server decomposition plus the
@@ -88,14 +90,128 @@ type Cloner interface {
 // (names and calibration probabilities), so two deployments can be checked
 // for aggregate interchangeability beyond their advertised parameters.
 type Halves struct {
-	Encoder       Encoder
-	NewAggregator func() Aggregator
+	Encoder Encoder
 	// Symbols is the report symbol alphabet size: 2 for sign reports
 	// (Minus, Plus), 3 when the invalidity symbol ⊥ is deniable too
 	// (CP-Mean).
 	Symbols int
-	// MechID fingerprints the perturbation mechanisms.
+	// MechID fingerprints the perturbation mechanisms. It is computed once,
+	// and aggregators merge only when their halves' MechIDs match.
 	MechID string
+
+	// The server half: the label domain, the calibration of the aggregate's
+	// count table into means, and the label mechanism whose label counts
+	// calibrate into class sizes (nil for HEC-Mean).
+	classes int
+	means   func(t *state.Table) []float64
+	label   *fo.GRR
+}
+
+// NewAggregator returns an empty server half.
+func (h *Halves) NewAggregator() Aggregator { return &aggregator{h, newTable(h.classes, h.Symbols)} }
+
+// aggregator is every framework's Aggregator: the halves that vended it and
+// one count table of classes × symbols cells.
+type aggregator struct {
+	h *Halves
+	t state.Table
+}
+
+func (a *aggregator) Add(rep Report) { a.AddCounts(rep.Label, rep.Symbol, 1) }
+
+func (a *aggregator) AddCounts(label, symbol int, n int64) {
+	addCounts(&a.t, a.h.classes, a.h.Symbols, label, symbol, n)
+}
+
+// Merge adds other's table in when other's halves are these or calibrate
+// like them.
+func (a *aggregator) Merge(other Aggregator) error {
+	oh, ot := other.counts()
+	if oh != a.h && oh.MechID != a.h.MechID {
+		return fmt.Errorf("mean: cannot merge a %s aggregate into a %s one", oh.MechID, a.h.MechID)
+	}
+	return a.t.Merge(ot)
+}
+
+func (a *aggregator) N() int { return int(a.t.N) }
+
+func (a *aggregator) Clone() Aggregator { return &aggregator{a.h, a.t.Clone()} }
+
+func (a *aggregator) Means() []float64 { return a.h.means(&a.t) }
+
+func (a *aggregator) ClassSizes() []float64 { return a.h.classSizes(&a.t) }
+
+func (a *aggregator) MarshalBinary() ([]byte, error) { return a.t.MarshalBinary() }
+
+func (a *aggregator) UnmarshalBinary(data []byte) error { return a.t.UnmarshalBinary(data) }
+
+func (a *aggregator) counts() (*Halves, *state.Table) { return a.h, &a.t }
+
+// classSizes calibrates t's label counts into class sizes. Without a label
+// mechanism it is the uniform prior N/c for every class: HEC-Mean's
+// partition is a function of the user index alone, so group populations
+// carry zero information about class membership — part of why HEC is the
+// strawman.
+func (h *Halves) classSizes(t *state.Table) []float64 {
+	out := make([]float64, h.classes)
+	for c := range out {
+		if h.label == nil {
+			out[c] = float64(t.N) / float64(h.classes)
+		} else {
+			out[c] = labelSize(h.label, t, h.Symbols, c)
+		}
+	}
+	return out
+}
+
+// labelSize returns n̂_C = (ñ_C − N·q₁)/(p₁−q₁) from ñ_C, the reports the
+// label mechanism routed to c: the sum of c's symbol cells.
+func labelSize(label *fo.GRR, t *state.Table, symbols, c int) float64 {
+	var labels int64
+	for _, n := range t.Cells[c*symbols : (c+1)*symbols] {
+		labels += n
+	}
+	p1, q1 := label.P(), label.Q()
+	return (float64(labels) - float64(t.N)*q1) / (p1 - q1)
+}
+
+// newTable returns the count table every mean aggregate keeps: a single
+// route of classes × symbols cells, cell label·symbols+symbol counting the
+// reports of that (label, symbol) — the layout a checked binary frame's
+// cells already have. A report adds one to one cell, so the cells sum to N
+// and a label's report count is the sum of its symbols.
+func newTable(classes, symbols int) state.Table {
+	return state.NewTable(state.Shape{Rows: 1, Cols: classes * symbols, OneHot: true})
+}
+
+// addCounts validates and folds n reports of one (label, symbol) cell into
+// t. The cell and the count are checked before anything is counted, so a
+// recovered panic leaves the table as it was.
+func addCounts(t *state.Table, classes, symbols, label, symbol int, n int64) {
+	switch {
+	case label < 0 || label >= classes:
+		panic(fmt.Sprintf("mean: report label %d outside [0,%d)", label, classes))
+	case symbol < 0 || symbol >= symbols:
+		panic(fmt.Sprintf("mean: symbol %d outside [0,%d)", symbol, symbols))
+	case n < 0:
+		panic(fmt.Sprintf("mean: negative report count %d", n))
+	}
+	t.Cells[label*symbols+symbol] += n
+	t.N += n
+}
+
+// cell returns the reports of one (label, symbol) in t.
+func cell(t *state.Table, symbols, label, symbol int) int64 { return t.Cells[label*symbols+symbol] }
+
+// perClass returns the calibration that evaluates f for every class.
+func perClass(classes int, f func(t *state.Table, c int) float64) func(*state.Table) []float64 {
+	return func(t *state.Table) []float64 {
+		out := make([]float64, classes)
+		for c := range out {
+			out[c] = f(t, c)
+		}
+		return out
+	}
 }
 
 // signSymbol maps an SR output sign (±1) onto the report symbol alphabet.
@@ -120,65 +236,6 @@ func checkValue(v Value, classes, user int) {
 	}
 }
 
-// counts is the one count table (state.Table) every mean aggregator keeps:
-// a single route of classes × symbols cells, cell label·symbols+symbol
-// counting the reports of that (label, symbol) — the layout a checked
-// binary frame's cells already have. A report adds one to one cell, so the
-// cells sum to N and a label's report count is the sum of its symbols.
-type counts struct {
-	classes, symbols int
-	t                state.Table
-}
-
-func newCounts(classes, symbols int) counts {
-	return counts{classes, symbols, state.NewTable(state.Shape{Rows: 1, Cols: classes * symbols, OneHot: true})}
-}
-
-// Add validates and folds one report.
-func (a *counts) Add(rep Report) { a.AddCounts(rep.Label, rep.Symbol, 1) }
-
-// AddCounts validates and folds n reports of one (label, symbol) cell. The
-// cell and the count are checked before anything is counted, so a
-// recovered panic leaves the aggregate as it was.
-func (a *counts) AddCounts(label, symbol int, n int64) {
-	switch {
-	case label < 0 || label >= a.classes:
-		panic(fmt.Sprintf("mean: report label %d outside [0,%d)", label, a.classes))
-	case symbol < 0 || symbol >= a.symbols:
-		panic(fmt.Sprintf("mean: symbol %d outside [0,%d)", symbol, a.symbols))
-	case n < 0:
-		panic(fmt.Sprintf("mean: negative report count %d", n))
-	}
-	a.t.Row(0)[label*a.symbols+symbol] += n
-	a.t.N += n
-}
-
-// cell returns the reports of one (label, symbol).
-func (a *counts) cell(label, symbol int) int64 { return a.t.Row(0)[label*a.symbols+symbol] }
-
-// N implements the Aggregator report count.
-func (a *counts) N() int { return int(a.t.N) }
-
-func (a *counts) clone() counts { return counts{a.classes, a.symbols, a.t.Clone()} }
-
-func (a *counts) table() *state.Table { return &a.t }
-
-// MarshalBinary implements the Aggregator snapshot contract.
-func (a *counts) MarshalBinary() ([]byte, error) { return a.t.MarshalBinary() }
-
-// UnmarshalBinary implements the Aggregator snapshot contract.
-func (a *counts) UnmarshalBinary(data []byte) error { return a.t.UnmarshalBinary(data) }
-
-// mergeCounts is every mean aggregator's Merge: other must be the same
-// framework, whose table it adds in.
-func mergeCounts[T interface{ table() *state.Table }](a T, other Aggregator) error {
-	o, ok := other.(T)
-	if !ok {
-		return fmt.Errorf("mean: cannot merge %T into %T", other, a)
-	}
-	return a.table().Merge(o.table())
-}
-
 // ---------------------------------------------------------------------------
 // HEC-Mean halves.
 // ---------------------------------------------------------------------------
@@ -194,10 +251,20 @@ func NewHECMeanHalves(classes int, eps float64) (*Halves, error) {
 		return nil, err
 	}
 	return &Halves{
-		Encoder:       &hecEncoder{c: classes, sr: sr},
-		NewAggregator: func() Aggregator { return &hecAggregator{newCounts(classes, 2), sr} },
-		Symbols:       2,
-		MechID:        fmt.Sprintf("mod%d+SR[p=%v]", classes, sr.P()),
+		Encoder: &hecEncoder{c: classes, sr: sr},
+		Symbols: 2,
+		MechID:  fmt.Sprintf("mod%d+SR[p=%v]", classes, sr.P()),
+		classes: classes,
+		// Each group's mean is calibrated from its sign counts as if every
+		// member were valid, which carries the strawman's
+		// shrink-toward-zero bias.
+		means: perClass(classes, func(t *state.Table, g int) float64 {
+			plus, minus := cell(t, 2, g, Plus), cell(t, 2, g, Minus)
+			if n := plus + minus; n > 0 {
+				return sr.Calibrate(float64(plus-minus)) / float64(n)
+			}
+			return 0
+		}),
 	}, nil
 }
 
@@ -217,41 +284,6 @@ func (e *hecEncoder) Encode(v Value, user int, r *xrand.Rand) Report {
 		x = 2*r.Float64() - 1 // uniform substitute
 	}
 	return Report{Label: g, Symbol: signSymbol(e.sr.Perturb(x, r))}
-}
-
-// hecAggregator keeps per-group sign counts and calibrates each group's
-// mean as if every member were valid, which carries the strawman's
-// shrink-toward-zero bias.
-type hecAggregator struct {
-	counts
-	sr *SR
-}
-
-func (a *hecAggregator) Merge(other Aggregator) error { return mergeCounts(a, other) }
-
-// Clone implements Cloner.
-func (a *hecAggregator) Clone() Aggregator { return &hecAggregator{a.clone(), a.sr} }
-
-func (a *hecAggregator) Means() []float64 {
-	out := make([]float64, a.classes)
-	for g := range out {
-		plus, minus := a.cell(g, Plus), a.cell(g, Minus)
-		if n := plus + minus; n > 0 {
-			out[g] = a.sr.Calibrate(float64(plus-minus)) / float64(n)
-		}
-	}
-	return out
-}
-
-// ClassSizes returns the uniform prior N/c for every class: the partition
-// is a function of the user index alone, so group populations carry zero
-// information about class membership — part of why HEC is the strawman.
-func (a *hecAggregator) ClassSizes() []float64 {
-	out := make([]float64, a.classes)
-	for g := range out {
-		out[g] = float64(a.t.N) / float64(a.classes)
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -275,13 +307,35 @@ func NewPTSMeanHalves(classes int, eps, split float64) (*Halves, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Halves{
-		Encoder:       &ptsEncoder{c: classes, label: label, sr: sr},
-		NewAggregator: func() Aggregator { return &ptsAggregator{newCounts(classes, 2), label, sr} },
-		Symbols:       2,
+	h := &Halves{
+		Encoder: &ptsEncoder{c: classes, label: label, sr: sr},
+		Symbols: 2,
 		MechID: fmt.Sprintf("%s[d=%d,p=%v,q=%v]+SR[p=%v]",
 			label.Name(), label.DomainSize(), label.P(), label.Q(), sr.P()),
-	}, nil
+		classes: classes, label: label,
+	}
+	// Sign counts are routed by perturbed label, and the cross-class label
+	// migration is undone with the E[S̃_C] = p₁T_C + q₁(T−T_C) calibration.
+	h.means = func(t *state.Table) []float64 {
+		p1, q1 := label.P(), label.Q()
+		// Calibrated routed sums and the global sum.
+		total := 0.0
+		routed := make([]float64, classes)
+		for ci := range routed {
+			routed[ci] = sr.Calibrate(float64(cell(t, 2, ci, Plus) - cell(t, 2, ci, Minus)))
+			total += routed[ci]
+		}
+		n := h.classSizes(t)
+		out := make([]float64, classes)
+		for ci := range out {
+			tC := (routed[ci] - q1*total) / (p1 - q1)
+			if n[ci] > 1 {
+				out[ci] = clamp(tC / n[ci])
+			}
+		}
+		return out
+	}
+	return h, nil
 }
 
 // ptsEncoder perturbs the label and the value sign independently.
@@ -297,69 +351,26 @@ func (e *ptsEncoder) Encode(v Value, user int, r *xrand.Rand) Report {
 	return Report{Label: lab, Symbol: signSymbol(e.sr.Perturb(v.X, r))}
 }
 
-// ptsAggregator routes sign counts by perturbed label and undoes the
-// cross-class label migration with the E[S̃_C] = p₁T_C + q₁(T−T_C)
-// calibration.
-type ptsAggregator struct {
-	counts
-	label *fo.GRR
-	sr    *SR
-}
-
-func (a *ptsAggregator) Merge(other Aggregator) error { return mergeCounts(a, other) }
-
-// Clone implements Cloner.
-func (a *ptsAggregator) Clone() Aggregator { return &ptsAggregator{a.clone(), a.label, a.sr} }
-
-func (a *ptsAggregator) Means() []float64 {
-	p1, q1 := a.label.P(), a.label.Q()
-	// Calibrated routed sums and the global sum.
-	total := 0.0
-	routed := make([]float64, a.classes)
-	for ci := range routed {
-		routed[ci] = a.sr.Calibrate(float64(a.cell(ci, Plus) - a.cell(ci, Minus)))
-		total += routed[ci]
-	}
-	sizes := a.ClassSizes()
-	out := make([]float64, a.classes)
-	for ci := range out {
-		tC := (routed[ci] - q1*total) / (p1 - q1)
-		if sizes[ci] > 1 {
-			out[ci] = clamp(tC / sizes[ci])
-		}
-	}
-	return out
-}
-
-func (a *ptsAggregator) ClassSizes() []float64 {
-	n := float64(a.t.N)
-	p1, q1 := a.label.P(), a.label.Q()
-	out := make([]float64, a.classes)
-	for ci := range out {
-		labelCount := float64(a.cell(ci, Plus) + a.cell(ci, Minus))
-		out[ci] = (labelCount - n*q1) / (p1 - q1)
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // CP-Mean halves.
 // ---------------------------------------------------------------------------
 
 // NewCPMeanHalves vends the correlated-perturbation decomposition: the
 // label outcome gates the value input, and invalidity is itself deniable
-// through the 3-ary sign GRR.
+// through the 3-ary sign GRR. The server half is the CPMean Accumulator's
+// table and difference estimator.
 func NewCPMeanHalves(classes int, eps, split float64) (*Halves, error) {
 	m, err := NewCPMean(classes, eps, split)
 	if err != nil {
 		return nil, err
 	}
-	p1, q1, p2, q2 := m.Probabilities()
 	return &Halves{
-		Encoder:       &cpEncoder{m: m},
-		NewAggregator: func() Aggregator { return &cpAggregator{m.NewAccumulator()} },
-		Symbols:       3,
-		MechID:        fmt.Sprintf("CPMean[p1=%v,q1=%v,p2=%v,q2=%v]", p1, q1, p2, q2),
+		Encoder: &cpEncoder{m: m},
+		Symbols: 3,
+		MechID:  m.id,
+		classes: classes,
+		means:   perClass(classes, m.mean),
+		label:   m.label,
 	}, nil
 }
 
@@ -373,46 +384,3 @@ func (e *cpEncoder) Encode(v Value, user int, r *xrand.Rand) Report {
 	checkValue(v, e.m.classes, user)
 	return e.m.Perturb(v, r)
 }
-
-// cpAggregator adapts the CPMean Accumulator (the difference estimator) to
-// the generic Aggregator interface.
-type cpAggregator struct {
-	*Accumulator
-}
-
-func (a *cpAggregator) Merge(other Aggregator) error {
-	o, ok := other.(*cpAggregator)
-	if !ok {
-		return fmt.Errorf("mean: cannot merge %T into CP-Mean aggregator", other)
-	}
-	return a.Accumulator.Merge(o.Accumulator)
-}
-
-func (a *cpAggregator) N() int { return a.Total() }
-
-// Clone implements Cloner.
-func (a *cpAggregator) Clone() Aggregator {
-	return &cpAggregator{&Accumulator{m: a.m, cells: a.cells.clone()}}
-}
-
-func (a *cpAggregator) Means() []float64 {
-	out := make([]float64, a.m.classes)
-	for c := range out {
-		out[c] = a.EstimateMean(c)
-	}
-	return out
-}
-
-func (a *cpAggregator) ClassSizes() []float64 {
-	out := make([]float64, a.m.classes)
-	for c := range out {
-		out[c] = a.EstimateClassSize(c)
-	}
-	return out
-}
-
-// MarshalBinary implements the Aggregator snapshot contract.
-func (a *cpAggregator) MarshalBinary() ([]byte, error) { return a.cells.MarshalBinary() }
-
-// UnmarshalBinary implements the Aggregator snapshot contract.
-func (a *cpAggregator) UnmarshalBinary(data []byte) error { return a.cells.UnmarshalBinary(data) }

@@ -81,6 +81,51 @@ func TestMeanStreamingEqualsBatch(t *testing.T) {
 	}
 }
 
+// TestAggregatorMergeRejectsMismatch is the mean tier's twin of core's: the
+// table shapes coincide in every pair below while the calibrations do not,
+// so a merge must be refused on the halves' identity, leaving the aggregate
+// as it was.
+func TestAggregatorMergeRejectsMismatch(t *testing.T) {
+	const classes = 3
+	eps1, eps2 := meanHalves(t, classes, 1, 0.5), meanHalves(t, classes, 2, 0.5)
+	for _, tc := range []struct {
+		what        string
+		into, other *Halves
+	}{
+		{"ptsmean ε=1 ← ε=2", eps1["pts"], eps2["pts"]},
+		{"cpmean ε=1 ← ε=2", eps1["cp"], eps2["cp"]},
+		{"hecmean ε=1 ← ε=2", eps1["hec"], eps2["hec"]},
+		{"hecmean ← ptsmean", eps1["hec"], eps1["pts"]},
+	} {
+		into, other := tc.into.NewAggregator(), tc.other.NewAggregator()
+		other.AddCounts(1, Plus, 5)
+		if err := into.Merge(other); err == nil {
+			t.Errorf("%s: merge accepted", tc.what)
+		}
+		if into.N() != 0 {
+			t.Errorf("%s: refused merge left %d reports", tc.what, into.N())
+		}
+	}
+	// Halves built twice from the same parameters are the same framework.
+	for name, h := range meanHalves(t, classes, 1, 0.5) {
+		if err := eps1[name].NewAggregator().Merge(h.NewAggregator()); err != nil {
+			t.Errorf("%s: equal halves refused to merge: %v", name, err)
+		}
+	}
+	// The offline accumulator compares its mechanism's probabilities.
+	m1, err := NewCPMean(classes, 1, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := NewCPMean(classes, 2, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.NewAccumulator().Merge(m2.NewAccumulator()); err == nil {
+		t.Error("Accumulator merged an accumulator of another budget")
+	}
+}
+
 // TestMeanSnapshotRoundTrip checks marshal → unmarshal → estimates is
 // bit-identical for every framework's aggregator.
 func TestMeanSnapshotRoundTrip(t *testing.T) {

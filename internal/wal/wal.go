@@ -208,9 +208,9 @@ const defaultSyncEvery = 200 * time.Millisecond
 // MaxRecordBytes bounds a single record so a corrupt length prefix cannot
 // demand an absurd allocation during replay. Exported because callers that
 // log variable-size payloads — the collection server's /merge envelopes,
-// which grow with an edge's report count for report-retaining aggregators —
-// must keep their own acceptance caps below it, or they would accept bytes
-// they cannot make durable.
+// one count table each, sized by the protocol's domain — must keep their own
+// acceptance caps below it, or they would accept bytes they cannot make
+// durable.
 const MaxRecordBytes = 1 << 30
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
