@@ -78,12 +78,16 @@ bench-check:
 bench-harness:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# The load generator as a process: one self-served run per tier over the
-# binary wire. Each run exits non-zero unless the server acknowledged and
-# holds exactly the population, so this is the paper's evaluation through
-# the real wire, run by something other than a human.
+# The load generator as a process: one self-served run per frequency
+# framework and one per other tier, over the binary wire, so every
+# unary-encoding client goes through the real wire. Each run exits non-zero
+# unless the server acknowledged and holds exactly the population, so this
+# is the paper's evaluation through the real wire, run by something other
+# than a human.
 load-smoke:
-	@set -e; for m in freq mean topk; do \
+	@set -e; for f in hec ptj pts ptscp; do \
+		$(GO) run ./cmd/mcimload -selfserve -mode freq -framework $$f -wire binary -users 20000 -clients 4 -json; \
+	done; for m in mean topk; do \
 		$(GO) run ./cmd/mcimload -selfserve -mode $$m -wire binary -users 20000 -clients 4 -json; \
 	done
 

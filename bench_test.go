@@ -84,7 +84,8 @@ func BenchmarkOUEPerturb1k(b *testing.B) {
 }
 
 func BenchmarkOUEPerturb64k(b *testing.B) {
-	// The geometric-skipping fast path: cost scales with d·q, not d.
+	// The word-at-a-time path: O(⌈d/64⌉) words of ≈7 draws whatever q is,
+	// each bit exactly Bernoulli(q) for the float64 q.
 	m, err := mcim.NewOUE(65536, 4)
 	if err != nil {
 		b.Fatal(err)

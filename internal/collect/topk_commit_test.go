@@ -58,8 +58,10 @@ func decodePlannerFields(t *testing.T, blob []byte) plannerFields {
 // snapshot taken mid-round, then 'C', JSON 'T', binary 'W' and 'D' records, a
 // session that ran to its result inside the tail, and a torn last frame — and
 // holds the replay to what the parent's own restart made of the same bytes:
-// the same sessions, the same marshaled planner state, the same rankings.
-// testdata/topk_parent_log is that directory plus the parent's expectations.
+// the same sessions, the same marshaled planner state, the same ranking for
+// the finished session, and for the one finished here the ranking of its
+// parent-written state finished offline. testdata/topk_parent_log is that
+// directory plus the parent's expectations.
 func TestParentWrittenSessionLogReplays(t *testing.T) {
 	const fixture = "testdata/topk_parent_log"
 	dir := t.TempDir()
@@ -125,15 +127,50 @@ func TestParentWrittenSessionLogReplays(t *testing.T) {
 	if got, err := ts3.Result(); err != nil || !reflect.DeepEqual(got, wantResult("s000003")) {
 		t.Fatalf("s000003 result %+v (err %v), the parent served %+v", got, err, wantResult("s000003"))
 	}
-	// s000001 was killed mid-round with users [0,320) answered; finished
-	// from there it must rank what the parent ranked.
-	ts1, err := OpenTopKSession(hs.URL, nil, "s000001")
+	// s000001 was killed mid-round with users [0,320) answered. Finished
+	// from there over HTTP it must rank what an offline twin ranks: the
+	// parent's marshaled state, fed the same users [320,1500) with the same
+	// per-user generators. The reports are perturbed here, at run time, so
+	// the twin and not a stored ranking is the reference.
+	blob, err := os.ReadFile(filepath.Join(fixture, "s000001.state"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := topk.UnmarshalSession(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := topkTestData(2, 64, 1500, 71)
-	if got := driveSession(t, ts1, data.Pairs, 1601, 64, 320); !reflect.DeepEqual(got, wantResult("s000001")) {
-		t.Fatalf("s000001 finished on %+v, the parent on %+v", got, wantResult("s000001"))
+	for user := 320; !twin.Done(); {
+		cfg := twin.Config()
+		enc, err := topk.NewRoundEncoder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := twin.Received(); j < cfg.Quota; j++ {
+			rep, err := enc.Encode(data.Pairs[user], topk.UserRand(1601, user))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := twin.Absorb(rep); err != nil {
+				t.Fatal(err)
+			}
+			user++
+		}
+		if err := twin.Advance(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := twin.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1, err := OpenTopKSession(hs.URL, nil, "s000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := driveSession(t, ts1, data.Pairs, 1601, 64, 320); !reflect.DeepEqual(got, want) {
+		t.Fatalf("s000001 finished on %+v, its offline twin on %+v", got, want)
 	}
 }
 

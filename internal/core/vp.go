@@ -71,20 +71,24 @@ func (vp *VP) FlagBit() int { return vp.d }
 // flag 0 when v is valid, all-zero with flag 1 when v == Invalid.
 func (vp *VP) Encode(v int) *bitvec.Vector {
 	b := bitvec.New(vp.d + 1)
+	b.Set(vp.onePos(v))
+	return b
+}
+
+// onePos returns the one bit of Encode(v): v, or the flag bit for Invalid.
+func (vp *VP) onePos(v int) int {
 	if v == Invalid {
-		b.Set(vp.d)
-		return b
+		return vp.d
 	}
 	if v < 0 || v >= vp.d {
 		panic(fmt.Sprintf("core: VP item %d outside [0,%d)", v, vp.d))
 	}
-	b.Set(v)
-	return b
+	return v
 }
 
-// Perturb encodes and perturbs v (which may be Invalid).
+// Perturb encodes and perturbs v (which may be Invalid): OUE over d+1 bits.
 func (vp *VP) Perturb(v int, r *xrand.Rand) *bitvec.Vector {
-	return vp.ue.PerturbEncoded(vp.Encode(v), r)
+	return vp.ue.PerturbBits(vp.onePos(v), r)
 }
 
 // VPAccumulator aggregates validity-perturbation reports, dropping any

@@ -36,6 +36,27 @@ func TestVPEncodeOutOfRangePanics(t *testing.T) {
 	vp.Encode(5)
 }
 
+// TestPerturbAllocations pins the client's allocations per report: the
+// perturbed vector and its words, nothing else — no encoded vector in
+// between for VP or CP. A count is deterministic, so this catches what a
+// timing threshold cannot.
+func TestPerturbAllocations(t *testing.T) {
+	cp, err := NewCP(4, 1000, 2, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := xrand.New(9)
+	for name, f := range map[string]func(){
+		"UE.PerturbBits": func() { cp.item.ue.PerturbBits(17, r) },
+		"VP.Perturb":     func() { cp.item.Perturb(Invalid, r) },
+		"CP.Perturb":     func() { cp.Perturb(Pair{Class: 1, Item: 17}, r) },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs > 2 {
+			t.Errorf("%s: %v allocs a report, want ≤ 2", name, allocs)
+		}
+	}
+}
+
 func TestVPProbabilitiesAreOUE(t *testing.T) {
 	vp, err := NewVP(10, 2)
 	if err != nil {

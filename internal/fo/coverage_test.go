@@ -108,36 +108,6 @@ func TestUEMergeAndAddErrors(t *testing.T) {
 	}
 }
 
-// TestPerturbEncodedMultiBit exercises the multi-1-bit path the validity
-// perturbation relies on: both encoded 1 bits get the p treatment.
-func TestPerturbEncodedMultiBit(t *testing.T) {
-	u, _ := NewOUE(10, 1)
-	r := xrand.New(802)
-	enc := bitvec.New(10)
-	enc.Set(2)
-	enc.Set(7)
-	const n = 60000
-	ones := make([]float64, 10)
-	for i := 0; i < n; i++ {
-		u.PerturbEncoded(enc, r).ForEachSet(func(b int) { ones[b]++ })
-	}
-	for _, b := range []int{2, 7} {
-		want := u.P() * n
-		if math.Abs(ones[b]-want) > 5*math.Sqrt(want) {
-			t.Fatalf("encoded-1 bit %d frequency %v want %v", b, ones[b], want)
-		}
-	}
-	for b := 0; b < 10; b++ {
-		if b == 2 || b == 7 {
-			continue
-		}
-		want := u.Q() * n
-		if math.Abs(ones[b]-want) > 5*math.Sqrt(want) {
-			t.Fatalf("encoded-0 bit %d frequency %v want %v", b, ones[b], want)
-		}
-	}
-}
-
 func TestSUEErrorPath(t *testing.T) {
 	if _, err := NewSUE(0, 1); err == nil {
 		t.Fatal("NewSUE(0,1) succeeded")

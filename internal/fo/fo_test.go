@@ -139,26 +139,52 @@ func TestSUEProbabilities(t *testing.T) {
 	}
 }
 
+// TestUEPerturbBitsDistribution holds PerturbBits over d=1000 bits, with the
+// 1 bit at lane 64, to the per-bit Bernoulli marginals — each bit and the
+// sum of all 0-bits — across the q the word kernel treats differently: the
+// finite expansions q = 1/2 and 1/4, the OUE q from ε = 0.5 to 8, and a
+// q < 2⁻⁶⁴ whose expansion opens with more than a word of zeros.
 func TestUEPerturbBitsDistribution(t *testing.T) {
-	u, err := NewOUE(30, 1)
-	if err != nil {
-		t.Fatal(err)
+	const d, v, n = 1000, 64, 20000
+	var ues []*UE
+	for _, pq := range [][2]float64{{0.75, 0.5}, {0.5, 0.25}, {0.5, 0x1p-70}} {
+		u, err := NewUE(d, pq[0], pq[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ues = append(ues, u)
+	}
+	for _, eps := range []float64{0.5, 1, 4, 8} {
+		u, err := NewOUE(d, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ues = append(ues, u)
 	}
 	r := xrand.New(103)
-	const n = 100000
-	ones := make([]float64, 30)
-	for i := 0; i < n; i++ {
-		u.PerturbBits(7, r).ForEachSet(func(b int) { ones[b]++ })
+	far := func(got, p, trials float64) bool {
+		return math.Abs(got-p*trials) > 5*math.Sqrt(p*(1-p)*trials)
 	}
-	if math.Abs(ones[7]-u.P()*n) > 5*math.Sqrt(u.P()*(1-u.P())*n) {
-		t.Fatalf("1-bit frequency %v want %v", ones[7], u.P()*n)
-	}
-	for b := 0; b < 30; b++ {
-		if b == 7 {
-			continue
+	for _, u := range ues {
+		ones := make([]float64, d)
+		for i := 0; i < n; i++ {
+			u.PerturbBits(v, r).ForEachSet(func(b int) { ones[b]++ })
 		}
-		if math.Abs(ones[b]-u.Q()*n) > 5*math.Sqrt(u.Q()*(1-u.Q())*n) {
-			t.Fatalf("0-bit %d frequency %v want %v", b, ones[b], u.Q()*n)
+		if far(ones[v], u.P(), n) {
+			t.Fatalf("q=%v: 1-bit frequency %v want %v", u.Q(), ones[v], u.P()*n)
+		}
+		zeros := 0.0
+		for b, c := range ones {
+			if b == v {
+				continue
+			}
+			zeros += c
+			if far(c, u.Q(), n) {
+				t.Fatalf("q=%v: 0-bit %d frequency %v want %v", u.Q(), b, c, u.Q()*n)
+			}
+		}
+		if far(zeros, u.Q(), n*(d-1)) {
+			t.Fatalf("q=%v: %v 0-bits set, want %v", u.Q(), zeros, u.Q()*n*(d-1))
 		}
 	}
 }

@@ -24,6 +24,11 @@ type UE struct {
 	eps  float64
 	p    float64
 	q    float64
+	flip xrand.BernoulliWords // q's expansion, built once: Encoders share a UE
+}
+
+func newUE(name string, d int, eps, p, q float64) *UE {
+	return &UE{name: name, d: d, eps: eps, p: p, q: q, flip: xrand.NewBernoulliWords(q)}
 }
 
 // NewOUE builds the Optimized Unary Encoding mechanism.
@@ -31,7 +36,7 @@ func NewOUE(d int, eps float64) (*UE, error) {
 	if err := validate(d, eps); err != nil {
 		return nil, err
 	}
-	return &UE{name: "OUE", d: d, eps: eps, p: 0.5, q: 1 / (math.Exp(eps) + 1)}, nil
+	return newUE("OUE", d, eps, 0.5, 1/(math.Exp(eps)+1)), nil
 }
 
 // NewSUE builds the Symmetric Unary Encoding (basic one-time RAPPOR)
@@ -41,7 +46,7 @@ func NewSUE(d int, eps float64) (*UE, error) {
 		return nil, err
 	}
 	e2 := math.Exp(eps / 2)
-	return &UE{name: "SUE", d: d, eps: eps, p: e2 / (e2 + 1), q: 1 / (e2 + 1)}, nil
+	return newUE("SUE", d, eps, e2/(e2+1), 1/(e2+1)), nil
 }
 
 // NewUE builds a unary-encoding mechanism with explicit bit probabilities.
@@ -55,7 +60,7 @@ func NewUE(d int, p, q float64) (*UE, error) {
 		return nil, fmt.Errorf("fo: UE requires 0 < q < p < 1, got p=%v q=%v", p, q)
 	}
 	eps := math.Log(p * (1 - q) / ((1 - p) * q))
-	return &UE{name: "UE", d: d, eps: eps, p: p, q: q}, nil
+	return newUE("UE", d, eps, p, q), nil
 }
 
 // Name implements Mechanism.
@@ -83,46 +88,16 @@ func (u *UE) Perturb(v int, r *xrand.Rand) Report {
 // vector. Exposed for the validity-perturbation mechanism, which reuses the
 // same bit-flip kernel over an extended vector.
 //
-// The 0-bit flips are sampled by geometric skipping, so the expected cost is
-// O(d·q + 1) instead of O(d) — the difference between feasible and
-// infeasible for PTJ's joint c·d domains. The output distribution is
-// exactly the per-bit Bernoulli one.
+// The 0-bit flips are sampled a word at a time (xrand.BernoulliWords), so
+// the cost is O(⌈d/64⌉) words — PTJ's joint c·d domains included — and each
+// bit is 1 with probability exactly the float64 q; bit v is then redrawn
+// with probability p.
 func (u *UE) PerturbBits(v int, r *xrand.Rand) *bitvec.Vector {
 	checkDomain(v, u.d)
 	b := bitvec.New(u.d)
-	for pos := r.GeometricSkip(u.q); pos < u.d; {
-		if pos != v {
-			b.Set(pos)
-		}
-		skip := r.GeometricSkip(u.q)
-		if skip >= u.d-pos { // also guards MaxInt overflow
-			break
-		}
-		pos += 1 + skip
-	}
+	u.flip.Fill(b.Words(), u.d, r)
 	b.SetBool(v, r.Bernoulli(u.p))
 	return b
-}
-
-// PerturbEncoded applies the per-bit flip kernel to an already-encoded
-// vector (any number of 1 bits). Used by validity perturbation where the
-// encoding carries a validity flag in the last position. Like PerturbBits
-// it runs in O(d·q + ones) expected time via geometric skipping.
-func (u *UE) PerturbEncoded(encoded *bitvec.Vector, r *xrand.Rand) *bitvec.Vector {
-	n := encoded.Len()
-	out := bitvec.New(n)
-	for pos := r.GeometricSkip(u.q); pos < n; {
-		if !encoded.Get(pos) {
-			out.Set(pos)
-		}
-		skip := r.GeometricSkip(u.q)
-		if skip >= n-pos {
-			break
-		}
-		pos += 1 + skip
-	}
-	encoded.ForEachSet(func(i int) { out.SetBool(i, r.Bernoulli(u.p)) })
-	return out
 }
 
 // NewAccumulator implements Mechanism.

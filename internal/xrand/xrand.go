@@ -7,12 +7,18 @@
 // (Blackman & Vigna), seeded through SplitMix64; Split derives statistically
 // independent child streams, which lets the experiment harness hand each
 // simulated user its own generator without coordination.
+//
+// A seed reproduces results within one version of this repository, not
+// across versions: a change to how a mechanism consumes its stream changes
+// every seeded report downstream while leaving the report distribution
+// unchanged.
 package xrand
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Rand is a deterministic pseudo-random generator. It is NOT safe for
@@ -210,26 +216,57 @@ func (r *Rand) ExpFloat64() float64 {
 	return -math.Log(1 - r.Float64())
 }
 
-// GeometricSkip returns the number of failures before the first success of
-// a Bernoulli(q) sequence — the gap between consecutive 1-bits when flipping
-// a long run of 0-bits with probability q. Unary-encoding mechanisms use it
-// to perturb d-bit vectors in O(d·q) expected time instead of O(d).
-// It returns math.MaxInt when q <= 0 (no success ever) and 0 when q >= 1.
-func (r *Rand) GeometricSkip(q float64) int {
-	if q <= 0 {
-		return math.MaxInt
-	}
+// BernoulliWords samples packed vectors of independent Bernoulli(q) bits a
+// word at a time; unary-encoding mechanisms flip their bits with it. It
+// holds q's exact binary expansion — lead zero bits, then the width bits of
+// mant — and is immutable, so goroutines may share one.
+type BernoulliWords struct {
+	mant        uint64
+	lead, width int
+}
+
+// NewBernoulliWords stores the binary expansion of q < 1; q ≤ 0 yields only
+// 0 bits. It panics for q ≥ 1, which no unary encoding uses.
+func NewBernoulliWords(q float64) BernoulliWords {
 	if q >= 1 {
-		return 0
+		panic(fmt.Sprintf("xrand: BernoulliWords with q=%v ≥ 1", q))
 	}
-	// U in (0,1]; floor(ln U / ln(1-q)) is Geometric(q) on {0,1,...}.
-	u := 1 - r.Float64()
-	g := math.Floor(math.Log(u) / math.Log(1-q))
-	if g < 0 { // u == 1 edge
-		return 0
+	if !(q > 0) {
+		return BernoulliWords{}
 	}
-	if g > float64(math.MaxInt32) {
-		return math.MaxInt
+	frac, exp := math.Frexp(q) // q = frac·2^exp, frac in [1/2, 1)
+	mant := uint64(frac * (1 << 53))
+	tz := bits.TrailingZeros64(mant)
+	return BernoulliWords{mant: mant >> tz, lead: -exp, width: 53 - tz}
+}
+
+// Fill overwrites words with n bits, bit i in bit i&63 of word i>>6, each 1
+// with probability exactly q; bits at n and beyond are 0. Each draw reveals
+// the next bit of a uniform U per lane and settles the lanes whose bit
+// differs from q's next expansion bit (U < q where q's bit is the 1); lanes
+// still tied when the expansion ends have U ≥ q and stay 0. Half the tied
+// lanes settle per draw: ≈7.3 draws a word whatever q is, O(⌈d/64⌉) words.
+func (b BernoulliWords) Fill(words []uint64, n int, r *Rand) {
+	for i := range words {
+		tied := uint64(0) // the word's lanes below n
+		if rem := n - i*64; rem >= 64 {
+			tied = ^uint64(0)
+		} else if rem > 0 {
+			tied = 1<<uint(rem) - 1
+		}
+		var w uint64
+		for k := 0; k < b.lead && tied != 0; k++ {
+			tied &^= r.Uint64()
+		}
+		for k := b.width - 1; k >= 0 && tied != 0; k-- {
+			u := r.Uint64()
+			if b.mant>>uint(k)&1 != 0 {
+				w |= tied &^ u
+				tied &= u
+			} else {
+				tied &^= u
+			}
+		}
+		words[i] = w
 	}
-	return int(g)
 }

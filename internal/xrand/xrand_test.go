@@ -220,74 +220,33 @@ func TestExpFloat64Moments(t *testing.T) {
 	}
 }
 
-// TestGeometricSkipMatchesBernoulliScan verifies that generating 1-bit
-// positions by geometric skipping has the same distribution as scanning
-// positions with independent Bernoulli(q) draws — the equivalence the
-// unary-encoding fast path relies on.
-func TestGeometricSkipMatchesBernoulliScan(t *testing.T) {
-	const q = 0.3
-	const n = 50
-	const trials = 60000
-	countSkip := make([]int, n)
-	countScan := make([]int, n)
-	r := New(14)
-	for tr := 0; tr < trials; tr++ {
-		pos := r.GeometricSkip(q)
-		for pos < n {
-			countSkip[pos]++
-			s := r.GeometricSkip(q)
-			if s >= n-pos {
-				break
-			}
-			pos += 1 + s
-		}
-	}
-	for tr := 0; tr < trials; tr++ {
-		for i := 0; i < n; i++ {
-			if r.Bernoulli(q) {
-				countScan[i]++
-			}
-		}
-	}
-	tol := 5 * math.Sqrt(q*(1-q)*trials)
-	for i := 0; i < n; i++ {
-		if math.Abs(float64(countSkip[i]-countScan[i])) > 2*tol {
-			t.Fatalf("position %d: skip=%d scan=%d", i, countSkip[i], countScan[i])
-		}
-		if math.Abs(float64(countSkip[i])-q*trials) > tol {
-			t.Fatalf("position %d skip count %d deviates from %v", i, countSkip[i], q*trials)
-		}
-	}
-}
-
-func TestGeometricSkipEdges(t *testing.T) {
+// TestBernoulliWordsEdges pins the edges and the tail: q ≤ 0 clears every
+// word without a draw, q ≥ 1 is refused, and no bit at or past n is ever
+// set, including in whole words past it. The distribution itself is pinned
+// in internal/fo, through the mechanisms that use it.
+func TestBernoulliWordsEdges(t *testing.T) {
 	r := New(15)
-	if g := r.GeometricSkip(0); g != math.MaxInt {
-		t.Fatalf("GeometricSkip(0) = %d", g)
+	before := *r
+	words := []uint64{7, 7, 7}
+	for _, q := range []float64{0, -1, math.NaN()} {
+		NewBernoulliWords(q).Fill(words, 70, r)
+		if words[0]|words[1]|words[2] != 0 || *r != before {
+			t.Fatalf("q=%v: words %x, generator moved %v", q, words, *r != before)
+		}
 	}
-	if g := r.GeometricSkip(-1); g != math.MaxInt {
-		t.Fatalf("GeometricSkip(-1) = %d", g)
-	}
-	if g := r.GeometricSkip(1); g != 0 {
-		t.Fatalf("GeometricSkip(1) = %d", g)
-	}
-	if g := r.GeometricSkip(2); g != 0 {
-		t.Fatalf("GeometricSkip(2) = %d", g)
-	}
-}
-
-func TestGeometricSkipMean(t *testing.T) {
-	r := New(16)
-	const q = 0.2
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += float64(r.GeometricSkip(q))
-	}
-	mean := sum / n
-	want := (1 - q) / q // mean of Geometric(q) counting failures
-	if math.Abs(mean-want) > 0.08 {
-		t.Fatalf("geometric mean %v, want %v", mean, want)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("q=1 accepted")
+			}
+		}()
+		NewBernoulliWords(1)
+	}()
+	for i := 0; i < 1000; i++ {
+		NewBernoulliWords(0.5).Fill(words, 70, r)
+		if words[1]>>6 != 0 || words[2] != 0 {
+			t.Fatalf("bits set past n=70: %x", words)
+		}
 	}
 }
 
