@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-wal race-topk replay-smoke bench bench-json bench-check bench-harness load-smoke fmt fmt-fix lint staticcheck metrics-lint fuzz ci
+.PHONY: all build test loc race race-wal race-topk replay-smoke bench bench-json bench-check bench-harness load-smoke fmt fmt-fix lint staticcheck metrics-lint fuzz ci
 
 all: build test
 
@@ -12,6 +12,15 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Lines of Go per package of the root module, non-test then test files, and
+# their totals. benchmark/ is a module of its own and is not counted.
+loc:
+	@$(GO) list -f '{{$$d := .Dir}}{{.ImportPath}}{{"\t"}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{"\t"}}{{range .TestGoFiles}}{{$$d}}/{{.}} {{end}}{{range .XTestGoFiles}}{{$$d}}/{{.}} {{end}}' ./... | \
+		awk -F'\t' 'function lines(files, f, n, c, i, l) { n = split(files, f, " "); c = 0; for (i = 1; i <= n; i++) { while ((getline l < f[i]) > 0) c++; close(f[i]) } return c } \
+			BEGIN { printf "%-28s %9s %9s\n", "package", "non-test", "test" } \
+			{ s = lines($$2); t = lines($$3); S += s; T += t; printf "%-28s %9d %9d\n", $$1, s, t } \
+			END { printf "%-28s %9d %9d\n", "total", S, T }'
 
 race:
 	$(GO) test -race ./...

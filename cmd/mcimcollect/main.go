@@ -55,6 +55,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -160,11 +161,10 @@ func main() {
 	if err := obs.SetupDefault(c.logLevel, c.logFormat); err != nil {
 		log.Fatal(err)
 	}
-	// Route the stdlib log package (log.Fatal below) through the structured
-	// logger so every line this process emits has the same shape.
-	log.SetFlags(0)
-	log.SetOutput(obs.StdlogWriter(obs.LevelError))
-	logger := obs.Default()
+	// The log package (log.Fatal below) now writes through the structured
+	// handler; its lines are errors.
+	slog.SetLogLoggerLevel(slog.LevelError)
+	logger := slog.Default()
 
 	if c.tenants != "" {
 		walOpts, err := c.walOptions()
@@ -283,17 +283,17 @@ func runServer(addr string, handler http.Handler, drain time.Duration, closer fu
 	case <-ctx.Done():
 	}
 	stop()
-	obs.Default().Info("shutting down", "drain", drain)
+	slog.Info("shutting down", "drain", drain)
 	sctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := hs.Shutdown(sctx); err != nil {
-		obs.Default().Error("shutdown", "err", err)
+		slog.Error("shutdown", "err", err)
 	}
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		obs.Default().Error("serve", "err", err)
+		slog.Error("serve", "err", err)
 	}
 	if err := closer(); err != nil {
-		obs.Default().Error("close durable state", "err", err)
+		slog.Error("close durable state", "err", err)
 	}
 	final()
 }

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -69,11 +70,10 @@ func main() {
 	if err := obs.SetupDefault(*logLevel, *logFormat); err != nil {
 		log.Fatal(err)
 	}
-	// Route the stdlib log package (log.Fatal below) through the structured
-	// logger so every line this process emits has the same shape.
-	log.SetFlags(0)
-	log.SetOutput(obs.StdlogWriter(obs.LevelError))
-	logger := obs.Default()
+	// The log package (log.Fatal below) now writes through the structured
+	// handler; its lines are errors.
+	slog.SetLogLoggerLevel(slog.LevelError)
+	logger := slog.Default()
 
 	// Tenant targeting is a pure client-side transform: prefix the upstream
 	// base with the tenant's routes and carry its bearer token on every
@@ -127,8 +127,7 @@ func main() {
 	logger.Info("edge collecting", "addr", *addr, "tiers", tiers,
 		"upstream", upstreamBase, "push_every", *pushEvery)
 
-	pusher := &pusher{srv: srv, proto: proto, meanProto: meanProto, upstream: upstreamBase, hc: hc,
-		metrics: collect.NewEdgeMetrics(srv.Metrics())}
+	pusher := &pusher{srv: srv, upstream: upstreamBase, hc: hc, metrics: collect.NewEdgeMetrics(srv.Metrics())}
 	ticker := time.NewTicker(*pushEvery)
 	defer ticker.Stop()
 
@@ -201,18 +200,16 @@ func fetchProtocols(upstream string, hc *http.Client) (*core.Protocol, *core.Num
 	return nil, nil, lastErr
 }
 
-// pusher drains the edge aggregates — the frequency tier's and, when
-// mounted, the mean tier's — and ships each as one envelope upstream,
-// merging an envelope back on a retriable failure so the reports ride the
-// next push instead of being lost.
+// pusher drains the edge's tiers — the frequency tier and, when mounted,
+// the mean tier — and ships each drained envelope upstream, merging an
+// envelope back on a retriable failure so the reports ride the next push
+// instead of being lost.
 type pusher struct {
-	srv       *collect.Server
-	proto     *core.Protocol
-	meanProto *core.NumericProtocol
-	upstream  string
-	hc        *http.Client
-	metrics   *collect.EdgeMetrics
-	unpushed  int
+	srv      *collect.Server
+	upstream string
+	hc       *http.Client
+	metrics  *collect.EdgeMetrics
+	unpushed int
 }
 
 func (p *pusher) push() {
@@ -222,48 +219,30 @@ func (p *pusher) push() {
 		p.unpushed = p.srv.Reports() + p.srv.MeanReports()
 		p.metrics.Unpushed.Set(float64(p.unpushed))
 	}()
-	if p.proto != nil {
-		env, n, ok := drainEnvelope("freq", p.srv.Drain, p.proto.MarshalAggregator)
-		if ok {
-			p.metrics.DrainReports.Observe(float64(n))
-			p.ship(env, n, "freq")
-		}
+	if p.srv.Protocol() != nil {
+		p.ship("freq", p.srv.Drain)
 	}
-	if p.meanProto != nil {
-		env, n, ok := drainEnvelope("mean", p.srv.DrainMean, p.meanProto.MarshalAggregator)
-		if ok {
-			p.metrics.DrainReports.Observe(float64(n))
-			p.ship(env, n, "mean")
-		}
+	if p.srv.MeanProtocol() != nil {
+		p.ship("mean", p.srv.DrainMean)
 	}
 }
 
-// drainEnvelope drains one tier and marshals the taken aggregate,
-// reporting ok=false when there is nothing to push (empty, or the drain /
-// marshal failed — failures keep the reports local and are logged).
-func drainEnvelope[A interface{ N() int }](tier string, drain func() (A, error), marshal func(A) ([]byte, error)) (env []byte, n int, ok bool) {
-	taken, err := drain()
+// ship drains one tier, POSTs its envelope to the upstream /merge and
+// handles the verdict; an empty tier ships nothing, and tier distinguishes
+// the tiers in logs.
+func (p *pusher) ship(tier string, drain func() ([]byte, int, error)) {
+	env, n, err := drain()
 	if err != nil {
 		// Drain is atomic: the reports stayed local (in memory and in the
 		// WAL), so the next tick simply retries the whole drain.
-		obs.Default().Error("push: drain failed, reports held locally", "tier", tier, "err", err)
-		return nil, 0, false
+		slog.Error("push: drain failed, reports held locally", "tier", tier, "err", err)
+		return
 	}
-	if n = taken.N(); n == 0 {
-		return nil, 0, false
+	if n == 0 {
+		return
 	}
-	env, err = marshal(taken)
-	if err != nil {
-		obs.Default().Error("push: marshal failed, reports dropped", "tier", tier, "reports", n, "err", err)
-		return nil, 0, false
-	}
-	return env, n, true
-}
-
-// ship POSTs one envelope to the upstream /merge and handles the verdict;
-// tier distinguishes the tiers in logs.
-func (p *pusher) ship(env []byte, n int, tier string) {
-	logger := obs.Default().With("tier", tier, "reports", n)
+	p.metrics.DrainReports.Observe(float64(n))
+	logger := slog.With("tier", tier, "reports", n)
 	verdict, err := postMerge(p.upstream, p.hc, env)
 	switch verdict {
 	case pushOK:

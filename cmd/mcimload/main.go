@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"log/slog"
 	"math"
 	"net"
 	"net/http"
@@ -183,10 +184,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := obs.SetupDefault(*logLevel, *logFormat); err != nil {
 		return err
 	}
-	// Route the stdlib log package through the structured logger so every
-	// progress line this tool emits has the same shape.
-	log.SetFlags(0)
-	log.SetOutput(obs.StdlogWriter(obs.LevelInfo))
+	// The log package's progress lines now write through the structured
+	// handler, at info level.
+	slog.SetLogLoggerLevel(slog.LevelInfo)
 
 	build, ok := tiers[*mode]
 	switch {

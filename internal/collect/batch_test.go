@@ -342,7 +342,7 @@ func TestShardedMatchesSingleAccumulator(t *testing.T) {
 				offline.Add(rep)
 			}
 			postMixedConcurrently(t, ts, "/reports", wires, proto.AppendBinaryBatch)
-			served := srv.freq.clone()
+			served := freqAgg(t, srv)
 			if served.N() != n {
 				t.Fatalf("server holds %d reports, want %d", served.N(), n)
 			}
@@ -368,7 +368,7 @@ func TestShardedMatchesSingleAccumulator(t *testing.T) {
 				offline.Add(rep)
 			}
 			postMixedConcurrently(t, ts, "/mean/reports", wires, np.AppendBinaryMeanBatch)
-			served := srv.mean.clone()
+			served := meanAgg(t, srv)
 			if served.N() != n {
 				t.Fatalf("server holds %d reports, want %d", served.N(), n)
 			}
@@ -438,7 +438,7 @@ func TestConcurrentBatchIngest(t *testing.T) {
 	if got := srv.Reports(); got != wantTotal {
 		t.Fatalf("server saw %d reports, want %d", got, wantTotal)
 	}
-	acc := srv.freq.clone()
+	acc := freqAgg(t, srv)
 	total := 0.0
 	for _, sz := range acc.ClassSizes() {
 		total += sz

@@ -5,8 +5,9 @@
 // calibrated classwise estimates.
 //
 // The pipeline is mechanism-generic: the server is built around a
-// core.Protocol (hec, ptj, pts or ptscp), it holds one of that protocol's
-// Aggregators, and the wire codec is delegated to the protocol, so all four
+// core.Protocol (hec, ptj, pts or ptscp), it holds one count table of that
+// protocol's shape (state.Table), and the wire codec, the fold into the
+// table and its calibration are delegated to the protocol, so all four
 // frameworks stream through the same endpoints. /config advertises the
 // protocol name and clients reconstruct the matching Encoder from it.
 //
@@ -18,16 +19,15 @@
 // submitted one per request (POST /report) or, preferably, in batches
 // (POST /reports, JSON array, NDJSON stream or binary frame). Concurrent
 // requests decode, validate and log in parallel and serialize only on the
-// fold into the tier's one aggregate of integer counts, which is why the
+// fold into the tier's one table of integer counts, which is why the
 // served estimates are bit-identical to an offline aggregator fed the same
 // reports in any order.
 //
 // Two production affordances sit on top (see durable.go and merge.go): a
-// write-ahead log (WithWAL) that makes the aggregate survive unclean
-// shutdowns bit-identically, and a federation endpoint (POST /merge) that
-// accepts another server's fingerprinted state envelope, which is how edge
-// collectors (cmd/mcimedge) push their locally merged aggregates up to a
-// root server.
+// write-ahead log (WithWAL) that makes the table survive unclean shutdowns
+// bit-identically, and a federation endpoint (POST /merge) that accepts
+// another server's fingerprinted state envelope, which is how edge
+// collectors (cmd/mcimedge) push their drained tables up to a root server.
 //
 // All of that lifecycle is written once, in the generic report-tier engine
 // (tier.go): the frequency tier (this file) and the numeric mean tier
@@ -45,13 +45,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mean"
 	"repro/internal/obs"
+	"repro/internal/state"
 	"repro/internal/wal"
 )
 
@@ -160,15 +161,15 @@ type Server struct {
 	// The tiers; each is nil unless mounted. freq serves proto, mean serves
 	// meanProto (WithMean), topk hosts interactive mining sessions
 	// (WithTopKSessions, see topk.go).
-	freq *tier[core.Aggregator, WireReport]
-	mean *tier[mean.Aggregator, WireMeanReport]
+	freq *tier[WireReport]
+	mean *tier[WireMeanReport]
 	topk *sessionHub
 
 	// Observability (see obs.go): the registry behind GET /metrics, the
 	// structured logger, and the mining tier's pre-resolved hot-path handles
 	// (the report tiers carry their own).
 	obs     *obs.Registry
-	logger  *obs.Logger
+	logger  *slog.Logger
 	started time.Time
 	topkM   *tierMetrics
 }
@@ -288,10 +289,10 @@ func NewServer(p *core.Protocol, opts ...ServerOption) (*Server, error) {
 	// instrumentation live on the registry built here.
 	s.initObs()
 	if p != nil {
-		s.freq = newTier[core.Aggregator, WireReport](s, freqCodec{p}, "freq", "")
+		s.freq = newTier[WireReport](s, freqCodec{p}, "freq", "")
 	}
 	if s.meanSet {
-		s.mean = newTier[mean.Aggregator, WireMeanReport](s, meanCodec{s.meanProto}, "mean", "mean ")
+		s.mean = newTier[WireMeanReport](s, meanCodec{s.meanProto}, "mean", "mean ")
 	}
 	if s.topk != nil {
 		s.topk.init(s)
@@ -466,8 +467,8 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool
 }
 
 // freqCodec adapts a core.Protocol to the report-tier engine (see tier.go);
-// the embedded protocol supplies the naming, aggregator and envelope half
-// of the codec.
+// the embedded protocol supplies the naming, table and envelope half of the
+// codec.
 type freqCodec struct{ *core.Protocol }
 
 func (c freqCodec) config(maxBody int64) any {
@@ -482,11 +483,11 @@ func (c freqCodec) config(maxBody int64) any {
 	}
 }
 
-func (c freqCodec) decode(wires []WireReport) ([]WireReport, func(core.Aggregator), []WireItemError) {
+func (c freqCodec) decode(wires []WireReport) ([]WireReport, func(*state.Table), []WireItemError) {
 	accepted, reps, rejected := decodeEach(wires, c.DecodeReport)
-	return accepted, func(acc core.Aggregator) {
+	return accepted, func(t *state.Table) {
 		for _, rep := range reps {
-			acc.Add(rep)
+			c.Fold(t, rep)
 		}
 	}, rejected
 }
@@ -495,19 +496,9 @@ func (c freqCodec) validateBinary(frame []byte) (core.CheckedFrame, error) {
 	return c.ValidateBinaryBatch(frame)
 }
 
-func (c freqCodec) applyBinary(acc core.Aggregator, f core.CheckedFrame) {
-	c.ApplyCheckedBatch(acc, f)
-}
-
-func (c freqCodec) estimates(acc core.Aggregator) any {
-	freq := acc.Estimates()
-	return WireEstimates{
-		Reports:     acc.N(),
-		Frequencies: freq,
-		// Reuse the matrix for row-sum-based frameworks instead of paying
-		// the full calibration a second time.
-		ClassSizes: core.ClassSizesFromEstimates(acc, freq),
-	}
+func (c freqCodec) estimates(t *state.Table) any {
+	freq, sizes := c.Calibrate(t)
+	return WireEstimates{Reports: int(t.N), Frequencies: freq, ClassSizes: sizes}
 }
 
 // decodeEach runs one tier's per-report wire decoder over a batch: the wire
@@ -549,7 +540,7 @@ func (s *Server) Snapshot() ([]byte, error) {
 	if s.freq == nil {
 		return nil, errNoFrequencyTier()
 	}
-	return s.freq.snapshot()
+	return s.freq.snapshot(), nil
 }
 
 // Restore replaces the aggregation state with a Snapshot envelope taken

@@ -2,11 +2,11 @@ package collect
 
 import (
 	"fmt"
+	"log/slog"
 	"path/filepath"
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -56,7 +56,7 @@ type durableLog struct {
 	// atomic with respect to the segment boundary a snapshot covers.
 	ingestMu sync.RWMutex
 	log      *wal.Log
-	logger   *obs.Logger
+	logger   *slog.Logger
 
 	compactAfter int64
 	// marshalState serializes the owner's complete applied state for a

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
+
+	"repro/internal/state"
 )
 
 // TestFederatedMergeEqualsCentralized pins acceptance criterion (c): for
@@ -47,16 +49,12 @@ func TestFederatedMergeEqualsCentralized(t *testing.T) {
 					slice = append(slice, wires[i])
 				}
 				ingestWires(t, edge, slice, 64)
-				taken, err := edge.Drain()
+				env, _, err := edge.Drain()
 				if err != nil {
 					t.Fatal(err)
 				}
 				if edge.Reports() != 0 {
 					t.Fatalf("edge %d holds %d reports after drain", e, edge.Reports())
-				}
-				env, err := edge.proto.MarshalAggregator(taken)
-				if err != nil {
-					t.Fatal(err)
 				}
 				resp, err := http.Post(ts.URL+"/merge", "application/octet-stream", bytes.NewReader(env))
 				if err != nil {
@@ -78,7 +76,7 @@ func TestFederatedMergeEqualsCentralized(t *testing.T) {
 			if root.Reports() != n {
 				t.Fatalf("root holds %d reports, want %d", root.Reports(), n)
 			}
-			rootAgg, centralAgg := root.freq.clone(), central.freq.clone()
+			rootAgg, centralAgg := freqAgg(t, root), freqAgg(t, central)
 			if !reflect.DeepEqual(rootAgg.Estimates(), centralAgg.Estimates()) {
 				t.Fatal("federated estimates not bit-identical to centralized ingestion")
 			}
@@ -150,6 +148,57 @@ func TestMergeEndpointRejects(t *testing.T) {
 	}
 }
 
+// TestMergeRefusesEnvelopeWithoutHeadroom: an envelope that would take a
+// tier past maxTierReports is refused with a 400 before the WAL sees it.
+// Logged, it would fail Table.Merge's overflow check on every replay, and
+// the server could never restart from its directory.
+func TestMergeRefusesEnvelopeWithoutHeadroom(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Server {
+		t.Helper()
+		srv, err := NewServer(mustProtocol(t, "ptscp", 2, 6, 2, 0.5), WithWAL(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	srv := open()
+	env, err := srv.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, payload, err := state.Decode(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := state.DecodeTable(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 2⁶² reports, all routed to label 0 with no item bit kept: a valid table.
+	tab.N, tab.Cells[0] = 1<<62, 1<<62
+	blob, _ := tab.MarshalBinary()
+	huge := state.Encode(fp, blob)
+	if rec := serve(srv, "POST", "/merge", huge); rec.Code != http.StatusOK {
+		t.Fatalf("first 2⁶²-report envelope answered %d: %s", rec.Code, rec.Body)
+	}
+	logged := srv.freq.log.BytesSinceSeal()
+	if rec := serve(srv, "POST", "/merge", huge); rec.Code/100 != 4 {
+		t.Fatalf("second 2⁶²-report envelope answered %d, want a 4xx", rec.Code)
+	}
+	if got := srv.freq.log.BytesSinceSeal(); got != logged {
+		t.Fatalf("the refused envelope reached the WAL (%d → %d bytes)", logged, got)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened := open()
+	defer reopened.Close()
+	if got := reopened.Reports(); got != 1<<62 {
+		t.Fatalf("reopened server holds %d reports, want 2⁶²", got)
+	}
+}
+
 // zeroReader is an endless body of zero bytes.
 type zeroReader struct{}
 
@@ -191,11 +240,7 @@ func TestDrainPushFailureRemerge(t *testing.T) {
 	}
 	wires := wireStream(t, edge.proto, 40, 4)
 	ingestWires(t, edge, wires[:30], 10)
-	taken, err := edge.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := edge.proto.MarshalAggregator(taken)
+	env, _, err := edge.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +252,11 @@ func TestDrainPushFailureRemerge(t *testing.T) {
 	if edge.Reports() != 40 {
 		t.Fatalf("edge reports %d, want 40", edge.Reports())
 	}
-	retaken, err := edge.Drain()
+	reEnv, _, err := edge.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
+	retaken := mustOpen(t, edge.proto.UnmarshalAggregator, reEnv)
 	if retaken.N() != 40 {
 		t.Fatalf("second drain carries %d reports, want all 40", retaken.N())
 	}
@@ -221,7 +267,7 @@ func TestDrainPushFailureRemerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestWires(t, direct, wires, 10)
-	if !reflect.DeepEqual(retaken.Estimates(), direct.freq.clone().Estimates()) {
+	if !reflect.DeepEqual(retaken.Estimates(), freqAgg(t, direct).Estimates()) {
 		t.Fatal("re-merged drain not bit-identical to direct ingestion")
 	}
 }

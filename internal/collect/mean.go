@@ -4,14 +4,14 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/mean"
+	"repro/internal/state"
 )
 
 // This file is the numeric mean tier: the collection server hosts the
 // classwise mean-estimation frameworks (internal/mean via
 // core.NumericProtocol) with full parity to the frequency tier — batched
 // ingestion over the same JSON-array/NDJSON machinery and 413 body cap,
-// one aggregate of integer counts cloned on read, write-ahead durability
+// one table of integer counts cloned on read, write-ahead durability
 // with compaction snapshots, and edge→root federation through the shared POST
 // /merge endpoint (envelopes route by fingerprint, so one root federates
 // both tiers).
@@ -70,8 +70,8 @@ func WithMean(p *core.NumericProtocol) ServerOption {
 }
 
 // meanCodec adapts a core.NumericProtocol to the report-tier engine (see
-// tier.go); the embedded protocol supplies the naming, aggregator and
-// envelope half of the codec.
+// tier.go); the embedded protocol supplies the naming, table and envelope
+// half of the codec.
 type meanCodec struct{ *core.NumericProtocol }
 
 func (c meanCodec) config(maxBody int64) any {
@@ -85,11 +85,11 @@ func (c meanCodec) config(maxBody int64) any {
 	}
 }
 
-func (c meanCodec) decode(wires []WireMeanReport) ([]WireMeanReport, func(mean.Aggregator), []WireItemError) {
+func (c meanCodec) decode(wires []WireMeanReport) ([]WireMeanReport, func(*state.Table), []WireItemError) {
 	accepted, reps, rejected := decodeEach(wires, c.DecodeMeanReport)
-	return accepted, func(acc mean.Aggregator) {
+	return accepted, func(t *state.Table) {
 		for _, rep := range reps {
-			acc.AddCounts(rep.Label, rep.Symbol, 1)
+			c.Fold(t, rep)
 		}
 	}, rejected
 }
@@ -98,12 +98,9 @@ func (c meanCodec) validateBinary(frame []byte) (core.CheckedFrame, error) {
 	return c.ValidateBinaryMeanBatch(frame)
 }
 
-func (c meanCodec) applyBinary(acc mean.Aggregator, f core.CheckedFrame) {
-	c.ApplyCheckedMeanBatch(acc, f)
-}
-
-func (c meanCodec) estimates(acc mean.Aggregator) any {
-	return WireMeanEstimates{Reports: acc.N(), Means: acc.Means(), ClassSizes: acc.ClassSizes()}
+func (c meanCodec) estimates(t *state.Table) any {
+	means, sizes := c.Calibrate(t)
+	return WireMeanEstimates{Reports: int(t.N), Means: means, ClassSizes: sizes}
 }
 
 // MeanProtocol returns the numeric protocol the server aggregates for, or
@@ -136,13 +133,13 @@ func (s *Server) CompactMean() error {
 	return s.mean.compact()
 }
 
-// SnapshotMean serializes the mean tier's aggregate into a fingerprinted
-// state envelope.
+// SnapshotMean serializes the mean tier's table into a fingerprinted state
+// envelope.
 func (s *Server) SnapshotMean() ([]byte, error) {
 	if s.mean == nil {
 		return nil, errNoMeanTier()
 	}
-	return s.mean.snapshot()
+	return s.mean.snapshot(), nil
 }
 
 // RestoreMean replaces the mean aggregate with a SnapshotMean envelope
@@ -155,14 +152,14 @@ func (s *Server) RestoreMean(data []byte) error {
 	return s.mean.restore(data)
 }
 
-// DrainMean atomically removes and returns the mean tier's entire
-// aggregate, leaving it empty — the edge collector's push primitive for
-// the mean tier, with the same atomicity contract as Drain: if the WAL
-// cannot be moved past the drained state, the aggregate is folded back in
+// DrainMean atomically empties the mean tier and returns the envelope of
+// the table it took and its report count — the edge collector's push
+// primitive for the mean tier, with the same atomicity contract as Drain:
+// if the WAL cannot be moved past the drained state, the table is put back
 // and nothing is handed out.
-func (s *Server) DrainMean() (mean.Aggregator, error) {
+func (s *Server) DrainMean() (env []byte, n int, err error) {
 	if s.mean == nil {
-		return nil, errNoMeanTier()
+		return nil, 0, errNoMeanTier()
 	}
 	return s.mean.drain()
 }

@@ -180,16 +180,12 @@ func TestFederatedMeanMergeEqualsCentralized(t *testing.T) {
 					slice = append(slice, wires[i])
 				}
 				ingestMeanWires(t, edge, slice, 64)
-				taken, err := edge.DrainMean()
+				env, _, err := edge.DrainMean()
 				if err != nil {
 					t.Fatal(err)
 				}
 				if edge.MeanReports() != 0 {
 					t.Fatalf("edge %d holds %d reports after drain", e, edge.MeanReports())
-				}
-				env, err := edge.meanProto.MarshalAggregator(taken)
-				if err != nil {
-					t.Fatal(err)
 				}
 				resp, err := http.Post(ts.URL+"/merge", "application/octet-stream", bytes.NewReader(env))
 				if err != nil {
@@ -211,7 +207,7 @@ func TestFederatedMeanMergeEqualsCentralized(t *testing.T) {
 			if root.MeanReports() != n {
 				t.Fatalf("root holds %d reports, want %d", root.MeanReports(), n)
 			}
-			rootAgg, centralAgg := root.mean.clone(), central.mean.clone()
+			rootAgg, centralAgg := meanAgg(t, root), meanAgg(t, central)
 			if !reflect.DeepEqual(rootAgg.Means(), centralAgg.Means()) {
 				t.Fatal("federated means not bit-identical to centralized ingestion")
 			}
@@ -257,7 +253,7 @@ func TestMeanWALCrashRecoveryBitIdentical(t *testing.T) {
 			if restarted.MeanReports() != n {
 				t.Fatalf("recovered %d reports, want %d", restarted.MeanReports(), n)
 			}
-			recovered, reference := restarted.mean.clone(), ref.mean.clone()
+			recovered, reference := meanAgg(t, restarted), meanAgg(t, ref)
 			if !reflect.DeepEqual(recovered.Means(), reference.Means()) {
 				t.Fatal("recovered means not bit-identical to uninterrupted run")
 			}
@@ -315,20 +311,28 @@ func TestMergeRoutesBothTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	post := func(env []byte) int {
+	// post returns the status and, on a 200, the ack's post-merge total.
+	post := func(env []byte) (code, reports int) {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/merge", "application/octet-stream", bytes.NewReader(env))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		return resp.StatusCode
+		var ack WireMergeAck
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, ack.Reports
 	}
-	if code := post(freqEnv); code != http.StatusOK {
-		t.Fatalf("frequency envelope status %d", code)
+	if code, reports := post(freqEnv); code != http.StatusOK || reports != 30 {
+		t.Fatalf("frequency envelope status %d, ack reports %d (want 200, 30)", code, reports)
 	}
-	if code := post(meanEnv); code != http.StatusOK {
-		t.Fatalf("mean envelope status %d", code)
+	// The ack's total is the tier that took the envelope's, not both tiers'.
+	if code, reports := post(meanEnv); code != http.StatusOK || reports != 40 {
+		t.Fatalf("mean envelope status %d, ack reports %d (want 200, 40)", code, reports)
 	}
 	if srv.Reports() != 30 {
 		t.Fatalf("frequency tier holds %d reports, want 30", srv.Reports())
@@ -343,10 +347,10 @@ func TestMergeRoutesBothTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code := post(foreignEnv); code != http.StatusConflict {
+	if code, _ := post(foreignEnv); code != http.StatusConflict {
 		t.Fatalf("foreign mean envelope status %d, want 409", code)
 	}
-	if code := post([]byte("garbage")); code != http.StatusBadRequest {
+	if code, _ := post([]byte("garbage")); code != http.StatusBadRequest {
 		t.Fatal("corrupt envelope not a 400")
 	}
 	// MergeState (the programmatic form mcimedge's re-merge uses) routes
@@ -470,11 +474,7 @@ func TestMeanDrainRemerge(t *testing.T) {
 	edge := newMeanServer(t, "ptsmean", 2, 2, 0.5)
 	wires := meanWireStream(t, edge.meanProto, 40, 4)
 	ingestMeanWires(t, edge, wires[:30], 10)
-	taken, err := edge.DrainMean()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := edge.meanProto.MarshalAggregator(taken)
+	env, _, err := edge.DrainMean()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,16 +482,17 @@ func TestMeanDrainRemerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestMeanWires(t, edge, wires[30:], 10)
-	retaken, err := edge.DrainMean()
+	reEnv, _, err := edge.DrainMean()
 	if err != nil {
 		t.Fatal(err)
 	}
+	retaken := mustOpen(t, edge.meanProto.UnmarshalAggregator, reEnv)
 	if retaken.N() != 40 {
 		t.Fatalf("second drain carries %d reports, want all 40", retaken.N())
 	}
 	direct := newMeanServer(t, "ptsmean", 2, 2, 0.5)
 	ingestMeanWires(t, direct, wires, 10)
-	if !reflect.DeepEqual(retaken.Means(), direct.mean.clone().Means()) {
+	if !reflect.DeepEqual(retaken.Means(), meanAgg(t, direct).Means()) {
 		t.Fatal("re-merged drain not bit-identical to direct ingestion")
 	}
 }
@@ -520,7 +521,7 @@ func TestMeanCheckpointRestart(t *testing.T) {
 	if b.MeanReports() != 600 {
 		t.Fatalf("restored server holds %d reports, want 600", b.MeanReports())
 	}
-	if !reflect.DeepEqual(b.mean.clone().Means(), whole.mean.clone().Means()) {
+	if !reflect.DeepEqual(meanAgg(t, b).Means(), meanAgg(t, whole).Means()) {
 		t.Fatal("restart not bit-identical")
 	}
 	// A foreign snapshot is refused and leaves the state untouched.

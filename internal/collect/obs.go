@@ -2,6 +2,7 @@ package collect
 
 import (
 	"errors"
+	"log/slog"
 	"time"
 
 	"repro/internal/obs"
@@ -145,8 +146,8 @@ func NewEdgeMetrics(reg *obs.Registry) *EdgeMetrics {
 }
 
 // WithLogger sets the structured logger the server (and its tiers) log
-// through; the default is obs.Default().
-func WithLogger(l *obs.Logger) ServerOption {
+// through; the default is slog.Default().
+func WithLogger(l *slog.Logger) ServerOption {
 	return func(s *Server) {
 		if l != nil {
 			s.logger = l
@@ -167,7 +168,7 @@ func (s *Server) Metrics() *obs.Registry { return s.obs }
 func (s *Server) initObs() {
 	s.obs = obs.NewRegistry()
 	if s.logger == nil {
-		s.logger = obs.Default()
+		s.logger = slog.Default()
 	}
 	s.started = time.Now()
 	obs.RegisterBuildInfo(s.obs)

@@ -344,12 +344,9 @@ func TestEstimateReadsUnderConcurrentIngest(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			agg, err := srv.Drain()
-			if err == nil && agg.N() > 0 {
-				var env []byte
-				if env, err = srv.proto.MarshalAggregator(agg); err == nil {
-					_, err = srv.MergeState(env)
-				}
+			env, n, err := srv.Drain()
+			if err == nil && n > 0 {
+				_, err = srv.MergeState(env)
 			}
 			if err != nil {
 				errc <- err

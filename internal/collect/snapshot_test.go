@@ -51,7 +51,7 @@ func TestServerCheckpointRestart(t *testing.T) {
 			if srvB.Reports() != 800 {
 				t.Fatalf("restored server has %d reports", srvB.Reports())
 			}
-			if !reflect.DeepEqual(srvB.freq.clone().Estimates(), srvA.freq.clone().Estimates()) {
+			if !reflect.DeepEqual(freqAgg(t, srvB).Estimates(), freqAgg(t, srvA).Estimates()) {
 				t.Fatal("restored estimates not bit-identical")
 			}
 		})

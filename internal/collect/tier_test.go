@@ -3,6 +3,7 @@ package collect
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"reflect"
 	"strings"
@@ -12,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mean"
-	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -110,7 +110,8 @@ var tierCases = []tierCase{
 		reports: (*Server).Reports,
 		estimates: func(srv *Server) any {
 			acc := srv.freq.clone()
-			return []any{acc.Estimates(), acc.ClassSizes()}
+			freq, sizes := srv.proto.Calibrate(&acc)
+			return []any{freq, sizes}
 		},
 		compact:  (*Server).Compact,
 		snapshot: (*Server).Snapshot,
@@ -135,7 +136,8 @@ var tierCases = []tierCase{
 		reports: (*Server).MeanReports,
 		estimates: func(srv *Server) any {
 			acc := srv.mean.clone()
-			return []any{acc.Means(), acc.ClassSizes()}
+			means, sizes := srv.meanProto.Calibrate(&acc)
+			return []any{means, sizes}
 		},
 		compact:  (*Server).CompactMean,
 		snapshot: (*Server).SnapshotMean,
@@ -198,7 +200,7 @@ func TestCloseWaitsForBackgroundCompaction(t *testing.T) {
 			walOpts := WithWALOptions(wal.Options{Sync: wal.SyncNever, SegmentBytes: 2 << 10})
 			var logs syncBuffer
 			srv := tc.newServer(t, 2, WithWAL(dir), walOpts, WithCompactAfter(1<<10),
-				WithLogger(obs.New(&logs, obs.LevelInfo, obs.FormatKV)))
+				WithLogger(slog.New(slog.NewTextHandler(&logs, nil))))
 			// Every 50-report batch logs more than the 1 KiB threshold, so a
 			// compaction is (re)started as soon as the previous one finishes:
 			// Close lands on one in flight.

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mean"
 	"repro/internal/wal"
 	"repro/internal/xrand"
 )
@@ -32,7 +33,7 @@ func wireStream(t testing.TB, proto *core.Protocol, n int, seed uint64) []WireRe
 
 // ingestChunk pushes one chunk of wire reports through a tier's
 // decode-then-ingest path, as its batch endpoint would.
-func ingestChunk[A aggregator[A], W any](tr *tier[A, W], chunk []W) error {
+func ingestChunk[W any](tr *tier[W], chunk []W) error {
 	accepted, add, rejected := tr.c.decode(chunk)
 	if len(rejected) > 0 {
 		return errors.New(rejected[0].Error)
@@ -41,7 +42,7 @@ func ingestChunk[A aggregator[A], W any](tr *tier[A, W], chunk []W) error {
 }
 
 // feedTier pushes a wire stream through a tier's ingest path in batches.
-func feedTier[A aggregator[A], W any](tr *tier[A, W], wires []W, batch int) error {
+func feedTier[W any](tr *tier[W], wires []W, batch int) error {
 	for len(wires) > 0 {
 		n := min(batch, len(wires))
 		if err := ingestChunk(tr, wires[:n]); err != nil {
@@ -53,7 +54,7 @@ func feedTier[A aggregator[A], W any](tr *tier[A, W], wires []W, batch int) erro
 }
 
 // ingestTier is feedTier on the test goroutine.
-func ingestTier[A aggregator[A], W any](t testing.TB, tr *tier[A, W], wires []W, batch int) {
+func ingestTier[W any](t testing.TB, tr *tier[W], wires []W, batch int) {
 	t.Helper()
 	if err := feedTier(tr, wires, batch); err != nil {
 		t.Fatal(err)
@@ -64,6 +65,37 @@ func ingestTier[A aggregator[A], W any](t testing.TB, tr *tier[A, W], wires []W,
 func ingestWires(t testing.TB, srv *Server, wires []WireReport, batch int) {
 	t.Helper()
 	ingestTier(t, srv.freq, wires, batch)
+}
+
+// freqAgg and meanAgg read a tier's state the way a peer would: its
+// snapshot envelope, opened by the protocol's UnmarshalAggregator.
+func freqAgg(t testing.TB, srv *Server) core.Aggregator {
+	t.Helper()
+	env, err := srv.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mustOpen(t, srv.proto.UnmarshalAggregator, env)
+}
+
+func meanAgg(t testing.TB, srv *Server) mean.Aggregator {
+	t.Helper()
+	env, err := srv.SnapshotMean()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mustOpen(t, srv.meanProto.UnmarshalAggregator, env)
+}
+
+// mustOpen opens a state envelope (a snapshot or a drain) with a
+// protocol's UnmarshalAggregator.
+func mustOpen[A any](t testing.TB, unmarshal func([]byte) (A, error), env []byte) A {
+	t.Helper()
+	agg, err := unmarshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return agg
 }
 
 // tearLastSegment appends a torn frame to the newest WAL segment,
@@ -134,7 +166,7 @@ func TestWALCrashRecoveryBitIdentical(t *testing.T) {
 			if restarted.Reports() != n {
 				t.Fatalf("recovered %d reports, want %d", restarted.Reports(), n)
 			}
-			recovered, reference := restarted.freq.clone(), ref.freq.clone()
+			recovered, reference := freqAgg(t, restarted), freqAgg(t, ref)
 			if !reflect.DeepEqual(recovered.Estimates(), reference.Estimates()) {
 				t.Fatal("recovered estimates not bit-identical to uninterrupted run")
 			}
@@ -230,7 +262,7 @@ func TestWALConcurrentCrashRecoveryBitIdentical(t *testing.T) {
 	if got, want := restarted.Reports(), ref.Reports(); got != want {
 		t.Fatalf("recovered %d reports, want %d", got, want)
 	}
-	recovered, reference := restarted.freq.clone(), ref.freq.clone()
+	recovered, reference := freqAgg(t, restarted), freqAgg(t, ref)
 	if !reflect.DeepEqual(recovered.Estimates(), reference.Estimates()) {
 		t.Fatal("recovered estimates not bit-identical to the offline aggregate")
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/fo"
 	"repro/internal/mean"
+	"repro/internal/state"
 )
 
 // This file is the binary wire codec for report batches — the
@@ -190,8 +191,8 @@ func (p *Protocol) AppendBinaryBatch(dst []byte, wires []WirePayload) ([]byte, e
 
 // CheckedFrame is a binary frame a protocol's Validate… method has checked
 // end to end — CRC, header, every record against the wire shape — which is
-// what the matching ApplyChecked… method needs to fold it with no failure
-// path. Holding one is the proof, so a server validates each frame once. It
+// what the protocol's FoldChecked needs to fold it with no failure path.
+// Holding one is the proof, so a server validates each frame once. It
 // aliases the frame's bytes and is valid only while they are unchanged.
 //
 // A mean frame's check is also its count: the value carries one counter per
@@ -308,18 +309,17 @@ func (p *Protocol) ValidateBinaryBatch(data []byte) (CheckedFrame, error) {
 	return CheckedFrame{owner: p, records: rec, count: count}, nil
 }
 
-// ApplyCheckedBatch folds every record of a frame ValidateBinaryBatch
-// accepted into agg's table. Value reports are folded one per record.
+// FoldChecked folds every record of a frame ValidateBinaryBatch accepted
+// into t, a table of p's shape. Value reports are folded one per record.
 // Bit-vector reports take two passes over the frame: a label walk that files
 // each report's offset under its label, then the protocol's addRows — per
 // label, the counters, PTS-CP's VP drop rule and one column sum
 // (bitvec.AddRows) over the label's rows. Nothing is allocated per report
 // or, after warm-up, per frame.
-func (p *Protocol) ApplyCheckedBatch(agg Aggregator, f CheckedFrame) {
+func (p *Protocol) FoldChecked(t *state.Table, f CheckedFrame) {
 	if f.owner != p {
 		panic("core: frame was checked by another protocol")
 	}
-	_, t := agg.counts()
 	if p.addRows == nil {
 		p.walkBinaryRecords(f.records, f.count, func(r binaryRecord) { //nolint:errcheck — checked frame
 			p.add(t, Report{Class: r.Label, Item: fo.Report{Value: r.Value, Seed: r.Seed}})
@@ -346,7 +346,8 @@ func (p *Protocol) ApplyBinaryBatch(agg Aggregator, data []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	p.ApplyCheckedBatch(agg, f)
+	_, t := agg.counts()
+	p.FoldChecked(t, f)
 	return f.count, nil
 }
 
@@ -462,23 +463,24 @@ func (p *NumericProtocol) checkMeanFrame(f *CheckedFrame, data []byte) error {
 	return p.countMeanRecords(f.meanCells(), rec, count)
 }
 
-// ApplyCheckedMeanBatch folds a frame ValidateBinaryMeanBatch accepted into
-// agg: one AddCounts per occupied (label, symbol) cell, whatever the
-// frame's report count. It allocates nothing and leaves f as it was, so a
-// frame may be applied to any number of aggregators.
-func (p *NumericProtocol) ApplyCheckedMeanBatch(agg mean.Aggregator, f CheckedFrame) {
-	p.applyMeanCells(agg, &f)
+// FoldChecked folds a frame ValidateBinaryMeanBatch accepted into t, a
+// table of p's shape: one count per occupied (label, symbol) cell, whatever
+// the frame's report count. It allocates nothing and leaves f as it was, so
+// a frame may be folded into any number of tables.
+func (p *NumericProtocol) FoldChecked(t *state.Table, f CheckedFrame) {
+	p.foldCells(&f, func(label, symbol int, n int64) { p.halves.AddCounts(t, label, symbol, n) })
 }
 
-// applyMeanCells is ApplyCheckedMeanBatch on the caller's own frame.
-func (p *NumericProtocol) applyMeanCells(agg mean.Aggregator, f *CheckedFrame) {
+// foldCells hands add the count of every occupied (label, symbol) cell of
+// a frame p checked.
+func (p *NumericProtocol) foldCells(f *CheckedFrame, add func(label, symbol int, n int64)) {
 	if f.owner != p {
 		panic("core: frame was checked by another protocol")
 	}
 	symbols := p.halves.Symbols
 	for cell, n := range f.meanCells()[:p.classes*symbols] {
 		if n != 0 {
-			agg.AddCounts(cell/symbols, cell%symbols, int64(n))
+			add(cell/symbols, cell%symbols, int64(n))
 		}
 	}
 }
@@ -491,7 +493,7 @@ func (p *NumericProtocol) ApplyBinaryMeanBatch(agg mean.Aggregator, data []byte)
 	if err := p.checkMeanFrame(&f, data); err != nil {
 		return 0, err
 	}
-	p.applyMeanCells(agg, &f)
+	p.foldCells(&f, agg.AddCounts)
 	return f.count, nil
 }
 

@@ -199,15 +199,15 @@ func TestCheckedMeanFrameIsAValue(t *testing.T) {
 		if err != nil || f.Count() != 300 {
 			t.Fatalf("c=%d: validate: count %d, %v", classes, f.Count(), err)
 		}
-		a, b, once, twice := p.NewAggregator(), p.NewAggregator(), p.NewAggregator(), p.NewAggregator()
-		p.ApplyCheckedMeanBatch(a, f)
-		p.ApplyCheckedMeanBatch(b, f)
-		p.ApplyCheckedMeanBatch(b, f)
+		a, b, once, twice := p.NewTable(), p.NewTable(), p.NewAggregator(), p.NewAggregator()
+		p.FoldChecked(&a, f)
+		p.FoldChecked(&b, f)
+		p.FoldChecked(&b, f)
 		addPerReport(t, p, once, kept)
 		addPerReport(t, p, twice, kept)
 		addPerReport(t, p, twice, kept)
-		requireSameMeanAggregate(t, fmt.Sprintf("c=%d applied once", classes), a, once)
-		requireSameMeanAggregate(t, fmt.Sprintf("c=%d applied twice", classes), b, twice)
+		requireSameMeanAggregate(t, fmt.Sprintf("c=%d applied once", classes), p.halves.Aggregate(a), once)
+		requireSameMeanAggregate(t, fmt.Sprintf("c=%d applied twice", classes), p.halves.Aggregate(b), twice)
 
 		other := mustNumeric(t, "cpmean", classes, 2, 0.5)
 		func() {
@@ -216,7 +216,8 @@ func TestCheckedMeanFrameIsAValue(t *testing.T) {
 					t.Errorf("c=%d: a frame checked by one protocol applied under another", classes)
 				}
 			}()
-			other.ApplyCheckedMeanBatch(other.NewAggregator(), f)
+			tab := other.NewTable()
+			other.FoldChecked(&tab, f)
 		}()
 	}
 }

@@ -6,13 +6,15 @@ import (
 	"testing"
 
 	"repro/internal/mean"
+	"repro/internal/state"
 	"repro/internal/xrand"
 )
 
 // TestCloneSharesNothing pins what clone-on-read relies on, for every
 // protocol of both report tiers: reports added to a clone leave the
 // original's estimates and table bytes as they were, and reports added to
-// the original leave the clone's.
+// the original leave the clone's. The mean tier's state is cloned as the
+// collection server clones it, as a table.
 func TestCloneSharesNothing(t *testing.T) {
 	cases := map[string]func(t *testing.T){}
 	for _, name := range []string{"hec", "ptj", "pts", "pts+grr", "pts+olh", "ptscp"} {
@@ -21,7 +23,7 @@ func TestCloneSharesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		cases[name] = func(t *testing.T) {
-			checkCloneSharesNothing(t, p.NewAggregator(),
+			checkCloneSharesNothing(t, p.NewAggregator(), Aggregator.Clone,
 				func(a Aggregator, seed uint64) { fillAggregator(t, p, a, 300, seed) },
 				func(a Aggregator) any { return [2]any{a.Estimates(), a.ClassSizes()} })
 		}
@@ -32,14 +34,16 @@ func TestCloneSharesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		cases[name] = func(t *testing.T) {
-			checkCloneSharesNothing(t, p.NewAggregator(),
-				func(a mean.Aggregator, seed uint64) {
+			empty := p.NewTable()
+			checkCloneSharesNothing(t, &empty,
+				func(a *state.Table) *state.Table { cl := a.Clone(); return &cl },
+				func(a *state.Table, seed uint64) {
 					r := xrand.New(seed)
 					for i := 0; i < 300; i++ {
-						a.Add(p.Encoder().Encode(mean.Value{Class: i % 3, X: 2*r.Float64() - 1}, i, r))
+						p.Fold(a, p.Encoder().Encode(mean.Value{Class: i % 3, X: 2*r.Float64() - 1}, i, r))
 					}
 				},
-				func(a mean.Aggregator) any { return [2]any{a.Means(), a.ClassSizes()} })
+				func(a *state.Table) any { means, sizes := p.Calibrate(a); return [2]any{means, sizes} })
 		}
 	}
 	for name, run := range cases {
@@ -51,9 +55,8 @@ func TestCloneSharesNothing(t *testing.T) {
 // that filling either side from another seed leaves the other's estimates
 // (read) and table bytes unchanged.
 func checkCloneSharesNothing[A interface {
-	Clone() A
 	MarshalBinary() ([]byte, error)
-}](t *testing.T, orig A, fill func(A, uint64), read func(A) any) {
+}](t *testing.T, orig A, clone func(A) A, fill func(A, uint64), read func(A) any) {
 	t.Helper()
 	state := func(a A) (any, []byte) {
 		b, err := a.MarshalBinary()
@@ -63,7 +66,7 @@ func checkCloneSharesNothing[A interface {
 		return read(a), b
 	}
 	fill(orig, 1)
-	cl := orig.Clone()
+	cl := clone(orig)
 	est, bin := state(orig)
 	fill(cl, 2)
 	if gotEst, gotBin := state(orig); !reflect.DeepEqual(gotEst, est) || !bytes.Equal(gotBin, bin) {

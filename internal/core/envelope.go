@@ -7,14 +7,14 @@ import (
 	"repro/internal/state"
 )
 
-// This file makes every framework's server half durable and shippable: each
-// Aggregator encodes its count table (state.Table), and Protocol wraps those
-// bytes in a versioned internal/state envelope fingerprinted with the
-// protocol's full identity. The envelope is what crosses process boundaries
-// — disk checkpoints, WAL compaction snapshots, and the edge→root /merge
-// tier — so a payload can never be restored into a protocol it does not
-// match, which would decode cleanly (the shapes often coincide) and then
-// calibrate with the wrong probabilities.
+// This file makes every framework's server half durable and shippable: the
+// count table (state.Table) is wrapped in a versioned internal/state
+// envelope fingerprinted with the protocol's full identity. The envelope is
+// what crosses process boundaries — disk checkpoints, WAL compaction
+// snapshots, and the edge→root /merge tier — so a payload can never be
+// restored into a protocol it does not match, which would decode cleanly
+// (the shapes often coincide) and then calibrate with the wrong
+// probabilities. Both report tiers open envelopes through openTable.
 
 // ErrIncompatibleState reports an envelope whose fingerprint does not match
 // the protocol trying to restore it. Callers distinguish it from plain
@@ -36,40 +36,60 @@ func (p *Protocol) seal() *Protocol {
 	return p
 }
 
-// MarshalAggregator serializes a's state into a versioned envelope
-// fingerprinted for this protocol. The aggregator must have been vended by
-// a protocol with this fingerprint; the envelope is what
-// UnmarshalAggregator on a matching protocol accepts.
-func (p *Protocol) MarshalAggregator(a Aggregator) ([]byte, error) {
-	payload, err := a.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return state.Encode(p.fp, payload), nil
+// SealTable wraps t, a table of p's shape, in a versioned envelope
+// fingerprinted for p: the bytes OpenTable on a matching protocol accepts.
+func (p *Protocol) SealTable(t *state.Table) []byte { return sealTable(p.fp, t) }
+
+// OpenTable decodes an envelope SealTable wrote and verifies it belongs to
+// p before trusting a byte of the payload (see openTable).
+func (p *Protocol) OpenTable(env []byte) (state.Table, error) {
+	return openTable(env, p.fp, p.table, func(payload []byte) ([]byte, error) {
+		return upgradeFrequencyState(p, payload)
+	})
 }
 
-// UnmarshalAggregator decodes an envelope produced by MarshalAggregator and
-// verifies it belongs to this protocol before trusting a byte of the
-// payload: the envelope's CRC and framing are checked by internal/state,
-// the fingerprint must match p's exactly (ErrIncompatibleState otherwise),
-// and the table's shape and invariants are validated by the aggregator's
-// UnmarshalBinary. A payload written before tables is read through the
-// one-version shim (legacy.go). Corrupt or adversarial inputs error; they
-// never panic.
+// MarshalAggregator is SealTable over a's table. The aggregator must have
+// been vended by a protocol with this fingerprint.
+func (p *Protocol) MarshalAggregator(a Aggregator) ([]byte, error) {
+	_, t := a.counts()
+	return p.SealTable(t), nil
+}
+
+// UnmarshalAggregator is OpenTable returning the table as an aggregator.
 func (p *Protocol) UnmarshalAggregator(data []byte) (Aggregator, error) {
-	fp, payload, err := state.Decode(data)
+	t, err := p.OpenTable(data)
 	if err != nil {
 		return nil, err
 	}
-	if fp != p.fp {
-		return nil, fmt.Errorf("%w: envelope %q, protocol %q", ErrIncompatibleState, fp, p.fp)
+	return &aggregator{p, t}, nil
+}
+
+// sealTable wraps t's canonical encoding in an envelope fingerprinted fp.
+func sealTable(fp string, t *state.Table) []byte {
+	payload, _ := t.MarshalBinary() // encoding a table cannot fail
+	return state.Encode(fp, payload)
+}
+
+// openTable is the one way into report-tier state from an envelope: the
+// envelope's CRC and framing are checked by internal/state, the fingerprint
+// must be fp exactly (ErrIncompatibleState otherwise), a payload written
+// before tables is rebuilt by upgrade (the one-version shim, legacy.go), and
+// the table must have the protocol's shape and keep its invariants. Corrupt
+// or adversarial inputs error; they never panic.
+func openTable(env []byte, fp string, shape state.Shape, upgrade func([]byte) ([]byte, error)) (state.Table, error) {
+	got, payload, err := state.Decode(env)
+	if err != nil {
+		return state.Table{}, err
 	}
-	agg := p.NewAggregator()
-	if payload, err = upgradeFrequencyState(p, payload); err != nil {
-		return nil, err
+	if got != fp {
+		return state.Table{}, fmt.Errorf("%w: envelope %q, protocol %q", ErrIncompatibleState, got, fp)
 	}
-	if err := agg.UnmarshalBinary(payload); err != nil {
-		return nil, err
+	if payload, err = upgrade(payload); err != nil {
+		return state.Table{}, err
 	}
-	return agg, nil
+	t := state.Table{Shape: shape}
+	if err := t.UnmarshalBinary(payload); err != nil {
+		return state.Table{}, err
+	}
+	return t, nil
 }

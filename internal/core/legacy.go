@@ -189,7 +189,7 @@ func upgradeMeanState(p *NumericProtocol, payload []byte) ([]byte, error) {
 	if len(st.Plus) != c || len(st.Minus) != c || sym > mean.Bottom && len(st.Labels) != c {
 		return nil, fmt.Errorf("core: %s state has %d/%d/%d labels, want %d", p.name, len(st.Plus), len(st.Minus), len(st.Labels), c)
 	}
-	t := state.NewTable(state.Shape{Rows: 1, Cols: c * sym, OneHot: true})
+	t := p.NewTable()
 	t.N = int64(st.Total)
 	cells := t.Row(0)
 	for l := 0; l < c; l++ {

@@ -33,6 +33,7 @@ type NumericProtocol struct {
 	classes    int
 	eps, split float64
 	halves     *mean.Halves
+	fp         string // the Fingerprint, computed once
 }
 
 // NewNumericProtocol vends the client/server halves of a canonical mean
@@ -64,7 +65,12 @@ func NewNumericProtocol(name string, classes int, eps, split float64) (*NumericP
 	if err != nil {
 		return nil, err
 	}
-	return &NumericProtocol{name: canon, classes: classes, eps: eps, split: split, halves: halves}, nil
+	// The "mean:" prefix keeps the numeric namespace disjoint from the
+	// frequency fingerprints, so a mean envelope can never be mistaken for a
+	// frequency envelope by a federation root serving both tiers over one
+	// /merge endpoint.
+	fp := fmt.Sprintf("mean:%s|c=%d|eps=%v|split=%v|%s", canon, classes, eps, split, halves.MechID)
+	return &NumericProtocol{name: canon, classes: classes, eps: eps, split: split, halves: halves, fp: fp}, nil
 }
 
 // Name returns the protocol's canonical name — what a collection server
@@ -92,6 +98,20 @@ func (p *NumericProtocol) Encoder() mean.Encoder { return p.halves.Encoder }
 // NewAggregator returns an empty server half.
 func (p *NumericProtocol) NewAggregator() mean.Aggregator { return p.halves.NewAggregator() }
 
+// NewTable returns an empty count table of the protocol's shape — the
+// server half's state without the aggregator around it.
+func (p *NumericProtocol) NewTable() state.Table { return state.NewTable(p.halves.Shape()) }
+
+// Fold folds one decoded report into t, a table of p's shape.
+func (p *NumericProtocol) Fold(t *state.Table, rep mean.Report) {
+	p.halves.AddCounts(t, rep.Label, rep.Symbol, 1)
+}
+
+// Calibrate returns the classwise means and class sizes t's counts estimate.
+func (p *NumericProtocol) Calibrate(t *state.Table) (means, classSizes []float64) {
+	return p.halves.Calibrate(t)
+}
+
 // WireCompatible reports whether o's reports and aggregates are
 // interchangeable with p's: same name, domain, budget AND underlying
 // mechanism calibration.
@@ -113,13 +133,8 @@ func (p *NumericProtocol) WireCompatible(o *NumericProtocol) error {
 }
 
 // Fingerprint identifies everything that makes two numeric protocols'
-// aggregates interchangeable. The "mean:" prefix keeps the numeric
-// namespace disjoint from the frequency fingerprints, so a mean envelope
-// can never be mistaken for a frequency envelope by a federation root
-// serving both tiers over one /merge endpoint.
-func (p *NumericProtocol) Fingerprint() string {
-	return fmt.Sprintf("mean:%s|c=%d|eps=%v|split=%v|%s", p.name, p.classes, p.eps, p.split, p.halves.MechID)
-}
+// aggregates interchangeable.
+func (p *NumericProtocol) Fingerprint() string { return p.fp }
 
 // WireMeanReport is the JSON wire form of a mean report: the label (the
 // perturbed class for ptsmean/cpmean, the user's partition group for
@@ -148,38 +163,35 @@ func (p *NumericProtocol) DecodeMeanReport(w WireMeanReport) (mean.Report, error
 	return mean.Report{Label: w.Label, Symbol: w.Symbol}, nil
 }
 
+// SealTable wraps t, a table of p's shape, in a versioned envelope
+// fingerprinted for p — the bytes that cross process boundaries: WAL
+// compaction snapshots, disk checkpoints and the edge→root /merge tier.
+func (p *NumericProtocol) SealTable(t *state.Table) []byte { return sealTable(p.fp, t) }
+
+// OpenTable decodes an envelope SealTable wrote and verifies it belongs to
+// p before trusting a byte of the payload (see openTable); state from
+// before count tables is read through the shim in legacy.go.
+func (p *NumericProtocol) OpenTable(env []byte) (state.Table, error) {
+	return openTable(env, p.fp, p.halves.Shape(), func(payload []byte) ([]byte, error) {
+		return upgradeMeanState(p, payload)
+	})
+}
+
 // MarshalAggregator serializes a's state into a versioned envelope
-// fingerprinted for this protocol — the bytes that cross process
-// boundaries: WAL compaction snapshots, disk checkpoints and the edge→root
-// /merge tier.
+// fingerprinted for this protocol.
 func (p *NumericProtocol) MarshalAggregator(a mean.Aggregator) ([]byte, error) {
 	payload, err := a.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
-	return state.Encode(p.Fingerprint(), payload), nil
+	return state.Encode(p.fp, payload), nil
 }
 
-// UnmarshalAggregator decodes an envelope produced by MarshalAggregator
-// and verifies it belongs to this protocol before trusting a byte of the
-// payload; a mismatched fingerprint is ErrIncompatibleState (409 at the
-// federation endpoint), corruption or an impossible table is a plain error,
-// and neither panics. State from before count tables is read through the
-// shim in legacy.go.
+// UnmarshalAggregator is OpenTable returning the table as an aggregator.
 func (p *NumericProtocol) UnmarshalAggregator(data []byte) (mean.Aggregator, error) {
-	fp, payload, err := state.Decode(data)
+	t, err := p.OpenTable(data)
 	if err != nil {
 		return nil, err
 	}
-	if want := p.Fingerprint(); fp != want {
-		return nil, fmt.Errorf("%w: envelope %q, protocol %q", ErrIncompatibleState, fp, want)
-	}
-	agg := p.NewAggregator()
-	if payload, err = upgradeMeanState(p, payload); err != nil {
-		return nil, err
-	}
-	if err := agg.UnmarshalBinary(payload); err != nil {
-		return nil, err
-	}
-	return agg, nil
+	return p.halves.Aggregate(t), nil
 }

@@ -60,8 +60,7 @@ type Aggregator interface {
 	// N returns the number of reports added so far.
 	N() int
 	// Clone copies the count table (one slice copy), sharing nothing
-	// mutable with the original. Collection servers clone under their
-	// aggregate's lock and calibrate the copy outside it.
+	// mutable with the original.
 	Clone() Aggregator
 	// Estimates returns the framework's calibrated c×d frequency matrix.
 	Estimates() [][]float64
@@ -69,18 +68,10 @@ type Aggregator interface {
 	// calibration where the framework has one (PTS, PTS-CP), row sums of
 	// the frequency estimates otherwise (HEC, PTJ).
 	ClassSizes() []float64
-	// MarshalBinary encodes the count table — never a report — so servers
-	// can checkpoint and federate. Restoring and estimating is
-	// bit-identical to estimating the live aggregator. Prefer
+	// MarshalBinary encodes the count table — never a report. Prefer
 	// Protocol.MarshalAggregator, which wraps the bytes in a fingerprinted
-	// envelope.
+	// envelope that Protocol.UnmarshalAggregator validates and restores.
 	MarshalBinary() ([]byte, error)
-	// UnmarshalBinary restores a table encoded by MarshalBinary from an
-	// aggregator with the same protocol parameters; a mismatched shape or a
-	// table no report stream could produce is an error and leaves the
-	// aggregator unchanged. Prefer Protocol.UnmarshalAggregator, which
-	// verifies the envelope fingerprint before trusting the payload.
-	UnmarshalBinary([]byte) error
 	// counts returns the protocol that vended the aggregator and its table.
 	// Being unexported, it also keeps every Aggregator this package's.
 	counts() (*Protocol, *state.Table)
@@ -246,7 +237,21 @@ func (p *Protocol) Split() float64 { return p.split }
 func (p *Protocol) Encoder() Encoder { return p.enc }
 
 // NewAggregator returns an empty server half.
-func (p *Protocol) NewAggregator() Aggregator { return &aggregator{p, state.NewTable(p.table)} }
+func (p *Protocol) NewAggregator() Aggregator { return &aggregator{p, p.NewTable()} }
+
+// NewTable returns an empty count table of the protocol's shape — the
+// server half's state without the aggregator around it.
+func (p *Protocol) NewTable() state.Table { return state.NewTable(p.table) }
+
+// Fold folds one decoded report into t, a table of p's shape.
+func (p *Protocol) Fold(t *state.Table, rep Report) { p.add(t, rep) }
+
+// Calibrate returns the c×d frequency matrix and the class sizes t's counts
+// estimate: what an aggregator's Estimates and ClassSizes return.
+func (p *Protocol) Calibrate(t *state.Table) (freq [][]float64, classSizes []float64) {
+	freq = p.estimates(t)
+	return freq, p.classSizes(t, freq)
+}
 
 // WireCompatible reports whether o's reports are interchangeable with p's:
 // same name, domain, budget, wire shape AND underlying mechanisms. It is
@@ -363,7 +368,7 @@ type aggregator struct {
 	t state.Table
 }
 
-func (a *aggregator) Add(rep Report) { a.p.add(&a.t, rep) }
+func (a *aggregator) Add(rep Report) { a.p.Fold(&a.t, rep) }
 
 // Merge adds other's table in when other belongs to the same protocol: the
 // same one, or one with the same fingerprint.
@@ -381,20 +386,9 @@ func (a *aggregator) Clone() Aggregator { return &aggregator{a.p, a.t.Clone()} }
 
 func (a *aggregator) Estimates() [][]float64 { return a.p.estimates(&a.t) }
 
-func (a *aggregator) ClassSizes() []float64 {
-	if a.p.label == nil {
-		return rowSums(a.Estimates())
-	}
-	out := make([]float64, a.t.Rows)
-	for c := range out {
-		out[c] = labelSize(a.p.label, &a.t, c)
-	}
-	return out
-}
+func (a *aggregator) ClassSizes() []float64 { return a.p.classSizes(&a.t, nil) }
 
 func (a *aggregator) MarshalBinary() ([]byte, error) { return a.t.MarshalBinary() }
-
-func (a *aggregator) UnmarshalBinary(data []byte) error { return a.t.UnmarshalBinary(data) }
 
 func (a *aggregator) counts() (*Protocol, *state.Table) { return a.p, &a.t }
 
@@ -415,10 +409,26 @@ func rowSums(m [][]float64) []float64 {
 // already-computed Estimates() matrix when a derives sizes from it (hec,
 // ptj) instead of recomputing the full calibration.
 func ClassSizesFromEstimates(a Aggregator, est [][]float64) []float64 {
-	if p, _ := a.counts(); p.label == nil {
+	p, t := a.counts()
+	return p.classSizes(t, est)
+}
+
+// classSizes returns the class sizes t's counts estimate: the label-count
+// calibration where the framework has one (PTS, PTS-CP), else the row sums
+// of est, t's frequency estimates, which are calibrated here when est is
+// nil.
+func (p *Protocol) classSizes(t *state.Table, est [][]float64) []float64 {
+	if p.label == nil {
+		if est == nil {
+			est = p.estimates(t)
+		}
 		return rowSums(est)
 	}
-	return a.ClassSizes()
+	out := make([]float64, t.Rows)
+	for c := range out {
+		out[c] = labelSize(p.label, t, c)
+	}
+	return out
 }
 
 // labelSize returns n̂ = (ñ − N·q₁)/(p₁−q₁), the unbiased estimate of the

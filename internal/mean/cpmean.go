@@ -122,7 +122,9 @@ type Accumulator struct {
 }
 
 // NewAccumulator returns an empty aggregator.
-func (m *CPMean) NewAccumulator() *Accumulator { return &Accumulator{m, newTable(m.classes, 3)} }
+func (m *CPMean) NewAccumulator() *Accumulator {
+	return &Accumulator{m, state.NewTable(tableShape(m.classes, 3))}
+}
 
 // Add folds one report into the aggregate.
 func (a *Accumulator) Add(rep Report) { a.AddCounts(rep.Label, rep.Symbol, 1) }

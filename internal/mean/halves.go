@@ -59,10 +59,6 @@ type Aggregator interface {
 	Merge(other Aggregator) error
 	// N returns the number of reports added so far.
 	N() int
-	// Clone copies the count table (one slice copy), sharing nothing
-	// mutable with the original. Collection servers clone under their
-	// aggregate's lock and calibrate the copy outside it.
-	Clone() Aggregator
 	// Means returns the calibrated classwise mean estimates.
 	Means() []float64
 	// ClassSizes returns per-class population estimates: the label-count
@@ -108,7 +104,31 @@ type Halves struct {
 }
 
 // NewAggregator returns an empty server half.
-func (h *Halves) NewAggregator() Aggregator { return &aggregator{h, newTable(h.classes, h.Symbols)} }
+func (h *Halves) NewAggregator() Aggregator { return &aggregator{h, state.NewTable(h.Shape())} }
+
+// Shape is the shape of every count table h's server half keeps.
+func (h *Halves) Shape() state.Shape { return tableShape(h.classes, h.Symbols) }
+
+// Aggregate returns the server half over t. t must have h's Shape; a table
+// of any other shape is a caller's bug and panics.
+func (h *Halves) Aggregate(t state.Table) Aggregator {
+	if t.Shape != h.Shape() {
+		panic(fmt.Sprintf("mean: %v table for a %v aggregate", t.Shape, h.Shape()))
+	}
+	return &aggregator{h, t}
+}
+
+// AddCounts folds n reports of one (label, symbol) cell into t, a table of
+// h's Shape; what Aggregator.AddCounts does to its own table.
+func (h *Halves) AddCounts(t *state.Table, label, symbol int, n int64) {
+	addCounts(t, h.classes, h.Symbols, label, symbol, n)
+}
+
+// Calibrate returns the classwise means and class sizes t's counts
+// estimate; what Aggregator.Means and ClassSizes return for its own table.
+func (h *Halves) Calibrate(t *state.Table) (means, classSizes []float64) {
+	return h.means(t), h.classSizes(t)
+}
 
 // aggregator is every framework's Aggregator: the halves that vended it and
 // one count table of classes × symbols cells.
@@ -119,9 +139,7 @@ type aggregator struct {
 
 func (a *aggregator) Add(rep Report) { a.AddCounts(rep.Label, rep.Symbol, 1) }
 
-func (a *aggregator) AddCounts(label, symbol int, n int64) {
-	addCounts(&a.t, a.h.classes, a.h.Symbols, label, symbol, n)
-}
+func (a *aggregator) AddCounts(label, symbol int, n int64) { a.h.AddCounts(&a.t, label, symbol, n) }
 
 // Merge adds other's table in when other's halves are these or calibrate
 // like them.
@@ -134,8 +152,6 @@ func (a *aggregator) Merge(other Aggregator) error {
 }
 
 func (a *aggregator) N() int { return int(a.t.N) }
-
-func (a *aggregator) Clone() Aggregator { return &aggregator{a.h, a.t.Clone()} }
 
 func (a *aggregator) Means() []float64 { return a.h.means(&a.t) }
 
@@ -175,13 +191,13 @@ func labelSize(label *fo.GRR, t *state.Table, symbols, c int) float64 {
 	return (float64(labels) - float64(t.N)*q1) / (p1 - q1)
 }
 
-// newTable returns the count table every mean aggregate keeps: a single
-// route of classes × symbols cells, cell label·symbols+symbol counting the
-// reports of that (label, symbol) — the layout a checked binary frame's
-// cells already have. A report adds one to one cell, so the cells sum to N
-// and a label's report count is the sum of its symbols.
-func newTable(classes, symbols int) state.Table {
-	return state.NewTable(state.Shape{Rows: 1, Cols: classes * symbols, OneHot: true})
+// tableShape is the count table every mean aggregate keeps: a single route
+// of classes × symbols cells, cell label·symbols+symbol counting the reports
+// of that (label, symbol) — the layout a checked binary frame's cells
+// already have. A report adds one to one cell, so the cells sum to N and a
+// label's report count is the sum of its symbols.
+func tableShape(classes, symbols int) state.Shape {
+	return state.Shape{Rows: 1, Cols: classes * symbols, OneHot: true}
 }
 
 // addCounts validates and folds n reports of one (label, symbol) cell into

@@ -1,256 +1,39 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
-// Level is a log severity.
-type Level int8
-
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-// String returns the lowercase level name.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	default:
-		return "error"
-	}
-}
-
-// ParseLevel parses a -log-level flag value.
-func ParseLevel(s string) (Level, error) {
-	switch strings.ToLower(s) {
-	case "debug":
-		return LevelDebug, nil
-	case "info":
-		return LevelInfo, nil
-	case "warn", "warning":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
-	}
-	return LevelInfo, fmt.Errorf("obs: unknown log level %q (want debug|info|warn|error)", s)
-}
-
-// Format selects the line encoding.
-type Format int8
-
-const (
-	FormatKV Format = iota
-	FormatJSON
-)
-
-// ParseFormat parses a -log-format flag value.
-func ParseFormat(s string) (Format, error) {
-	switch strings.ToLower(s) {
-	case "kv", "text", "logfmt":
-		return FormatKV, nil
-	case "json":
-		return FormatJSON, nil
-	}
-	return FormatKV, fmt.Errorf("obs: unknown log format %q (want kv|json)", s)
-}
-
-// Logger is a leveled structured logger emitting one line per event as
-// either key=value pairs or a JSON object. Loggers derived via With share
-// the parent's writer and mutex, so lines never interleave.
-type Logger struct {
-	mu     *sync.Mutex
-	w      io.Writer
-	level  Level
-	format Format
-	ctx    []any // bound key/value pairs, rendered on every line
-	now    func() time.Time
-}
-
-// New returns a logger writing to w at the given level and format.
-func New(w io.Writer, level Level, format Format) *Logger {
-	return &Logger{mu: &sync.Mutex{}, w: w, level: level, format: format, now: time.Now}
-}
-
-// With returns a child logger with extra key/value context bound to every
-// line it emits.
-func (l *Logger) With(kv ...any) *Logger {
-	child := *l
-	child.ctx = append(append([]any(nil), l.ctx...), kv...)
-	return &child
-}
-
-// Enabled reports whether a line at the given level would be emitted.
-func (l *Logger) Enabled(level Level) bool { return level >= l.level }
-
-// Debug emits a debug-level line.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
-
-// Info emits an info-level line.
-func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv) }
-
-// Warn emits a warn-level line.
-func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv) }
-
-// Error emits an error-level line.
-func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
-
-func (l *Logger) log(level Level, msg string, kv []any) {
-	if !l.Enabled(level) {
-		return
-	}
-	ts := l.now().UTC().Format(time.RFC3339Nano)
-	var line []byte
-	if l.format == FormatJSON {
-		line = l.jsonLine(ts, level, msg, kv)
-	} else {
-		line = l.kvLine(ts, level, msg, kv)
-	}
-	l.mu.Lock()
-	_, _ = l.w.Write(line)
-	l.mu.Unlock()
-}
-
-func (l *Logger) kvLine(ts string, level Level, msg string, kv []any) []byte {
-	var b strings.Builder
-	b.WriteString("ts=")
-	b.WriteString(ts)
-	b.WriteString(" level=")
-	b.WriteString(level.String())
-	b.WriteString(" msg=")
-	b.WriteString(kvQuote(msg))
-	writePairs := func(pairs []any) {
-		for i := 0; i+1 < len(pairs); i += 2 {
-			b.WriteByte(' ')
-			b.WriteString(fmt.Sprint(pairs[i]))
-			b.WriteByte('=')
-			b.WriteString(kvQuote(formatLogValue(pairs[i+1])))
-		}
-	}
-	writePairs(l.ctx)
-	writePairs(kv)
-	b.WriteByte('\n')
-	return []byte(b.String())
-}
-
-func (l *Logger) jsonLine(ts string, level Level, msg string, kv []any) []byte {
-	m := make(map[string]any, 3+len(l.ctx)/2+len(kv)/2)
-	m["ts"] = ts
-	m["level"] = level.String()
-	m["msg"] = msg
-	addPairs := func(pairs []any) {
-		for i := 0; i+1 < len(pairs); i += 2 {
-			key := fmt.Sprint(pairs[i])
-			switch v := pairs[i+1].(type) {
-			case error:
-				m[key] = v.Error()
-			case fmt.Stringer:
-				m[key] = v.String()
-			default:
-				m[key] = v
-			}
-		}
-	}
-	addPairs(l.ctx)
-	addPairs(kv)
-	line, err := json.Marshal(m)
-	if err != nil {
-		line = []byte(fmt.Sprintf(`{"ts":%q,"level":%q,"msg":%q,"obs_marshal_error":%q}`,
-			ts, level.String(), msg, err.Error()))
-	}
-	return append(line, '\n')
-}
-
-func formatLogValue(v any) string {
-	switch t := v.(type) {
-	case string:
-		return t
-	case error:
-		return t.Error()
-	case fmt.Stringer:
-		return t.String()
-	default:
-		return fmt.Sprint(v)
-	}
-}
-
-// kvQuote quotes a value for the kv format when it contains whitespace,
-// quotes, or the pair separator.
-func kvQuote(s string) string {
-	if s == "" || strings.ContainsAny(s, " \t\n\"=") {
-		return strconv.Quote(s)
-	}
-	return s
-}
-
-var defaultLogger atomic.Pointer[Logger]
-
-func init() {
-	defaultLogger.Store(New(os.Stderr, LevelInfo, FormatKV))
-}
-
-// Default returns the process-wide logger (stderr, info, kv until
-// SetDefault replaces it).
-func Default() *Logger { return defaultLogger.Load() }
-
-// SetDefault replaces the process-wide logger; binaries call this after
-// parsing -log-level / -log-format.
-func SetDefault(l *Logger) {
-	if l != nil {
-		defaultLogger.Store(l)
-	}
-}
-
-// SetupDefault parses -log-level / -log-format flag values and installs the
-// resulting logger (writing to stderr) as the process default.
+// SetupDefault installs a stderr handler for the binaries' -log-level and
+// -log-format flag values as slog's process default; the log package writes
+// through it too, at the level slog.SetLogLoggerLevel sets.
 func SetupDefault(level, format string) error {
-	lv, err := ParseLevel(level)
-	if err != nil {
-		return err
+	h, err := newHandler(os.Stderr, level, format)
+	if err == nil {
+		slog.SetDefault(slog.New(h))
 	}
-	f, err := ParseFormat(format)
-	if err != nil {
-		return err
-	}
-	SetDefault(New(os.Stderr, lv, f))
-	return nil
+	return err
 }
 
-// StdlogWriter returns an io.Writer forwarding each written line to the
-// CURRENT default logger at the given level. Binaries route the stdlib log
-// package through it (log.SetFlags(0); log.SetOutput(obs.StdlogWriter(...)))
-// so remaining log.Printf call sites emit structured lines too; the
-// indirection through Default() means a later SetupDefault still applies.
-func StdlogWriter(level Level) io.Writer { return stdlogWriter{level} }
-
-type stdlogWriter struct{ level Level }
-
-func (w stdlogWriter) Write(p []byte) (int, error) {
-	msg := strings.TrimRight(string(p), "\n")
-	switch w.level {
-	case LevelDebug:
-		Default().Debug(msg)
-	case LevelWarn:
-		Default().Warn(msg)
-	case LevelError:
-		Default().Error(msg)
-	default:
-		Default().Info(msg)
+// newHandler returns the handler for a -log-level (debug | info | warn |
+// warning | error) and -log-format (kv, text or logfmt for slog's key=value
+// lines, json for one JSON object a line) pair, writing to w.
+func newHandler(w io.Writer, level, format string) (slog.Handler, error) {
+	lv, ok := map[string]slog.Level{"debug": slog.LevelDebug, "info": slog.LevelInfo,
+		"warn": slog.LevelWarn, "warning": slog.LevelWarn, "error": slog.LevelError}[strings.ToLower(level)]
+	if !ok {
+		return nil, fmt.Errorf("obs: unknown log level %q (want debug|info|warn|error)", level)
 	}
-	return len(p), nil
+	opts := &slog.HandlerOptions{Level: lv}
+	switch strings.ToLower(format) {
+	case "kv", "text", "logfmt":
+		return slog.NewTextHandler(w, opts), nil
+	case "json":
+		return slog.NewJSONHandler(w, opts), nil
+	}
+	return nil, fmt.Errorf("obs: unknown log format %q (want kv|json)", format)
 }

@@ -1,6 +1,6 @@
 // Package obs is the zero-dependency observability layer: a metrics
-// registry rendered in the Prometheus text exposition format, a leveled
-// structured logger, and build-info plumbing. It exists so every layer of
+// registry rendered in the Prometheus text exposition format, the log/slog
+// set-up the binaries share, and build-info plumbing. It exists so every layer of
 // the collection stack (collect, wal, tenant, the binaries) can expose
 // runtime signal without pulling in client_golang or any other module.
 //

@@ -2,13 +2,12 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
+	"io"
+	"log/slog"
 	"math"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -201,44 +200,27 @@ func TestConcurrentCounterExactness(t *testing.T) {
 	}
 }
 
-func TestLoggerKVAndJSON(t *testing.T) {
-	var buf bytes.Buffer
-	l := New(&buf, LevelInfo, FormatKV)
-	l.now = func() time.Time { return time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC) }
-	l.Debug("hidden")
-	l.With("tier", "freq").Error("compaction failed", "err", errors.New(`disk "full"`), "segments", 3)
-	got := buf.String()
-	want := `ts=2026-08-08T12:00:00Z level=error msg="compaction failed" tier=freq err="disk \"full\"" segments=3` + "\n"
-	if got != want {
-		t.Fatalf("kv line:\n got %q\nwant %q", got, want)
-	}
-
-	buf.Reset()
-	j := New(&buf, LevelWarn, FormatJSON)
-	j.now = l.now
-	j.Info("hidden")
-	j.Warn("slow", "elapsed_ms", 12.5)
-	var m map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-		t.Fatalf("json line %q: %v", buf.String(), err)
-	}
-	if m["level"] != "warn" || m["msg"] != "slow" || m["elapsed_ms"] != 12.5 {
-		t.Fatalf("json line fields wrong: %v", m)
-	}
-}
-
 func TestParseLevelFormat(t *testing.T) {
-	if lv, err := ParseLevel("WARN"); err != nil || lv != LevelWarn {
-		t.Fatalf("ParseLevel(WARN) = %v, %v", lv, err)
+	var buf bytes.Buffer
+	h, err := newHandler(&buf, "WARN", "kv")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Fatal("ParseLevel(loud) did not error")
+	slog.New(h).Info("hidden")
+	slog.New(h).Warn("shown")
+	if got := buf.String(); strings.Contains(got, "hidden") || !strings.Contains(got, "level=WARN msg=shown") {
+		t.Fatalf("WARN handler wrote %q", got)
 	}
-	if f, err := ParseFormat("json"); err != nil || f != FormatJSON {
-		t.Fatalf("ParseFormat(json) = %v, %v", f, err)
+	if _, err := newHandler(io.Discard, "loud", "kv"); err == nil {
+		t.Fatal("level loud did not error")
 	}
-	if _, err := ParseFormat("xml"); err == nil {
-		t.Fatal("ParseFormat(xml) did not error")
+	if h, err := newHandler(io.Discard, "info", "json"); err != nil {
+		t.Fatalf("format json: %v", err)
+	} else if _, ok := h.(*slog.JSONHandler); !ok {
+		t.Fatalf("format json gave a %T", h)
+	}
+	if _, err := newHandler(io.Discard, "info", "xml"); err == nil {
+		t.Fatal("format xml did not error")
 	}
 }
 

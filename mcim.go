@@ -13,7 +13,7 @@
 //
 //   - The client/server decomposition of every framework: a Protocol vends
 //     a matched Encoder (client side — perturb one pair into a Report) and
-//     Aggregator (server side — Add reports, Merge shards, read calibrated
+//     Aggregator (server side — Add reports, Merge aggregates, read calibrated
 //     Estimates) plus the wire codec between them, so each framework
 //     deploys the way production LDP systems do. Estimate on each
 //     framework is a thin loop over these halves; streaming and batch
