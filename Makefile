@@ -144,9 +144,10 @@ metrics-lint:
 # targets out over a job matrix. Targets live in ./internal/collect unless
 # FUZZ_PKG_<target> says otherwise.
 FUZZ_TIME ?= 10s
-FUZZ_TARGETS := FuzzDecode FuzzDecodeBatch FuzzDecodeBinaryBatch FuzzDecodeMeanReport FuzzUnmarshalEnvelope FuzzRoundWire FuzzTopKBinaryBatch FuzzTenantSpec
+FUZZ_TARGETS := FuzzDecode FuzzDecodeBatch FuzzDecodeBinaryBatch FuzzDecodeMeanReport FuzzUnmarshalEnvelope FuzzRoundWire FuzzTopKBinaryBatch FuzzUnmarshalSession FuzzTenantSpec
 FUZZ_PKG_FuzzRoundWire := ./internal/topk
 FUZZ_PKG_FuzzTopKBinaryBatch := ./internal/topk
+FUZZ_PKG_FuzzUnmarshalSession := ./internal/topk
 FUZZ_PKG_FuzzTenantSpec := ./internal/tenant
 
 fuzz:

@@ -165,13 +165,12 @@ type Server struct {
 	mean *tier[WireMeanReport]
 	topk *sessionHub
 
-	// Observability (see obs.go): the registry behind GET /metrics, the
-	// structured logger, and the mining tier's pre-resolved hot-path handles
-	// (the report tiers carry their own).
+	// Observability (see obs.go): the registry behind GET /metrics and the
+	// structured logger. Each tier carries its own pre-resolved hot-path
+	// handles.
 	obs     *obs.Registry
 	logger  *slog.Logger
 	started time.Time
-	topkM   *tierMetrics
 }
 
 // ServerOption configures a Server beyond the protocol parameters.

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -120,12 +119,9 @@ type sessionHub struct {
 
 	maxSessions int
 
-	// Accepted-report totals by wire format, advanced at the same handler
-	// sites as the mcim_ingest_reports_total series so /stats and /metrics
-	// agree exactly (replay excluded).
-	reportsJSON   atomic.Int64
-	reportsBinary atomic.Int64
-
+	// m is the tier's ingest instrumentation; /stats reads its accepted-report
+	// counters, so /stats and /metrics agree exactly (replay excluded).
+	m      *tierMetrics
 	rounds *obs.Counter // rounds sealed by live ingestion (replay excluded)
 	stale  *obs.Counter // whole batches answered 410 Gone
 }
@@ -134,7 +130,7 @@ type sessionHub struct {
 // series. Called from NewServer before the WAL opens.
 func (h *sessionHub) init(s *Server) {
 	h.logger = s.logger.With("tier", "topk")
-	s.topkM = newTierMetrics(s.obs, "topk")
+	h.m = newTierMetrics(s.obs, "topk")
 	h.rounds = s.obs.Counter("mcim_topk_rounds_advanced_total",
 		"Mining-session rounds sealed and advanced by report ingestion (WAL replay excluded).")
 	h.stale = s.obs.Counter("mcim_topk_stale_batches_total",
@@ -453,8 +449,8 @@ func (h *sessionHub) stats() *WireTopKStats {
 	sessions := h.list()
 	st := &WireTopKStats{
 		Sessions:      len(sessions),
-		ReportsJSON:   h.reportsJSON.Load(),
-		ReportsBinary: h.reportsBinary.Load(),
+		ReportsJSON:   h.m.reportsJSON.Value(),
+		ReportsBinary: h.m.reportsBinary.Value(),
 		WAL:           h.walStats(),
 	}
 	for _, sess := range sessions {
@@ -717,7 +713,7 @@ func (s *Server) commitRound(w http.ResponseWriter, sess *liveSession, b roundBa
 		if errors.As(err, &refused) {
 			http.Error(w, refused.msg, refused.Code)
 		} else {
-			s.topkM.observeIngestError(err, take)
+			h.m.observeIngestError(err, take)
 			writeIngestError(w, err)
 		}
 		return 0, nil, ack, false
@@ -792,7 +788,7 @@ func (s *Server) commitLocked(sess *liveSession, b roundBatch) (take int, stale 
 // round index.
 func (s *Server) handleTopKReports(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	h, m := s.topk, s.topkM
+	h, m := s.topk, s.topk.m
 	sess, ok := s.topkSession(w, r)
 	if !ok {
 		return
@@ -871,7 +867,6 @@ func (s *Server) handleTopKReports(w http.ResponseWriter, r *http.Request) {
 
 	m.batchesJSON.Inc()
 	m.reportsJSON.Add(int64(take))
-	h.reportsJSON.Add(int64(take))
 	m.rejectedItem.Add(int64(ack.Rejected))
 	// Decided on the full error list: the ack carries at most
 	// maxBatchErrors of it.
@@ -898,7 +893,7 @@ func (s *Server) handleTopKReports(w http.ResponseWriter, r *http.Request) {
 // is the pooled request body (already counted into the byte series); the
 // caller's deferred release reclaims it.
 func (s *Server) ingestTopKBinary(w http.ResponseWriter, sess *liveSession, body []byte, start time.Time) {
-	m := s.topkM
+	m := s.topk.m
 	f, err := topk.PeekRoundFrame(body)
 	if err != nil {
 		m.rejectedDecode.Inc()
@@ -933,7 +928,7 @@ func (s *Server) ingestTopKBinary(w http.ResponseWriter, sess *liveSession, body
 // staleFrame answers a frame whose round is no longer live: 410, every
 // record rejected, the live position in the body.
 func (s *Server) staleFrame(w http.ResponseWriter, count int, ack WireTopKAck) {
-	s.topkM.rejectedItem.Add(int64(count))
+	s.topk.m.rejectedItem.Add(int64(count))
 	ack.Rejected = count
 	s.topk.writeStaleAck(w, ack)
 }
@@ -943,7 +938,7 @@ func (s *Server) staleFrame(w http.ResponseWriter, count int, ack WireTopKAck) {
 // pointer moved) and the frame is answered like any other stale one.
 func (s *Server) commitTopKFrame(w http.ResponseWriter, sess *liveSession, layout *topk.RoundLayout,
 	checked topk.CheckedRoundFrame, body []byte, start time.Time) {
-	h, m := s.topk, s.topkM
+	m := s.topk.m
 	take, stale, ack, ok := s.commitRound(w, sess, roundBatch{
 		layout: layout,
 		n:      checked.Count,
@@ -963,7 +958,6 @@ func (s *Server) commitTopKFrame(w http.ResponseWriter, sess *liveSession, layou
 	ack.Accepted = take
 	m.batchesBinary.Inc()
 	m.reportsBinary.Add(int64(take))
-	h.reportsBinary.Add(int64(take))
 	writeJSON(w, ack)
 	m.latency.Observe(time.Since(start).Seconds())
 }

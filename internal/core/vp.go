@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/fo"
+	"repro/internal/state"
 	"repro/internal/xrand"
 )
 
@@ -94,16 +96,16 @@ func (vp *VP) Perturb(v int, r *xrand.Rand) *bitvec.Vector {
 // VPAccumulator aggregates validity-perturbation reports, dropping any
 // report whose perturbed flag bit is set.
 type VPAccumulator struct {
-	vp      *VP
-	counts  []int64 // per-item 1-bit counts over kept reports
-	total   int     // all reports received
-	kept    int     // reports with perturbed flag == 0
-	dropped int     // reports with perturbed flag == 1
+	vp *VP
+	// t is one row of d+1 cells laid out like a report: the items' 1-bit
+	// counts over kept reports, then the flag cell, to which a dropped report
+	// adds its only count. t.N counts every report.
+	t state.Table
 }
 
 // NewAccumulator returns an empty aggregator for vp's reports.
 func (vp *VP) NewAccumulator() *VPAccumulator {
-	return &VPAccumulator{vp: vp, counts: make([]int64, vp.d)}
+	return &VPAccumulator{vp: vp, t: state.NewTable(state.Shape{Rows: 1, Cols: vp.d + 1})}
 }
 
 // Add folds one perturbed report into the aggregate.
@@ -111,17 +113,12 @@ func (a *VPAccumulator) Add(bits *bitvec.Vector) {
 	if bits.Len() != a.vp.d+1 {
 		panic(fmt.Sprintf("core: VP report length %d != %d", bits.Len(), a.vp.d+1))
 	}
-	a.total++
+	a.t.N++
 	if bits.Get(a.vp.d) {
-		a.dropped++
+		a.t.Cells[a.vp.d]++
 		return
 	}
-	a.kept++
-	bits.ForEachSet(func(i int) {
-		if i < a.vp.d {
-			a.counts[i]++
-		}
-	})
+	bits.ForEachSet(func(i int) { a.t.Cells[i]++ })
 }
 
 // Merge folds another accumulator of the same mechanism into this one.
@@ -129,23 +126,17 @@ func (a *VPAccumulator) Merge(o *VPAccumulator) error {
 	if o.vp.d != a.vp.d {
 		return fmt.Errorf("core: VP merge domain mismatch %d != %d", o.vp.d, a.vp.d)
 	}
-	for i, c := range o.counts {
-		a.counts[i] += c
-	}
-	a.total += o.total
-	a.kept += o.kept
-	a.dropped += o.dropped
-	return nil
+	return a.t.Merge(&o.t)
 }
 
 // Total returns the number of reports received (kept + dropped).
-func (a *VPAccumulator) Total() int { return a.total }
+func (a *VPAccumulator) Total() int { return int(a.t.N) }
 
 // Kept returns the number of reports whose perturbed flag was 0.
-func (a *VPAccumulator) Kept() int { return a.kept }
+func (a *VPAccumulator) Kept() int { return a.Total() - a.Dropped() }
 
 // Dropped returns the number of reports discarded by the flag rule.
-func (a *VPAccumulator) Dropped() int { return a.dropped }
+func (a *VPAccumulator) Dropped() int { return int(a.t.Cells[a.vp.d]) }
 
 // RawCount returns the kept-report 1-bit count of item v. Top-k mining ranks
 // by raw counts: Theorem 7 shows the expectation is a consistent (1−q)
@@ -155,15 +146,11 @@ func (a *VPAccumulator) RawCount(v int) int64 {
 	if v < 0 || v >= a.vp.d {
 		panic(fmt.Sprintf("core: VP item %d outside [0,%d)", v, a.vp.d))
 	}
-	return a.counts[v]
+	return a.t.Cells[v]
 }
 
 // RawCounts returns all kept-report 1-bit counts.
-func (a *VPAccumulator) RawCounts() []int64 {
-	out := make([]int64, len(a.counts))
-	copy(out, a.counts)
-	return out
-}
+func (a *VPAccumulator) RawCounts() []int64 { return slices.Clone(a.t.Cells[:a.vp.d]) }
 
 // Estimate returns the calibrated count of item v:
 //
@@ -175,7 +162,7 @@ func (a *VPAccumulator) RawCounts() []int64 {
 // whole point of the mechanism — it is small and identical across items.
 func (a *VPAccumulator) Estimate(v int) float64 {
 	p, q := a.vp.P(), a.vp.Q()
-	return (float64(a.RawCount(v))/(1-q) - float64(a.total)*q) / (p - q)
+	return (float64(a.RawCount(v))/(1-q) - float64(a.t.N)*q) / (p - q)
 }
 
 // EstimateAll returns calibrated counts for the full item domain.

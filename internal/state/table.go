@@ -173,14 +173,14 @@ func DecodeTable(data []byte) (Table, error) {
 	if len(rest) != 0 {
 		return Table{}, fmt.Errorf("state: %d bytes after the table", len(rest))
 	}
-	if err := t.check(); err != nil {
+	if err := t.Check(); err != nil {
 		return Table{}, err
 	}
 	return t, nil
 }
 
-// check enforces the shape's invariants on non-negative counts.
-func (t *Table) check() error {
+// Check enforces the shape's invariants on non-negative counts.
+func (t *Table) Check() error {
 	if t.Routes > 0 {
 		if err := sumsTo(t.Cells[:t.Routes], t.N); err != nil {
 			return fmt.Errorf("state: route counts %w", err)

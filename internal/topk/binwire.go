@@ -3,15 +3,17 @@ package topk
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
+	"repro/internal/state"
 )
 
 // This file is the binary wire codec for round-report batches — the session
 // tier of the MCBW frame format (internal/core/binwire.go holds the
 // frequency 'F' and mean 'M' tiers, and the envelope checks all three share)
-// — and RoundPartial, the one aggregate a round's reports are counted into,
+// — and RoundPartial, the state.Tables a round's reports are counted into,
 // whichever wire they came by. A frame carries one whole batch for one
 // session round:
 //
@@ -326,69 +328,72 @@ func DecodeRoundFrame(l *RoundLayout, f RoundFrame) ([]RoundReport, error) {
 // The round aggregate.
 // ---------------------------------------------------------------------------
 
-// spaceAgg is one candidate space's share of a round: raw per-bucket support
-// counts, which rank identically to calibrated estimates within a round
-// because the calibration is a shared affine map. Under VP, reports whose
-// perturbed flag bit is set are dropped (Theorem 5's noise-reduction rule)
-// and only counted.
-type spaceAgg struct {
-	counts  []int64
-	n       int // reports folded in
-	kept    int // VP: reports with flag 0
-	dropped int // VP: reports discarded by the flag rule
-}
-
-// scores returns the per-bucket pruning criterion.
-func (a *spaceAgg) scores() []float64 {
-	out := make([]float64, len(a.counts))
-	for i, c := range a.counts {
-		out[i] = float64(c)
-	}
-	return out
-}
-
-// RoundPartial is the aggregate of one round: everything a report mutates
-// (bucket counts, VP keep/drop counters, pts label statistics). A Planner
-// holds one as its live round — every report, JSON or binary, served or
-// replayed, is counted there — and a free-standing one counts a share of a
-// round somewhere else (an edge collector, a benchmark rung, a test's
-// shard) until Planner.MergePartial folds it in. All of it is integer
-// addition, so absorbing a round's reports across any number of partials in
-// any order merges to the same planner state as absorbing them sequentially
-// — bit-identically.
+// RoundPartial is the aggregate of one round: everything a report mutates,
+// held as count tables. A Planner holds one as its live round — every
+// report, JSON or binary, served or replayed, is counted there — and a
+// free-standing one counts a share of a round somewhere else (an edge
+// collector, a benchmark rung, a test's shard) until Planner.MergePartial
+// folds it in. All of it is integer addition, so absorbing a round's reports
+// across any number of partials in any order merges to the same planner
+// state as absorbing them sequentially — bit-identically.
 //
 // A RoundPartial is not safe for concurrent use.
 type RoundPartial struct {
 	layout *RoundLayout
-	aggs   []spaceAgg
-
-	// Label statistics are tracked unconditionally (the wire class is the
-	// perturbed label only under pts, and only a pts planner reads them),
-	// keeping the absorb path branch-free on the framework.
-	labelRouted []int64
-	labelTotal  int64
-
-	received int
+	// spaces[i] counts the reports routed to candidate space i in one row
+	// laid out like their wire bits: the raw per-bucket support counts, which
+	// rank identically to calibrated estimates within a round because the
+	// calibration is a shared affine map, then under VP the flag cell. A
+	// report whose perturbed flag bit is set adds to the flag cell alone
+	// (Theorem 5's drop rule), so the cell counts dropped reports and the
+	// space kept N minus it.
+	spaces []state.Table
+	// labels counts the reports by wire class, one-hot. Only a pts planner
+	// reads them (the wire class is the perturbed label only there), but
+	// they are counted for every framework, which keeps the absorb path
+	// branch-free on it.
+	labels state.Table
 }
 
 // NewRoundPartial prepares an empty partial for one round's layout.
 func NewRoundPartial(l *RoundLayout) *RoundPartial {
 	p := &RoundPartial{
-		layout:      l,
-		aggs:        make([]spaceAgg, len(l.Bits)),
-		labelRouted: make([]int64, l.Classes),
+		layout: l,
+		spaces: make([]state.Table, len(l.Bits)),
+		labels: state.NewTable(labelShape(l.Classes)),
 	}
 	for i, b := range l.Bits {
-		if l.VP {
-			b-- // the flag bit has no bucket count
-		}
-		p.aggs[i].counts = make([]int64, b)
+		p.spaces[i] = state.NewTable(state.Shape{Rows: 1, Cols: b})
 	}
 	return p
 }
 
 // Received returns how many reports the partial currently holds.
-func (p *RoundPartial) Received() int { return p.received }
+func (p *RoundPartial) Received() (n int) {
+	for i := range p.spaces {
+		n += int(p.spaces[i].N)
+	}
+	return n
+}
+
+// buckets returns space i's per-bucket counts; the slice aliases the table.
+func (p *RoundPartial) buckets(i int) []int64 {
+	cells := p.spaces[i].Cells
+	if p.layout.VP {
+		return cells[:len(cells)-1]
+	}
+	return cells
+}
+
+// scores returns space i's per-bucket pruning criterion.
+func (p *RoundPartial) scores(i int) []float64 {
+	counts := p.buckets(i)
+	out := make([]float64, len(counts))
+	for b, c := range counts {
+		out[b] = float64(c)
+	}
+	return out
+}
 
 // Absorb folds one JSON-path report into the partial, validating it against
 // the layout first (CheckReport) — the sparse-bits twin of AbsorbChecked, so
@@ -397,33 +402,26 @@ func (p *RoundPartial) Absorb(rep RoundReport) error {
 	if err := p.layout.CheckReport(rep); err != nil {
 		return err
 	}
-	p.labelRouted[rep.Class]++
-	p.labelTotal++
-	p.received++
-	a := &p.aggs[p.layout.aggIndex(rep.Class)]
-	a.n++
-	if p.layout.VP {
-		flag := len(a.counts)
-		for _, b := range rep.Bits {
-			if b == flag {
-				a.dropped++
-				return nil
-			}
-		}
-		a.kept++
+	p.labels.N++
+	p.labels.Cells[rep.Class]++
+	sp := &p.spaces[p.layout.aggIndex(rep.Class)]
+	sp.N++
+	if flag := len(sp.Cells) - 1; p.layout.VP && slices.Contains(rep.Bits, flag) {
+		sp.Cells[flag]++
+		return nil
 	}
 	for _, b := range rep.Bits {
-		a.counts[b]++
+		sp.Cells[b]++
 	}
 	return nil
 }
 
 // AbsorbChecked folds every record of a frame Check accepted for this
 // partial's layout, mirroring Absorb report for report. A class walk files
-// each record's offset under its aggregate and bumps the label statistics;
-// then each aggregate counts its rows, applies the VP drop rule on the flag
-// bit (the last wire bit) and sums the kept rows by column — no RoundReport
-// is ever materialized.
+// each record's offset under its space and counts its label; then each space
+// counts its rows, applies the VP drop rule on the flag bit (the last wire
+// bit) and sums the kept rows by column — no RoundReport is ever
+// materialized.
 func (p *RoundPartial) AbsorbChecked(f CheckedRoundFrame) {
 	l := p.layout
 	if f.layout != l {
@@ -432,25 +430,24 @@ func (p *RoundPartial) AbsorbChecked(f CheckedRoundFrame) {
 	sets := bitvec.GetRowSets(len(l.Bits))
 	for pos, i := 0, 0; i < f.Count; i++ {
 		class, n := binary.Uvarint(f.records[pos:])
-		p.labelRouted[class]++
+		p.labels.Cells[class]++
 		agg := l.aggIndex(int(class))
 		sets.Add(agg, pos+n)
 		pos += n + (l.Bits[agg]+63)/64*8
 	}
-	p.labelTotal += int64(f.Count)
-	p.received += f.Count
+	p.labels.N += int64(f.Count)
 	for i, rows := range sets.Rows() {
-		a := &p.aggs[i]
-		a.n += len(rows)
+		sp := &p.spaces[i]
+		sp.N += int64(len(rows))
 		if l.VP {
-			kept := bitvec.RowsWithBitClear(f.records, rows, len(a.counts))
-			a.dropped += len(rows) - len(kept)
-			a.kept += len(kept)
+			flag := len(sp.Cells) - 1
+			kept := bitvec.RowsWithBitClear(f.records, rows, flag)
+			sp.Cells[flag] += int64(len(rows) - len(kept))
 			rows = kept
 		}
-		// Safe: Check rejected stray bits beyond the wire length and the flag
-		// bit is clear, so every set bit indexes a bucket count.
-		bitvec.AddRows(a.counts, f.records, rows, (l.Bits[i]+63)/64)
+		// Safe: Check rejected stray bits beyond the wire length, so every
+		// set bit indexes a cell, and a kept row adds nothing to the flag.
+		bitvec.AddRows(sp.Cells, f.records, rows, (l.Bits[i]+63)/64)
 	}
 	sets.Put()
 }
@@ -467,69 +464,43 @@ func (p *RoundPartial) AbsorbFrame(f RoundFrame) error {
 	return nil
 }
 
-// merge adds o's counters into p. The two need not share a layout pointer
+// merge adds o's tables into p's. The two need not share a layout pointer
 // (a partial built over LayoutOf a broadcast merges into the planner's own),
 // only its shape, which is checked before anything is added.
 func (p *RoundPartial) merge(o *RoundPartial) error {
-	if len(o.aggs) != len(p.aggs) || len(o.labelRouted) != len(p.labelRouted) {
-		return fmt.Errorf("topk: merge of %d partial aggregates over %d classes into %d over %d",
-			len(o.aggs), len(o.labelRouted), len(p.aggs), len(p.labelRouted))
+	same := len(o.spaces) == len(p.spaces) && o.labels.Shape == p.labels.Shape
+	for i := 0; same && i < len(o.spaces); i++ {
+		same = o.spaces[i].Shape == p.spaces[i].Shape
 	}
-	for i := range o.aggs {
-		if len(o.aggs[i].counts) != len(p.aggs[i].counts) {
-			return fmt.Errorf("topk: partial aggregate %d holds %d buckets, want %d", i, len(o.aggs[i].counts), len(p.aggs[i].counts))
+	if !same {
+		return fmt.Errorf("topk: partial of %d spaces over %v does not match the live round's %d over %v",
+			len(o.spaces), o.labels.Shape, len(p.spaces), p.labels.Shape)
+	}
+	for i := range o.spaces {
+		if err := p.spaces[i].Merge(&o.spaces[i]); err != nil {
+			return err
 		}
 	}
-	for i := range o.aggs {
-		oa, a := &o.aggs[i], &p.aggs[i]
-		for j, c := range oa.counts {
-			a.counts[j] += c
-		}
-		a.n += oa.n
-		a.kept += oa.kept
-		a.dropped += oa.dropped
-	}
-	for c, v := range o.labelRouted {
-		p.labelRouted[c] += v
-	}
-	p.labelTotal += o.labelTotal
-	p.received += o.received
-	return nil
+	return p.labels.Merge(&o.labels)
 }
 
-// reset zeroes the partial in place for the next round of its layout's
-// shape, keeping the allocations. MergePartial calls it after draining.
-func (p *RoundPartial) reset() {
-	for i := range p.aggs {
-		a := &p.aggs[i]
-		for j := range a.counts {
-			a.counts[j] = 0
-		}
-		a.n, a.kept, a.dropped = 0, 0, 0
-	}
-	for i := range p.labelRouted {
-		p.labelRouted[i] = 0
-	}
-	p.labelTotal = 0
-	p.received = 0
-}
-
-// MergePartial drains a partial into the live round: counts, VP counters and
-// label statistics add in, received advances, and the partial is reset for
-// reuse. Merging the partials of a round in any order yields the same
-// planner state as absorbing their reports sequentially. An empty partial
-// merges into any round (a no-op); a non-empty one must match the live round.
+// MergePartial drains a partial into the live round: its tables add in and
+// the partial is emptied for reuse. Merging the partials of a round in any
+// order yields the same planner state as absorbing their reports
+// sequentially. An empty partial merges into any round (a no-op); a
+// non-empty one must match the live round.
 func (pl *Planner) MergePartial(p *RoundPartial) error {
-	if p.received == 0 {
+	n := p.Received()
+	if n == 0 {
 		return nil
 	}
 	if pl.done || p.layout.Round != pl.round {
-		return fmt.Errorf("topk: merge of %d round-%d reports into live round %d", p.received, p.layout.Round, pl.round)
+		return fmt.Errorf("topk: merge of %d round-%d reports into live round %d", n, p.layout.Round, pl.round)
 	}
 	if err := pl.live.merge(p); err != nil {
 		return err
 	}
-	p.reset()
+	*p = *NewRoundPartial(p.layout)
 	return nil
 }
 

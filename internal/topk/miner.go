@@ -1,10 +1,6 @@
 package topk
 
 import (
-	"fmt"
-
-	"repro/internal/core"
-	"repro/internal/fo"
 	"repro/internal/metrics"
 	"repro/internal/xrand"
 )
@@ -149,78 +145,4 @@ func rankFinal(sp space, scores []float64, limit int) []int {
 		}
 	}
 	return out
-}
-
-// singleConfig drives one single-domain mining run — the unit the HEC and
-// PTJ sessions are built from, kept as a standalone entry point for the
-// single-domain tests.
-type singleConfig struct {
-	domain    int
-	buckets   int
-	keep      int
-	limit     int // ranked items to return from the final iteration
-	eps       float64
-	shuffling bool
-	vp        bool
-}
-
-// singleRound is the aggregate of one round over one candidate space of the
-// given bucket count — what the single-domain run counts into.
-func singleRound(round, buckets int, vp bool) *RoundPartial {
-	bits := buckets
-	if vp {
-		bits++
-	}
-	return NewRoundPartial(&RoundLayout{Round: round, Classes: 1, Single: true, VP: vp, Bits: []int{bits}})
-}
-
-// mineSingle runs the iterative pruning scheme over one domain as a thin
-// loop over the session halves: each round the server side lays out the
-// space and aggregates raw bucket counts (a one-space RoundPartial), while
-// each user perturbs their own value client-side with their own generator
-// (perturbBucket over UserRand), exactly as a served session's clients do.
-// items holds each user's value, with core.Invalid for users whose value
-// is invalid a priori; values invalidated later by pruning are handled per
-// iteration.
-func mineSingle(items []int, cfg singleConfig, r *xrand.Rand) ([]int, error) {
-	if cfg.domain < 2 {
-		return nil, fmt.Errorf("topk: domain %d too small", cfg.domain)
-	}
-	seed := r.Uint64()
-	sp := newSpace(cfg.domain, cfg.buckets, cfg.shuffling, r)
-	iters := iterationsFor(cfg.domain, cfg.buckets, cfg.shuffling)
-	bounds := groupBounds(len(items), iters)
-	for it := 0; it < iters; it++ {
-		agg := singleRound(it, sp.Buckets(), cfg.vp)
-		var (
-			vp  *core.VP
-			ue  *fo.UE
-			err error
-		)
-		if cfg.vp {
-			vp, err = core.NewVP(sp.Buckets(), cfg.eps)
-		} else {
-			ue, err = fo.NewOUE(sp.Buckets(), cfg.eps)
-		}
-		if err != nil {
-			return nil, err
-		}
-		for u := bounds[it]; u < bounds[it+1]; u++ {
-			ur := UserRand(seed, u)
-			bucket := core.Invalid
-			if items[u] != core.Invalid {
-				bucket = sp.BucketOf(items[u])
-			}
-			if err := agg.Absorb(RoundReport{Round: it, Bits: perturbBucket(sp, vp, ue, bucket, ur).Ones()}); err != nil {
-				return nil, err
-			}
-		}
-		scores := agg.aggs[0].scores()
-		if it == iters-1 {
-			return rankFinal(sp, scores, cfg.limit), nil
-		}
-		sp.Prune(scores, pruneKeep(sp, cfg.keep), r)
-	}
-	// iters >= 1 always, so the loop returns; this is unreachable.
-	return nil, fmt.Errorf("topk: empty iteration schedule")
 }

@@ -27,16 +27,53 @@ func skewedItems(d, n int, r *xrand.Rand) ([]int, []int) {
 	return items, metrics.TopK(counts, 8)
 }
 
-func TestMineSingleShuffledVP(t *testing.T) {
-	r := xrand.New(30)
-	items, truth := skewedItems(256, 120000, r)
-	got, err := mineSingle(items, singleConfig{
-		domain: 256, buckets: 32, keep: 16, limit: 8,
-		eps: 5, shuffling: true, vp: true,
-	}, r)
+// mineSession plans a session over pairs (user u holds pairs[u]) and drives
+// it to its result.
+func mineSession(t *testing.T, fw string, c, d, k int, eps float64, opt Options, seed uint64, pairs []core.Pair) *Result {
+	t.Helper()
+	pl, err := NewSession(SessionParams{Framework: fw, Classes: c, Items: d, K: k, Eps: eps,
+		Users: len(pairs), Seed: seed, Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := RunSession(pl, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// mineOneClass runs the single-domain scheme over items: a one-class ptj
+// session lays out 4k buckets, keeps the 2k best each round and ranks k
+// items in the last.
+func mineOneClass(t *testing.T, items []int, d, k int, eps float64, opt Options, seed uint64) []int {
+	t.Helper()
+	pairs := make([]core.Pair, len(items))
+	for u, it := range items {
+		pairs[u] = core.Pair{Item: it}
+	}
+	return mineSession(t, "ptj", 1, d, k, eps, opt, seed, pairs).PerClass[0]
+}
+
+// withInvalidUsers returns class-0 users holding items, plus invalid
+// class-1 users holding uniform items, shuffled. In a two-class hec session
+// the class-1 users that join group 0 are invalid for the whole run.
+func withInvalidUsers(items []int, invalid, d int, r *xrand.Rand) []core.Pair {
+	pairs := make([]core.Pair, 0, len(items)+invalid)
+	for _, it := range items {
+		pairs = append(pairs, core.Pair{Item: it})
+	}
+	for i := 0; i < invalid; i++ {
+		pairs = append(pairs, core.Pair{Class: 1, Item: r.Intn(d)})
+	}
+	r.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+	return pairs
+}
+
+func TestMineSingleShuffledVP(t *testing.T) {
+	r := xrand.New(30)
+	items, truth := skewedItems(256, 120000, r)
+	got := mineOneClass(t, items, 256, 8, 5, Options{Shuffling: true, VP: true}, r.Uint64())
 	f1 := metrics.F1(got, truth)
 	if f1 < 0.6 {
 		t.Fatalf("shuffled+VP F1 %v too low (mined %v, truth %v)", f1, got, truth)
@@ -46,13 +83,7 @@ func TestMineSingleShuffledVP(t *testing.T) {
 func TestMineSinglePEMBaseline(t *testing.T) {
 	r := xrand.New(31)
 	items, truth := skewedItems(256, 120000, r)
-	got, err := mineSingle(items, singleConfig{
-		domain: 256, buckets: 32, keep: 16, limit: 8,
-		eps: 5, shuffling: false, vp: false,
-	}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mineOneClass(t, items, 256, 8, 5, Options{}, r.Uint64())
 	f1 := metrics.F1(got, truth)
 	if f1 < 0.3 {
 		t.Fatalf("PEM baseline F1 %v too low", f1)
@@ -60,22 +91,13 @@ func TestMineSinglePEMBaseline(t *testing.T) {
 }
 
 // TestMineSingleInvalidUsers verifies that a large invalid population does
-// not break mining under VP (they flag themselves out).
+// not break mining under VP (they flag themselves out). Group 0 of the hec
+// session holds half of each class: 60,000 users, a third of them invalid.
 func TestMineSingleInvalidUsers(t *testing.T) {
 	r := xrand.New(32)
-	items, truth := skewedItems(128, 60000, r)
-	// Add 50% invalid users.
-	for i := 0; i < 30000; i++ {
-		items = append(items, core.Invalid)
-	}
-	r.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
-	got, err := mineSingle(items, singleConfig{
-		domain: 128, buckets: 32, keep: 16, limit: 8,
-		eps: 5, shuffling: true, vp: true,
-	}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	items, truth := skewedItems(128, 120000, r)
+	pairs := withInvalidUsers(items, 60000, 128, r)
+	got := mineSession(t, "hec", 2, 128, 8, 5, Options{Shuffling: true, VP: true}, r.Uint64(), pairs).PerClass[0]
 	if f1 := metrics.F1(got, truth); f1 < 0.5 {
 		t.Fatalf("F1 with invalid users %v", f1)
 	}
@@ -85,38 +107,23 @@ func TestMineSingleInvalidUsers(t *testing.T) {
 func TestMineSingleBaselineHandlesInvalid(t *testing.T) {
 	r := xrand.New(33)
 	items, _ := skewedItems(64, 20000, r)
-	for i := 0; i < 5000; i++ {
-		items = append(items, core.Invalid)
-	}
-	_, err := mineSingle(items, singleConfig{
-		domain: 64, buckets: 16, keep: 8, limit: 4,
-		eps: 3, shuffling: false, vp: false,
-	}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pairs := withInvalidUsers(items, 5000, 64, r)
+	mineSession(t, "hec", 2, 64, 4, 3, Options{}, r.Uint64(), pairs)
 }
 
 func TestMineSingleTinyDomain(t *testing.T) {
-	r := xrand.New(34)
 	items := make([]int, 5000)
 	for i := range items {
 		items[i] = i % 3 // item 0,1,2 equally; domain 8
 	}
-	got, err := mineSingle(items, singleConfig{
-		domain: 8, buckets: 16, keep: 8, limit: 3,
-		eps: 6, shuffling: true, vp: true,
-	}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mineOneClass(t, items, 8, 3, 6, Options{Shuffling: true, VP: true}, 34)
 	if len(got) != 3 {
 		t.Fatalf("mined %v", got)
 	}
 }
 
 func TestMineSingleRejectsDegenerateDomain(t *testing.T) {
-	if _, err := mineSingle(nil, singleConfig{domain: 1, buckets: 4, keep: 2, limit: 1, eps: 1}, xrand.New(1)); err == nil {
+	if _, err := NewSession(SessionParams{Framework: "ptj", Classes: 1, Items: 1, K: 1, Eps: 1}); err == nil {
 		t.Fatal("domain 1 accepted")
 	}
 }
@@ -126,20 +133,21 @@ func TestRoundAggVPDropsFlagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	round := singleRound(0, 8, true)
+	round := NewRoundPartial(&RoundLayout{Classes: 1, Single: true, VP: true, Bits: []int{9}})
 	r := xrand.New(35)
 	for i := 0; i < 1000; i++ {
 		if err := round.Absorb(RoundReport{Bits: vp.Perturb(core.Invalid, r).Ones()}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	agg := &round.aggs[0]
-	if agg.kept+agg.dropped != 1000 || agg.dropped == 0 {
-		t.Fatalf("kept %d dropped %d of 1000 invalid reports", agg.kept, agg.dropped)
+	dropped := round.spaces[0].Cells[vp.FlagBit()]
+	kept := round.spaces[0].N - dropped
+	if kept+dropped != 1000 || dropped == 0 {
+		t.Fatalf("kept %d dropped %d of 1000 invalid reports", kept, dropped)
 	}
 	// With everything invalid, surviving counts are pure q(1−p) noise, far
 	// below 1000.
-	for b, v := range agg.scores() {
+	for b, v := range round.scores(0) {
 		if v > 300 {
 			t.Fatalf("bucket %d score %v from pure-invalid stream", b, v)
 		}

@@ -86,15 +86,9 @@ func TestPTJBaselinePEMOnJointDomain(t *testing.T) {
 func TestMineSingleDeterministic(t *testing.T) {
 	r := xrand.New(78)
 	items, _ := skewedItems(128, 30000, r)
-	cfg := singleConfig{domain: 128, buckets: 16, keep: 8, limit: 8, eps: 4, shuffling: true, vp: true}
-	a, err := mineSingle(items, cfg, xrand.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := mineSingle(items, cfg, xrand.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := Options{Shuffling: true, VP: true}
+	a := mineOneClass(t, items, 128, 4, 4, opt, 5)
+	b := mineOneClass(t, items, 128, 4, 4, opt, 5)
 	if len(a) != len(b) {
 		t.Fatal("lengths differ")
 	}

@@ -180,10 +180,3 @@ func cpFeasible(labelCount, labelTotal int64, label *fo.GRR, b float64) bool {
 	}
 	return float64(labelCount) <= b*nHat
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fo"
@@ -111,18 +112,18 @@ type Planner struct {
 	spaces []space // per-class spaces (hec, pts phase 2); [1]space for ptj
 
 	// layout and live are the current round, each built once when the round
-	// opens: the wire shape reports validate against, and the aggregate —
-	// one per active space — they are counted into. After the final round
-	// live stays as that round's counts (they are part of the marshaled
-	// state); a session restored already done has none.
+	// opens: the wire shape reports validate against, and the count tables —
+	// one per active space, plus the labels — they are counted into. After
+	// the final round live stays as that round's counts (they are part of
+	// the marshaled state); a session restored done from a record without
+	// them has none.
 	layout *RoundLayout
 	live   *RoundPartial
 
 	// pts: perturbed-label counts over the sealed rounds; the live round's
-	// are in live until Advance folds them in.
-	labelRouted []int64
-	labelTotal  int64
-	cpFlags     []bool // pts: final-round CP switch, fixed when it opens
+	// are in live until Advance merges them in.
+	labels  state.Table
+	cpFlags []bool // pts: final-round CP switch, fixed when it opens
 
 	result *Result
 }
@@ -145,6 +146,7 @@ func NewSession(p SessionParams) (*Planner, error) {
 	case "ptj":
 		pl.spaces = []space{newSpace(c*d, 4*k*c, opt.Shuffling, pl.rand)}
 	case "pts":
+		pl.labels = state.NewTable(labelShape(c))
 		if pl.itF > 0 {
 			pl.global = newSpace(d, 4*k*c, opt.Shuffling, pl.rand)
 		} else {
@@ -181,7 +183,6 @@ func newPlannerSkeleton(p SessionParams) (*Planner, error) {
 			return nil, err
 		}
 		pl.label = label
-		pl.labelRouted = make([]int64, c)
 		// Iteration schedule: with shuffling the pool halves every round
 		// in both phases, so the count depends only on the per-class 4k
 		// target; with PEM and a global phase the run starts from the
@@ -239,7 +240,7 @@ func (pl *Planner) Received() int {
 	if pl.done {
 		return 0
 	}
-	return pl.live.received
+	return pl.live.Received()
 }
 
 // Quota returns the live round's report quota (0 once done).
@@ -249,9 +250,6 @@ func (pl *Planner) Quota() int {
 	}
 	return pl.quotas[pl.round]
 }
-
-// QuotaOf returns round r's report quota.
-func (pl *Planner) QuotaOf(r int) int { return pl.quotas[r] }
 
 // Done reports whether the final ranking has been produced.
 func (pl *Planner) Done() bool { return pl.done }
@@ -264,24 +262,14 @@ func (pl *Planner) activeSpaces() []space {
 	return pl.spaces
 }
 
-// openLive builds the layout and the empty aggregate of the live round.
+// openLive builds the layout and the empty aggregate of the live round. The
+// layout is the one clients derive from the round's broadcast.
 func (pl *Planner) openLive() {
-	active := pl.activeSpaces()
-	pl.layout = &RoundLayout{
-		Round:   pl.round,
-		Classes: pl.p.Classes,
-		PTJ:     pl.p.Framework == "ptj",
-		Single:  pl.p.Framework == "ptj" || (pl.p.Framework == "pts" && pl.round < pl.itF),
-		VP:      pl.p.Opt.VP,
-		Bits:    make([]int, len(active)),
+	l, err := LayoutOf(pl.Config())
+	if err != nil {
+		panic(err) // a planner's own broadcast always lays out
 	}
-	for i, sp := range active {
-		pl.layout.Bits[i] = sp.Buckets()
-		if pl.p.Opt.VP {
-			pl.layout.Bits[i]++ // the validity flag bit
-		}
-	}
-	pl.live = NewRoundPartial(pl.layout)
+	pl.layout, pl.live = l, NewRoundPartial(l)
 }
 
 // openRound prepares the (newly) live round and, when the final pts round
@@ -294,23 +282,9 @@ func (pl *Planner) openRound() {
 	if pl.p.Framework == "pts" && pl.p.Opt.CP && pl.round == pl.iters-1 {
 		pl.cpFlags = make([]bool, pl.p.Classes)
 		for cl := range pl.cpFlags {
-			pl.cpFlags[cl] = cpFeasible(pl.labelRouted[cl], pl.labelTotal, pl.label, pl.p.Opt.B)
+			pl.cpFlags[cl] = cpFeasible(pl.labels.Cells[cl], pl.labels.N, pl.label, pl.p.Opt.B)
 		}
 	}
-}
-
-// sealLabels moves the live round's label statistics into the all-rounds
-// totals (pts; the other frameworks keep none).
-func (pl *Planner) sealLabels() {
-	if pl.p.Framework != "pts" {
-		return
-	}
-	for c, v := range pl.live.labelRouted {
-		pl.labelRouted[c] += v
-		pl.live.labelRouted[c] = 0
-	}
-	pl.labelTotal += pl.live.labelTotal
-	pl.live.labelTotal = 0
 }
 
 // Config returns the live round's broadcast, or nil once the session is
@@ -377,14 +351,19 @@ func (pl *Planner) Advance() error {
 		return ErrSessionDone
 	}
 	c, k := pl.p.Classes, pl.p.K
-	pl.sealLabels()
+	if pl.p.Framework == "pts" {
+		// Seal the round's label counts into the all-rounds totals (the other
+		// frameworks keep none).
+		if err := pl.labels.Merge(&pl.live.labels); err != nil {
+			return err
+		}
+	}
 	if pl.round == pl.iters-1 {
 		pl.finishFinal()
 		return nil
 	}
-	aggs := pl.live.aggs
 	if pl.p.Framework == "pts" && pl.round < pl.itF {
-		pl.global.Prune(aggs[0].scores(), pruneKeep(pl.global, 2*k*c), pl.rand)
+		pl.global.Prune(pl.live.scores(0), pruneKeep(pl.global, 2*k*c), pl.rand)
 		if pl.round == pl.itF-1 {
 			// Global-to-per-class hand-off: every class starts from the
 			// surviving global candidates.
@@ -400,7 +379,7 @@ func (pl *Planner) Advance() error {
 			keep = 2 * k * c
 		}
 		for i, sp := range pl.spaces {
-			sp.Prune(aggs[i].scores(), pruneKeep(sp, keep), pl.rand)
+			sp.Prune(pl.live.scores(i), pruneKeep(sp, keep), pl.rand)
 		}
 	}
 	pl.round++
@@ -412,12 +391,11 @@ func (pl *Planner) Advance() error {
 func (pl *Planner) finishFinal() {
 	c, k := pl.p.Classes, pl.p.K
 	res := &Result{PerClass: make([][]int, c), UsedCP: make([]bool, c)}
-	aggs := pl.live.aggs
 	if pl.p.Framework == "ptj" {
 		// Rank the full final pool of joint pairs, then project onto
 		// per-class lists.
 		d := pl.p.Items
-		for _, joint := range rankFinal(pl.spaces[0], aggs[0].scores(), 4*k*c) {
+		for _, joint := range rankFinal(pl.spaces[0], pl.live.scores(0), 4*k*c) {
 			cl, item := joint/d, joint%d
 			if len(res.PerClass[cl]) < k {
 				res.PerClass[cl] = append(res.PerClass[cl], item)
@@ -425,7 +403,7 @@ func (pl *Planner) finishFinal() {
 		}
 	} else {
 		for cl := 0; cl < c; cl++ {
-			res.PerClass[cl] = rankFinal(pl.spaces[cl], aggs[cl].scores(), k)
+			res.PerClass[cl] = rankFinal(pl.spaces[cl], pl.live.scores(cl), k)
 		}
 		if pl.cpFlags != nil {
 			copy(res.UsedCP, pl.cpFlags)
@@ -522,24 +500,25 @@ func (pl *Planner) MarshalBinary() ([]byte, error) {
 		return nil, err
 	}
 	st := plannerState{
-		Params:      pl.p,
-		Round:       pl.round,
-		Received:    pl.Received(),
-		Done:        pl.done,
-		Rand:        rnd,
-		LabelRouted: pl.labelRouted,
-		LabelTotal:  pl.labelTotal,
-		CPFlags:     pl.cpFlags,
-		Result:      pl.result,
+		Params:   pl.p,
+		Round:    pl.round,
+		Received: pl.Received(),
+		Done:     pl.done,
+		Rand:     rnd,
+		CPFlags:  pl.cpFlags,
+		Result:   pl.result,
 	}
-	if pl.p.Framework == "pts" && !pl.done {
+	if pl.p.Framework == "pts" {
 		// The marshaled label statistics are the all-rounds totals, the live
-		// round included.
-		st.LabelRouted = make([]int64, len(pl.labelRouted))
-		for c, v := range pl.labelRouted {
-			st.LabelRouted[c] = v + pl.live.labelRouted[c]
+		// round included until it seals.
+		labels := pl.labels
+		if !pl.done {
+			labels = labels.Clone()
+			if err := labels.Merge(&pl.live.labels); err != nil {
+				return nil, err
+			}
 		}
-		st.LabelTotal += pl.live.labelTotal
+		st.LabelRouted, st.LabelTotal = labels.Cells, labels.N
 	}
 	if pl.global != nil {
 		d := pl.global.Desc()
@@ -552,9 +531,15 @@ func (pl *Planner) MarshalBinary() ([]byte, error) {
 		}
 	}
 	if pl.live != nil {
-		st.Aggs = make([]aggState, len(pl.live.aggs))
-		for i, a := range pl.live.aggs {
-			st.Aggs[i] = aggState{VP: pl.p.Opt.VP, Buckets: len(a.counts), Counts: a.counts, N: a.n, Kept: a.kept, Dropped: a.dropped}
+		st.Aggs = make([]aggState, len(pl.live.spaces))
+		for i, t := range pl.live.spaces {
+			counts := pl.live.buckets(i)
+			as := aggState{VP: pl.p.Opt.VP, Buckets: len(counts), Counts: counts, N: int(t.N)}
+			if as.VP {
+				as.Dropped = int(t.Cells[len(counts)])
+				as.Kept = as.N - as.Dropped
+			}
+			st.Aggs[i] = as
 		}
 	}
 	var buf bytes.Buffer
@@ -565,8 +550,9 @@ func (pl *Planner) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalSession restores a session serialized by MarshalBinary,
-// validating the envelope, the params and every structural invariant of
-// the dynamic state. Corrupt input errors; it never panics.
+// validating the envelope and the params, and refusing dynamic state the
+// session could not have reached (see restore). Corrupt input errors; it
+// never panics.
 func UnmarshalSession(data []byte) (*Planner, error) {
 	fp, payload, err := state.Decode(data)
 	if err != nil {
@@ -583,84 +569,165 @@ func UnmarshalSession(data []byte) (*Planner, error) {
 	if err != nil {
 		return nil, err
 	}
+	if pl.p != st.Params {
+		return nil, fmt.Errorf("topk: session params %+v are not in normal form", st.Params)
+	}
 	if err := pl.rand.UnmarshalBinary(st.Rand); err != nil {
 		return nil, err
 	}
+	if err := pl.restore(&st); err != nil {
+		return nil, err
+	}
+	return pl, nil
+}
+
+// restore installs a record's dynamic state on a planner fresh from
+// newPlannerSkeleton. A done session that finished live still holds its
+// final round's spaces and counts, so a done record is restored as that
+// round and then closed; one restored done from a record without them
+// carries none.
+func (pl *Planner) restore(st *plannerState) error {
+	pl.round = st.Round
 	if st.Done {
 		if st.Result == nil || len(st.Result.PerClass) != pl.p.Classes || len(st.Result.UsedCP) != pl.p.Classes {
-			return nil, fmt.Errorf("topk: completed session without a %d-class result", pl.p.Classes)
+			return fmt.Errorf("topk: completed session without a %d-class result", pl.p.Classes)
 		}
-		pl.done, pl.result = true, st.Result
-		pl.round = pl.iters
-		pl.labelRouted, pl.labelTotal = st.LabelRouted, st.LabelTotal
-		return pl, nil
+		if st.Round != pl.iters || st.Received != 0 {
+			return fmt.Errorf("topk: completed session at round %d with %d live reports", st.Round, st.Received)
+		}
+		pl.round = pl.iters - 1
+	} else if st.Result != nil || st.Round < 0 || st.Round >= pl.iters {
+		return fmt.Errorf("topk: open session at round %d of %d, or with a result", st.Round, pl.iters)
 	}
-	if st.Round < 0 || st.Round >= pl.iters {
-		return nil, fmt.Errorf("topk: session round %d outside [0,%d)", st.Round, pl.iters)
-	}
-	pl.round = st.Round
-	if st.Received < 0 {
-		return nil, fmt.Errorf("topk: negative received count %d", st.Received)
-	}
+	bare := st.Done && len(st.Spaces) == 0 && len(st.Aggs) == 0
 	inGlobalPhase := pl.p.Framework == "pts" && pl.round < pl.itF
-	if st.Global != nil {
-		if !inGlobalPhase {
-			return nil, fmt.Errorf("topk: unexpected global space in state")
-		}
-		if pl.global, err = spaceFromDesc(*st.Global); err != nil {
-			return nil, err
-		}
-	} else if inGlobalPhase {
-		return nil, fmt.Errorf("topk: mid-global-phase state without its global space")
-	}
 	wantSpaces := 0
-	if pl.p.Framework != "pts" || pl.round >= pl.itF {
+	if !inGlobalPhase && !bare {
 		wantSpaces = pl.p.Classes
 		if pl.p.Framework == "ptj" {
 			wantSpaces = 1
 		}
 	}
-	if len(st.Spaces) != wantSpaces {
-		return nil, fmt.Errorf("topk: state carries %d spaces, want %d", len(st.Spaces), wantSpaces)
+	if (st.Global != nil) != inGlobalPhase || len(st.Spaces) != wantSpaces {
+		return fmt.Errorf("topk: round %d state carries %d spaces (global %v), want %d (global %v)",
+			pl.round, len(st.Spaces), st.Global != nil, wantSpaces, inGlobalPhase)
+	}
+	var err error
+	if inGlobalPhase {
+		if pl.global, err = pl.restoreSpace(*st.Global, 4*pl.p.K); err != nil {
+			return err
+		}
 	}
 	if wantSpaces > 0 {
 		pl.spaces = make([]space, wantSpaces)
 		for i, sd := range st.Spaces {
-			if pl.spaces[i], err = spaceFromDesc(sd); err != nil {
-				return nil, err
+			if pl.spaces[i], err = pl.restoreSpace(sd, sd.Buckets()); err != nil {
+				return err
 			}
 		}
 	}
 	if pl.p.Framework == "pts" {
-		if len(st.LabelRouted) != pl.p.Classes || st.LabelTotal < 0 {
-			return nil, fmt.Errorf("topk: malformed label statistics")
+		if pl.labels, err = tableOf(labelShape(pl.p.Classes), st.LabelTotal, st.LabelRouted); err != nil {
+			return fmt.Errorf("topk: label statistics: %w", err)
 		}
-		pl.labelRouted, pl.labelTotal = st.LabelRouted, st.LabelTotal
-		if st.CPFlags != nil && len(st.CPFlags) != pl.p.Classes {
-			return nil, fmt.Errorf("topk: %d CP flags for %d classes", len(st.CPFlags), pl.p.Classes)
+	} else if len(st.LabelRouted) != 0 || st.LabelTotal != 0 {
+		return fmt.Errorf("topk: %s session with label statistics", pl.p.Framework)
+	}
+	wantCP := pl.p.Framework == "pts" && pl.p.Opt.CP && pl.round == pl.iters-1
+	if st.CPFlags != nil && (!wantCP || len(st.CPFlags) != pl.p.Classes) || wantCP && st.CPFlags == nil && !bare {
+		return fmt.Errorf("topk: %d CP flags in round %d of %d (CP %v)", len(st.CPFlags), pl.round, pl.iters, pl.p.Opt.CP)
+	}
+	pl.cpFlags = st.CPFlags
+	if !bare {
+		// The restored label totals already include the live round's (they
+		// are not marshaled apart), so the live labels restart at zero.
+		pl.openLive()
+		if err := pl.live.restore(st.Aggs); err != nil {
+			return err
 		}
-		pl.cpFlags = st.CPFlags
-		if pl.p.Opt.CP && pl.round == pl.iters-1 && pl.cpFlags == nil {
-			return nil, fmt.Errorf("topk: final CP round without its CP switch")
+		if n := pl.live.Received(); !st.Done && n != st.Received {
+			return fmt.Errorf("topk: round aggregates hold %d reports, the record %d", n, st.Received)
 		}
 	}
-	// The restored totals already include the live round's label counts
-	// (they are not marshaled apart), so the live aggregate restarts its own
-	// at zero: every reader takes the sum.
-	pl.openLive()
-	pl.live.received = st.Received
-	if len(st.Aggs) != len(pl.live.aggs) {
-		return nil, fmt.Errorf("topk: state carries %d round aggregates, want %d", len(st.Aggs), len(pl.live.aggs))
+	if st.Done {
+		pl.round, pl.done, pl.result = pl.iters, true, st.Result
 	}
-	for i, as := range st.Aggs {
-		a := &pl.live.aggs[i]
-		if as.VP != pl.p.Opt.VP || as.Buckets != len(a.counts) || len(as.Counts) != as.Buckets {
-			return nil, fmt.Errorf("topk: round aggregate %d does not match its space layout", i)
-		}
-		if as.N < 0 || as.Kept < 0 || as.Dropped < 0 {
-			return nil, fmt.Errorf("topk: negative aggregate counters")
-		}
-		*a = spaceAgg{counts: as.Counts, n: as.N, kept: as.Kept, dropped: as.Dropped}
+	return nil
+}
+
+// restoreSpace rebuilds a recorded space live in the planner's round and
+// refuses one the session could not have laid out: another kind or domain,
+// or one too coarse to reach singleton buckets, which the final round
+// ranks, in the prunes left. Each prune extends a prefix by a bit, or at
+// least halves a shuffled pool in two or more buckets; want is the bucket
+// count the space's candidates are ranked in.
+func (pl *Planner) restoreSpace(sd SpaceDesc, want int) (space, error) {
+	domain := pl.p.Items
+	if pl.p.Framework == "ptj" {
+		domain *= pl.p.Classes
 	}
-	return pl, nil
+	if (sd.Kind == SpaceShuffle) != pl.p.Opt.Shuffling || sd.Domain != domain {
+		return nil, fmt.Errorf("topk: a %q space over %d items in a session over %d", sd.Kind, sd.Domain, domain)
+	}
+	sp, err := spaceFromDesc(sd)
+	if err != nil {
+		return nil, err
+	}
+	left, pool := pl.iters-1-pl.round, sp.PoolSize()
+	reaches := sd.Length+left >= sd.TotalBits
+	if sd.Kind == SpaceShuffle {
+		want = min(want, sp.Buckets())
+		reaches = pool <= want || want >= 2 && halvings(pool, want) <= left
+	}
+	if !reaches {
+		return nil, fmt.Errorf("topk: %d candidates in %d buckets cannot be ranked in %d rounds", pool, sp.Buckets(), left)
+	}
+	return sp, nil
+}
+
+// restore fills a partial fresh from NewRoundPartial with a record's round
+// aggregates. Each becomes its space's table, which must keep the table's
+// invariants and agree with the record's counters: under VP kept and dropped
+// reports add up to N and no bucket counts more reports than were kept;
+// without VP both counters are 0.
+func (p *RoundPartial) restore(aggs []aggState) error {
+	if len(aggs) != len(p.spaces) {
+		return fmt.Errorf("topk: state carries %d round aggregates, want %d", len(aggs), len(p.spaces))
+	}
+	for i, as := range aggs {
+		if as.VP != p.layout.VP || as.Buckets != len(as.Counts) {
+			return fmt.Errorf("topk: round aggregate %d does not match its space layout", i)
+		}
+		cells, kept := as.Counts, int64(as.N)
+		if as.VP {
+			cells, kept = append(cells, int64(as.Dropped)), kept-int64(as.Dropped)
+		}
+		t, err := tableOf(p.spaces[i].Shape, int64(as.N), cells)
+		if err != nil {
+			return fmt.Errorf("topk: round aggregate %d: %w", i, err)
+		}
+		switch {
+		case as.VP && int64(as.Kept) != kept, !as.VP && (as.Kept != 0 || as.Dropped != 0):
+			return fmt.Errorf("topk: round aggregate %d keeps %d and drops %d of %d reports", i, as.Kept, as.Dropped, as.N)
+		case slices.Max(as.Counts) > kept:
+			return fmt.Errorf("topk: round aggregate %d counts %d reports in a bucket, %d kept", i, slices.Max(as.Counts), kept)
+		}
+		p.spaces[i] = t
+	}
+	return nil
+}
+
+// tableOf builds a table of shape s over a record's counts, refusing any the
+// table's invariants, or a negative count, rule out.
+func tableOf(s state.Shape, n int64, cells []int64) (state.Table, error) {
+	t := state.Table{Shape: s, N: n, Cells: cells}
+	if len(cells) != s.Routes+s.Rows*s.Cols || len(cells) > 0 && slices.Min(cells) < 0 {
+		return t, fmt.Errorf("topk: %d counts for a %v table, or a negative one", len(cells), s)
+	}
+	return t, t.Check()
+}
+
+// labelShape is the shape of a session's perturbed-label counts.
+func labelShape(classes int) state.Shape {
+	return state.Shape{Rows: 1, Cols: classes, OneHot: true}
 }
