@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc race race-wal race-topk replay-smoke bench bench-json bench-check bench-harness load-smoke fmt fmt-fix lint staticcheck metrics-lint fuzz ci
+.PHONY: all build test loc race race-wal race-topk replay-smoke bench bench-json bench-check bench-harness load-smoke fmt fmt-fix lint staticcheck cross metrics-lint fuzz ci
 
 all: build test
 
@@ -119,6 +119,14 @@ lint:
 		sed "s|^$$PWD/||" | grep -vxF $(addprefix -e ,$(GOB_ALLOWED)))"; \
 	if [ -n "$$bad" ]; then echo "encoding/gob imported outside $(GOB_ALLOWED):"; echo "$$bad"; exit 1; fi
 
+# Vet for two platforms other than the host's: Windows, where WAL segments
+# are read rather than mapped (internal/wal/segment_other.go), and macOS,
+# whose mmap comes from the BSD half of package syscall. Keeps both sides of
+# the one platform split compiling on a Linux-only CI.
+cross:
+	GOOS=windows GOARCH=amd64 $(GO) vet ./...
+	GOOS=darwin $(GO) vet ./...
+
 # Pinned so local and CI runs agree; `go run` fetches the tool on demand
 # (network required on first use).
 STATICCHECK_VERSION ?= 2025.1.1
@@ -159,4 +167,4 @@ else
 	done
 endif
 
-ci: fmt lint staticcheck build race race-wal race-topk replay-smoke metrics-lint bench-harness load-smoke fuzz bench
+ci: fmt lint staticcheck cross build race race-wal race-topk replay-smoke metrics-lint bench-harness load-smoke fuzz bench

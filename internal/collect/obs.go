@@ -107,6 +107,8 @@ func NewWALMetrics(reg *obs.Registry, name string) (*wal.Metrics, *obs.Gauge) {
 			"Torn WAL tails handled (failed writes clipped, corrupt frames ending a replay), by log.", "log", name),
 		ReplayedRecords: reg.Counter("mcim_wal_replayed_records_total",
 			"Intact records re-applied from the write-ahead log at startup, by log.", "log", name),
+		ReplayedBytes: reg.Counter("mcim_wal_replayed_bytes_total",
+			"Framed bytes of the intact records re-applied from the write-ahead log at startup, by log.", "log", name),
 	}
 	g := reg.Gauge("mcim_wal_replay_seconds",
 		"Duration of the startup WAL replay in seconds, by log.", "log", name)

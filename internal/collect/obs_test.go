@@ -87,6 +87,7 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		"mcim_wal_compactions_total":         "counter",
 		"mcim_wal_torn_truncations_total":    "counter",
 		"mcim_wal_replayed_records_total":    "counter",
+		"mcim_wal_replayed_bytes_total":      "counter",
 		"mcim_wal_replay_seconds":            "gauge",
 		"mcim_wal_replay_workers":            "gauge",
 		"mcim_estimate_cache_requests_total": "counter",

@@ -16,7 +16,15 @@
 // Replay verifies every frame; a short or corrupt frame ends that segment's
 // replay — the normal signature of a torn write at crash — and replay
 // continues with the next segment. Every Open starts a fresh segment, so an
-// appender never writes after a torn tail.
+// appender never writes after a torn tail, and deletes the empty segments
+// earlier runs left behind.
+//
+// Replay maps segments read-only (where the platform has mmap; elsewhere it
+// reads them) rather than copying them onto the heap, and unmaps each once
+// its records are applied. So a record handed to a replay callback is valid
+// only until the callback returns, and a segment that faults underneath the
+// replay — truncated by someone else, or unreadable — fails the replay with
+// an error instead of crashing the process.
 //
 // Compaction (Roll + Seal) folds the log back down: the caller quiesces
 // appends, Rolls to a new segment, snapshots its aggregation state, and
@@ -38,6 +46,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"sync"
@@ -137,8 +146,10 @@ type Metrics struct {
 	// TornTruncations counts torn tails handled: failed writes clipped from
 	// the active segment, and corrupt frames that ended a segment's replay.
 	TornTruncations Adder
-	// ReplayedRecords counts intact records fed to Replay's onRecord.
+	// ReplayedRecords counts intact records fed to Replay's onRecord;
+	// ReplayedBytes counts their framed size.
 	ReplayedRecords Adder
+	ReplayedBytes   Adder
 }
 
 // add is nil-safe on the field; callers nil-check the receiver before
@@ -193,9 +204,10 @@ func (m *Metrics) noteTorn() {
 	}
 }
 
-func (m *Metrics) noteReplayed(n int64) {
+func (m *Metrics) noteReplayed(frameLen int64) {
 	if m != nil {
-		add(m.ReplayedRecords, n)
+		add(m.ReplayedRecords, 1)
+		add(m.ReplayedBytes, frameLen)
 	}
 }
 
@@ -284,8 +296,9 @@ type Log struct {
 const retireQueue = 4
 
 // Open prepares dir (creating it if needed), accounts for what a crash left
-// behind, and starts a fresh active segment numbered after everything on
-// disk. It does not read old records — call Replay for that.
+// behind, starts a fresh active segment numbered after everything on disk,
+// and deletes the segments that hold no bytes. It does not read old records
+// — call Replay for that.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
@@ -332,6 +345,15 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	if err := l.startSegment(next); err != nil {
 		return nil, err
+	}
+	// A run that appended nothing left its segment empty. Without this, every
+	// restart of an idle log would add one more file for replay to open and
+	// /stats to count; no compaction would remove it. A segment of 1–7 bytes
+	// (a torn header) is not empty and stays.
+	for _, seq := range segs {
+		if l.segBytes[seq] == 0 && removeFile(l.segPath(seq)) {
+			delete(l.segBytes, seq)
+		}
 	}
 	// Make the directory entry itself durable: fsyncing record bytes into a
 	// file whose entry a power loss can erase would protect nothing. (Later
@@ -653,32 +675,82 @@ func (l *Log) clipActive() {
 // ends its segment's replay and the next segment continues — the expected
 // shape after an unclean shutdown. Either callback returning an error
 // aborts the replay with it.
+//
+// A record's bytes are valid until onRecord returns: segments are mapped
+// read-only and unmapped once their records are applied, so a callback that
+// keeps any of them must copy. A segment that faults while it is read — the
+// file truncated underneath the replay, or a disk error — fails the replay
+// with an error naming the segment instead of crashing the process.
 func (l *Log) Replay(onSnapshot func(snapshot []byte) error, onRecord func(record []byte) error) error {
 	return l.replay(1, onSnapshot, onRecord)
 }
 
 // ReplayParallel is Replay with onRecord fanned across a pool of workers
-// goroutines: segment files are prefetched ahead of the frame walk, the
-// walk itself stays sequential (bounds and CRC checks preserve the
-// intact-prefix torn-tail semantics exactly), and each intact payload is
-// dispatched to the pool. workers ≤ 1 is Replay.
+// goroutines: the frame walk stays sequential (bounds and CRC checks
+// preserve the intact-prefix torn-tail semantics exactly), and each intact
+// payload is dispatched to the pool. workers ≤ 1 is Replay.
 //
 // It is only safe when record application is commutative (integer-count
 // merges) and onRecord is safe for concurrent use — records are applied
 // out of order across workers. onSnapshot still runs alone, before any
 // record. The first onRecord error stops dispatch and is returned after
-// the pool drains; payload slices alias per-segment read buffers that are
-// never reused, so a callback may retain them for the call's duration
-// without copying.
+// the pool drains. Payload lifetime and faults are as for Replay: a payload
+// is valid until the onRecord call it was passed to returns.
 func (l *Log) ReplayParallel(workers int, onSnapshot func(snapshot []byte) error, onRecord func(record []byte) error) error {
 	return l.replay(workers, onSnapshot, onRecord)
 }
 
+// mapping is one segment mapped for replay and the holds on it: the walk's,
+// plus one per record handed to the pool and not yet applied. The last hold
+// dropped unmaps it.
+type mapping struct {
+	path    string
+	release func() error
+	holds   atomic.Int32
+}
+
+func (m *mapping) drop() error {
+	if m.holds.Add(-1) > 0 {
+		return nil
+	}
+	if err := m.release(); err != nil {
+		return fmt.Errorf("wal: unmap %s: %w", m.path, err)
+	}
+	return nil
+}
+
+// recoverFault, deferred by a goroutine reading m under
+// debug.SetPanicOnFault, turns a fault on m's pages into *err. Any other
+// panic goes on up.
+func (m *mapping) recoverFault(err *error) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	f, ok := r.(interface{ Addr() uintptr })
+	if !ok {
+		panic(r)
+	}
+	*err = fmt.Errorf("wal: replay of segment %s faulted at %#x: the file shrank or could not be read underneath the replay", m.path, f.Addr())
+}
+
+// apply runs onRecord on a payload of m in a pool worker.
+func (m *mapping) apply(onRecord func([]byte) error, payload []byte) (err error) {
+	defer m.recoverFault(&err)
+	return onRecord(payload)
+}
+
+// replayRecord is a payload the walk handed to the pool.
+type replayRecord struct {
+	m       *mapping
+	payload []byte
+}
+
 // replay is the one snapshot selection and the one frame walk behind both
-// exported replays. With one worker a segment is read when the walk reaches
-// it and a record is applied where the walk finds it; with more, a reader
-// goroutine has the next segment ready and the walk hands each record to a
-// pool instead.
+// exported replays. The walk maps each segment when it reaches it; with one
+// worker a record is applied where the walk finds it and the segment is
+// unmapped after its walk, with more the walk hands each record to a pool
+// and the segment is unmapped when the pool has applied its last record.
 func (l *Log) replay(workers int, onSnapshot, onRecord func([]byte) error) (err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -705,61 +777,48 @@ func (l *Log) replay(workers int, onSnapshot, onRecord func([]byte) error) (err 
 	if len(segs) == 0 {
 		return nil
 	}
+	// Mapped pages fault when their file shrinks or the disk fails; the walk
+	// and every worker read them with faults turned into panics, which
+	// recoverFault turns into the replay's error.
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 
-	readSeg := func(seq int) ([]byte, error) { return os.ReadFile(l.segPath(seq)) }
-	read, apply := readSeg, onRecord
+	apply := func(_ *mapping, rec []byte) error { return onRecord(rec) }
 	var failed atomic.Bool // a pool worker's onRecord returned an error
 	if workers > 1 {
-		type segData struct {
-			data []byte
-			err  error
-		}
-		segCh := make(chan segData, 2)
-		done := make(chan struct{})
-		defer close(done)
-		go func() {
-			defer close(segCh)
-			for _, seq := range segs {
-				data, err := readSeg(seq)
-				select {
-				case segCh <- segData{data: data, err: err}:
-				case <-done:
-					return
-				}
-			}
-		}()
-		read = func(int) ([]byte, error) {
-			sd := <-segCh
-			return sd.data, sd.err
-		}
-
 		var (
 			wg       sync.WaitGroup
 			errMu    sync.Mutex
 			firstErr error
 		)
-		recCh := make(chan []byte, 4*workers)
+		setErr := func(err error) {
+			errMu.Lock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			errMu.Unlock()
+		}
+		recCh := make(chan replayRecord, 4*workers)
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for rec := range recCh {
-					if failed.Load() {
-						continue
-					}
-					if err := onRecord(rec); err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
+				defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+				for r := range recCh {
+					if !failed.Load() {
+						if err := r.m.apply(onRecord, r.payload); err != nil {
+							setErr(err)
+							failed.Store(true)
 						}
-						errMu.Unlock()
-						failed.Store(true)
+					}
+					if err := r.m.drop(); err != nil {
+						setErr(err)
 					}
 				}
 			}()
 		}
-		apply = func(rec []byte) error {
-			recCh <- rec
+		apply = func(m *mapping, rec []byte) error {
+			m.holds.Add(1)
+			recCh <- replayRecord{m, rec}
 			return nil
 		}
 		// The pool's first error is the replay's, reported once it drained.
@@ -772,11 +831,20 @@ func (l *Log) replay(workers int, onSnapshot, onRecord func([]byte) error) (err 
 		}()
 	}
 
-	for _, seq := range segs {
-		data, err := read(seq)
+	walk := func(seq int) (err error) {
+		path := l.segPath(seq)
+		data, release, err := mapSegment(path)
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
+		m := &mapping{path: path, release: release}
+		m.holds.Store(1)
+		defer func() {
+			if derr := m.drop(); err == nil {
+				err = derr
+			}
+		}()
+		defer m.recoverFault(&err)
 		for len(data) >= 8 {
 			n := binary.LittleEndian.Uint32(data[:4])
 			if uint64(n) > MaxRecordBytes || uint64(n) > uint64(len(data)-8) {
@@ -789,8 +857,8 @@ func (l *Log) replay(workers int, onSnapshot, onRecord func([]byte) error) (err 
 			if failed.Load() {
 				return nil // stop dispatching; the deferred drain reports the error
 			}
-			l.opts.Metrics.noteReplayed(1)
-			if err := apply(payload); err != nil {
+			l.opts.Metrics.noteReplayed(8 + int64(n))
+			if err := apply(m, payload); err != nil {
 				return err
 			}
 			data = data[8+n:]
@@ -799,6 +867,12 @@ func (l *Log) replay(workers int, onSnapshot, onRecord func([]byte) error) (err 
 		// above, or the 1–7 bytes of a torn header — are a torn write at crash.
 		if len(data) > 0 {
 			l.opts.Metrics.noteTorn()
+		}
+		return nil
+	}
+	for _, seq := range segs {
+		if err := walk(seq); err != nil || failed.Load() {
+			return err
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -337,6 +338,98 @@ func TestReplayParallelMatchesSequential(t *testing.T) {
 			if records[i] != want[i] {
 				t.Fatalf("workers=%d: record multiset diverges at %q vs %q", workers, records[i], want[i])
 			}
+		}
+	}
+
+	// One more input (collectParallel opens dir): a log without a snapshot
+	// whose data segments alternate with zero-byte ones, as restarts that
+	// appended nothing leave them. Open deletes those; no record may go with
+	// them.
+	dir = t.TempDir()
+	want = want[:0]
+	seq := 1
+	writeSeg := func(data []byte) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seg-%08d.wal", seq)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		seq++
+	}
+	for s := 0; s < 10; s++ {
+		writeSeg(nil)
+		var seg []byte
+		for i := 0; i < 10; i++ {
+			rec := fmt.Sprintf("spread-%d-%d", s, i)
+			want = append(want, rec)
+			seg = append(seg, frameOf([]byte(rec))...)
+		}
+		writeSeg(seg)
+	}
+	writeSeg(nil)
+	sort.Strings(want)
+	for _, workers := range []int{1, 4} {
+		snap, records := collectParallel(t, workers)
+		if snap != nil || !slices.Equal(records, want) {
+			t.Fatalf("workers=%d: interleaved empty segments replayed snapshot %q and %d records, want none and %d", workers, snap, len(records), len(want))
+		}
+	}
+}
+
+// TestIdleRestartsLeaveOneSegment: every Open starts a segment, and a run
+// that appends nothing leaves it empty. The next Open deletes it, so
+// restarts of an idle log do not pile segments up for replay and /stats.
+func TestIdleRestartsLeaveOneSegment(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < 5; i++ {
+		l, err := Open(dir, Options{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := l.Stats(); st.Segments != 1 {
+			t.Fatalf("open %d: Stats().Segments = %d, want 1", i+1, st.Segments)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments on disk after five idle restarts: %v (%v), want one", segs, err)
+	}
+	// Numbering still moves on: a new segment never reuses a deleted name.
+	if got := filepath.Base(segs[0]); got != "seg-00000005.wal" {
+		t.Fatalf("last idle segment is %s, want seg-00000005.wal", got)
+	}
+}
+
+// TestReplayCountsRecordsAndBytes: the replay metrics count each intact
+// record once and its framed size, at any worker count, and not the torn
+// tail.
+func TestReplayCountsRecordsAndBytes(t *testing.T) {
+	dir := t.TempDir()
+	var frames []byte
+	for i := 0; i < 30; i++ {
+		frames = append(frames, frameOf(bytes.Repeat([]byte{byte(i)}, 100*i))...)
+	}
+	torn := frameOf([]byte("torn"))[:10]
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.wal"), append(frames, torn...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		var records, size testCounter
+		l, err := Open(dir, Options{Sync: SyncNever, Metrics: &Metrics{ReplayedRecords: &records, ReplayedBytes: &size}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = l.ReplayParallel(workers, nil, func([]byte) error { return nil })
+		if cerr := l.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if records.Load() != 30 || size.Load() != int64(len(frames)) {
+			t.Fatalf("workers=%d: counted %d records, %d bytes; want 30, %d", workers, records.Load(), size.Load(), len(frames))
 		}
 	}
 }
