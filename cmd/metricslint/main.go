@@ -33,6 +33,7 @@ var requiredFamilies = []string{
 	"mcim_ingest_latency_seconds",
 	"mcim_merge_reports_total",
 	"mcim_tier_lock_wait_seconds",
+	"mcim_tier_logged_records_total",
 	"mcim_wal_appends_total",
 	"mcim_wal_appended_bytes_total",
 	"mcim_wal_fsyncs_total",

@@ -228,6 +228,88 @@ func BenchmarkCollectIngestParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkWriteSize is the report tier's two write paths at the server's
+// default ptscp shape, c = 5, d = 1,000 (5,005 cells): the handler driven
+// in process with no transport, one poster per proc, with and without a
+// WAL. A write whose body is no longer than the cell count (json-1, bin-1,
+// bin-16) folds straight into the table under the lock; a longer one
+// (bin-512) folds into a pooled delta outside it and only merges under it.
+// Run it at -cpu 1,2: lock-wait-ns/op is what a second poster waits.
+func BenchmarkWriteSize(b *testing.B) {
+	p, err := core.NewProtocol("ptscp", 5, 1000, benchEps, 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bodies := func(b *testing.B, n int, binary bool) [][]byte {
+		enc, r := p.Encoder(), xrand.New(7)
+		out := make([][]byte, 16)
+		for i := range out {
+			wires := make([]collect.WireReport, n)
+			for j := range wires {
+				wires[j] = p.EncodeReport(enc.Encode(core.Pair{Class: r.Intn(5), Item: r.Intn(1000)}, r))
+			}
+			var err error
+			switch {
+			case binary:
+				out[i], err = p.AppendBinaryBatch(nil, wires)
+			case n == 1:
+				out[i], err = json.Marshal(wires[0])
+			default:
+				out[i], err = json.Marshal(wires)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name, path, contentType string
+		reports                 int
+	}{
+		{"json-1", "/report", "application/json", 1},
+		{"bin-1", "/reports", collect.BinaryContentType, 1},
+		{"bin-16", "/reports", collect.BinaryContentType, 16},
+		{"bin-512", "/reports", collect.BinaryContentType, 512},
+	} {
+		for _, durable := range []bool{false, true} {
+			name := tc.name
+			if durable {
+				name += "-wal"
+			}
+			b.Run(name, func(b *testing.B) {
+				var opts []collect.ServerOption
+				if durable {
+					opts = append(opts, collect.WithWAL(b.TempDir()))
+				}
+				srv, err := collect.NewServer(p, opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer srv.Close()
+				h := srv.Handler()
+				bodies := bodies(b, tc.reports, tc.contentType == collect.BinaryContentType)
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					for i := 0; pb.Next(); i++ {
+						req := httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(bodies[i%len(bodies)]))
+						req.Header.Set("Content-Type", tc.contentType)
+						rec := httptest.NewRecorder()
+						h.ServeHTTP(rec, req)
+						if rec.Code != http.StatusOK {
+							b.Fatalf("status %d: %s", rec.Code, rec.Body)
+						}
+					}
+				})
+				b.StopTimer()
+				reportThroughput(b, srv, b.N*tc.reports)
+				wait := srv.Metrics().Histogram("mcim_tier_lock_wait_seconds", "", obs.LatencyBuckets, "tier", "freq")
+				b.ReportMetric(wait.Sum()*1e9/float64(b.N), "lock-wait-ns/op")
+			})
+		}
+	}
+}
+
 // reportThroughput attaches the reports/s metric and sanity-checks that
 // every submitted report was ingested.
 func reportThroughput(b *testing.B, srv *collect.Server, reports int) {

@@ -11,11 +11,15 @@ import (
 )
 
 // This file is the durable half every tier shares. The durability
-// contract: a report batch is appended to the tier's WAL (as the accepted
-// wire reports or the raw binary frame, re-validated on replay) before any
-// aggregator sees it, and federation envelopes are logged the same way, so
+// contract: every write to a report tier — batch, frame or federation
+// envelope — is appended to the tier's WAL before the table sees it, so
 // replaying snapshot + tail after an unclean shutdown reconstructs the
-// aggregate bit-identically — integer counts make replay order irrelevant.
+// table bit-identically — integer counts make replay order irrelevant. The
+// log keeps the smaller of the write's sealed count-table delta and the raw
+// input it came from (a write no longer than the table's cell count is
+// logged raw without sealing), so a large frame is logged as its few
+// kilobytes of counts, and the raw frames behind those counts are not kept
+// on disk.
 // Compaction periodically folds the log down to one state snapshot plus a
 // short tail, bounding both disk usage and restart time. Each tier keeps
 // its own log (<dir>/ or <dir>/freq, <dir>/mean, <dir>/topk) with the same
@@ -23,17 +27,19 @@ import (
 // independently.
 
 // WAL record types of the report tiers: the first byte of every record
-// says how to replay the rest. (The mining-session log has its own set, see
-// topk.go.)
+// says how to rebuild the reports it logged. (The mining-session log has its
+// own set, see topk.go.)
 const (
-	// recBatch frames a JSON array of accepted wire reports.
-	recBatch = 'B'
-	// recEnvelope frames a fingerprinted aggregator state envelope merged
-	// through MergeState.
+	// recEnvelope frames a fingerprinted table envelope: a write's sealed
+	// delta, or an envelope merged through MergeState as it came. Replay
+	// opens it into a table and merges that.
 	recEnvelope = 'E'
-	// recBinaryBatch frames one validated binary wire frame (see
-	// internal/core/binwire.go), stored raw — replay re-validates and
-	// re-applies it through the same decoder the endpoint used.
+	// recBatch frames a JSON array of accepted wire reports, and
+	// recBinaryBatch one validated binary wire frame (see
+	// internal/core/binwire.go), each kept raw when the write was small or
+	// its sealed delta no smaller; replay re-validates and re-folds them
+	// through the decoder the endpoint used.
+	recBatch       = 'B'
 	recBinaryBatch = 'W'
 )
 

@@ -539,11 +539,11 @@ func TestMeanCheckpointRestart(t *testing.T) {
 }
 
 // TestMeanBinaryWALReplayMatchesPerReportAdd holds the mean log's replay to
-// the per-report path: a WAL of raw 'W' frames — an inline-table domain and
-// one beyond it, frames from one report to 4,096, many small segments and a
-// torn tail — must recover, sequentially and in parallel, to a SnapshotMean
-// envelope byte-identical to one aggregator fed the same frames one decoded
-// report at a time.
+// the per-report path: a WAL of frames, kept raw ('W') or as sealed deltas
+// ('E') — an inline-table domain and one beyond it, frames from one report
+// to 4,096, many small segments and a torn tail — must recover,
+// sequentially and in parallel, to a SnapshotMean envelope byte-identical
+// to one aggregator fed the same frames one decoded report at a time.
 func TestMeanBinaryWALReplayMatchesPerReportAdd(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -621,9 +621,10 @@ func TestMeanBinaryWALReplayMatchesPerReportAdd(t *testing.T) {
 	}
 }
 
-// TestMeanApplyBinaryAllocatesNothing pins the locked section of a mean
-// frame: with the counts carried inside the checked frame, folding it into
-// the aggregate allocates nothing at a domain the inline table holds.
+// TestMeanApplyBinaryAllocatesNothing pins a mean frame's write: with the
+// counts carried inside the checked frame, folding it into a pooled delta
+// and merging that into the aggregate allocates nothing at a domain the
+// inline table holds.
 func TestMeanApplyBinaryAllocatesNothing(t *testing.T) {
 	srv := newMeanServer(t, "cpmean", 5, 2, 0.5)
 	np := srv.MeanProtocol()
@@ -635,8 +636,12 @@ func TestMeanApplyBinaryAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { srv.mean.applyBinary(f) }); allocs != 0 {
-		t.Fatalf("applyBinary allocated %v times per frame, want 0", allocs)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := srv.mean.ingestBinary(frame, f); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("ingestBinary allocated %v times per frame, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		if _, err := srv.mean.c.validateBinary(frame); err != nil {

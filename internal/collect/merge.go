@@ -33,11 +33,12 @@ type WireMergeAck struct {
 	Reports int `json:"reports"`
 }
 
-// errNotDurable marks a merge the server could not make durable (the WAL
-// append failed): the envelope was NOT applied and the push may be safely
-// retried. The federation endpoint answers it with a 500, distinguishing
-// it from the 400/409 rejection statuses.
-var errNotDurable = errors.New("collect: merge not made durable")
+// errNotDurable marks a write the server could not make durable (the WAL
+// append failed): it was NOT applied and may be safely retried. The
+// federation endpoint answers it with a 500, distinguishing it from the
+// 400/409 rejection statuses; the report endpoints answer every such
+// failure with a 500.
+var errNotDurable = errors.New("collect: write not made durable")
 
 // handleMerge ingests one state envelope. The envelope must carry the
 // exact fingerprint of one of the server's tiers — the frequency protocol

@@ -15,10 +15,11 @@ import (
 // add per event — no label lookups, no allocations — and the binary path
 // keeps its zero-alloc budget (gated by bench-check on allocs/op).
 //
-// Counting discipline: ingest series are advanced ONLY in the HTTP
-// handlers, never in apply/mergeIn, so WAL replay at startup does not
-// inflate them and the counters stay exactly equal to the /stats report
-// totals on a fresh server (pinned by TestMetricsMatchStatsUnderLoad).
+// Counting discipline: ingest series are advanced ONLY on served writes
+// (the HTTP handlers and commit), never in mergeIn, so WAL replay at
+// startup does not inflate them and the counters stay exactly equal to the
+// /stats report totals on a fresh server (pinned by
+// TestMetricsMatchStatsUnderLoad).
 // Merged federation envelopes count separately under
 // mcim_merge_reports_total.
 
@@ -34,10 +35,26 @@ type tierMetrics struct {
 	rejectedDecode *obs.Counter // unreadable envelopes / binary frames (400)
 	rejectedItem   *obs.Counter // per-item rejections inside accepted batches
 	rejectedRate   *obs.Counter // reports refused by the rate limiter (429)
+	rejectedRoom   *obs.Counter // reports refused past maxTierReports (400)
 	rejectedWAL    *obs.Counter // reports refused because the WAL append failed (500)
+
+	// WAL records written by served writes, by what the log kept: the
+	// sealed delta, or the raw frame, JSON batch or /merge envelope.
+	loggedDelta, loggedFrame, loggedBatch, loggedEnvelope *obs.Counter
 
 	merged  *obs.Counter
 	latency *obs.Histogram
+}
+
+// loggedRaw is the logged-records counter of a raw record of type typ.
+func (m *tierMetrics) loggedRaw(typ byte) *obs.Counter {
+	switch typ {
+	case recBinaryBatch:
+		return m.loggedFrame
+	case recBatch:
+		return m.loggedBatch
+	}
+	return m.loggedEnvelope
 }
 
 func newTierMetrics(reg *obs.Registry, tier string) *tierMetrics {
@@ -47,7 +64,9 @@ func newTierMetrics(reg *obs.Registry, tier string) *tierMetrics {
 		batchesName  = "mcim_ingest_batches_total"
 		batchesHelp  = "Batch requests accepted on the /reports endpoints, by tier and wire format."
 		rejectedName = "mcim_ingest_rejected_total"
-		rejectedHelp = "Ingest rejections by tier and reason: body (over size cap), decode (unreadable envelope/frame), item (per-item), rate_limited, wal (append failed)."
+		rejectedHelp = "Ingest rejections by tier and reason: body (over size cap), decode (unreadable envelope/frame), item (per-item), rate_limited, headroom (tier full), wal (append failed)."
+		loggedName   = "mcim_tier_logged_records_total"
+		loggedHelp   = "WAL records written by served writes, by tier and record: delta (the write's sealed count table), frame, batch or envelope (raw input kept because it was no larger than the delta; envelope = /merge)."
 	)
 	return &tierMetrics{
 		reportsJSON:   reg.Counter(reportsName, reportsHelp, "tier", tier, "wire", "json"),
@@ -60,7 +79,12 @@ func newTierMetrics(reg *obs.Registry, tier string) *tierMetrics {
 		rejectedDecode: reg.Counter(rejectedName, rejectedHelp, "tier", tier, "reason", "decode"),
 		rejectedItem:   reg.Counter(rejectedName, rejectedHelp, "tier", tier, "reason", "item"),
 		rejectedRate:   reg.Counter(rejectedName, rejectedHelp, "tier", tier, "reason", "rate_limited"),
+		rejectedRoom:   reg.Counter(rejectedName, rejectedHelp, "tier", tier, "reason", "headroom"),
 		rejectedWAL:    reg.Counter(rejectedName, rejectedHelp, "tier", tier, "reason", "wal"),
+		loggedDelta:    reg.Counter(loggedName, loggedHelp, "tier", tier, "record", "delta"),
+		loggedFrame:    reg.Counter(loggedName, loggedHelp, "tier", tier, "record", "frame"),
+		loggedBatch:    reg.Counter(loggedName, loggedHelp, "tier", tier, "record", "batch"),
+		loggedEnvelope: reg.Counter(loggedName, loggedHelp, "tier", tier, "record", "envelope"),
 		merged: reg.Counter("mcim_merge_reports_total",
 			"Reports contributed by federation envelopes accepted on POST /merge, by tier.", "tier", tier),
 		latency: reg.Histogram("mcim_ingest_latency_seconds",
@@ -76,9 +100,12 @@ func (m *tierMetrics) observeIngestError(err error, n int) {
 		return
 	}
 	var rl *RateLimitedError
-	if errors.As(err, &rl) {
+	switch {
+	case errors.As(err, &rl):
 		m.rejectedRate.Add(int64(n))
-	} else {
+	case errors.Is(err, errNoHeadroom):
+		m.rejectedRoom.Add(int64(n))
+	default:
 		m.rejectedWAL.Add(int64(n))
 	}
 }

@@ -78,6 +78,7 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		"mcim_ingest_latency_seconds":        "histogram",
 		"mcim_merge_reports_total":           "counter",
 		"mcim_tier_lock_wait_seconds":        "histogram",
+		"mcim_tier_logged_records_total":     "counter",
 		"mcim_wal_appends_total":             "counter",
 		"mcim_wal_appended_bytes_total":      "counter",
 		"mcim_wal_fsyncs_total":              "counter",

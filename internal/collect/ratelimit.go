@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -103,8 +104,9 @@ func WithRateLimit(rps float64, burst int) ServerOption {
 }
 
 // writeIngestError maps an ingestion failure onto its HTTP shape: a rate
-// limit refusal is 429 with Retry-After (whole seconds, rounded up), any
-// other failure — a WAL append the server could not complete — is a 500 the
+// limit refusal is 429 with Retry-After (whole seconds, rounded up), a
+// write the tier has no headroom for (see maxTierReports) a 400, and any
+// other failure — a WAL append the server could not complete — a 500 the
 // client may retry.
 func writeIngestError(w http.ResponseWriter, err error) {
 	if rl, ok := err.(*RateLimitedError); ok {
@@ -114,6 +116,10 @@ func writeIngestError(w http.ResponseWriter, err error) {
 		}
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
+		return
+	}
+	if errors.Is(err, errNoHeadroom) {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	http.Error(w, err.Error(), http.StatusInternalServerError)

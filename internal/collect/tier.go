@@ -2,6 +2,7 @@ package collect
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -19,9 +20,12 @@ import (
 // once: ingestion (JSON and binary) into that table behind one lock,
 // write-ahead durability with compaction, clone-on-read behind the versioned
 // estimate cache, snapshot/restore/drain, federation merges and the four
-// HTTP endpoints. Every whole-state operation is a table operation: a read
-// copies the table (Table.Clone), a federation envelope is added in
-// (Table.Merge), and snapshot, restore, drain and WAL replay move the table
+// HTTP endpoints. A large write is a table delta: a batch or frame folds
+// into a pooled table of its own, a federation envelope opens into one, and
+// commit logs the delta and adds it in (Table.Merge); a small write is
+// logged raw and folded straight into the table (see small). Every
+// whole-state operation is a table operation too: a read copies the table
+// (Table.Clone), and snapshot, restore, drain and WAL replay move the table
 // through the protocol's fingerprinted envelope. tier[W] is instantiated
 // once per report tier over its wire report type (the frequency tier in
 // collect.go, the numeric mean tier in mean.go); what a tier supplies is a
@@ -38,12 +42,13 @@ type codec[W any] interface {
 	Name() string
 	// NewTable returns an empty table of the protocol's shape.
 	NewTable() state.Table
-	// SealTable wraps a table in the protocol's fingerprinted envelope;
-	// OpenTable is its validating inverse, and the one place the protocol
-	// check lives: another protocol's envelope is core.ErrIncompatibleState,
-	// a corrupt envelope or an impossible table a plain error.
-	SealTable(*state.Table) []byte
-	OpenTable(env []byte) (state.Table, error)
+	// AppendTable appends a table's fingerprinted envelope to dst;
+	// OpenTableInto is its validating inverse, and the one place the
+	// protocol check lives: another protocol's envelope is
+	// core.ErrIncompatibleState, a corrupt envelope or an impossible table a
+	// plain error.
+	AppendTable(dst []byte, t *state.Table) []byte
+	OpenTableInto(dst *state.Table, env []byte) error
 	// FoldChecked folds a frame validateBinary vouched for into a table,
 	// which cannot fail.
 	FoldChecked(*state.Table, core.CheckedFrame)
@@ -63,15 +68,16 @@ type codec[W any] interface {
 }
 
 // tier is one report tier's whole server-side state: one table of integer
-// counts behind one mutex. Everything a request costs per report — JSON
-// decode, validation, the WAL append — happens before the lock; only the
-// fold into the counts is under it (≈25 ns a report for a bit-vector frame,
-// one add per occupied cell for a mean frame), and a read copies the table
-// under it and calibrates and renders outside it. The embedded durableLog's
-// ingestMu orders report-stream writes (reader side) against whole-state
-// transitions — restore, drain, compaction (writer side) — so a WAL append
-// and its fold are atomic with respect to the segment boundary a compaction
-// snapshot covers.
+// counts behind one mutex. JSON decode, validation and the WAL append
+// happen before the lock. A large write also folds into a delta table and
+// is sealed before it, so the lock's work is Table.Merge of the delta, one
+// add per cell; a small write's fold is the lock's work instead, as cheap
+// as its few reports (see small). A read copies the table under it and
+// calibrates and renders outside it.
+// The embedded durableLog's ingestMu orders writes (reader side) against
+// whole-state transitions — restore, drain, compaction (writer side) — so
+// a WAL append and its merge are atomic with respect to the segment
+// boundary a compaction snapshot covers.
 type tier[W any] struct {
 	durableLog
 	c codec[W]
@@ -91,8 +97,13 @@ type tier[W any] struct {
 	total atomic.Int64
 	gen   atomic.Int64
 	// mergeMu serializes federation merges from their headroom check to
-	// their fold (see maxTierReports).
+	// their add (see maxTierReports).
 	mergeMu sync.Mutex
+	// shape is acc's shape and cells its cell count; deltas pools the
+	// *delta tables and buffers of large writes and replayed records.
+	shape  state.Shape
+	cells  int
+	deltas sync.Pool
 
 	cache *estimateCache
 	m     *tierMetrics
@@ -116,6 +127,7 @@ func newTier[W any](s *Server, c codec[W], name, tag string) *tier[W] {
 		cache: newEstimateCache(s.cacheDisabled, s.cacheStaleReports, s.cacheStaleAge,
 			newCacheMetrics(s.obs, name)),
 	}
+	t.shape, t.cells = t.acc.Shape, len(t.acc.Cells)
 	t.logger = s.logger.With("tier", name)
 	return t
 }
@@ -159,7 +171,7 @@ func (t *tier[W]) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, rejected[0].Error, http.StatusBadRequest)
 		return
 	}
-	if err := t.ingest(accepted, add); err != nil {
+	if err := t.ingest(accepted, add, len(body)); err != nil {
 		m.observeIngestError(err, 1)
 		writeIngestError(w, err)
 		return
@@ -197,7 +209,7 @@ func (t *tier[W]) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	accepted, add, rejected := t.c.decode(wires)
 	itemErrs = append(itemErrs, rejected...)
-	if err := t.ingest(accepted, add); err != nil {
+	if err := t.ingest(accepted, add, len(body)); err != nil {
 		m.observeIngestError(err, len(accepted))
 		writeIngestError(w, err)
 		return
@@ -221,8 +233,8 @@ func (t *tier[W]) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // handleBinaryBatch ingests one binary frame: validated end to end first
 // (CRC, header, every record against the protocol's wire shape), then
-// logged and applied — so a 400 frame provably left no trace, and the WAL
-// only ever holds frames that replay cleanly.
+// logged and added in — so a 400 frame provably left no trace, and the WAL
+// only ever holds records that replay cleanly.
 func (t *tier[W]) handleBinaryBatch(w http.ResponseWriter, body []byte, start time.Time) {
 	m := t.m
 	f, err := t.c.validateBinary(body)
@@ -269,12 +281,10 @@ func (t *tier[W]) renderEstimates() ([]byte, cacheVersion, error) {
 // Ingestion.
 // ---------------------------------------------------------------------------
 
-// ingest admits a batch of accepted reports against the rate limiter, makes
-// it durable (when a WAL is attached, the wire forms are logged before the
-// table sees them — write-ahead) and folds the decoded forms into the
-// table. A WAL append failure rejects the whole batch: nothing was applied,
-// so the client may safely retry.
-func (t *tier[W]) ingest(wires []W, add func(*state.Table)) error {
+// ingest admits a batch of accepted reports against the rate limiter and
+// writes them; size is the request body's length. The batch's raw record,
+// should the log take it, is the wire forms as a JSON array.
+func (t *tier[W]) ingest(wires []W, add func(*state.Table), size int) error {
 	n := len(wires)
 	if n == 0 {
 		return nil
@@ -282,54 +292,145 @@ func (t *tier[W]) ingest(wires []W, add func(*state.Table)) error {
 	if err := t.limit.admit(n); err != nil {
 		return err
 	}
-	t.ingestMu.RLock()
+	var raw []byte
 	if t.log != nil {
-		rec, err := json.Marshal(wires)
-		if err == nil {
-			err = t.appendRecord(recBatch, rec)
-		}
-		if err != nil {
-			t.ingestMu.RUnlock()
-			return t.notLogged(n, err)
+		var err error
+		if raw, err = json.Marshal(wires); err != nil {
+			return t.refund(n, fmt.Errorf("collect: %swal batch record: %w", t.tag, err))
 		}
 	}
-	wait := t.apply(add)
-	t.ingestMu.RUnlock()
-	t.lockWait.Observe(wait.Seconds())
-	t.maybeCompact()
-	return nil
+	return t.refund(n, t.write(int64(n), recBatch, raw, size, add))
 }
 
-// ingestBinary is ingest for a binary frame and the proof of its validation:
-// the raw frame is logged write-ahead (the record replays through the same
-// validate+apply path), then folded into the table.
+// ingestBinary is ingest for a binary frame and the proof of its
+// validation; the raw record is the frame itself.
 func (t *tier[W]) ingestBinary(frame []byte, f core.CheckedFrame) error {
-	count := f.Count()
-	if err := t.limit.admit(count); err != nil {
+	n := f.Count()
+	if err := t.limit.admit(n); err != nil {
 		return err
 	}
+	return t.refund(n, t.write(int64(n), recBinaryBatch, frame, len(frame),
+		func(tab *state.Table) { t.c.FoldChecked(tab, f) }))
+}
+
+// refund returns the rate limiter's charge for n admitted reports when err
+// says they were not applied. The client is told to retry (or, out of
+// headroom, that it cannot), so its own retries would otherwise pay for the
+// same reports again on every attempt and turn a disk hiccup into 429s.
+func (t *tier[W]) refund(n int, err error) error {
+	if err != nil {
+		t.limit.refund(n)
+	}
+	return err
+}
+
+// small reports whether a write whose request body (or WAL record) is size
+// bytes long is folded straight into the table under mu instead of into a
+// delta. A sealed delta costs at least a byte a cell, so such a write is
+// logged raw whatever its path, and its fold — O(its reports) — is cheaper
+// under the lock than emptying and merging a whole table. At ptscp's c = 5,
+// d = 1,000 (5,005 cells, 129 bytes a report) a frame of up to 38 reports
+// and a JSON batch of about four are small; every benchmark write is large
+// (512- and 4,096-report frames).
+func (t *tier[W]) small(size int) bool { return size <= t.cells }
+
+// write commits n reports that add folds into a table: under mu straight
+// into the table when the write is small, else into a pooled delta outside
+// every lock.
+func (t *tier[W]) write(n int64, typ byte, raw []byte, size int, add func(*state.Table)) error {
+	if t.small(size) {
+		return t.commit(n, typ, raw, nil, add)
+	}
+	d := t.getDelta(true)
+	defer t.deltas.Put(d)
+	add(&d.tab)
+	return t.commit(n, typ, raw, d, nil)
+}
+
+// delta is one write or replayed record in flight: the table it folds or
+// decodes into outside every lock, and the buffer its sealed envelope is
+// appended to.
+type delta struct {
+	tab state.Table
+	env []byte
+}
+
+// getDelta returns a pooled delta of the tier's shape, emptied when zero is
+// set (a fold adds into it; a decode overwrites every cell).
+func (t *tier[W]) getDelta(zero bool) *delta {
+	d, _ := t.deltas.Get().(*delta)
+	if d == nil {
+		d = new(delta)
+	}
+	// A decode of another shape may have resized the cells; a fresh
+	// allocation has exactly the tier's size, so this drops those.
+	if cap(d.tab.Cells) != t.cells {
+		d.tab.Cells = make([]int64, t.cells)
+	} else if d.tab.Cells = d.tab.Cells[:t.cells]; zero {
+		clear(d.tab.Cells)
+	}
+	d.tab.Shape, d.tab.N = t.shape, 0
+	return d
+}
+
+// errNoHeadroom marks a write refused by the maxTierReports bound. Nothing
+// was logged or applied; retrying cannot help, so it answers 400.
+var errNoHeadroom = errors.New("collect: no headroom")
+
+// commit is the one way a served write of n reports reaches the table: a
+// headroom check (maxTierReports), then write-ahead logging, then the add
+// under mu. A large write arrives as the delta d, and the add is
+// Table.Merge, O(cells); the log takes the delta sealed as an 'E' record
+// when that is smaller than the raw record the write came from (typ, raw),
+// and raw otherwise. A small write (d nil) is logged raw and folded by add
+// under mu. An envelope (typ recEnvelope) is already a delta and is logged
+// as it came. A refused or unlogged write left no trace, so the caller may
+// retry it.
+func (t *tier[W]) commit(n int64, typ byte, raw []byte, d *delta, add func(*state.Table)) error {
 	t.ingestMu.RLock()
+	if held := t.total.Load(); n > maxTierReports-held {
+		t.ingestMu.RUnlock()
+		return fmt.Errorf("%w: %d reports would take the %stier's %d past %d",
+			errNoHeadroom, n, t.tag, held, int64(maxTierReports))
+	}
 	if t.log != nil {
-		if err := t.appendRecord(recBinaryBatch, frame); err != nil {
+		if err := t.logWrite(d, typ, raw); err != nil {
 			t.ingestMu.RUnlock()
-			return t.notLogged(count, err)
+			return fmt.Errorf("%w: %swal append: %v", errNotDurable, t.tag, err)
 		}
 	}
-	wait := t.applyBinary(f)
+	var (
+		wait time.Duration
+		err  error
+	)
+	if d != nil {
+		wait, err = t.mergeIn(&d.tab)
+	} else {
+		wait = t.foldIn(add)
+	}
 	t.ingestMu.RUnlock()
+	if err != nil {
+		return err
+	}
 	t.lockWait.Observe(wait.Seconds())
 	t.maybeCompact()
 	return nil
 }
 
-// notLogged reports a failed write-ahead append of n admitted reports.
-// Nothing was applied and the client is told to retry (500), so the rate
-// limiter's charge is returned: the client's own 5xx retries would
-// otherwise pay for the same reports again on every attempt and turn a disk
-// hiccup into 429s.
-func (t *tier[W]) notLogged(n int, err error) error {
-	t.limit.refund(n)
-	return fmt.Errorf("collect: %swal append: %w", t.tag, err)
+// logWrite appends commit's record. Raw input no longer than the cell
+// count is logged without sealing.
+func (t *tier[W]) logWrite(d *delta, typ byte, raw []byte) error {
+	logged := t.m.loggedRaw(typ)
+	if d != nil && typ != recEnvelope && len(raw) > t.cells {
+		if d.env = t.c.AppendTable(d.env[:0], &d.tab); len(d.env) < len(raw) {
+			typ, raw, logged = recEnvelope, d.env, t.m.loggedDelta
+		}
+	}
+	if err := t.appendRecord(typ, raw); err != nil {
+		return err
+	}
+	logged.Inc()
+	return nil
 }
 
 // lock takes mu and returns how long the caller waited for it. An
@@ -346,26 +447,25 @@ func (t *tier[W]) lock() (wait time.Duration) {
 	return wait
 }
 
-// apply folds decoded reports into the table under one lock acquisition.
-// The total is stored while the lock is still held, so a swap cannot
-// interleave between a write and its count.
-func (t *tier[W]) apply(add func(*state.Table)) time.Duration {
+// mergeIn adds delta into the table. The total is stored under the lock,
+// so a swap cannot interleave between a write and its count.
+func (t *tier[W]) mergeIn(delta *state.Table) (time.Duration, error) {
 	wait := t.lock()
-	add(&t.acc)
+	defer t.mu.Unlock()
+	if err := t.acc.Merge(delta); err != nil {
+		return wait, fmt.Errorf("collect: merge %sstate: %w", t.tag, err)
+	}
 	t.total.Store(t.acc.N)
-	t.mu.Unlock()
-	return wait
+	return wait, nil
 }
 
-// applyBinary folds a validated frame into the table under the same
-// discipline as apply. The bit-vector protocols sum the frame's packed rows
-// by column straight into the table's rows — nothing is allocated or
-// re-validated under the lock.
-func (t *tier[W]) applyBinary(f core.CheckedFrame) time.Duration {
+// foldIn is mergeIn for a small write: add folds its reports straight into
+// the table.
+func (t *tier[W]) foldIn(add func(*state.Table)) time.Duration {
 	wait := t.lock()
-	t.c.FoldChecked(&t.acc, f)
+	defer t.mu.Unlock()
+	add(&t.acc)
 	t.total.Store(t.acc.N)
-	t.mu.Unlock()
 	return wait
 }
 
@@ -385,15 +485,15 @@ func (t *tier[W]) clone() state.Table {
 // snapshot seals a copy of the table into the protocol's envelope.
 func (t *tier[W]) snapshot() []byte {
 	acc := t.clone()
-	return t.c.SealTable(&acc)
+	return t.c.AppendTable(nil, &acc)
 }
 
 // restore replaces the table with a snapshot envelope from the identical
 // protocol fingerprint; a mismatched or corrupt envelope is refused and the
 // running state is untouched.
 func (t *tier[W]) restore(data []byte) error {
-	restored, err := t.c.OpenTable(data)
-	if err != nil {
+	var restored state.Table
+	if err := t.c.OpenTableInto(&restored, data); err != nil {
 		return err
 	}
 	t.ingestMu.Lock()
@@ -443,7 +543,7 @@ func (t *tier[W]) drain() ([]byte, int, error) {
 	taken := t.swap(t.c.NewTable())
 	if t.log != nil {
 		empty := t.c.NewTable()
-		if err := t.supersede(t.c.SealTable(&empty)); err != nil {
+		if err := t.supersede(t.c.AppendTable(nil, &empty)); err != nil {
 			// The drained records are still in the log (the seal that would
 			// have superseded them failed), so put the state back in memory
 			// only — a WAL append here would double them on replay. Every
@@ -453,71 +553,45 @@ func (t *tier[W]) drain() ([]byte, int, error) {
 			return nil, 0, fmt.Errorf("collect: %sdrain: %w", t.tag, err)
 		}
 	}
-	return t.c.SealTable(&taken), int(taken.N), nil
+	return t.c.AppendTable(nil, &taken), int(taken.N), nil
 }
 
 // ---------------------------------------------------------------------------
 // Federation merges.
 // ---------------------------------------------------------------------------
 
-// maxTierReports bounds the reports a tier may hold once a federation
-// envelope is folded in: 2⁶², half what the int64 count can hold. An
-// envelope that would take the tier past it is refused before it is logged,
-// because one logged and then refused by Table.Merge's overflow check would
-// fail every replay and the server could never restart. The check is safe
-// against concurrent writers: it runs under mergeMu and ingestMu's reader
-// side, so no other merge, restore or drain moves the total between the
-// check and the fold. Only ingestion can, and the headroom the bound leaves
-// (MaxInt64 − 2⁶² ≈ 4.6·10¹⁸ reports) would take over a century to fill at
-// 10⁹ reports a second.
+// maxTierReports bounds the reports a tier may hold once a write is added
+// in: 2⁶², half what the int64 count can hold. commit refuses a write that
+// would take the tier past it before it is logged, because a record logged
+// and then refused by Table.Merge's overflow check would fail every replay
+// and the server could never restart. The check runs under ingestMu's
+// reader side, so no restore or drain moves the total between the check
+// and the add; merges also hold mergeMu, so no other envelope does. Frames
+// and batches can, but each carries at most a body's worth of reports, and
+// the headroom the bound leaves (MaxInt64 − 2⁶² ≈ 4.6·10¹⁸ reports) would
+// take over a century to fill at 10⁹ reports a second.
 const maxTierReports = 1 << 62
 
 // mergeDurable is the tier's half of MergeState: an envelope that opens
-// under this tier's protocol is logged write-ahead and added into the
-// table, returning the reports it contributed.
+// under this tier's protocol is committed like any other delta, returning
+// the reports it contributed.
 func (t *tier[W]) mergeDurable(env []byte) (int, error) {
-	delta, err := t.c.OpenTable(env)
-	if err != nil {
+	d := t.getDelta(false)
+	defer t.deltas.Put(d)
+	if err := t.c.OpenTableInto(&d.tab, env); err != nil {
 		return 0, err
 	}
-	if delta.N == 0 {
+	if d.tab.N == 0 {
 		return 0, nil
 	}
 	t.mergeMu.Lock()
-	defer t.mergeMu.Unlock()
-	t.ingestMu.RLock()
-	if held := t.total.Load(); delta.N > maxTierReports-held {
-		t.ingestMu.RUnlock()
-		return 0, fmt.Errorf("collect: %senvelope of %d reports would take the tier's %d past %d",
-			t.tag, delta.N, held, int64(maxTierReports))
-	}
-	if t.log != nil {
-		if err := t.appendRecord(recEnvelope, env); err != nil {
-			t.ingestMu.RUnlock()
-			return 0, fmt.Errorf("%w: %swal append: %v", errNotDurable, t.tag, err)
-		}
-	}
-	wait, err := t.mergeIn(&delta)
-	t.ingestMu.RUnlock()
+	err := t.commit(d.tab.N, recEnvelope, env, d, nil)
+	t.mergeMu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	t.lockWait.Observe(wait.Seconds())
-	t.m.merged.Add(delta.N)
-	t.maybeCompact()
-	return int(delta.N), nil
-}
-
-// mergeIn adds delta into the table. Like apply, the total is stored under
-// the lock so a swap cannot interleave between the merge and its count.
-func (t *tier[W]) mergeIn(delta *state.Table) (time.Duration, error) {
-	wait := t.lock()
-	defer t.mu.Unlock()
-	if err := t.acc.Merge(delta); err != nil {
-		return wait, fmt.Errorf("collect: merge %sstate: %w", t.tag, err)
-	}
-	t.total.Store(t.acc.N)
-	return wait, nil
+	t.m.merged.Add(d.tab.N)
+	return int(d.tab.N), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -532,8 +606,8 @@ func (t *tier[W]) openWAL(s *Server, sub string) error {
 	return t.open(s, sub, t.name, true,
 		func() ([]byte, error) { return t.snapshot(), nil },
 		func(snap []byte) error {
-			tab, err := t.c.OpenTable(snap)
-			if err != nil {
+			var tab state.Table
+			if err := t.c.OpenTableInto(&tab, snap); err != nil {
 				return fmt.Errorf("collect: %swal snapshot does not match protocol %s: %w", t.tag, t.c.Name(), err)
 			}
 			t.swap(tab)
@@ -542,43 +616,53 @@ func (t *tier[W]) openWAL(s *Server, sub string) error {
 		t.replayRecord)
 }
 
-// replayRecord re-applies one WAL record. Records were validated before
-// they were written, so a record that fails to decode means the log does
-// not belong to this tier's protocol configuration — an operator error
-// worth failing loudly on, not skipping.
+// replayRecord adds the reports one WAL record logged into the table the
+// way the write that logged it did: an envelope is opened into a pooled
+// delta and merged, a raw record is folded straight in when small and into
+// a delta otherwise, so parallel replay workers fold in parallel and meet
+// only at the merge. Records were validated before they were written, so a
+// record that fails to decode means the log does not belong to this tier's
+// protocol configuration — an operator error worth failing loudly on, not
+// skipping.
 func (t *tier[W]) replayRecord(rec []byte) error {
 	if len(rec) == 0 {
 		return fmt.Errorf("collect: empty %swal record", t.tag)
 	}
+	var add func(*state.Table)
 	switch rec[0] {
 	case recBatch:
 		var wires []W
 		if err := json.Unmarshal(rec[1:], &wires); err != nil {
 			return fmt.Errorf("collect: %swal batch record: %w", t.tag, err)
 		}
-		accepted, add, rejected := t.c.decode(wires)
-		if len(rejected) > 0 {
+		var rejected []WireItemError
+		if _, add, rejected = t.c.decode(wires); len(rejected) > 0 {
 			return fmt.Errorf("collect: %swal batch record does not match protocol %s: %s", t.tag, t.c.Name(), rejected[0].Error)
 		}
-		if len(accepted) > 0 {
-			t.apply(add)
-		}
-		return nil
 	case recBinaryBatch:
 		f, err := t.c.validateBinary(rec[1:])
 		if err != nil {
 			return fmt.Errorf("collect: %swal binary batch record does not match protocol %s: %w", t.tag, t.c.Name(), err)
 		}
-		t.applyBinary(f)
-		return nil
+		add = func(tab *state.Table) { t.c.FoldChecked(tab, f) }
 	case recEnvelope:
-		delta, err := t.c.OpenTable(rec[1:])
-		if err != nil {
+		d := t.getDelta(false)
+		defer t.deltas.Put(d)
+		if err := t.c.OpenTableInto(&d.tab, rec[1:]); err != nil {
 			return fmt.Errorf("collect: %swal envelope record: %w", t.tag, err)
 		}
-		_, err = t.mergeIn(&delta)
+		_, err := t.mergeIn(&d.tab)
 		return err
 	default:
 		return fmt.Errorf("collect: unknown %swal record type %#x", t.tag, rec[0])
 	}
+	if t.small(len(rec) - 1) {
+		t.foldIn(add)
+		return nil
+	}
+	d := t.getDelta(true)
+	defer t.deltas.Put(d)
+	add(&d.tab)
+	_, err := t.mergeIn(&d.tab)
+	return err
 }

@@ -2,6 +2,7 @@ package collect
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -38,7 +39,11 @@ func ingestChunk[W any](tr *tier[W], chunk []W) error {
 	if len(rejected) > 0 {
 		return errors.New(rejected[0].Error)
 	}
-	return tr.ingest(accepted, add)
+	body, err := json.Marshal(chunk)
+	if err != nil {
+		return err
+	}
+	return tr.ingest(accepted, add, len(body))
 }
 
 // feedTier pushes a wire stream through a tier's ingest path in batches.
@@ -222,8 +227,10 @@ func TestWALConcurrentCrashRecoveryBitIdentical(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	opts := []ServerOption{WithWAL(dir), WithCompactAfter(1 << 20),
-		WithWALOptions(wal.Options{Sync: wal.SyncInterval, SegmentBytes: 256 << 10})}
+	// The writes log ≈5 KB sealed deltas, ≈1 MB in all: the trigger and
+	// the segments are small enough that compactions run under load.
+	opts := []ServerOption{WithWAL(dir), WithCompactAfter(256 << 10),
+		WithWALOptions(wal.Options{Sync: wal.SyncInterval, SegmentBytes: 64 << 10})}
 	crashed, err := NewServer(proto, opts...)
 	if err != nil {
 		t.Fatal(err)

@@ -36,60 +36,62 @@ func (p *Protocol) seal() *Protocol {
 	return p
 }
 
-// SealTable wraps t, a table of p's shape, in a versioned envelope
-// fingerprinted for p: the bytes OpenTable on a matching protocol accepts.
-func (p *Protocol) SealTable(t *state.Table) []byte { return sealTable(p.fp, t) }
+// AppendTable appends t, a table of p's shape, to dst in a versioned
+// envelope fingerprinted for p: the bytes OpenTableInto on a matching
+// protocol accepts.
+func (p *Protocol) AppendTable(dst []byte, t *state.Table) []byte {
+	return state.AppendTable(dst, p.fp, t)
+}
 
-// OpenTable decodes an envelope SealTable wrote and verifies it belongs to
-// p before trusting a byte of the payload (see openTable).
-func (p *Protocol) OpenTable(env []byte) (state.Table, error) {
-	return openTable(env, p.fp, p.table, func(payload []byte) ([]byte, error) {
+// OpenTableInto decodes an envelope AppendTable wrote into dst, whose
+// cells it reuses (see state.DecodeTableInto), after verifying it belongs
+// to p before trusting a byte of the payload (see openTable); on error
+// dst's contents are unspecified.
+func (p *Protocol) OpenTableInto(dst *state.Table, env []byte) error {
+	return openTable(dst, env, p.fp, p.table, func(payload []byte) ([]byte, error) {
 		return upgradeFrequencyState(p, payload)
 	})
 }
 
-// MarshalAggregator is SealTable over a's table. The aggregator must have
+// MarshalAggregator is AppendTable over a's table. The aggregator must have
 // been vended by a protocol with this fingerprint.
 func (p *Protocol) MarshalAggregator(a Aggregator) ([]byte, error) {
 	_, t := a.counts()
-	return p.SealTable(t), nil
+	return p.AppendTable(nil, t), nil
 }
 
-// UnmarshalAggregator is OpenTable returning the table as an aggregator.
+// UnmarshalAggregator is OpenTableInto returning the table as an
+// aggregator.
 func (p *Protocol) UnmarshalAggregator(data []byte) (Aggregator, error) {
-	t, err := p.OpenTable(data)
-	if err != nil {
+	var t state.Table
+	if err := p.OpenTableInto(&t, data); err != nil {
 		return nil, err
 	}
 	return &aggregator{p, t}, nil
-}
-
-// sealTable wraps t's canonical encoding in an envelope fingerprinted fp.
-func sealTable(fp string, t *state.Table) []byte {
-	payload, _ := t.MarshalBinary() // encoding a table cannot fail
-	return state.Encode(fp, payload)
 }
 
 // openTable is the one way into report-tier state from an envelope: the
 // envelope's CRC and framing are checked by internal/state, the fingerprint
 // must be fp exactly (ErrIncompatibleState otherwise), a payload written
 // before tables is rebuilt by upgrade (the one-version shim, legacy.go), and
-// the table must have the protocol's shape and keep its invariants. Corrupt
-// or adversarial inputs error; they never panic.
-func openTable(env []byte, fp string, shape state.Shape, upgrade func([]byte) ([]byte, error)) (state.Table, error) {
-	got, payload, err := state.Decode(env)
+// the table decoded into dst must have the protocol's shape and keep its
+// invariants. Corrupt or adversarial inputs error; they never panic.
+func openTable(dst *state.Table, env []byte, fp string, shape state.Shape, upgrade func([]byte) ([]byte, error)) error {
+	got, payload, err := state.DecodeView(env)
 	if err != nil {
-		return state.Table{}, err
+		return err
 	}
-	if got != fp {
-		return state.Table{}, fmt.Errorf("%w: envelope %q, protocol %q", ErrIncompatibleState, got, fp)
+	if string(got) != fp {
+		return fmt.Errorf("%w: envelope %q, protocol %q", ErrIncompatibleState, got, fp)
 	}
 	if payload, err = upgrade(payload); err != nil {
-		return state.Table{}, err
+		return err
 	}
-	t := state.Table{Shape: shape}
-	if err := t.UnmarshalBinary(payload); err != nil {
-		return state.Table{}, err
+	if err := state.DecodeTableInto(dst, payload); err != nil {
+		return err
 	}
-	return t, nil
+	if dst.Shape != shape {
+		return fmt.Errorf("state: table is %v, want %v", dst.Shape, shape)
+	}
+	return nil
 }

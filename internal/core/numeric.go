@@ -163,16 +163,21 @@ func (p *NumericProtocol) DecodeMeanReport(w WireMeanReport) (mean.Report, error
 	return mean.Report{Label: w.Label, Symbol: w.Symbol}, nil
 }
 
-// SealTable wraps t, a table of p's shape, in a versioned envelope
-// fingerprinted for p — the bytes that cross process boundaries: WAL
-// compaction snapshots, disk checkpoints and the edge→root /merge tier.
-func (p *NumericProtocol) SealTable(t *state.Table) []byte { return sealTable(p.fp, t) }
+// AppendTable appends t, a table of p's shape, to dst in a versioned
+// envelope fingerprinted for p — the bytes that cross process boundaries:
+// WAL compaction snapshots and deltas, disk checkpoints and the edge→root
+// /merge tier.
+func (p *NumericProtocol) AppendTable(dst []byte, t *state.Table) []byte {
+	return state.AppendTable(dst, p.fp, t)
+}
 
-// OpenTable decodes an envelope SealTable wrote and verifies it belongs to
-// p before trusting a byte of the payload (see openTable); state from
-// before count tables is read through the shim in legacy.go.
-func (p *NumericProtocol) OpenTable(env []byte) (state.Table, error) {
-	return openTable(env, p.fp, p.halves.Shape(), func(payload []byte) ([]byte, error) {
+// OpenTableInto decodes an envelope AppendTable wrote into dst, whose
+// cells it reuses (see state.DecodeTableInto), after verifying it belongs
+// to p before trusting a byte of the payload (see openTable); state from
+// before count tables is read through the shim in legacy.go. On error dst's
+// contents are unspecified.
+func (p *NumericProtocol) OpenTableInto(dst *state.Table, env []byte) error {
+	return openTable(dst, env, p.fp, p.halves.Shape(), func(payload []byte) ([]byte, error) {
 		return upgradeMeanState(p, payload)
 	})
 }
@@ -187,10 +192,11 @@ func (p *NumericProtocol) MarshalAggregator(a mean.Aggregator) ([]byte, error) {
 	return state.Encode(p.fp, payload), nil
 }
 
-// UnmarshalAggregator is OpenTable returning the table as an aggregator.
+// UnmarshalAggregator is OpenTableInto returning the table as an
+// aggregator.
 func (p *NumericProtocol) UnmarshalAggregator(data []byte) (mean.Aggregator, error) {
-	t, err := p.OpenTable(data)
-	if err != nil {
+	var t state.Table
+	if err := p.OpenTableInto(&t, data); err != nil {
 		return nil, err
 	}
 	return p.halves.Aggregate(t), nil

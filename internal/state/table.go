@@ -73,8 +73,9 @@ func (t *Table) Merge(o *Table) error {
 		return fmt.Errorf("state: merge overflows the report count (%d + %d)", t.N, o.N)
 	}
 	t.N += o.N
+	cells := t.Cells[:len(o.Cells)] // one bounds check, not one a cell
 	for i, c := range o.Cells {
-		t.Cells[i] += c
+		cells[i] += c
 	}
 	return nil
 }
@@ -96,19 +97,47 @@ const tableTag = 0xd4
 //
 // every field after the tag a minimal little-endian uvarint.
 func (t *Table) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, 16+2*len(t.Cells))
-	out = append(out, tableTag)
+	return t.AppendBinary(make([]byte, 0, t.sizeHint()))
+}
+
+// sizeHint is a buffer size that holds t's encoding without growing when
+// most cells are below 2¹⁴.
+func (t *Table) sizeHint() int { return 16 + 2*len(t.Cells) }
+
+// AppendBinary appends MarshalBinary's bytes to b. A cell below 0x80, which
+// is every cell of a delta of a few hundred reports, is one byte stored
+// straight into b. It never fails; the error makes Table an
+// encoding.BinaryAppender.
+func (t *Table) AppendBinary(b []byte) ([]byte, error) {
+	b = slices.Grow(b, 1+5*binary.MaxVarintLen64+len(t.Cells))
+	b = append(b, tableTag)
 	oneHot := uint64(0)
 	if t.OneHot {
 		oneHot = 1
 	}
-	for _, v := range []uint64{oneHot, uint64(t.Routes), uint64(t.Rows), uint64(t.Cols), uint64(t.N)} {
-		out = binary.AppendUvarint(out, v)
+	for _, v := range [...]uint64{oneHot, uint64(t.Routes), uint64(t.Rows), uint64(t.Cols), uint64(t.N)} {
+		b = binary.AppendUvarint(b, v)
 	}
-	for _, c := range t.Cells {
-		out = binary.AppendUvarint(out, uint64(c))
+	cells := t.Cells
+	for len(cells) > 0 {
+		// Eight one-byte cells at a time, as one little-endian word.
+		if len(cells) >= 8 {
+			c := cells[:8:8]
+			if uint64(c[0]|c[1]|c[2]|c[3]|c[4]|c[5]|c[6]|c[7]) < 0x80 {
+				b = binary.LittleEndian.AppendUint64(b, uint64(c[0])|uint64(c[1])<<8|uint64(c[2])<<16|uint64(c[3])<<24|
+					uint64(c[4])<<32|uint64(c[5])<<40|uint64(c[6])<<48|uint64(c[7])<<56)
+				cells = cells[8:]
+				continue
+			}
+		}
+		if c := uint64(cells[0]); c < 0x80 {
+			b = append(b, byte(c))
+		} else {
+			b = binary.AppendUvarint(b, c)
+		}
+		cells = cells[1:]
 	}
-	return out, nil
+	return b, nil
 }
 
 // UnmarshalBinary replaces t with the table data encodes, which must have
@@ -131,24 +160,26 @@ func (t *Table) UnmarshalBinary(data []byte) error {
 // canonical encoding — minimal varints, no trailing bytes — so an accepted
 // input re-encodes to itself. It never panics.
 func DecodeTable(data []byte) (Table, error) {
+	var t Table
+	if err := DecodeTableInto(&t, data); err != nil {
+		return Table{}, err
+	}
+	return t, nil
+}
+
+// DecodeTableInto is DecodeTable into dst, whose cells it reuses when
+// their capacity allows: it accepts exactly the inputs DecodeTable accepts
+// and leaves dst equal to the table DecodeTable returns. Whatever dst
+// held before is overwritten; on error its contents are unspecified.
+func DecodeTableInto(dst *Table, data []byte) error {
 	if len(data) == 0 || data[0] != tableTag {
-		return Table{}, fmt.Errorf("state: not a count table")
+		return fmt.Errorf("state: not a count table")
 	}
 	rest := data[1:]
-	next := func() int64 {
-		v, n := binary.Uvarint(rest)
-		switch {
-		case n <= 0, n > 1 && rest[n-1] == 0, v > math.MaxInt64:
-			rest = nil
-			return -1
-		}
-		rest = rest[n:]
-		return int64(v)
-	}
 	var head [5]int64
 	for i := range head {
-		if head[i] = next(); head[i] < 0 {
-			return Table{}, fmt.Errorf("state: table header truncated or malformed")
+		if head[i], rest = uvarint(rest); head[i] < 0 {
+			return fmt.Errorf("state: table header truncated or malformed")
 		}
 	}
 	oneHot, routes, rows, cols, n := head[0], head[1], head[2], head[3], head[4]
@@ -157,26 +188,55 @@ func DecodeTable(data []byte) (Table, error) {
 	left := int64(len(rest))
 	switch {
 	case oneHot > 1:
-		return Table{}, fmt.Errorf("state: table flag %d", oneHot)
+		return fmt.Errorf("state: table flag %d", oneHot)
 	case routes != 0 && routes != rows:
-		return Table{}, fmt.Errorf("state: table has %d route counts for %d rows", routes, rows)
+		return fmt.Errorf("state: table has %d route counts for %d rows", routes, rows)
 	case rows > left || cols > left || routes+rows*cols > left:
-		return Table{}, fmt.Errorf("state: table of %d+%d×%d cells in %d bytes", routes, rows, cols, left)
+		return fmt.Errorf("state: table of %d+%d×%d cells in %d bytes", routes, rows, cols, left)
 	}
-	t := NewTable(Shape{Routes: int(routes), Rows: int(rows), Cols: int(cols), OneHot: oneHot == 1})
-	t.N = n
-	for i := range t.Cells {
-		if t.Cells[i] = next(); t.Cells[i] < 0 {
-			return Table{}, fmt.Errorf("state: table cell %d truncated or malformed", i)
+	dst.Shape = Shape{Routes: int(routes), Rows: int(rows), Cols: int(cols), OneHot: oneHot == 1}
+	dst.N = n
+	size := int(routes + rows*cols)
+	if dst.Cells == nil || cap(dst.Cells) < size {
+		dst.Cells = make([]int64, size)
+	}
+	cells := dst.Cells[:size]
+	dst.Cells = cells
+	for i := 0; i < len(cells); {
+		// Eight one-byte cells at a time: no byte of the word carries a
+		// continuation bit.
+		if len(rest) >= 8 && len(cells)-i >= 8 {
+			if w := binary.LittleEndian.Uint64(rest); w&0x8080808080808080 == 0 {
+				c := cells[i : i+8 : i+8]
+				c[0], c[1], c[2], c[3] = int64(w&0x7f), int64(w>>8&0x7f), int64(w>>16&0x7f), int64(w>>24&0x7f)
+				c[4], c[5], c[6], c[7] = int64(w>>32&0x7f), int64(w>>40&0x7f), int64(w>>48&0x7f), int64(w>>56)
+				rest, i = rest[8:], i+8
+				continue
+			}
 		}
+		if cells[i], rest = uvarint(rest); cells[i] < 0 {
+			return fmt.Errorf("state: table cell %d truncated or malformed", i)
+		}
+		i++
 	}
 	if len(rest) != 0 {
-		return Table{}, fmt.Errorf("state: %d bytes after the table", len(rest))
+		return fmt.Errorf("state: %d bytes after the table", len(rest))
 	}
-	if err := t.Check(); err != nil {
-		return Table{}, err
+	return dst.Check()
+}
+
+// uvarint decodes one minimal uvarint that fits an int64 from the front of
+// b and returns it with the bytes after it, or -1 for a truncated,
+// non-minimal or oversized one.
+func uvarint(b []byte) (int64, []byte) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return int64(b[0]), b[1:]
 	}
-	return t, nil
+	v, n := binary.Uvarint(b)
+	if n <= 0 || n > 1 && b[n-1] == 0 || v > math.MaxInt64 {
+		return -1, nil
+	}
+	return int64(v), b[n:]
 }
 
 // Check enforces the shape's invariants on non-negative counts.

@@ -2,10 +2,14 @@ package state
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"reflect"
+	"slices"
 	"testing"
 )
 
-func mustMarshal(t *testing.T, tab Table) []byte {
+func mustMarshal(t testing.TB, tab Table) []byte {
 	t.Helper()
 	b, err := tab.MarshalBinary()
 	if err != nil {
@@ -91,4 +95,172 @@ func TestDecodeTableRejects(t *testing.T) {
 			t.Errorf("%s: decoded", name)
 		}
 	}
+}
+
+// TestAppendBinaryBytesPinned: the encoding is the one logs and envelopes
+// already hold — the tag, then every field a minimal uvarint — at each
+// varint width boundary, so a build before the word-at-a-time codec reads
+// what this one writes, and the reverse.
+func TestAppendBinaryBytesPinned(t *testing.T) {
+	tab := NewTable(Shape{Rows: 1, Cols: 5})
+	tab.N = math.MaxInt64
+	copy(tab.Cells, []int64{0, 127, 128, 1 << 14, math.MaxInt64})
+	want := []byte{tableTag, 0, 0, 1, 5,
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, // N
+		0x00, 0x7f, 0x80, 0x01, 0x80, 0x80, 0x01,
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
+	got, err := tab.AppendBinary([]byte("prefix"))
+	if err != nil || !bytes.Equal(got, append([]byte("prefix"), want...)) {
+		t.Fatalf("AppendBinary = % x, %v; want prefix + % x", got, err, want)
+	}
+	// Long runs of one-byte cells broken by wider ones, against the
+	// field-at-a-time reference encoding.
+	tab = deltaTable(1000)
+	for i, row := 0, tab.Row(0); i < len(row); i++ {
+		row[i] = int64(i % 101) // every one-byte value the route allows
+	}
+	tab.Cells[4], tab.N = tab.Cells[4]+200, tab.N+200 // route 4 takes 304 reports
+	tab.Row(4)[500], tab.Row(4)[999] = 127, 250
+	ref := []byte{tableTag, 0}
+	for _, v := range []int64{int64(tab.Routes), int64(tab.Rows), int64(tab.Cols), tab.N} {
+		ref = binary.AppendUvarint(ref, uint64(v))
+	}
+	for _, c := range tab.Cells {
+		ref = binary.AppendUvarint(ref, uint64(c))
+	}
+	if got := mustMarshal(t, tab); !bytes.Equal(got, ref) {
+		t.Fatal("MarshalBinary departs from the field-at-a-time encoding")
+	}
+	if got, err := DecodeTable(ref); err != nil || !reflect.DeepEqual(got, tab) {
+		t.Fatalf("the field-at-a-time encoding decodes to another table: %v", err)
+	}
+	if env := AppendTable([]byte("x"), "fp", &tab); !bytes.Equal(env, append([]byte("x"), Encode("fp", ref)...)) {
+		t.Fatal("AppendTable departs from Encode of the table's bytes")
+	}
+}
+
+// TestDecodeTableIntoReuses: decoding into a table that holds another
+// table's cells yields exactly DecodeTable's table, reusing the cells when
+// they are large enough, and a decode into fresh cells allocates once.
+func TestDecodeTableIntoReuses(t *testing.T) {
+	tab := deltaTable(1000)
+	blob := mustMarshal(t, tab)
+	want, err := DecodeTable(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := NewTable(Shape{Rows: 3, Cols: 5000})
+	for i := range big.Cells {
+		big.Cells[i] = -1
+	}
+	backing := &big.Cells[0]
+	if err := DecodeTableInto(&big, blob); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(big, want) || &big.Cells[0] != backing {
+		t.Fatalf("decode into a dirty table: %v %d cells (reused %v), want %v", big.Shape, len(big.Cells), &big.Cells[0] == backing, want.Shape)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := DecodeTableInto(&big, blob); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a decode into cells that fit allocated %v times", allocs)
+	}
+	small := Table{Cells: make([]int64, 3)}
+	if err := DecodeTableInto(&small, blob); err != nil || !reflect.DeepEqual(small, want) {
+		t.Fatalf("decode into short cells: %v", err)
+	}
+}
+
+// FuzzDecodeTable: on any input, DecodeTableInto into a dirty, reused
+// table accepts exactly what DecodeTable accepts and yields the same table,
+// and every accepted input re-encodes to itself through AppendBinary.
+func FuzzDecodeTable(f *testing.F) {
+	onehot := NewTable(Shape{Routes: 2, Rows: 2, Cols: 2, OneHot: true})
+	onehot.N = 5
+	copy(onehot.Cells, []int64{2, 3, 1, 1, 0, 3})
+	wide := NewTable(Shape{Rows: 1, Cols: 3})
+	wide.N = math.MaxInt64
+	copy(wide.Cells, []int64{128, 1 << 14, math.MaxInt64})
+	// Small seeds: the fuzzer minimizes every new input it finds.
+	for _, tab := range []Table{deltaTable(6), onehot, wide, NewTable(Shape{})} {
+		f.Add(mustMarshal(f, tab))
+	}
+	f.Add([]byte{tableTag, 0, 0, 1, 9, 0x80, 0x01, 0x80, 0x01, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte("not a table"))
+	reused := deltaTable(20)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, werr := DecodeTable(data)
+		// Dirty the reused table so stale cells cannot pass for decoded ones.
+		for i := range reused.Cells {
+			reused.Cells[i] = -7
+		}
+		reused.Shape, reused.N = Shape{Routes: 1, Rows: 1, Cols: 1}, -1
+		gerr := DecodeTableInto(&reused, data)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("DecodeTable err %v, DecodeTableInto err %v", werr, gerr)
+		}
+		if werr != nil {
+			return
+		}
+		if reused.Shape != want.Shape || reused.N != want.N || !slices.Equal(reused.Cells, want.Cells) {
+			t.Fatalf("DecodeTableInto yields %v N=%d, DecodeTable %v N=%d", reused.Shape, reused.N, want.Shape, want.N)
+		}
+		if got, _ := want.AppendBinary(nil); !bytes.Equal(got, data) {
+			t.Fatalf("accepted input re-encodes to % x, not % x", got, data)
+		}
+	})
+}
+
+// deltaTable is a one-frame delta of freq_bin_wal's shape at cols = 1,000:
+// 510 reports routed over 5 labels, each row counting at most its route's
+// reports in each of its cols cells, so every cell is a one-byte varint.
+func deltaTable(cols int) Table {
+	tab := NewTable(Shape{Routes: 5, Rows: 5, Cols: cols})
+	r := uint64(1)
+	for l := 0; l < 5; l++ {
+		route := int64(100 + l)
+		tab.Cells[l], tab.N = route, tab.N+route
+		for i, row := 0, tab.Row(l); i < len(row); i++ {
+			r = r*6364136223846793005 + 1442695040888963407
+			row[i] = int64(r>>33) % (route/4 + 1)
+		}
+	}
+	return tab
+}
+
+// BenchmarkTableCodec is the delta's codec, one table per op: the append a
+// logged write pays, the decode into reused cells a replayed record pays,
+// and the merge under the tier's lock that both end in.
+func BenchmarkTableCodec(b *testing.B) {
+	tab := deltaTable(1000)
+	blob := mustMarshal(b, tab)
+	b.Run("append", func(b *testing.B) {
+		buf := make([]byte, 0, len(blob))
+		b.ReportAllocs()
+		b.SetBytes(int64(len(blob)))
+		for b.Loop() {
+			buf, _ = tab.AppendBinary(buf[:0])
+		}
+	})
+	b.Run("decode-into", func(b *testing.B) {
+		var dst Table
+		b.ReportAllocs()
+		b.SetBytes(int64(len(blob)))
+		for b.Loop() {
+			if err := DecodeTableInto(&dst, blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("merge", func(b *testing.B) {
+		acc := NewTable(tab.Shape)
+		b.ReportAllocs()
+		for b.Loop() {
+			if err := acc.Merge(&tab); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
