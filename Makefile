@@ -36,12 +36,13 @@ race-wal:
 	$(GO) test -race -count=10 -timeout=10m -run 'TestWALConcurrent|TestConcurrentDurable|TestConcurrentBatchIngest|TestConcurrentSubmissions|TestConcurrentReadsDuringWrites' ./internal/collect
 
 # The mining tier's concurrency tests, ten times under the race detector:
-# posts racing a round's seal over both wires, kill -9 recovery of sessions
-# mid-round, and the planner/partial equivalences underneath them. A session
-# is one planner behind one lock with validation outside it; these are what
-# hold that design up.
+# posts racing a round's seal over both wires, concurrent posters sharing a
+# session's pooled round deltas, kill -9 recovery of sessions mid-round, and
+# the planner/partial equivalences underneath them. A session is one planner
+# behind one lock with each frame folded into a delta outside it; these are
+# what hold that design up.
 race-topk:
-	$(GO) test -race -count=10 -timeout=10m -run 'TestTopKRoundSealRace|TestTopKMixedWireHammer|TestTopK.*SurvivesRestart|TestTopKFrameCommittedAfterSeal' ./internal/collect
+	$(GO) test -race -count=10 -timeout=10m -run 'TestTopKRoundSealRace|TestTopKMixedWireHammer|TestTopK.*SurvivesRestart|TestTopKFrameCommittedAfterSeal|TestTopKPooledDeltaEveryRound' ./internal/collect
 	$(GO) test -race -count=10 -timeout=10m -run 'Partial|Planner|Session' ./internal/topk
 
 # The recovery-equivalence pin — parallel WAL replay against sequential —

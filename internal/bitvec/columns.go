@@ -75,19 +75,6 @@ func AppendSetBits(dst []int, row []byte, nw int) []int {
 	return dst
 }
 
-// RowsWithBitClear filters offs, in place, down to the rows whose bit i is
-// clear — the validity-perturbation rule, which drops a report whose flag bit
-// came back set.
-func RowsWithBitClear(rec []byte, offs []int, i int) []int {
-	kept := offs[:0]
-	for _, off := range offs {
-		if rec[off+i>>3]>>(uint(i)&7)&1 == 0 {
-			kept = append(kept, off)
-		}
-	}
-	return kept
-}
-
 // csa is a carry-save (full) adder over 64 independent bit positions.
 func csa(a, b, c uint64) (sum, carry uint64) {
 	u := a ^ b
@@ -196,8 +183,14 @@ func unpackPlanes(counts []int64, w *[rowPlanes]uint64) {
 
 // RowSets is the scratch a frame's label walk fills before AddRows runs: the
 // byte offsets of the frame's rows, grouped by the count vector each row adds
-// into. Sets are pooled, so a steady stream of frames allocates nothing.
-type RowSets struct{ rows [][]int }
+// into, and per set the number of rows dropped from it by the validity
+// perturbation rule, which need no offset — a dropped report is counted, its
+// bits never are. Sets are pooled, so a steady stream of frames allocates
+// nothing.
+type RowSets struct {
+	rows    [][]int
+	dropped []int
+}
 
 var rowSetsPool = sync.Pool{New: func() any { return new(RowSets) }}
 
@@ -207,20 +200,30 @@ func GetRowSets(n int) *RowSets {
 	s := rowSetsPool.Get().(*RowSets)
 	if cap(s.rows) < n {
 		s.rows = append(s.rows[:cap(s.rows)], make([][]int, n-cap(s.rows))...)
+		s.dropped = make([]int, cap(s.rows))
 	}
-	s.rows = s.rows[:n]
+	s.rows, s.dropped = s.rows[:n], s.dropped[:n]
 	for i := range s.rows {
 		s.rows[i] = s.rows[i][:0]
 	}
+	clear(s.dropped)
 	return s
 }
 
 // Put returns s to the pool; s and the slices Rows handed out are dead after.
 func (s *RowSets) Put() { rowSetsPool.Put(s) }
 
-// Add appends a row offset to set i.
-func (s *RowSets) Add(i, off int) { s.rows[i] = append(s.rows[i], off) }
+// Add files the row at off under set i when drop is 0, and counts it as
+// dropped from set i when drop is 1 — with no branch on drop, whose value is
+// a coin flip per row under validity perturbation.
+func (s *RowSets) Add(i, off, drop int) {
+	r := append(s.rows[i], off)
+	s.rows[i] = r[:len(r)-drop]
+	s.dropped[i] += drop
+}
 
-// Rows returns the sets, indexed as in Add. Callers may reorder or truncate
-// a set in place — the kept-report filter of validity perturbation does.
+// Rows returns the sets of kept rows, indexed as in Add.
 func (s *RowSets) Rows() [][]int { return s.rows }
+
+// Dropped returns how many rows Add dropped from set i.
+func (s *RowSets) Dropped(i int) int { return s.dropped[i] }

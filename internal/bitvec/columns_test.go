@@ -146,6 +146,41 @@ func TestAddRowsShortCounts(t *testing.T) {
 	}
 }
 
+// TestRowSetsDrop pins Add's branch-free drop: a dropped row is counted in
+// its set and filed nowhere, a kept row is filed in order, and sets handed
+// back to the pool come out empty again, whatever count they are asked for.
+func TestRowSetsDrop(t *testing.T) {
+	for _, n := range []int{3, 1, 7, 3} {
+		s := GetRowSets(n)
+		if len(s.Rows()) != n {
+			t.Fatalf("GetRowSets(%d) returned %d sets", n, len(s.Rows()))
+		}
+		for i := 0; i < n; i++ {
+			if len(s.Rows()[i]) != 0 || s.Dropped(i) != 0 {
+				t.Fatalf("set %d of a fresh %d came out with rows %v, %d dropped", i, n, s.Rows()[i], s.Dropped(i))
+			}
+		}
+		for off := 0; off < 40; off++ {
+			s.Add(off%n, off, off%3/2) // every third offset, from 2, is dropped
+		}
+		for i, rows := range s.Rows() {
+			var want []int
+			dropped := 0
+			for off := i; off < 40; off += n {
+				if off%3 == 2 {
+					dropped++
+				} else {
+					want = append(want, off)
+				}
+			}
+			if fmt.Sprint(rows) != fmt.Sprint(want) || s.Dropped(i) != dropped {
+				t.Fatalf("n=%d set %d: rows %v, %d dropped; want %v, %d", n, i, rows, s.Dropped(i), want, dropped)
+			}
+		}
+		s.Put()
+	}
+}
+
 func BenchmarkAddRows(b *testing.B) {
 	for _, rows := range []int{1, 8, 64, 512} {
 		for _, density := range []float64{0.02, 0.27} {

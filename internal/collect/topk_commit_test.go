@@ -9,9 +9,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/state"
 	"repro/internal/topk"
 	"repro/internal/wal"
@@ -175,9 +177,9 @@ func TestParentWrittenSessionLogReplays(t *testing.T) {
 }
 
 // TestTopKFrameCommittedAfterSeal pins the one race the single session lock
-// leaves open by design: a frame is validated against round r's layout
-// outside the lock, round r seals, and only then does the frame reach the
-// commit. It must be answered 410 with the advanced round, and leave no WAL
+// leaves open by design: a frame is folded into a delta against round r's
+// layout outside the lock, round r seals, and only then does the delta
+// reach the commit. It must be answered 410 with the advanced round, and leave no WAL
 // record and no rate-limit debit behind.
 func TestTopKFrameCommittedAfterSeal(t *testing.T) {
 	srv, hs := topkTestServer(t, WithWAL(t.TempDir()), WithRateLimit(1000, 100000))
@@ -223,8 +225,8 @@ func TestTopKFrameCommittedAfterSeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked, err := f.Check(layout)
-	if err != nil {
+	delta := topk.NewRoundPartial(layout)
+	if err := delta.AbsorbFrame(f); err != nil {
 		t.Fatal(err)
 	}
 	// ...then the round fills and seals under it...
@@ -234,7 +236,7 @@ func TestTopKFrameCommittedAfterSeal(t *testing.T) {
 	logged, tokens := srv.topk.walStats().BytesSinceCompaction, srv.limit.tokens
 	// ...and the commit finds another round live.
 	rec := httptest.NewRecorder()
-	srv.commitTopKFrame(rec, sess, layout, checked, body, time.Now())
+	srv.commitTopKFrame(rec, sess, delta, f.Count, body, time.Now())
 	var ack WireTopKAck
 	if err := json.Unmarshal(rec.Body.Bytes(), &ack); rec.Code != http.StatusGone || err != nil {
 		t.Fatalf("late commit answered %d %q (decode: %v), want 410 with an ack", rec.Code, rec.Body, err)
@@ -247,5 +249,184 @@ func TestTopKFrameCommittedAfterSeal(t *testing.T) {
 	}
 	if srv.limit.tokens != tokens {
 		t.Fatalf("late commit moved the rate bucket from %v to %v", tokens, srv.limit.tokens)
+	}
+}
+
+// TestTopKFrameFoldAllocatesNothing pins the serving path of a binary round
+// frame once the session's delta pool is warm: the fold of a 4,096-report
+// frame into a pooled delta outside the lock, and the commit that logs the
+// raw frame and merges the delta under it, allocate nothing.
+func TestTopKFrameFoldAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	srv, hs := topkTestServer(t, WithWAL(t.TempDir()), WithWALOptions(wal.Options{Sync: wal.SyncNever}),
+		WithCompactAfter(1<<40))
+	defer srv.Close()
+	data := topkTestData(5, 1000, 4096, 71)
+	const seed = 7171
+	ts, err := NewTopKSession(hs.URL, nil, topk.SessionParams{
+		Framework: "pts", Classes: data.Classes, Items: data.Items,
+		K: 8, Eps: 2, Users: 1 << 28, Seed: seed, Opt: topk.Optimized(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, _ := srv.topk.lookup(ts.ID())
+	layout, _, ok := srv.liveRound(httptest.NewRecorder(), sess)
+	if !ok || layout == nil {
+		t.Fatal("fresh session has no live round")
+	}
+	enc, err := topk.NewRoundEncoder(sess.pl.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := make([]topk.RoundReport, data.N())
+	for i := range reps {
+		if reps[i], err = enc.Encode(data.Pairs[i], topk.UserRand(seed, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body, err := topk.AppendRoundFrame(nil, ts.ID(), layout, reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := topk.PeekRoundFrame(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder() // written only on a refusal
+	if allocs := testing.AllocsPerRun(50, func() {
+		delta := sess.delta(layout)
+		if err := delta.AbsorbFrame(f); err != nil {
+			t.Fatal(err)
+		}
+		if take, stale, _, ok := srv.commitDelta(rec, sess, delta, f.Count, body); !ok || stale != nil || take != f.Count {
+			t.Fatalf("commit took %d of %d (stale %v, ok %v): %s", take, f.Count, stale, ok, rec.Body)
+		}
+	}); allocs != 0 {
+		t.Fatalf("folding and committing a %d-report frame allocated %v times", f.Count, allocs)
+	}
+	if got := sess.pl.Received(); got != 51*f.Count {
+		t.Fatalf("live round holds %d reports, want 51 × %d", got, f.Count)
+	}
+}
+
+// TestTopKPooledDeltaEveryRound drives a whole session over the binary wire
+// from concurrent posters sharing the session's delta pool: in every round
+// each first posts a frame that fails its fold (400, the delta goes back to
+// the pool empty), then they fill the quota exactly, then each posts a
+// frame for the sealed round (410). Deltas are reused within a round, dropped across its seal
+// and after a refusal, and the finished session must equal the offline
+// sequential one.
+func TestTopKPooledDeltaEveryRound(t *testing.T) {
+	data := topkTestData(2, 64, 900, 72)
+	const seed, workers = 7272, 4
+	params := topk.SessionParams{
+		Framework: "pts", Classes: data.Classes, Items: data.Items,
+		K: 2, Eps: 2, Users: data.N(), Seed: seed, Opt: topk.Optimized(),
+	}
+	offline, err := topk.NewSession(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := topk.RunSession(offline, data.Pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hs := topkTestServer(t)
+	ts, err := NewTopKSession(hs.URL, nil, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body []byte) int {
+		resp, err := hs.Client().Post(hs.URL+"/topk/sessions/"+ts.ID()+"/reports", BinaryContentType, bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for user := 0; ; {
+		rd, err := ts.Round()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rd.Done {
+			break
+		}
+		enc, err := topk.NewRoundEncoder(rd.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layout, err := topk.LayoutOf(rd.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps := make([]topk.RoundReport, rd.Config.Quota)
+		for i := range reps {
+			if reps[i], err = enc.Encode(data.Pairs[user], topk.UserRand(seed, user)); err != nil {
+				t.Fatal(err)
+			}
+			user++
+		}
+		// A one-report frame whose declared count is re-sealed one higher:
+		// it peeks clean and fails on the record walk.
+		short, err := topk.AppendRoundFrame(nil, ts.ID(), layout, reps[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		short = short[:len(short)-4]
+		short[4+1+1+1+len(ts.ID())+4]++
+		short = core.FinishBinaryFrame(short, 0)
+
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if code := post(short); code != http.StatusBadRequest {
+					t.Errorf("round %d: miscounted frame answered %d, want 400", rd.Config.Round, code)
+				}
+			}()
+		}
+		wg.Wait()
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for lo := w * 16; lo < len(reps); lo += workers * 16 {
+					ack, err := ts.PostReportsBinary(rd.Config, reps[lo:min(lo+16, len(reps))])
+					if err != nil || ack.Rejected != 0 {
+						t.Errorf("round %d frame at %d: ack %+v, err %v", rd.Config.Round, lo, ack, err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := ts.PostReportsBinary(rd.Config, reps[:1]); err == nil {
+					t.Errorf("round %d: frame for the sealed round accepted", rd.Config.Round)
+				} else if code, _ := StatusCode(err); code != http.StatusGone {
+					t.Errorf("round %d: frame for the sealed round: %v, want 410", rd.Config.Round, err)
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+	got, err := ts.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pooled-delta session mined %+v, offline %+v", got, want)
 	}
 }

@@ -311,29 +311,39 @@ func (p *Protocol) ValidateBinaryBatch(data []byte) (CheckedFrame, error) {
 
 // FoldChecked folds every record of a frame ValidateBinaryBatch accepted
 // into t, a table of p's shape. Value reports are folded one per record.
-// Bit-vector reports take two passes over the frame: a label walk that files
-// each report's offset under its label, then the protocol's addRows — per
-// label, the counters, PTS-CP's VP drop rule and one column sum
-// (bitvec.AddRows) over the label's rows. Nothing is allocated per report
-// or, after warm-up, per frame.
+// Bit-vector reports take one label walk over the frame, which files each
+// report's offset under its label — or, for PTS-CP, counts it as dropped
+// there when its validity flag (bit d) came back set, the VP drop rule —
+// and then per label the counters and one column sum (bitvec.AddRows) over
+// the kept rows. Nothing is allocated per report or, after warm-up, per
+// frame.
 func (p *Protocol) FoldChecked(t *state.Table, f CheckedFrame) {
 	if f.owner != p {
 		panic("core: frame was checked by another protocol")
 	}
-	if p.addRows == nil {
+	if p.shape.bitsLen == 0 {
 		p.walkBinaryRecords(f.records, f.count, func(r binaryRecord) { //nolint:errcheck — checked frame
 			p.add(t, Report{Class: r.Label, Item: fo.Report{Value: r.Value, Seed: r.Seed}})
 		})
 		return
 	}
 	sets := bitvec.GetRowSets(p.shape.classes)
-	rowBytes := (p.shape.bitsLen + 63) / 64 * 8
+	nw, flag := (p.shape.bitsLen+63)/64, uint(p.shape.flag)
 	for pos, i := 0, 0; i < f.count; i++ {
 		label, n := binary.Uvarint(f.records[pos:])
-		sets.Add(int(label), pos+n)
-		pos += n + rowBytes
+		pos += n
+		drop := 0
+		if flag > 0 {
+			drop = int(f.records[pos+int(flag>>3)] >> (flag & 7) & 1)
+		}
+		sets.Add(int(label), pos, drop)
+		pos += nw * 8
 	}
-	p.addRows(t, f.records, sets.Rows())
+	for label, kept := range sets.Rows() {
+		count(t, label, len(kept)+sets.Dropped(label))
+		// A kept row's flag bit is clear, so every set bit indexes the row.
+		bitvec.AddRows(t.Row(label), f.records, kept, nw)
+	}
 	sets.Put()
 }
 

@@ -140,21 +140,6 @@ func (cp *CP) add(t *state.Table, rep CPReport) {
 	})
 }
 
-// addRows folds the reports of one checked binary frame into t — add for
-// each, without materializing a Vector: rows[label] lists the offsets in rec
-// of the d+1-bit vectors packed little-endian under that perturbed label.
-// Flagged reports are counted and then dropped from the offsets (which are
-// reordered in place); the rest are summed by column.
-func (cp *CP) addRows(t *state.Table, rec []byte, rows [][]int) {
-	for label, offs := range rows {
-		count(t, label, len(offs))
-		// The flag bit at index d is the only legal bit ≥ d, and it is 0 in
-		// every kept row, so every remaining set bit is a valid item index.
-		kept := bitvec.RowsWithBitClear(rec, offs, cp.d)
-		bitvec.AddRows(t.Row(label), rec, kept, (cp.d+1+63)/64)
-	}
-}
-
 // Merge folds another accumulator of the same mechanism into this one; an
 // accumulator of a mechanism with other probabilities is refused.
 func (a *CPAccumulator) Merge(o *CPAccumulator) error {

@@ -99,6 +99,7 @@ type WirePayload struct {
 type wireShape struct {
 	classes    int  // Label must be in [0, classes)
 	bitsLen    int  // >0: bit-vector report over this many positions
+	flag       int  // >0: the vector's validity flag bit (PTS-CP's bit d)
 	valueRange int  // >0: value report in [0, valueRange)
 	seed       bool // value report carries a public hash seed (OLH)
 }
@@ -127,10 +128,6 @@ type Protocol struct {
 	table state.Shape
 	// add routes and folds one report into the table.
 	add func(t *state.Table, rep Report)
-	// addRows folds the bit-vector reports of one checked frame: rows[label]
-	// lists the offsets in rec of the packed vectors reported under that
-	// label (scratch, which it may reorder). Nil for value reports.
-	addRows func(t *state.Table, rec []byte, rows [][]int)
 	// estimates is the framework's calibration.
 	estimates func(t *state.Table) [][]float64
 	// label is the label mechanism whose route counts calibrate into class
@@ -463,7 +460,6 @@ func (p *Protocol) countItems(item fo.Mechanism, routes int) *Protocol {
 	switch m := item.(type) {
 	case *fo.UE:
 		p.shape = wireShape{classes: rows, bitsLen: m.DomainSize()}
-		p.addRows = addUnaryRows
 	case *fo.OLH:
 		p.shape = wireShape{classes: rows, valueRange: m.G(), seed: true}
 	default:
@@ -480,16 +476,6 @@ func (p *Protocol) addItem(t *state.Table, rep Report) {
 	}
 	fo.Fold(p.item, t.Row(rep.Class), rep.Item)
 	count(t, rep.Class, 1)
-}
-
-// addUnaryRows is addRows for rows over a unary encoding: each label's
-// packed vectors are summed by column into its row.
-func addUnaryRows(t *state.Table, rec []byte, rows [][]int) {
-	nw := (t.Cols + 63) / 64
-	for route, offs := range rows {
-		bitvec.AddRows(t.Row(route), rec, offs, nw)
-		count(t, route, len(offs))
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -710,13 +696,12 @@ func newPTSCPProtocol(c, d int, eps, split float64) (*Protocol, error) {
 	return (&Protocol{
 		name: "ptscp", framework: "ptscp", c: c, d: d, eps: eps, split: split,
 		enc:    &cpEncoder{cp: cp},
-		shape:  wireShape{classes: c, bitsLen: d + 1},
+		shape:  wireShape{classes: c, bitsLen: d + 1, flag: d},
 		mechID: cp.id,
 		table:  cp.shape(),
 		add: func(t *state.Table, rep Report) {
 			cp.add(t, CPReport{Label: rep.Class, Bits: rep.Item.Bits})
 		},
-		addRows:   cp.addRows,
 		estimates: cp.estimateAll,
 		label:     cp.label,
 	}).seal(), nil

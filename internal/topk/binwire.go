@@ -40,6 +40,15 @@ import (
 // nothing is absorbed. Frames only ever come from a layout-checked encoder,
 // so an invalid record means corruption or misconfiguration, not one user's
 // bad report.
+//
+// A frame is folded in one walk over its records (RoundPartial.AbsorbFrame):
+// each record is checked, its row filed under its class, and under VP its
+// flag bit read from the word the stray-bit check loads — a flagged row is
+// only counted as dropped. Nothing is counted until the walk has passed the
+// last record; then each class adds its label count, its space's N and
+// flag cell, and one column sum over its kept rows. A server folds a frame
+// so into a delta outside its session lock and merges the delta under it;
+// WAL replay folds straight into the live round.
 
 // roundTier is the MCBW tier byte of session round-report frames.
 const roundTier = 'T'
@@ -58,7 +67,8 @@ const (
 
 // RoundLayout is the wire shape of one round: everything needed to validate
 // and decode that round's reports without holding the planner — so a server
-// validates a batch against the immutable layout outside its session lock.
+// validates a batch, or folds a frame into a delta, against the immutable
+// layout outside its session lock.
 // Server-side it comes from Planner.Layout, client-side from LayoutOf over
 // the round broadcast.
 type RoundLayout struct {
@@ -104,38 +114,57 @@ func (l *RoundLayout) CheckReport(rep RoundReport) error {
 	return validateBits(rep.Bits, l.Bits[l.aggIndex(rep.Class)])
 }
 
-// walkRecords validates a frame's record region record by record, calling
-// visit (when non-nil) for each one with the class and the offset in records
-// of its packed bit vector. Every semantic check CheckReport performs on a
-// JSON report happens here too — class range, no stray bits beyond the
-// aggregate's domain — so a frame that walks cleanly is always safe to
-// absorb. The walk allocates nothing.
-func (l *RoundLayout) walkRecords(records []byte, count int, visit func(class, off int)) error {
-	pos := 0
-	for i := 0; i < count; i++ {
-		class, n := binary.Uvarint(records[pos:])
-		if n <= 0 {
+// walk validates a frame against the layout record by record — round,
+// class range, the ptj class pin, truncation, no stray bits beyond the
+// aggregate's domain, no trailing bytes: every check CheckReport makes of a
+// JSON report — so a frame that walks cleanly is always safe to count. When
+// sets is non-nil the walk also files each record's row offset under its wire
+// class, or under VP counts the row as dropped there when its flag bit (the
+// last wire bit, in the word the stray-bit check loads) is set. It allocates
+// nothing, and it counts nothing: that is the caller's, after a clean walk.
+func (l *RoundLayout) walk(f RoundFrame, sets *bitvec.RowSets) error {
+	if f.Round != l.Round {
+		return &RoundMismatchError{Got: f.Round, Live: l.Round}
+	}
+	classes, vp := uint64(l.Classes), 0
+	if l.PTJ {
+		classes = 1
+	}
+	if l.VP {
+		vp = 1
+	}
+	records, pos := f.records, 0
+	for i := 0; i < f.Count; i++ {
+		if pos >= len(records) {
 			return fmt.Errorf("topk: binary record %d: truncated class", i)
 		}
-		pos += n
-		if l.PTJ {
-			if class != 0 {
+		class := uint64(records[pos])
+		if class < 0x80 { // every class below 128 is one uvarint byte
+			pos++
+		} else {
+			var n int
+			if class, n = binary.Uvarint(records[pos:]); n <= 0 {
+				return fmt.Errorf("topk: binary record %d: truncated class", i)
+			}
+			pos += n
+		}
+		if class >= classes {
+			if l.PTJ {
 				return fmt.Errorf("topk: binary record %d: ptj class %d, want 0", i, class)
 			}
-		} else if class >= uint64(l.Classes) {
 			return fmt.Errorf("topk: binary record %d: class %d outside [0,%d)", i, class, l.Classes)
 		}
-		bitsLen := l.Bits[l.aggIndex(int(class))]
-		nw := (bitsLen + 63) / 64
+		bitsLen := uint(l.Bits[l.aggIndex(int(class))])
+		nw := int((bitsLen + 63) / 64)
 		if len(records)-pos < nw*8 {
 			return fmt.Errorf("topk: binary record %d: truncated %d-bit vector", i, bitsLen)
 		}
 		last := binary.LittleEndian.Uint64(records[pos+(nw-1)*8:])
-		if rem := uint(bitsLen) % 64; rem != 0 && last>>rem != 0 {
+		if rem := bitsLen % 64; rem != 0 && last>>rem != 0 {
 			return fmt.Errorf("topk: binary record %d: stray bits beyond the %d-bit domain", i, bitsLen)
 		}
-		if visit != nil {
-			visit(int(class), pos)
+		if sets != nil {
+			sets.Add(int(class), pos, int(last>>((bitsLen-1)%64)&1)&vp)
 		}
 		pos += nw * 8
 	}
@@ -278,49 +307,27 @@ func PeekRoundFrame(data []byte) (RoundFrame, error) {
 	return f, nil
 }
 
-// CheckedRoundFrame is a frame Check has validated end to end against one
-// layout, which is what a partial of that layout needs to absorb it with no
-// failure path. Holding one is the proof, so a server validates each frame
-// once.
-type CheckedRoundFrame struct {
-	RoundFrame
-	layout *RoundLayout
-}
-
-// Check validates the frame's records end to end against the layout without
-// absorbing anything. A frame it accepts is guaranteed to absorb cleanly,
-// which is what lets a durable server log the raw frame write-ahead and
-// apply it with no failure path in between. A frame for another round fails
-// with RoundMismatchError, same as CheckReport.
-func (f RoundFrame) Check(l *RoundLayout) (CheckedRoundFrame, error) {
-	if f.Round != l.Round {
-		return CheckedRoundFrame{}, &RoundMismatchError{Got: f.Round, Live: l.Round}
-	}
-	if err := l.walkRecords(f.records, f.Count, nil); err != nil {
-		return CheckedRoundFrame{}, err
-	}
-	return CheckedRoundFrame{RoundFrame: f, layout: l}, nil
-}
-
-// Validate is Check for callers that only want the verdict.
-func (f RoundFrame) Validate(l *RoundLayout) error {
-	_, err := f.Check(l)
-	return err
-}
+// Validate checks the frame's records end to end against the layout without
+// counting anything; a frame it accepts absorbs cleanly. A frame for another
+// round fails with RoundMismatchError, same as CheckReport.
+func (f RoundFrame) Validate(l *RoundLayout) error { return l.walk(f, nil) }
 
 // DecodeRoundFrame materializes every report of a validated frame — the
 // binary analogue of unmarshalling a JSON batch body. The hot ingest path
 // absorbs the packed rows directly instead; this is for tools and tests.
 func DecodeRoundFrame(l *RoundLayout, f RoundFrame) ([]RoundReport, error) {
-	if _, err := f.Check(l); err != nil {
+	if err := f.Validate(l); err != nil {
 		return nil, err
 	}
 	out := make([]RoundReport, 0, f.Count)
-	l.walkRecords(f.records, f.Count, func(class, off int) { //nolint:errcheck — checked frame
-		nw := (l.Bits[l.aggIndex(class)] + 63) / 64
-		out = append(out, RoundReport{Round: f.Round, Class: class,
-			Bits: bitvec.AppendSetBits(nil, f.records[off:], nw)})
-	})
+	for pos, i := 0, 0; i < f.Count; i++ {
+		class, n := binary.Uvarint(f.records[pos:])
+		pos += n
+		nw := (l.Bits[l.aggIndex(int(class))] + 63) / 64
+		out = append(out, RoundReport{Round: f.Round, Class: int(class),
+			Bits: bitvec.AppendSetBits(nil, f.records[pos:], nw)})
+		pos += nw * 8
+	}
 	return out, nil
 }
 
@@ -368,6 +375,9 @@ func NewRoundPartial(l *RoundLayout) *RoundPartial {
 	return p
 }
 
+// Layout returns the round layout the partial counts.
+func (p *RoundPartial) Layout() *RoundLayout { return p.layout }
+
 // Received returns how many reports the partial currently holds.
 func (p *RoundPartial) Received() (n int) {
 	for i := range p.spaces {
@@ -396,8 +406,7 @@ func (p *RoundPartial) scores(i int) []float64 {
 }
 
 // Absorb folds one JSON-path report into the partial, validating it against
-// the layout first (CheckReport) — the sparse-bits twin of AbsorbChecked, so
-// mixed JSON and binary traffic lands in the same counts.
+// the layout first (CheckReport).
 func (p *RoundPartial) Absorb(rep RoundReport) error {
 	if err := p.layout.CheckReport(rep); err != nil {
 		return err
@@ -416,51 +425,32 @@ func (p *RoundPartial) Absorb(rep RoundReport) error {
 	return nil
 }
 
-// AbsorbChecked folds every record of a frame Check accepted for this
-// partial's layout, mirroring Absorb report for report. A class walk files
-// each record's offset under its space and counts its label; then each space
-// counts its rows, applies the VP drop rule on the flag bit (the last wire
-// bit) and sums the kept rows by column — no RoundReport is ever
-// materialized.
-func (p *RoundPartial) AbsorbChecked(f CheckedRoundFrame) {
-	l := p.layout
-	if f.layout != l {
-		panic("topk: frame was checked against another layout")
-	}
-	sets := bitvec.GetRowSets(len(l.Bits))
-	for pos, i := 0, 0; i < f.Count; i++ {
-		class, n := binary.Uvarint(f.records[pos:])
-		p.labels.Cells[class]++
-		agg := l.aggIndex(int(class))
-		sets.Add(agg, pos+n)
-		pos += n + (l.Bits[agg]+63)/64*8
-	}
-	p.labels.N += int64(f.Count)
-	for i, rows := range sets.Rows() {
-		sp := &p.spaces[i]
-		sp.N += int64(len(rows))
-		if l.VP {
-			flag := len(sp.Cells) - 1
-			kept := bitvec.RowsWithBitClear(f.records, rows, flag)
-			sp.Cells[flag] += int64(len(rows) - len(kept))
-			rows = kept
-		}
-		// Safe: Check rejected stray bits beyond the wire length, so every
-		// set bit indexes a cell, and a kept row adds nothing to the flag.
-		bitvec.AddRows(sp.Cells, f.records, rows, (l.Bits[i]+63)/64)
-	}
-	sets.Put()
-}
-
-// AbsorbFrame validates a frame against the partial's layout and folds it in.
-// The frame is all-or-nothing: an invalid one returns an error with nothing
-// applied.
+// AbsorbFrame validates a frame against the partial's layout and folds it
+// in — the binary twin of Absorb, so mixed JSON and binary traffic lands in
+// the same counts. One walk validates every record and files its row under
+// its wire class. The frame is all-or-nothing: only once the last record
+// has passed does each class count its label, its space's N and VP flag
+// cell (its dropped rows) and one column sum over its kept rows, so an
+// invalid frame returns an error with the partial untouched.
 func (p *RoundPartial) AbsorbFrame(f RoundFrame) error {
-	cf, err := f.Check(p.layout)
-	if err != nil {
+	l := p.layout
+	sets := bitvec.GetRowSets(l.Classes)
+	defer sets.Put()
+	if err := l.walk(f, sets); err != nil {
 		return err
 	}
-	p.AbsorbChecked(cf)
+	for class, kept := range sets.Rows() {
+		dropped, agg := sets.Dropped(class), l.aggIndex(class)
+		n := int64(len(kept) + dropped)
+		sp := &p.spaces[agg]
+		p.labels.Cells[class] += n
+		sp.N += n
+		sp.Cells[len(sp.Cells)-1] += int64(dropped) // the flag cell; 0 without VP
+		// Safe: the walk rejected stray bits beyond the wire length, so every
+		// set bit indexes a cell, and a kept row adds nothing to the flag.
+		bitvec.AddRows(sp.Cells, f.records, kept, (l.Bits[agg]+63)/64)
+	}
+	p.labels.N += int64(f.Count)
 	return nil
 }
 
@@ -485,10 +475,11 @@ func (p *RoundPartial) merge(o *RoundPartial) error {
 }
 
 // MergePartial drains a partial into the live round: its tables add in and
-// the partial is emptied for reuse. Merging the partials of a round in any
-// order yields the same planner state as absorbing their reports
-// sequentially. An empty partial merges into any round (a no-op); a
-// non-empty one must match the live round.
+// the partial is emptied in place, so a pooled one is reused without
+// allocating. Merging the partials of a round in any order yields the same
+// planner state as absorbing their reports sequentially. An empty partial
+// merges into any round (a no-op); a non-empty one must match the live
+// round.
 func (pl *Planner) MergePartial(p *RoundPartial) error {
 	n := p.Received()
 	if n == 0 {
@@ -500,7 +491,12 @@ func (pl *Planner) MergePartial(p *RoundPartial) error {
 	if err := pl.live.merge(p); err != nil {
 		return err
 	}
-	*p = *NewRoundPartial(p.layout)
+	for i := range p.spaces {
+		clear(p.spaces[i].Cells)
+		p.spaces[i].N = 0
+	}
+	clear(p.labels.Cells)
+	p.labels.N = 0
 	return nil
 }
 
@@ -514,19 +510,4 @@ func (pl *Planner) AbsorbRoundFrame(f RoundFrame) error {
 		return ErrSessionDone
 	}
 	return pl.live.AbsorbFrame(f)
-}
-
-// AbsorbChecked folds a frame already checked against the live round's
-// layout (Layout) — the serving path, which validates outside the session
-// lock. A frame checked against any other layout, an earlier round's
-// included, is refused with nothing applied.
-func (pl *Planner) AbsorbChecked(f CheckedRoundFrame) error {
-	if pl.done {
-		return ErrSessionDone
-	}
-	if f.layout != pl.layout {
-		return fmt.Errorf("topk: round-%d frame was not checked against live round %d's layout", f.Round, pl.round)
-	}
-	pl.live.AbsorbChecked(f)
-	return nil
 }

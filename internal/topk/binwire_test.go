@@ -31,7 +31,7 @@ func newBinwireSession(t *testing.T, fw string, opt Options, seed uint64) (*Plan
 // encodeRound encodes the live round's full quota of reports through the
 // JSON broadcast round-trip a real client performs, and returns the
 // over-the-wire config alongside the reports.
-func encodeRound(t *testing.T, pl *Planner, pairs []core.Pair, user *int) (*RoundConfig, []RoundReport) {
+func encodeRound(t testing.TB, pl *Planner, pairs []core.Pair, user *int) (*RoundConfig, []RoundReport) {
 	t.Helper()
 	wire, err := json.Marshal(pl.Config())
 	if err != nil {
