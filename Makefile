@@ -45,11 +45,13 @@ race-topk:
 	$(GO) test -race -count=10 -timeout=10m -run 'TestTopKRoundSealRace|TestTopKMixedWireHammer|TestTopK.*SurvivesRestart|TestTopKFrameCommittedAfterSeal|TestTopKPooledDeltaEveryRound' ./internal/collect
 	$(GO) test -race -count=10 -timeout=10m -run 'Partial|Planner|Session' ./internal/topk
 
-# The recovery-equivalence pin — parallel WAL replay against sequential —
-# on its own, so a replay regression is named in the log rather than buried
-# in the package list.
+# The recovery pins — WAL replay, torn tails included, against the state
+# the server held live; a kill -9 log of every record type against the
+# offline aggregate; a corrupt frame's skipped bytes counted and logged —
+# on their own, so a replay regression is named in the log rather than
+# buried in the package list.
 replay-smoke:
-	$(GO) test -race -run 'ParallelReplay|ReplayParallel' -v ./internal/collect ./internal/wal
+	$(GO) test -race -run 'TestReplayMatchesLiveState|TestWALMixedRecordsKill9|TestWALTornBytesCounted' -v ./internal/collect
 
 # One iteration of every benchmark: keeps them compiling and running
 # without turning the suite into a perf run.

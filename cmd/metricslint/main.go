@@ -42,10 +42,10 @@ var requiredFamilies = []string{
 	"mcim_wal_segment_rolls_total",
 	"mcim_wal_compactions_total",
 	"mcim_wal_torn_truncations_total",
+	"mcim_wal_torn_bytes_total",
 	"mcim_wal_replayed_records_total",
 	"mcim_wal_replayed_bytes_total",
 	"mcim_wal_replay_seconds",
-	"mcim_wal_replay_workers",
 	"mcim_estimate_cache_requests_total",
 	"mcim_estimate_cache_stale_reports",
 	"mcim_topk_rounds_advanced_total",

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -108,27 +107,6 @@ func WithEstimateCache(maxStaleReports int64, maxStaleAge time.Duration) ServerO
 // path; production servers should keep the cache on.
 func WithEstimateCacheDisabled() ServerOption {
 	return func(s *Server) { s.cacheDisabled = true }
-}
-
-// WithWALReplayWorkers sets how many goroutines apply WAL records during
-// the startup replay of the frequency and mean logs (their batch records
-// are commutative integer folds, so application order is irrelevant —
-// recovery is bit-identical to a sequential replay). 1 forces the
-// sequential path; n < 1 restores the default of runtime.GOMAXPROCS(0).
-// The mining-session log is ordered and always replays sequentially.
-func WithWALReplayWorkers(n int) ServerOption {
-	return func(s *Server) { s.replayWorkers = n }
-}
-
-// replayWorkerCount resolves the configured replay parallelism.
-func (s *Server) replayWorkerCount() int {
-	if s.replayWorkers == 1 {
-		return 1
-	}
-	if s.replayWorkers > 1 {
-		return s.replayWorkers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // newEstimateCache builds one tier's cache from the server-wide knobs; m is

@@ -156,7 +156,6 @@ type Server struct {
 	cacheDisabled     bool
 	cacheStaleReports int64
 	cacheStaleAge     time.Duration
-	replayWorkers     int
 
 	// The tiers; each is nil unless mounted. freq serves proto, mean serves
 	// meanProto (WithMean), topk hosts interactive mining sessions

@@ -56,23 +56,22 @@ func recordTypes(t *testing.T, dir string) string {
 // one-report frame kept raw ('W'), and sealed deltas ('E') of 512- and
 // 64-report frames, a 4,096-report mean frame and a /merge envelope — checks each
 // write chose the record the size rule gives it, tears the tails as a kill
-// -9 mid-write would, and restarts sequentially and in parallel to state
-// byte-identical to the offline aggregate of the same writes.
+// -9 mid-write would, and restarts to state byte-identical to the offline
+// aggregate of the same writes.
 func TestWALMixedRecordsKill9(t *testing.T) {
 	const c, d = 5, 1000
 	dir := t.TempDir()
-	open := func(workers int) *Server {
+	open := func() *Server {
 		t.Helper()
 		srv, err := NewServer(mustProtocol(t, "ptscp", c, d, 2, 0.5),
 			WithMean(mustNumericProtocol(t, "cpmean", c, 2, 0.5)), WithWAL(dir), WithWALTierLayout(),
-			WithWALOptions(wal.Options{Sync: wal.SyncNever}), WithCompactAfter(1<<40),
-			WithWALReplayWorkers(workers))
+			WithWALOptions(wal.Options{Sync: wal.SyncNever}), WithCompactAfter(1<<40))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return srv
 	}
-	srv := open(1)
+	srv := open()
 	p, np := srv.proto, srv.meanProto
 	freq, mn := p.NewAggregator(), np.NewAggregator()
 	frame := func(n int, seed uint64) []byte {
@@ -167,23 +166,19 @@ func TestWALMixedRecordsKill9(t *testing.T) {
 		}
 		tearLastSegment(t, filepath.Join(dir, tier))
 	}
-	for _, workers := range []int{1, 2} {
-		restarted := open(workers)
-		got, err := restarted.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotMean, err := restarted.SnapshotMean()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, wantFreq) || !bytes.Equal(gotMean, wantMean) {
-			t.Fatalf("restart with %d replay workers: frequency state identical %v, mean %v",
-				workers, bytes.Equal(got, wantFreq), bytes.Equal(gotMean, wantMean))
-		}
-		if err := restarted.Close(); err != nil {
-			t.Fatal(err)
-		}
+	restarted := open()
+	defer restarted.Close()
+	got, err := restarted.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotMean, err := restarted.SnapshotMean()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wantFreq) || !bytes.Equal(gotMean, wantMean) {
+		t.Fatalf("restart: frequency state identical %v, mean %v",
+			bytes.Equal(got, wantFreq), bytes.Equal(gotMean, wantMean))
 	}
 }
 
@@ -290,5 +285,55 @@ func TestBinaryIngestAllocatesNothing(t *testing.T) {
 				t.Fatalf("%d-report frames logged %v → %v, want 51 × %v", tc.reports, before, after, tc.record)
 			}
 		}
+	}
+}
+
+// TestEnvelopeAddAllocatesNothing pins the two paths that add an envelope
+// straight from its bytes: replaying an 'E' record and MergeState of a
+// 5,005-cell envelope (ptscp, c = 5, d = 1,000) into a durable tier both
+// allocate nothing.
+func TestEnvelopeAddAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	srv, err := NewServer(mustProtocol(t, "ptscp", 5, 1000, 2, 0.5), WithWAL(t.TempDir()),
+		WithWALOptions(wal.Options{Sync: wal.SyncNever}), WithCompactAfter(1<<40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	p := srv.proto
+	edge := p.NewAggregator()
+	frame, err := p.AppendBinaryBatch(nil, wireStream(t, p, 512, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ApplyBinaryBatch(edge, frame); err != nil {
+		t.Fatal(err)
+	}
+	env, err := p.MarshalAggregator(edge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cells := len(p.NewTable().Cells); cells != 5005 {
+		t.Fatalf("the tier's table has %d cells, want 5,005", cells)
+	}
+	rec := append([]byte{recEnvelope}, env...)
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := srv.freq.replayRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("replaying an 'E' record allocated %v times", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if n, err := srv.MergeState(env); err != nil || n != 512 {
+			t.Fatalf("MergeState = %d, %v", n, err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("MergeState of an envelope allocated %v times", allocs)
+	}
+	if got := srv.Reports(); got != 2*51*512 {
+		t.Fatalf("the tier holds %d reports, want %d", got, 2*51*512)
 	}
 }

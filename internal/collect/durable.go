@@ -32,7 +32,7 @@ import (
 const (
 	// recEnvelope frames a fingerprinted table envelope: a write's sealed
 	// delta, or an envelope merged through MergeState as it came. Replay
-	// opens it into a table and merges that.
+	// checks it and adds it straight from the record's bytes.
 	recEnvelope = 'E'
 	// recBatch frames a JSON array of accepted wire reports, and
 	// recBinaryBatch one validated binary wire frame (see
@@ -41,14 +41,6 @@ const (
 	// through the decoder the endpoint used.
 	recBatch       = 'B'
 	recBinaryBatch = 'W'
-)
-
-// walReplayWorkersName/Help label the per-log gauge reporting how many
-// goroutines applied records during the startup replay (1 = sequential;
-// the ordered mining-session log is always 1).
-const (
-	walReplayWorkersName = "mcim_wal_replay_workers"
-	walReplayWorkersHelp = "Goroutines that applied WAL records during the startup replay, by log (1 = sequential)."
 )
 
 // durableLog is one tier's write-ahead log and its compaction machinery —
@@ -75,32 +67,25 @@ type durableLog struct {
 	closed    bool
 }
 
-// open opens the log under <s.walDir>/sub with the server's sync options
-// and the log=<name> metric hooks, and replays it — onSnapshot for the
-// latest snapshot, then onRecord for every tail record. commutative is the
-// owner's one declaration that its records fold in any order: the replay
-// then fans out across the configured workers and the log flushes rolled
-// segments behind its appenders (wal.Options.Commutative); an ordered log
-// replays in log order and never writes past an unflushed segment. Called
-// from NewServer before the handler is exposed, so the callbacks need no
-// locking beyond their own.
+// open opens the log under <s.walDir>/sub with the server's sync options,
+// the log=<name> metric hooks and logger, and replays it in log order —
+// onSnapshot for the latest snapshot, then onRecord for every tail record.
+// commutative is the owner's one declaration that its records fold in any
+// order: the log then flushes rolled segments behind its appenders
+// (wal.Options.Commutative); an ordered log never writes past an unflushed
+// segment. Called from NewServer before the handler is exposed, so the
+// callbacks need no locking beyond their own.
 func (d *durableLog) open(s *Server, sub, name string, commutative bool,
 	marshalState func() ([]byte, error), onSnapshot, onRecord func([]byte) error) error {
 	opts := s.walOpts
 	wm, replayG := NewWALMetrics(s.obs, name)
-	opts.Metrics = wm
-	opts.Commutative = commutative
-	workers := 1
-	if commutative {
-		workers = s.replayWorkerCount()
-	}
+	opts.Metrics, opts.Logger, opts.Commutative = wm, s.logger.With("log", name), commutative
 	l, err := wal.Open(filepath.Join(s.walDir, sub), opts)
 	if err != nil {
 		return fmt.Errorf("collect: %s wal: %w", name, err)
 	}
-	s.obs.Gauge(walReplayWorkersName, walReplayWorkersHelp, "log", name).Set(float64(workers))
 	start := time.Now()
-	if err := l.ReplayParallel(workers, onSnapshot, onRecord); err != nil {
+	if err := l.Replay(onSnapshot, onRecord); err != nil {
 		l.Close()
 		return err
 	}

@@ -541,9 +541,9 @@ func TestMeanCheckpointRestart(t *testing.T) {
 // TestMeanBinaryWALReplayMatchesPerReportAdd holds the mean log's replay to
 // the per-report path: a WAL of frames, kept raw ('W') or as sealed deltas
 // ('E') — an inline-table domain and one beyond it, frames from one report
-// to 4,096, many small segments and a torn tail — must recover,
-// sequentially and in parallel, to a SnapshotMean envelope byte-identical
-// to one aggregator fed the same frames one decoded report at a time.
+// to 4,096, many small segments and a torn tail — must recover to a
+// SnapshotMean envelope byte-identical to one aggregator fed the same
+// frames one decoded report at a time.
 func TestMeanBinaryWALReplayMatchesPerReportAdd(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -551,12 +551,12 @@ func TestMeanBinaryWALReplayMatchesPerReportAdd(t *testing.T) {
 	}{{"cpmean", 5}, {"ptsmean", 200}} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			build := func(replayWorkers int) *Server {
+			build := func() *Server {
 				return newMeanServer(t, tc.name, tc.classes, 2, 0.5, WithWAL(dir),
 					WithWALOptions(wal.Options{Sync: wal.SyncNever, SegmentBytes: 2 << 10}),
-					WithCompactAfter(1<<40), WithWALReplayWorkers(replayWorkers))
+					WithCompactAfter(1<<40))
 			}
-			srv := build(1)
+			srv := build()
 			np := srv.MeanProtocol()
 			ts := httptest.NewServer(srv.Handler())
 			oracle, total := np.NewAggregator(), 0
@@ -603,19 +603,17 @@ func TestMeanBinaryWALReplayMatchesPerReportAdd(t *testing.T) {
 				t.Fatal(err)
 			}
 			tearLastSegment(t, dir+"/mean")
-			for _, workers := range []int{1, 4} {
-				restarted := build(workers)
-				got, err := restarted.SnapshotMean()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if restarted.MeanReports() != total || !bytes.Equal(got, want) {
-					t.Fatalf("replay with %d workers recovered %d of %d reports, envelope identical: %v",
-						workers, restarted.MeanReports(), total, bytes.Equal(got, want))
-				}
-				if err := restarted.Close(); err != nil {
-					t.Fatal(err)
-				}
+			restarted := build()
+			got, err := restarted.SnapshotMean()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restarted.MeanReports() != total || !bytes.Equal(got, want) {
+				t.Fatalf("replay recovered %d of %d reports, envelope identical: %v",
+					restarted.MeanReports(), total, bytes.Equal(got, want))
+			}
+			if err := restarted.Close(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

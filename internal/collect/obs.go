@@ -16,7 +16,7 @@ import (
 // keeps its zero-alloc budget (gated by bench-check on allocs/op).
 //
 // Counting discipline: ingest series are advanced ONLY on served writes
-// (the HTTP handlers and commit), never in mergeIn, so WAL replay at
+// (the HTTP handlers and commit), never in addIn, so WAL replay at
 // startup does not inflate them and the counters stay exactly equal to the
 // /stats report totals on a fresh server (pinned by
 // TestMetricsMatchStatsUnderLoad).
@@ -132,6 +132,8 @@ func NewWALMetrics(reg *obs.Registry, name string) (*wal.Metrics, *obs.Gauge) {
 			"Durable compaction snapshots sealed, by log.", "log", name),
 		TornTruncations: reg.Counter("mcim_wal_torn_truncations_total",
 			"Torn WAL tails handled (failed writes clipped, corrupt frames ending a replay), by log.", "log", name),
+		TornBytes: reg.Counter("mcim_wal_torn_bytes_total",
+			"Segment bytes WAL replay skipped after a torn or corrupt frame, by log.", "log", name),
 		ReplayedRecords: reg.Counter("mcim_wal_replayed_records_total",
 			"Intact records re-applied from the write-ahead log at startup, by log.", "log", name),
 		ReplayedBytes: reg.Counter("mcim_wal_replayed_bytes_total",

@@ -87,10 +87,10 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		"mcim_wal_segment_rolls_total":       "counter",
 		"mcim_wal_compactions_total":         "counter",
 		"mcim_wal_torn_truncations_total":    "counter",
+		"mcim_wal_torn_bytes_total":          "counter",
 		"mcim_wal_replayed_records_total":    "counter",
 		"mcim_wal_replayed_bytes_total":      "counter",
 		"mcim_wal_replay_seconds":            "gauge",
-		"mcim_wal_replay_workers":            "gauge",
 		"mcim_estimate_cache_requests_total": "counter",
 		"mcim_estimate_cache_stale_reports":  "gauge",
 		"mcim_topk_rounds_advanced_total":    "counter",

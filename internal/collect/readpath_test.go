@@ -433,15 +433,15 @@ func tearNewestSegment(t *testing.T, dir string) {
 	f.Close()
 }
 
-// TestParallelReplayBitIdentical pins recovery equivalence end to end: a
-// WAL holding every record type (JSON batches, binary frames, a federation
+// TestReplayMatchesLiveState pins recovery equivalence end to end: a WAL
+// holding every record type (JSON batches, binary frames, a federation
 // envelope, mean batches) across many small segments — with torn tails on
-// both tiers' newest segments — must recover bit-identical state whether
-// replayed sequentially or by the parallel worker pool.
-func TestParallelReplayBitIdentical(t *testing.T) {
+// both tiers' newest segments — must replay to state bit-identical to the
+// state the server held live.
+func TestReplayMatchesLiveState(t *testing.T) {
 	const classes, items = 3, 32
 	dir := t.TempDir()
-	build := func(replayWorkers int) *Server {
+	build := func() *Server {
 		proto, err := core.NewProtocol("ptscp", classes, items, 2, 0.5)
 		if err != nil {
 			t.Fatal(err)
@@ -453,8 +453,7 @@ func TestParallelReplayBitIdentical(t *testing.T) {
 		srv, err := NewServer(proto, WithMean(np),
 			WithWAL(dir), WithWALTierLayout(),
 			WithWALOptions(wal.Options{Sync: wal.SyncNever, SegmentBytes: 2 << 10}),
-			WithCompactAfter(1<<40),
-			WithWALReplayWorkers(replayWorkers))
+			WithCompactAfter(1<<40))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -462,7 +461,7 @@ func TestParallelReplayBitIdentical(t *testing.T) {
 	}
 
 	// Populate the log through the real endpoints.
-	srv := build(1)
+	srv := build()
 	ts := httptest.NewServer(srv.Handler())
 	for _, binary := range []bool{false, true} {
 		cl, err := NewClient(ts.URL, ts.Client(), 11, WithBinary(binary))
@@ -507,7 +506,15 @@ func TestParallelReplayBitIdentical(t *testing.T) {
 	if _, err := srv.MergeState(env); err != nil {
 		t.Fatal(err)
 	}
-	wantReports, wantMean := srv.Reports(), srv.MeanReports()
+	wantFreq, err := srv.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMean, err := srv.SnapshotMean()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantReports, wantMeanReports := srv.Reports(), srv.MeanReports()
 	ts.Close()
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -516,37 +523,24 @@ func TestParallelReplayBitIdentical(t *testing.T) {
 	tearNewestSegment(t, filepath.Join(dir, "freq"))
 	tearNewestSegment(t, filepath.Join(dir, "mean"))
 
-	type recovered struct {
-		reports, meanReports int
-		freq, mean           []byte
+	replayed := build()
+	defer replayed.Close()
+	if replayed.Reports() != wantReports || replayed.MeanReports() != wantMeanReports {
+		t.Fatalf("replay recovered %d/%d reports, want %d/%d",
+			replayed.Reports(), replayed.MeanReports(), wantReports, wantMeanReports)
 	}
-	recover := func(workers int) recovered {
-		srv := build(workers)
-		defer srv.Close()
-		freqEnv, err := srv.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		meanEnv, err := srv.SnapshotMean()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return recovered{srv.Reports(), srv.MeanReports(), freqEnv, meanEnv}
+	gotFreq, err := replayed.Snapshot()
+	if err != nil {
+		t.Fatal(err)
 	}
-	seq := recover(1)
-	par := recover(4)
-	if seq.reports != wantReports || seq.meanReports != wantMean {
-		t.Fatalf("sequential replay recovered %d/%d reports, want %d/%d",
-			seq.reports, seq.meanReports, wantReports, wantMean)
+	gotMean, err := replayed.SnapshotMean()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if par.reports != seq.reports || par.meanReports != seq.meanReports {
-		t.Fatalf("parallel replay recovered %d/%d reports, sequential %d/%d",
-			par.reports, par.meanReports, seq.reports, seq.meanReports)
+	if !bytes.Equal(gotFreq, wantFreq) {
+		t.Fatal("replayed frequency state diverges from the live state")
 	}
-	if !bytes.Equal(par.freq, seq.freq) {
-		t.Fatal("parallel replay's frequency state diverges from sequential replay")
-	}
-	if !bytes.Equal(par.mean, seq.mean) {
-		t.Fatal("parallel replay's mean state diverges from sequential replay")
+	if !bytes.Equal(gotMean, wantMean) {
+		t.Fatal("replayed mean state diverges from the live state")
 	}
 }

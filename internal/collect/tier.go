@@ -21,12 +21,13 @@ import (
 // write-ahead durability with compaction, clone-on-read behind the versioned
 // estimate cache, snapshot/restore/drain, federation merges and the four
 // HTTP endpoints. A large write is a table delta: a batch or frame folds
-// into a pooled table of its own, a federation envelope opens into one, and
-// commit logs the delta and adds it in (Table.Merge); a small write is
-// logged raw and folded straight into the table (see small). Every
-// whole-state operation is a table operation too: a read copies the table
-// (Table.Clone), and snapshot, restore, drain and WAL replay move the table
-// through the protocol's fingerprinted envelope. tier[W] is instantiated
+// into a pooled table of its own and commit logs the delta and adds it in
+// (Table.Merge), and a federation envelope is checked and added straight
+// from its bytes (Table.MergeChecked); a small write is logged raw and
+// folded straight into the table (see small). Every whole-state operation
+// is a table operation too: a read copies the table (Table.Clone), and
+// snapshot, restore, drain and WAL replay move the table through the
+// protocol's fingerprinted envelope. tier[W] is instantiated
 // once per report tier over its wire report type (the frequency tier in
 // collect.go, the numeric mean tier in mean.go); what a tier supplies is a
 // codec. The engine never asks which tier it serves: anything tier-specific
@@ -43,11 +44,12 @@ type codec[W any] interface {
 	// NewTable returns an empty table of the protocol's shape.
 	NewTable() state.Table
 	// AppendTable appends a table's fingerprinted envelope to dst;
-	// OpenTableInto is its validating inverse, and the one place the
+	// CheckEnvelope is its validating inverse, and the one place the
 	// protocol check lives: another protocol's envelope is
 	// core.ErrIncompatibleState, a corrupt envelope or an impossible table a
-	// plain error.
+	// plain error. OpenTableInto is CheckEnvelope into a table.
 	AppendTable(dst []byte, t *state.Table) []byte
+	CheckEnvelope(env []byte) (state.CheckedTable, error)
 	OpenTableInto(dst *state.Table, env []byte) error
 	// FoldChecked folds a frame validateBinary vouched for into a table,
 	// which cannot fail.
@@ -71,8 +73,9 @@ type codec[W any] interface {
 // counts behind one mutex. JSON decode, validation and the WAL append
 // happen before the lock. A large write also folds into a delta table and
 // is sealed before it, so the lock's work is Table.Merge of the delta, one
-// add per cell; a small write's fold is the lock's work instead, as cheap
-// as its few reports (see small). A read copies the table under it and
+// add per cell (a checked envelope's MergeChecked, for a /merge or a
+// replayed 'E' record); a small write's fold is the lock's work instead, as
+// cheap as its few reports (see small). A read copies the table under it and
 // calibrates and renders outside it.
 // The embedded durableLog's ingestMu orders writes (reader side) against
 // whole-state transitions — restore, drain, compaction (writer side) — so
@@ -99,9 +102,8 @@ type tier[W any] struct {
 	// mergeMu serializes federation merges from their headroom check to
 	// their add (see maxTierReports).
 	mergeMu sync.Mutex
-	// shape is acc's shape and cells its cell count; deltas pools the
-	// *delta tables and buffers of large writes and replayed records.
-	shape  state.Shape
+	// cells is acc's cell count; deltas pools the *delta tables and
+	// buffers of large writes and replayed raw records.
 	cells  int
 	deltas sync.Pool
 
@@ -127,7 +129,7 @@ func newTier[W any](s *Server, c codec[W], name, tag string) *tier[W] {
 		cache: newEstimateCache(s.cacheDisabled, s.cacheStaleReports, s.cacheStaleAge,
 			newCacheMetrics(s.obs, name)),
 	}
-	t.shape, t.cells = t.acc.Shape, len(t.acc.Cells)
+	t.cells = len(t.acc.Cells)
 	t.logger = s.logger.With("tier", name)
 	return t
 }
@@ -339,37 +341,32 @@ func (t *tier[W]) small(size int) bool { return size <= t.cells }
 // every lock.
 func (t *tier[W]) write(n int64, typ byte, raw []byte, size int, add func(*state.Table)) error {
 	if t.small(size) {
-		return t.commit(n, typ, raw, nil, add)
+		return t.commit(n, typ, raw, nil, func(acc *state.Table) error {
+			add(acc)
+			return nil
+		})
 	}
-	d := t.getDelta(true)
+	d := t.getDelta()
 	defer t.deltas.Put(d)
 	add(&d.tab)
-	return t.commit(n, typ, raw, d, nil)
+	return t.commit(n, typ, raw, d, func(acc *state.Table) error { return acc.Merge(&d.tab) })
 }
 
-// delta is one write or replayed record in flight: the table it folds or
-// decodes into outside every lock, and the buffer its sealed envelope is
-// appended to.
+// delta is one write or replayed raw record in flight: the table it folds
+// into outside every lock, and the buffer its sealed envelope is appended
+// to.
 type delta struct {
 	tab state.Table
 	env []byte
 }
 
-// getDelta returns a pooled delta of the tier's shape, emptied when zero is
-// set (a fold adds into it; a decode overwrites every cell).
-func (t *tier[W]) getDelta(zero bool) *delta {
+// getDelta returns an empty pooled delta of the tier's shape.
+func (t *tier[W]) getDelta() *delta {
 	d, _ := t.deltas.Get().(*delta)
 	if d == nil {
-		d = new(delta)
+		return &delta{tab: t.c.NewTable()}
 	}
-	// A decode of another shape may have resized the cells; a fresh
-	// allocation has exactly the tier's size, so this drops those.
-	if cap(d.tab.Cells) != t.cells {
-		d.tab.Cells = make([]int64, t.cells)
-	} else if d.tab.Cells = d.tab.Cells[:t.cells]; zero {
-		clear(d.tab.Cells)
-	}
-	d.tab.Shape, d.tab.N = t.shape, 0
+	d.tab.Reset(d.tab.Shape)
 	return d
 }
 
@@ -378,15 +375,15 @@ func (t *tier[W]) getDelta(zero bool) *delta {
 var errNoHeadroom = errors.New("collect: no headroom")
 
 // commit is the one way a served write of n reports reaches the table: a
-// headroom check (maxTierReports), then write-ahead logging, then the add
-// under mu. A large write arrives as the delta d, and the add is
-// Table.Merge, O(cells); the log takes the delta sealed as an 'E' record
-// when that is smaller than the raw record the write came from (typ, raw),
-// and raw otherwise. A small write (d nil) is logged raw and folded by add
-// under mu. An envelope (typ recEnvelope) is already a delta and is logged
-// as it came. A refused or unlogged write left no trace, so the caller may
-// retry it.
-func (t *tier[W]) commit(n int64, typ byte, raw []byte, d *delta, add func(*state.Table)) error {
+// headroom check (maxTierReports), then write-ahead logging, then add under
+// mu. A large write arrives as the delta d, and add is Table.Merge of it,
+// O(cells); the log takes the delta sealed as an 'E' record when that is
+// smaller than the raw record the write came from (typ, raw), and raw
+// otherwise. A small write (d nil) is logged raw and add folds it. An
+// envelope (typ recEnvelope, d nil) is already a delta: it is logged as it
+// came and add is its checked add. A refused or unlogged write left no
+// trace, so the caller may retry it.
+func (t *tier[W]) commit(n int64, typ byte, raw []byte, d *delta, add func(*state.Table) error) error {
 	t.ingestMu.RLock()
 	if held := t.total.Load(); n > maxTierReports-held {
 		t.ingestMu.RUnlock()
@@ -399,15 +396,7 @@ func (t *tier[W]) commit(n int64, typ byte, raw []byte, d *delta, add func(*stat
 			return fmt.Errorf("%w: %swal append: %v", errNotDurable, t.tag, err)
 		}
 	}
-	var (
-		wait time.Duration
-		err  error
-	)
-	if d != nil {
-		wait, err = t.mergeIn(&d.tab)
-	} else {
-		wait = t.foldIn(add)
-	}
+	wait, err := t.addIn(add)
 	t.ingestMu.RUnlock()
 	if err != nil {
 		return err
@@ -421,7 +410,7 @@ func (t *tier[W]) commit(n int64, typ byte, raw []byte, d *delta, add func(*stat
 // count is logged without sealing.
 func (t *tier[W]) logWrite(d *delta, typ byte, raw []byte) error {
 	logged := t.m.loggedRaw(typ)
-	if d != nil && typ != recEnvelope && len(raw) > t.cells {
+	if d != nil && len(raw) > t.cells {
 		if d.env = t.c.AppendTable(d.env[:0], &d.tab); len(d.env) < len(raw) {
 			typ, raw, logged = recEnvelope, d.env, t.m.loggedDelta
 		}
@@ -447,26 +436,17 @@ func (t *tier[W]) lock() (wait time.Duration) {
 	return wait
 }
 
-// mergeIn adds delta into the table. The total is stored under the lock,
+// addIn runs add on the table under mu: a delta's merge, an envelope's
+// checked add or a small write's fold. The total is stored under the lock,
 // so a swap cannot interleave between a write and its count.
-func (t *tier[W]) mergeIn(delta *state.Table) (time.Duration, error) {
+func (t *tier[W]) addIn(add func(*state.Table) error) (time.Duration, error) {
 	wait := t.lock()
 	defer t.mu.Unlock()
-	if err := t.acc.Merge(delta); err != nil {
+	if err := add(&t.acc); err != nil {
 		return wait, fmt.Errorf("collect: merge %sstate: %w", t.tag, err)
 	}
 	t.total.Store(t.acc.N)
 	return wait, nil
-}
-
-// foldIn is mergeIn for a small write: add folds its reports straight into
-// the table.
-func (t *tier[W]) foldIn(add func(*state.Table)) time.Duration {
-	wait := t.lock()
-	defer t.mu.Unlock()
-	add(&t.acc)
-	t.total.Store(t.acc.N)
-	return wait
 }
 
 // ---------------------------------------------------------------------------
@@ -572,26 +552,25 @@ func (t *tier[W]) drain() ([]byte, int, error) {
 // take over a century to fill at 10⁹ reports a second.
 const maxTierReports = 1 << 62
 
-// mergeDurable is the tier's half of MergeState: an envelope that opens
-// under this tier's protocol is committed like any other delta, returning
-// the reports it contributed.
+// mergeDurable is the tier's half of MergeState: an envelope that checks
+// under this tier's protocol is committed like any other delta, added
+// straight from its bytes, returning the reports it contributed.
 func (t *tier[W]) mergeDurable(env []byte) (int, error) {
-	d := t.getDelta(false)
-	defer t.deltas.Put(d)
-	if err := t.c.OpenTableInto(&d.tab, env); err != nil {
+	c, err := t.c.CheckEnvelope(env)
+	if err != nil {
 		return 0, err
 	}
-	if d.tab.N == 0 {
+	if c.N() == 0 {
 		return 0, nil
 	}
 	t.mergeMu.Lock()
-	err := t.commit(d.tab.N, recEnvelope, env, d, nil)
+	err = t.commit(c.N(), recEnvelope, env, nil, func(acc *state.Table) error { return acc.MergeChecked(c) })
 	t.mergeMu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	t.m.merged.Add(d.tab.N)
-	return int(d.tab.N), nil
+	t.m.merged.Add(c.N())
+	return int(c.N()), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -600,8 +579,7 @@ func (t *tier[W]) mergeDurable(env []byte) (int, error) {
 
 // openWAL opens the tier's log under <dir>/sub and replays it into the
 // (still unserved) table: the latest snapshot becomes the base state, the
-// record tail is re-ingested on top — across the configured replay workers,
-// since the records are commutative integer folds.
+// record tail is re-ingested on top.
 func (t *tier[W]) openWAL(s *Server, sub string) error {
 	return t.open(s, sub, t.name, true,
 		func() ([]byte, error) { return t.snapshot(), nil },
@@ -617,13 +595,12 @@ func (t *tier[W]) openWAL(s *Server, sub string) error {
 }
 
 // replayRecord adds the reports one WAL record logged into the table the
-// way the write that logged it did: an envelope is opened into a pooled
-// delta and merged, a raw record is folded straight in when small and into
-// a delta otherwise, so parallel replay workers fold in parallel and meet
-// only at the merge. Records were validated before they were written, so a
-// record that fails to decode means the log does not belong to this tier's
-// protocol configuration — an operator error worth failing loudly on, not
-// skipping.
+// way the write that logged it did: an envelope is checked and added
+// straight from the record's bytes, a raw record is folded straight in when
+// small and into a delta that is then merged otherwise. Records were
+// validated before they were written, so a record that fails to decode
+// means the log does not belong to this tier's protocol configuration — an
+// operator error worth failing loudly on, not skipping.
 func (t *tier[W]) replayRecord(rec []byte) error {
 	if len(rec) == 0 {
 		return fmt.Errorf("collect: empty %swal record", t.tag)
@@ -646,23 +623,25 @@ func (t *tier[W]) replayRecord(rec []byte) error {
 		}
 		add = func(tab *state.Table) { t.c.FoldChecked(tab, f) }
 	case recEnvelope:
-		d := t.getDelta(false)
-		defer t.deltas.Put(d)
-		if err := t.c.OpenTableInto(&d.tab, rec[1:]); err != nil {
+		c, err := t.c.CheckEnvelope(rec[1:])
+		if err != nil {
 			return fmt.Errorf("collect: %swal envelope record: %w", t.tag, err)
 		}
-		_, err := t.mergeIn(&d.tab)
+		_, err = t.addIn(func(acc *state.Table) error { return acc.MergeChecked(c) })
 		return err
 	default:
 		return fmt.Errorf("collect: unknown %swal record type %#x", t.tag, rec[0])
 	}
 	if t.small(len(rec) - 1) {
-		t.foldIn(add)
-		return nil
+		_, err := t.addIn(func(acc *state.Table) error {
+			add(acc)
+			return nil
+		})
+		return err
 	}
-	d := t.getDelta(true)
+	d := t.getDelta()
 	defer t.deltas.Put(d)
 	add(&d.tab)
-	_, err := t.mergeIn(&d.tab)
+	_, err := t.addIn(func(acc *state.Table) error { return acc.Merge(&d.tab) })
 	return err
 }

@@ -218,9 +218,9 @@ type hubSessionSnapshot struct {
 }
 
 // openWAL opens and replays the session log under <dir>/topk. Session
-// rounds are ordered (absorb order is the round order), so this log always
-// replays sequentially regardless of WithWALReplayWorkers. Replay absorbs
-// into the same planners the handlers then serve.
+// rounds are ordered (absorb order is the round order), so this log is not
+// commutative. Replay absorbs into the same planners the handlers then
+// serve.
 func (h *sessionHub) openWAL(s *Server) error {
 	return h.open(s, "topk", "topk", false, h.marshalSessions, h.installSnapshot, h.replayRecord)
 }

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -395,4 +397,77 @@ func ExampleServer_wal() {
 	fmt.Println("durable:", srv.freq.log != nil)
 	srv.Close()
 	// Output: durable: true
+}
+
+// TestWALTornBytesCounted: a byte flipped in the first record of a freq
+// log's first of two segments makes replay skip that whole segment as a
+// torn tail, and the skip is counted in mcim_wal_torn_bytes_total and
+// logged as one warning naming the segment, the offset and the bytes.
+func TestWALTornBytesCounted(t *testing.T) {
+	dir := t.TempDir()
+	var logs bytes.Buffer
+	open := func() *Server {
+		t.Helper()
+		logs.Reset()
+		srv, err := NewServer(mustProtocol(t, "ptscp", 3, 32, 2, 0.5), WithWAL(dir),
+			WithWALOptions(wal.Options{Sync: wal.SyncNever}), WithCompactAfter(1<<40),
+			WithLogger(slog.New(slog.NewTextHandler(&logs, nil))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	// Two runs, so two segments: 300 reports, then 150.
+	for run, frames := range []int{2, 1} {
+		srv := open()
+		for i := 0; i < frames; i++ {
+			frame, err := srv.proto.AppendBinaryBatch(nil, wireStream(t, srv.proto, 150, uint64(10*run+i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code := postBinary(srv, "/reports", frame); code != http.StatusOK {
+				t.Fatalf("frame answered %d", code)
+			}
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("want two segments, found %v (%v)", segs, err)
+	}
+	sort.Strings(segs)
+	first, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	first[8] ^= 0x01 // the first record's first payload byte
+	if err := os.WriteFile(segs[0], first, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := open()
+	defer srv.Close()
+	if got := srv.obs.Counter("mcim_wal_torn_bytes_total", "", "log", "freq").Value(); got != int64(len(first)) {
+		t.Fatalf("mcim_wal_torn_bytes_total = %d, want the first segment's %d bytes", got, len(first))
+	}
+	if got := srv.obs.Counter("mcim_wal_torn_truncations_total", "", "log", "freq").Value(); got != 1 {
+		t.Fatalf("mcim_wal_torn_truncations_total = %d, want 1", got)
+	}
+	var warnings []string
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		if strings.Contains(line, "level=WARN") {
+			warnings = append(warnings, line)
+		}
+	}
+	want := []string{"segment=" + segs[0], "offset=0", fmt.Sprintf("bytes=%d", len(first))}
+	if len(warnings) != 1 {
+		t.Fatalf("replay logged %d warnings, want one:\n%s", len(warnings), logs.String())
+	}
+	for _, w := range want {
+		if !strings.Contains(warnings[0], w) {
+			t.Fatalf("replay's warning %q does not name %q", warnings[0], w)
+		}
+	}
 }

@@ -14,7 +14,7 @@ import (
 // snapshots, and the edge→root /merge tier — so a payload can never be
 // restored into a protocol it does not match, which would decode cleanly
 // (the shapes often coincide) and then calibrate with the wrong
-// probabilities. Both report tiers open envelopes through openTable.
+// probabilities. Both report tiers open envelopes through checkEnvelope.
 
 // ErrIncompatibleState reports an envelope whose fingerprint does not match
 // the protocol trying to restore it. Callers distinguish it from plain
@@ -43,14 +43,20 @@ func (p *Protocol) AppendTable(dst []byte, t *state.Table) []byte {
 	return state.AppendTable(dst, p.fp, t)
 }
 
-// OpenTableInto decodes an envelope AppendTable wrote into dst, whose
-// cells it reuses (see state.DecodeTableInto), after verifying it belongs
-// to p before trusting a byte of the payload (see openTable); on error
-// dst's contents are unspecified.
-func (p *Protocol) OpenTableInto(dst *state.Table, env []byte) error {
-	return openTable(dst, env, p.fp, p.table, func(payload []byte) ([]byte, error) {
+// CheckEnvelope checks an envelope AppendTable wrote, after verifying it
+// belongs to p before trusting a byte of the payload (see checkEnvelope),
+// and returns its table to be added straight from the envelope's bytes
+// (state.Table.MergeChecked).
+func (p *Protocol) CheckEnvelope(env []byte) (state.CheckedTable, error) {
+	return checkEnvelope(env, p.fp, p.table, func(payload []byte) ([]byte, error) {
 		return upgradeFrequencyState(p, payload)
 	})
+}
+
+// OpenTableInto is CheckEnvelope into dst, whose cells it reuses when
+// they fit; on error dst is unchanged.
+func (p *Protocol) OpenTableInto(dst *state.Table, env []byte) error {
+	return openInto(dst, p.table, p.CheckEnvelope, env)
 }
 
 // MarshalAggregator is AppendTable over a's table. The aggregator must have
@@ -70,28 +76,41 @@ func (p *Protocol) UnmarshalAggregator(data []byte) (Aggregator, error) {
 	return &aggregator{p, t}, nil
 }
 
-// openTable is the one way into report-tier state from an envelope: the
-// envelope's CRC and framing are checked by internal/state, the fingerprint
-// must be fp exactly (ErrIncompatibleState otherwise), a payload written
-// before tables is rebuilt by upgrade (the one-version shim, legacy.go), and
-// the table decoded into dst must have the protocol's shape and keep its
-// invariants. Corrupt or adversarial inputs error; they never panic.
-func openTable(dst *state.Table, env []byte, fp string, shape state.Shape, upgrade func([]byte) ([]byte, error)) error {
+// checkEnvelope is the one way into report-tier state from an envelope:
+// the envelope's CRC and framing are checked by internal/state, the
+// fingerprint must be fp exactly (ErrIncompatibleState otherwise), a
+// payload written before tables is rebuilt by upgrade (the one-version
+// shim, legacy.go), and the table must have the protocol's shape and keep
+// its invariants (state.CheckTable). Corrupt or adversarial inputs error;
+// they never panic.
+func checkEnvelope(env []byte, fp string, shape state.Shape, upgrade func([]byte) ([]byte, error)) (state.CheckedTable, error) {
 	got, payload, err := state.DecodeView(env)
+	if err != nil {
+		return state.CheckedTable{}, err
+	}
+	if string(got) != fp {
+		return state.CheckedTable{}, fmt.Errorf("%w: envelope %q, protocol %q", ErrIncompatibleState, got, fp)
+	}
+	if payload, err = upgrade(payload); err != nil {
+		return state.CheckedTable{}, err
+	}
+	c, err := state.CheckTable(payload)
+	if err != nil {
+		return state.CheckedTable{}, err
+	}
+	if c.Shape() != shape {
+		return state.CheckedTable{}, fmt.Errorf("state: table is %v, want %v", c.Shape(), shape)
+	}
+	return c, nil
+}
+
+// openInto is OpenTableInto for a protocol of shape whose envelope check
+// is check: the checked table added into dst emptied.
+func openInto(dst *state.Table, shape state.Shape, check func([]byte) (state.CheckedTable, error), env []byte) error {
+	c, err := check(env)
 	if err != nil {
 		return err
 	}
-	if string(got) != fp {
-		return fmt.Errorf("%w: envelope %q, protocol %q", ErrIncompatibleState, got, fp)
-	}
-	if payload, err = upgrade(payload); err != nil {
-		return err
-	}
-	if err := state.DecodeTableInto(dst, payload); err != nil {
-		return err
-	}
-	if dst.Shape != shape {
-		return fmt.Errorf("state: table is %v, want %v", dst.Shape, shape)
-	}
-	return nil
+	dst.Reset(shape)
+	return dst.MergeChecked(c)
 }

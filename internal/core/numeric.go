@@ -171,15 +171,21 @@ func (p *NumericProtocol) AppendTable(dst []byte, t *state.Table) []byte {
 	return state.AppendTable(dst, p.fp, t)
 }
 
-// OpenTableInto decodes an envelope AppendTable wrote into dst, whose
-// cells it reuses (see state.DecodeTableInto), after verifying it belongs
-// to p before trusting a byte of the payload (see openTable); state from
-// before count tables is read through the shim in legacy.go. On error dst's
-// contents are unspecified.
-func (p *NumericProtocol) OpenTableInto(dst *state.Table, env []byte) error {
-	return openTable(dst, env, p.fp, p.halves.Shape(), func(payload []byte) ([]byte, error) {
+// CheckEnvelope checks an envelope AppendTable wrote, after verifying it
+// belongs to p before trusting a byte of the payload (see checkEnvelope);
+// state from before count tables is read through the shim in legacy.go.
+// The table is added straight from the envelope's bytes
+// (state.Table.MergeChecked).
+func (p *NumericProtocol) CheckEnvelope(env []byte) (state.CheckedTable, error) {
+	return checkEnvelope(env, p.fp, p.halves.Shape(), func(payload []byte) ([]byte, error) {
 		return upgradeMeanState(p, payload)
 	})
+}
+
+// OpenTableInto is CheckEnvelope into dst, whose cells it reuses when
+// they fit; on error dst is unchanged.
+func (p *NumericProtocol) OpenTableInto(dst *state.Table, env []byte) error {
+	return openInto(dst, p.halves.Shape(), p.CheckEnvelope, env)
 }
 
 // MarshalAggregator serializes a's state into a versioned envelope

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -169,68 +170,298 @@ func DecodeTable(data []byte) (Table, error) {
 
 // DecodeTableInto is DecodeTable into dst, whose cells it reuses when
 // their capacity allows: it accepts exactly the inputs DecodeTable accepts
-// and leaves dst equal to the table DecodeTable returns. Whatever dst
-// held before is overwritten; on error its contents are unspecified.
+// and leaves dst equal to the table DecodeTable returns. Whatever dst held
+// before is overwritten; on error dst is unchanged.
 func DecodeTableInto(dst *Table, data []byte) error {
+	c, err := CheckTable(data)
+	if err != nil {
+		return err
+	}
+	dst.Reset(c.shape)
+	return dst.MergeChecked(c)
+}
+
+// Reset makes t an empty table of shape s, reusing its cells when their
+// capacity allows.
+func (t *Table) Reset(s Shape) {
+	size := s.Routes + s.Rows*s.Cols
+	if t.Cells == nil || cap(t.Cells) < size {
+		t.Cells = make([]int64, size)
+	} else {
+		t.Cells = t.Cells[:size]
+		clear(t.Cells)
+	}
+	t.Shape, t.N = s, 0
+}
+
+// CheckedTable is an encoded table CheckTable vouched for. It aliases the
+// bytes it was checked from, which must not change before it is merged.
+// The zero value is the empty table of the zero shape.
+type CheckedTable struct {
+	shape Shape
+	n     int64
+	cells []byte
+}
+
+// Shape is the checked table's shape.
+func (c CheckedTable) Shape() Shape { return c.shape }
+
+// N is the number of reports the checked table counts.
+func (c CheckedTable) N() int64 { return c.n }
+
+// Eight one-byte cells read as one little-endian word: lanesHigh holds each
+// lane's continuation bit, lanesLow a one in each lane. Four two-byte cells
+// read the same way carry the continuation bits pairsCont; pairs moves
+// their values into 16-bit lanes, whose top bits are pairsHigh and whose
+// ones are pairsLow.
+const (
+	lanesHigh = 0x8080808080808080
+	lanesLow  = 0x0101010101010101
+	pairsCont = 0x0080008000800080
+	pairsHigh = 0x8000800080008000
+	pairsLow  = 0x0001000100010001
+	pairs7f   = 0x007f007f007f007f
+)
+
+// CheckTable walks an encoded table once and enforces everything
+// DecodeTable does — tag and header, minimal varints, the invariants of
+// the table's shape, no trailing bytes — without storing a cell, so the
+// table can then be added straight from its bytes (MergeChecked). It never
+// panics.
+func CheckTable(data []byte) (CheckedTable, error) {
 	if len(data) == 0 || data[0] != tableTag {
-		return fmt.Errorf("state: not a count table")
+		return CheckedTable{}, fmt.Errorf("state: not a count table")
 	}
 	rest := data[1:]
 	var head [5]int64
 	for i := range head {
 		if head[i], rest = uvarint(rest); head[i] < 0 {
-			return fmt.Errorf("state: table header truncated or malformed")
+			return CheckedTable{}, fmt.Errorf("state: table header truncated or malformed")
 		}
 	}
 	oneHot, routes, rows, cols, n := head[0], head[1], head[2], head[3], head[4]
-	// Every cell costs at least one byte, which bounds the allocation by
-	// the input before anything is allocated.
+	// Every cell costs at least one byte, which bounds the walk by the
+	// input.
 	left := int64(len(rest))
 	switch {
 	case oneHot > 1:
-		return fmt.Errorf("state: table flag %d", oneHot)
+		return CheckedTable{}, fmt.Errorf("state: table flag %d", oneHot)
 	case routes != 0 && routes != rows:
-		return fmt.Errorf("state: table has %d route counts for %d rows", routes, rows)
+		return CheckedTable{}, fmt.Errorf("state: table has %d route counts for %d rows", routes, rows)
 	case rows > left || cols > left || routes+rows*cols > left:
-		return fmt.Errorf("state: table of %d+%d×%d cells in %d bytes", routes, rows, cols, left)
+		return CheckedTable{}, fmt.Errorf("state: table of %d+%d×%d cells in %d bytes", routes, rows, cols, left)
 	}
-	dst.Shape = Shape{Routes: int(routes), Rows: int(rows), Cols: int(cols), OneHot: oneHot == 1}
-	dst.N = n
-	size := int(routes + rows*cols)
-	if dst.Cells == nil || cap(dst.Cells) < size {
-		dst.Cells = make([]int64, size)
+	c := CheckedTable{shape: Shape{Routes: int(routes), Rows: int(rows), Cols: int(cols), OneHot: oneHot == 1}, n: n, cells: rest}
+	// The route counts sum to N; a second cursor reads them back, one a
+	// row, as the rows are walked.
+	unrouted, routeCounts := n, rest
+	for i := 0; i < c.shape.Routes; i++ {
+		var route int64
+		if route, rest = uvarint(rest); route < 0 {
+			return CheckedTable{}, fmt.Errorf("state: table cell %d truncated or malformed", i)
+		}
+		if route > unrouted {
+			return CheckedTable{}, fmt.Errorf("state: route counts exceed %d reports", n)
+		}
+		unrouted -= route
 	}
-	cells := dst.Cells[:size]
-	dst.Cells = cells
-	for i := 0; i < len(cells); {
-		// Eight one-byte cells at a time: no byte of the word carries a
-		// continuation bit.
-		if len(rest) >= 8 && len(cells)-i >= 8 {
-			if w := binary.LittleEndian.Uint64(rest); w&0x8080808080808080 == 0 {
-				c := cells[i : i+8 : i+8]
-				c[0], c[1], c[2], c[3] = int64(w&0x7f), int64(w>>8&0x7f), int64(w>>16&0x7f), int64(w>>24&0x7f)
-				c[4], c[5], c[6], c[7] = int64(w>>32&0x7f), int64(w>>40&0x7f), int64(w>>48&0x7f), int64(w>>56)
-				rest, i = rest[8:], i+8
-				continue
+	if c.shape.Routes > 0 && unrouted != 0 {
+		return CheckedTable{}, fmt.Errorf("state: route counts sum to %d, not %d reports", n-unrouted, n)
+	}
+	for r := 0; r < c.shape.Rows; r++ {
+		route := n
+		if c.shape.Routes > 0 {
+			route, routeCounts = uvarint(routeCounts)
+		}
+		var err error
+		if rest, err = c.shape.checkRow(rest, r, route); err != nil {
+			return CheckedTable{}, err
+		}
+	}
+	if len(rest) != 0 {
+		return CheckedTable{}, fmt.Errorf("state: %d bytes after the table", len(rest))
+	}
+	return c, nil
+}
+
+// checkRow walks row r, whose route counts route reports, from the front
+// of b and returns the bytes after it. A word of eight one-byte cells, or
+// of four two-byte ones, is checked at once: a one-hot row subtracts the
+// word's lane sum from what is left of its route, and any other row tests
+// every lane against the route with one subtraction, unless no cell of
+// that width can exceed the route (0x7f for one byte, 0x3fff for two). A
+// word that fails goes through the cell at a time path, which names the
+// cell at fault; that path too decodes a cell from the loaded word when it
+// can (varint).
+func (s Shape) checkRow(b []byte, r int, route int64) ([]byte, error) {
+	// Lane i of limit−w keeps its high bit exactly when w's lane i is at
+	// most route; no lane borrows from the next.
+	left, limit, limit2 := route, uint64(0), uint64(0)
+	if route < 0x7f {
+		limit = uint64(route)*lanesLow | lanesHigh
+	}
+	if route < 0x3fff {
+		limit2 = uint64(route)*pairsLow | pairsHigh
+	}
+	for i := 0; i < s.Cols; {
+		c := int64(-1)
+		if len(b) >= 8 {
+			w := binary.LittleEndian.Uint64(b)
+			if s.Cols-i >= 8 && w&lanesHigh == 0 {
+				if s.OneHot {
+					if sum := laneSum(w); sum <= left {
+						left -= sum
+						b, i = b[8:], i+8
+						continue
+					}
+				} else if route >= 0x7f || (limit-w)&lanesHigh == lanesHigh {
+					b, i = b[8:], i+8
+					continue
+				}
+			} else if v, ok := pairs(w); ok && s.Cols-i >= 4 {
+				if s.OneHot {
+					if sum := int64(v * pairsLow >> 48); sum <= left {
+						left -= sum
+						b, i = b[8:], i+4
+						continue
+					}
+				} else if route >= 0x3fff || (limit2-v)&pairsHigh == pairsHigh {
+					b, i = b[8:], i+4
+					continue
+				}
+			}
+			if v, n := varint(w); n > 0 {
+				c, b = int64(v), b[n:]
 			}
 		}
-		if cells[i], rest = uvarint(rest); cells[i] < 0 {
-			return fmt.Errorf("state: table cell %d truncated or malformed", i)
+		if c < 0 {
+			if c, b = uvarint(b); c < 0 {
+				return nil, fmt.Errorf("state: table cell %d truncated or malformed", s.Routes+r*s.Cols+i)
+			}
+		}
+		switch {
+		case s.OneHot && c > left:
+			return nil, fmt.Errorf("state: one-hot row %d exceeds %d reports", r, route)
+		case s.OneHot:
+			left -= c
+		case c > route:
+			return nil, fmt.Errorf("state: row %d cell %d counts %d of its %d reports", r, i, c, route)
 		}
 		i++
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("state: %d bytes after the table", len(rest))
+	if s.OneHot && left != 0 {
+		return nil, fmt.Errorf("state: one-hot row %d sums to %d, not %d reports", r, route-left, route)
 	}
-	return dst.Check()
+	return b, nil
+}
+
+// laneSum is the sum of w's eight byte lanes, each below 0x80.
+func laneSum(w uint64) int64 {
+	w = w&0x00ff00ff00ff00ff + w>>8&0x00ff00ff00ff00ff // four 16-bit lanes
+	return int64(w * pairsLow >> 48)
+}
+
+// pairs reads w as four minimal two-byte cells and returns their values,
+// one in each 16-bit lane; ok is false when w is not four such cells.
+func pairs(w uint64) (v uint64, ok bool) {
+	hi := w >> 8 & pairs7f
+	// hi+0x7f reaches a lane's 0x80 bit exactly when the lane's second
+	// byte is not zero, which a minimal two-byte varint requires.
+	return w&pairs7f | hi<<7, w&lanesHigh == pairsCont && (hi+pairs7f)&pairsCont == pairsCont
+}
+
+// MergeChecked adds the table c vouches for into t. It refuses a shape
+// mismatch or a report count that would overflow before touching t, and
+// then cannot fail: no cell of a valid table exceeds its N, so N bounds
+// every sum. Eight one-byte cells, or four two-byte ones, are added per
+// 64-bit load.
+func (t *Table) MergeChecked(c CheckedTable) error {
+	if c.shape != t.Shape {
+		return fmt.Errorf("state: cannot merge a %v table into a %v one", c.shape, t.Shape)
+	}
+	if c.n > math.MaxInt64-t.N {
+		return fmt.Errorf("state: merge overflows the report count (%d + %d)", t.N, c.n)
+	}
+	t.N += c.n
+	cells, b := t.Cells[:c.shape.Routes+c.shape.Rows*c.shape.Cols], c.cells
+	for i := 0; i < len(cells); {
+		if len(b) >= 8 {
+			w := binary.LittleEndian.Uint64(b)
+			if len(cells)-i >= 8 && w&lanesHigh == 0 {
+				d := cells[i : i+8 : i+8]
+				d[0] += int64(w & 0x7f)
+				d[1] += int64(w >> 8 & 0x7f)
+				d[2] += int64(w >> 16 & 0x7f)
+				d[3] += int64(w >> 24 & 0x7f)
+				d[4] += int64(w >> 32 & 0x7f)
+				d[5] += int64(w >> 40 & 0x7f)
+				d[6] += int64(w >> 48 & 0x7f)
+				d[7] += int64(w >> 56)
+				b, i = b[8:], i+8
+				continue
+			}
+			if v, ok := pairs(w); ok && len(cells)-i >= 4 {
+				d := cells[i : i+4 : i+4]
+				d[0] += int64(v & 0xffff)
+				d[1] += int64(v >> 16 & 0xffff)
+				d[2] += int64(v >> 32 & 0xffff)
+				d[3] += int64(v >> 48)
+				b, i = b[8:], i+4
+				continue
+			}
+			if v, n := varint(w); n > 0 {
+				cells[i] += int64(v)
+				b, i = b[n:], i+1
+				continue
+			}
+		}
+		var v int64
+		v, b = uvarint(b)
+		cells[i] += v
+		i++
+	}
+	return nil
+}
+
+// varint decodes a minimal varint of up to three bytes from the front of
+// w, eight bytes read little-endian: its value and its length in bytes,
+// or a length of 0 for anything else (uvarint then decides). It branches
+// on the length rather than computing it, so a run of cells of one width
+// decodes on predicted branches instead of waiting, cell after cell, for
+// the previous one's length.
+func varint(w uint64) (uint64, int) {
+	switch {
+	case w&0x80 == 0:
+		return w & 0x7f, 1
+	case w&0x8080 == 0x80 && w&0x7f00 != 0:
+		return w&0x7f | w>>1&0x3f80, 2
+	case w&0x808080 == 0x8080 && w&0x7f0000 != 0:
+		return w&0x7f | w>>1&0x3f80 | w>>2&0x1fc000, 3
+	}
+	return 0, 0
 }
 
 // uvarint decodes one minimal uvarint that fits an int64 from the front of
 // b and returns it with the bytes after it, or -1 for a truncated,
-// non-minimal or oversized one.
+// non-minimal or oversized one. One of up to eight bytes with eight bytes
+// to read is decoded from one load: the first byte without a continuation
+// bit ends it, and its 7-bit groups are gathered in place — pairs of
+// groups, then pairs of pairs, then the two halves.
 func uvarint(b []byte) (int64, []byte) {
 	if len(b) > 0 && b[0] < 0x80 {
 		return int64(b[0]), b[1:]
+	}
+	if len(b) >= 8 {
+		w := binary.LittleEndian.Uint64(b)
+		if n := bits.TrailingZeros64(^w&lanesHigh)>>3 + 1; n <= 8 {
+			if b[n-1] == 0 {
+				return -1, nil
+			}
+			w &= ^uint64(0) >> (64 - 8*n)
+			w = w&0x007f007f007f007f | w>>1&0x3f803f803f803f80
+			w = w&0x00003fff00003fff | w>>2&0x0fffc0000fffc000
+			return int64(w&0x0fffffff | w>>4&0x00fffffff0000000), b[n:]
+		}
 	}
 	v, n := binary.Uvarint(b)
 	if n <= 0 || n > 1 && b[n-1] == 0 || v > math.MaxInt64 {

@@ -3,6 +3,7 @@ package state
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"reflect"
 	"slices"
@@ -173,9 +174,141 @@ func TestDecodeTableIntoReuses(t *testing.T) {
 	}
 }
 
-// FuzzDecodeTable: on any input, DecodeTableInto into a dirty, reused
-// table accepts exactly what DecodeTable accepts and yields the same table,
-// and every accepted input re-encodes to itself through AppendBinary.
+// decodeFieldwise is the reference the codec is fuzzed against: the
+// encoding read one field at a time, then Table.Check.
+func decodeFieldwise(data []byte) (Table, error) {
+	if len(data) == 0 || data[0] != tableTag {
+		return Table{}, errors.New("not a table")
+	}
+	data = data[1:]
+	next := func() (int64, bool) {
+		v, n := binary.Uvarint(data)
+		if n <= 0 || n > 1 && data[n-1] == 0 || v > math.MaxInt64 {
+			return 0, false
+		}
+		data = data[n:]
+		return int64(v), true
+	}
+	var head [5]int64
+	for i := range head {
+		var ok bool
+		if head[i], ok = next(); !ok {
+			return Table{}, errors.New("bad header")
+		}
+	}
+	oneHot, routes, rows, cols, left := head[0], head[1], head[2], head[3], int64(len(data))
+	if oneHot > 1 || routes != 0 && routes != rows || rows > left || cols > left || routes+rows*cols > left {
+		return Table{}, errors.New("bad shape")
+	}
+	tab := NewTable(Shape{Routes: int(routes), Rows: int(rows), Cols: int(cols), OneHot: oneHot == 1})
+	tab.N = head[4]
+	for i := range tab.Cells {
+		var ok bool
+		if tab.Cells[i], ok = next(); !ok {
+			return Table{}, errors.New("bad cell")
+		}
+	}
+	if len(data) != 0 {
+		return Table{}, errors.New("trailing bytes")
+	}
+	return tab, tab.Check()
+}
+
+func tablesEqual(a, b Table) bool {
+	return a.Shape == b.Shape && a.N == b.N && slices.Equal(a.Cells, b.Cells)
+}
+
+// checkedAddSeeds are tables, most of them one cell from valid, at the
+// edges of CheckTable's word at a time walk.
+func checkedAddSeeds() []Table {
+	var seeds []Table
+	// A two-byte cell across the first word of the cells.
+	straddle := NewTable(Shape{Rows: 1, Cols: 16})
+	straddle.N = 300
+	for i := range straddle.Cells {
+		straddle.Cells[i] = 1
+	}
+	straddle.Cells[7] = 300
+	seeds = append(seeds, straddle)
+	// A cell one above its route, in each lane of a word.
+	for lane := 0; lane < 8; lane++ {
+		tab := NewTable(Shape{Routes: 2, Rows: 2, Cols: 9})
+		tab.N, tab.Cells[0], tab.Cells[1] = 30, 10, 20
+		tab.Row(0)[lane] = 11
+		seeds = append(seeds, tab)
+	}
+	// Routes at the one-byte cell's bound, each row filled with 127s (126
+	// is one short of holding them) and a row of 126s.
+	for _, route := range []int64{126, 127, 128} {
+		tab := NewTable(Shape{Routes: 1, Rows: 1, Cols: 8})
+		tab.N, tab.Cells[0] = route, route
+		for i := range tab.Row(0) {
+			tab.Row(0)[i] = 127
+		}
+		seeds = append(seeds, tab)
+	}
+	fits := NewTable(Shape{Routes: 1, Rows: 1, Cols: 8})
+	fits.N, fits.Cells[0] = 126, 126
+	for i := range fits.Row(0) {
+		fits.Row(0)[i] = 126
+	}
+	seeds = append(seeds, fits)
+	// Rows of five cells, so a word of cells spans two rows whose routes
+	// differ: valid, then the short route's last cell one too many.
+	for _, last := range []int64{3, 4} {
+		tab := NewTable(Shape{Routes: 2, Rows: 2, Cols: 5})
+		tab.N, tab.Cells[0], tab.Cells[1] = 103, 3, 100
+		copy(tab.Cells[2:], []int64{0, 1, 2, 3, last, 100, 99, 50, 7, 100})
+		seeds = append(seeds, tab)
+	}
+	// A one-hot row one report short of its route.
+	short := NewTable(Shape{Routes: 2, Rows: 2, Cols: 8, OneHot: true})
+	short.N, short.Cells[0], short.Cells[1] = 25, 10, 15
+	copy(short.Row(0), []int64{1, 1, 1, 1, 1, 1, 1, 2})
+	copy(short.Row(1), []int64{0, 0, 0, 15, 0, 0, 0, 0})
+	seeds = append(seeds, short)
+	// Two-byte cells, four to a word: one above its route in each lane,
+	// then routes at the two-byte cell's bound, filled with 16,383s.
+	for lane := 0; lane < 4; lane++ {
+		tab := NewTable(Shape{Routes: 2, Rows: 2, Cols: 8})
+		tab.N, tab.Cells[0], tab.Cells[1] = 20300, 300, 20000
+		for i := range tab.Cells[2:] {
+			tab.Cells[2+i] = 128 + int64(i)
+		}
+		tab.Row(0)[lane] = 301
+		seeds = append(seeds, tab)
+	}
+	for _, route := range []int64{16382, 16383, 16384} {
+		tab := NewTable(Shape{Rows: 1, Cols: 4})
+		tab.N = route
+		for i := range tab.Cells {
+			tab.Cells[i] = 16383
+		}
+		seeds = append(seeds, tab)
+	}
+	// One-hot rows of two-byte cells: exact, then one short.
+	for _, last := range []int64{250, 249} {
+		tab := NewTable(Shape{Routes: 1, Rows: 1, Cols: 4, OneHot: true})
+		tab.N, tab.Cells[0] = 1000, 1000
+		copy(tab.Row(0), []int64{250, 250, 250, last})
+		seeds = append(seeds, tab)
+	}
+	// A report count that no non-empty table can take on.
+	full := NewTable(Shape{Rows: 1, Cols: 8})
+	full.N = math.MaxInt64
+	for i := range full.Cells {
+		full.Cells[i] = int64(i)
+	}
+	return append(seeds, full)
+}
+
+// FuzzDecodeTable: on any input, DecodeTable, DecodeTableInto into a
+// dirty, reused table and CheckTable accept exactly what the field at a
+// time reference accepts; DecodeTableInto yields DecodeTable's table and
+// leaves its destination untouched when it refuses; every accepted input
+// re-encodes to itself through AppendBinary; and MergeChecked of the
+// checked input into a table already holding counts equals Merge of the
+// decoded table, leaving the table bit-identical when it refuses.
 func FuzzDecodeTable(f *testing.F) {
 	onehot := NewTable(Shape{Routes: 2, Rows: 2, Cols: 2, OneHot: true})
 	onehot.N = 5
@@ -189,26 +322,66 @@ func FuzzDecodeTable(f *testing.F) {
 	}
 	f.Add([]byte{tableTag, 0, 0, 1, 9, 0x80, 0x01, 0x80, 0x01, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte("not a table"))
+	for _, tab := range checkedAddSeeds() {
+		f.Add(mustMarshal(f, tab))
+	}
+	// Four two-byte cells in a word, the last a non-minimal zero.
+	f.Add([]byte{tableTag, 0, 0, 1, 4, 0xac, 0x02, 0x80, 0x01, 0x80, 0x01, 0x80, 0x01, 0x80, 0x00})
+	// Cells of two to nine bytes with eight or more bytes behind them,
+	// then non-minimal two-, three- and four-byte zeros.
+	long := NewTable(Shape{Rows: 1, Cols: 9})
+	long.N = math.MaxInt64
+	copy(long.Cells, []int64{1 << 14, 1<<21 - 1, 1<<14 - 1, 5, 1 << 21, 1 << 49, 1<<56 - 1, 1 << 56, 1})
+	f.Add(mustMarshal(f, long))
+	f.Add([]byte{tableTag, 0, 0, 1, 10, 0xac, 0x02, 0x80, 0x00, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{tableTag, 0, 0, 1, 10, 0xac, 0x02, 0x80, 0x80, 0x00, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{tableTag, 0, 0, 1, 10, 0xac, 0x02, 0x80, 0x80, 0x80, 0x00, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	reused := deltaTable(20)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		ref, rerr := decodeFieldwise(data)
 		want, werr := DecodeTable(data)
+		checked, cerr := CheckTable(data)
+		if (rerr == nil) != (werr == nil) || (werr == nil) != (cerr == nil) {
+			t.Fatalf("reference err %v, DecodeTable err %v, CheckTable err %v", rerr, werr, cerr)
+		}
 		// Dirty the reused table so stale cells cannot pass for decoded ones.
 		for i := range reused.Cells {
 			reused.Cells[i] = -7
 		}
 		reused.Shape, reused.N = Shape{Routes: 1, Rows: 1, Cols: 1}, -1
-		gerr := DecodeTableInto(&reused, data)
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("DecodeTable err %v, DecodeTableInto err %v", werr, gerr)
+		dirty := reused.Clone()
+		if err := DecodeTableInto(&reused, data); (err == nil) != (werr == nil) {
+			t.Fatalf("DecodeTable err %v, DecodeTableInto err %v", werr, err)
+		} else if err != nil && !tablesEqual(reused, dirty) {
+			t.Fatal("a refused DecodeTableInto changed its destination")
 		}
 		if werr != nil {
 			return
 		}
-		if reused.Shape != want.Shape || reused.N != want.N || !slices.Equal(reused.Cells, want.Cells) {
+		if !tablesEqual(want, ref) {
+			t.Fatalf("DecodeTable yields %v N=%d, the reference %v N=%d", want.Shape, want.N, ref.Shape, ref.N)
+		}
+		if !tablesEqual(reused, want) {
 			t.Fatalf("DecodeTableInto yields %v N=%d, DecodeTable %v N=%d", reused.Shape, reused.N, want.Shape, want.N)
 		}
 		if got, _ := want.AppendBinary(nil); !bytes.Equal(got, data) {
 			t.Fatalf("accepted input re-encodes to % x, not % x", got, data)
+		}
+		if checked.Shape() != want.Shape || checked.N() != want.N {
+			t.Fatalf("CheckTable vouches for %v N=%d, DecodeTable yields %v N=%d", checked.Shape(), checked.N(), want.Shape, want.N)
+		}
+		for _, pre := range []Table{want.Clone(), deltaTable(3)} {
+			merged, added := pre.Clone(), pre.Clone()
+			merr := merged.Merge(&want)
+			if aerr := added.MergeChecked(checked); (merr == nil) != (aerr == nil) {
+				t.Fatalf("Merge err %v, MergeChecked err %v", merr, aerr)
+			} else if aerr != nil {
+				if !tablesEqual(added, pre) {
+					t.Fatal("a refused MergeChecked changed the table")
+				}
+			} else if !tablesEqual(added, merged) {
+				t.Fatal("MergeChecked departs from Merge of the decoded table")
+			}
 		}
 	})
 }
@@ -231,8 +404,9 @@ func deltaTable(cols int) Table {
 }
 
 // BenchmarkTableCodec is the delta's codec, one table per op: the append a
-// logged write pays, the decode into reused cells a replayed record pays,
-// and the merge under the tier's lock that both end in.
+// logged write pays, the decode into reused cells a restored snapshot pays,
+// the merge under the tier's lock a write ends in, and the checked add
+// straight from the bytes a replayed record or a /merge envelope pays.
 func BenchmarkTableCodec(b *testing.B) {
 	tab := deltaTable(1000)
 	blob := mustMarshal(b, tab)
@@ -259,6 +433,20 @@ func BenchmarkTableCodec(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			if err := acc.Merge(&tab); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("check+merge", func(b *testing.B) {
+		acc := NewTable(tab.Shape)
+		b.ReportAllocs()
+		b.SetBytes(int64(len(blob)))
+		for b.Loop() {
+			c, err := CheckTable(blob)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := acc.MergeChecked(c); err != nil {
 				b.Fatal(err)
 			}
 		}

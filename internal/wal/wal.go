@@ -15,7 +15,8 @@
 // Each record is framed as len[u32] crc32c[u32] payload, little-endian.
 // Replay verifies every frame; a short or corrupt frame ends that segment's
 // replay — the normal signature of a torn write at crash — and replay
-// continues with the next segment. Every Open starts a fresh segment, so an
+// continues with the next segment; the bytes it skipped are counted
+// (Metrics.TornBytes) and logged. Every Open starts a fresh segment, so an
 // appender never writes after a torn tail, and deletes the empty segments
 // earlier runs left behind.
 //
@@ -44,6 +45,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -93,6 +95,9 @@ type Options struct {
 	// Metrics, when non-nil, receives operational counts. The log never
 	// blocks on it; every field is optional.
 	Metrics *Metrics
+	// Logger receives replay's warnings (a segment's bytes skipped after a
+	// torn or corrupt frame); nil means slog.Default().
+	Logger *slog.Logger
 	// Commutative is the owner's declaration that its records may be applied
 	// in any order and that replay tolerates a gap — the declaration
 	// ReplayParallel already requires. Under SyncInterval and SyncNever such
@@ -145,7 +150,9 @@ type Metrics struct {
 	Seals Adder
 	// TornTruncations counts torn tails handled: failed writes clipped from
 	// the active segment, and corrupt frames that ended a segment's replay.
+	// TornBytes counts the segment bytes such a frame made replay skip.
 	TornTruncations Adder
+	TornBytes       Adder
 	// ReplayedRecords counts intact records fed to Replay's onRecord;
 	// ReplayedBytes counts their framed size.
 	ReplayedRecords Adder
@@ -198,9 +205,12 @@ func (m *Metrics) noteSeal() {
 	}
 }
 
-func (m *Metrics) noteTorn() {
+// noteTorn counts one torn tail whose frame made replay skip skipped
+// bytes (0 for a write clipped from the active segment).
+func (m *Metrics) noteTorn(skipped int64) {
 	if m != nil {
 		add(m.TornTruncations, 1)
+		add(m.TornBytes, skipped)
 	}
 }
 
@@ -661,7 +671,7 @@ func (l *Log) appendLocked(head, payload []byte, frameLen int64) error {
 // and reseek, so the failed record cannot replay. If even that fails, the
 // segment is marked torn and the next Append rolls past it.
 func (l *Log) clipActive() {
-	l.opts.Metrics.noteTorn()
+	l.opts.Metrics.noteTorn(0)
 	if l.active.Truncate(l.activeBytes) == nil {
 		if _, err := l.active.Seek(l.activeBytes, 0); err == nil {
 			return
@@ -845,6 +855,7 @@ func (l *Log) replay(workers int, onSnapshot, onRecord func([]byte) error) (err 
 			}
 		}()
 		defer m.recoverFault(&err)
+		size := len(data)
 		for len(data) >= 8 {
 			n := binary.LittleEndian.Uint32(data[:4])
 			if uint64(n) > MaxRecordBytes || uint64(n) > uint64(len(data)-8) {
@@ -866,7 +877,13 @@ func (l *Log) replay(workers int, onSnapshot, onRecord func([]byte) error) (err 
 		// Bytes left after the intact prefix — a frame that failed a check
 		// above, or the 1–7 bytes of a torn header — are a torn write at crash.
 		if len(data) > 0 {
-			l.opts.Metrics.noteTorn()
+			l.opts.Metrics.noteTorn(int64(len(data)))
+			logger := l.opts.Logger
+			if logger == nil {
+				logger = slog.Default()
+			}
+			logger.Warn("wal replay skipped the rest of a segment after a torn or corrupt frame",
+				"segment", path, "offset", size-len(data), "bytes", len(data))
 		}
 		return nil
 	}

@@ -110,9 +110,9 @@ func BenchmarkEstimateRead(b *testing.B) {
 // copy of it cold — NewServer replays snapshot + tail into the aggregate —
 // and verifies the recovered report count. Each open seals one more
 // (empty) active segment into the directory it runs on, so iterations
-// replay a per-iteration clone rather than mutating the shared fixture
-// and skewing whichever sub-benchmark runs later. sequential pins
-// WithWALReplayWorkers(1); parallel uses the GOMAXPROCS default.
+// replay a per-iteration clone rather than mutating the shared fixture and
+// skewing the iterations after it. Replay is sequential; the sub-benchmark
+// keeps its name so its BENCH_ingest.json row still compares.
 func BenchmarkWALReplay(b *testing.B) {
 	const fixtureBatches = 64
 	fixtureDir := b.TempDir()
@@ -155,15 +155,13 @@ func BenchmarkWALReplay(b *testing.B) {
 		return dir
 	}
 
-	replay := func(b *testing.B, workers int) {
-		b.Helper()
+	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			dir := cloneFixture(b)
 			b.StartTimer()
 			srv, err := collect.NewServer(benchProtocol(b),
-				collect.WithWAL(dir), walOpts, collect.WithCompactAfter(1<<40),
-				collect.WithWALReplayWorkers(workers))
+				collect.WithWAL(dir), walOpts, collect.WithCompactAfter(1<<40))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -176,7 +174,5 @@ func BenchmarkWALReplay(b *testing.B) {
 			}
 			b.StartTimer()
 		}
-	}
-	b.Run("sequential", func(b *testing.B) { replay(b, 1) })
-	b.Run("parallel", func(b *testing.B) { replay(b, 0) })
+	})
 }
