@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc race race-wal race-topk replay-smoke bench bench-json bench-check bench-harness load-smoke fmt fmt-fix lint staticcheck cross metrics-lint fuzz ci
+.PHONY: all build test loc race race-wal race-topk replay-smoke examples bench bench-json bench-check bench-harness load-smoke fmt fmt-fix lint staticcheck cross metrics-lint fuzz ci
 
 all: build test
 
@@ -45,13 +45,23 @@ race-topk:
 	$(GO) test -race -count=10 -timeout=10m -run 'TestTopKRoundSealRace|TestTopKMixedWireHammer|TestTopK.*SurvivesRestart|TestTopKFrameCommittedAfterSeal|TestTopKPooledDeltaEveryRound' ./internal/collect
 	$(GO) test -race -count=10 -timeout=10m -run 'Partial|Planner|Session' ./internal/topk
 
-# The recovery pins — WAL replay, torn tails included, against the state
-# the server held live; a kill -9 log of every record type against the
-# offline aggregate; a corrupt frame's skipped bytes counted and logged —
-# on their own, so a replay regression is named in the log rather than
-# buried in the package list.
+# The recovery pins — the log hands back every intact record in the order
+# it was appended; WAL replay, torn tails included, against the state the
+# server held live; a kill -9 log of every record type against the offline
+# aggregate; a corrupt frame's skipped bytes counted and logged — on their
+# own, so a replay regression is named in the log rather than buried in the
+# package list.
 replay-smoke:
+	$(GO) test -race -run 'TestReplayAppliesRecordsInOrder' -v ./internal/wal
 	$(GO) test -race -run 'TestReplayMatchesLiveState|TestWALMixedRecordsKill9|TestWALTornBytesCounted' -v ./internal/collect
+
+# Every program under examples/, run to completion: each is self-contained
+# and exits non-zero when it fails, which fails the target.
+examples:
+	@set -e; for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d > /dev/null; \
+	done
 
 # One iteration of every benchmark: keeps them compiling and running
 # without turning the suite into a perf run.
@@ -173,4 +183,4 @@ else
 	done
 endif
 
-ci: fmt lint staticcheck cross build race race-wal race-topk replay-smoke metrics-lint bench-harness load-smoke fuzz bench
+ci: fmt lint staticcheck cross build race race-wal race-topk replay-smoke examples metrics-lint bench-harness load-smoke fuzz bench

@@ -3,8 +3,6 @@ package collect
 import (
 	"net/http"
 	"strings"
-
-	"repro/internal/core"
 )
 
 // This file is the client half of multi-tenant targeting: a tenant-hosting
@@ -54,18 +52,6 @@ func BearerClient(hc *http.Client, token string) *http.Client {
 	c2 := *hc
 	c2.Transport = &bearerTransport{rt: rt, token: token}
 	return &c2
-}
-
-// FetchTenantProtocol is FetchProtocol against one tenant's routes on a
-// multi-tenant server: baseURL is the server root, name the tenant, token
-// its bearer token ("" when the tenant is unguarded).
-func FetchTenantProtocol(baseURL, name, token string, hc *http.Client) (*core.Protocol, WireConfig, error) {
-	return FetchProtocol(TenantBaseURL(baseURL, name), BearerClient(hc, token))
-}
-
-// FetchTenantMeanProtocol is FetchMeanProtocol against one tenant's routes.
-func FetchTenantMeanProtocol(baseURL, name, token string, hc *http.Client) (*core.NumericProtocol, WireMeanConfig, error) {
-	return FetchMeanProtocol(TenantBaseURL(baseURL, name), BearerClient(hc, token))
 }
 
 // WithTenant points the client at tenant name's routes on a multi-tenant

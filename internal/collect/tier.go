@@ -103,7 +103,7 @@ type tier[W any] struct {
 	// their add (see maxTierReports).
 	mergeMu sync.Mutex
 	// cells is acc's cell count; deltas pools the *delta tables and
-	// buffers of large writes and replayed raw records.
+	// buffers of large writes.
 	cells  int
 	deltas sync.Pool
 
@@ -326,9 +326,8 @@ func (t *tier[W]) refund(n int, err error) error {
 	return err
 }
 
-// small reports whether a write whose request body (or WAL record) is size
-// bytes long is folded straight into the table under mu instead of into a
-// delta. A sealed delta costs at least a byte a cell, so such a write is
+// small reports whether a write whose request body is size bytes long is
+// folded straight into the table under mu instead of into a delta. A sealed delta costs at least a byte a cell, so such a write is
 // logged raw whatever its path, and its fold — O(its reports) — is cheaper
 // under the lock than emptying and merging a whole table. At ptscp's c = 5,
 // d = 1,000 (5,005 cells, 129 bytes a report) a frame of up to 38 reports
@@ -352,9 +351,8 @@ func (t *tier[W]) write(n int64, typ byte, raw []byte, size int, add func(*state
 	return t.commit(n, typ, raw, d, func(acc *state.Table) error { return acc.Merge(&d.tab) })
 }
 
-// delta is one write or replayed raw record in flight: the table it folds
-// into outside every lock, and the buffer its sealed envelope is appended
-// to.
+// delta is one large write in flight: the table it folds into outside
+// every lock, and the buffer its sealed envelope is appended to.
 type delta struct {
 	tab state.Table
 	env []byte
@@ -594,10 +592,11 @@ func (t *tier[W]) openWAL(s *Server, sub string) error {
 		t.replayRecord)
 }
 
-// replayRecord adds the reports one WAL record logged into the table the
-// way the write that logged it did: an envelope is checked and added
-// straight from the record's bytes, a raw record is folded straight in when
-// small and into a delta that is then merged otherwise. Records were
+// replayRecord adds the reports one WAL record logged into the table: an
+// envelope is checked and added straight from the record's bytes, a raw
+// record is folded straight in whatever its size. The live write path's
+// delta exists to shorten lock holds under concurrent writers, and replay
+// runs before the handler is served, so nothing waits on mu. Records were
 // validated before they were written, so a record that fails to decode
 // means the log does not belong to this tier's protocol configuration — an
 // operator error worth failing loudly on, not skipping.
@@ -605,43 +604,33 @@ func (t *tier[W]) replayRecord(rec []byte) error {
 	if len(rec) == 0 {
 		return fmt.Errorf("collect: empty %swal record", t.tag)
 	}
-	var add func(*state.Table)
+	var add func(*state.Table) error
 	switch rec[0] {
 	case recBatch:
 		var wires []W
 		if err := json.Unmarshal(rec[1:], &wires); err != nil {
 			return fmt.Errorf("collect: %swal batch record: %w", t.tag, err)
 		}
-		var rejected []WireItemError
-		if _, add, rejected = t.c.decode(wires); len(rejected) > 0 {
+		_, fold, rejected := t.c.decode(wires)
+		if len(rejected) > 0 {
 			return fmt.Errorf("collect: %swal batch record does not match protocol %s: %s", t.tag, t.c.Name(), rejected[0].Error)
 		}
+		add = func(acc *state.Table) error { fold(acc); return nil }
 	case recBinaryBatch:
 		f, err := t.c.validateBinary(rec[1:])
 		if err != nil {
 			return fmt.Errorf("collect: %swal binary batch record does not match protocol %s: %w", t.tag, t.c.Name(), err)
 		}
-		add = func(tab *state.Table) { t.c.FoldChecked(tab, f) }
+		add = func(acc *state.Table) error { t.c.FoldChecked(acc, f); return nil }
 	case recEnvelope:
 		c, err := t.c.CheckEnvelope(rec[1:])
 		if err != nil {
 			return fmt.Errorf("collect: %swal envelope record: %w", t.tag, err)
 		}
-		_, err = t.addIn(func(acc *state.Table) error { return acc.MergeChecked(c) })
-		return err
+		add = func(acc *state.Table) error { return acc.MergeChecked(c) }
 	default:
 		return fmt.Errorf("collect: unknown %swal record type %#x", t.tag, rec[0])
 	}
-	if t.small(len(rec) - 1) {
-		_, err := t.addIn(func(acc *state.Table) error {
-			add(acc)
-			return nil
-		})
-		return err
-	}
-	d := t.getDelta()
-	defer t.deltas.Put(d)
-	add(&d.tab)
-	_, err := t.addIn(func(acc *state.Table) error { return acc.Merge(&d.tab) })
+	_, err := t.addIn(add)
 	return err
 }

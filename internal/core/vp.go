@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/fo"
@@ -148,9 +147,6 @@ func (a *VPAccumulator) RawCount(v int) int64 {
 	}
 	return a.t.Cells[v]
 }
-
-// RawCounts returns all kept-report 1-bit counts.
-func (a *VPAccumulator) RawCounts() []int64 { return slices.Clone(a.t.Cells[:a.vp.d]) }
 
 // Estimate returns the calibrated count of item v:
 //

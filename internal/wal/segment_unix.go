@@ -11,7 +11,7 @@ import (
 // mapSegment maps the segment file at path read-only for replay. A page of
 // the mapping faults if the file shrinks underneath it or the disk fails to
 // return it, so whoever reads data must do so under debug.SetPanicOnFault
-// (see mapping.recoverFault). A zero-byte file is nil with no mapping: mmap
+// (see recoverFault). A zero-byte file is nil with no mapping: mmap
 // rejects length 0.
 func mapSegment(path string) (data []byte, release func() error, err error) {
 	f, err := os.Open(path)

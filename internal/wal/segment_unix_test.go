@@ -4,62 +4,50 @@ package wal
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
 // TestReplaySegmentChangedUnderMapping: a segment truncated while replay
 // has it mapped makes every page of the mapping fault. The replay must
-// return an error naming the segment, at any worker count, and the process
-// must live on — tenant logs replay inside a running server.
+// return an error naming the segment, and the process must live on —
+// tenant logs replay inside a running server.
 func TestReplaySegmentChangedUnderMapping(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			dir := t.TempDir()
-			var frames []byte
-			for i := 0; i < 64; i++ { // 64 KiB: sixteen 4 KiB pages
-				frames = append(frames, frameOf(bytes.Repeat([]byte{byte(i)}, 1024-8))...)
-			}
-			path := filepath.Join(dir, "seg-00000001.wal")
-			if err := os.WriteFile(path, frames, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			l, err := Open(dir, Options{Sync: SyncNever})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Close()
+	// Replay walks the segments on the caller's goroutine: one worker.
+	t.Run("workers=1", func(t *testing.T) {
+		dir := t.TempDir()
+		var frames []byte
+		for i := 0; i < 64; i++ { // 64 KiB: sixteen 4 KiB pages
+			frames = append(frames, frameOf(bytes.Repeat([]byte{byte(i)}, 1024-8))...)
+		}
+		path := filepath.Join(dir, "seg-00000001.wal")
+		if err := os.WriteFile(path, frames, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(dir, Options{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
 
-			// The first record truncates the segment; every other one waits
-			// for that and then reads its payload, so a fault is certain
-			// whichever goroutine meets it first.
-			var (
-				calls     atomic.Int32
-				truncated = make(chan struct{})
-				sink      atomic.Int64
-			)
-			err = l.ReplayParallel(workers, nil, func(rec []byte) error {
-				if calls.Add(1) == 1 {
-					defer close(truncated)
-					return os.Truncate(path, 0)
-				}
-				<-truncated
-				var sum int64
-				for _, b := range rec {
-					sum += int64(b)
-				}
-				sink.Add(sum)
-				return nil
-			})
-			if err == nil || !strings.Contains(err.Error(), path) {
-				t.Fatalf("replay of a segment truncated underneath it returned %v, want an error naming %s", err, path)
+		// The first record truncates the segment, so the walk's read of the
+		// next frame faults.
+		calls := 0
+		err = l.Replay(nil, func([]byte) error {
+			if calls++; calls == 1 {
+				return os.Truncate(path, 0)
 			}
+			return nil
 		})
-	}
+		if err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("replay of a segment truncated underneath it returned %v, want an error naming %s", err, path)
+		}
+		if calls != 1 {
+			t.Fatalf("replay applied %d records, want only the one before the truncation", calls)
+		}
+	})
 }
 
 // TestMapSegmentEmpty: mmap rejects length 0, and every Open leaves an

@@ -20,12 +20,13 @@
 // appender never writes after a torn tail, and deletes the empty segments
 // earlier runs left behind.
 //
-// Replay maps segments read-only (where the platform has mmap; elsewhere it
-// reads them) rather than copying them onto the heap, and unmaps each once
-// its records are applied. So a record handed to a replay callback is valid
-// only until the callback returns, and a segment that faults underneath the
-// replay — truncated by someone else, or unreadable — fails the replay with
-// an error instead of crashing the process.
+// Replay is one sequential pass on the caller's goroutine. It maps segments
+// read-only (where the platform has mmap; elsewhere it reads them) rather
+// than copying them onto the heap, and unmaps each once its walk ends. So a
+// record handed to a replay callback is valid only until the callback
+// returns, and a segment that faults underneath the replay — truncated by
+// someone else, or unreadable — fails the replay with an error instead of
+// crashing the process.
 //
 // Compaction (Roll + Seal) folds the log back down: the caller quiesces
 // appends, Rolls to a new segment, snapshots its aggregation state, and
@@ -33,10 +34,14 @@
 // covers. The log itself never interprets record payloads.
 //
 // Locking: Log.mu guards the active-segment pointer and the byte counters,
-// and an appender holds it for its two writes. Flushes happen outside it —
-// Seal's file work, the interval ticker's and Sync's fsync, and the
-// retirement of an outgoing segment on a log whose records commute
-// (Options.Commutative) — so a roll or a compaction does not stall ingest.
+// and an appender holds it for its two writes. Seal's file work and the
+// interval ticker's and Sync's fsync happen outside it, so a compaction does
+// not stall ingest. On a log whose records commute (Options.Commutative) an
+// outgoing segment is retired (flushed and closed) outside it too, by a
+// goroutine fed through a queue of retireQueue segments; a roll that finds
+// that queue full waits for room while holding Log.mu, and every appender
+// waits with it. On an ordered log the roll retires the segment under
+// Log.mu itself.
 package wal
 
 import (
@@ -99,8 +104,9 @@ type Options struct {
 	// torn or corrupt frame); nil means slog.Default().
 	Logger *slog.Logger
 	// Commutative is the owner's declaration that its records may be applied
-	// in any order and that replay tolerates a gap — the declaration
-	// ReplayParallel already requires. Under SyncInterval and SyncNever such
+	// in any order and that replay tolerates a gap, as a log of integer-count
+	// adds does: without any subset of its records it still replays to a
+	// valid state, of fewer reports. Under SyncInterval and SyncNever such
 	// a log flushes an outgoing segment behind its appenders instead of
 	// making the roll wait for it, so a power loss may cost any of the last
 	// interval's records rather than a suffix of them. An ordered log (the
@@ -681,87 +687,17 @@ func (l *Log) clipActive() {
 }
 
 // Replay feeds the latest valid snapshot (if any) to onSnapshot, then every
-// intact record after it, in order, to onRecord. A torn or corrupt frame
-// ends its segment's replay and the next segment continues — the expected
-// shape after an unclean shutdown. Either callback returning an error
-// aborts the replay with it.
+// intact record after it, in order, to onRecord, on the calling goroutine.
+// A torn or corrupt frame ends its segment's replay and the next segment
+// continues — the expected shape after an unclean shutdown. Either callback
+// returning an error aborts the replay with it.
 //
 // A record's bytes are valid until onRecord returns: segments are mapped
-// read-only and unmapped once their records are applied, so a callback that
-// keeps any of them must copy. A segment that faults while it is read — the
-// file truncated underneath the replay, or a disk error — fails the replay
-// with an error naming the segment instead of crashing the process.
+// read-only and unmapped once their walk ends, so a callback that keeps any
+// of them must copy. A segment that faults while it is read — the file
+// truncated underneath the replay, or a disk error — fails the replay with
+// an error naming the segment instead of crashing the process.
 func (l *Log) Replay(onSnapshot func(snapshot []byte) error, onRecord func(record []byte) error) error {
-	return l.replay(1, onSnapshot, onRecord)
-}
-
-// ReplayParallel is Replay with onRecord fanned across a pool of workers
-// goroutines: the frame walk stays sequential (bounds and CRC checks
-// preserve the intact-prefix torn-tail semantics exactly), and each intact
-// payload is dispatched to the pool. workers ≤ 1 is Replay.
-//
-// It is only safe when record application is commutative (integer-count
-// merges) and onRecord is safe for concurrent use — records are applied
-// out of order across workers. onSnapshot still runs alone, before any
-// record. The first onRecord error stops dispatch and is returned after
-// the pool drains. Payload lifetime and faults are as for Replay: a payload
-// is valid until the onRecord call it was passed to returns.
-func (l *Log) ReplayParallel(workers int, onSnapshot func(snapshot []byte) error, onRecord func(record []byte) error) error {
-	return l.replay(workers, onSnapshot, onRecord)
-}
-
-// mapping is one segment mapped for replay and the holds on it: the walk's,
-// plus one per record handed to the pool and not yet applied. The last hold
-// dropped unmaps it.
-type mapping struct {
-	path    string
-	release func() error
-	holds   atomic.Int32
-}
-
-func (m *mapping) drop() error {
-	if m.holds.Add(-1) > 0 {
-		return nil
-	}
-	if err := m.release(); err != nil {
-		return fmt.Errorf("wal: unmap %s: %w", m.path, err)
-	}
-	return nil
-}
-
-// recoverFault, deferred by a goroutine reading m under
-// debug.SetPanicOnFault, turns a fault on m's pages into *err. Any other
-// panic goes on up.
-func (m *mapping) recoverFault(err *error) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	f, ok := r.(interface{ Addr() uintptr })
-	if !ok {
-		panic(r)
-	}
-	*err = fmt.Errorf("wal: replay of segment %s faulted at %#x: the file shrank or could not be read underneath the replay", m.path, f.Addr())
-}
-
-// apply runs onRecord on a payload of m in a pool worker.
-func (m *mapping) apply(onRecord func([]byte) error, payload []byte) (err error) {
-	defer m.recoverFault(&err)
-	return onRecord(payload)
-}
-
-// replayRecord is a payload the walk handed to the pool.
-type replayRecord struct {
-	m       *mapping
-	payload []byte
-}
-
-// replay is the one snapshot selection and the one frame walk behind both
-// exported replays. The walk maps each segment when it reaches it; with one
-// worker a record is applied where the walk finds it and the segment is
-// unmapped after its walk, with more the walk hands each record to a pool
-// and the segment is unmapped when the pool has applied its last record.
-func (l *Log) replay(workers int, onSnapshot, onRecord func([]byte) error) (err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	segs, snaps, err := l.scan()
@@ -788,111 +724,81 @@ func (l *Log) replay(workers int, onSnapshot, onRecord func([]byte) error) (err 
 		return nil
 	}
 	// Mapped pages fault when their file shrinks or the disk fails; the walk
-	// and every worker read them with faults turned into panics, which
-	// recoverFault turns into the replay's error.
+	// reads them with faults turned into panics, which recoverFault turns
+	// into the replay's error.
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-
-	apply := func(_ *mapping, rec []byte) error { return onRecord(rec) }
-	var failed atomic.Bool // a pool worker's onRecord returned an error
-	if workers > 1 {
-		var (
-			wg       sync.WaitGroup
-			errMu    sync.Mutex
-			firstErr error
-		)
-		setErr := func(err error) {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			errMu.Unlock()
-		}
-		recCh := make(chan replayRecord, 4*workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-				for r := range recCh {
-					if !failed.Load() {
-						if err := r.m.apply(onRecord, r.payload); err != nil {
-							setErr(err)
-							failed.Store(true)
-						}
-					}
-					if err := r.m.drop(); err != nil {
-						setErr(err)
-					}
-				}
-			}()
-		}
-		apply = func(m *mapping, rec []byte) error {
-			m.holds.Add(1)
-			recCh <- replayRecord{m, rec}
-			return nil
-		}
-		// The pool's first error is the replay's, reported once it drained.
-		defer func() {
-			close(recCh)
-			wg.Wait()
-			if firstErr != nil {
-				err = firstErr
-			}
-		}()
-	}
-
-	walk := func(seq int) (err error) {
-		path := l.segPath(seq)
-		data, release, err := mapSegment(path)
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		m := &mapping{path: path, release: release}
-		m.holds.Store(1)
-		defer func() {
-			if derr := m.drop(); err == nil {
-				err = derr
-			}
-		}()
-		defer m.recoverFault(&err)
-		size := len(data)
-		for len(data) >= 8 {
-			n := binary.LittleEndian.Uint32(data[:4])
-			if uint64(n) > MaxRecordBytes || uint64(n) > uint64(len(data)-8) {
-				break // torn length or payload: end of this segment's intact prefix
-			}
-			payload := data[8 : 8+n]
-			if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[4:8]) {
-				break // torn payload bytes
-			}
-			if failed.Load() {
-				return nil // stop dispatching; the deferred drain reports the error
-			}
-			l.opts.Metrics.noteReplayed(8 + int64(n))
-			if err := apply(m, payload); err != nil {
-				return err
-			}
-			data = data[8+n:]
-		}
-		// Bytes left after the intact prefix — a frame that failed a check
-		// above, or the 1–7 bytes of a torn header — are a torn write at crash.
-		if len(data) > 0 {
-			l.opts.Metrics.noteTorn(int64(len(data)))
-			logger := l.opts.Logger
-			if logger == nil {
-				logger = slog.Default()
-			}
-			logger.Warn("wal replay skipped the rest of a segment after a torn or corrupt frame",
-				"segment", path, "offset", size-len(data), "bytes", len(data))
-		}
-		return nil
-	}
 	for _, seq := range segs {
-		if err := walk(seq); err != nil || failed.Load() {
+		if err := l.replaySegment(l.segPath(seq), onRecord); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// ReplayParallel is Replay; workers is ignored.
+//
+// Deprecated: replay is one sequential pass. Call Replay.
+func (l *Log) ReplayParallel(workers int, onSnapshot func(snapshot []byte) error, onRecord func(record []byte) error) error {
+	return l.Replay(onSnapshot, onRecord)
+}
+
+// replaySegment maps the segment at path, hands each record of its intact
+// prefix to onRecord where the walk finds it, and unmaps the segment when
+// the walk ends. The caller has turned page faults into panics.
+func (l *Log) replaySegment(path string, onRecord func([]byte) error) (err error) {
+	data, release, err := mapSegment(path)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	defer func() {
+		if rerr := release(); rerr != nil && err == nil {
+			err = fmt.Errorf("wal: unmap %s: %w", path, rerr)
+		}
+	}()
+	defer recoverFault(path, &err)
+	size := len(data)
+	for len(data) >= 8 {
+		n := binary.LittleEndian.Uint32(data[:4])
+		if uint64(n) > MaxRecordBytes || uint64(n) > uint64(len(data)-8) {
+			break // torn length or payload: end of this segment's intact prefix
+		}
+		payload := data[8 : 8+n]
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[4:8]) {
+			break // torn payload bytes
+		}
+		l.opts.Metrics.noteReplayed(8 + int64(n))
+		if err := onRecord(payload); err != nil {
+			return err
+		}
+		data = data[8+n:]
+	}
+	// Bytes left after the intact prefix — a frame that failed a check
+	// above, or the 1–7 bytes of a torn header — are a torn write at crash.
+	if len(data) > 0 {
+		l.opts.Metrics.noteTorn(int64(len(data)))
+		logger := l.opts.Logger
+		if logger == nil {
+			logger = slog.Default()
+		}
+		logger.Warn("wal replay skipped the rest of a segment after a torn or corrupt frame",
+			"segment", path, "offset", size-len(data), "bytes", len(data))
+	}
+	return nil
+}
+
+// recoverFault, deferred by a reader of the segment at path under
+// debug.SetPanicOnFault, turns a fault on its mapped pages into *err. Any
+// other panic goes on up.
+func recoverFault(path string, err *error) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	f, ok := r.(interface{ Addr() uintptr })
+	if !ok {
+		panic(r)
+	}
+	*err = fmt.Errorf("wal: replay of segment %s faulted at %#x: the file shrank or could not be read underneath the replay", path, f.Addr())
 }
 
 // readSnapshotFile reads a snapshot file (one record frame) and verifies

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -259,11 +258,10 @@ func TestSyncPolicies(t *testing.T) {
 	}
 }
 
-// TestReplayParallelMatchesSequential pins the parallel replay contract:
-// identical snapshot selection, the identical intact record multiset (order
-// may differ — the callers that opt in are order-independent), and the same
-// torn-tail tolerance as Replay.
-func TestReplayParallelMatchesSequential(t *testing.T) {
+// TestReplayAppliesRecordsInOrder pins Replay's contract: the latest
+// snapshot first, then every intact record in the exact order it was
+// appended, across segment boundaries, with the torn tail clipped.
+func TestReplayAppliesRecordsInOrder(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentBytes: 256, Sync: SyncNever})
 	if err != nil {
@@ -287,8 +285,8 @@ func TestReplayParallelMatchesSequential(t *testing.T) {
 	}
 	l.Close()
 
-	// Tear the tail of the newest segment: one garbage half-frame that both
-	// replay paths must clip identically.
+	// Tear the tail of the newest segment: one garbage half-frame that
+	// replay must clip.
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
 	if err != nil || len(segs) < 2 {
 		t.Fatalf("glob: %v (%d segments, want multiple)", err, len(segs))
@@ -301,50 +299,35 @@ func TestReplayParallelMatchesSequential(t *testing.T) {
 	f.Write([]byte{0xff, 0xff, 0x00, 0x00, 1, 2, 3})
 	f.Close()
 
-	collectParallel := func(t *testing.T, workers int) (snapshot []byte, records []string) {
+	replayAll := func(t *testing.T) (snapshot []byte, records []string) {
 		t.Helper()
 		l, err := Open(dir, Options{SegmentBytes: 256, Sync: SyncNever})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer l.Close()
-		var mu sync.Mutex
-		err = l.ReplayParallel(workers,
+		err = l.Replay(
 			func(s []byte) error { snapshot = bytes.Clone(s); return nil },
-			func(r []byte) error {
-				mu.Lock()
-				records = append(records, string(r))
-				mu.Unlock()
-				return nil
-			},
+			func(r []byte) error { records = append(records, string(r)); return nil },
 		)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sort.Strings(records)
 		return snapshot, records
 	}
 
-	sort.Strings(want)
-	for _, workers := range []int{1, 4} {
-		snap, records := collectParallel(t, workers)
-		if !bytes.Equal(snap, []byte("snapshot-state")) {
-			t.Fatalf("workers=%d: snapshot %q", workers, snap)
-		}
-		if len(records) != len(want) {
-			t.Fatalf("workers=%d: replayed %d records, want %d", workers, len(records), len(want))
-		}
-		for i := range want {
-			if records[i] != want[i] {
-				t.Fatalf("workers=%d: record multiset diverges at %q vs %q", workers, records[i], want[i])
-			}
-		}
+	snap, records := replayAll(t)
+	if !bytes.Equal(snap, []byte("snapshot-state")) {
+		t.Fatalf("snapshot %q", snap)
+	}
+	if !slices.Equal(records, want) {
+		t.Fatalf("replayed %d records %q..., want the %d appended, in order", len(records), records[:min(len(records), 3)], len(want))
 	}
 
-	// One more input (collectParallel opens dir): a log without a snapshot
-	// whose data segments alternate with zero-byte ones, as restarts that
-	// appended nothing leave them. Open deletes those; no record may go with
-	// them.
+	// One more input (replayAll opens dir): a log without a snapshot whose
+	// data segments alternate with zero-byte ones, as restarts that
+	// appended nothing leave them. Open deletes those; no record may go
+	// with them, and none may move.
 	dir = t.TempDir()
 	want = want[:0]
 	seq := 1
@@ -366,12 +349,8 @@ func TestReplayParallelMatchesSequential(t *testing.T) {
 		writeSeg(seg)
 	}
 	writeSeg(nil)
-	sort.Strings(want)
-	for _, workers := range []int{1, 4} {
-		snap, records := collectParallel(t, workers)
-		if snap != nil || !slices.Equal(records, want) {
-			t.Fatalf("workers=%d: interleaved empty segments replayed snapshot %q and %d records, want none and %d", workers, snap, len(records), len(want))
-		}
+	if snap, records := replayAll(t); snap != nil || !slices.Equal(records, want) {
+		t.Fatalf("interleaved empty segments replayed snapshot %q and records %q, want none and %q", snap, records, want)
 	}
 }
 
@@ -403,8 +382,7 @@ func TestIdleRestartsLeaveOneSegment(t *testing.T) {
 }
 
 // TestReplayCountsRecordsAndBytes: the replay metrics count each intact
-// record once and its framed size, at any worker count, and not the torn
-// tail.
+// record once and its framed size, and not the torn tail.
 func TestReplayCountsRecordsAndBytes(t *testing.T) {
 	dir := t.TempDir()
 	var frames []byte
@@ -415,28 +393,26 @@ func TestReplayCountsRecordsAndBytes(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.wal"), append(frames, torn...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2} {
-		var records, size testCounter
-		l, err := Open(dir, Options{Sync: SyncNever, Metrics: &Metrics{ReplayedRecords: &records, ReplayedBytes: &size}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = l.ReplayParallel(workers, nil, func([]byte) error { return nil })
-		if cerr := l.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if records.Load() != 30 || size.Load() != int64(len(frames)) {
-			t.Fatalf("workers=%d: counted %d records, %d bytes; want 30, %d", workers, records.Load(), size.Load(), len(frames))
-		}
+	var records, size testCounter
+	l, err := Open(dir, Options{Sync: SyncNever, Metrics: &Metrics{ReplayedRecords: &records, ReplayedBytes: &size}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = l.Replay(nil, func([]byte) error { return nil })
+	if cerr := l.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if records.Load() != 30 || size.Load() != int64(len(frames)) {
+		t.Fatalf("counted %d records, %d bytes; want 30, %d", records.Load(), size.Load(), len(frames))
 	}
 }
 
-// TestReplayParallelPropagatesErrors: a failing onRecord must surface and
-// stop the replay instead of being swallowed by the worker pool.
-func TestReplayParallelPropagatesErrors(t *testing.T) {
+// TestReplayPropagatesErrors: a failing onRecord must surface and stop the
+// replay: no record after it is applied.
+func TestReplayPropagatesErrors(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{Sync: SyncNever})
 	if err != nil {
@@ -453,13 +429,18 @@ func TestReplayParallelPropagatesErrors(t *testing.T) {
 	}
 	defer l2.Close()
 	boom := fmt.Errorf("poisoned record")
-	err = l2.ReplayParallel(4, nil, func(r []byte) error {
-		if string(r) == "rec-25" {
+	var last string
+	err = l2.Replay(nil, func(r []byte) error {
+		last = string(r)
+		if last == "rec-25" {
 			return boom
 		}
 		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "poisoned record") {
-		t.Fatalf("parallel replay error = %v, want the onRecord failure", err)
+		t.Fatalf("replay error = %v, want the onRecord failure", err)
+	}
+	if last != "rec-25" {
+		t.Fatalf("replay went on to %q after the failing record", last)
 	}
 }
