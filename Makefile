@@ -158,16 +158,17 @@ metrics-lint:
 # batch frame decoder (both tiers), the numeric mean-report decoder, the
 # aggregator-state envelope decoder behind /merge, checkpoints and WAL
 # snapshots, the interactive-mining round-config/round-report codec, the
-# admin-facing tenant spec parser, and the count-table codec every envelope
+# admin-facing tenant spec parser, the count-table codec every envelope
 # and logged delta carries (DecodeTableInto into a reused table against
-# DecodeTable).
+# DecodeTable), and the estimate-body appender against encoding/json on
+# arbitrary float64 bit patterns.
 #
 # `make fuzz` runs every target in sequence; `make fuzz
 # FUZZ_TARGET=FuzzDecodeBatch` runs exactly one, which is how CI fans the
 # targets out over a job matrix. Targets live in ./internal/collect unless
 # FUZZ_PKG_<target> says otherwise.
 FUZZ_TIME ?= 10s
-FUZZ_TARGETS := FuzzDecode FuzzDecodeBatch FuzzDecodeBinaryBatch FuzzDecodeMeanReport FuzzUnmarshalEnvelope FuzzRoundWire FuzzTopKBinaryBatch FuzzUnmarshalSession FuzzTenantSpec FuzzDecodeTable
+FUZZ_TARGETS := FuzzDecode FuzzDecodeBatch FuzzDecodeBinaryBatch FuzzDecodeMeanReport FuzzUnmarshalEnvelope FuzzRoundWire FuzzTopKBinaryBatch FuzzUnmarshalSession FuzzTenantSpec FuzzDecodeTable FuzzEstimatesJSON
 FUZZ_PKG_FuzzRoundWire := ./internal/topk
 FUZZ_PKG_FuzzTopKBinaryBatch := ./internal/topk
 FUZZ_PKG_FuzzUnmarshalSession := ./internal/topk

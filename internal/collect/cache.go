@@ -1,8 +1,6 @@
 package collect
 
 import (
-	"bytes"
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"sync"
@@ -28,12 +26,15 @@ import (
 // produce dead cache entries, never wrong bodies.
 //
 // Exact mode (the default) serves a cached body only at the exact current
-// version, so responses are bit-identical to recompute-on-read, byte for byte
-// (bodies are rendered with the same encoder writeJSON uses). The
-// WithEstimateCache staleness knobs let operators trade freshness for read
-// cost: a body within maxStaleReports reports (and maxStaleAge, when set)
-// of the current version is served without recomputing. Concurrent misses
-// collapse: one leader recomputes, everyone else piggybacks on its result.
+// version, so responses are bit-identical to recompute-on-read, byte for byte.
+// Either way a body is rendered by the tier's appender (render.go), whose
+// bytes are exactly those json.NewEncoder(w).Encode emits for the tier's
+// Wire…Estimates value, trailing newline included, and which refuses NaN
+// and ±Inf with encoding/json's error. The WithEstimateCache staleness knobs
+// let operators trade freshness for read cost: a body within maxStaleReports
+// reports (and maxStaleAge, when set) of the current version is served
+// without recomputing. Concurrent misses collapse: one leader recomputes,
+// everyone else piggybacks on its result.
 
 // cacheVersion is one tier's point-in-time aggregate identity.
 type cacheVersion struct {
@@ -79,7 +80,7 @@ type estimateCache struct {
 	mu       sync.Mutex
 	ver      cacheVersion
 	at       time.Time
-	body     []byte // rendered JSON, exactly as writeJSON emits it; nil until first render
+	body     []byte // rendered JSON, as encoding/json would emit it; nil until first render
 	inflight *cacheCall
 }
 
@@ -199,16 +200,6 @@ func (c *estimateCache) serve(w http.ResponseWriter, cur cacheVersion, render fu
 	}
 	c.m.staleReports.Set(0)
 	writeJSONBody(w, body)
-}
-
-// encodeJSONBody renders v exactly as writeJSON does — json.Encoder with a
-// trailing newline — so cached responses are byte-identical to direct ones.
-func encodeJSONBody(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // writeJSONBody writes a pre-rendered JSON body. Its length is known, so it

@@ -494,9 +494,9 @@ func (c freqCodec) validateBinary(frame []byte) (core.CheckedFrame, error) {
 	return c.ValidateBinaryBatch(frame)
 }
 
-func (c freqCodec) estimates(t *state.Table) any {
+func (c freqCodec) appendEstimates(dst []byte, t *state.Table) ([]byte, error) {
 	freq, sizes := c.Calibrate(t)
-	return WireEstimates{Reports: int(t.N), Frequencies: freq, ClassSizes: sizes}
+	return appendFrequencies(dst, t.N, freq, sizes)
 }
 
 // decodeEach runs one tier's per-report wire decoder over a batch: the wire

@@ -98,9 +98,9 @@ func (c meanCodec) validateBinary(frame []byte) (core.CheckedFrame, error) {
 	return c.ValidateBinaryMeanBatch(frame)
 }
 
-func (c meanCodec) estimates(t *state.Table) any {
+func (c meanCodec) appendEstimates(dst []byte, t *state.Table) ([]byte, error) {
 	means, sizes := c.Calibrate(t)
-	return WireMeanEstimates{Reports: int(t.N), Means: means, ClassSizes: sizes}
+	return appendMeans(dst, t.N, means, sizes)
 }
 
 // MeanProtocol returns the numeric protocol the server aggregates for, or

@@ -65,8 +65,9 @@ type codec[W any] interface {
 	// validateBinary checks a binary frame end to end (CRC, header, every
 	// record).
 	validateBinary(frame []byte) (core.CheckedFrame, error)
-	// estimates is the tier's /estimates body for a copy of the table.
-	estimates(*state.Table) any
+	// appendEstimates appends the tier's /estimates body for a copy of the
+	// table to dst (see render.go).
+	appendEstimates(dst []byte, t *state.Table) ([]byte, error)
 }
 
 // tier is one report tier's whole server-side state: one table of integer
@@ -255,7 +256,11 @@ func (t *tier[W]) handleBinaryBatch(w http.ResponseWriter, body []byte, start ti
 	}
 	m.batchesBinary.Inc()
 	m.reportsBinary.Add(int64(count))
-	writeJSON(w, WireBatchAck{Accepted: count, Reports: t.reports()})
+	// The ack is far below net/http's response buffer, so the server frames
+	// it by length itself; setting Content-Length by hand, as
+	// writeJSONBody does, measured ≈5 % more server CPU on small frames.
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(appendBinaryAck(make([]byte, 0, 80), count, t.reports()))
 	m.latency.Observe(time.Since(start).Seconds())
 }
 
@@ -275,7 +280,7 @@ func (t *tier[W]) handleEstimates(w http.ResponseWriter, _ *http.Request) {
 func (t *tier[W]) renderEstimates() ([]byte, cacheVersion, error) {
 	gen := t.gen.Load()
 	acc := t.clone()
-	body, err := encodeJSONBody(t.c.estimates(&acc))
+	body, err := t.c.appendEstimates(nil, &acc)
 	return body, cacheVersion{gen: gen, total: acc.N}, err
 }
 
