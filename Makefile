@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc race race-wal race-topk replay-smoke examples bench bench-json bench-check bench-harness load-smoke fmt fmt-fix lint staticcheck cross metrics-lint fuzz ci
+.PHONY: all build test loc race race-wal race-topk replay-smoke test-refs examples bench bench-json bench-check bench-harness load-smoke fmt fmt-fix lint staticcheck cross metrics-lint fuzz ci
 
 all: build test
 
@@ -28,12 +28,13 @@ race:
 # The write-ahead log's and the report tiers' concurrency tests, ten times
 # under the race detector: appends against blocked and failing flushes,
 # against rolls and seals, the server-level crash recovery under concurrent
-# writers, and concurrent batches, single reports and reads into one tier.
+# writers, concurrent batches, single reports and reads into one tier, and
+# every report protocol's mixed-wire posters against its offline aggregate.
 # The log flushes outside its mutex and a tier is one aggregate behind one
 # lock, so these are what hold those two designs up.
 race-wal:
 	$(GO) test -race -count=10 -timeout=10m ./internal/wal
-	$(GO) test -race -count=10 -timeout=10m -run 'TestWALConcurrent|TestConcurrentDurable|TestConcurrentBatchIngest|TestConcurrentSubmissions|TestConcurrentReadsDuringWrites' ./internal/collect
+	$(GO) test -race -count=10 -timeout=10m -run 'TestWALConcurrent|TestConcurrentDurable|TestConcurrentBatchIngest|TestConcurrentSubmissions|TestConcurrentReadsDuringWrites|TestConcurrentMixedWiresMatchOffline' ./internal/collect
 
 # The mining tier's concurrency tests, ten times under the race detector:
 # posts racing a round's seal over both wires, concurrent posters sharing a
@@ -54,6 +55,26 @@ race-topk:
 replay-smoke:
 	$(GO) test -race -run 'TestReplayAppliesRecordsInOrder' -v ./internal/wal
 	$(GO) test -race -run 'TestReplayMatchesLiveState|TestWALMixedRecordsKill9|TestWALTornBytesCounted' -v ./internal/collect
+
+# Test names cited outside the tests still name tests. Every alternative of
+# every -run pattern above lists a test in its package (go test -list), so a
+# renamed test cannot drop silently out of a race target; and every Test…
+# name README.md or the verify skill cites is a test function in the tree or
+# the prefix of one (TestParentWritten names a family).
+TEST_REF_DOCS := README.md .claude/skills/verify/SKILL.md
+
+test-refs:
+	@set -f; bad=0; \
+	for ref in $$(sed -nE "s/.*-run '([^']+)'.* (\.\/[^ ]+)$$/\1@\2/p" Makefile); do \
+		pkg=$${ref##*@}; \
+		for alt in $$(echo "$${ref%@*}" | tr '|' ' '); do \
+			$(GO) test -list "$$alt" "$$pkg" | grep -q '^Test' || { echo "Makefile: -run '$$alt' lists no test in $$pkg"; bad=1; }; \
+		done; \
+	done; \
+	for name in $$(grep -ohE '\bTest[A-Z][[:alnum:]_]*' $(TEST_REF_DOCS) | sort -u); do \
+		grep -rqE "^func $$name[[:alnum:]_]*\(" --include='*_test.go' . || { echo "$$name is cited but names no test"; bad=1; }; \
+	done; \
+	exit $$bad
 
 # Every program under examples/, run to completion: each is self-contained
 # and exits non-zero when it fails, which fails the target.
@@ -184,4 +205,4 @@ else
 	done
 endif
 
-ci: fmt lint staticcheck cross build race race-wal race-topk replay-smoke examples metrics-lint bench-harness load-smoke fuzz bench
+ci: fmt lint staticcheck cross build race race-wal race-topk replay-smoke test-refs examples metrics-lint bench-harness load-smoke fuzz bench

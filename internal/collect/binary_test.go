@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/mean"
-	"repro/internal/wal"
 	"repro/internal/xrand"
 )
 
@@ -21,102 +19,6 @@ func testPairs(c, d, n int, seed uint64) []core.Pair {
 		pairs[i] = core.Pair{Class: r.Intn(c), Item: r.Intn(d)}
 	}
 	return pairs
-}
-
-// TestBinaryBatchMatchesJSONAllProtocols pins the tentpole equivalence: a
-// client submitting over the binary wire produces estimates bit-identical
-// to the same client (same seed, same population) submitting JSON, for
-// every canonical frequency framework. The perturbation is client-side and
-// seed-deterministic, so any divergence is a wire codec bug.
-func TestBinaryBatchMatchesJSONAllProtocols(t *testing.T) {
-	const (
-		c, d = 3, 17
-		n    = 600
-	)
-	pairs := testPairs(c, d, n, 5)
-	for _, name := range core.ProtocolNames() {
-		t.Run(name, func(t *testing.T) {
-			_, tsJSON := newProtoServer(t, name, c, d, 2)
-			_, tsBin := newProtoServer(t, name, c, d, 2)
-			jsonClient, err := NewClient(tsJSON.URL, tsJSON.Client(), 42)
-			if err != nil {
-				t.Fatal(err)
-			}
-			binClient, err := NewClient(tsBin.URL, tsBin.Client(), 42, WithBinary(true))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, cl := range []*Client{jsonClient, binClient} {
-				ack, err := cl.SubmitBatch(pairs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ack.Accepted != n || ack.Rejected != 0 {
-					t.Fatalf("ack %+v, want %d accepted", ack, n)
-				}
-			}
-			want, err := jsonClient.Estimates()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := binClient.Estimates()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("binary estimates diverge from JSON:\nbinary %+v\njson   %+v", got, want)
-			}
-		})
-	}
-}
-
-// TestBinaryMeanBatchMatchesJSONAllFrameworks is the mean-tier half of the
-// equivalence pin.
-func TestBinaryMeanBatchMatchesJSONAllFrameworks(t *testing.T) {
-	const (
-		classes = 3
-		n       = 500
-	)
-	values := make([]mean.Value, n)
-	r := xrand.New(11)
-	for i := range values {
-		values[i] = mean.Value{Class: r.Intn(classes), X: 2*r.Float64() - 1}
-	}
-	for _, name := range meanFrameworks {
-		t.Run(name, func(t *testing.T) {
-			srvJSON := newMeanServer(t, name, classes, 2, 0.5)
-			srvBin := newMeanServer(t, name, classes, 2, 0.5)
-			tsJSON, tsBin := newHTTPServer(t, srvJSON), newHTTPServer(t, srvBin)
-			jsonClient, err := NewMeanClient(tsJSON.URL, tsJSON.Client(), 42)
-			if err != nil {
-				t.Fatal(err)
-			}
-			binClient, err := NewMeanClient(tsBin.URL, tsBin.Client(), 42, WithBinary(true))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, cl := range []*MeanClient{jsonClient, binClient} {
-				ack, err := cl.SubmitBatch(0, values)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ack.Accepted != n || ack.Rejected != 0 {
-					t.Fatalf("ack %+v, want %d accepted", ack, n)
-				}
-			}
-			want, err := jsonClient.Estimates()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := binClient.Estimates()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("binary mean estimates diverge from JSON:\nbinary %+v\njson   %+v", got, want)
-			}
-		})
-	}
 }
 
 // TestBinaryJSONClientsInterleave checks mixed-wire deployments: JSON and
@@ -233,94 +135,6 @@ func TestBinaryEndpointRejectsBadFrames(t *testing.T) {
 	if got := srv.Reports(); got != n {
 		t.Fatalf("intact frame ingested %d reports, want %d", got, n)
 	}
-}
-
-// TestBinaryWALReplay checks the recBinaryBatch durability path: reports
-// ingested over the binary wire survive an unclean restart bit-identically,
-// on both tiers.
-func TestBinaryWALReplay(t *testing.T) {
-	walOpts := WithWALOptions(wal.Options{Sync: wal.SyncAlways})
-	t.Run("frequency", func(t *testing.T) {
-		const c, d, n = 2, 9, 120
-		dir := t.TempDir()
-		srv, err := NewServer(mustProtocol(t, "ptscp", c, d, 2, 0.5), WithWAL(dir), walOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := newHTTPServer(t, srv)
-		client, err := NewClient(ts.URL, ts.Client(), 21, WithBinary(true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := client.SubmitBatch(testPairs(c, d, n, 17)); err != nil {
-			t.Fatal(err)
-		}
-		want, err := client.Estimates()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts.Close()
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
-		}
-		restarted, err := NewServer(mustProtocol(t, "ptscp", c, d, 2, 0.5), WithWAL(dir), walOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer restarted.Close()
-		ts2 := newHTTPServer(t, restarted)
-		probe, err := NewClient(ts2.URL, ts2.Client(), 22)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := probe.Estimates()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("replayed estimates diverge:\nafter restart %+v\nbefore        %+v", got, want)
-		}
-	})
-	t.Run("mean", func(t *testing.T) {
-		const classes, n = 3, 120
-		dir := t.TempDir()
-		srv := newMeanServer(t, "cpmean", classes, 2, 0.5, WithWAL(dir), walOpts)
-		ts := newHTTPServer(t, srv)
-		client, err := NewMeanClient(ts.URL, ts.Client(), 23, WithBinary(true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		values := make([]mean.Value, n)
-		r := xrand.New(19)
-		for i := range values {
-			values[i] = mean.Value{Class: r.Intn(classes), X: 2*r.Float64() - 1}
-		}
-		if _, err := client.SubmitBatch(0, values); err != nil {
-			t.Fatal(err)
-		}
-		want, err := client.Estimates()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts.Close()
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
-		}
-		restarted := newMeanServer(t, "cpmean", classes, 2, 0.5, WithWAL(dir), walOpts)
-		defer restarted.Close()
-		ts2 := newHTTPServer(t, restarted)
-		probe, err := NewMeanClient(ts2.URL, ts2.Client(), 24)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := probe.Estimates()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("replayed mean estimates diverge:\nafter restart %+v\nbefore        %+v", got, want)
-		}
-	})
 }
 
 // TestWithBinaryRequiresAdvertisement pins backward compatibility: against

@@ -25,13 +25,6 @@ func postBinary(srv *Server, path string, frame []byte) int {
 	return rec.Code
 }
 
-// logged reads the tier's logged-records counters: delta, frame, batch,
-// envelope.
-func logged[W any](tr *tier[W]) [4]int64 {
-	m := tr.m
-	return [4]int64{m.loggedDelta.Value(), m.loggedFrame.Value(), m.loggedBatch.Value(), m.loggedEnvelope.Value()}
-}
-
 // recordTypes lists the type byte of every record in a closed log's tail.
 func recordTypes(t *testing.T, dir string) string {
 	t.Helper()
@@ -87,11 +80,11 @@ func TestWALMixedRecordsKill9(t *testing.T) {
 	// want is the counters' step each write must take.
 	step := func(tr *tier[WireReport], want [4]int64, write func() int) {
 		t.Helper()
-		before := logged(tr)
+		before := tr.logged()
 		if code := write(); code != http.StatusOK {
 			t.Fatalf("write answered %d", code)
 		}
-		after := logged(tr)
+		after := tr.logged()
 		for i := range after {
 			if after[i]-before[i] != want[i] {
 				t.Fatalf("logged records moved %v → %v, want a step of %v (delta, frame, batch, envelope)", before, after, want)
@@ -146,7 +139,7 @@ func TestWALMixedRecordsKill9(t *testing.T) {
 	if code := postBinary(srv, "/mean/reports", meanFrame); code != http.StatusOK {
 		t.Fatalf("mean frame answered %d", code)
 	}
-	if got := logged(srv.mean); got != [4]int64{1, 0, 0, 0} {
+	if got := srv.mean.logged(); got != [4]int64{1, 0, 0, 0} {
 		t.Fatalf("the 4,096-report mean frame logged %v, want one delta", got)
 	}
 
@@ -241,50 +234,6 @@ func TestFrameRefusedWithoutHeadroom(t *testing.T) {
 	defer reopened.Close()
 	if got := reopened.Reports(); got != maxTierReports {
 		t.Fatalf("reopened server holds %d reports, want 2⁶²", got)
-	}
-}
-
-// TestBinaryIngestAllocatesNothing pins the durable binary write: a large
-// frame folded into a pooled delta, sealed into a pooled buffer, logged and
-// merged, and a small frame logged raw and folded in under the lock, both
-// allocate nothing.
-func TestBinaryIngestAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops entries at random under the race detector")
-	}
-	srv, err := NewServer(mustProtocol(t, "ptscp", 5, 1000, 2, 0.5), WithWAL(t.TempDir()),
-		WithWALOptions(wal.Options{Sync: wal.SyncNever}), WithCompactAfter(1<<40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	p := srv.proto
-	for _, tc := range []struct {
-		reports int
-		record  [4]int64
-	}{{512, [4]int64{1, 0, 0, 0}}, {1, [4]int64{0, 1, 0, 0}}} {
-		frame, err := p.AppendBinaryBatch(nil, wireStream(t, p, tc.reports, 9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := srv.freq.c.validateBinary(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := logged(srv.freq)
-		if allocs := testing.AllocsPerRun(50, func() {
-			if err := srv.freq.ingestBinary(frame, f); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs != 0 {
-			t.Fatalf("a %d-report frame allocated %v times", tc.reports, allocs)
-		}
-		after := logged(srv.freq)
-		for i := range after {
-			if after[i]-before[i] != 51*tc.record[i] {
-				t.Fatalf("%d-report frames logged %v → %v, want 51 × %v", tc.reports, before, after, tc.record)
-			}
-		}
 	}
 }
 

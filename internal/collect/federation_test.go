@@ -2,90 +2,13 @@ package collect
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"testing"
 
 	"repro/internal/state"
 )
-
-// TestFederatedMergeEqualsCentralized pins acceptance criterion (c): for
-// every framework, E edge collectors ingesting disjoint slices of a report
-// stream and pushing their drained state through the root's POST /merge
-// produce estimates bit-identical to one centralized server ingesting the
-// whole stream itself.
-func TestFederatedMergeEqualsCentralized(t *testing.T) {
-	const c, d, n, edges = 3, 10, 1500, 4
-	for _, name := range snapshotFrameworks {
-		t.Run(name, func(t *testing.T) {
-			proto := mustProtocol(t, name, c, d, 2, 0.5)
-			wires := wireStream(t, proto, n, 29)
-
-			central, err := NewServer(mustProtocol(t, name, c, d, 2, 0.5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ingestWires(t, central, wires, 64)
-
-			root, err := NewServer(mustProtocol(t, name, c, d, 2, 0.5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewServer(root.Handler())
-			defer ts.Close()
-
-			// Deal the stream round-robin over the edges, then push each
-			// edge's drained aggregate upstream over HTTP.
-			for e := 0; e < edges; e++ {
-				edge, err := NewServer(mustProtocol(t, name, c, d, 2, 0.5))
-				if err != nil {
-					t.Fatal(err)
-				}
-				var slice []WireReport
-				for i := e; i < n; i += edges {
-					slice = append(slice, wires[i])
-				}
-				ingestWires(t, edge, slice, 64)
-				env, _, err := edge.Drain()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if edge.Reports() != 0 {
-					t.Fatalf("edge %d holds %d reports after drain", e, edge.Reports())
-				}
-				resp, err := http.Post(ts.URL+"/merge", "application/octet-stream", bytes.NewReader(env))
-				if err != nil {
-					t.Fatal(err)
-				}
-				var ack WireMergeAck
-				if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-					t.Fatal(err)
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("edge %d push status %d", e, resp.StatusCode)
-				}
-				if ack.Merged != len(slice) {
-					t.Fatalf("edge %d merged %d reports, want %d", e, ack.Merged, len(slice))
-				}
-			}
-
-			if root.Reports() != n {
-				t.Fatalf("root holds %d reports, want %d", root.Reports(), n)
-			}
-			rootAgg, centralAgg := freqAgg(t, root), freqAgg(t, central)
-			if !reflect.DeepEqual(rootAgg.Estimates(), centralAgg.Estimates()) {
-				t.Fatal("federated estimates not bit-identical to centralized ingestion")
-			}
-			if !reflect.DeepEqual(rootAgg.ClassSizes(), centralAgg.ClassSizes()) {
-				t.Fatal("federated class sizes not bit-identical to centralized ingestion")
-			}
-		})
-	}
-}
 
 // TestMergeEndpointRejects checks the /merge failure modes: a fingerprint
 // mismatch is a 409 (the envelope is valid, just not ours), corrupt bytes
@@ -226,48 +149,5 @@ func TestMergeOverCapAnswers413(t *testing.T) {
 	}
 	if root.Reports() != 5 {
 		t.Fatalf("over-cap merge changed the aggregate (%d reports, want 5)", root.Reports())
-	}
-}
-
-// TestDrainPushFailureRemerge documents the edge collector's retry loop:
-// when an upstream push fails, MergeState folds the drained envelope back
-// in, and the next drain carries those reports again — nothing is lost or
-// double-counted.
-func TestDrainPushFailureRemerge(t *testing.T) {
-	edge, err := NewServer(mustProtocol(t, "pts", 2, 6, 2, 0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wires := wireStream(t, edge.proto, 40, 4)
-	ingestWires(t, edge, wires[:30], 10)
-	env, _, err := edge.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// "Push failed": put it back, ingest more, drain again.
-	if _, err := edge.MergeState(env); err != nil {
-		t.Fatal(err)
-	}
-	ingestWires(t, edge, wires[30:], 10)
-	if edge.Reports() != 40 {
-		t.Fatalf("edge reports %d, want 40", edge.Reports())
-	}
-	reEnv, _, err := edge.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	retaken := mustOpen(t, edge.proto.UnmarshalAggregator, reEnv)
-	if retaken.N() != 40 {
-		t.Fatalf("second drain carries %d reports, want all 40", retaken.N())
-	}
-
-	// The retried aggregate equals direct ingestion of the same stream.
-	direct, err := NewServer(mustProtocol(t, "pts", 2, 6, 2, 0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestWires(t, direct, wires, 10)
-	if !reflect.DeepEqual(retaken.Estimates(), freqAgg(t, direct).Estimates()) {
-		t.Fatal("re-merged drain not bit-identical to direct ingestion")
 	}
 }

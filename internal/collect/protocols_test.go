@@ -2,122 +2,11 @@ package collect
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fo"
-	"repro/internal/xrand"
 )
-
-// TestEndToEndAllProtocols runs the full HTTP pipeline — config fetch,
-// client-side encoding, batched ingestion, merged estimates — for every
-// canonical framework, checking the served estimates are finite and
-// recover the planted signal's heaviest cell.
-func TestEndToEndAllProtocols(t *testing.T) {
-	const (
-		c, d = 2, 6
-		eps  = 4.0
-		n    = 3000
-	)
-	for _, name := range core.ProtocolNames() {
-		t.Run(name, func(t *testing.T) {
-			srv, ts := newProtoServer(t, name, c, d, eps)
-			client, err := NewClient(ts.URL, ts.Client(), 99)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := client.Protocol().Name(); got != name {
-				t.Fatalf("client negotiated %q, want %q", got, name)
-			}
-			// Class 0 concentrated on item 1, class 1 on item 4.
-			r := xrand.New(7)
-			pairs := make([]core.Pair, n)
-			for i := range pairs {
-				pairs[i] = core.Pair{Class: 0, Item: 1}
-				if r.Bernoulli(0.4) {
-					pairs[i] = core.Pair{Class: 1, Item: 4}
-				}
-			}
-			for lo := 0; lo < n; lo += 500 {
-				ack, err := client.SubmitBatch(pairs[lo : lo+500])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ack.Rejected != 0 {
-					t.Fatalf("server rejected %d in-domain reports: %v", ack.Rejected, ack.Errors)
-				}
-			}
-			if srv.Reports() != n {
-				t.Fatalf("server saw %d reports", srv.Reports())
-			}
-			est, err := client.Estimates()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if est.Reports != n {
-				t.Fatalf("estimates report count %d", est.Reports)
-			}
-			if len(est.Frequencies) != c || len(est.Frequencies[0]) != d || len(est.ClassSizes) != c {
-				t.Fatalf("malformed estimates %+v", est)
-			}
-			for ci := range est.Frequencies {
-				for i, v := range est.Frequencies[ci] {
-					if math.IsNaN(v) || math.IsInf(v, 0) {
-						t.Fatalf("non-finite estimate f(%d,%d)=%v", ci, i, v)
-					}
-				}
-			}
-			// The planted cells dominate; at ε=4 every framework (including
-			// the biased HEC strawman) recovers them within coarse bounds.
-			if math.Abs(est.Frequencies[0][1]-1800) > 700 {
-				t.Fatalf("f(0,1) estimate %v want ≈1800", est.Frequencies[0][1])
-			}
-			if math.Abs(est.Frequencies[1][4]-1200) > 700 {
-				t.Fatalf("f(1,4) estimate %v want ≈1200", est.Frequencies[1][4])
-			}
-		})
-	}
-}
-
-// TestEndToEndNamedPTSItem checks a "pts+<item>" protocol round: the server
-// advertises the composite name and clients reconstruct the exact encoder
-// (here PTS over OLH, whose reports carry a value plus hash seed).
-func TestEndToEndNamedPTSItem(t *testing.T) {
-	srv, ts := newProtoServer(t, "pts+olh", 2, 10, 2)
-	client, err := NewClient(ts.URL, ts.Client(), 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := client.Protocol().Name(); got != "pts+olh" {
-		t.Fatalf("client negotiated %q", got)
-	}
-	pairs := make([]core.Pair, 400)
-	for i := range pairs {
-		pairs[i] = core.Pair{Class: i % 2, Item: i % 10}
-	}
-	ack, err := client.SubmitBatch(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.Rejected != 0 {
-		t.Fatalf("server rejected %d in-domain reports: %v", ack.Rejected, ack.Errors)
-	}
-	if srv.Reports() != 400 {
-		t.Fatalf("server saw %d reports", srv.Reports())
-	}
-	est, err := client.Estimates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ci := range est.Frequencies {
-		for i, v := range est.Frequencies[ci] {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("non-finite estimate f(%d,%d)=%v", ci, i, v)
-			}
-		}
-	}
-}
 
 // TestNewServerRejectsUnreconstructibleProtocol: a server whose protocol
 // name cannot be rebuilt by core.NewProtocol would serve a round no client

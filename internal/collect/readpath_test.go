@@ -37,128 +37,6 @@ func getBody(t *testing.T, hc *http.Client, url string) []byte {
 	return body
 }
 
-// TestEstimateCacheBitIdentical pins the cache's exact mode for every
-// frequency framework: a server with the cache on (the default) must serve
-// GET /estimates bodies byte-identical to a server with the cache disabled,
-// before and after the cached entry is invalidated by new reports — and the
-// repeat read must actually come from the cache.
-func TestEstimateCacheBitIdentical(t *testing.T) {
-	const classes, items = 3, 32
-	for _, fw := range []string{"hec", "ptj", "pts", "ptscp"} {
-		t.Run(fw, func(t *testing.T) {
-			build := func(opts ...ServerOption) (*Server, *httptest.Server) {
-				proto, err := core.NewProtocol(fw, classes, items, 2, 0.5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				srv, err := NewServer(proto, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return srv, newHTTPServer(t, srv)
-			}
-			cachedSrv, cachedTS := build()
-			_, plainTS := build(WithEstimateCacheDisabled())
-			submit := func(pairs []core.Pair) {
-				for _, ts := range []*httptest.Server{cachedTS, plainTS} {
-					cl, err := NewClient(ts.URL, ts.Client(), 99)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := cl.SubmitBatch(pairs); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			submit(testPairs(classes, items, 300, 7))
-
-			first := getBody(t, cachedTS.Client(), cachedTS.URL+"/estimates")
-			again := getBody(t, cachedTS.Client(), cachedTS.URL+"/estimates")
-			plain := getBody(t, plainTS.Client(), plainTS.URL+"/estimates")
-			if !bytes.Equal(first, plain) {
-				t.Fatalf("cached body diverges from uncached render:\n%s\nvs\n%s", first, plain)
-			}
-			if !bytes.Equal(again, plain) {
-				t.Fatal("repeat cached read diverges from uncached render")
-			}
-			if hits := cachedSrv.freq.cache.m.hit.Value(); hits < 1 {
-				t.Fatalf("repeat read at an unchanged version recorded %d hits, want >= 1", hits)
-			}
-
-			// New reports move the version: the cache must re-render, and the
-			// fresh body must again match the uncached server exactly.
-			submit(testPairs(classes, items, 50, 8))
-			fresh := getBody(t, cachedTS.Client(), cachedTS.URL+"/estimates")
-			plain2 := getBody(t, plainTS.Client(), plainTS.URL+"/estimates")
-			if !bytes.Equal(fresh, plain2) {
-				t.Fatal("post-invalidation cached body diverges from uncached render")
-			}
-			if bytes.Equal(fresh, first) {
-				t.Fatal("cache served the pre-ingest body after the version moved")
-			}
-		})
-	}
-}
-
-// TestMeanEstimateCacheBitIdentical is the mean-tier half of the exact-mode
-// pin, across every mean framework.
-func TestMeanEstimateCacheBitIdentical(t *testing.T) {
-	const classes = 3
-	values := func(n int, seed uint64) []mean.Value {
-		r := xrand.New(seed)
-		out := make([]mean.Value, n)
-		for i := range out {
-			out[i] = mean.Value{Class: r.Intn(classes), X: 2*r.Float64() - 1}
-		}
-		return out
-	}
-	for _, fw := range []string{"hecmean", "ptsmean", "cpmean"} {
-		t.Run(fw, func(t *testing.T) {
-			build := func(opts ...ServerOption) (*Server, *httptest.Server) {
-				np, err := core.NewNumericProtocol(fw, classes, 2, 0.5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				srv, err := NewServer(nil, append([]ServerOption{WithMean(np)}, opts...)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return srv, newHTTPServer(t, srv)
-			}
-			cachedSrv, cachedTS := build()
-			_, plainTS := build(WithEstimateCacheDisabled())
-			submit := func(first int, vals []mean.Value) {
-				for _, ts := range []*httptest.Server{cachedTS, plainTS} {
-					cl, err := NewMeanClient(ts.URL, ts.Client(), 99)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := cl.SubmitBatch(first, vals); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			submit(0, values(300, 7))
-
-			first := getBody(t, cachedTS.Client(), cachedTS.URL+"/mean/estimates")
-			again := getBody(t, cachedTS.Client(), cachedTS.URL+"/mean/estimates")
-			plain := getBody(t, plainTS.Client(), plainTS.URL+"/mean/estimates")
-			if !bytes.Equal(first, plain) || !bytes.Equal(again, plain) {
-				t.Fatal("cached mean body diverges from uncached render")
-			}
-			if hits := cachedSrv.mean.cache.m.hit.Value(); hits < 1 {
-				t.Fatalf("repeat mean read recorded %d hits, want >= 1", hits)
-			}
-			submit(300, values(50, 8))
-			fresh := getBody(t, cachedTS.Client(), cachedTS.URL+"/mean/estimates")
-			plain2 := getBody(t, plainTS.Client(), plainTS.URL+"/mean/estimates")
-			if !bytes.Equal(fresh, plain2) {
-				t.Fatal("post-invalidation cached mean body diverges from uncached render")
-			}
-		})
-	}
-}
-
 // TestEstimateBodiesDeclareLength pins the framing of an estimates response
 // over a real listener: the body is rendered before the first byte is sent,
 // so it goes out under a Content-Length and not chunked — on the miss that

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/mean"
 	"repro/internal/state"
 	"repro/internal/xrand"
 )
@@ -39,71 +38,29 @@ func (c poisonedCodec) appendEstimates(dst []byte, t *state.Table) ([]byte, erro
 }
 
 // TestEstimatesRenderMatchesEncodingJSON pins the served estimate bodies to
-// encoding/json: for every frequency framework, a pts+<item> protocol and
-// every mean framework, GET /estimates (or /mean/estimates) must return
-// exactly json.NewEncoder's encoding of the same table's Calibrate output.
-// The cache pins compare the cache against the uncached render only, so they
-// cannot see the renderer drift from encoding/json. A value encoding/json
-// refuses must still answer 500 with encoding/json's error.
+// encoding/json: for every report-tier protocol, GET /estimates (or
+// /mean/estimates) must return exactly json.NewEncoder's encoding of the
+// same table's Calibrate output. The cache pins compare the cache against
+// the uncached render only, so they cannot see the renderer drift from
+// encoding/json. A value encoding/json refuses must still answer 500 with
+// encoding/json's error.
 func TestEstimatesRenderMatchesEncodingJSON(t *testing.T) {
 	const classes, items = 3, 64
-	for _, name := range append(core.ProtocolNames(), "pts+olh") {
-		t.Run(name, func(t *testing.T) {
-			srv, ts := newProtoServer(t, name, classes, items, 2)
-			cl, err := NewClient(ts.URL, ts.Client(), 99)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := cl.SubmitBatch(testPairs(classes, items, 2000, 7)); err != nil {
-				t.Fatal(err)
-			}
-			got := getBody(t, ts.Client(), ts.URL+"/estimates")
-			acc := srv.freq.clone()
-			freq, sizes := srv.freq.c.(freqCodec).Calibrate(&acc)
-			want, err := encodeJSON(WireEstimates{Reports: int(acc.N), Frequencies: freq, ClassSizes: sizes})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("served body diverges from encoding/json:\n%s\nvs\n%s", got, want)
-			}
-		})
-	}
-	for _, name := range core.NumericProtocolNames() {
-		t.Run(name, func(t *testing.T) {
-			np, err := core.NewNumericProtocol(name, classes, 2, 0.5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv, err := NewServer(nil, WithMean(np))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := newHTTPServer(t, srv)
-			cl, err := NewMeanClient(ts.URL, ts.Client(), 99)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := xrand.New(7)
-			vals := make([]mean.Value, 2000)
-			for i := range vals {
-				vals[i] = mean.Value{Class: r.Intn(classes), X: 2*r.Float64() - 1}
-			}
-			if _, err := cl.SubmitBatch(0, vals); err != nil {
-				t.Fatal(err)
-			}
-			got := getBody(t, ts.Client(), ts.URL+"/mean/estimates")
-			acc := srv.mean.clone()
-			means, sizes := np.Calibrate(&acc)
-			want, err := encodeJSON(WireMeanEstimates{Reports: int(acc.N), Means: means, ClassSizes: sizes})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("served mean body diverges from encoding/json:\n%s\nvs\n%s", got, want)
-			}
-		})
-	}
+	forRows(t, protocolRows, func(t *testing.T, row protocolRow) {
+		srv := row.server(t, classes, items, 2)
+		ts := newHTTPServer(t, srv)
+		if _, err := mustNewClient(t, row, ts, 99).submitN(2000); err != nil {
+			t.Fatal(err)
+		}
+		got := getBody(t, ts.Client(), ts.URL+row.route+"/estimates")
+		want, err := encodeJSON(row.estimates(srv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("served body diverges from encoding/json:\n%s\nvs\n%s", got, want)
+		}
+	})
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		t.Run("refuses "+strconv.FormatFloat(v, 'g', -1, 64), func(t *testing.T) {
 			srv, ts := newProtoServer(t, "ptscp", classes, items, 2)

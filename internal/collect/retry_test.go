@@ -32,7 +32,7 @@ func (f *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // retryClient builds one tier's client against url with instant (recorded)
 // sleeps.
-func retryClient(t *testing.T, tc tierCase, url string, delays *[]time.Duration, opts ...ClientOption) tierClient {
+func retryClient(t *testing.T, tc protocolRow, url string, delays *[]time.Duration, opts ...ClientOption) tierClient {
 	t.Helper()
 	client, err := tc.newClient(url, nil, 7, opts...)
 	if err != nil {

@@ -9,145 +9,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/mean"
 	"repro/internal/wal"
 )
-
-// tierCase puts one report tier behind closures, so every tier-contract
-// test — durability, compaction, concurrency, the buffered client's failure
-// handling — is written once and runs through both codecs of the shared
-// engine (tier.go) and the shared batch client (client.go).
-type tierCase struct {
-	name   string
-	walSub string // the tier's log directory under WithWAL's dir (default layout)
-	route  string // endpoint prefix: "" or "/mean"
-
-	// newServer builds a server hosting only this tier, over a report domain
-	// that grows with size (labels for both tiers, items too for freq).
-	newServer func(t testing.TB, size int, opts ...ServerOption) *Server
-	// stream is the tier's deterministic wire stream of n reports as a JSON
-	// array (for raw posts); feed pushes reports [from, to) of the same
-	// stream through the tier's ingest path in chunks of batch.
-	stream func(t testing.TB, srv *Server, n int, seed uint64) []byte
-	feed   func(t testing.TB, srv *Server, seed uint64, from, to, batch int) error
-
-	reports   func(*Server) int
-	estimates func(*Server) any // calibrated output of the merged aggregate
-	compact   func(*Server) error
-	snapshot  func(*Server) ([]byte, error)
-	log       func(*Server) *wal.Log
-
-	newClient func(url string, hc *http.Client, seed uint64, opts ...ClientOption) (tierClient, error)
-}
-
-// tierClient is the slice of Client / MeanClient the client-contract tests
-// drive; bufferNth and submitN perturb a deterministic in-domain datum per
-// index.
-type tierClient interface {
-	Flush() error
-	Pending() int
-	bufferNth(i int) error
-	submitN(n int) (*WireBatchAck, error)
-	// retarget re-points the client at another server (a misconfigured
-	// client); setSleep replaces the retry backoff's sleep.
-	retarget(url string)
-	setSleep(func(time.Duration))
-}
-
-type freqTestClient struct{ *Client }
-
-func (c freqTestClient) pair(i int) core.Pair {
-	return core.Pair{Class: i % c.proto.Classes(), Item: i % c.proto.Items()}
-}
-func (c freqTestClient) bufferNth(i int) error { return c.Buffer(c.pair(i)) }
-func (c freqTestClient) submitN(n int) (*WireBatchAck, error) {
-	pairs := make([]core.Pair, n)
-	for i := range pairs {
-		pairs[i] = c.pair(i)
-	}
-	return c.SubmitBatch(pairs)
-}
-func (c freqTestClient) retarget(url string)            { c.base = url }
-func (c freqTestClient) setSleep(f func(time.Duration)) { c.sleep = f }
-
-type meanTestClient struct{ *MeanClient }
-
-func (c meanTestClient) value(i int) mean.Value {
-	return mean.Value{Class: i % c.proto.Classes(), X: float64(i%21)/10 - 1}
-}
-func (c meanTestClient) bufferNth(i int) error { return c.Buffer(i, c.value(i)) }
-func (c meanTestClient) submitN(n int) (*WireBatchAck, error) {
-	vs := make([]mean.Value, n)
-	for i := range vs {
-		vs[i] = c.value(i)
-	}
-	return c.SubmitBatch(0, vs)
-}
-func (c meanTestClient) retarget(url string)            { c.base = url }
-func (c meanTestClient) setSleep(f func(time.Duration)) { c.sleep = f }
-
-// tierCases is both instantiations of the report-tier engine.
-var tierCases = []tierCase{
-	{
-		name: "freq", walSub: "", route: "",
-		newServer: func(t testing.TB, size int, opts ...ServerOption) *Server {
-			t.Helper()
-			srv, err := NewServer(mustProtocol(t, "ptscp", size, 4*size, 2, 0.5), opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return srv
-		},
-		stream: func(t testing.TB, srv *Server, n int, seed uint64) []byte {
-			return mustJSON(t, wireStream(t, srv.proto, n, seed))
-		},
-		feed: func(t testing.TB, srv *Server, seed uint64, from, to, batch int) error {
-			return feedTier(srv.freq, wireStream(t, srv.proto, to, seed)[from:], batch)
-		},
-		reports: (*Server).Reports,
-		estimates: func(srv *Server) any {
-			acc := srv.freq.clone()
-			freq, sizes := srv.proto.Calibrate(&acc)
-			return []any{freq, sizes}
-		},
-		compact:  (*Server).Compact,
-		snapshot: (*Server).Snapshot,
-		log:      func(srv *Server) *wal.Log { return srv.freq.log },
-		newClient: func(url string, hc *http.Client, seed uint64, opts ...ClientOption) (tierClient, error) {
-			c, err := NewClient(url, hc, seed, opts...)
-			return freqTestClient{c}, err
-		},
-	},
-	{
-		name: "mean", walSub: "mean", route: "/mean",
-		newServer: func(t testing.TB, size int, opts ...ServerOption) *Server {
-			t.Helper()
-			return newMeanServer(t, "cpmean", size, 2, 0.5, opts...)
-		},
-		stream: func(t testing.TB, srv *Server, n int, seed uint64) []byte {
-			return mustJSON(t, meanWireStream(t, srv.meanProto, n, seed))
-		},
-		feed: func(t testing.TB, srv *Server, seed uint64, from, to, batch int) error {
-			return feedTier(srv.mean, meanWireStream(t, srv.meanProto, to, seed)[from:], batch)
-		},
-		reports: (*Server).MeanReports,
-		estimates: func(srv *Server) any {
-			acc := srv.mean.clone()
-			means, sizes := srv.meanProto.Calibrate(&acc)
-			return []any{means, sizes}
-		},
-		compact:  (*Server).CompactMean,
-		snapshot: (*Server).SnapshotMean,
-		log:      func(srv *Server) *wal.Log { return srv.mean.log },
-		newClient: func(url string, hc *http.Client, seed uint64, opts ...ClientOption) (tierClient, error) {
-			c, err := NewMeanClient(url, hc, seed, opts...)
-			return meanTestClient{c}, err
-		},
-	},
-}
 
 func mustJSON(t testing.TB, v any) []byte {
 	t.Helper()
@@ -156,14 +20,6 @@ func mustJSON(t testing.TB, v any) []byte {
 		t.Fatal(err)
 	}
 	return b
-}
-
-// mustFeed is tc.feed on the test goroutine.
-func (tc tierCase) mustFeed(t testing.TB, srv *Server, seed uint64, from, to, batch int) {
-	t.Helper()
-	if err := tc.feed(t, srv, seed, from, to, batch); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // syncBuffer is a log sink safe to read while loggers still hold it.

@@ -7,14 +7,13 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/mean"
 	"repro/internal/xrand"
 )
 
-// These tests hold the other end of the mean frame kernel: the per-report
-// path it replaced — every record materialized by DecodeBinaryMeanBatch,
-// re-checked by DecodeMeanReport and folded by one Add — which anything that
-// applies a frame with ApplyBinaryMeanBatch alone would compare with itself.
+// These tests are the mean frame's own cases, held to the per-report path
+// the frame kernel replaced (codec.addFrame, conformance_test.go): every
+// record materialized by DecodeBinaryMeanBatch, re-checked by
+// DecodeMeanReport and folded by one Add.
 
 // randomMeanWires draws n reports uniformly over the protocol's whole
 // (label, symbol) domain, so multi-byte labels and every symbol appear.
@@ -22,23 +21,6 @@ func randomMeanWires(p *NumericProtocol, n int, r *xrand.Rand) []WireMeanReport 
 	wires := make([]WireMeanReport, n)
 	for i := range wires {
 		wires[i] = WireMeanReport{Label: r.Intn(p.Classes()), Symbol: r.Intn(p.Symbols())}
-	}
-	return wires
-}
-
-// addPerReport is the oracle: the frame's reports, one Add at a time.
-func addPerReport(t testing.TB, p *NumericProtocol, agg mean.Aggregator, frame []byte) []WireMeanReport {
-	t.Helper()
-	wires, err := p.DecodeBinaryMeanBatch(frame)
-	if err != nil {
-		t.Fatalf("%s: DecodeBinaryMeanBatch: %v", p.Name(), err)
-	}
-	for _, w := range wires {
-		rep, err := p.DecodeMeanReport(w)
-		if err != nil {
-			t.Fatalf("%s: frame-accepted report rejected by DecodeMeanReport: %v", p.Name(), err)
-		}
-		agg.Add(rep)
 	}
 	return wires
 }
@@ -56,59 +38,6 @@ func sameFloats(a, b []float64) bool {
 	return true
 }
 
-// requireSameMeanAggregate compares two aggregates on their snapshot bytes
-// and on both calibrated outputs.
-func requireSameMeanAggregate(t testing.TB, what string, got, want mean.Aggregator) {
-	t.Helper()
-	gb, err := got.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wb, err := want.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gb, wb) || got.N() != want.N() {
-		t.Fatalf("%s: aggregate states differ (N %d vs %d)", what, got.N(), want.N())
-	}
-	if !sameFloats(got.Means(), want.Means()) || !sameFloats(got.ClassSizes(), want.ClassSizes()) {
-		t.Fatalf("%s: calibrated estimates differ", what)
-	}
-}
-
-// TestMeanFrameKernelMatchesPerReportAdd is the differential property: over
-// random frames of every numeric protocol, from one class to a domain that
-// outgrows the inline cell table, with single-byte, mixed and mostly
-// multi-byte labels, an aggregator the kernel filled equals one filled
-// report by report.
-func TestMeanFrameKernelMatchesPerReportAdd(t *testing.T) {
-	r := xrand.New(15)
-	for _, name := range NumericProtocolNames() {
-		for _, classes := range []int{1, 5, 127, 128, 200, 20000} {
-			p := mustNumeric(t, name, classes, 2, 0.5)
-			kernel, oracle := p.NewAggregator(), p.NewAggregator()
-			for _, n := range []int{0, 1, 63, 64, 4096} {
-				what := fmt.Sprintf("%s c=%d n=%d", name, classes, n)
-				wires := randomMeanWires(p, n, r)
-				frame, err := p.AppendBinaryMeanBatch(nil, wires)
-				if err != nil {
-					t.Fatal(err)
-				}
-				applied, err := p.ApplyBinaryMeanBatch(kernel, frame)
-				if err != nil || applied != n {
-					t.Fatalf("%s: applied %d, %v", what, applied, err)
-				}
-				if got := addPerReport(t, p, oracle, frame); n > 0 && !reflect.DeepEqual(got, wires) {
-					t.Fatalf("%s: decoded reports did not round-trip", what)
-				}
-				// The aggregators accumulate across sizes, so a cell left
-				// over from an earlier frame would show up here.
-				requireSameMeanAggregate(t, what, kernel, oracle)
-			}
-		}
-	}
-}
-
 // meanFrame hand-frames raw record bytes under a declared count.
 func meanFrame(count int, records ...byte) []byte {
 	return FinishBinaryFrame(append(appendBinaryHeader(nil, binaryTierMean, count), records...), 0)
@@ -118,12 +47,11 @@ func meanFrame(count int, records ...byte) []byte {
 // gives — texts and record indices as the per-report walk produced them —
 // and the over-long varints that walk accepted.
 func TestMeanFrameMalformedRecords(t *testing.T) {
-	cp := mustNumeric(t, "cpmean", 5, 2, 0.5)
-	pts := mustNumeric(t, "ptsmean", 200, 2, 0.5)
+	cp, pts := mustMeanCodec(t, "cpmean", 5), mustMeanCodec(t, "ptsmean", 200)
 	overflow := append(bytes.Repeat([]byte{0xff}, 10), 0x02)
 	for _, tc := range []struct {
 		name  string
-		p     *NumericProtocol
+		k     meanCodec
 		frame []byte
 		want  string           // error text, or "" when the frame is accepted
 		wires []WireMeanReport // the reports an accepted frame carries
@@ -149,8 +77,8 @@ func TestMeanFrameMalformedRecords(t *testing.T) {
 		{"mixed label widths", pts, meanFrame(3, 0x7f, 1, 0x80, 0x01, 0, 0xc7, 0x01, 1), "", []WireMeanReport{{127, 1}, {128, 0}, {199, 1}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			agg := tc.p.NewAggregator()
-			applied, err := tc.p.ApplyBinaryMeanBatch(agg, tc.frame)
+			agg := tc.k.newAgg()
+			applied, err := tc.k.apply(agg, tc.frame)
 			if tc.want != "" {
 				if err == nil || err.Error() != tc.want {
 					t.Fatalf("error %v, want %q", err, tc.want)
@@ -158,7 +86,7 @@ func TestMeanFrameMalformedRecords(t *testing.T) {
 				if applied != 0 || agg.N() != 0 {
 					t.Fatalf("rejected frame applied %d reports (N=%d)", applied, agg.N())
 				}
-				if _, derr := tc.p.DecodeBinaryMeanBatch(tc.frame); derr == nil || derr.Error() != tc.want {
+				if _, derr := tc.k.unframe(tc.frame); derr == nil || derr.Error() != tc.want {
 					t.Fatalf("decode error %v, want %q", derr, tc.want)
 				}
 				return
@@ -166,11 +94,11 @@ func TestMeanFrameMalformedRecords(t *testing.T) {
 			if err != nil || applied != len(tc.wires) {
 				t.Fatalf("applied %d, %v; want %d reports", applied, err, len(tc.wires))
 			}
-			oracle := tc.p.NewAggregator()
-			if got := addPerReport(t, tc.p, oracle, tc.frame); !reflect.DeepEqual(got, tc.wires) {
+			oracle := tc.k.newAgg()
+			if got := tc.k.addFrame(t, oracle, tc.frame); !reflect.DeepEqual(got, tc.wires) {
 				t.Fatalf("decoded %v, want %v", got, tc.wires)
 			}
-			requireSameMeanAggregate(t, tc.name, agg, oracle)
+			tc.k.requireSame(t, tc.name, agg, oracle)
 		})
 	}
 }
@@ -183,7 +111,8 @@ func TestMeanFrameMalformedRecords(t *testing.T) {
 func TestCheckedMeanFrameIsAValue(t *testing.T) {
 	r := xrand.New(16)
 	for _, classes := range []int{5, 200} {
-		p := mustNumeric(t, "cpmean", classes, 2, 0.5)
+		k := mustMeanCodec(t, "cpmean", classes)
+		p := k.p.(*NumericProtocol)
 		frameOf := func(n int) []byte {
 			frame, err := p.AppendBinaryMeanBatch(nil, randomMeanWires(p, n, r))
 			if err != nil {
@@ -203,11 +132,11 @@ func TestCheckedMeanFrameIsAValue(t *testing.T) {
 		p.FoldChecked(&a, f)
 		p.FoldChecked(&b, f)
 		p.FoldChecked(&b, f)
-		addPerReport(t, p, once, kept)
-		addPerReport(t, p, twice, kept)
-		addPerReport(t, p, twice, kept)
-		requireSameMeanAggregate(t, fmt.Sprintf("c=%d applied once", classes), p.halves.Aggregate(a), once)
-		requireSameMeanAggregate(t, fmt.Sprintf("c=%d applied twice", classes), p.halves.Aggregate(b), twice)
+		k.addFrame(t, once, kept)
+		k.addFrame(t, twice, kept)
+		k.addFrame(t, twice, kept)
+		k.requireSame(t, fmt.Sprintf("c=%d applied once", classes), p.halves.Aggregate(a), once)
+		k.requireSame(t, fmt.Sprintf("c=%d applied twice", classes), p.halves.Aggregate(b), twice)
 
 		other := mustNumeric(t, "cpmean", classes, 2, 0.5)
 		func() {

@@ -3,8 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
-	"reflect"
 	"testing"
 
 	"repro/internal/state"
@@ -33,108 +31,6 @@ func fillAggregator(t testing.TB, p *Protocol, agg Aggregator, n int, seed uint6
 	enc := p.Encoder()
 	for i := 0; i < n; i++ {
 		agg.Add(enc.Encode(Pair{Class: i % p.Classes(), Item: i % p.Items()}, r))
-	}
-}
-
-// TestEnvelopeRoundTripBitIdentical pins acceptance criterion (a): for every
-// framework, marshal → unmarshal → Estimates is bit-identical to the live
-// aggregator, and the restored aggregator merges exactly.
-func TestEnvelopeRoundTripBitIdentical(t *testing.T) {
-	for _, p := range envelopeProtocols(t) {
-		t.Run(p.Name(), func(t *testing.T) {
-			agg := p.NewAggregator()
-			fillAggregator(t, p, agg, 400, 11)
-			env, err := p.MarshalAggregator(agg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			restored, err := p.UnmarshalAggregator(env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if restored.N() != agg.N() {
-				t.Fatalf("restored N=%d, want %d", restored.N(), agg.N())
-			}
-			if !reflect.DeepEqual(restored.Estimates(), agg.Estimates()) {
-				t.Fatal("restored estimates not bit-identical")
-			}
-			if !reflect.DeepEqual(restored.ClassSizes(), agg.ClassSizes()) {
-				t.Fatal("restored class sizes not bit-identical")
-			}
-			// A restored aggregator must keep participating in exact merges.
-			other := p.NewAggregator()
-			fillAggregator(t, p, other, 150, 23)
-			if err := restored.Merge(other); err != nil {
-				t.Fatal(err)
-			}
-			if err := agg.Merge(other); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(restored.Estimates(), agg.Estimates()) {
-				t.Fatal("merge after restore diverged")
-			}
-		})
-	}
-}
-
-// TestEnvelopeEmptyAggregator checks the zero-report envelope — the form a
-// freshly drained edge or a just-compacted WAL writes — restores cleanly.
-func TestEnvelopeEmptyAggregator(t *testing.T) {
-	for _, p := range envelopeProtocols(t) {
-		env, err := p.MarshalAggregator(p.NewAggregator())
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name(), err)
-		}
-		restored, err := p.UnmarshalAggregator(env)
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name(), err)
-		}
-		if restored.N() != 0 {
-			t.Fatalf("%s: empty envelope restored %d reports", p.Name(), restored.N())
-		}
-	}
-}
-
-// TestEnvelopeFingerprintMismatch checks that an envelope is only accepted
-// by a protocol with the identical fingerprint: a different framework, a
-// different domain, or a different budget must all answer
-// ErrIncompatibleState.
-func TestEnvelopeFingerprintMismatch(t *testing.T) {
-	protos := envelopeProtocols(t)
-	base := protos[3] // ptscp
-	agg := base.NewAggregator()
-	fillAggregator(t, base, agg, 50, 3)
-	env, err := base.MarshalAggregator(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cross-framework.
-	for _, p := range protos {
-		if p.Name() == base.Name() {
-			continue
-		}
-		if _, err := p.UnmarshalAggregator(env); !errors.Is(err, ErrIncompatibleState) {
-			t.Fatalf("%s accepted a %s envelope (err=%v)", p.Name(), base.Name(), err)
-		}
-	}
-	// Same framework, different parameters.
-	for _, mut := range []struct {
-		name       string
-		c, d       int
-		eps, split float64
-	}{
-		{"domain", 3, 13, 1.5, 0.5},
-		{"classes", 4, 12, 1.5, 0.5},
-		{"epsilon", 3, 12, 2.5, 0.5},
-		{"split", 3, 12, 1.5, 0.25},
-	} {
-		p, err := NewProtocol("ptscp", mut.c, mut.d, mut.eps, mut.split)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.UnmarshalAggregator(env); !errors.Is(err, ErrIncompatibleState) {
-			t.Fatalf("ptscp with different %s accepted the envelope (err=%v)", mut.name, err)
-		}
 	}
 }
 
@@ -189,21 +85,5 @@ func TestOLHSnapshotHoldsCountsNotReports(t *testing.T) {
 	// Every count of the 3 + 3·12 grows by at most one varint byte.
 	if cells := 3 + 3*12; sizes[100_000] > sizes[1000]+cells {
 		t.Fatalf("snapshot grew from %d bytes (1,000 reports) to %d (100,000)", sizes[1000], sizes[100_000])
-	}
-}
-
-// TestFingerprintMatchesWireCompatible pins the documented equivalence: two
-// protocols share a fingerprint exactly when WireCompatible accepts them.
-func TestFingerprintMatchesWireCompatible(t *testing.T) {
-	protos := envelopeProtocols(t)
-	for _, a := range protos {
-		for _, b := range protos {
-			same := a.Fingerprint() == b.Fingerprint()
-			compat := a.WireCompatible(b) == nil
-			if same != compat {
-				t.Fatalf("%s vs %s: fingerprint equal=%v but WireCompatible=%v",
-					a.Name(), b.Name(), same, compat)
-			}
-		}
 	}
 }

@@ -1,13 +1,7 @@
 package core
 
 import (
-	"encoding/json"
-	"errors"
-	"reflect"
 	"testing"
-
-	"repro/internal/mean"
-	"repro/internal/xrand"
 )
 
 func mustNumeric(t testing.TB, name string, classes int, eps, split float64) *NumericProtocol {
@@ -48,154 +42,12 @@ func TestNumericProtocolNames(t *testing.T) {
 	}
 }
 
-// TestNumericWireCodecRoundTrip pins the wire shape for every framework:
-// encoder output survives JSON and the decoder, and out-of-shape payloads
-// are refused.
-func TestNumericWireCodecRoundTrip(t *testing.T) {
-	const classes = 3
-	for _, name := range NumericProtocolNames() {
-		t.Run(name, func(t *testing.T) {
-			p := mustNumeric(t, name, classes, 2, 0.5)
-			enc, r := p.Encoder(), xrand.New(8)
-			for i := 0; i < 500; i++ {
-				rep := enc.Encode(mean.Value{Class: i % classes, X: 0.7}, i, r)
-				wire := p.EncodeMeanReport(rep)
-				blob, err := json.Marshal(wire)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var back WireMeanReport
-				if err := json.Unmarshal(blob, &back); err != nil {
-					t.Fatal(err)
-				}
-				decoded, err := p.DecodeMeanReport(back)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if decoded != rep {
-					t.Fatalf("round trip %+v != %+v", decoded, rep)
-				}
-			}
-			// Shape violations.
-			for _, bad := range []WireMeanReport{
-				{Label: -1, Symbol: 0},
-				{Label: classes, Symbol: 0},
-				{Label: 0, Symbol: -1},
-				{Label: 0, Symbol: p.Symbols()},
-			} {
-				if _, err := p.DecodeMeanReport(bad); err == nil {
-					t.Errorf("%s accepted out-of-shape report %+v", name, bad)
-				}
-			}
-		})
-	}
-	// The ⊥ symbol is cpmean-only.
-	if _, err := mustNumeric(t, "ptsmean", classes, 2, 0.5).DecodeMeanReport(WireMeanReport{Label: 0, Symbol: 2}); err == nil {
-		t.Error("ptsmean accepted the invalidity symbol")
-	}
-	if _, err := mustNumeric(t, "cpmean", classes, 2, 0.5).DecodeMeanReport(WireMeanReport{Label: 0, Symbol: 2}); err != nil {
-		t.Errorf("cpmean refused the invalidity symbol: %v", err)
-	}
-}
-
-// TestNumericEnvelopeRoundTrip checks the fingerprinted state envelope:
-// marshal → unmarshal → estimates bit-identical, and envelopes never cross
-// protocols (numeric↔numeric or numeric↔frequency).
-func TestNumericEnvelopeRoundTrip(t *testing.T) {
-	const classes = 3
-	protos := make([]*NumericProtocol, 0, 3)
-	for _, name := range NumericProtocolNames() {
-		protos = append(protos, mustNumeric(t, name, classes, 2, 0.5))
-	}
-	r := xrand.New(21)
-	for _, p := range protos {
-		agg := p.NewAggregator()
-		enc := p.Encoder()
-		for i := 0; i < 1000; i++ {
-			agg.Add(enc.Encode(mean.Value{Class: i % classes, X: -0.2}, i, r))
-		}
-		env, err := p.MarshalAggregator(agg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		restored, err := p.UnmarshalAggregator(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(restored.Means(), agg.Means()) || !reflect.DeepEqual(restored.ClassSizes(), agg.ClassSizes()) {
-			t.Fatalf("%s: restored estimates not bit-identical", p.Name())
-		}
-		// Every other numeric protocol must refuse it with the typed error.
-		for _, o := range protos {
-			if o == p {
-				continue
-			}
-			if _, err := o.UnmarshalAggregator(env); !errors.Is(err, ErrIncompatibleState) {
-				t.Fatalf("%s accepted %s envelope (err=%v)", o.Name(), p.Name(), err)
-			}
-		}
-		// Same framework, different budget: also incompatible.
-		other := mustNumeric(t, p.Name(), classes, 1, 0.5)
-		if _, err := other.UnmarshalAggregator(env); !errors.Is(err, ErrIncompatibleState) {
-			t.Fatalf("%s at ε=1 accepted ε=2 envelope (err=%v)", p.Name(), err)
-		}
-		// Corruption is an error, never a panic.
-		mangled := append([]byte(nil), env...)
-		mangled[len(mangled)/2] ^= 0xff
-		if _, err := p.UnmarshalAggregator(mangled); err == nil {
-			t.Fatalf("%s accepted corrupt envelope", p.Name())
-		}
-	}
-
-	// A frequency envelope can never restore into a numeric protocol (the
-	// fingerprint namespaces are disjoint), and vice versa.
-	freq, err := NewProtocol("ptscp", classes, 4, 2, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	freqEnv, err := freq.MarshalAggregator(freq.NewAggregator())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := protos[0].UnmarshalAggregator(freqEnv); !errors.Is(err, ErrIncompatibleState) {
-		t.Fatalf("numeric protocol accepted frequency envelope (err=%v)", err)
-	}
-	numEnv, err := protos[0].MarshalAggregator(protos[0].NewAggregator())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := freq.UnmarshalAggregator(numEnv); !errors.Is(err, ErrIncompatibleState) {
-		t.Fatalf("frequency protocol accepted numeric envelope (err=%v)", err)
-	}
-}
-
-// TestNumericWireCompatible pins the compatibility rules NewServer leans
-// on when it verifies client reconstructibility.
+// TestNumericWireCompatible: a nil protocol is never compatible; the other
+// rules — hecmean's unused split among them — are
+// TestEnvelopeFingerprintMismatch's, run here on the mean rows.
 func TestNumericWireCompatible(t *testing.T) {
-	p := mustNumeric(t, "cpmean", 3, 2, 0.5)
-	if err := p.WireCompatible(mustNumeric(t, "cpmean", 3, 2, 0.5)); err != nil {
-		t.Fatalf("identical protocols incompatible: %v", err)
+	if err := mustNumeric(t, "cpmean", 3, 2, 0.5).WireCompatible(nil); err == nil {
+		t.Error("nil protocol accepted")
 	}
-	for name, o := range map[string]*NumericProtocol{
-		"other framework": mustNumeric(t, "ptsmean", 3, 2, 0.5),
-		"other classes":   mustNumeric(t, "cpmean", 4, 2, 0.5),
-		"other budget":    mustNumeric(t, "cpmean", 3, 1, 0.5),
-		"other split":     mustNumeric(t, "cpmean", 3, 2, 0.4),
-		"nil":             nil,
-	} {
-		if err := p.WireCompatible(o); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-	// hecmean ignores split, so two deployments configured with different
-	// (unused) split values are the same protocol: compatible, equal
-	// fingerprints — an edge at -split 0.6 must federate with a root at
-	// the default 0.5.
-	h5, h6 := mustNumeric(t, "hecmean", 3, 2, 0.5), mustNumeric(t, "hecmean", 3, 2, 0.6)
-	if err := h5.WireCompatible(h6); err != nil {
-		t.Errorf("hecmean split values split the protocol: %v", err)
-	}
-	if h5.Fingerprint() != h6.Fingerprint() {
-		t.Errorf("hecmean fingerprints differ across unused split values: %q != %q", h5.Fingerprint(), h6.Fingerprint())
-	}
+	forRows(t, meanRows, crossProtocolRefusal)
 }

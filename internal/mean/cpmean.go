@@ -154,17 +154,14 @@ func (a *Accumulator) EstimateSum(c int) float64 { return a.m.sum(&a.t, c) }
 // EstimateClassSize returns n̂_C from the perturbed label counts.
 func (a *Accumulator) EstimateClassSize(c int) float64 { return labelSize(a.m.label, &a.t, 3, c) }
 
-// EstimateMean returns μ̂_C = T̂_C/n̂_C clamped to [−1, 1], or 0 when the
-// class-size estimate is too small to divide by.
-func (a *Accumulator) EstimateMean(c int) float64 { return a.m.mean(&a.t, c) }
-
 // sum is EstimateSum over t.
 func (m *CPMean) sum(t *state.Table, c int) float64 {
 	p1, _, p2, q2 := m.Probabilities()
 	return float64(cell(t, 3, c, Plus)-cell(t, 3, c, Minus)) / (p1 * (p2 - q2))
 }
 
-// mean is EstimateMean over t.
+// mean returns μ̂_C = T̂_C/n̂_C over t clamped to [−1, 1], or 0 when the
+// class-size estimate is too small to divide by.
 func (m *CPMean) mean(t *state.Table, c int) float64 {
 	n := labelSize(m.label, t, 3, c)
 	if n <= 1 {

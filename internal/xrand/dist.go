@@ -84,40 +84,6 @@ func (c *Categorical) Sample(r *Rand) int {
 	return c.alias[i]
 }
 
-// Zipf samples ranks {0,..,n-1} with P(rank i) proportional to 1/(i+1)^s.
-// Rank 0 is the most frequent outcome. Sampling is O(1) via an alias table.
-type Zipf struct {
-	cat *Categorical
-	n   int
-	s   float64
-}
-
-// NewZipf builds a Zipf(n, s) sampler. It returns an error for n <= 0 or a
-// non-finite exponent.
-func NewZipf(n int, s float64) (*Zipf, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("xrand: Zipf with n=%d", n)
-	}
-	if math.IsNaN(s) || math.IsInf(s, 0) {
-		return nil, fmt.Errorf("xrand: Zipf with exponent %v", s)
-	}
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = math.Pow(float64(i+1), -s)
-	}
-	cat, err := NewCategorical(w)
-	if err != nil {
-		return nil, err
-	}
-	return &Zipf{cat: cat, n: n, s: s}, nil
-}
-
-// Sample draws a rank in [0, n).
-func (z *Zipf) Sample(r *Rand) int { return z.cat.Sample(r) }
-
-// N returns the domain size.
-func (z *Zipf) N() int { return z.n }
-
 // CumulativeSampler samples from arbitrary weights by binary search over the
 // cumulative distribution. Construction O(n), sampling O(log n); it exists as
 // an independently-implemented cross-check for Categorical in tests and for

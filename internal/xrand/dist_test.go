@@ -101,44 +101,6 @@ func TestCategoricalAgreesWithCumulative(t *testing.T) {
 	}
 }
 
-func TestZipfRankOrder(t *testing.T) {
-	z, err := NewZipf(100, 1.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := New(24)
-	const n = 300000
-	counts := make([]int, 100)
-	for i := 0; i < n; i++ {
-		counts[z.Sample(r)]++
-	}
-	// Rank 0 must dominate and the head must decay.
-	if counts[0] <= counts[5] {
-		t.Fatalf("rank 0 (%d) not above rank 5 (%d)", counts[0], counts[5])
-	}
-	if counts[1] <= counts[20] {
-		t.Fatalf("rank 1 (%d) not above rank 20 (%d)", counts[1], counts[20])
-	}
-	// Check the head frequency against the exact Zipf mass.
-	total := 0.0
-	for i := 1; i <= 100; i++ {
-		total += math.Pow(float64(i), -1.2)
-	}
-	want := 1 / total * n
-	if math.Abs(float64(counts[0])-want) > 6*math.Sqrt(want) {
-		t.Fatalf("rank 0 count %d want %v", counts[0], want)
-	}
-}
-
-func TestZipfErrors(t *testing.T) {
-	if _, err := NewZipf(0, 1); err == nil {
-		t.Fatal("NewZipf(0,1) succeeded")
-	}
-	if _, err := NewZipf(10, math.NaN()); err == nil {
-		t.Fatal("NewZipf with NaN exponent succeeded")
-	}
-}
-
 func TestCumulativeSamplerBounds(t *testing.T) {
 	w := []float64{0.5, 0.5, 1}
 	s, err := NewCumulativeSampler(w)

@@ -206,13 +206,6 @@ func (r *Rand) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponential variate with rate 1 (mean 1) by inverse
-// transform sampling.
-func (r *Rand) ExpFloat64() float64 {
-	// 1-Float64() is in (0,1], avoiding log(0).
-	return -math.Log(1 - r.Float64())
-}
-
 // BernoulliWords samples packed vectors of independent Bernoulli(q) bits a
 // word at a time; unary-encoding mechanisms flip their bits with it. It
 // holds q's exact binary expansion — lead zero bits, then the width bits of

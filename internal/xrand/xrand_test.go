@@ -203,23 +203,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Moments(t *testing.T) {
-	r := New(13)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		x := r.ExpFloat64()
-		if x < 0 {
-			t.Fatalf("negative exponential %v", x)
-		}
-		sum += x
-	}
-	mean := sum / n
-	if math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean %v", mean)
-	}
-}
-
 // TestBernoulliWordsEdges pins the edges and the tail: q ≤ 0 clears every
 // word without a draw, q ≥ 1 is refused, and no bit at or past n is ever
 // set, including in whole words past it. The distribution itself is pinned
