@@ -47,7 +47,6 @@ var requiredFamilies = []string{
 	"mcim_wal_replayed_bytes_total",
 	"mcim_wal_replay_seconds",
 	"mcim_estimate_cache_requests_total",
-	"mcim_estimate_cache_stale_reports",
 	"mcim_topk_rounds_advanced_total",
 	"mcim_topk_stale_batches_total",
 	"mcim_topk_sessions",

@@ -151,11 +151,9 @@ type Server struct {
 	// (see ratelimit.go); nil means unlimited.
 	limit *rateLimiter
 
-	// Estimate-cache configuration and the WAL replay parallelism, recorded
-	// by options and resolved per tier (see cache.go).
-	cacheDisabled     bool
-	cacheStaleReports int64
-	cacheStaleAge     time.Duration
+	// cacheDisabled (WithEstimateCacheDisabled) turns every tier's estimate
+	// cache off (see cache.go).
+	cacheDisabled bool
 
 	// The tiers; each is nil unless mounted. freq serves proto, mean serves
 	// meanProto (WithMean), topk hosts interactive mining sessions

@@ -1073,6 +1073,7 @@ func TestBinaryMeanBatchMatchesJSONAllFrameworks(t *testing.T) {
 	forRows(t, meanRows, binaryMatchesJSON)
 }
 func TestMeanWALCrashRecoveryBitIdentical(t *testing.T) { forRows(t, meanRows, crashRecovery) }
+func TestWALRecoveryAcrossCompaction(t *testing.T)      { forRows(t, tierCases, crashRecovery) }
 func TestMeanBinaryWALReplayMatchesPerReportAdd(t *testing.T) {
 	forRows(t, rowsNamed("cpmean", "ptsmean"), binaryReplay)
 }

@@ -92,7 +92,6 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		"mcim_wal_replayed_bytes_total":      "counter",
 		"mcim_wal_replay_seconds":            "gauge",
 		"mcim_estimate_cache_requests_total": "counter",
-		"mcim_estimate_cache_stale_reports":  "gauge",
 		"mcim_topk_rounds_advanced_total":    "counter",
 		"mcim_topk_stale_batches_total":      "counter",
 		"mcim_topk_sessions":                 "gauge",

@@ -2,7 +2,6 @@ package collect
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -85,58 +84,6 @@ func TestEstimateBodiesDeclareLength(t *testing.T) {
 				t.Fatalf("second read recorded %d cache hits, want 1", hits)
 			}
 		}
-	}
-}
-
-// TestEstimateCacheStaleness exercises the WithEstimateCache staleness
-// bound: within maxStaleReports the old body is replayed verbatim; past it
-// the cache must re-render.
-func TestEstimateCacheStaleness(t *testing.T) {
-	const classes, items = 3, 32
-	proto, err := core.NewProtocol("ptscp", classes, items, 2, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(proto, WithEstimateCache(10, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := newHTTPServer(t, srv)
-	cl, err := NewClient(ts.URL, ts.Client(), 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := testPairs(classes, items, 230, 7)
-	if _, err := cl.SubmitBatch(pairs[:200]); err != nil {
-		t.Fatal(err)
-	}
-	rendered := getBody(t, ts.Client(), ts.URL+"/estimates")
-
-	// 5 more reports: within the 10-report staleness budget, so the old
-	// body is served unchanged.
-	if _, err := cl.SubmitBatch(pairs[200:205]); err != nil {
-		t.Fatal(err)
-	}
-	stale := getBody(t, ts.Client(), ts.URL+"/estimates")
-	if !bytes.Equal(stale, rendered) {
-		t.Fatal("read within the staleness budget did not replay the cached body")
-	}
-	if n := srv.freq.cache.m.staleHit.Value(); n < 1 {
-		t.Fatalf("stale read recorded %d stale hits, want >= 1", n)
-	}
-
-	// 25 more: past the budget — the next read must re-render and reflect
-	// every ingested report.
-	if _, err := cl.SubmitBatch(pairs[205:230]); err != nil {
-		t.Fatal(err)
-	}
-	fresh := getBody(t, ts.Client(), ts.URL+"/estimates")
-	var est WireEstimates
-	if err := json.Unmarshal(fresh, &est); err != nil {
-		t.Fatal(err)
-	}
-	if est.Reports != 230 {
-		t.Fatalf("re-rendered body reports %d, want 230", est.Reports)
 	}
 }
 

@@ -127,8 +127,7 @@ func newTier[W any](s *Server, c codec[W], name, tag string) *tier[W] {
 		lockWait: s.obs.Histogram("mcim_tier_lock_wait_seconds",
 			"Time a write (batch, frame or merged envelope) waited for the lock around the tier's aggregate in seconds, by tier (WAL replay excluded).",
 			obs.LatencyBuckets, "tier", name),
-		cache: newEstimateCache(s.cacheDisabled, s.cacheStaleReports, s.cacheStaleAge,
-			newCacheMetrics(s.obs, name)),
+		cache: &estimateCache{disabled: s.cacheDisabled, m: newCacheMetrics(s.obs, name)},
 	}
 	t.cells = len(t.acc.Cells)
 	t.logger = s.logger.With("tier", name)

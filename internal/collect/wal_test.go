@@ -230,39 +230,6 @@ func TestWALOrderingDeclarations(t *testing.T) {
 	}
 }
 
-// TestWALRecoveryAcrossCompaction checks, for both report tiers, that
-// recovery still reconstructs the exact aggregate when the log has been
-// compacted mid-stream: state = snapshot + tail, not raw records alone.
-func TestWALRecoveryAcrossCompaction(t *testing.T) {
-	const n = 900
-	for _, tc := range tierCases {
-		t.Run(tc.name, func(t *testing.T) {
-			ref := tc.newServer(t, 2)
-			tc.mustFeed(t, ref, 5, 0, n, 50)
-
-			dir := t.TempDir()
-			walOpts := WithWALOptions(wal.Options{Sync: wal.SyncAlways})
-			srv := tc.newServer(t, 2, WithWAL(dir), walOpts)
-			tc.mustFeed(t, srv, 5, 0, 600, 50)
-			if err := tc.compact(srv); err != nil {
-				t.Fatal(err)
-			}
-			tc.mustFeed(t, srv, 5, 600, n, 50)
-			tearLastSegment(t, filepath.Join(dir, tc.walSub))
-			// Killed without Close.
-
-			restarted := tc.newServer(t, 2, WithWAL(dir), walOpts)
-			defer restarted.Close()
-			if got := tc.reports(restarted); got != n {
-				t.Fatalf("recovered %d reports, want %d", got, n)
-			}
-			if !reflect.DeepEqual(tc.estimates(restarted), tc.estimates(ref)) {
-				t.Fatal("recovery across compaction not bit-identical")
-			}
-		})
-	}
-}
-
 // TestWALAutoCompaction checks the background threshold trigger on both
 // report tiers: enough ingested bytes shrink the replay tail to (near)
 // nothing, and /stats-level numbers reflect it.

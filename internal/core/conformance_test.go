@@ -49,7 +49,10 @@ var protocolRows = []protocolRow{
 	freqRow("ptj", func(eps, _ float64) (FrequencyEstimator, error) { return NewPTJ(eps), nil }),
 	freqRow("pts", func(eps, split float64) (FrequencyEstimator, error) { return NewPTS(eps, split) }),
 	freqRow("pts+grr", ptsOver("pts+grr", func(d int, eps float64) (fo.Mechanism, error) { return fo.NewGRR(d, eps) })),
-	freqRow("pts+olh", ptsOver("pts+olh", func(d int, eps float64) (fo.Mechanism, error) { return fo.NewOLH(d, eps) })),
+	// pts+olh's batch side is PTS over an OLH closure under a name of its
+	// own, which builds through NewPTSProtocolWithItem the way a caller
+	// outside the registry does.
+	freqRow("pts+olh", ptsOver("pts-olh", func(d int, eps float64) (fo.Mechanism, error) { return fo.NewOLH(d, eps) })),
 	withVP(freqRow("ptscp", func(eps, split float64) (FrequencyEstimator, error) { return NewPTSCP(eps, split) })),
 	meanRow("hecmean", false, func(eps, _ float64) (mean.Estimator, error) { return mean.NewHECMean(eps), nil }),
 	meanRow("ptsmean", true, func(eps, split float64) (mean.Estimator, error) { return mean.NewPTSMean(eps, split) }),
@@ -533,8 +536,9 @@ func (k codec[D, R, W, A]) wireRoundTrip(t *testing.T) {
 
 // TestEnvelopeRoundTripBitIdentical: marshal → unmarshal gives back an
 // aggregator with the same N and estimates that marshals to identical
-// bytes, empty or not, and keeps merging exactly; a corrupt envelope is an
-// error, never a panic.
+// bytes, empty or not, and keeps merging exactly; a corrupt envelope, no
+// envelope at all and a well-framed envelope around a payload that is no
+// table are errors, never a panic.
 func TestEnvelopeRoundTripBitIdentical(t *testing.T) { forRows(t, protocolRows, envelopeRoundTrip) }
 
 func envelopeRoundTrip(t *testing.T, row protocolRow) {
@@ -570,6 +574,12 @@ func (k codec[D, R, W, A]) envelopeRoundTrip(t *testing.T) {
 		if _, err := k.unmarshal(mangled); err == nil {
 			t.Fatal("corrupt envelope accepted")
 		}
+	}
+	if _, err := k.unmarshal(nil); err == nil {
+		t.Fatal("restored from nil")
+	}
+	if _, err := k.unmarshal(state.Encode(k.p.Fingerprint(), []byte("definitely not a table"))); err == nil {
+		t.Fatal("restored from a well-framed garbage payload")
 	}
 }
 

@@ -5,24 +5,8 @@ import (
 	"encoding/binary"
 	"testing"
 
-	"repro/internal/state"
 	"repro/internal/xrand"
 )
-
-// envelopeProtocols covers all four frameworks plus PTS over OLH, whose
-// supports are counted by rehashing.
-func envelopeProtocols(t testing.TB) []*Protocol {
-	t.Helper()
-	out := make([]*Protocol, 0, 5)
-	for _, name := range []string{"hec", "ptj", "pts", "ptscp", "pts+olh"} {
-		p, err := NewProtocol(name, 3, 12, 1.5, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, p)
-	}
-	return out
-}
 
 // fillAggregator encodes n deterministic pairs into agg.
 func fillAggregator(t testing.TB, p *Protocol, agg Aggregator, n int, seed uint64) {
@@ -31,22 +15,6 @@ func fillAggregator(t testing.TB, p *Protocol, agg Aggregator, n int, seed uint6
 	enc := p.Encoder()
 	for i := 0; i < n; i++ {
 		agg.Add(enc.Encode(Pair{Class: i % p.Classes(), Item: i % p.Items()}, r))
-	}
-}
-
-// TestEnvelopeCorruptPayload checks that a valid envelope around a mangled
-// payload is rejected by the aggregator-level validation, not silently
-// restored.
-func TestEnvelopeCorruptPayload(t *testing.T) {
-	for _, p := range envelopeProtocols(t) {
-		if _, err := p.UnmarshalAggregator(nil); err == nil {
-			t.Fatalf("%s restored from nil", p.Name())
-		}
-		// A well-framed envelope whose payload is not a valid snapshot.
-		bad := state.Encode(p.Fingerprint(), []byte("definitely not a gob stream"))
-		if _, err := p.UnmarshalAggregator(bad); err == nil {
-			t.Fatalf("%s restored from garbage payload", p.Name())
-		}
 	}
 }
 

@@ -145,50 +145,6 @@ func TestDecodeReportRejectsStraySeed(t *testing.T) {
 	}
 }
 
-// TestPTSProtocolOverOLH checks the pluggable item mechanism: PTS over OLH
-// streams, merges and round-trips the wire (value + seed payloads), and its
-// estimates match PTSCustom's batch path bit-identically.
-func TestPTSProtocolOverOLH(t *testing.T) {
-	const (
-		c, d, n = 3, 12, 1500
-		eps     = 2.0
-		seed    = 4242
-	)
-	factory := func(d int, eps float64) (fo.Mechanism, error) { return fo.NewOLH(d, eps) }
-	custom, err := NewPTSWithItem("pts-olh", eps, 0.5, factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := protocolDataset(c, d, n, 5)
-	batch, err := custom.Estimate(data, xrand.New(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewPTSProtocolWithItem("pts-olh", c, d, eps, 0.5, factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := p.Encoder()
-	agg := p.NewAggregator()
-	r := xrand.New(seed)
-	for _, pair := range data.Pairs {
-		rep := enc.Encode(pair, r)
-		decoded, err := p.DecodeReport(p.EncodeReport(rep))
-		if err != nil {
-			t.Fatal(err)
-		}
-		agg.Add(decoded)
-	}
-	streamed := agg.Estimates()
-	for ci := range batch {
-		for i := range batch[ci] {
-			if streamed[ci][i] != batch[ci][i] {
-				t.Fatalf("cell (%d,%d): streamed %v != batch %v", ci, i, streamed[ci][i], batch[ci][i])
-			}
-		}
-	}
-}
-
 // TestPTSEstimateMatchesDirectBitCounts pins PTS's batch output to the
 // pre-decomposition algorithm: perturb label with GRR(ε₁) and item bits
 // with OUE(ε₂), count bits per perturbed label, push the integer counts

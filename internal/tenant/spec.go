@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"regexp"
 	"strings"
-	"time"
 
 	"repro/internal/collect"
 	"repro/internal/core"
@@ -60,20 +59,6 @@ type TopKSpec struct {
 	MaxSessions int `json:"max_sessions,omitempty"`
 }
 
-// CacheSpec configures a tenant's estimate cache (collect.WithEstimateCache
-// / WithEstimateCacheDisabled). The zero value keeps the default exact
-// mode: cached bodies are served only at the exact current version.
-type CacheSpec struct {
-	// MaxStaleReports lets estimate reads serve a cached body up to this
-	// many reports behind the live aggregate (0 = exact mode).
-	MaxStaleReports int64 `json:"max_stale_reports,omitempty"`
-	// MaxStaleMillis additionally bounds a stale body's age in
-	// milliseconds; 0 means no age bound.
-	MaxStaleMillis int64 `json:"max_stale_ms,omitempty"`
-	// Disabled turns the cache off entirely (every read recomputes).
-	Disabled bool `json:"disabled,omitempty"`
-}
-
 // Spec is the declarative description of one tenant — what an admin POSTs
 // to /admin/tenants/{name} and what the registry logs and replays. At
 // least one tier must be present.
@@ -101,10 +86,6 @@ type Spec struct {
 	// Retry-After). RateBurst is the bucket depth; <1 means ceil(RateLimit).
 	RateLimit float64 `json:"rate_limit,omitempty"`
 	RateBurst int     `json:"rate_burst,omitempty"`
-
-	// Cache tunes the tenant's estimate cache; absent keeps the default
-	// exact mode.
-	Cache *CacheSpec `json:"cache,omitempty"`
 }
 
 // ParseSpec decodes one tenant spec from JSON, rejecting unknown fields —
@@ -161,14 +142,6 @@ func (sp *Spec) Validate() error {
 	if sp.RateBurst < 0 {
 		return fmt.Errorf("tenant: %q: negative rate_burst", sp.Name)
 	}
-	if c := sp.Cache; c != nil {
-		if c.MaxStaleReports < 0 {
-			return fmt.Errorf("tenant: %q: negative cache.max_stale_reports", sp.Name)
-		}
-		if c.MaxStaleMillis < 0 {
-			return fmt.Errorf("tenant: %q: negative cache.max_stale_ms", sp.Name)
-		}
-	}
 	return nil
 }
 
@@ -218,14 +191,6 @@ func (sp *Spec) build(walDir string, walOpts wal.Options) (*collect.Server, erro
 	}
 	if sp.RateLimit > 0 {
 		opts = append(opts, collect.WithRateLimit(sp.RateLimit, sp.RateBurst))
-	}
-	if c := sp.Cache; c != nil {
-		if c.Disabled {
-			opts = append(opts, collect.WithEstimateCacheDisabled())
-		} else if c.MaxStaleReports > 0 || c.MaxStaleMillis > 0 {
-			opts = append(opts, collect.WithEstimateCache(c.MaxStaleReports,
-				time.Duration(c.MaxStaleMillis)*time.Millisecond))
-		}
 	}
 	srv, err := collect.NewServer(fp, opts...)
 	if err != nil {

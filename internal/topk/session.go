@@ -322,17 +322,6 @@ func (pl *Planner) Config() *RoundConfig {
 	return cfg
 }
 
-// CheckReport validates a report against the live round without mutating
-// anything: round match (RoundMismatchError / ErrSessionDone otherwise),
-// class range and bit-vector shape. A report that passes is safe to
-// Absorb.
-func (pl *Planner) CheckReport(rep RoundReport) error {
-	if pl.done {
-		return ErrSessionDone
-	}
-	return pl.layout.CheckReport(rep)
-}
-
 // Absorb folds one report into the live round. The quota is advisory —
 // the planner accepts extra reports; drivers advance on quota.
 func (pl *Planner) Absorb(rep RoundReport) error {

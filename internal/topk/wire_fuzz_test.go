@@ -49,9 +49,9 @@ func FuzzRoundWire(f *testing.F) {
 	f.Add([]byte(`{"round":0,"class":0,"bits":[0,0]}`))
 	f.Add([]byte(`{`))
 
-	// One live planner per framework for the report direction; CheckReport
-	// is read-only, so reuse across iterations is sound.
-	var planners []*Planner
+	// One live round layout per framework for the report direction;
+	// CheckReport is read-only, so reuse across iterations is sound.
+	var layouts []*RoundLayout
 	for _, fw := range []string{"hec", "ptj", "pts"} {
 		pl, err := NewSession(SessionParams{
 			Framework: fw, Classes: 3, Items: 32, K: 2, Eps: 2, Users: 50, Seed: 4,
@@ -60,7 +60,8 @@ func FuzzRoundWire(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		planners = append(planners, pl)
+		layout, _ := pl.Layout() // a fresh planner's first round is open
+		layouts = append(layouts, layout)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -81,8 +82,8 @@ func FuzzRoundWire(f *testing.F) {
 		}
 		var rep RoundReport
 		if err := json.Unmarshal(data, &rep); err == nil {
-			for _, pl := range planners {
-				_ = pl.CheckReport(rep) // must not panic
+			for _, l := range layouts {
+				_ = l.CheckReport(rep) // must not panic
 			}
 		}
 	})
