@@ -49,12 +49,13 @@ race-topk:
 # The recovery pins — the log hands back every intact record in the order
 # it was appended; WAL replay, torn tails included, against the state the
 # server held live; a kill -9 log of every record type against the offline
-# aggregate; a corrupt frame's skipped bytes counted and logged — on their
-# own, so a replay regression is named in the log rather than buried in the
-# package list.
+# aggregate; a corrupt frame's skipped bytes counted and logged; every
+# report protocol's kill -9 restart bit-identical to its live state — on
+# their own, so a replay regression is named in the log rather than buried
+# in the package list.
 replay-smoke:
 	$(GO) test -race -run 'TestReplayAppliesRecordsInOrder' -v ./internal/wal
-	$(GO) test -race -run 'TestReplayMatchesLiveState|TestWALMixedRecordsKill9|TestWALTornBytesCounted' -v ./internal/collect
+	$(GO) test -race -run 'TestReplayMatchesLiveState|TestWALMixedRecordsKill9|TestWALTornBytesCounted|TestWALCrashRecoveryBitIdentical' -v ./internal/collect
 
 # Test names cited outside the tests still name tests. Every alternative of
 # every -run pattern above lists a test in its package (go test -list), so a

@@ -151,19 +151,3 @@ func (v *Vector) AddInto(counts []int64) {
 // i&63 of word i>>6. The slice is the live backing store, not a copy;
 // callers must not grow it.
 func (v *Vector) Words() []uint64 { return v.words }
-
-// FromWords builds an n-bit vector from packed words (the Words layout),
-// copying them. It panics when the word count does not match n or when a
-// bit beyond n is set — packed words come off the wire, and a stray bit
-// silently dropped here would make two differently-corrupt frames equal.
-func FromWords(n int, words []uint64) *Vector {
-	v := New(n)
-	if len(words) != len(v.words) {
-		panic(fmt.Sprintf("bitvec: FromWords got %d words for %d bits", len(words), n))
-	}
-	if rem := uint(n) % 64; rem != 0 && len(words) > 0 && words[len(words)-1]>>rem != 0 {
-		panic(fmt.Sprintf("bitvec: FromWords stray bits beyond length %d", n))
-	}
-	copy(v.words, words)
-	return v
-}

@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -207,38 +208,32 @@ func TestQuickAgainstMapModel(t *testing.T) {
 	}
 }
 
-func TestWordsAndFromWords(t *testing.T) {
+// TestWords pins the layout Words exposes: bit i of the vector is bit i&63
+// of word i>>6, and the words are the live backing store.
+func TestWords(t *testing.T) {
 	v := New(130)
-	for _, i := range []int{0, 63, 64, 100, 129} {
+	set := []int{0, 63, 64, 100, 129}
+	for _, i := range set {
 		v.Set(i)
 	}
 	words := v.Words()
 	if len(words) != 3 {
 		t.Fatalf("130-bit vector has %d backing words, want 3", len(words))
 	}
-	round := FromWords(130, words)
-	if !round.Equal(v) {
-		t.Fatal("FromWords(Words()) round trip diverged")
+	ones := 0
+	for _, w := range words {
+		ones += bits.OnesCount64(w)
 	}
-	// FromWords copies: mutating the source words must not reach the copy.
-	words[0] = ^uint64(0)
-	if round.Get(1) {
-		t.Fatal("FromWords aliased the source slice")
+	if ones != len(set) {
+		t.Fatalf("words hold %d set bits, want %d", ones, len(set))
 	}
-}
-
-func TestFromWordsRejectsMalformed(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"word count": func() { FromWords(130, make([]uint64, 2)) },
-		"stray bits": func() { FromWords(65, []uint64{0, 0xF0}) }, // bits 68..71 beyond n=65
-	} {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("no panic on %s mismatch", name)
-				}
-			}()
-			fn()
-		})
+	for _, i := range set {
+		if words[i>>6]>>(i&63)&1 != 1 {
+			t.Fatalf("bit %d is not bit %d of word %d", i, i&63, i>>6)
+		}
+	}
+	v.Set(1)
+	if words[0]&2 == 0 {
+		t.Fatal("Words is a copy, not the backing store")
 	}
 }

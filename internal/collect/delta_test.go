@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/state"
 	"repro/internal/wal"
 )
 
@@ -46,11 +47,11 @@ func recordTypes(t *testing.T, dir string) string {
 
 // TestWALMixedRecordsKill9 builds one log per report tier holding every
 // record type a write can choose — a JSON batch kept raw ('B'), a
-// one-report frame kept raw ('W'), and sealed deltas ('E') of 512- and
-// 64-report frames, a 4,096-report mean frame and a /merge envelope — checks each
-// write chose the record the size rule gives it, tears the tails as a kill
-// -9 mid-write would, and restarts to state byte-identical to the offline
-// aggregate of the same writes.
+// one-report frame kept raw ('W'), and sealed deltas ('E') of 512-, 64-
+// and 2,048-report frames, a 4,096-report mean frame and a /merge
+// envelope — checks each write chose the record the size rule gives it,
+// tears the tails as a kill -9 mid-write would, and restarts to state
+// byte-identical to the offline aggregate of the same writes.
 func TestWALMixedRecordsKill9(t *testing.T) {
 	const c, d = 5, 1000
 	dir := t.TempDir()
@@ -113,6 +114,11 @@ func TestWALMixedRecordsKill9(t *testing.T) {
 	// still the larger record.
 	small := frame(64, 6)
 	step(srv.freq, [4]int64{1, 0, 0, 0}, func() int { return postBinary(srv, "/reports", small) })
+	// The 2,048-report frame's route counts, ≈410 a label, are two-byte
+	// cells, so replay adds its delta beside the one-byte ones rather than
+	// through the lanes they are summed in.
+	wide := frame(2048, 7)
+	step(srv.freq, [4]int64{1, 0, 0, 0}, func() int { return postBinary(srv, "/reports", wide) })
 	// The batch and the one-report frame took the small path (folded in
 	// under the lock, logged raw); the frames above took the delta path.
 	if tr := srv.freq; !tr.small(len(body)) || !tr.small(len(one)) || tr.small(len(big)) || tr.small(len(small)) {
@@ -153,7 +159,7 @@ func TestWALMixedRecordsKill9(t *testing.T) {
 	}
 	// No Close: the process is killed, and a write was cut short in each
 	// log. The tails on disk are the records the counters promised.
-	for tier, types := range map[string]string{"freq": "BWEEE", "mean": "E"} {
+	for tier, types := range map[string]string{"freq": "BWEEEE", "mean": "E"} {
 		if got := recordTypes(t, filepath.Join(dir, tier)); got != types {
 			t.Fatalf("%s log holds records %q, want %q", tier, got, types)
 		}
@@ -238,9 +244,9 @@ func TestFrameRefusedWithoutHeadroom(t *testing.T) {
 }
 
 // TestEnvelopeAddAllocatesNothing pins the two paths that add an envelope
-// straight from its bytes: replaying an 'E' record and MergeState of a
-// 5,005-cell envelope (ptscp, c = 5, d = 1,000) into a durable tier both
-// allocate nothing.
+// straight from its bytes: replaying an 'E' record into a lane sum that
+// already holds its lanes, and MergeState of a 5,005-cell envelope (ptscp,
+// c = 5, d = 1,000) into a durable tier, both allocate nothing.
 func TestEnvelopeAddAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -268,13 +274,15 @@ func TestEnvelopeAddAllocatesNothing(t *testing.T) {
 		t.Fatalf("the tier's table has %d cells, want 5,005", cells)
 	}
 	rec := append([]byte{recEnvelope}, env...)
+	var sum state.LaneSum
 	if allocs := testing.AllocsPerRun(50, func() {
-		if err := srv.freq.replayRecord(rec); err != nil {
+		if err := srv.freq.replayRecord(&sum, rec); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
 		t.Fatalf("replaying an 'E' record allocated %v times", allocs)
 	}
+	sum.Flush(&srv.freq.acc)
 	if allocs := testing.AllocsPerRun(50, func() {
 		if n, err := srv.MergeState(env); err != nil || n != 512 {
 			t.Fatalf("MergeState = %d, %v", n, err)

@@ -69,14 +69,16 @@ type durableLog struct {
 
 // open opens the log under <s.walDir>/sub with the server's sync options,
 // the log=<name> metric hooks and logger, and replays it in log order —
-// onSnapshot for the latest snapshot, then onRecord for every tail record.
+// onSnapshot for the latest snapshot, then onRecord for every tail record,
+// then replayed, when set, to finish what the records began. The replay
+// gauge times all three.
 // commutative is the owner's one declaration that its records fold in any
 // order: the log then flushes rolled segments behind its appenders
 // (wal.Options.Commutative); an ordered log never writes past an unflushed
 // segment. Called from NewServer before the handler is exposed, so the
 // callbacks need no locking beyond their own.
 func (d *durableLog) open(s *Server, sub, name string, commutative bool,
-	marshalState func() ([]byte, error), onSnapshot, onRecord func([]byte) error) error {
+	marshalState func() ([]byte, error), onSnapshot, onRecord func([]byte) error, replayed func()) error {
 	opts := s.walOpts
 	wm, replayG := NewWALMetrics(s.obs, name)
 	opts.Metrics, opts.Logger, opts.Commutative = wm, s.logger.With("log", name), commutative
@@ -88,6 +90,9 @@ func (d *durableLog) open(s *Server, sub, name string, commutative bool,
 	if err := l.Replay(onSnapshot, onRecord); err != nil {
 		l.Close()
 		return err
+	}
+	if replayed != nil {
+		replayed()
 	}
 	replayG.Set(time.Since(start).Seconds())
 	d.log, d.compactAfter, d.marshalState = l, s.compactAfter, marshalState

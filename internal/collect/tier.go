@@ -74,10 +74,10 @@ type codec[W any] interface {
 // counts behind one mutex. JSON decode, validation and the WAL append
 // happen before the lock. A large write also folds into a delta table and
 // is sealed before it, so the lock's work is Table.Merge of the delta, one
-// add per cell (a checked envelope's MergeChecked, for a /merge or a
-// replayed 'E' record); a small write's fold is the lock's work instead, as
-// cheap as its few reports (see small). A read copies the table under it and
-// calibrates and renders outside it.
+// add per cell (a checked envelope's MergeChecked, for a /merge; a lane
+// sum's Add, for a replayed 'E' record); a small write's fold is the
+// lock's work instead, as cheap as its few reports (see small). A read
+// copies the table under it and calibrates and renders outside it.
 // The embedded durableLog's ingestMu orders writes (reader side) against
 // whole-state transitions — restore, drain, compaction (writer side) — so
 // a WAL append and its merge are atomic with respect to the segment
@@ -581,8 +581,10 @@ func (t *tier[W]) mergeDurable(env []byte) (int, error) {
 
 // openWAL opens the tier's log under <dir>/sub and replays it into the
 // (still unserved) table: the latest snapshot becomes the base state, the
-// record tail is re-ingested on top.
+// record tail is re-ingested on top, and the lanes its 'E' records were
+// summed in are flushed into the table before the log opens.
 func (t *tier[W]) openWAL(s *Server, sub string) error {
+	var sum state.LaneSum
 	return t.open(s, sub, t.name, true,
 		func() ([]byte, error) { return t.snapshot(), nil },
 		func(snap []byte) error {
@@ -593,18 +595,22 @@ func (t *tier[W]) openWAL(s *Server, sub string) error {
 			t.swap(tab)
 			return nil
 		},
-		t.replayRecord)
+		func(rec []byte) error { return t.replayRecord(&sum, rec) },
+		func() { t.addIn(func(acc *state.Table) error { sum.Flush(acc); return nil }) })
 }
 
 // replayRecord adds the reports one WAL record logged into the table: an
-// envelope is checked and added straight from the record's bytes, a raw
-// record is folded straight in whatever its size. The live write path's
-// delta exists to shorten lock holds under concurrent writers, and replay
-// runs before the handler is served, so nothing waits on mu. Records were
-// validated before they were written, so a record that fails to decode
-// means the log does not belong to this tier's protocol configuration — an
-// operator error worth failing loudly on, not skipping.
-func (t *tier[W]) replayRecord(rec []byte) error {
+// envelope is checked and then added straight from the record's bytes
+// through sum, whose lanes the caller flushes once the log is replayed; a
+// raw record is folded straight in whatever its size. The live write
+// path's delta exists to shorten lock holds under concurrent writers, and
+// replay runs before the handler is served, so nothing waits on mu. The
+// table's N, and so the tier's total, is right after every record; its
+// cells are complete after the flush. Records were validated before they
+// were written, so a record that fails to decode means the log does not
+// belong to this tier's protocol configuration — an operator error worth
+// failing loudly on, not skipping.
+func (t *tier[W]) replayRecord(sum *state.LaneSum, rec []byte) error {
 	if len(rec) == 0 {
 		return fmt.Errorf("collect: empty %swal record", t.tag)
 	}
@@ -631,7 +637,7 @@ func (t *tier[W]) replayRecord(rec []byte) error {
 		if err != nil {
 			return fmt.Errorf("collect: %swal envelope record: %w", t.tag, err)
 		}
-		add = func(acc *state.Table) error { return acc.MergeChecked(c) }
+		add = func(acc *state.Table) error { return sum.Add(acc, c) }
 	default:
 		return fmt.Errorf("collect: unknown %swal record type %#x", t.tag, rec[0])
 	}

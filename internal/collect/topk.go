@@ -222,7 +222,7 @@ type hubSessionSnapshot struct {
 // commutative. Replay absorbs into the same planners the handlers then
 // serve.
 func (h *sessionHub) openWAL(s *Server) error {
-	return h.open(s, "topk", "topk", false, h.marshalSessions, h.installSnapshot, h.replayRecord)
+	return h.open(s, "topk", "topk", false, h.marshalSessions, h.installSnapshot, h.replayRecord, nil)
 }
 
 // installSnapshot restores every session from a compaction snapshot.

@@ -62,27 +62,6 @@ func TopK(counts []float64, k int) []int {
 	return idx[:k]
 }
 
-// TopKInt64 is TopK over raw int64 counts with the same deterministic
-// index tie-break. It compares the integers directly: converting to
-// float64 first would collapse counts differing only below 2⁵³ into ties
-// and silently reorder them.
-func TopKInt64(counts []int64, k int) []int {
-	idx := make([]int, len(counts))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if counts[idx[a]] != counts[idx[b]] {
-			return counts[idx[a]] > counts[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
-}
-
 // F1 returns the F1 score of a mined top-k set against the ground-truth
 // top-k set. Since |mined| = |truth| = k here, precision equals recall and
 // F1 = |mined ∩ truth| / k (Section VII-B).
@@ -133,20 +112,6 @@ func Mean(xs []float64) float64 {
 	s := 0.0
 	for _, x := range xs {
 		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the population variance of xs around the mean.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
 	}
 	return s / float64(len(xs))
 }

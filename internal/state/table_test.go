@@ -306,9 +306,11 @@ func checkedAddSeeds() []Table {
 // dirty, reused table and CheckTable accept exactly what the field at a
 // time reference accepts; DecodeTableInto yields DecodeTable's table and
 // leaves its destination untouched when it refuses; every accepted input
-// re-encodes to itself through AppendBinary; and MergeChecked of the
-// checked input into a table already holding counts equals Merge of the
-// decoded table, leaving the table bit-identical when it refuses.
+// re-encodes to itself through AppendBinary; MergeChecked of the checked
+// input into a table already holding counts equals Merge of the decoded
+// table, leaving the table bit-identical when it refuses; and adding the
+// input k times through a LaneSum, then flushing, equals k MergeChecked
+// calls, each refused add leaving the table bit-identical.
 func FuzzDecodeTable(f *testing.F) {
 	onehot := NewTable(Shape{Routes: 2, Rows: 2, Cols: 2, OneHot: true})
 	onehot.N = 5
@@ -382,8 +384,88 @@ func FuzzDecodeTable(f *testing.F) {
 			} else if !tablesEqual(added, merged) {
 				t.Fatal("MergeChecked departs from Merge of the decoded table")
 			}
+			summed, added := pre.Clone(), pre.Clone()
+			var sum LaneSum
+			for k := 1 + len(data)%4; k > 0; k-- {
+				before := summed.Clone()
+				aerr := added.MergeChecked(checked)
+				if serr := sum.Add(&summed, checked); (serr == nil) != (aerr == nil) {
+					t.Fatalf("MergeChecked err %v, LaneSum.Add err %v", aerr, serr)
+				} else if serr != nil && !tablesEqual(summed, before) {
+					t.Fatal("a refused LaneSum.Add changed the table")
+				}
+			}
+			sum.Flush(&summed)
+			if !tablesEqual(summed, added) {
+				t.Fatal("LaneSum departs from MergeChecked")
+			}
 		}
 	})
+}
+
+// TestLaneSumCrossesLaneBound adds 1,100 one-byte tables whose every cell
+// is 0x7f, twice what the lanes hold between flushes, through a LaneSum,
+// with tables whose even and odd cells differ and tables of two-byte cells
+// among them, and checks the table after every add and after the flush
+// against MergeChecked of the same tables.
+func TestLaneSumCrossesLaneBound(t *testing.T) {
+	shape := Shape{Routes: 2, Rows: 2, Cols: 6} // 14 cells: one word and a tail
+	full := NewTable(shape)
+	full.N = 2 * 0x7f
+	for i := range full.Cells {
+		full.Cells[i] = 0x7f
+	}
+	mixed := NewTable(shape)
+	mixed.N = 0x7f
+	copy(mixed.Cells, []int64{100, 27, 0, 1, 2, 3, 99, 100, 27, 0, 26, 1, 25, 2})
+	wide := NewTable(shape)
+	wide.N = 500
+	copy(wide.Cells, []int64{200, 300, 200, 0, 128, 1, 199, 7, 300, 1, 0, 299, 150, 128})
+	var encoded [3][]byte
+	for i, tab := range []Table{full, mixed, wide} {
+		encoded[i] = mustMarshal(t, tab)
+		if c, _ := CheckTable(encoded[i]); (len(c.cells) == len(tab.Cells)) != (i < 2) {
+			t.Fatalf("fixture: table %d is %d bytes of cells", i, len(c.cells))
+		}
+	}
+	summed, added := NewTable(shape), NewTable(shape)
+	var sum LaneSum
+	for i := 0; i < 1100; i++ {
+		blob := encoded[0]
+		switch {
+		case i%97 == 0:
+			blob = encoded[1]
+		case i%301 == 0:
+			blob = encoded[2]
+		}
+		c, err := CheckTable(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sum.Add(&summed, c); err != nil {
+			t.Fatal(err)
+		}
+		if err := added.MergeChecked(c); err != nil {
+			t.Fatal(err)
+		}
+		if summed.N != added.N {
+			t.Fatalf("after add %d the table counts %d reports, want %d", i, summed.N, added.N)
+		}
+	}
+	sum.Flush(&summed)
+	if !tablesEqual(summed, added) {
+		t.Fatalf("LaneSum holds %v, MergeChecked %v", summed.Cells, added.Cells)
+	}
+	// A flushed sum starts over: one more add and flush adds one table.
+	c, _ := CheckTable(encoded[1])
+	if err := sum.Add(&summed, c); err != nil {
+		t.Fatal(err)
+	}
+	sum.Flush(&summed)
+	added.MergeChecked(c)
+	if !tablesEqual(summed, added) {
+		t.Fatal("a second flush departs from MergeChecked")
+	}
 }
 
 // deltaTable is a one-frame delta of freq_bin_wal's shape at cols = 1,000:
@@ -405,8 +487,9 @@ func deltaTable(cols int) Table {
 
 // BenchmarkTableCodec is the delta's codec, one table per op: the append a
 // logged write pays, the decode into reused cells a restored snapshot pays,
-// the merge under the tier's lock a write ends in, and the checked add
-// straight from the bytes a replayed record or a /merge envelope pays.
+// the merge under the tier's lock a write ends in, the checked add straight
+// from the bytes a /merge envelope pays, and the checked lane sum a
+// replayed 'E' record pays, flushed once the lanes are full.
 func BenchmarkTableCodec(b *testing.B) {
 	tab := deltaTable(1000)
 	blob := mustMarshal(b, tab)
@@ -450,5 +533,21 @@ func BenchmarkTableCodec(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	b.Run("check+sum", func(b *testing.B) {
+		acc := NewTable(tab.Shape)
+		var sum LaneSum
+		b.ReportAllocs()
+		b.SetBytes(int64(len(blob)))
+		for b.Loop() {
+			c, err := CheckTable(blob)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := sum.Add(&acc, c); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sum.Flush(&acc)
 	})
 }

@@ -3,7 +3,6 @@ package xrand
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Categorical samples from a fixed discrete distribution in O(1) per draw
@@ -83,44 +82,3 @@ func (c *Categorical) Sample(r *Rand) int {
 	}
 	return c.alias[i]
 }
-
-// CumulativeSampler samples from arbitrary weights by binary search over the
-// cumulative distribution. Construction O(n), sampling O(log n); it exists as
-// an independently-implemented cross-check for Categorical in tests and for
-// callers that need stable rank-ordered iteration of the weights.
-type CumulativeSampler struct {
-	cum []float64
-}
-
-// NewCumulativeSampler builds a CDF sampler over non-negative weights.
-func NewCumulativeSampler(weights []float64) (*CumulativeSampler, error) {
-	if len(weights) == 0 {
-		return nil, fmt.Errorf("xrand: cumulative sampler with no outcomes")
-	}
-	cum := make([]float64, len(weights))
-	total := 0.0
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("xrand: invalid weight %v at index %d", w, i)
-		}
-		total += w
-		cum[i] = total
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("xrand: cumulative sampler weights sum to zero")
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	cum[len(cum)-1] = 1 // guard against rounding drift
-	return &CumulativeSampler{cum: cum}, nil
-}
-
-// Sample draws one outcome index.
-func (s *CumulativeSampler) Sample(r *Rand) int {
-	u := r.Float64()
-	return sort.SearchFloat64s(s.cum, u)
-}
-
-// Len returns the number of outcomes.
-func (s *CumulativeSampler) Len() int { return len(s.cum) }

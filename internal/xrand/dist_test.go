@@ -2,8 +2,8 @@ package xrand
 
 import (
 	"math"
+	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestCategoricalMatchesWeights(t *testing.T) {
@@ -69,7 +69,8 @@ func TestCategoricalSingleOutcome(t *testing.T) {
 }
 
 // TestCategoricalAgreesWithCumulative cross-checks the alias method against
-// the independently implemented CDF sampler on random weight vectors.
+// an independently implemented sampler on random weight vectors: a binary
+// search over the cumulative distribution.
 func TestCategoricalAgreesWithCumulative(t *testing.T) {
 	r := New(23)
 	for trial := 0; trial < 5; trial++ {
@@ -82,45 +83,23 @@ func TestCategoricalAgreesWithCumulative(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cum, err := NewCumulativeSampler(w)
-		if err != nil {
-			t.Fatal(err)
+		cum := make([]float64, k)
+		total := 0.0
+		for i, x := range w {
+			total += x
+			cum[i] = total
 		}
 		const n = 100000
 		ca := make([]float64, k)
 		cb := make([]float64, k)
 		for i := 0; i < n; i++ {
 			ca[cat.Sample(r)]++
-			cb[cum.Sample(r)]++
+			cb[min(sort.SearchFloat64s(cum, total*r.Float64()), k-1)]++
 		}
 		for i := 0; i < k; i++ {
 			if math.Abs(ca[i]-cb[i]) > 6*math.Sqrt(n/float64(k)) {
 				t.Fatalf("trial %d outcome %d: alias %v vs cdf %v", trial, i, ca[i], cb[i])
 			}
-		}
-	}
-}
-
-func TestCumulativeSamplerBounds(t *testing.T) {
-	w := []float64{0.5, 0.5, 1}
-	s, err := NewCumulativeSampler(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := New(25)
-	err = quick.Check(func(_ uint8) bool {
-		v := s.Sample(r)
-		return v >= 0 && v < len(w)
-	}, &quick.Config{MaxCount: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCumulativeSamplerErrors(t *testing.T) {
-	for _, w := range [][]float64{nil, {}, {0}, {-2, 3}, {math.Inf(1)}} {
-		if _, err := NewCumulativeSampler(w); err == nil {
-			t.Fatalf("weights %v: expected error", w)
 		}
 	}
 }

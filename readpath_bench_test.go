@@ -1,9 +1,9 @@
 // Read-path and recovery benchmarks: GET /estimates with the versioned
 // estimate cache on, off, and under concurrent ingest, and startup WAL
-// replay sequential versus parallel. Like the ingestion benchmarks these
-// run over real HTTP on a loopback listener; `make bench-json` snapshots
-// them into BENCH_ingest.json (informational — new benchmarks gate only
-// once a baseline holds them).
+// replay of one-byte and of two-byte deltas. Like the ingestion benchmarks
+// these run over real HTTP on a loopback listener; `make bench-json`
+// snapshots them into BENCH_ingest.json (informational — new benchmarks
+// gate only once a baseline holds them).
 package mcim_test
 
 import (
@@ -111,9 +111,23 @@ func BenchmarkEstimateRead(b *testing.B) {
 // and verifies the recovered report count. Each open seals one more
 // (empty) active segment into the directory it runs on, so iterations
 // replay a per-iteration clone rather than mutating the shared fixture and
-// skewing the iterations after it. Replay is sequential; the sub-benchmark
-// keeps its name so its BENCH_ingest.json row still compares.
+// skewing the iterations after it. Replay is sequential. Both fixtures log
+// every frame as its sealed delta: a 512-report frame's cells are one byte
+// each, so replay sums them in 16-bit lanes, and a 2,048-report frame's
+// route counts are two bytes, so replay adds them one table at a time. The
+// first sub-benchmark keeps its name so its BENCH_ingest.json row still
+// compares.
 func BenchmarkWALReplay(b *testing.B) {
+	for _, fx := range []struct {
+		name  string
+		frame int
+	}{{"sequential", benchBatchSize}, {"sequential-2048", 2048}} {
+		b.Run(fx.name, func(b *testing.B) { benchWALReplay(b, fx.frame) })
+	}
+}
+
+// benchWALReplay times opening a log of 64 frames of frame reports each.
+func benchWALReplay(b *testing.B, frame int) {
 	const fixtureBatches = 64
 	fixtureDir := b.TempDir()
 	walOpts := collect.WithWALOptions(wal.Options{Sync: wal.SyncNever, SegmentBytes: 64 << 10})
@@ -123,12 +137,15 @@ func BenchmarkWALReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	benchPreload(b, ts, fixtureBatches)
+	hc := ts.Client()
+	for _, body := range benchWireBinaryBodies(b, fixtureBatches, frame) {
+		benchPostType(b, hc, ts.URL+"/reports", collect.BinaryContentType, body)
+	}
 	ts.Close()
 	if err := srv.Close(); err != nil {
 		b.Fatal(err)
 	}
-	const want = fixtureBatches * benchBatchSize
+	want := fixtureBatches * frame
 
 	// The fixture files, held in memory so a per-iteration clone is two
 	// writes per file instead of a disk-to-disk copy.
@@ -155,24 +172,23 @@ func BenchmarkWALReplay(b *testing.B) {
 		return dir
 	}
 
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dir := cloneFixture(b)
-			b.StartTimer()
-			srv, err := collect.NewServer(benchProtocol(b),
-				collect.WithWAL(dir), walOpts, collect.WithCompactAfter(1<<40))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if got := srv.Reports(); got != want {
-				b.Fatalf("replay recovered %d of %d reports", got, want)
-			}
-			b.StopTimer()
-			if err := srv.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := cloneFixture(b)
+		b.StartTimer()
+		srv, err := collect.NewServer(benchProtocol(b),
+			collect.WithWAL(dir), walOpts, collect.WithCompactAfter(1<<40))
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
+		if got := srv.Reports(); got != want {
+			b.Fatalf("replay recovered %d of %d reports", got, want)
+		}
+		b.StopTimer()
+		if err := srv.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
 }
