@@ -154,13 +154,16 @@ lint:
 		sed "s|^$$PWD/||" | grep -vxF $(addprefix -e ,$(GOB_ALLOWED)))"; \
 	if [ -n "$$bad" ]; then echo "encoding/gob imported outside $(GOB_ALLOWED):"; echo "$$bad"; exit 1; fi
 
-# Vet for two platforms other than the host's: Windows, where WAL segments
-# are read rather than mapped (internal/wal/segment_other.go), and macOS,
-# whose mmap comes from the BSD half of package syscall. Keeps both sides of
-# the one platform split compiling on a Linux-only CI.
+# Vet for platforms other than the host's: Windows, where WAL segments are
+# read rather than mapped (internal/wal/segment_other.go), macOS, whose mmap
+# comes from the BSD half of package syscall, and Linux on arm64, which
+# builds the column kernel without its AVX2 assembly
+# (internal/bitvec/columns_other.go). Keeps every side of both platform
+# splits compiling on an amd64-only CI.
 cross:
 	GOOS=windows GOARCH=amd64 $(GO) vet ./...
 	GOOS=darwin $(GO) vet ./...
+	GOOS=linux GOARCH=arm64 $(GO) vet ./...
 
 # Pinned so local and CI runs agree; `go run` fetches the tool on demand
 # (network required on first use).
@@ -182,20 +185,22 @@ metrics-lint:
 # snapshots, the interactive-mining round-config/round-report codec, the
 # admin-facing tenant spec parser, the count-table codec every envelope
 # and logged delta carries (DecodeTableInto into a reused table against
-# DecodeTable), and the estimate-body appender against encoding/json on
-# arbitrary float64 bit patterns.
+# DecodeTable), the estimate-body appender against encoding/json on
+# arbitrary float64 bit patterns, and both column kernels (scalar and AVX2)
+# against the per-bit scatter.
 #
 # `make fuzz` runs every target in sequence; `make fuzz
 # FUZZ_TARGET=FuzzDecodeBatch` runs exactly one, which is how CI fans the
 # targets out over a job matrix. Targets live in ./internal/collect unless
 # FUZZ_PKG_<target> says otherwise.
 FUZZ_TIME ?= 10s
-FUZZ_TARGETS := FuzzDecode FuzzDecodeBatch FuzzDecodeBinaryBatch FuzzDecodeMeanReport FuzzUnmarshalEnvelope FuzzRoundWire FuzzTopKBinaryBatch FuzzUnmarshalSession FuzzTenantSpec FuzzDecodeTable FuzzEstimatesJSON
+FUZZ_TARGETS := FuzzDecode FuzzDecodeBatch FuzzDecodeBinaryBatch FuzzDecodeMeanReport FuzzUnmarshalEnvelope FuzzRoundWire FuzzTopKBinaryBatch FuzzUnmarshalSession FuzzTenantSpec FuzzDecodeTable FuzzEstimatesJSON FuzzAddRows
 FUZZ_PKG_FuzzRoundWire := ./internal/topk
 FUZZ_PKG_FuzzTopKBinaryBatch := ./internal/topk
 FUZZ_PKG_FuzzUnmarshalSession := ./internal/topk
 FUZZ_PKG_FuzzTenantSpec := ./internal/tenant
 FUZZ_PKG_FuzzDecodeTable := ./internal/state
+FUZZ_PKG_FuzzAddRows := ./internal/bitvec
 
 fuzz:
 ifdef FUZZ_TARGET

@@ -78,14 +78,20 @@ func benchWireBodies(b *testing.B, nBodies, batchSize int) [][]byte {
 // marshals as JSON, in the compact wire framing.
 func benchWireBinaryBodies(b *testing.B, nBodies, batchSize int) [][]byte {
 	b.Helper()
-	proto := benchProtocol(b)
+	return binaryBodies(b, benchProtocol(b), benchItems, nBodies, batchSize)
+}
+
+// binaryBodies pre-encodes nBodies binary frames of batchSize reports of
+// proto, whose item domain is items.
+func binaryBodies(b *testing.B, proto *core.Protocol, items, nBodies, batchSize int) [][]byte {
+	b.Helper()
 	enc := proto.Encoder()
 	r := xrand.New(42)
 	bodies := make([][]byte, nBodies)
 	for i := range bodies {
 		wires := make([]collect.WireReport, batchSize)
 		for j := range wires {
-			rep := enc.Encode(core.Pair{Class: r.Intn(benchClasses), Item: r.Intn(benchItems)}, r)
+			rep := enc.Encode(core.Pair{Class: r.Intn(benchClasses), Item: r.Intn(items)}, r)
 			wires[j] = proto.EncodeReport(rep)
 		}
 		frame, err := proto.AppendBinaryBatch(nil, wires)

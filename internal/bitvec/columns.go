@@ -15,7 +15,9 @@ import (
 // advance all 64 at once and the work is proportional to words × rows,
 // whatever the density. Each column's planes are unpacked into counts once.
 // Only a handful of rows (fewer than minColumnRows, counted per call, never
-// configured) are still added bit by bit.
+// configured) are still added bit by bit. On amd64 with AVX2, rows of four
+// words or more are summed four word columns at a time by the same
+// algorithm in assembly (columns_amd64.s).
 
 const (
 	// rowPlanes is how many counter planes a column keeps on the stack: one
@@ -39,7 +41,63 @@ const (
 // validity flag of a kept report has no count — but every set bit must index
 // into it, and every row must lie inside rec; AddRows panics otherwise,
 // possibly after adding some columns.
+//
+// Rows of four words or more go to the AVX2 kernel where the processor has
+// one, unless there are too few of them to sum by column at all; every
+// other call goes to the scalar kernel.
 func AddRows(counts []int64, rec []byte, offs []int, nw int) {
+	if nw >= 4 && len(offs) >= minColumnRows && useAVX2 {
+		addRowsAVX2(counts, rec, offs, nw)
+		return
+	}
+	addRowsScalar(counts, rec, offs, nw)
+}
+
+// addRowsAVX2 is AddRows through the AVX2 kernel: each pass sums the column
+// groups of four that lie whole inside counts four columns a call. A last
+// group that counts cuts short — the word of a kept report's validity flag —
+// is summed into a block on the stack, of which counts takes what it holds;
+// a nonzero sum beyond that is a stray bit and panics. Fewer than four
+// columns left over are summed one at a time as addRowsScalar does. The
+// kernel reads rows unchecked, so every row is bounds-checked here first.
+func addRowsAVX2(counts []int64, rec []byte, offs []int, nw int) {
+	for _, off := range offs {
+		_ = rec[off : off+nw*8]
+	}
+	groups := min(nw, len(counts)/64) / 4
+	short := nw == groups*4+4 // and so len(counts) < nw*64
+	for len(offs) > 0 {
+		pass := offs[:min(len(offs), maxPlaneRows)]
+		offs = offs[len(pass):]
+		for g := 0; g < groups; g++ {
+			addColumns4(&counts[g*256], &rec[g*32], pass)
+		}
+		if short {
+			var block [256]int64
+			addColumns4(&block[0], &rec[groups*32], pass)
+			tail := counts[groups*256:]
+			for i, n := range block[:len(tail)] {
+				tail[i] += n
+			}
+			for _, n := range block[len(tail):] {
+				if n != 0 {
+					panic("bitvec: a set bit lies beyond counts")
+				}
+			}
+			continue
+		}
+		used := bits.Len(uint(len(pass)))
+		for col := groups * 4; col < nw; col++ {
+			var planes [rowPlanes]uint64
+			sumColumn(&planes, used, rec[col*8:], pass)
+			unpackPlanes(counts[min(col*64, len(counts)):], &planes)
+		}
+	}
+}
+
+// addRowsScalar is AddRows on 64 bits: the reference the AVX2 kernel is
+// pinned to, and the path of every row narrower than four words.
+func addRowsScalar(counts []int64, rec []byte, offs []int, nw int) {
 	if len(offs) < minColumnRows {
 		for _, off := range offs {
 			row := rec[off : off+nw*8]
@@ -198,6 +256,13 @@ var rowSetsPool = sync.Pool{New: func() any { return new(RowSets) }}
 // applied.
 func GetRowSets(n int) *RowSets {
 	s := rowSetsPool.Get().(*RowSets)
+	s.Reset(n)
+	return s
+}
+
+// Reset empties s into n sets, keeping its storage; the zero RowSets is
+// ready for it.
+func (s *RowSets) Reset(n int) {
 	if cap(s.rows) < n {
 		s.rows = append(s.rows[:cap(s.rows)], make([][]int, n-cap(s.rows))...)
 		s.dropped = make([]int, cap(s.rows))
@@ -207,7 +272,6 @@ func GetRowSets(n int) *RowSets {
 		s.rows[i] = s.rows[i][:0]
 	}
 	clear(s.dropped)
-	return s
 }
 
 // Put returns s to the pool; s and the slices Rows handed out are dead after.

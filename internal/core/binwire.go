@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitvec"
 	"repro/internal/fo"
@@ -195,6 +197,12 @@ func (p *Protocol) AppendBinaryBatch(dst []byte, wires []WirePayload) ([]byte, e
 // Holding one is the proof, so a server validates each frame once. It
 // aliases the frame's bytes and is valid only while they are unchanged.
 //
+// A bit-vector frame's check also files its rows by label (frameRows) and
+// leaves the filing in a pool under the check's token; folding the frame
+// takes the filing back when the pool still holds it, and files the rows
+// again when it does not. Either way a frame may be folded any number of
+// times, or dropped unfolded, at no cost.
+//
 // A mean frame's check is also its count: the value carries one counter per
 // (label, symbol) cell — inline while classes × symbols fits, in a slice of
 // its own beyond that. Applying only reads them, so a frame applied twice,
@@ -203,6 +211,7 @@ type CheckedFrame struct {
 	owner   any // the protocol that checked it
 	records []byte
 	count   int
+	token   uint64 // a bit-vector frame's filing; see frameRows
 	inline  [checkedInlineCells]uint32
 	spill   []uint32
 }
@@ -238,18 +247,31 @@ type binaryRecord struct {
 // record, calling visit (when non-nil) for each one. Every semantic check
 // DecodeReport performs on a JSON payload happens here too — label range,
 // value range, no stray bits beyond the domain — so a region that walks
-// cleanly yields reports that are always safe to aggregate. The walk
-// allocates nothing.
-func (p *Protocol) walkBinaryRecords(rec []byte, count int, visit func(binaryRecord)) error {
+// cleanly yields reports that are always safe to aggregate. When sets is
+// non-nil the walk also files each bit vector's offset under its label, or,
+// for PTS-CP, counts it as dropped there when its validity flag (bit d) is
+// set — the VP drop rule. It allocates nothing, and it counts nothing: that
+// is FoldChecked's, after a clean walk.
+func (p *Protocol) walkBinaryRecords(rec []byte, count int, sets *bitvec.RowSets, visit func(binaryRecord)) error {
 	s := p.shape
 	nw := (s.bitsLen + 63) / 64
+	flagByte, flagShift, vp := s.flag>>3, uint(s.flag)&7, 0
+	if s.flag > 0 {
+		vp = 1
+	}
 	pos := 0
 	for i := 0; i < count; i++ {
-		label, n := binary.Uvarint(rec[pos:])
-		if n <= 0 {
-			return fmt.Errorf("core: binary record %d: truncated label", i)
+		var label uint64
+		if pos < len(rec) && rec[pos] < 0x80 { // every label below 128 is one uvarint byte
+			label = uint64(rec[pos])
+			pos++
+		} else {
+			var n int
+			if label, n = binary.Uvarint(rec[pos:]); n <= 0 {
+				return fmt.Errorf("core: binary record %d: truncated label", i)
+			}
+			pos += n
 		}
-		pos += n
 		if label >= uint64(s.classes) {
 			return fmt.Errorf("core: binary record %d: %s label %d outside [0,%d)", i, p.name, label, s.classes)
 		}
@@ -261,6 +283,9 @@ func (p *Protocol) walkBinaryRecords(rec []byte, count int, visit func(binaryRec
 			last := binary.LittleEndian.Uint64(rec[pos+(nw-1)*8:])
 			if rem := uint(s.bitsLen) % 64; rem != 0 && last>>rem != 0 {
 				return fmt.Errorf("core: binary record %d: stray bits beyond the %d-bit domain", i, s.bitsLen)
+			}
+			if sets != nil {
+				sets.Add(int(label), pos, int(rec[pos+flagByte]>>flagShift&1)&vp)
 			}
 			r.Bits = pos
 			pos += nw * 8
@@ -303,48 +328,72 @@ func (p *Protocol) ValidateBinaryBatch(data []byte) (CheckedFrame, error) {
 	if err != nil {
 		return CheckedFrame{}, err
 	}
-	if err := p.walkBinaryRecords(rec, count, nil); err != nil {
+	f := CheckedFrame{owner: p, records: rec, count: count}
+	if p.shape.bitsLen == 0 {
+		err = p.walkBinaryRecords(rec, count, nil, nil)
+	} else {
+		rows := frameRowsPool.Get().(*frameRows)
+		rows.Reset(p.shape.classes)
+		rows.token = 0 // no frame's rows until the walk comes out clean
+		if err = p.walkBinaryRecords(rec, count, &rows.RowSets, nil); err == nil {
+			rows.token = frameTokens.Add(1)
+			f.token = rows.token
+		}
+		frameRowsPool.Put(rows)
+	}
+	if err != nil {
 		return CheckedFrame{}, err
 	}
-	return CheckedFrame{owner: p, records: rec, count: count}, nil
+	return f, nil
 }
+
+// frameRows is the rows of one checked bit-vector frame, filed by label, and
+// the token of the check that filed them. The check puts its filing in
+// frameRowsPool as soon as it is done, so a frame that is dropped unfolded
+// keeps nothing; FoldChecked, which runs right after the check on a large
+// write, most often gets that same filing back from the pool and knows it
+// by the token.
+type frameRows struct {
+	bitvec.RowSets
+	token uint64
+}
+
+var (
+	frameRowsPool = sync.Pool{New: func() any { return new(frameRows) }}
+	// frameTokens numbers the clean checks of bit-vector frames from 1, so
+	// a filing is used only for the frame whose check made it.
+	frameTokens atomic.Uint64
+)
 
 // FoldChecked folds every record of a frame ValidateBinaryBatch accepted
 // into t, a table of p's shape. Value reports are folded one per record.
-// Bit-vector reports take one label walk over the frame, which files each
-// report's offset under its label — or, for PTS-CP, counts it as dropped
-// there when its validity flag (bit d) came back set, the VP drop rule —
-// and then per label the counters and one column sum (bitvec.AddRows) over
-// the kept rows. Nothing is allocated per report or, after warm-up, per
-// frame.
+// Bit-vector reports are counted per label from the rows the check filed —
+// filed again first, should the pool hand back another frame's — and then
+// summed by column (bitvec.AddRows) over each label's kept rows. Nothing is
+// allocated per report or, after warm-up, per frame.
 func (p *Protocol) FoldChecked(t *state.Table, f CheckedFrame) {
 	if f.owner != p {
 		panic("core: frame was checked by another protocol")
 	}
 	if p.shape.bitsLen == 0 {
-		p.walkBinaryRecords(f.records, f.count, func(r binaryRecord) { //nolint:errcheck — checked frame
+		p.walkBinaryRecords(f.records, f.count, nil, func(r binaryRecord) { //nolint:errcheck — checked frame
 			p.add(t, Report{Class: r.Label, Item: fo.Report{Value: r.Value, Seed: r.Seed}})
 		})
 		return
 	}
-	sets := bitvec.GetRowSets(p.shape.classes)
-	nw, flag := (p.shape.bitsLen+63)/64, uint(p.shape.flag)
-	for pos, i := 0, 0; i < f.count; i++ {
-		label, n := binary.Uvarint(f.records[pos:])
-		pos += n
-		drop := 0
-		if flag > 0 {
-			drop = int(f.records[pos+int(flag>>3)] >> (flag & 7) & 1)
-		}
-		sets.Add(int(label), pos, drop)
-		pos += nw * 8
+	rows := frameRowsPool.Get().(*frameRows)
+	if rows.token != f.token {
+		rows.Reset(p.shape.classes)
+		p.walkBinaryRecords(f.records, f.count, &rows.RowSets, nil) //nolint:errcheck — checked frame
+		rows.token = f.token
 	}
-	for label, kept := range sets.Rows() {
-		count(t, label, len(kept)+sets.Dropped(label))
+	nw := (p.shape.bitsLen + 63) / 64
+	for label, kept := range rows.Rows() {
+		count(t, label, len(kept)+rows.Dropped(label))
 		// A kept row's flag bit is clear, so every set bit indexes the row.
 		bitvec.AddRows(t.Row(label), f.records, kept, nw)
 	}
-	sets.Put()
+	frameRowsPool.Put(rows)
 }
 
 // ApplyBinaryBatch validates a frequency frame and folds every record into
@@ -371,7 +420,7 @@ func (p *Protocol) DecodeBinaryBatch(data []byte) ([]WirePayload, error) {
 		return nil, err
 	}
 	var out []WirePayload
-	p.walkBinaryRecords(f.records, f.count, func(r binaryRecord) { //nolint:errcheck — checked frame
+	p.walkBinaryRecords(f.records, f.count, nil, func(r binaryRecord) { //nolint:errcheck — checked frame
 		w := WirePayload{Label: r.Label}
 		if n := p.shape.bitsLen; n > 0 {
 			w.Bits = bitvec.AppendSetBits(nil, f.records[r.Bits:], (n+63)/64)

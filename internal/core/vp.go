@@ -40,19 +40,6 @@ func NewVP(d int, eps float64) (*VP, error) {
 	return &VP{d: d, eps: eps, ue: ue}, nil
 }
 
-// NewVPWithProbabilities builds a VP with explicit bit probabilities
-// 0 < q < p < 1; used by the utility-analysis tests to sweep the theory.
-func NewVPWithProbabilities(d int, p, q float64) (*VP, error) {
-	if d <= 0 {
-		return nil, fmt.Errorf("core: VP item domain %d must be positive", d)
-	}
-	ue, err := fo.NewUE(d+1, p, q)
-	if err != nil {
-		return nil, err
-	}
-	return &VP{d: d, eps: ue.Epsilon(), ue: ue}, nil
-}
-
 // DomainSize returns d, the valid item domain size (excluding the flag).
 func (vp *VP) DomainSize() int { return vp.d }
 

@@ -239,10 +239,4 @@ func TestVPConstructorErrors(t *testing.T) {
 	if _, err := NewVP(5, 0); err == nil {
 		t.Fatal("NewVP(5,0) succeeded")
 	}
-	if _, err := NewVPWithProbabilities(5, 0.3, 0.5); err == nil {
-		t.Fatal("NewVPWithProbabilities with q>p succeeded")
-	}
-	if vp, err := NewVPWithProbabilities(5, 0.6, 0.2); err != nil || vp.P() != 0.6 {
-		t.Fatal("NewVPWithProbabilities rejected valid input")
-	}
 }

@@ -16,9 +16,3 @@ func NewAdaptive(d int, eps float64) (Mechanism, error) {
 	}
 	return NewOUE(d, eps)
 }
-
-// AdaptiveChoosesGRR reports which branch NewAdaptive takes for the given
-// parameters; exported so experiments can annotate their output.
-func AdaptiveChoosesGRR(d int, eps float64) bool {
-	return float64(d) < 3*math.Exp(eps)+2
-}

@@ -290,11 +290,10 @@ func TestAdaptiveSelection(t *testing.T) {
 		t.Fatalf("large domain chose %s", m.Name())
 	}
 	// Boundary: 3e^1+2 ≈ 10.15, so d=10 → GRR, d=11 → OUE.
-	if !AdaptiveChoosesGRR(10, 1) {
-		t.Fatal("d=10 ε=1 should choose GRR")
-	}
-	if AdaptiveChoosesGRR(11, 1) {
-		t.Fatal("d=11 ε=1 should choose OUE")
+	for d, want := range map[int]string{10: "GRR", 11: "OUE"} {
+		if m, err := NewAdaptive(d, 1); err != nil || m.Name() != want {
+			t.Fatalf("d=%d ε=1 chose %v (%v), want %s", d, m, err, want)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/collect"
+	"repro/internal/core"
 	"repro/internal/wal"
 )
 
@@ -105,80 +106,118 @@ func BenchmarkEstimateRead(b *testing.B) {
 	})
 }
 
-// BenchmarkWALReplay measures startup recovery: one multi-segment log of
-// binary batch records is built once, then each iteration opens a fresh
-// copy of it cold — NewServer replays snapshot + tail into the aggregate —
-// and verifies the recovered report count. Each open seals one more
-// (empty) active segment into the directory it runs on, so iterations
-// replay a per-iteration clone rather than mutating the shared fixture and
-// skewing the iterations after it. Replay is sequential. Both fixtures log
-// every frame as its sealed delta: a 512-report frame's cells are one byte
-// each, so replay sums them in 16-bit lanes, and a 2,048-report frame's
-// route counts are two bytes, so replay adds them one table at a time. The
-// first sub-benchmark keeps its name so its BENCH_ingest.json row still
-// compares.
+// BenchmarkWALReplay measures startup recovery on a log of recover_wal's
+// shape: ptscp at c = 5, d = 1,000, 524,288 reports, so replay — not
+// NewServer's fixed set-up — is most of an open. The log is built once per
+// sub-benchmark; each iteration then opens a fresh copy of it cold —
+// NewServer replays snapshot + tail into the aggregate — and verifies the
+// recovered report count. Each open seals one more (empty) active segment
+// into the directory it runs on, so every iteration replays the fixture
+// rewritten into the same directory rather than the directory the last one
+// left. Replay is sequential. Both fixtures log every frame as its sealed
+// delta: a 512-report frame's cells are one byte each, so replay sums them
+// in 16-bit lanes, and a 2,048-report frame's route counts are two bytes,
+// so replay adds them one table at a time. ns/record is the open's time
+// over the records it replays. No sub-benchmark name ends in -<digits>,
+// which benchsnap would read as a GOMAXPROCS suffix.
 func BenchmarkWALReplay(b *testing.B) {
 	for _, fx := range []struct {
-		name  string
-		frame int
-	}{{"sequential", benchBatchSize}, {"sequential-2048", 2048}} {
-		b.Run(fx.name, func(b *testing.B) { benchWALReplay(b, fx.frame) })
+		name          string
+		frame, frames int
+	}{{"sequential", benchBatchSize, 1024}, {"sequential-frame=2048", 2048, 256}} {
+		var fixture map[string][]byte
+		b.Run(fx.name, func(b *testing.B) {
+			if fixture == nil {
+				fixture = walReplayFixture(b, fx.frame, fx.frames)
+			}
+			benchWALReplay(b, fixture, fx.frame*fx.frames, fx.frames)
+		})
 	}
 }
 
-// benchWALReplay times opening a log of 64 frames of frame reports each.
-func benchWALReplay(b *testing.B, frame int) {
-	const fixtureBatches = 64
-	fixtureDir := b.TempDir()
-	walOpts := collect.WithWALOptions(wal.Options{Sync: wal.SyncNever, SegmentBytes: 64 << 10})
-	srv, err := collect.NewServer(benchProtocol(b),
-		collect.WithWAL(fixtureDir), walOpts, collect.WithCompactAfter(1<<40))
+// walReplayProtocol is recover_wal's protocol: the process-to-process
+// workloads' frequency shape, wider than the in-process benchmarks' d = 64.
+func walReplayProtocol(b *testing.B) *core.Protocol {
+	b.Helper()
+	p, err := core.NewProtocol("ptscp", benchClasses, 1000, benchEps, 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p
+}
+
+// walReplayOpts are the options a replay fixture is written and opened
+// with: no fsync, and no compaction, so every frame stays in the log.
+func walReplayOpts(dir string) []collect.ServerOption {
+	return []collect.ServerOption{collect.WithWAL(dir),
+		collect.WithWALOptions(wal.Options{Sync: wal.SyncNever}), collect.WithCompactAfter(1 << 40)}
+}
+
+// walReplayFixture posts frames frames of frame reports each — sixteen
+// distinct frames, round robin, as recover_wal does — into a durable
+// server and returns its log's files.
+func walReplayFixture(b *testing.B, frame, frames int) map[string][]byte {
+	b.Helper()
+	dir := b.TempDir()
+	p := walReplayProtocol(b)
+	srv, err := collect.NewServer(p, walReplayOpts(dir)...)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	hc := ts.Client()
-	for _, body := range benchWireBinaryBodies(b, fixtureBatches, frame) {
-		benchPostType(b, hc, ts.URL+"/reports", collect.BinaryContentType, body)
+	bodies := binaryBodies(b, p, 1000, 16, frame)
+	for i := 0; i < frames; i++ {
+		benchPostType(b, hc, ts.URL+"/reports", collect.BinaryContentType, bodies[i%len(bodies)])
 	}
 	ts.Close()
 	if err := srv.Close(); err != nil {
 		b.Fatal(err)
 	}
-	want := fixtureBatches * frame
-
-	// The fixture files, held in memory so a per-iteration clone is two
-	// writes per file instead of a disk-to-disk copy.
+	// Held in memory, so a per-iteration copy is one write per file instead
+	// of a disk-to-disk copy.
 	fixture := map[string][]byte{}
-	ents, err := os.ReadDir(fixtureDir)
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, ent := range ents {
-		data, err := os.ReadFile(filepath.Join(fixtureDir, ent.Name()))
+		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
 		if err != nil {
 			b.Fatal(err)
 		}
 		fixture[ent.Name()] = data
 	}
-	cloneFixture := func(b *testing.B) string {
-		b.Helper()
-		dir := b.TempDir()
+	return fixture
+}
+
+// benchWALReplay times opening the fixture's log of records records, want
+// reports in all.
+func benchWALReplay(b *testing.B, fixture map[string][]byte, want, records int) {
+	p := walReplayProtocol(b)
+	dir := b.TempDir()
+	rewrite := func() {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ent := range ents {
+			if err := os.Remove(filepath.Join(dir, ent.Name())); err != nil {
+				b.Fatal(err)
+			}
+		}
 		for name, data := range fixture {
 			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 				b.Fatal(err)
 			}
 		}
-		return dir
 	}
-
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		dir := cloneFixture(b)
+		rewrite()
 		b.StartTimer()
-		srv, err := collect.NewServer(benchProtocol(b),
-			collect.WithWAL(dir), walOpts, collect.WithCompactAfter(1<<40))
+		srv, err := collect.NewServer(p, walReplayOpts(dir)...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -191,4 +230,5 @@ func benchWALReplay(b *testing.B, frame int) {
 		}
 		b.StartTimer()
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 }
