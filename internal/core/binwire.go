@@ -350,9 +350,10 @@ func (p *Protocol) ValidateBinaryBatch(data []byte) (CheckedFrame, error) {
 // frameRows is the rows of one checked bit-vector frame, filed by label, and
 // the token of the check that filed them. The check puts its filing in
 // frameRowsPool as soon as it is done, so a frame that is dropped unfolded
-// keeps nothing; FoldChecked, which runs right after the check on a large
-// write, most often gets that same filing back from the pool and knows it
-// by the token.
+// keeps nothing. A server folds a frame right after checking it (after the
+// log append, for a durable one), so FoldChecked nearly always gets that
+// same filing back from the pool and knows it by the token; when it gets
+// another, it files the frame again.
 type frameRows struct {
 	bitvec.RowSets
 	token uint64

@@ -2,28 +2,15 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
-
-	"repro/internal/xrand"
 )
 
 // These tests are the mean frame's own cases, held to the per-report path
 // the frame kernel replaced (codec.addFrame, conformance_test.go): every
 // record materialized by DecodeBinaryMeanBatch, re-checked by
 // DecodeMeanReport and folded by one Add.
-
-// randomMeanWires draws n reports uniformly over the protocol's whole
-// (label, symbol) domain, so multi-byte labels and every symbol appear.
-func randomMeanWires(p *NumericProtocol, n int, r *xrand.Rand) []WireMeanReport {
-	wires := make([]WireMeanReport, n)
-	for i := range wires {
-		wires[i] = WireMeanReport{Label: r.Intn(p.Classes()), Symbol: r.Intn(p.Symbols())}
-	}
-	return wires
-}
 
 // sameFloats compares float for float, NaN-safe.
 func sameFloats(a, b []float64) bool {
@@ -100,53 +87,5 @@ func TestMeanFrameMalformedRecords(t *testing.T) {
 			}
 			tc.k.requireSame(t, tc.name, agg, oracle)
 		})
-	}
-}
-
-// TestCheckedMeanFrameIsAValue pins what carrying the counts by value buys:
-// one checked frame applied to two aggregators fills both alike (and twice
-// into one doubles it), and a frame validated but never applied leaves
-// nothing behind for the next one — at a domain inside the inline cell
-// table and at one beyond it.
-func TestCheckedMeanFrameIsAValue(t *testing.T) {
-	r := xrand.New(16)
-	for _, classes := range []int{5, 200} {
-		k := mustMeanCodec(t, "cpmean", classes)
-		p := k.p.(*NumericProtocol)
-		frameOf := func(n int) []byte {
-			frame, err := p.AppendBinaryMeanBatch(nil, randomMeanWires(p, n, r))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return frame
-		}
-		dropped, kept := frameOf(500), frameOf(300)
-		if _, err := p.ValidateBinaryMeanBatch(dropped); err != nil {
-			t.Fatal(err)
-		}
-		f, err := p.ValidateBinaryMeanBatch(kept)
-		if err != nil || f.Count() != 300 {
-			t.Fatalf("c=%d: validate: count %d, %v", classes, f.Count(), err)
-		}
-		a, b, once, twice := p.NewTable(), p.NewTable(), p.NewAggregator(), p.NewAggregator()
-		p.FoldChecked(&a, f)
-		p.FoldChecked(&b, f)
-		p.FoldChecked(&b, f)
-		k.addFrame(t, once, kept)
-		k.addFrame(t, twice, kept)
-		k.addFrame(t, twice, kept)
-		k.requireSame(t, fmt.Sprintf("c=%d applied once", classes), p.halves.Aggregate(a), once)
-		k.requireSame(t, fmt.Sprintf("c=%d applied twice", classes), p.halves.Aggregate(b), twice)
-
-		other := mustNumeric(t, "cpmean", classes, 2, 0.5)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("c=%d: a frame checked by one protocol applied under another", classes)
-				}
-			}()
-			tab := other.NewTable()
-			other.FoldChecked(&tab, f)
-		}()
 	}
 }

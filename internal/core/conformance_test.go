@@ -91,6 +91,7 @@ type instance interface {
 
 	streamingEqualsBatch(t *testing.T)
 	frameKernel(t *testing.T, vp bool)
+	checkedFrameIsAValue(t *testing.T, other instance)
 	wireRoundTrip(t *testing.T)
 	envelopeRoundTrip(t *testing.T)
 	refusesForeign(t *testing.T, variants map[string]instance, same func(string) bool)
@@ -116,14 +117,15 @@ type codec[D, R, W any, A agg] struct {
 	perturb func(d D, user int, r *xrand.Rand) R
 	batch   func(data []D, r *xrand.Rand) [][]float64
 
-	wire      func(R) W
-	decode    func(W) (R, error)
-	fold      func(*state.Table, R)
-	calibrate func(*state.Table) [][]float64 // the calibrated rows, then the class sizes
-	frame     func([]byte, []W) ([]byte, error)
-	unframe   func([]byte) ([]W, error)
-	validate  func([]byte) (CheckedFrame, error)
-	apply     func(A, []byte) (int, error)
+	wire        func(R) W
+	decode      func(W) (R, error)
+	fold        func(*state.Table, R)
+	calibrate   func(*state.Table) [][]float64 // the calibrated rows, then the class sizes
+	frame       func([]byte, []W) ([]byte, error)
+	unframe     func([]byte) ([]W, error)
+	validate    func([]byte) (CheckedFrame, error)
+	foldChecked func(*state.Table, CheckedFrame)
+	apply       func(A, []byte) (int, error)
 
 	newAgg     func() A
 	add        func(A, R)
@@ -287,7 +289,7 @@ func freqRow(name string, estimator func(eps, split float64) (FrequencyEstimator
 			wire: p.EncodeReport, decode: p.DecodeReport, fold: p.Fold,
 			calibrate: func(tab *state.Table) [][]float64 { freq, sizes := p.Calibrate(tab); return append(freq, sizes) },
 			frame:     p.AppendBinaryBatch, unframe: p.DecodeBinaryBatch,
-			validate: p.ValidateBinaryBatch, apply: p.ApplyBinaryBatch,
+			validate: p.ValidateBinaryBatch, foldChecked: p.FoldChecked, apply: p.ApplyBinaryBatch,
 			newAgg: p.NewAggregator, add: Aggregator.Add, merge: Aggregator.Merge,
 			estimates: func(a Aggregator) [][]float64 { return append(a.Estimates(), a.ClassSizes()) },
 			marshal:   p.MarshalAggregator, unmarshal: p.UnmarshalAggregator,
@@ -352,7 +354,7 @@ func meanRow(name string, splitKeyed bool, estimator func(eps, split float64) (m
 			wire: p.EncodeMeanReport, decode: p.DecodeMeanReport, fold: p.Fold,
 			calibrate: func(tab *state.Table) [][]float64 { means, sizes := p.Calibrate(tab); return [][]float64{means, sizes} },
 			frame:     p.AppendBinaryMeanBatch, unframe: p.DecodeBinaryMeanBatch,
-			validate: p.ValidateBinaryMeanBatch, apply: p.ApplyBinaryMeanBatch,
+			validate: p.ValidateBinaryMeanBatch, foldChecked: p.FoldChecked, apply: p.ApplyBinaryMeanBatch,
 			newAgg: p.NewAggregator, add: mean.Aggregator.Add, merge: mean.Aggregator.Merge,
 			estimates: func(a mean.Aggregator) [][]float64 { return [][]float64{a.Means(), a.ClassSizes()} },
 			marshal:   p.MarshalAggregator, unmarshal: p.UnmarshalAggregator,
@@ -485,6 +487,72 @@ func droppedFrame(t testing.TB, p *Protocol, n int) []byte {
 		t.Fatal(err)
 	}
 	return frame
+}
+
+// TestCheckedFrameIsAValue: a checked frame is a value. Folded twice or
+// three times into a table, with other frames checked — one of them never
+// folded — between its check and its folds, it counts exactly as often as
+// it is folded right after its own check; a
+// frame one protocol checked panics when another folds it. The mean rows
+// run at a class count inside the checked frame's inline cell table and at
+// one beyond it.
+func TestCheckedFrameIsAValue(t *testing.T) { forRows(t, protocolRows, checkedFrameIsAValue) }
+
+func checkedFrameIsAValue(t *testing.T, row protocolRow) {
+	domains := [][2]int{{5, 1000}}
+	if !row.items {
+		domains = [][2]int{{5, 0}, {200, 0}}
+	}
+	for _, dom := range domains {
+		t.Run(fmt.Sprintf("c=%d,d=%d", dom[0], dom[1]), func(t *testing.T) {
+			k, other := row.build(t, dom[0], dom[1], 2, 0.5), row.build(t, dom[0], dom[1], 2, 0.5)
+			k.checkedFrameIsAValue(t, other)
+		})
+	}
+}
+
+func (k codec[D, R, W, A]) checkedFrameIsAValue(t *testing.T, other instance) {
+	check := func(frame []byte) CheckedFrame {
+		f, err := k.validate(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	// foldedAfterCheck folds each frame right after its own check.
+	foldedAfterCheck := func(frames ...[]byte) state.Table {
+		tab := k.p.NewTable()
+		for _, frame := range frames {
+			k.foldChecked(&tab, check(frame))
+		}
+		return tab
+	}
+	_, wires := k.reports(1000, 11)
+	a, b := k.mustFrame(t, wires[:500]), k.mustFrame(t, wires[500:800])
+	fa, fb := check(a), check(b)
+	check(k.mustFrame(t, wires[800:])) // checked and dropped
+	ta, tb := k.p.NewTable(), k.p.NewTable()
+	k.foldChecked(&ta, fa)
+	k.foldChecked(&tb, fb)
+	k.foldChecked(&ta, fa)
+	k.foldChecked(&tb, fb)
+	k.foldChecked(&tb, fb)
+	for _, c := range []struct {
+		what      string
+		got, want state.Table
+	}{{"folded twice", ta, foldedAfterCheck(a, a)}, {"folded three times", tb, foldedAfterCheck(b, b, b)}} {
+		if c.got.N != c.want.N || !reflect.DeepEqual(c.got.Cells, c.want.Cells) {
+			t.Fatalf("%s: %d reports counted, want %d, or the cells differ", c.what, c.got.N, c.want.N)
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("a frame checked by one protocol folded under another")
+		}
+	}()
+	tab := other.protocol().NewTable()
+	other.(codec[D, R, W, A]).foldChecked(&tab, fa)
 }
 
 // TestWireCodecRoundTrip: every report survives Encode → wire JSON →
@@ -759,6 +827,7 @@ func TestEnvelopeEmptyAggregator(t *testing.T)  { forRows(t, rowNamed("ptscp"), 
 func TestFingerprintMatchesWireCompatible(t *testing.T) {
 	forRows(t, rowNamed("pts"), crossProtocolRefusal)
 }
+func TestCheckedMeanFrameIsAValue(t *testing.T) { forRows(t, rowNamed("cpmean"), checkedFrameIsAValue) }
 
 func rowNamed(name string) []protocolRow {
 	for _, row := range protocolRows {
